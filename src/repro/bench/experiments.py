@@ -524,16 +524,13 @@ def batch_throughput(
     engines: Sequence[str] = ("order", "trav-2", "naive"),
     scale: Optional[float] = None,
     seed: int = 42,
-    engine_opts: Optional[dict] = None,
 ) -> BatchThroughputResult:
     """Replay one mixed insert/remove stream per-edge and batched.
 
     Both replays start from a fresh base graph and must end with
     identical core numbers (asserted); for the order engine the row also
     reports the ``mcd`` recomputation counters, the work the batched
-    path amortizes per run.  ``engine_opts`` (e.g. ``partition`` /
-    ``parallel`` for the region scheduler) apply to the order-family
-    engines, which are the ones whose factories accept them.
+    path amortizes per run.
     """
     dataset = load_dataset(name, scale=scale, seed=seed)
     workload, plan, batches = mixed_batch_workload(
@@ -541,16 +538,11 @@ def batch_throughput(
     )
     rows = []
     for engine_name in engines:
-        opts = engine_opts if engine_opts and engine_name.startswith("order") else {}
-        per_edge = build_engine(
-            engine_name, workload.base_graph(), seed=seed, **opts
-        )
+        per_edge = build_engine(engine_name, workload.base_graph(), seed=seed)
         per_edge_log = run_mixed(per_edge, plan)
         # The batched replay goes through the service façade — the path
         # every production consumer takes (commits, receipts, events).
-        batched = build_service(
-            engine_name, workload.base_graph(), seed=seed, **opts
-        )
+        batched = build_service(engine_name, workload.base_graph(), seed=seed)
         results = run_batches(batched, batches)
         assert per_edge.core_numbers() == batched.cores(), (
             f"{engine_name}: batched replay diverged from per-edge replay"

@@ -38,15 +38,6 @@ def _engine_name(value: str) -> str:
     )
 
 
-def _positive_int(value: str) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 1, got {workers}"
-        )
-    return workers
-
-
 def _dataset_list(value: str) -> list[str]:
     names = [n.strip() for n in value.split(",") if n.strip()]
     known = set(dataset_names())
@@ -78,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default=DEFAULT_ENGINE, type=_engine_name,
         help="engine registry name for 'batch'/'validate' "
         "(order, order-om, order-treap, order-large, order-random, "
-        "order-sharded, naive, trav-<h>)",
+        "order-simplified, naive, trav-<h>)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=100,
@@ -87,17 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mix", type=float, default=0.2,
         help="batch: probability of a removal after each insertion",
-    )
-    parser.add_argument(
-        "--partition", action="store_true",
-        help="batch: split each batch into independent regions before "
-        "applying (order engines)",
-    )
-    parser.add_argument(
-        "--parallel", type=_positive_int, default=None, metavar="WORKERS",
-        help="batch: opt-in region-parallel worker pool for the order "
-        "engines (implies --partition; with --engine order-sharded the "
-        "workers commit per-shard, without the engine-wide lock)",
     )
     parser.add_argument(
         "--datasets",
@@ -285,15 +265,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         engines = ["order", "trav-2", "naive"]
         if args.engine not in engines:
             engines.append(args.engine)
-        engine_opts = {}
-        if args.partition:
-            engine_opts["partition"] = True
-        if args.parallel:
-            engine_opts["parallel"] = args.parallel
         print(reporting.render_batch([
             experiments.batch_throughput(
                 n, args.updates, args.batch_size, p=args.mix,
-                engines=engines, engine_opts=engine_opts or None, **common,
+                engines=engines, **common,
             )
             for n in targets
         ]))

@@ -74,17 +74,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         order-maintenance lists, O(1) order tests) or ``"treap"`` (the
         original order-statistic treaps, O(log n) rank walks).  Both
         yield identical orders and cores; only the query cost differs.
-    partition:
-        When true, :meth:`apply_batch` first splits every batch into
-        independent regions with :meth:`~repro.engine.batch.Batch.partition`
-        and applies them one by one.  Off by default — the partitioner
-        walks the touched components, which per-batch hot paths should
-        not pay unless asked to.
-    parallel:
-        Opt-in worker count for region-parallel batch application
-        (implies ``partition``).  ``None``/``0`` keeps the sequential
-        schedule.  See :meth:`apply_batch` for what "parallel" means in
-        CPython today.
     """
 
     name = "order"
@@ -101,8 +90,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         seed: Optional[int] = 0,
         audit: bool = False,
         sequence: str = DEFAULT_SEQUENCE,
-        partition: bool = False,
-        parallel: Optional[int] = None,
     ) -> None:
         super().__init__(graph)
         self._audit = audit
@@ -114,8 +101,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         )
         self._mcd = compute_mcd(graph, self._core)
         self.mcd_recomputations = 0
-        self._batch_partition = bool(partition)
-        self._batch_parallel = parallel if parallel else None
 
     @classmethod
     def from_index_state(
@@ -135,10 +120,10 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         ``order`` must be a valid k-order of ``graph`` with ``core`` /
         ``deg_plus`` / ``mcd`` consistent; no decomposition runs.  The
         ``core`` and ``mcd`` dicts are adopted, not copied.  This is the
-        one bypass of ``__init__`` — shared by snapshot restore
-        (:func:`repro.core.snapshot.from_snapshot`) and the sharded
-        engine's split path, so new maintainer state only ever needs to
-        be wired here.  Raises ``ValueError`` for an unknown backend.
+        one bypass of ``__init__`` — used by snapshot restore
+        (:func:`repro.core.snapshot.from_snapshot`), so new maintainer
+        state only ever needs to be wired here.  Raises ``ValueError``
+        for an unknown backend.
         """
         maintainer = cls.__new__(cls)
         CoreMaintainer.__init__(maintainer, graph)
@@ -165,18 +150,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
     @property
     def mcd(self) -> Mapping[Vertex, int]:
         """Maintained max-core degrees (read-only)."""
-        return self._mcd
-
-    def mcd_of(self, vertex: Vertex) -> int:
-        """``mcd`` of one vertex — the per-vertex accessor shared with
-        the simplified engine (which derives it instead of storing it)."""
-        return self._mcd[vertex]
-
-    @property
-    def _aux_degrees(self) -> dict[Vertex, int]:
-        """The per-vertex auxiliary degree store the sharded engine
-        merges and splits alongside ``core``/``deg+`` — here the
-        maintained ``mcd`` (the simplified engine's is ``d_in``)."""
         return self._mcd
 
     @property
@@ -230,8 +203,8 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
             self.check()
         return UpdateResult("remove", (u, v), k, tuple(v_star), visited)
 
-    # The batch pipeline (``apply_batch`` / ``insert_edges_bulk`` and the
-    # region scheduler) is inherited from
+    # The batch pipeline (``apply_batch`` / ``insert_edges_bulk``) is
+    # inherited from
     # :class:`~repro.engine.schedule.RunScheduledMaintainer`; this class
     # contributes the ``mcd``-maintaining run commits below.
 

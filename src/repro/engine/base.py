@@ -17,8 +17,8 @@ Besides the per-edge updates the paper describes, every engine accepts a
 :meth:`CoreMaintainer.apply_batch`.  The base class provides a per-edge
 fallback; engines override it with genuinely faster batched paths (the
 order engine coalesces ``mcd`` repair per same-kind run — batch-native on
-both the insertion and removal sides — and schedules independent batch
-regions; the naive engine recomputes once per batch).
+both the insertion and removal sides; the naive engine recomputes once
+per batch).
 
 Engines are created by name through the registry in
 :mod:`repro.engine.registry` (:func:`~repro.engine.registry.make_engine`).
@@ -202,7 +202,7 @@ class CoreMaintainer(ABC):
 
         ``baseline`` is a counter snapshot taken when the batch started;
         engines whose schedules build :class:`BatchResult` directly (the
-        order engine's region scheduler) share this arithmetic with
+        order engines' run scheduler) share this arithmetic with
         :meth:`_finish_batch`.
 
         Counters the engine never touched are omitted, not zero-filled:

@@ -19,18 +19,6 @@ both kinds, insertions commute with removals of other edges, so
 :meth:`Batch.runs` can regroup the ops into one removal run followed by
 one insertion run — the schedule that lets the order-based engine
 coalesce its ``mcd`` repair per run instead of per edge.
-
-Beyond run regrouping, :meth:`Batch.partition` splits a batch into
-*independent regions* (in the spirit of Wang et al. 2017's observation
-that disjoint update regions commute): connected components of the
-touched subgraph — the batch's edges plus the existing graph's paths
-between batch vertices — optionally refined by core levels so that
-high-core "walls" no cascade can cross do not glue otherwise-unrelated
-updates together.  Regions preserve per-edge op order (every op on one
-edge lands in one region), so applying the regions in any order yields
-the same final graph, and therefore the same final core numbers, as the
-original batch; engines schedule regions sequentially or in parallel and
-report ``regions`` / ``region_max_size`` in ``BatchResult.counters``.
 """
 
 from __future__ import annotations
@@ -284,111 +272,6 @@ class Batch:
         runs.append((current_kind, current))
         return runs
 
-    def partition(self, graph, core=None) -> list["Batch"]:
-        """Split the batch into independent region sub-batches.
-
-        Two ops belong to the same region when their edges are connected
-        in the *touched subgraph*: the batch's own edges plus every path
-        of ``graph`` (any object with an ``adj`` vertex-to-neighbors
-        mapping) between batch vertices.  With ``core`` (a vertex ->
-        core-number mapping) the connectivity walk is refined by affected
-        levels: it only passes *through* vertices whose core number is at
-        most ``max(min(core(u), core(v))) + 1`` over the batch's edges.
-        Removal cascades can only travel below that cap (demotions go
-        downward from each edge's level), and so do insertion cascades
-        seeded at the *current* levels — though a dense enough insertion
-        batch can compound promotions past the cap, so the refinement is
-        a granularity heuristic, not a proof of independence.  Batch
-        vertices themselves always conduct (their own counters are
-        touched regardless of level).
-
-        Every op of one edge lands in one region with its relative order
-        preserved, so applying the regions in any order produces the same
-        final graph — and core numbers are a function of that graph —
-        as applying the original batch.  The scheduler's correctness
-        therefore never depends on the refinement; the cap only keeps the
-        regions fine-grained.  Cost: one walk over the components that
-        contain batch vertices (worst case ``O(n + m)``), which is why
-        engines partition only on request.
-
-        Returns the regions ordered by their first op's position in the
-        batch; a batch whose ops are all connected returns ``[self]``-
-        equivalent single region.
-
-        >>> from repro.graphs.undirected import DynamicGraph
-        >>> graph = DynamicGraph([(0, 1), (1, 2), (10, 11)])
-        >>> regions = Batch.removes([(0, 1), (10, 11)]).partition(graph)
-        >>> [[op.edge for op in region] for region in regions]
-        [[(0, 1)], [(10, 11)]]
-        """
-        if not self._ops:
-            return []
-        parent: dict[Vertex, Vertex] = {}
-
-        def find(x: Vertex) -> Vertex:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: Vertex, b: Vertex) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        batch_vertices: set[Vertex] = set()
-        for op in self._ops:
-            u, v = op.edge
-            for x in (u, v):
-                if x not in parent:
-                    parent[x] = x
-                    batch_vertices.add(x)
-            union(u, v)
-
-        cap = None
-        if core is not None:
-            cap = 1 + max(
-                min(core.get(u, 0), core.get(v, 0))
-                for u, v in (op.edge for op in self._ops)
-            )
-
-        adj = graph.adj
-        visited: set[Vertex] = set()
-        # Only batch vertices trigger unions, so the walk can stop as
-        # soon as every graph-resident batch vertex has been visited —
-        # without this, a tight batch inside a large component would pay
-        # the whole component's O(n + m) on every partition call.
-        pending = {v for v in batch_vertices if v in adj}
-        for source in list(pending):
-            if not pending:
-                break
-            if source in visited:
-                continue
-            visited.add(source)
-            pending.discard(source)
-            stack = [source]
-            while stack and pending:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in visited:
-                        continue
-                    if y in batch_vertices:
-                        parent.setdefault(y, y)
-                        union(source, y)
-                        visited.add(y)
-                        pending.discard(y)
-                        stack.append(y)
-                    elif cap is None or core.get(y, 0) <= cap:
-                        visited.add(y)
-                        stack.append(y)
-
-        groups: dict[Vertex, list[BatchOp]] = {}
-        for op in self._ops:
-            groups.setdefault(find(op.edge[0]), []).append(op)
-        return [Batch(ops) for ops in groups.values()]
-
 
 @dataclass
 class BatchResult:
@@ -419,8 +302,7 @@ class BatchResult:
         order engine: ``order_queries``, ``relabels``, ``rank_walk_steps``
         (the sequence-backend stats), ``mcd_recomputations``
         (``candidate_visits`` on the simplified engine, which has no
-        ``mcd``), plus the schedule's ``regions`` / ``region_max_size``;
-        empty for engines without counters.  Counters the engine's
+        ``mcd``); empty for engines without counters.  Counters the engine's
         machinery never touched are omitted, not zero-filled: a missing
         key means "this engine never ran that code", a ``0`` means "ran
         this batch and did nothing".
@@ -460,7 +342,7 @@ def merge_deltas(changed: dict, deltas: Iterable) -> dict:
     vertices whose net delta reaches zero.  Returns ``changed``.
 
     The one definition of the accumulate-and-drop-zeros rule shared by
-    :func:`net_changes` and the engines' region/run aggregation.
+    :func:`net_changes` and the engines' run aggregation.
     """
     for vertex, delta in deltas:
         total = changed.get(vertex, 0) + delta

@@ -1,29 +1,26 @@
-"""Run/region batch scheduler shared by the order-family engines.
+"""Run batch scheduler shared by the order-family engines.
 
-:class:`RunScheduledMaintainer` factors the PR-3 batch pipeline out of
-the default order engine so every order-family maintainer — the
+:class:`RunScheduledMaintainer` factors the batch pipeline out of the
+default order engine so every order-family maintainer — the
 ``mcd``-maintaining :class:`~repro.core.maintainer.OrderedCoreMaintainer`
 and the Guo–Sekerinski
 :class:`~repro.core.simplified.SimplifiedCoreMaintainer` — shares one
 schedule and differs only in how a *run* commits:
 
-* :meth:`~RunScheduledMaintainer.apply_batch` optionally partitions the
-  batch into independent regions (:meth:`~repro.engine.batch.Batch.partition`)
-  and applies them sequentially or from a thread pool behind an
-  engine-wide region lock;
-* each region is replayed as same-kind runs
-  (:meth:`~repro.engine.batch.Batch.runs`), dispatched to the subclass
-  hooks :meth:`~RunScheduledMaintainer._insert_run` (returns per-op
-  :class:`~repro.engine.base.UpdateResult` s) and
+* :meth:`~RunScheduledMaintainer.apply_batch` replays the batch as
+  same-kind runs (:meth:`~repro.engine.batch.Batch.runs`), dispatched to
+  the subclass hooks :meth:`~RunScheduledMaintainer._insert_run`
+  (returns per-op :class:`~repro.engine.base.UpdateResult` s) and
   :meth:`~RunScheduledMaintainer._remove_run` (returns one coalesced
   run result with ``changed`` / ``visited`` aggregates — duck-typed;
-  the order family uses
-  :class:`~repro.core.removal.RemovalRunResult`);
-* aggregation enforces the shared contracts: ``results`` keeps per-op
-  detail only for removal-free batches (``results=None`` otherwise),
-  per-op results are restored to batch op order under a partitioned
-  schedule, and ``BatchResult.counters`` always reports the schedule's
-  ``regions`` / ``region_max_size``.
+  the order family uses :class:`~repro.core.removal.RemovalRunResult`);
+* aggregation enforces the shared contract: ``results`` keeps per-op
+  detail only for removal-free batches (``results=None`` otherwise).
+
+Runs are applied one after another.  The paper's algorithms are
+sequential, and region-partitioned and thread-pool schedules measured
+slower than this path on every workload tried (see README.md, "Why
+batches run sequentially").
 
 The module lives in :mod:`repro.engine` (not :mod:`repro.core`) because
 it knows nothing about any particular index: it only needs the
@@ -33,10 +30,8 @@ hooks.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 from repro.engine.base import CoreMaintainer, UpdateResult
 from repro.engine.batch import Batch, BatchResult, merge_deltas, net_changes
@@ -49,15 +44,8 @@ class RunScheduledMaintainer(CoreMaintainer):
     """Batch scheduling shared by the order-family engines.
 
     Subclasses implement :meth:`_insert_run` / :meth:`_remove_run` (the
-    family-specific coalesced commits) and may set the engine-level
-    scheduler defaults ``_batch_partition`` / ``_batch_parallel`` from
-    their constructors.
+    family-specific coalesced commits).
     """
-
-    #: Scheduler defaults, class-level so engines restored from
-    #: snapshots (which bypass ``__init__``) get them too.
-    _batch_partition = False
-    _batch_parallel: Optional[int] = None
 
     def insert_edges_bulk(self, edges: Iterable) -> list[UpdateResult]:
         """Bulk load: thin wrapper over :meth:`apply_batch`.
@@ -67,20 +55,11 @@ class RunScheduledMaintainer(CoreMaintainer):
         Batch semantics apply: duplicate input edges are dropped rather
         than raising, and each result's ``edge`` carries the normalized
         orientation — so zip results with the *deduplicated* batch ops,
-        not the raw input, when inputs may repeat.  Partitioning is
-        pinned off: a bulk load is one logical run, so the partition
-        walk would be pure overhead here.
+        not the raw input, when inputs may repeat.
         """
-        return self.apply_batch(
-            Batch.inserts(edges), partition=False, parallel=0
-        ).results
+        return self.apply_batch(Batch.inserts(edges)).results
 
-    def apply_batch(
-        self,
-        batch: Batch,
-        partition: Optional[bool] = None,
-        parallel: Optional[int] = None,
-    ) -> BatchResult:
+    def apply_batch(self, batch: Batch) -> BatchResult:
         """Apply a mixed batch, coalescing index repair per run.
 
         :meth:`Batch.runs` reorders conflict-free batches into one
@@ -91,102 +70,19 @@ class RunScheduledMaintainer(CoreMaintainer):
         joint cascades, see :func:`repro.core.removal.order_remove_run`
         and :func:`repro.core.simplified.simplified_remove_run`).
 
-        Scheduling: with ``partition`` (per-call override of the engine
-        default) the batch is first split into independent regions by
-        :meth:`~repro.engine.batch.Batch.partition` and the regions are
-        applied one by one — correct under any region order because core
-        numbers are a function of the final graph and every region
-        application restores the full index invariants.  ``parallel``
-        (worker count; implies partitioning unless ``partition=False``
-        is passed explicitly) applies regions from a
-        thread pool; the k-order blocks are shared across regions, so
-        each worker holds an engine-wide region lock while it applies —
-        in CPython this (like the GIL) serializes index mutation, making
-        ``parallel=`` a scheduling seam and an agreement harness for
-        region scheduling rather than a wall-clock win today.  True
-        parallelism needs per-region engine state (see the sharded
-        engine).
-
         ``BatchResult.results`` keeps per-op detail only for batches
         without removals: removal runs are fully coalesced, so per-edge
         attribution no longer exists (``changed``/``visited`` stay
         exact, aggregated at run level).  When results are kept they are
-        restored to the batch's op order even under a partitioned
-        schedule, so zipping them with the batch's ops stays valid.
-        ``BatchResult.counters`` always reports the schedule's
-        ``regions`` and ``region_max_size``.
+        in the batch's op order, so zipping them with the batch's ops
+        is valid.
         """
         started = time.perf_counter()
         baseline = self._batch_counters()
-        if parallel is None:
-            parallel = self._batch_parallel
-        if partition is None:
-            # parallel implies partitioning — but an explicit
-            # partition=False wins (the pool then sees one region and
-            # degrades to the sequential path).
-            partition = self._batch_partition or bool(parallel)
-        if partition and len(batch) > 1:
-            regions = batch.partition(self._graph, core=self._core)
-        else:
-            regions = [batch] if batch else []
-        if parallel and len(regions) > 1:
-            lock = threading.Lock()
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                outcomes = list(
-                    pool.map(lambda r: self._apply_region(r, lock), regions)
-                )
-        else:
-            outcomes = [self._apply_region(region) for region in regions]
-
-        inserts = removes = visited = 0
-        results: Optional[list[UpdateResult]] = []
-        changed: dict[Vertex, int] = {}
-        for region_results, removal_runs, n_ins, n_rem in outcomes:
-            inserts += n_ins
-            removes += n_rem
-            visited += sum(r.visited for r in region_results)
-            if removal_runs:
-                results = None
-            if results is not None:
-                results.extend(region_results)
-            merge_deltas(changed, net_changes(region_results).items())
-            for run in removal_runs:
-                visited += run.visited
-                merge_deltas(changed, run.changed.items())
-        if results is not None and len(regions) > 1:
-            # Results are kept only for removal-free batches, whose
-            # deduplicated ops have unique edges: restore batch op order
-            # so the documented zip-with-ops contract survives regions.
-            positions = {op.edge: i for i, op in enumerate(batch)}
-            results.sort(key=lambda r: positions[r.edge])
-        counters = self._counter_deltas(baseline)
-        counters["regions"] = len(regions)
-        counters["region_max_size"] = max(
-            (len(region) for region in regions), default=0
-        )
-        return BatchResult(
-            engine=self.name,
-            inserts=inserts,
-            removes=removes,
-            changed=changed,
-            visited=visited,
-            seconds=time.perf_counter() - started,
-            results=results,
-            counters=counters,
-        )
-
-    def _apply_region(
-        self, region: Batch, lock: Optional[threading.Lock] = None
-    ) -> tuple[list[UpdateResult], list, int, int]:
-        """Apply one region's runs; returns per-op insert results, the
-        coalesced removal-run results, and the op counts."""
-        if lock is not None:
-            with lock:
-                return self._apply_region(region)
         results: list[UpdateResult] = []
         removal_runs: list = []
         inserts = removes = 0
-        for kind, run_edges in region.runs():
+        for kind, run_edges in batch.runs():
             inject("engine.mid_batch")
             if kind == "insert":
                 results.extend(self._insert_run(run_edges))
@@ -194,7 +90,21 @@ class RunScheduledMaintainer(CoreMaintainer):
             else:
                 removal_runs.append(self._remove_run(run_edges))
                 removes += len(run_edges)
-        return results, removal_runs, inserts, removes
+        visited = sum(r.visited for r in results)
+        changed = net_changes(results)
+        for run in removal_runs:
+            visited += run.visited
+            merge_deltas(changed, run.changed.items())
+        return BatchResult(
+            engine=self.name,
+            inserts=inserts,
+            removes=removes,
+            changed=changed,
+            visited=visited,
+            seconds=time.perf_counter() - started,
+            results=None if removal_runs else results,
+            counters=self._counter_deltas(baseline),
+        )
 
     # ------------------------------------------------------------------
     # Run hooks (family-specific coalesced commits)

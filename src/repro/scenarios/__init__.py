@@ -5,7 +5,7 @@ shareable artifact:
 
 * :mod:`~repro.scenarios.generators` — deterministic seeded workload
   families (bursts, sliding-window churn, flash crowds, relabel storms,
-  shard-merge storms, mixed streams) emitting a common
+  component bridge/sever storms, mixed streams) emitting a common
   :class:`Scenario` of timed :class:`Tick` batches;
 * :mod:`~repro.scenarios.trace` — a durable framed-JSONL trace format
   (the WAL's crash-evident framing) with byte-identical round-trips;

@@ -27,8 +27,10 @@ The families target the engines' distinct stress axes:
     labels (Bender relabel cascades).
 ``shard-merge-storm``
     Disjoint clique pockets repeatedly bridged into one component and
-    severed again — every cycle forces the sharded engine to merge
-    sub-engines and split them back.
+    severed again — component bridge/sever cycles through the k-order:
+    each cycle's bridge ring lands between same-level vertices of
+    different pockets, and the whole ring leaves again as one removal
+    run.  (The name is historical; recorded traces carry it.)
 ``mixed``
     The Fig. 12-style interleaved insert/remove mix (the one source of
     truth for :func:`repro.bench.workloads.interleave_removals`).
@@ -302,10 +304,12 @@ def shard_merge_storm(
     """Disjoint clique pockets repeatedly bridged and severed.
 
     The base graph is ``pockets`` disjoint cliques — one connected
-    component each, so the sharded engine materializes one sub-engine
-    per pocket.  Every cycle inserts a ring of bridges (forcing a chain
-    of shard merges into one component) and the next tick removes them
-    all (forcing the splits back); bridge endpoints rotate per cycle.
+    component each.  Every cycle inserts a ring of bridges joining all
+    pockets into one component, and the next tick removes them all,
+    severing the pockets again; bridge endpoints rotate per cycle.  The
+    stress is on the k-order: the bridges join vertices of one core
+    level across pockets, so insertion scans and the removal run's
+    joint cascade cross component boundaries every cycle.
     """
     params = dict(scale=scale, cycles=cycles, pockets=pockets,
                   pocket_size=pocket_size)

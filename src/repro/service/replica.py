@@ -32,10 +32,15 @@ from pathlib import Path
 from typing import Hashable
 
 from repro.analysis import kcore_views
-from repro.engine.registry import make_engine
 from repro.errors import LogCorruptionError, ReproError
 from repro.graphs.undirected import DynamicGraph
-from repro.service.wal import batch_from_ops, read_header, scan, tail
+from repro.service.wal import (
+    base_engine,
+    batch_from_ops,
+    read_header,
+    scan,
+    tail,
+)
 from repro.testing.faults import InjectedFault, inject, register_fault_point
 
 Vertex = Hashable
@@ -48,13 +53,6 @@ register_fault_point(
 )
 
 _MISSING = object()
-
-
-def _snapshot_path(log: Path) -> Path:
-    """Where a logged session keeps its compaction snapshot."""
-    # Mirrors repro.service.session._snapshot_path; duplicated to keep
-    # the replica importable without the session module.
-    return log.with_name(log.name + ".snapshot")
 
 
 class LogReplica:
@@ -90,32 +88,9 @@ class LogReplica:
 
     def _build(self) -> None:
         """(Re)build the replica engine: snapshot seed + full replay."""
-        from repro.core.snapshot import from_snapshot
-
         info = scan(self._log)
         header = info.header
-        snap_path = _snapshot_path(self._log)
-        base = 0
-        if snap_path.exists():
-            import json
-
-            raw = json.loads(snap_path.read_text())
-            base = raw.get("receipt", 0)
-            engine = from_snapshot(raw, audit=self._audit)
-        else:
-            if header.get("base_receipt", 0) or header.get("snapshot"):
-                raise LogCorruptionError(
-                    f"commit log {str(self._log)!r} continues from a "
-                    f"compaction snapshot (receipt "
-                    f"{header.get('base_receipt', 0)}) but "
-                    f"{str(snap_path)!r} is missing"
-                )
-            engine = make_engine(
-                header["engine"],
-                DynamicGraph(),
-                seed=header.get("seed", 0),
-                **header.get("opts", {}),
-            )
+        engine, base, _ = base_engine(self._log, info, audit=self._audit)
         applied = base
         for receipt_id, ops in info.records:
             if receipt_id <= base:

@@ -26,7 +26,6 @@ folds the log back into a snapshot.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Hashable, Iterable, NamedTuple, Optional, Union
 
@@ -59,11 +58,6 @@ class RecoveryReport(NamedTuple):
     skipped: int
     torn_bytes: int
     from_snapshot: bool
-
-
-def _snapshot_path(log: Path) -> Path:
-    """Where a logged session keeps its compaction snapshot."""
-    return log.with_name(log.name + ".snapshot")
 
 
 class CoreService:
@@ -118,7 +112,7 @@ class CoreService:
         ``graph`` may be a :class:`~repro.graphs.undirected.DynamicGraph`
         (adopted as-is), any iterable of edges, or ``None`` for an empty
         graph.  ``engine`` is any :func:`~repro.engine.registry.make_engine`
-        name (``"order"``, ``"order-treap"``, ``"order-sharded"``,
+        name (``"order"``, ``"order-treap"``, ``"order-simplified"``,
         ``"trav-<h>"``, ``"naive"``, …); extra options go to the engine
         factory, which rejects names it does not understand.
 
@@ -205,37 +199,17 @@ class CoreService:
         commits append under the given ``fsync`` policy.  What happened
         is reported in :attr:`recovery`.
         """
-        from repro.core.snapshot import from_snapshot
         from repro.service.wal import (
             DEFAULT_FSYNC_EVERY,
             WriteAheadLog,
+            base_engine,
             batch_from_ops,
             scan,
         )
 
         log = Path(log)
         info = scan(log)
-        header = info.header
-        snap_path = _snapshot_path(log)
-        base = 0
-        from_snap = snap_path.exists()
-        if from_snap:
-            raw = json.loads(snap_path.read_text())
-            base = raw.get("receipt", 0)
-            engine = from_snapshot(raw, audit=audit)
-        else:
-            if header.get("base_receipt", 0) or header.get("snapshot"):
-                raise LogCorruptionError(
-                    f"commit log {str(log)!r} continues from a compaction "
-                    f"snapshot (receipt {header.get('base_receipt', 0)}) "
-                    f"but {str(snap_path)!r} is missing"
-                )
-            engine = make_engine(
-                header["engine"],
-                DynamicGraph(),
-                seed=header.get("seed", 0),
-                **header.get("opts", {}),
-            )
+        engine, base, from_snap = base_engine(log, info, audit=audit)
         service = cls(engine)
         replayed = skipped = 0
         for receipt_id, ops in info.records:
@@ -300,6 +274,7 @@ class CoreService:
         from repro.core.maintainer import OrderedCoreMaintainer
         from repro.core.simplified import SimplifiedCoreMaintainer
         from repro.core.snapshot import to_snapshot, write_json_atomic
+        from repro.service.wal import snapshot_path
 
         self._require_open()
         if self._poisoned:
@@ -325,7 +300,7 @@ class CoreService:
         receipt = self._next_receipt - 1
         snapshot = to_snapshot(self._engine)
         snapshot["receipt"] = receipt
-        path = _snapshot_path(self._wal.path)
+        path = snapshot_path(self._wal.path)
         write_json_atomic(snapshot, path)
         self._wal.rotate(receipt)
         return path
@@ -335,17 +310,13 @@ class CoreService:
 
         Idempotent.  Reads keep working on the final state; any further
         commit (or :meth:`compact`) raises
-        :class:`~repro.errors.ServiceError`.  Engines with their own
-        resources (the sharded engine's worker pool) are closed too.
+        :class:`~repro.errors.ServiceError`.
         """
         if self._closed:
             return
         self._closed = True
         if self._wal is not None:
             self._wal.close()
-        engine_close = getattr(self._engine, "close", None)
-        if callable(engine_close):
-            engine_close()
 
     def __enter__(self) -> "CoreService":
         return self

@@ -5,7 +5,7 @@ recorded on it build a validated :class:`~repro.engine.batch.Batch`
 (normalization, dedup and self-loop rejection happen at record time, so
 bad updates fail *before* anything touches the engine), and the whole
 batch reaches the engine in **one** ``apply_batch`` call — the schedule
-that lets the order engine coalesce its repair per run and region.
+that lets the order engine coalesce its repair per run.
 
 Commit produces a :class:`CommitReceipt`: the engine's
 :class:`~repro.engine.batch.BatchResult` counters plus the commit's net

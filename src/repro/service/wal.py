@@ -51,6 +51,7 @@ from typing import Optional, Union
 
 from repro.engine.batch import Batch
 from repro.errors import LogCorruptionError, ServiceError
+from repro.graphs.undirected import DynamicGraph
 from repro.testing.faults import inject, is_armed
 
 PathLike = Union[str, Path]
@@ -287,6 +288,76 @@ def batch_to_ops(batch: Batch) -> list:
 def batch_from_ops(ops: list) -> Batch:
     """Rebuild a :class:`Batch` from :func:`batch_to_ops` output."""
     return Batch((kind, (u, v)) for kind, u, v in ops)
+
+
+def snapshot_path(log: PathLike) -> Path:
+    """Where a logged session keeps its compaction snapshot."""
+    log = Path(log)
+    return log.with_name(log.name + ".snapshot")
+
+
+#: Engine names older logs may carry that are no longer registered,
+#: mapped to the engine that replays them.  The sharded engines only
+#: scheduled batches differently; their core numbers are the plain
+#: engines'.
+_RETIRED_ENGINES = {
+    "order-sharded": "order",
+    "order-sharded-simplified": "order-simplified",
+}
+
+#: Header options that only steered batch scheduling in older builds.
+#: They never change a core number, so replay drops them.
+_SCHEDULE_OPTIONS = ("partition", "parallel", "reshard", "engine")
+
+
+def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
+    """The engine a log's replay starts from.
+
+    Returns ``(engine, base_receipt, from_snapshot)``.  The compaction
+    snapshot next to ``log`` seeds the engine when it exists; records at
+    or below ``base_receipt`` are already in it.  Otherwise an empty
+    engine is built from the header's engine name, seed and options.
+    Logs written by a retired engine (``_RETIRED_ENGINES``) rebuild on
+    its sequential counterpart, minus ``_SCHEDULE_OPTIONS``.
+
+    Raises :class:`~repro.errors.LogCorruptionError` when the header
+    promises a snapshot that is missing, or names an engine or option
+    this build does not know.
+    """
+    from repro.core.snapshot import from_snapshot
+    from repro.engine.registry import is_engine_name, make_engine
+
+    snap = snapshot_path(log)
+    if snap.exists():
+        raw = json.loads(snap.read_text())
+        return from_snapshot(raw, audit=audit), raw.get("receipt", 0), True
+    header = info.header
+    if header.get("base_receipt", 0) or header.get("snapshot"):
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} continues from a compaction "
+            f"snapshot (receipt {header.get('base_receipt', 0)}) "
+            f"but {str(snap)!r} is missing"
+        )
+    opts = header.get("opts") or {}
+    name = header.get("engine")
+    if isinstance(name, str) and name in _RETIRED_ENGINES:
+        name = opts.get("engine", _RETIRED_ENGINES[name])
+    opts = {k: v for k, v in opts.items() if k not in _SCHEDULE_OPTIONS}
+    if not isinstance(name, str) or not is_engine_name(name):
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} header field 'engine' names "
+            f"unknown engine {name!r}"
+        )
+    try:
+        engine = make_engine(
+            name, DynamicGraph(), seed=header.get("seed", 0), **opts
+        )
+    except (TypeError, ValueError) as exc:
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} header field 'opts' is not "
+            f"accepted by engine {name!r}: {exc}"
+        ) from exc
+    return engine, 0, False
 
 
 class WriteAheadLog:

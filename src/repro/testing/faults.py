@@ -2,7 +2,7 @@
 
 Durability claims are only as good as the failures they survive, so the
 durable-session stack (:mod:`repro.service.wal`, the snapshot writer,
-the engines' batch paths, the sharded worker pool) is instrumented with
+the engines' batch paths) is instrumented with
 **named crash points**: call sites that invoke :func:`inject` with a
 registered point name.  When no plan is armed the call is one global
 read and a ``None`` check — it never shows up in benchmarks.
@@ -55,10 +55,6 @@ FAULT_POINTS: dict[str, str] = {
     "engine.mid_batch": (
         "engine apply_batch: between committed sub-units of one batch "
         "(runs for the order engine, ops for per-edge engines)"
-    ),
-    "shard.worker_commit": (
-        "ShardedOrderEngine: a worker about to commit its per-shard "
-        "sub-batch"
     ),
     "snapshot.mid_write": (
         "snapshot writer: half the payload written to the temp file, "
@@ -117,7 +113,7 @@ class FaultPlan:
     Arm points with :meth:`crash` (chainable).  Entering the plan makes
     it the process-wide active plan (instrumented code is threaded
     through one module-global, shared with worker threads on purpose —
-    a sharded commit's pool workers must see the same plan); leaving
+    the server's off-loop recovery threads must see the same plan); leaving
     restores the previous one.  :attr:`fired` records every point that
     actually raised, in firing order.
     """

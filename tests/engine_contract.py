@@ -18,15 +18,13 @@ Lists
     aliases that only change the initial decomposition or re-run the
     base construction (``-small``/``-large``/``-random``/``-om``, bare
     ``trav``, ``trav-<h>`` beyond the representative hop count) are
-    folded away, while genuinely different code (treap backend, the
-    sharded wrappers, each sub-engine family) stays.  Heavier
+    folded away, while genuinely different code (treap backend, each
+    order family) stays.  Heavier
     hypothesis harnesses run over this list.
 :func:`order_family_engines`
     The order-family subset of the representatives — engines that carry
     the full index (k-order + degrees) and the batch/service contracts
     the service-level suites exercise.
-:func:`sharded_engines`
-    The sharded wrappers (one per sub-engine family).
 
 ``SEQUENCE_BACKENDS`` is re-exported from :mod:`repro.core.korder` so
 backend-parametrized tests track the real backend list too.
@@ -79,14 +77,6 @@ def order_family_engines() -> tuple[str, ...]:
     return tuple(
         name for name in representative_engines()
         if name.startswith("order")
-    )
-
-
-def sharded_engines() -> tuple[str, ...]:
-    """The sharded wrapper engines, one per sub-engine family."""
-    return tuple(
-        name for name in representative_engines()
-        if name.startswith("order-sharded")
     )
 
 

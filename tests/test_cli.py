@@ -125,15 +125,6 @@ class TestCommands:
         assert code == 0
         assert "order-large" in out
 
-    def test_batch_with_region_scheduler_flags(self, capsys):
-        code, out = run_cli(
-            capsys, "batch", "--datasets", "ca", "--updates", "20",
-            "--scale", "0.15", "--batch-size", "10",
-            "--partition", "--parallel", "2",
-        )
-        assert code == 0
-        assert "speedup" in out and "order" in out
-
 
 class TestDurabilityCommands:
     def make_log(self, tmp_path):
@@ -259,6 +250,15 @@ class TestHardenedDurabilityCommands:
             assert code == 4
             assert _json.loads(captured.out)["corrupt"] is True
             assert "corrupt" in captured.err
+
+    def test_unknown_header_engine_exits_4(self, capsys, tmp_path):
+        from repro.service import WriteAheadLog
+
+        log = tmp_path / "bogus.wal"
+        WriteAheadLog.create(log, engine="bogus", seed=0).close()
+        code = main(["recover", "--log", str(log)])
+        assert code == 4
+        assert "'engine'" in capsys.readouterr().err
 
     def test_recover_json_compact(self, capsys, tmp_path):
         import json as _json

@@ -96,13 +96,18 @@ class TestRegistry:
             engine = make_engine(name, graph.copy(), seed=3)
             assert isinstance(engine, CoreMaintainer)
 
-    def test_unknown_engine_raises(self):
+    @pytest.mark.parametrize(
+        "name", ["quantum", "order-sharded", "order-sharded-simplified"]
+    )
+    def test_unknown_engine_raises(self, name):
         with pytest.raises(ValueError, match="unknown engine"):
-            make_engine("quantum", DynamicGraph())
+            make_engine(name, DynamicGraph())
 
     def test_available_engines_lists_builtins(self):
         names = available_engines()
         assert {"order", "naive", "trav-2"} <= set(names)
+        assert len(names) == 19
+        assert not any(name.startswith("order-sharded") for name in names)
 
     def test_register_engine_rejects_duplicates_and_accepts_new(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -145,13 +150,9 @@ class TestEngineOptionValidation:
         ("order-small", {"audit": True}),
         ("order-large", {"seed": 3}),
         ("order-random", {"seed": 3}),
-        ("order-om", {"partition": True}),
-        ("order-treap", {"parallel": 2}),
-        ("order-sharded", {"parallel": 2, "reshard": "batch"}),
-        ("order-sharded", {"engine": "order-simplified"}),
-        ("order-sharded-simplified", {"parallel": 2, "reshard": "batch"}),
+        ("order-om", {"sequence": "om"}),
+        ("order-treap", {"audit": True}),
         ("order-simplified", {"policy": "large"}),
-        ("order-simplified", {"partition": True, "parallel": 2}),
         ("order-simplified-treap", {"audit": True}),
         ("naive", {"seed": 1}),
         ("trav", {"audit": True}),
@@ -159,16 +160,21 @@ class TestEngineOptionValidation:
         ("trav-7", {"audit": True}),  # dynamic trav-<h>, not registered
     ]
 
+    #: A made-up option, plus the batch-scheduler knobs that were
+    #: deleted with the region scheduler: no family accepts them.
+    STRAYS = ["turbo", "partition", "parallel"]
+
+    @pytest.mark.parametrize("stray", STRAYS)
     @pytest.mark.parametrize("name,good", FAMILIES)
-    def test_every_family_rejects_a_stray_option(self, name, good):
+    def test_every_family_rejects_a_stray_option(self, name, good, stray):
         graph = DynamicGraph([(0, 1), (1, 2), (2, 0)])
         engine = make_engine(name, graph.copy(), **good)
         assert isinstance(engine, CoreMaintainer)
         with pytest.raises(EngineOptionError) as info:
-            make_engine(name, graph.copy(), turbo=True, **good)
+            make_engine(name, graph.copy(), **{stray: 2}, **good)
         message = str(info.value)
-        assert name in message and "turbo" in message
-        assert info.value.stray == ("turbo",)
+        assert name in message and stray in message
+        assert info.value.stray == (stray,)
 
     def test_typoed_known_option_names_the_typo(self):
         with pytest.raises(EngineOptionError, match="sequnce"):
@@ -185,14 +191,6 @@ class TestEngineOptionValidation:
         with pytest.raises(EngineOptionError, match="'h'"):
             make_engine("trav-3", DynamicGraph(), h=5)
 
-    def test_sharded_simplified_alias_pins_the_sub_engine(self):
-        # The alias name *is* the sub-engine selection; engine= on it
-        # must fail instead of silently fighting the name.
-        with pytest.raises(EngineOptionError, match="'engine'"):
-            make_engine(
-                "order-sharded-simplified", DynamicGraph(), engine="order"
-            )
-
     def test_var_keyword_factories_validate_themselves(self):
         calls = []
 
@@ -206,7 +204,10 @@ class TestEngineOptionValidation:
 
     def test_engine_options_introspection(self):
         assert engine_options("naive") == ("audit", "seed")
-        assert "sequence" in engine_options("order")
+        for family in ("order", "order-simplified"):
+            assert engine_options(family) == (
+                "audit", "policy", "seed", "sequence"
+            )
         assert engine_options("trav-5") == ("audit", "seed")
         with pytest.raises(ValueError, match="unknown engine"):
             engine_options("quantum")
@@ -417,16 +418,10 @@ class TestBatchResult:
         # treap backend assigns no labels.
         absent = "rank_walk_steps" if sequence == "om" else "relabels"
         for result in (first, second):
-            expected = {
-                "order_queries", "mcd_recomputations",
-                "regions", "region_max_size",
-            }
+            expected = {"order_queries", "mcd_recomputations"}
             assert expected <= set(result.counters)
             assert absent not in result.counters
             assert all(v >= 0 for v in result.counters.values())
-            # Partitioning is off by default: one region spanning the batch.
-            assert result.counters["regions"] == 1
-            assert result.counters["region_max_size"] == result.ops
         # Deltas, not cumulative totals: both batches did comparable
         # work, so neither batch's counters can contain the sum.
         totals = engine._batch_counters()

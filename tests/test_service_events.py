@@ -23,8 +23,7 @@ from repro.service import CoreService
 
 #: Every representative order-family engine (full index + service
 #: contracts), straight from the conformance contract: OM-list and
-#: treap backends, the sharded wrappers over both sub-engine families,
-#: and the Guo–Sekerinski no-mcd variant — all must tell the subscriber
+#: treap backends and the Guo–Sekerinski no-mcd variant — all must tell the subscriber
 #: the same story.
 BACKENDS = order_family_engines()
 
@@ -100,7 +99,7 @@ def test_event_stream_matches_oracle_property(
 def test_backends_emit_identical_event_sequences():
     """Every order-family engine must agree event-for-event, not just
     core-for-core: events are vertex-sorted per commit, so the schedule
-    (backend, sharding, run coalescing) must not leak into the story."""
+    (backend, run coalescing) must not leak into the story."""
     streams = [
         replay_and_check(name, 7, n_batches=5, batch_size=20, universe=40)
         for name in BACKENDS

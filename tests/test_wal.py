@@ -230,6 +230,64 @@ class TestDurableSession:
         assert not rec.recovery.from_snapshot
         rec.close()
 
+    #: Logs written before the sharded engines and the region scheduler
+    #: were deleted: the header names a retired engine and carries
+    #: schedule-only options.  Each replays on the sequential engine.
+    RETIRED_HEADERS = [
+        ("order-sharded", {"parallel": 2}, "order"),
+        ("order-sharded", {"reshard": "batch", "engine": "order-simplified"},
+         "order-simplified"),
+        ("order-sharded-simplified", {"partition": True, "parallel": 4},
+         "order-simplified"),
+        ("order", {"partition": True, "parallel": 2}, "order"),
+    ]
+
+    @pytest.mark.parametrize("engine,opts,rebuilt", RETIRED_HEADERS)
+    def test_retired_engine_logs_still_recover(
+        self, tmp_path, engine, opts, rebuilt
+    ):
+        from repro.service import LogReplica
+
+        log = tmp_path / "s.wal"
+        wal = make_log(log, engine=engine, opts=opts)
+        batches = [
+            Batch.inserts([(1, 2), (2, 3), (3, 1), (3, 4), (10, 11)]),
+            Batch().remove(1, 2).insert(4, 1).insert(4, 2).insert(11, 3),
+            Batch().insert(1, 2).remove(10, 11),
+        ]
+        for receipt, batch in enumerate(batches, start=1):
+            wal.append(receipt, batch)
+        wal.close()
+        rec = CoreService.recover(log)
+        assert rec.engine.name == rebuilt
+        assert rec.recovery.replayed == len(batches)
+        assert rec.cores() == core_numbers(rec.engine.graph)
+        rec.engine.check()
+        replica = LogReplica(log)
+        assert replica.engine.name == rebuilt
+        assert replica.cores() == rec.cores()
+        rec.close()
+
+    @pytest.mark.parametrize(
+        "header,field",
+        [({"engine": "bogus"}, "'engine'"),
+         ({"engine": "order", "opts": {"turbo": 1}}, "'opts'"),
+         ({"engine": "order-sharded", "opts": {"engine": "bogus"}},
+          "'engine'"),
+         ({"engine": ["order"]}, "'engine'")],
+    )
+    def test_unknown_header_engine_or_option_is_corruption(
+        self, tmp_path, header, field
+    ):
+        from repro.service import LogReplica
+
+        log = tmp_path / "s.wal"
+        make_log(log, **header).close()
+        with pytest.raises(LogCorruptionError, match=field):
+            CoreService.recover(log)
+        with pytest.raises(LogCorruptionError, match=field):
+            LogReplica(log)
+
     def test_open_refuses_existing_log(self, tmp_path):
         log = tmp_path / "s.wal"
         CoreService.open(TRIANGLE, log=log).close()
