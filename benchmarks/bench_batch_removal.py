@@ -3,8 +3,7 @@
 The removal-side claim of the batch pipeline: a window-expiry batch of E
 edges performs O(1) targeted ``mcd`` passes per *run* (the joint cascade
 keeps ``mcd`` incrementally exact) instead of one refresh per edge, and
-that shows up as wall-clock wins under both sequence backends.  Each
-bench asserts the counter collapse outright and the wall-clock win at
+that shows up as wall-clock wins.  Each bench asserts the counter collapse outright and the wall-clock win at
 meaningful stream lengths (tiny CI smoke scales only record it).
 
 Besides ``benchmark.extra_info``, every bench appends a record to a
@@ -57,11 +56,10 @@ def _emit_artifact():
     )
 
 
-def _record(name, sequence, ops, per_edge_s, batched_s, per_edge_mcd,
-            batched_mcd, runs):
+def _record(name, ops, per_edge_s, batched_s, per_edge_mcd, batched_mcd,
+            runs):
     entry = {
         "bench": name,
-        "sequence": sequence,
         "ops": ops,
         "per_edge_seconds": round(per_edge_s, 6),
         "batched_seconds": round(batched_s, 6),
@@ -79,8 +77,7 @@ def _record(name, sequence, ops, per_edge_s, batched_s, per_edge_mcd,
     return entry
 
 
-@pytest.mark.parametrize("sequence", ["om", "treap"])
-def bench_window_expiry_removal_runs(benchmark, sequence):
+def bench_window_expiry_removal_runs(benchmark):
     """Window expiry: bulk deletions, the workload the run coalesces."""
     dataset = load_dataset("gowalla", scale=BENCH_SCALE, seed=BENCH_SEED)
     workload = make_workload(dataset, BENCH_UPDATES, seed=BENCH_SEED)
@@ -91,13 +88,9 @@ def bench_window_expiry_removal_runs(benchmark, sequence):
     ]
 
     def run():
-        per_edge = build_engine(
-            "order", workload.full_graph(), seed=BENCH_SEED, sequence=sequence
-        )
+        per_edge = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
         log = run_updates(per_edge, victims, "remove")
-        batched = build_engine(
-            "order", workload.full_graph(), seed=BENCH_SEED, sequence=sequence
-        )
+        batched = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
         results = run_batches(batched, windows)
         assert per_edge.core_numbers() == batched.core_numbers()
         return per_edge, log, batched, results
@@ -105,7 +98,7 @@ def bench_window_expiry_removal_runs(benchmark, sequence):
     per_edge, log, batched, results = once(benchmark, run)
     batched_seconds = sum(r.seconds for r in results)
     entry = _record(
-        "window_expiry", sequence, len(victims),
+        "window_expiry", len(victims),
         log.total_seconds, batched_seconds,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=len(windows),
@@ -118,12 +111,11 @@ def bench_window_expiry_removal_runs(benchmark, sequence):
     if len(victims) >= WALL_CLOCK_MIN_OPS:
         assert batched_seconds < log.total_seconds, (
             f"batch-native removal should beat the per-edge loop: "
-            f"{batched_seconds:.3f}s vs {log.total_seconds:.3f}s ({sequence})"
+            f"{batched_seconds:.3f}s vs {log.total_seconds:.3f}s"
         )
 
 
-@pytest.mark.parametrize("sequence", ["om", "treap"])
-def bench_mixed_stream_with_removal_runs(benchmark, sequence):
+def bench_mixed_stream_with_removal_runs(benchmark):
     """Mixed insert/remove batches: both sides now coalesce their repair."""
     dataset = load_dataset("gowalla", scale=BENCH_SCALE, seed=BENCH_SEED)
     workload, plan, batches = mixed_batch_workload(
@@ -131,13 +123,9 @@ def bench_mixed_stream_with_removal_runs(benchmark, sequence):
     )
 
     def run():
-        per_edge = build_engine(
-            "order", workload.base_graph(), seed=BENCH_SEED, sequence=sequence
-        )
+        per_edge = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
         log = run_mixed(per_edge, plan)
-        batched = build_engine(
-            "order", workload.base_graph(), seed=BENCH_SEED, sequence=sequence
-        )
+        batched = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
         results = run_batches(batched, batches)
         assert per_edge.core_numbers() == batched.core_numbers()
         return per_edge, log, batched, results
@@ -146,7 +134,7 @@ def bench_mixed_stream_with_removal_runs(benchmark, sequence):
     batched_seconds = sum(r.seconds for r in results)
     removal_runs = sum(1 for r in results if r.removes)
     entry = _record(
-        "mixed_stream", sequence, len(plan),
+        "mixed_stream", len(plan),
         log.total_seconds, batched_seconds,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=removal_runs,

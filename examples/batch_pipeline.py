@@ -55,22 +55,12 @@ def main() -> None:
         f"(same final core numbers)"
     )
 
-    # The order engine defaults to the OM-list sequence backend: order
-    # tests are O(1) label compares, never rank walks.  The treap backend
-    # stays selectable (engine="order-treap").
+    # The k-order blocks are OM lists: order tests are O(1) label
+    # compares, and relabels count the label redistributions.
     stats = batched.engine.sequence_stats
-    treap = CoreService.open(workload.base_graph(), engine="order-treap", seed=13)
-    for batch in batches:
-        treap.apply(batch)
-    assert treap.cores() == batched.cores()
     print(
-        f"order  om backend   : {stats.order_queries} order queries, "
-        f"{stats.rank_walk_steps} rank-walk steps, {stats.relabels} relabels"
-    )
-    print(
-        f"order  treap backend: "
-        f"{treap.engine.sequence_stats.order_queries} order queries, "
-        f"{treap.engine.sequence_stats.rank_walk_steps} rank-walk steps"
+        f"order  k-order : {stats.order_queries} order queries, "
+        f"{stats.relabels} relabels"
     )
 
     # The naive engine runs CoreDecomp once per *batch*, not per edge.

@@ -24,9 +24,9 @@ subscribers (see the top-level README for the full tour):
 
 The engine layer
 ----------------
-Three engines implement one interface
+Four engines implement one interface
 (:class:`~repro.engine.base.CoreMaintainer`) and are built by name
-through the engine registry:
+through the engine registry, one name per algorithm:
 
 >>> from repro import DynamicGraph, make_engine
 >>> engine = make_engine("order", DynamicGraph([(0, 1), (1, 2), (2, 0)]))
@@ -34,12 +34,11 @@ through the engine registry:
 2
 
 * ``"order"`` — :class:`~repro.core.maintainer.OrderedCoreMaintainer`,
-  the paper's order-based algorithm (``OrderInsert`` / ``OrderRemoval``;
-  ``order-large`` / ``order-random`` select the Section VI heuristics;
-  ``sequence="om" | "treap"`` — or the ``order-om`` / ``order-treap``
-  aliases — picks the k-order block backend: O(1) tagged
-  order-maintenance lists, the default, or the original
-  order-statistic treaps);
+  the paper's order-based algorithm (``OrderInsert`` / ``OrderRemoval``)
+  over a k-order whose blocks are O(1) order-maintenance lists;
+* ``"order-simplified"`` —
+  :class:`~repro.core.simplified.SimplifiedCoreMaintainer`, the
+  Guo–Sekerinski simplification and the default engine;
 * ``"trav-<h>"`` — :class:`~repro.traversal.maintainer.TraversalCoreMaintainer`,
   the traversal baseline (Sariyüce et al.) with hop count ``h``;
 * ``"naive"`` — :class:`~repro.naive.maintainer.NaiveCoreMaintainer`,

@@ -492,11 +492,9 @@ class BatchThroughputRow:
     batched_seconds: float
     mcd_per_edge: Optional[int] = None  # order engine only
     mcd_batched: Optional[int] = None
-    #: Sequence-backend stats of the batched replay (order engine only):
-    #: order tests answered vs pointer hops spent ranking — the OM
-    #: backend keeps ``rank_walk_steps`` at 0.
+    #: k-order stats of the batched replay (order engines only): order
+    #: tests answered and OM-list relabelings.
     order_queries: Optional[int] = None
-    rank_walk_steps: Optional[int] = None
     relabels: Optional[int] = None
 
     @property
@@ -559,7 +557,6 @@ def batch_throughput(
                     batched.engine, "mcd_recomputations", None
                 ),
                 order_queries=stats.order_queries if stats else None,
-                rank_walk_steps=stats.rank_walk_steps if stats else None,
                 relabels=stats.relabels if stats else None,
             )
         )

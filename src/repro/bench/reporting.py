@@ -201,14 +201,13 @@ def render_fig12(results: list[Fig12Result]) -> str:
 def render_batch(results: list[BatchThroughputResult]) -> str:
     """Batch pipeline: per-edge vs batched replay of a mixed stream.
 
-    The last three columns carry the order engine's sequence-backend
-    stats over the batched replay: order tests answered, pointer hops
-    spent on rank walks (0 under the OM backend), and OM relabelings.
+    The last two columns carry the order engines' k-order stats over
+    the batched replay: order tests answered and OM-list relabelings.
     """
     headers = [
         "dataset", "engine", "ops", "batch", "p",
         "per-edge s", "batched s", "speedup", "mcd/edge", "mcd/batch",
-        "queries", "rank steps", "relabels",
+        "queries", "relabels",
     ]
     rows = []
     for result in results:
@@ -226,8 +225,6 @@ def render_batch(results: list[BatchThroughputResult]) -> str:
                     row.mcd_per_edge if row.mcd_per_edge is not None else "-",
                     row.mcd_batched if row.mcd_batched is not None else "-",
                     row.order_queries if row.order_queries is not None else "-",
-                    row.rank_walk_steps
-                    if row.rank_walk_steps is not None else "-",
                     row.relabels if row.relabels is not None else "-",
                 ]
             )

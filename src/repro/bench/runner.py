@@ -15,18 +15,11 @@ from typing import Callable, Hashable, Sequence, Union
 from repro.analysis.metrics import UpdateLog
 from repro.engine.base import CoreMaintainer
 from repro.engine.batch import Batch, BatchResult
-from repro.engine.registry import available_engines
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-
-#: Engine names accepted by :func:`build_engine` (plus ``trav-<h>``).
-#: Kept for compatibility; the authoritative list is
-#: :func:`repro.engine.registry.available_engines`.
-ENGINE_NAMES = tuple(n for n in available_engines() if n != "trav")
-
 
 def build_service(
     name: str, graph: DynamicGraph, seed: int = 0, **opts
@@ -34,8 +27,9 @@ def build_service(
     """Open a :class:`~repro.service.CoreService` session by engine name.
 
     The bench drivers' one construction path — extra keyword options
-    (``sequence``, ``policy``, …) pass through to the
-    engine factory, which rejects the ones it does not understand.
+    (``audit``, ``log``, ``fsync``, …) pass through to
+    :meth:`CoreService.open`, which rejects the ones it does not
+    understand.
     """
     return CoreService.open(graph, engine=name, seed=seed, **opts)
 

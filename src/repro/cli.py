@@ -23,18 +23,22 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench import experiments, reporting
-from repro.engine.registry import DEFAULT_ENGINE
+from repro.engine.registry import (
+    DEFAULT_ENGINE,
+    available_engines,
+    is_engine_name,
+)
 from repro.graphs.datasets import dataset_names
+
+#: Every engine name ``--engine`` accepts, for help and error text.
+_ENGINE_CHOICES = f"{', '.join(available_engines())}, trav-<h> (h >= 2)"
 
 
 def _engine_name(value: str) -> str:
-    from repro.engine.registry import available_engines, is_engine_name
-
     if is_engine_name(value):
         return value
     raise argparse.ArgumentTypeError(
-        f"unknown engine {value!r}; known: "
-        f"{', '.join(available_engines())} (plus any 'trav-<h>', h >= 2)"
+        f"unknown engine {value!r}; known: {_ENGINE_CHOICES}"
     )
 
 
@@ -67,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine", default=DEFAULT_ENGINE, type=_engine_name,
-        help="engine registry name for 'batch'/'validate' "
-        "(order, order-om, order-treap, order-large, order-random, "
-        "order-simplified, naive, trav-<h>)",
+        help=f"engine registry name for 'batch'/'validate' ({_ENGINE_CHOICES})",
     )
     parser.add_argument(
         "--batch-size", type=int, default=100,
@@ -462,7 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from pathlib import Path
 
         from repro import scenarios as sc
-        from repro.engine.registry import is_engine_name
         from repro.errors import ScenarioError, TraceError
 
         # Exit codes (scriptable, mirroring recover/log-stat): 0 ok,

@@ -23,19 +23,18 @@ the new order (see the paper's rationale at the end of Section V-B).
 Implementation notes
 --------------------
 * All order tests go through ``block.order_key`` tokens, never ``rank``:
-  with the OM-list backend a token compares in O(1) (live label lookup),
-  with the treap backend it is the frozen rank at grant time.  Both are
-  safe for the same reason: every comparison the scan makes crosses the
-  cursor (heap members and ``deg*`` recipients sit *after* it, settled
-  and untouched vertices *before* it), and Observation 6.1 repositioning
-  only moves evicted candidates to just behind the cursor, so relative
-  positions across the cursor — and hence token comparisons — never
-  change while the scan can still observe them.
+  a token is the item's OM-list node and compares in O(1) by its live
+  label.  Every comparison the scan makes crosses the cursor (heap
+  members and ``deg*`` recipients sit *after* it, settled and untouched
+  vertices *before* it), and Observation 6.1 repositioning only moves
+  evicted candidates to just behind the cursor, so relative positions
+  across the cursor — and hence token comparisons — never change while
+  the scan can still observe them.
 * The Algorithm 3 order test ``w' ≼ w''`` between two candidates must use
   their *original* positions (the evictee may already have been
   repositioned).  Candidates are visited in original block order, so the
   visit sequence number recorded at visit time is an exact O(1) proxy
-  for the original rank under either backend.
+  for the original rank.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Hashable
 from repro.core.korder import KOrder
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.heaps import LazyMinHeap
-from repro.structures.sequence import SequenceIndex
+from repro.structures.sequence import TaggedOrderList
 
 Vertex = Hashable
 
@@ -138,7 +137,7 @@ def order_insert(
 
 def _remove_candidates(
     graph: DynamicGraph,
-    block: SequenceIndex,
+    block: TaggedOrderList,
     deg_plus: dict[Vertex, int],
     deg_star: dict[Vertex, int],
     status: dict[Vertex, int],
@@ -157,7 +156,7 @@ def _remove_candidates(
 
     ``key_cursor`` is the cursor's order token (``settled``'s heap key):
     unvisited vertices still compare after it, untouched skipped ranges
-    before it, under either sequence backend.
+    before it.
     """
     queue: deque[Vertex] = deque()
     queued: set[Vertex] = set()
@@ -206,7 +205,7 @@ def _remove_candidates(
             # settled neighbors need no adjustment
 
 
-def core_k_mismatch(block: SequenceIndex, vertex: Vertex) -> bool:
+def core_k_mismatch(block: TaggedOrderList, vertex: Vertex) -> bool:
     """Whether ``vertex`` is outside the block under maintenance.
 
     During the scan every core-``K`` vertex — untouched, candidate or

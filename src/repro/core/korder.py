@@ -1,22 +1,15 @@
 """The maintained k-order index (Section VI of the paper).
 
 A :class:`KOrder` is the concatenation ``O_0 O_1 O_2 ...`` of per-core
-blocks.  Each block is a :class:`~repro.structures.sequence.SequenceIndex`
-(the paper's ``A_k``) under one of two backends selected at construction:
-
-* ``sequence="om"`` (default) — a
-  :class:`~repro.structures.sequence.TaggedOrderList`: Dietz–Sleator
-  integer labels make within-block order tests ``O(1)``;
-* ``sequence="treap"`` — the original
-  :class:`~repro.structures.treap.OrderStatisticTreap`: ``O(log |O_k|)``
-  rank walks, kept as the reference backend.
-
-Cross-block tests are a core-number comparison either way.  All blocks of
-one index share a single :class:`~repro.structures.sequence.SequenceStats`
-(``korder.stats``), so ``order_queries`` / ``relabels`` /
-``rank_walk_steps`` survive blocks being created and dropped.  The
-structure also owns ``deg+`` (Definition 5.2): for every vertex, the
-number of its neighbors appearing *after* it in the global order.
+blocks.  Each block (the paper's ``A_k``) is a
+:class:`~repro.structures.sequence.TaggedOrderList`: Dietz–Sleator
+integer labels make within-block order tests ``O(1)``.  Cross-block
+tests are a core-number comparison.  All blocks of one index share a
+single :class:`~repro.structures.sequence.SequenceStats`
+(``korder.stats``), so ``order_queries`` / ``relabels`` survive blocks
+being created and dropped.  The structure also owns ``deg+``
+(Definition 5.2): for every vertex, the number of its neighbors
+appearing *after* it in the global order.
 
 Invariant (Lemma 5.1): the order is a valid k-order iff for every ``k`` and
 every ``v`` in ``O_k``, ``deg+(v) <= k``.  :meth:`KOrder.audit` verifies
@@ -26,59 +19,31 @@ engines' ``audit`` mode used heavily by the tests.
 
 from __future__ import annotations
 
-import random
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator
 
 from repro.core.decomposition import KOrderDecomposition
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
-from repro.structures.sequence import (
-    SequenceIndex,
-    SequenceStats,
-    TaggedOrderList,
-)
-from repro.structures.treap import OrderStatisticTreap
+from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 Vertex = Hashable
-
-#: Recognized block backends.
-SEQUENCE_BACKENDS = ("om", "treap")
-
-#: Backend used when none is requested.
-DEFAULT_SEQUENCE = "om"
 
 
 class KOrder:
     """Per-core-number blocks of vertices in maintained k-order."""
 
-    def __init__(
-        self,
-        rng: Optional[random.Random] = None,
-        sequence: str = DEFAULT_SEQUENCE,
-    ) -> None:
-        if sequence not in SEQUENCE_BACKENDS:
-            raise ValueError(
-                f"unknown sequence backend {sequence!r}; "
-                f"choose from {', '.join(SEQUENCE_BACKENDS)}"
-            )
-        self._rng = rng if rng is not None else random.Random()
-        self.sequence = sequence
+    def __init__(self) -> None:
         #: Shared operation counters across all blocks, past and present.
         self.stats = SequenceStats()
-        self._blocks: dict[int, SequenceIndex] = {}
+        self._blocks: dict[int, TaggedOrderList] = {}
         self._k_of: dict[Vertex, int] = {}
         #: ``deg+``: neighbors after the vertex in the global order.
         self.deg_plus: dict[Vertex, int] = {}
 
     @classmethod
-    def from_decomposition(
-        cls,
-        decomposition: KOrderDecomposition,
-        rng: Optional[random.Random] = None,
-        sequence: str = DEFAULT_SEQUENCE,
-    ) -> "KOrder":
+    def from_decomposition(cls, decomposition: KOrderDecomposition) -> "KOrder":
         """Build the index from a static decomposition's order."""
-        ko = cls(rng, sequence=sequence)
+        ko = cls()
         for vertex in decomposition.order:
             ko.append(decomposition.core[vertex], vertex)
         ko.deg_plus.update(decomposition.deg_plus)
@@ -98,17 +63,12 @@ class KOrder:
         """The block (core number) the vertex currently lives in."""
         return self._k_of[vertex]
 
-    def block(self, k: int) -> SequenceIndex:
-        """The sequence of block ``O_k``, created on first access."""
+    def block(self, k: int) -> TaggedOrderList:
+        """The list of block ``O_k``, created on first access."""
         seq = self._blocks.get(k)
         if seq is None:
-            seq = self._blocks[k] = self._new_block()
+            seq = self._blocks[k] = TaggedOrderList(stats=self.stats)
         return seq
-
-    def _new_block(self) -> SequenceIndex:
-        if self.sequence == "treap":
-            return OrderStatisticTreap(rng=self._rng, stats=self.stats)
-        return TaggedOrderList(stats=self.stats)
 
     def block_sizes(self) -> dict[int, int]:
         """Map ``k -> |O_k|`` over non-empty blocks."""
@@ -127,8 +87,8 @@ class KOrder:
 
     def iter_block(self, k: int) -> Iterator[Vertex]:
         """Left-to-right iteration over block ``O_k`` (empty if absent)."""
-        treap = self._blocks.get(k)
-        return iter(treap) if treap is not None else iter(())
+        block = self._blocks.get(k)
+        return iter(block) if block is not None else iter(())
 
     def order(self) -> list[Vertex]:
         """The full k-order as a list (``O_0 O_1 O_2 ...``)."""
@@ -151,20 +111,19 @@ class KOrder:
         given relative order — the ``OrderInsert`` ending-phase move.
 
         Materialized once so one-shot iterables work, then handed to the
-        block as a whole chain (the OM backend preallocates a label gap
-        sized to it instead of bisecting per vertex)."""
+        block as a whole chain (the list preallocates a label gap sized
+        to it instead of bisecting per vertex)."""
         chain = list(vertices)
-        treap = self.block(k)
-        treap.extend_front(chain)
+        self.block(k).extend_front(chain)
         for vertex in chain:
             self._k_of[vertex] = k
 
     def remove(self, vertex: Vertex) -> None:
         """Remove ``vertex`` from its block (``deg+`` entry kept)."""
         k = self._k_of.pop(vertex)
-        treap = self._blocks[k]
-        treap.remove(vertex)
-        if not treap:
+        block = self._blocks[k]
+        block.remove(vertex)
+        if not block:
             del self._blocks[k]
 
     def forget(self, vertex: Vertex) -> None:
@@ -203,14 +162,14 @@ class KOrder:
         position: dict[Vertex, int] = {}
         offset = 0
         for k in sorted(self._blocks):
-            treap = self._blocks[k]
-            for i, vertex in enumerate(treap):
+            block = self._blocks[k]
+            for i, vertex in enumerate(block):
                 position[vertex] = offset + i
                 if core[vertex] != k:
                     raise InvariantViolationError(
                         f"{vertex!r} in block O_{k} but core={core[vertex]}"
                     )
-            offset += len(treap)
+            offset += len(block)
         for vertex in graph.vertices():
             if vertex not in position:
                 raise InvariantViolationError(f"{vertex!r} missing from k-order")

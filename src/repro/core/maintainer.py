@@ -28,12 +28,11 @@ Example
 
 from __future__ import annotations
 
-import random
 from typing import Hashable, Iterable, Mapping, Optional
 
 from repro.core.decomposition import korder_decomposition
 from repro.core.insertion import order_insert
-from repro.core.korder import DEFAULT_SEQUENCE, KOrder
+from repro.core.korder import KOrder
 from repro.core.removal import RemovalRunResult, order_remove, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
 from repro.engine.schedule import RunScheduledMaintainer
@@ -64,16 +63,13 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
     policy:
         k-order generation heuristic (``"small"``, ``"large"``,
         ``"random"``; Section VI — ``"small"`` is the paper's choice).
+        Only the Fig. 9 experiment picks another; engines built by
+        registry name always use ``"small"``.
     seed:
-        Makes treap priorities and the random policy deterministic.
+        Makes the random policy deterministic.
     audit:
         When true, the full index is audited after every update; meant for
         tests (it costs ``O(m log n)`` per update).
-    sequence:
-        Block backend of the k-order: ``"om"`` (default — tagged
-        order-maintenance lists, O(1) order tests) or ``"treap"`` (the
-        original order-statistic treaps, O(log n) rank walks).  Both
-        yield identical orders and cores; only the query cost differs.
     """
 
     name = "order"
@@ -89,16 +85,12 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         policy: str = "small",
         seed: Optional[int] = 0,
         audit: bool = False,
-        sequence: str = DEFAULT_SEQUENCE,
     ) -> None:
         super().__init__(graph)
         self._audit = audit
-        self._rng = random.Random(seed)
         decomposition = korder_decomposition(graph, policy=policy, seed=seed)
         self._core: dict[Vertex, int] = decomposition.core
-        self.korder = KOrder.from_decomposition(
-            decomposition, self._rng, sequence=sequence
-        )
+        self.korder = KOrder.from_decomposition(decomposition)
         self._mcd = compute_mcd(graph, self._core)
         self.mcd_recomputations = 0
 
@@ -111,9 +103,7 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         deg_plus: Mapping[Vertex, int],
         mcd: dict[Vertex, int],
         *,
-        sequence: str = DEFAULT_SEQUENCE,
         audit: bool = False,
-        seed: Optional[int] = 0,
     ) -> "OrderedCoreMaintainer":
         """Rebuild a live maintainer from already-valid index state.
 
@@ -123,14 +113,13 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         one bypass of ``__init__`` — used by snapshot restore
         (:func:`repro.core.snapshot.from_snapshot`), so new maintainer
         state only ever needs to be wired here.  Raises ``ValueError``
-        for an unknown backend.
+        when ``order`` lists a vertex twice.
         """
         maintainer = cls.__new__(cls)
         CoreMaintainer.__init__(maintainer, graph)
         maintainer._audit = audit
-        maintainer._rng = random.Random(seed)
         maintainer._core = core
-        korder = KOrder(maintainer._rng, sequence=sequence)
+        korder = KOrder()
         for vertex in order:
             korder.append(core[vertex], vertex)
         korder.deg_plus.update(deg_plus)
@@ -153,14 +142,9 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         return self._mcd
 
     @property
-    def sequence(self) -> str:
-        """The k-order's block backend (``"om"`` or ``"treap"``)."""
-        return self.korder.sequence
-
-    @property
     def sequence_stats(self):
         """Cumulative :class:`~repro.structures.sequence.SequenceStats`
-        of the k-order's blocks (order queries, relabels, rank walks)."""
+        of the k-order's blocks (order queries, relabels)."""
         return self.korder.stats
 
     def order(self) -> list[Vertex]:

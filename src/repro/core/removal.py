@@ -144,8 +144,7 @@ def _repair_level(
     plus later-disposed members, which land behind it); every
     still-core-``K`` neighbor that preceded the mover loses one ``deg+``
     unit (the mover jumped from after it to before it).  Order tests go
-    through ``order_key`` tokens: O(1) label compares under the OM
-    backend, rank walks under the treap.
+    through ``order_key`` tokens: O(1) label compares.
     """
     remaining = set(disposed)
     block = korder.block(K)

@@ -44,21 +44,18 @@ level above) need a targeted repair, folded into the adjacency pass the
 ending phase already pays for.  See :meth:`SimplifiedCoreMaintainer.check`,
 which audits both counters from scratch under ``audit=True``.
 
-The engine runs on the same pluggable
-:class:`~repro.structures.sequence.SequenceIndex` block backends as the
-default engine (``sequence="om"`` tagged order list, ``"treap"`` as the
-rank-walking oracle) and registers as ``make_engine("order-simplified")``
-with the standard family aliases.
+The engine runs on the same k-order index as the default engine
+(:class:`~repro.structures.sequence.TaggedOrderList` blocks) and
+registers as ``make_engine("order-simplified")``.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping
 
 from repro.core.decomposition import korder_decomposition
-from repro.core.korder import DEFAULT_SEQUENCE, KOrder
+from repro.core.korder import KOrder
 from repro.core.removal import RemovalRunResult
 from repro.engine.base import CoreMaintainer, UpdateResult
 from repro.engine.schedule import RunScheduledMaintainer
@@ -498,11 +495,9 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
     k-order index but no ``mcd``/``pcd`` bookkeeping: two order-local
     counters (``d_out`` — the paper's ``deg+`` — and ``d_in``) replace
     the maintained max-core degrees, so no repair pass runs after the
-    cascades.  Created as ``make_engine("order-simplified")`` (aliases
-    ``order-simplified-{small,large,random,om,treap}``).
+    cascades.  Created as ``make_engine("order-simplified")``; the
+    initial k-order comes from the paper's ``"small"`` heuristic.
 
-    Parameters match the default order engine's: ``policy`` picks the
-    Section VI generation heuristic, ``sequence`` the block backend,
     ``audit`` re-checks every invariant after each update (tests only).
     Batches commit run-natively through
     :class:`~repro.engine.schedule.RunScheduledMaintainer`: removal runs
@@ -519,22 +514,12 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
     #: counters.  Class-level default so snapshot restores start at 0.
     candidate_visits = 0
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        policy: str = "small",
-        seed: Optional[int] = 0,
-        audit: bool = False,
-        sequence: str = DEFAULT_SEQUENCE,
-    ) -> None:
+    def __init__(self, graph: DynamicGraph, audit: bool = False) -> None:
         super().__init__(graph)
         self._audit = audit
-        self._rng = random.Random(seed)
-        decomposition = korder_decomposition(graph, policy=policy, seed=seed)
+        decomposition = korder_decomposition(graph)
         self._core: dict[Vertex, int] = decomposition.core
-        self.korder = KOrder.from_decomposition(
-            decomposition, self._rng, sequence=sequence
-        )
+        self.korder = KOrder.from_decomposition(decomposition)
         self._d_in = compute_d_in(graph, self._core, decomposition.order)
         self.candidate_visits = 0
 
@@ -547,9 +532,7 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         deg_plus: Mapping[Vertex, int],
         d_in: dict[Vertex, int],
         *,
-        sequence: str = DEFAULT_SEQUENCE,
         audit: bool = False,
-        seed: Optional[int] = 0,
     ) -> "SimplifiedCoreMaintainer":
         """Rebuild a live maintainer from already-valid index state.
 
@@ -561,9 +544,8 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         maintainer = cls.__new__(cls)
         CoreMaintainer.__init__(maintainer, graph)
         maintainer._audit = audit
-        maintainer._rng = random.Random(seed)
         maintainer._core = core
-        korder = KOrder(maintainer._rng, sequence=sequence)
+        korder = KOrder()
         for vertex in order:
             korder.append(core[vertex], vertex)
         korder.deg_plus.update(deg_plus)
@@ -602,14 +584,9 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         return {v: d_in[v] + d_out[v] for v in d_in}
 
     @property
-    def sequence(self) -> str:
-        """The k-order's block backend (``"om"`` or ``"treap"``)."""
-        return self.korder.sequence
-
-    @property
     def sequence_stats(self):
         """Cumulative :class:`~repro.structures.sequence.SequenceStats`
-        of the k-order's blocks (order queries, relabels, rank walks)."""
+        of the k-order's blocks (order queries, relabels)."""
         return self.korder.stats
 
     def order(self) -> list[Vertex]:

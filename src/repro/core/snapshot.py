@@ -13,7 +13,9 @@ the layout — the simplified engine's ``d_in`` is stored through the
 property derives ``d_in + d_out`` on demand) and recovered on restore as
 ``mcd - deg_plus``, so either engine can be rebuilt from the same
 fields.  The ``engine`` field records which class to rebuild; snapshots
-written before it exists restore as the default engine.
+written before it exists restore as the default engine.  Older builds
+also wrote a ``"sequence"`` field naming the k-order backend; restore
+ignores it, since every backend held the same order.
 
 The snapshot is a plain JSON-serializable dict (versioned), so it can go
 to disk, a blob store, or over the wire.  Restoring validates the
@@ -61,7 +63,6 @@ def to_snapshot(maintainer: OrderEngine) -> dict:
     return {
         "version": SNAPSHOT_VERSION,
         "engine": maintainer.name,
-        "sequence": korder.sequence,
         "order": order,
         "core": [maintainer.core[v] for v in order],
         "deg_plus": [korder.deg_plus[v] for v in order],
@@ -99,14 +100,9 @@ def from_snapshot(snapshot: dict, audit: bool = True) -> OrderEngine:
             f"deg_plus={len(deg_plus)}, mcd={len(mcd)}"
         )
 
-    graph = DynamicGraph(edges, vertices=order)
     # Rebuild state without triggering a fresh decomposition.
-    from repro.core.korder import DEFAULT_SEQUENCE
-
-    # Pre-backend snapshots carry no "sequence" field; restore those on
-    # the current default (backend choice never affects semantics).
-    sequence = snapshot.get("sequence", DEFAULT_SEQUENCE)
-    # Likewise pre-"engine" snapshots restore as the default engine.
+    graph = DynamicGraph(edges, vertices=order)
+    # Pre-"engine" snapshots come from builds that snapshotted "order" only.
     engine = snapshot.get("engine", "order")
     try:
         if engine == "order":
@@ -116,8 +112,6 @@ def from_snapshot(snapshot: dict, audit: bool = True) -> OrderEngine:
                 dict(zip(order, cores)),
                 dict(zip(order, deg_plus)),
                 dict(zip(order, mcd)),
-                sequence=sequence,
-                seed=0,
             )
         elif engine == "order-simplified":
             maintainer = SimplifiedCoreMaintainer.from_index_state(
@@ -127,8 +121,6 @@ def from_snapshot(snapshot: dict, audit: bool = True) -> OrderEngine:
                 dict(zip(order, deg_plus)),
                 # d_in + d_out = mcd, and deg_plus *is* d_out.
                 {v: m - d for v, m, d in zip(order, mcd, deg_plus)},
-                sequence=sequence,
-                seed=0,
             )
         else:
             raise StaleIndexError(

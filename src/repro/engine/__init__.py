@@ -17,7 +17,8 @@ What lives here:
   :class:`~repro.engine.batch.BatchResult` — the mixed insert/remove
   batch pipeline (`engine.apply_batch(batch)`);
 * :func:`~repro.engine.registry.make_engine` — build any engine by name
-  (``"order"``, ``"trav-<h>"``, ``"naive"``), rejecting options the
+  (``"order-simplified"``, ``"order"``, ``"trav-<h>"``, ``"naive"``;
+  each accepts ``seed`` and ``audit``), rejecting options the
   engine does not understand (:func:`~repro.engine.registry.engine_options`
   lists what each accepts); :func:`~repro.engine.registry.register_engine`
   plugs in new ones.

@@ -191,9 +191,9 @@ class CoreMaintainer(ABC):
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation counters; engines override.
 
-        The order engine reports its sequence-backend stats
-        (``order_queries``, ``relabels``, ``rank_walk_steps``) plus
-        ``mcd_recomputations``; the default is no counters.
+        The order engine reports its k-order stats (``order_queries``,
+        ``relabels``) plus ``mcd_recomputations``; the default is no
+        counters.
         """
         return {}
 
@@ -208,7 +208,7 @@ class CoreMaintainer(ABC):
         Counters the engine never touched are omitted, not zero-filled:
         :meth:`_batch_counters` values are cumulative and monotonic, so
         a cumulative 0 means the counter's machinery never ran at all
-        (no ``relabels`` under the treap backend, no
+        (no ``relabels`` before the first OM-list relabeling, no
         ``mcd_recomputations`` on an engine with no ``mcd`` concept) —
         reporting ``0`` would misread as "ran and did nothing".  A
         counter that has ever moved stays reported, even when this

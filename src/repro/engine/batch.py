@@ -299,8 +299,8 @@ class BatchResult:
         one joint cascade, so per-edge attribution no longer exists).
     counters:
         Per-batch instrumentation deltas reported by the engine — for the
-        order engine: ``order_queries``, ``relabels``, ``rank_walk_steps``
-        (the sequence-backend stats), ``mcd_recomputations``
+        order engine: ``order_queries``, ``relabels`` (the k-order
+        stats), ``mcd_recomputations``
         (``candidate_visits`` on the simplified engine, which has no
         ``mcd``); empty for engines without counters.  Counters the engine's
         machinery never touched are omitted, not zero-filled: a missing

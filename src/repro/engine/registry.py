@@ -8,31 +8,25 @@ so new engines plug in with one
 Names
 -----
 ``order``
-    The paper's order-based engine (alias ``order-small``; also
-    ``order-large`` / ``order-random`` for the Section VI generation
-    heuristics).  All order engines accept ``sequence="om" | "treap"``
-    to pick the k-order block backend (O(1) tagged order-maintenance
-    lists vs O(log n) order-statistic treaps); ``order-om`` and
-    ``order-treap`` are aliases that pin the backend by name, for
-    CLI ``--engine`` selection.
+    The paper's order-based engine
+    (:class:`~repro.core.maintainer.OrderedCoreMaintainer`), built on the
+    paper's ``"small"`` k-order generation heuristic.
 ``order-simplified``
     The Guo–Sekerinski simplified order-based engine
     (:class:`~repro.core.simplified.SimplifiedCoreMaintainer`): same
     k-order index, but two order-local degrees replace the maintained
     ``mcd`` so no repair pass runs after updates.  This is
     :data:`DEFAULT_ENGINE` — what consumers get when they do not pick
-    an engine — per the PR-10 ablation.  Carries the same
-    policy/backend alias block as ``order``
-    (``order-simplified-{small,large,random,om,treap}``) and the same
-    ``sequence`` / ``policy`` options.
+    an engine — per the ``bench_simplified_ablation.py`` measurements.
 ``trav-<h>``
-    The traversal baseline with hop count ``h >= 2`` (``trav`` alone means
-    ``trav-2``); any ``h`` is accepted, not just the pre-listed ones.
+    The traversal baseline with hop count ``h >= 2``, resolved from the
+    name's pattern (any ``h`` works; none is pre-registered).
 ``naive``
     Full recomputation after every update (oracle / lower bound).
 
-Factories ignore a ``seed`` keyword when the engine has no randomness, so
-callers can pass a common option set to any engine name.
+Every built-in engine accepts exactly the options ``seed`` and
+``audit``.  None of them is randomized, so ``seed`` only keeps one
+option set valid for every name.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ def _check_options(
 
     Raises :class:`~repro.errors.EngineOptionError` naming the engine
     and every stray keyword — factories must never swallow a typo
-    (``sequnce="om"``) silently.  ``reserved`` names parameters the
+    (``adit=True``) silently.  ``reserved`` names parameters the
     registry itself supplies (e.g. the traversal family's ``h``, which
     comes from the engine *name*), so callers cannot collide with them.
     """
@@ -182,43 +176,16 @@ def make_engine(name: str, graph: DynamicGraph, **opts) -> CoreMaintainer:
 # consumers) without circular-import ceremony.
 # ----------------------------------------------------------------------
 
-def _make_order(policy: str, sequence: str = None):
-    # sequence=None defers to the maintainer's default (korder's
-    # DEFAULT_SEQUENCE), so the default backend lives in one place.
-    def factory(
-        graph: DynamicGraph,
-        seed=0,
-        audit: bool = False,
-        policy: str = policy,
-        sequence: str = sequence,
-    ):
-        from repro.core.maintainer import OrderedCoreMaintainer
+def _make_order(graph: DynamicGraph, seed=None, audit: bool = False):
+    from repro.core.maintainer import OrderedCoreMaintainer
 
-        opts = {} if sequence is None else {"sequence": sequence}
-        return OrderedCoreMaintainer(
-            graph, policy=policy, seed=seed, audit=audit, **opts
-        )
-
-    return factory
+    return OrderedCoreMaintainer(graph, audit=audit)
 
 
-def _make_simplified(policy: str, sequence: str = None):
-    # Same deferred-default contract as _make_order.
-    def factory(
-        graph: DynamicGraph,
-        seed=0,
-        audit: bool = False,
-        policy: str = policy,
-        sequence: str = sequence,
-    ):
-        from repro.core.simplified import SimplifiedCoreMaintainer
+def _make_simplified(graph: DynamicGraph, seed=None, audit: bool = False):
+    from repro.core.simplified import SimplifiedCoreMaintainer
 
-        opts = {} if sequence is None else {"sequence": sequence}
-        return SimplifiedCoreMaintainer(
-            graph, policy=policy, seed=seed, audit=audit, **opts
-        )
-
-    return factory
+    return SimplifiedCoreMaintainer(graph, audit=audit)
 
 
 def _make_traversal(graph: DynamicGraph, h: int = 2, seed=None, audit: bool = False):
@@ -233,31 +200,6 @@ def _make_naive(graph: DynamicGraph, seed=None, audit: bool = False):
     return NaiveCoreMaintainer(graph)
 
 
-def _register_order_family(base: str, maker) -> None:
-    """Register ``base`` plus the alias block every order-family engine
-    carries: ``-small``/``-large``/``-random`` pin the Section VI
-    generation policy, ``-om``/``-treap`` pin the sequence backend
-    (under the paper's ``"small"`` policy).  ``maker(policy, sequence=)``
-    must return a factory, like :func:`_make_order`."""
-    register_engine(base, maker("small"))
-    for policy in ("small", "large", "random"):
-        register_engine(f"{base}-{policy}", maker(policy))
-    for sequence in ("om", "treap"):
-        register_engine(f"{base}-{sequence}", maker("small", sequence=sequence))
-
-
-_register_order_family("order", _make_order)
-_register_order_family("order-simplified", _make_simplified)
-
-
-def _make_traversal_at(h: int):
-    def factory(graph: DynamicGraph, seed=None, audit: bool = False):
-        return _make_traversal(graph, h=h, seed=seed, audit=audit)
-
-    return factory
-
-
+register_engine("order", _make_order)
+register_engine("order-simplified", _make_simplified)
 register_engine("naive", _make_naive)
-register_engine("trav", _make_traversal_at(2))
-for _h in (2, 3, 4, 5, 6):
-    register_engine(f"trav-{_h}", _make_traversal_at(_h))

@@ -600,7 +600,7 @@ class CoreServer:
 
     Parameters
     ----------
-    engine / engine_opts / seed:
+    engine / seed:
         How new sessions build their engine (any registry name).
     log_dir:
         Directory for per-session write-ahead logs (``<name>.wal``).
@@ -625,14 +625,12 @@ class CoreServer:
         self,
         *,
         engine: str = DEFAULT_ENGINE,
-        engine_opts: Optional[dict] = None,
         seed: Optional[int] = 0,
         log_dir=None,
         fsync: str = "always",
         limits: Optional[ServerLimits] = None,
     ) -> None:
         self.engine = engine
-        self.engine_opts = dict(engine_opts or {})
         self.seed = seed
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.fsync = fsync
@@ -722,9 +720,7 @@ class CoreServer:
 
     def _open_service(self, name: str) -> CoreService:
         if self.log_dir is None:
-            return CoreService.open(
-                engine=self.engine, seed=self.seed, **self.engine_opts
-            )
+            return CoreService.open(engine=self.engine, seed=self.seed)
         self.log_dir.mkdir(parents=True, exist_ok=True)
         log = self.log_dir / f"{name}.wal"
         if log.exists():
@@ -735,7 +731,6 @@ class CoreServer:
             seed=self.seed,
             log=log,
             fsync=self.fsync,
-            **self.engine_opts,
         )
 
     def _get_replica(self, session: TenantSession) -> LogReplica:

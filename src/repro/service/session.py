@@ -112,9 +112,9 @@ class CoreService:
         ``graph`` may be a :class:`~repro.graphs.undirected.DynamicGraph`
         (adopted as-is), any iterable of edges, or ``None`` for an empty
         graph.  ``engine`` is any :func:`~repro.engine.registry.make_engine`
-        name (``"order"``, ``"order-treap"``, ``"order-simplified"``,
-        ``"trav-<h>"``, ``"naive"``, …); extra options go to the engine
-        factory, which rejects names it does not understand.
+        name (``"order-simplified"``, ``"order"``, ``"trav-<h>"``,
+        ``"naive"``); extra options (``seed``, ``audit``) go to the
+        engine factory, which rejects names it does not understand.
 
         With ``log=path`` the session is durable: a fresh write-ahead
         commit log (:mod:`repro.service.wal`) is created at ``path`` —
@@ -241,8 +241,8 @@ class CoreService:
     def save(self, path) -> None:
         """Checkpoint the maintained index as JSON at ``path``.
 
-        Only the order-family engines (``order``, ``order-simplified``
-        and their aliases) maintain a serializable index; other engines
+        Only the order-family engines (``order``, ``order-simplified``)
+        maintain a serializable index; other engines
         raise :class:`~repro.errors.ServiceError` (rebuild them from the
         edge list instead).
         """

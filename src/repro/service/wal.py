@@ -298,16 +298,27 @@ def snapshot_path(log: PathLike) -> Path:
 
 #: Engine names older logs may carry that are no longer registered,
 #: mapped to the engine that replays them.  The sharded engines only
-#: scheduled batches differently; their core numbers are the plain
-#: engines'.
+#: scheduled batches differently, and the aliases only pinned a k-order
+#: generation policy or block backend (the O(log n) treap); the core
+#: numbers are the plain engines'.
 _RETIRED_ENGINES = {
     "order-sharded": "order",
     "order-sharded-simplified": "order-simplified",
+    "trav": "trav-2",
+    **{
+        f"{base}-{suffix}": base
+        for base in ("order", "order-simplified")
+        for suffix in ("small", "large", "random", "om", "treap")
+    },
 }
 
-#: Header options that only steered batch scheduling in older builds.
-#: They never change a core number, so replay drops them.
-_SCHEDULE_OPTIONS = ("partition", "parallel", "reshard", "engine")
+#: Header options older builds accepted that never change a core number
+#: when replay starts from an empty graph: batch scheduling knobs, the
+#: k-order generation policy and the k-order block backend.  Replay drops
+#: them.
+_RETIRED_OPTIONS = (
+    "partition", "parallel", "reshard", "engine", "policy", "sequence",
+)
 
 
 def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
@@ -317,8 +328,8 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
     snapshot next to ``log`` seeds the engine when it exists; records at
     or below ``base_receipt`` are already in it.  Otherwise an empty
     engine is built from the header's engine name, seed and options.
-    Logs written by a retired engine (``_RETIRED_ENGINES``) rebuild on
-    its sequential counterpart, minus ``_SCHEDULE_OPTIONS``.
+    Logs written by a retired engine name (``_RETIRED_ENGINES``) rebuild
+    on the engine it maps to, and ``_RETIRED_OPTIONS`` are dropped.
 
     Raises :class:`~repro.errors.LogCorruptionError` when the header
     promises a snapshot that is missing, or names an engine or option
@@ -341,8 +352,10 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
     opts = header.get("opts") or {}
     name = header.get("engine")
     if isinstance(name, str) and name in _RETIRED_ENGINES:
+        # A sharded log names its sub-engine, possibly by a retired alias.
         name = opts.get("engine", _RETIRED_ENGINES[name])
-    opts = {k: v for k, v in opts.items() if k not in _SCHEDULE_OPTIONS}
+        name = _RETIRED_ENGINES.get(name, name)
+    opts = {k: v for k, v in opts.items() if k not in _RETIRED_OPTIONS}
     if not isinstance(name, str) or not is_engine_name(name):
         raise LogCorruptionError(
             f"commit log {str(log)!r} header field 'engine' names "

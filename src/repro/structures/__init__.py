@@ -3,17 +3,10 @@
 The paper's index (Section VI) is built from these structures, all of
 which are implemented here from scratch:
 
-* :class:`~repro.structures.sequence.SequenceIndex` — the protocol of a
-  k-order block backend (the paper's ``A_k``), with two implementations:
-
-  - :class:`~repro.structures.sequence.TaggedOrderList` — a Dietz–Sleator
-    order-maintenance list (integer labels, Bender-style relabeling) that
-    answers "does ``u`` precede ``v``?" in ``O(1)``;
-  - :class:`~repro.structures.treap.OrderStatisticTreap` — the
-    order-statistic tree of the original design, ``O(log |O_k|)`` rank
-    queries, kept as the reference backend and for rank-heavy diagnostics.
-
-  Both are instrumented through
+* :class:`~repro.structures.sequence.TaggedOrderList` — the k-order block
+  (the paper's ``A_k``): a Dietz–Sleator order-maintenance list (integer
+  labels, Bender-style relabeling) that answers "does ``u`` precede
+  ``v``?" in ``O(1)``, instrumented through
   :class:`~repro.structures.sequence.SequenceStats`.
 * :class:`~repro.structures.heaps.LazyMinHeap` — the jump heap ``B`` used by
   ``OrderInsert`` to skip over vertices that can be proven irrelevant.
@@ -25,19 +18,12 @@ which are implemented here from scratch:
 
 from repro.structures.buckets import DegreeBuckets, IndexedSet
 from repro.structures.heaps import LazyMinHeap
-from repro.structures.sequence import (
-    SequenceIndex,
-    SequenceStats,
-    TaggedOrderList,
-)
-from repro.structures.treap import OrderStatisticTreap
+from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 __all__ = [
     "DegreeBuckets",
     "IndexedSet",
     "LazyMinHeap",
-    "OrderStatisticTreap",
-    "SequenceIndex",
     "SequenceStats",
     "TaggedOrderList",
 ]

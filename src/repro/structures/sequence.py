@@ -1,12 +1,8 @@
-"""Order-maintenance sequence backends for the k-order blocks.
+"""The order-maintenance list behind every k-order block.
 
 The paper's speed argument rests on O(1) order tests inside a block
-``O_k``.  This module defines the pluggable substrate for that:
+``O_k``.  This module provides them:
 
-* :class:`SequenceIndex` — the structural protocol every block backend
-  satisfies: positional insertion/removal around anchors, ``precedes``,
-  cheap comparable :meth:`~SequenceIndex.order_key` tokens for heap
-  ordering, iteration, and diagnostics (``rank``/``select``).
 * :class:`TaggedOrderList` — an order-maintenance (OM) list in the
   Dietz–Sleator style: a doubly-linked list whose nodes carry integer
   labels strictly increasing along the list, so ``precedes`` is a single
@@ -19,33 +15,20 @@ The paper's speed argument rests on O(1) order tests inside a block
   which our workloads have not justified — the ``relabels`` counter
   tells).
 * :class:`SequenceStats` — shared instrumentation: ``order_queries``
-  (order tests answered), ``relabels`` (OM relabeling events) and
-  ``rank_walk_steps`` (pointer hops spent computing ranks — the treap's
-  hot-path cost that the OM backend eliminates).
+  (order tests answered) and ``relabels`` (OM relabeling events).
 
-The other backend, :class:`repro.structures.treap.OrderStatisticTreap`,
-answers the same queries in O(log n) via rank walks; both plug into
-:class:`repro.core.korder.KOrder` (``sequence="om" | "treap"``).
-
-Order keys are the list nodes themselves (see ``order_key``), comparing
-by their *current* label: a relabeling rewrites labels in place, so keys
-held by a pending min-heap keep comparing correctly — the relative order
-of any two stored items never changes while both stay stored, which is
-exactly the invariant ``OrderInsert``'s jump heap relies on.
+:class:`repro.core.korder.KOrder` keeps one list per block.  Order keys
+are the list nodes themselves (see ``order_key``), comparing by their
+*current* label: a relabeling rewrites labels in place, so keys held by
+a pending min-heap keep comparing correctly — the relative order of any
+two stored items never changes while both stay stored, which is exactly
+the invariant ``OrderInsert``'s jump heap relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Hashable,
-    Iterable,
-    Iterator,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
 
 @dataclass
@@ -59,99 +42,23 @@ class SequenceStats:
         token grants.  (Comparisons *between* granted tokens are not
         counted — token compares are plain integer/label comparisons.)
     relabels:
-        OM-list relabeling events (label-range redistributions).  Stays 0
-        for the treap backend.
-    rank_walk_steps:
-        Pointer hops spent answering rank queries — tree ascents for the
-        treap, list walks for the OM list's diagnostic ``rank``.  An OM
-        backend on the engine hot path keeps this at 0; that is the
-        measurable claim behind the O(1) order-query design.
+        OM-list relabeling events (label-range redistributions).
     """
 
     order_queries: int = 0
     relabels: int = 0
-    rank_walk_steps: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Counters as a plain dict (for ``BatchResult``/bench reporting)."""
         return {
             "order_queries": self.order_queries,
             "relabels": self.relabels,
-            "rank_walk_steps": self.rank_walk_steps,
         }
 
     def reset(self) -> None:
         """Zero all counters."""
         self.order_queries = 0
         self.relabels = 0
-        self.rank_walk_steps = 0
-
-
-@runtime_checkable
-class SequenceIndex(Protocol):
-    """Protocol of a maintained sequence of distinct hashable items.
-
-    Positions are defined purely by where items are inserted; there are
-    no search keys.  Implementations: the order-statistic treap
-    (O(log n) queries) and the tagged OM list (O(1) queries).
-    """
-
-    stats: SequenceStats
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, item: Hashable) -> bool: ...
-
-    def __iter__(self) -> Iterator[Hashable]: ...
-
-    def to_list(self) -> list[Any]: ...
-
-    def precedes(self, a: Hashable, b: Hashable) -> bool: ...
-
-    def order_key(self, item: Hashable) -> Any:
-        """A token comparable against other tokens of this sequence.
-
-        Tokens order exactly like the items they were granted for, for as
-        long as the compared items stay stored — even across OM
-        relabelings.  This is what heaps key on instead of ranks.
-        """
-        ...
-
-    def rank(self, item: Hashable) -> int: ...
-
-    def select(self, index: int) -> Any: ...
-
-    def first(self) -> Any: ...
-
-    def last(self) -> Any: ...
-
-    def successor(self, item: Hashable) -> Optional[Any]: ...
-
-    def predecessor(self, item: Hashable) -> Optional[Any]: ...
-
-    def insert_front(self, item: Hashable) -> None: ...
-
-    def insert_back(self, item: Hashable) -> None: ...
-
-    def insert_after(self, anchor_item: Hashable, item: Hashable) -> None: ...
-
-    def insert_before(self, anchor_item: Hashable, item: Hashable) -> None: ...
-
-    def extend_front(self, items: Iterable[Hashable]) -> None: ...
-
-    def extend_back(self, items: Iterable[Hashable]) -> None: ...
-
-    def move_after(self, anchor_item: Hashable, item: Hashable) -> None:
-        """Relocate a stored item to immediately after the anchor,
-        without invalidating previously granted order-key tokens for
-        items whose relative order is unchanged."""
-        ...
-
-    def remove(self, item: Hashable) -> None: ...
-
-    def clear(self) -> None: ...
-
-    def check_invariants(self) -> None: ...
 
 
 class _ListNode:
@@ -209,9 +116,6 @@ class TaggedOrderList:
     stats:
         Shared :class:`SequenceStats`; a private one is created when
         omitted.
-    rng:
-        Accepted and ignored (constructor compatibility with the treap
-        backend — the OM list is deterministic and needs no priorities).
     """
 
     #: Exclusive upper bound of the label space (tail sentinel's label).
@@ -224,7 +128,6 @@ class TaggedOrderList:
         self,
         items: Iterable[Hashable] = (),
         stats: Optional[SequenceStats] = None,
-        rng: object = None,
     ) -> None:
         self.stats = stats if stats is not None else SequenceStats()
         self._head = _ListNode(None, 0)
@@ -281,15 +184,14 @@ class TaggedOrderList:
         """0-based position of ``item`` — O(position) list walk.
 
         Diagnostic only (audits, tests); the engine hot paths never call
-        it.  Walk length is charged to ``stats.rank_walk_steps``.
+        it.  Raises :class:`KeyError` on absent items.
         """
-        target = self._nodes[item]  # KeyError on absent items, like the treap
+        target = self._nodes[item]
         r = 0
         node = self._head.next
         while node is not target:
             r += 1
             node = node.next
-        self.stats.rank_walk_steps += r
         return r
 
     def select(self, index: int) -> Any:

@@ -5,78 +5,34 @@ instead of keeping its own ``ENGINES`` / ``BACKENDS`` tuple, so a newly
 registered engine name is picked up by *every* harness automatically —
 the drift where a new variant silently missed half the batteries is
 structurally impossible.  ``tests/test_engine_contract.py`` runs the
-conformance battery proper over :func:`contract_engines` (all names)
-and asserts registry coverage, so an engine cannot opt out either.
+conformance battery proper over :func:`contract_engines` and asserts
+registry coverage, so an engine cannot opt out either.
 
 Lists
 -----
 :func:`contract_engines`
-    Every name in :mod:`repro.engine.registry` — what the conformance
-    battery itself runs.
-:func:`representative_engines`
-    One name per *distinct maintenance code path*: policy/backend
-    aliases that only change the initial decomposition or re-run the
-    base construction (``-small``/``-large``/``-random``/``-om``, bare
-    ``trav``, ``trav-<h>`` beyond the representative hop count) are
-    folded away, while genuinely different code (treap backend, each
-    order family) stays.  Heavier
-    hypothesis harnesses run over this list.
+    Every registered name plus ``trav-2``, the one instance of the
+    ``trav-<h>`` pattern (every ``h`` shares one code path).
 :func:`order_family_engines`
-    The order-family subset of the representatives — engines that carry
-    the full index (k-order + degrees) and the batch/service contracts
-    the service-level suites exercise.
-
-``SEQUENCE_BACKENDS`` is re-exported from :mod:`repro.core.korder` so
-backend-parametrized tests track the real backend list too.
+    The order-family subset — engines that carry the full index
+    (k-order + degrees) and the batch/service contracts the
+    service-level suites exercise.
 """
 
 from __future__ import annotations
 
-import re
-
-from repro.core.korder import SEQUENCE_BACKENDS  # noqa: F401  (re-export)
 from repro.engine.registry import available_engines
-
-#: The one ``trav-<h>`` hop count the representative list keeps (the
-#: pattern accepts any ``h >= 2``; they share every code path).
-TRAV_REPRESENTATIVE = "trav-2"
-
-#: Alias suffixes that do not change the maintenance code: the three
-#: Section VI generation policies only alter the *initial*
-#: decomposition, and ``-om`` pins what is already the default backend.
-_REDUNDANT_SUFFIXES = ("small", "large", "random", "om")
-
-_TRAV_PATTERN = re.compile(r"^trav-(\d+)$")
 
 
 def contract_engines() -> tuple[str, ...]:
-    """Every registered engine name — the full conformance battery."""
-    return available_engines()
-
-
-def representative_engines() -> tuple[str, ...]:
-    """One engine name per distinct maintenance code path."""
-    names = set(available_engines())
-    reps = []
-    for name in sorted(names):
-        if name == "trav":  # alias of trav-2
-            continue
-        if _TRAV_PATTERN.match(name):
-            if name == TRAV_REPRESENTATIVE:
-                reps.append(name)
-            continue
-        base, _, suffix = name.rpartition("-")
-        if base in names and suffix in _REDUNDANT_SUFFIXES:
-            continue
-        reps.append(name)
-    return tuple(reps)
+    """Every engine the conformance battery runs: one name per algorithm."""
+    return tuple(sorted(available_engines() + ("trav-2",)))
 
 
 def order_family_engines() -> tuple[str, ...]:
-    """Representative engines of the order family (full-index engines)."""
+    """The order-family engines (full-index engines)."""
     return tuple(
-        name for name in representative_engines()
-        if name.startswith("order")
+        name for name in contract_engines() if name.startswith("order")
     )
 
 

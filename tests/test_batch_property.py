@@ -13,15 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import mixed_batch_stream, representative_engines
+from engine_contract import contract_engines, mixed_batch_stream
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch, make_engine
 from repro.graphs.undirected import DynamicGraph
 
-# One engine per distinct maintenance code path, straight from the
-# conformance contract — a newly registered engine family joins this
-# agreement suite with no edit here.
-ENGINES = representative_engines()
+# One engine per algorithm, straight from the conformance contract — a
+# newly registered engine joins this agreement suite with no edit here.
+ENGINES = contract_engines()
 
 
 def random_batch_stream(seed, n_batches=6, batch_size=25, universe=60):

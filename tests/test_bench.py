@@ -103,8 +103,6 @@ class TestRunner:
         assert build_engine("order", g.copy()).name == "order"
         assert build_engine("trav-3", g.copy()).name == "trav-3"
         assert build_engine("naive", g.copy()).name == "naive"
-        for policy_engine in ("order-large", "order-random", "order-small"):
-            assert build_engine(policy_engine, g.copy()).name == "order"
 
     def test_build_engine_unknown(self, gowalla):
         with pytest.raises(ValueError):

@@ -120,10 +120,10 @@ class TestCommands:
     def test_batch_with_extra_engine(self, capsys):
         code, out = run_cli(
             capsys, "batch", "--datasets", "ca", "--updates", "20",
-            "--scale", "0.15", "--engine", "order-large",
+            "--scale", "0.15", "--engine", "order-simplified",
         )
         assert code == 0
-        assert "order-large" in out
+        assert "order-simplified" in out
 
 
 class TestDurabilityCommands:

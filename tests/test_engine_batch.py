@@ -83,11 +83,11 @@ class TestRegistry:
             make_engine("naive", graph.copy()), NaiveCoreMaintainer
         )
 
-    def test_order_policies_and_trav_hops(self):
+    def test_trav_hops_resolve_by_pattern(self):
         graph = DynamicGraph([(0, 1)])
-        assert make_engine("order-large", graph.copy()).name == "order"
+        assert make_engine("trav-2", graph.copy()).h == 2
         assert make_engine("trav-3", graph.copy()).h == 3
-        # Any hop count works, not just the pre-registered ones.
+        # Any hop count works; none is pre-registered.
         assert make_engine("trav-7", graph.copy()).h == 7
 
     def test_common_opts_accepted_by_every_engine(self):
@@ -96,18 +96,24 @@ class TestRegistry:
             engine = make_engine(name, graph.copy(), seed=3)
             assert isinstance(engine, CoreMaintainer)
 
-    @pytest.mark.parametrize(
-        "name", ["quantum", "order-sharded", "order-sharded-simplified"]
-    )
+    #: Names older builds registered: the sharded engines, and aliases
+    #: that only pinned a policy, a k-order backend or a hop count.
+    RETIRED = [
+        "order-sharded", "order-sharded-simplified", "trav",
+        *(
+            f"{base}-{suffix}"
+            for base in ("order", "order-simplified")
+            for suffix in ("small", "large", "random", "om", "treap")
+        ),
+    ]
+
+    @pytest.mark.parametrize("name", ["quantum", *RETIRED])
     def test_unknown_engine_raises(self, name):
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine(name, DynamicGraph())
 
     def test_available_engines_lists_builtins(self):
-        names = available_engines()
-        assert {"order", "naive", "trav-2"} <= set(names)
-        assert len(names) == 19
-        assert not any(name.startswith("order-sharded") for name in names)
+        assert available_engines() == ("naive", "order", "order-simplified")
 
     def test_register_engine_rejects_duplicates_and_accepts_new(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -127,17 +133,6 @@ class TestRegistry:
         with pytest.raises(ModuleNotFoundError):
             import repro.core.base  # noqa: F401
 
-    def test_sequence_backend_selection(self):
-        graph = DynamicGraph([(0, 1), (1, 2), (2, 0)])
-        assert make_engine("order", graph.copy()).sequence == "om"
-        assert make_engine(
-            "order", graph.copy(), sequence="treap"
-        ).sequence == "treap"
-        assert make_engine("order-om", graph.copy()).sequence == "om"
-        assert make_engine("order-treap", graph.copy()).sequence == "treap"
-        with pytest.raises(ValueError, match="sequence backend"):
-            make_engine("order", graph.copy(), sequence="skiplist")
-
 
 class TestEngineOptionValidation:
     """Unknown options must fail loudly, naming engine and keyword."""
@@ -146,23 +141,17 @@ class TestEngineOptionValidation:
     #: option the factory genuinely accepts (proving validation does not
     #: over-reject).
     FAMILIES = [
-        ("order", {"policy": "large"}),
-        ("order-small", {"audit": True}),
-        ("order-large", {"seed": 3}),
-        ("order-random", {"seed": 3}),
-        ("order-om", {"sequence": "om"}),
-        ("order-treap", {"audit": True}),
-        ("order-simplified", {"policy": "large"}),
-        ("order-simplified-treap", {"audit": True}),
+        ("order", {"audit": True}),
+        ("order-simplified", {"seed": 3}),
         ("naive", {"seed": 1}),
-        ("trav", {"audit": True}),
         ("trav-2", {"seed": 1}),
         ("trav-7", {"audit": True}),  # dynamic trav-<h>, not registered
     ]
 
-    #: A made-up option, plus the batch-scheduler knobs that were
-    #: deleted with the region scheduler: no family accepts them.
-    STRAYS = ["turbo", "partition", "parallel"]
+    #: A made-up option, the batch-scheduler knobs deleted with the
+    #: region scheduler, and the k-order policy/backend knobs deleted
+    #: with the aliases: no family accepts them.
+    STRAYS = ["turbo", "partition", "parallel", "sequence", "policy"]
 
     @pytest.mark.parametrize("stray", STRAYS)
     @pytest.mark.parametrize("name,good", FAMILIES)
@@ -177,8 +166,8 @@ class TestEngineOptionValidation:
         assert info.value.stray == (stray,)
 
     def test_typoed_known_option_names_the_typo(self):
-        with pytest.raises(EngineOptionError, match="sequnce"):
-            make_engine("order", DynamicGraph(), sequnce="om")
+        with pytest.raises(EngineOptionError, match="adit"):
+            make_engine("order", DynamicGraph(), adit=True)
 
     def test_error_lists_accepted_options(self):
         with pytest.raises(EngineOptionError) as info:
@@ -203,12 +192,8 @@ class TestEngineOptionValidation:
         assert calls == [{"custom": 1, "seed": 2}]
 
     def test_engine_options_introspection(self):
-        assert engine_options("naive") == ("audit", "seed")
-        for family in ("order", "order-simplified"):
-            assert engine_options(family) == (
-                "audit", "policy", "seed", "sequence"
-            )
-        assert engine_options("trav-5") == ("audit", "seed")
+        for name in available_engines() + ("trav-2", "trav-7"):
+            assert engine_options(name) == ("audit", "seed"), name
         with pytest.raises(ValueError, match="unknown engine"):
             engine_options("quantum")
 
@@ -404,23 +389,16 @@ class TestBatchResult:
         assert result.total_changed == len(result.changed)
         assert isinstance(result, BatchResult)
 
-    @pytest.mark.parametrize("sequence", ["om", "treap"])
-    def test_counters_are_per_batch_deltas(self, sequence):
-        engine = make_engine(
-            "order", random_gnm(20, 40, seed=4), sequence=sequence
-        )
+    def test_counters_are_per_batch_deltas(self):
+        engine = make_engine("order", random_gnm(20, 40, seed=4))
         edges = [e for e in random_gnm(20, 70, seed=5).edges()
                  if not engine.graph.has_edge(*e)]
         first = engine.apply_batch(Batch.inserts(edges[:8]))
         second = engine.apply_batch(Batch.removes(edges[:8]))
-        # Counters the backend's machinery never touched are omitted,
-        # not zero-filled: the OM backend walks no treap ranks, the
-        # treap backend assigns no labels.
-        absent = "rank_walk_steps" if sequence == "om" else "relabels"
         for result in (first, second):
             expected = {"order_queries", "mcd_recomputations"}
             assert expected <= set(result.counters)
-            assert absent not in result.counters
+            assert set(result.counters) <= expected | {"relabels"}
             assert all(v >= 0 for v in result.counters.values())
         # Deltas, not cumulative totals: both batches did comparable
         # work, so neither batch's counters can contain the sum.

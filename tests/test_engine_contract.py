@@ -23,12 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from engine_contract import (
-    SEQUENCE_BACKENDS,
-    TRAV_REPRESENTATIVE,
     contract_engines,
     mixed_batch_stream,
     order_family_engines,
-    representative_engines,
 )
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch, make_engine
@@ -43,15 +40,13 @@ ALL_ENGINES = contract_engines()
 #: Engines whose batch path is run-scheduled (coalesced insertion runs,
 #: joint removal cascades) — the run-path invariant tests below compare
 #: them against the per-edge fallback inherited from the base class.
-RUN_NATIVE = ("order", "order-treap", "order-simplified", "order-simplified-treap")
+RUN_NATIVE = ("order", "order-simplified")
 
 #: The chargeable work counter per run-native family: the default engine
 #: counts mcd repairs, the simplified engine counts candidate visits.
 CHARGEABLE = {
     "order": "mcd_recomputations",
-    "order-treap": "mcd_recomputations",
     "order-simplified": "candidate_visits",
-    "order-simplified-treap": "candidate_visits",
 }
 
 
@@ -74,32 +69,17 @@ class TestRegistryCoverage:
     moment an engine name exists that the contract lists do not cover."""
 
     def test_battery_covers_every_registered_name(self):
-        assert set(ALL_ENGINES) == set(available_engines())
-        assert len(ALL_ENGINES) >= 19
+        assert set(available_engines()) <= set(ALL_ENGINES)
+        # The one name outside the registry is the trav-<h> pattern's.
+        assert set(ALL_ENGINES) - set(available_engines()) == {"trav-2"}
 
     def test_every_covered_name_resolves(self):
         for name in ALL_ENGINES:
             assert is_engine_name(name), name
 
-    def test_every_name_has_a_representative(self):
-        reps = representative_engines()
-        assert set(reps) <= set(ALL_ENGINES)
-        assert TRAV_REPRESENTATIVE in reps
-        for name in ALL_ENGINES:
-            covered = (
-                name in reps
-                or name.startswith("trav")
-                or any(name.startswith(rep + "-") for rep in reps)
-            )
-            assert covered, f"{name} folds into no representative"
-
     def test_family_lists_are_consistent(self):
-        assert set(order_family_engines()) == {
-            "order", "order-treap",
-            "order-simplified", "order-simplified-treap",
-        }
-        assert set(order_family_engines()) <= set(representative_engines())
-        assert SEQUENCE_BACKENDS == ("om", "treap")
+        assert ALL_ENGINES == ("naive", "order", "order-simplified", "trav-2")
+        assert order_family_engines() == ("order", "order-simplified")
 
     def test_run_native_lists_are_registered(self):
         assert set(RUN_NATIVE) <= set(ALL_ENGINES)
@@ -158,7 +138,7 @@ class TestConformance:
                     assert key not in result.counters, key
 
 
-@pytest.mark.parametrize("name", representative_engines())
+@pytest.mark.parametrize("name", ALL_ENGINES)
 @settings(
     max_examples=8,
     deadline=None,

@@ -21,7 +21,7 @@ def build_state(edges, vertices=()):
     """
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy="small")
-    korder = KOrder.from_decomposition(decomposition, random.Random(0))
+    korder = KOrder.from_decomposition(decomposition)
     return graph, korder, dict(decomposition.core)
 
 
@@ -137,7 +137,7 @@ class TestJumps:
 
         graph = DynamicGraph(fig3_edges(tail=300))
         decomposition = korder_decomposition(graph, policy="small")
-        korder = KOrder.from_decomposition(decomposition, random.Random(1))
+        korder = KOrder.from_decomposition(decomposition)
         core = dict(decomposition.core)
         v_star, k, visited, evicted = order_insert(
             graph, korder, core, 4, u(0)

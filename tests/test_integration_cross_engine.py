@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.decomposition import core_numbers
 from repro.core.maintainer import OrderedCoreMaintainer
+from repro.core.simplified import SimplifiedCoreMaintainer
 from repro.graphs import generators
 from repro.graphs.datasets import load_dataset
 from repro.graphs.undirected import DynamicGraph
@@ -67,8 +68,8 @@ def test_engines_agree_on_family(family):
         return DynamicGraph(base, vertices=vertices)
 
     engines = [
-        OrderedCoreMaintainer(graph(), audit=True),  # OM-list backend
-        OrderedCoreMaintainer(graph(), audit=True, sequence="treap"),
+        OrderedCoreMaintainer(graph(), audit=True),
+        SimplifiedCoreMaintainer(graph(), audit=True),
         TraversalCoreMaintainer(graph(), h=2, audit=True),
         TraversalCoreMaintainer(graph(), h=4),
         NaiveCoreMaintainer(graph()),

@@ -1,7 +1,5 @@
 """Unit tests for the maintained k-order index."""
 
-import random
-
 import pytest
 
 from repro.core.decomposition import core_numbers, korder_decomposition
@@ -13,7 +11,7 @@ from repro.graphs.undirected import DynamicGraph
 @pytest.fixture
 def korder_and_graph(triangle_graph):
     d = korder_decomposition(triangle_graph, policy="small")
-    return KOrder.from_decomposition(d, random.Random(0)), triangle_graph, d
+    return KOrder.from_decomposition(d), triangle_graph, d
 
 
 class TestConstruction:
@@ -94,7 +92,7 @@ class TestUpdates:
         assert 3 not in ko.deg_plus
 
     def test_move_after_repositions(self):
-        ko = KOrder(random.Random(1))
+        ko = KOrder()
         for v in "abcd":
             ko.append(2, v)
         ko.move_after("c", "a")
@@ -134,7 +132,7 @@ class TestAudit:
         # Path a-b-c with b forced first: deg+(b) = 2 > core 1.
         g = DynamicGraph([("a", "b"), ("b", "c")])
         core = core_numbers(g)
-        ko = KOrder(random.Random(2))
+        ko = KOrder()
         for v in ("b", "a", "c"):
             ko.append(1, v)
         ko.deg_plus.update({"b": 2, "a": 1, "c": 0})

@@ -1,8 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and the
 maintenance invariants."""
 
-import random
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +13,6 @@ from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
 from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
 from repro.structures.heaps import LazyMinHeap
-from repro.structures.treap import OrderStatisticTreap
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -40,39 +37,6 @@ op_streams = st.lists(
     ).filter(lambda op: op[1] != op[2]),
     max_size=60,
 )
-
-
-# ----------------------------------------------------------------------
-# Treap properties
-# ----------------------------------------------------------------------
-
-class TestTreapProperties:
-    @given(st.lists(st.integers(), unique=True, max_size=80))
-    def test_iteration_preserves_insertion_order(self, items):
-        treap = OrderStatisticTreap(items, rng=random.Random(0))
-        assert list(treap) == items
-
-    @given(
-        st.lists(st.integers(), unique=True, min_size=1, max_size=60),
-        st.data(),
-    )
-    def test_rank_select_inverse(self, items, data):
-        treap = OrderStatisticTreap(items, rng=random.Random(1))
-        index = data.draw(st.integers(0, len(items) - 1))
-        assert treap.rank(treap.select(index)) == index
-        assert treap.select(treap.rank(items[index])) == items[index]
-
-    @given(
-        st.lists(st.integers(), unique=True, min_size=2, max_size=50),
-        st.data(),
-    )
-    def test_removal_keeps_relative_order(self, items, data):
-        victim = data.draw(st.sampled_from(items))
-        treap = OrderStatisticTreap(items, rng=random.Random(2))
-        treap.remove(victim)
-        expected = [x for x in items if x != victim]
-        assert list(treap) == expected
-        treap.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,8 @@ recovered cores must equal a from-scratch decomposition of the shadow.
 Commits come in two shapes: single-op transactions and multi-edge
 transactions whose removals coalesce into one batch-native removal run
 (the joint-cascade path), so WAL replay of run-scheduled batches is
-crash-tested too.  Parametrized over both order-family engines and both
-sequence backends, so the replay path is proven engine- and
-backend-independent.
+crash-tested too.  Run on both order-family engines, so the replay path
+is proven engine-independent.
 """
 
 import tempfile
@@ -53,14 +52,13 @@ class DurableSessionMachine(RuleBasedStateMachine):
     """Random walk over commit / crash / recover / compact."""
 
     engine = "order"
-    opts: dict = {}
 
     @initialize()
     def setup(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.log = f"{self.tmp.name}/session.wal"
         self.svc = CoreService.open(
-            log=self.log, fsync="always", engine=self.engine, **self.opts
+            log=self.log, fsync="always", engine=self.engine
         )
         self.shadow = DynamicGraph()
         # Ops logged (hence durable) but possibly not yet in `shadow`
@@ -208,35 +206,15 @@ class DurableSessionMachine(RuleBasedStateMachine):
         self.svc.engine.check()
 
 
-class OrderOmMachine(DurableSessionMachine):
-    engine = "order"
-    opts = {"sequence": "om"}
-
-
-class OrderTreapMachine(DurableSessionMachine):
-    engine = "order"
-    opts = {"sequence": "treap"}
-
-
-class SimplifiedOmMachine(DurableSessionMachine):
+class SimplifiedMachine(DurableSessionMachine):
     engine = "order-simplified"
-    opts = {"sequence": "om"}
-
-
-class SimplifiedTreapMachine(DurableSessionMachine):
-    engine = "order-simplified"
-    opts = {"sequence": "treap"}
 
 
 _SETTINGS = settings(
     max_examples=12, stateful_step_count=25, deadline=None
 )
 
-TestOrderOm = OrderOmMachine.TestCase
-TestOrderOm.settings = _SETTINGS
-TestOrderTreap = OrderTreapMachine.TestCase
-TestOrderTreap.settings = _SETTINGS
-TestSimplifiedOm = SimplifiedOmMachine.TestCase
-TestSimplifiedOm.settings = _SETTINGS
-TestSimplifiedTreap = SimplifiedTreapMachine.TestCase
-TestSimplifiedTreap.settings = _SETTINGS
+TestOrder = DurableSessionMachine.TestCase
+TestOrder.settings = _SETTINGS
+TestSimplified = SimplifiedMachine.TestCase
+TestSimplified.settings = _SETTINGS

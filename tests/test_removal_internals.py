@@ -14,7 +14,7 @@ from repro.graphs.undirected import DynamicGraph
 def build_state(edges, vertices=()):
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy="small")
-    korder = KOrder.from_decomposition(decomposition, random.Random(0))
+    korder = KOrder.from_decomposition(decomposition)
     core = dict(decomposition.core)
     mcd = compute_mcd(graph, core)
     return graph, korder, core, mcd

@@ -5,8 +5,7 @@ The contract: one joint cascade per affected ``K``-level plus incremental
 path leaves — same cores, a valid k-order, ``deg+`` and ``mcd`` exact —
 while charging only one targeted ``mcd`` pass (the disposed set) per run
 instead of a refresh per edge.  The property suite drives random removal
-runs against the per-edge path and the from-scratch oracle under both
-sequence backends.
+runs against the per-edge path and the from-scratch oracle.
 """
 
 import random
@@ -23,26 +22,20 @@ from repro.engine import Batch, make_engine
 from repro.errors import EdgeNotFoundError
 from repro.graphs.undirected import DynamicGraph
 
-BACKENDS = ("om", "treap")
-
-
-def build_state(edges, vertices=(), sequence="om"):
+def build_state(edges, vertices=()):
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy="small")
-    korder = KOrder.from_decomposition(
-        decomposition, random.Random(0), sequence=sequence
-    )
+    korder = KOrder.from_decomposition(decomposition)
     core = dict(decomposition.core)
     mcd = compute_mcd(graph, core)
     return graph, korder, core, mcd
 
 
 class TestOrderRemoveRun:
-    @pytest.mark.parametrize("sequence", BACKENDS)
-    def test_single_edge_run_matches_per_edge_semantics(self, sequence):
+    def test_single_edge_run_matches_per_edge_semantics(self):
         """One-edge runs reproduce the Algorithm 4 outcome exactly."""
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
-        graph, korder, core, mcd = build_state(edges, sequence=sequence)
+        graph, korder, core, mcd = build_state(edges)
         run = order_remove_run(graph, korder, core, mcd, [(0, 1)])
         assert run.removed == 1
         assert set(run.changed) == {0, 1, 2}
@@ -95,10 +88,9 @@ class TestOrderRemoveRun:
         korder.audit(graph, core)
         assert mcd == compute_mcd(graph, core)
 
-    @pytest.mark.parametrize("sequence", BACKENDS)
-    def test_invalid_edge_mid_run_leaves_index_consistent(self, sequence):
+    def test_invalid_edge_mid_run_leaves_index_consistent(self):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
-        graph, korder, core, mcd = build_state(edges, sequence=sequence)
+        graph, korder, core, mcd = build_state(edges)
         with pytest.raises(EdgeNotFoundError):
             order_remove_run(
                 graph, korder, core, mcd, [(0, 1), (7, 8), (2, 3)]
@@ -118,14 +110,13 @@ class TestOrderRemoveRun:
 class TestRunAgreesWithPerEdgePath:
     """Property: batch-native runs and the per-edge loop are equivalent."""
 
-    @pytest.mark.parametrize("sequence", BACKENDS)
     @settings(
         max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=2**16), data=st.data())
-    def test_run_matches_per_edge_and_oracle(self, sequence, seed, data):
+    def test_run_matches_per_edge_and_oracle(self, seed, data):
         rng = random.Random(seed)
         n = data.draw(st.integers(min_value=4, max_value=24), label="n")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -137,11 +128,10 @@ class TestRunAgreesWithPerEdgePath:
 
         batched = make_engine(
             "order", DynamicGraph(base, vertices=range(n)),
-            seed=seed, audit=True, sequence=sequence,
+            seed=seed, audit=True,
         )
         per_edge = make_engine(
-            "order", DynamicGraph(base, vertices=range(n)),
-            seed=seed, sequence=sequence,
+            "order", DynamicGraph(base, vertices=range(n)), seed=seed
         )
         for edge in victims:
             per_edge.remove_edge(*edge)
@@ -163,24 +153,19 @@ class TestRunAgreesWithPerEdgePath:
         tail = [(20, 21), (21, 22)]
         base = k5 + k3 + bridges + tail
         victims = [(0, 10), (1, 11), (10, 11), (20, 21), (0, 1), (0, 2)]
-        for sequence in BACKENDS:
-            batched = make_engine(
-                "order", DynamicGraph(base), audit=True, sequence=sequence
-            )
-            per_edge = make_engine(
-                "order", DynamicGraph(base), sequence=sequence
-            )
-            for edge in victims:
-                per_edge.remove_edge(*edge)
-            result = batched.apply_batch(Batch.removes(victims))
-            assert batched.core_numbers() == per_edge.core_numbers()
-            batched.check()
-            # Coalesced runs drop per-edge attribution but keep exact
-            # aggregate demotions.
-            assert result.results is None
-            assert result.changed and all(
-                d < 0 for d in result.changed.values()
-            )
+        batched = make_engine("order", DynamicGraph(base), audit=True)
+        per_edge = make_engine("order", DynamicGraph(base))
+        for edge in victims:
+            per_edge.remove_edge(*edge)
+        result = batched.apply_batch(Batch.removes(victims))
+        assert batched.core_numbers() == per_edge.core_numbers()
+        batched.check()
+        # Coalesced runs drop per-edge attribution but keep exact
+        # aggregate demotions.
+        assert result.results is None
+        assert result.changed and all(
+            d < 0 for d in result.changed.values()
+        )
 
     def test_batch_counter_drops_versus_per_edge_loop(self):
         """Acceptance: per-batch mcd recomputations collapse from

@@ -36,7 +36,7 @@ class TestSessionConstruction:
         assert svc.graph.n == 0 and svc.cores() == {}
 
     @pytest.mark.parametrize(
-        "engine", ["order", "order-treap", "trav-2", "naive"]
+        "engine", ["order", "order-simplified", "trav-2", "naive"]
     )
     def test_open_any_registered_engine(self, engine):
         svc = CoreService.open(TRIANGLE, engine=engine)
@@ -44,8 +44,8 @@ class TestSessionConstruction:
         assert svc.core(0) == 2
 
     def test_open_rejects_unknown_engine_option(self):
-        with pytest.raises(EngineOptionError, match="sequnce"):
-            CoreService.open(TRIANGLE, sequnce="om")
+        with pytest.raises(EngineOptionError, match="adit"):
+            CoreService.open(TRIANGLE, adit=True)
 
     def test_constructor_adopts_existing_engine(self):
         from repro.core.maintainer import OrderedCoreMaintainer
@@ -386,7 +386,7 @@ class TestMonitorIntegration:
         for kwargs in (
             {"engine": "naive"},
             {"seed": 7},
-            {"sequence": "treap"},
+            {"audit": True},
         ):
             with pytest.raises(WorkloadError, match="not both"):
                 SlidingWindowCoreMonitor(

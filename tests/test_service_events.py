@@ -5,8 +5,8 @@ vertices) commit through a ``CoreService`` session; after every commit,
 the events delivered to a subscriber must match a from-scratch
 ``core_numbers`` recomputation of the graph before vs after the commit —
 per-vertex old/new core agreement, no duplicate events, no missed
-events — on both k-order sequence backends and against the naive
-engine's own oracle schedule.
+events — on both order-family engines and against the naive engine's
+own oracle schedule.
 """
 
 import random
@@ -21,11 +21,10 @@ from repro.engine.batch import Batch
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
-#: Every representative order-family engine (full index + service
-#: contracts), straight from the conformance contract: OM-list and
-#: treap backends and the Guo–Sekerinski no-mcd variant — all must tell the subscriber
-#: the same story.
-BACKENDS = order_family_engines()
+#: Every order-family engine (full index + service contracts), straight
+#: from the conformance contract: the paper's engine and the
+#: Guo–Sekerinski no-mcd variant must tell the subscriber the same story.
+ENGINES = order_family_engines()
 
 
 def expected_story(before, after):
@@ -69,7 +68,7 @@ def replay_and_check(engine_name, seed, n_batches, batch_size, universe):
     return all_events
 
 
-@pytest.mark.parametrize("engine_name", BACKENDS)
+@pytest.mark.parametrize("engine_name", ENGINES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_event_stream_matches_oracle_fixed_streams(engine_name, seed):
     replay_and_check(
@@ -77,7 +76,7 @@ def test_event_stream_matches_oracle_fixed_streams(engine_name, seed):
     )
 
 
-@pytest.mark.parametrize("engine_name", BACKENDS)
+@pytest.mark.parametrize("engine_name", ENGINES)
 @settings(
     max_examples=15,
     deadline=None,
@@ -99,14 +98,14 @@ def test_event_stream_matches_oracle_property(
 def test_backends_emit_identical_event_sequences():
     """Every order-family engine must agree event-for-event, not just
     core-for-core: events are vertex-sorted per commit, so the schedule
-    (backend, run coalescing) must not leak into the story."""
+    (engine, run coalescing) must not leak into the story."""
     streams = [
         replay_and_check(name, 7, n_batches=5, batch_size=20, universe=40)
-        for name in BACKENDS
+        for name in ENGINES
     ]
-    for name, stream in zip(BACKENDS[1:], streams[1:]):
+    for name, stream in zip(ENGINES[1:], streams[1:]):
         assert stream == streams[0], (
-            f"{name} told a different story than {BACKENDS[0]}"
+            f"{name} told a different story than {ENGINES[0]}"
         )
 
 

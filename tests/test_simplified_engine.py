@@ -32,22 +32,11 @@ def random_gnm(n, m, seed=0):
 
 
 class TestRegistryFamily:
-    def test_base_name_and_backend_aliases(self):
+    def test_base_name_resolves(self):
         graph = DynamicGraph([(0, 1), (1, 2), (2, 0)])
         engine = make_engine("order-simplified", graph.copy())
         assert isinstance(engine, SimplifiedCoreMaintainer)
         assert engine.name == "order-simplified"
-        assert make_engine("order-simplified-om", graph.copy()).sequence == "om"
-        assert (
-            make_engine("order-simplified-treap", graph.copy()).sequence
-            == "treap"
-        )
-
-    @pytest.mark.parametrize("policy", ["small", "large", "random"])
-    def test_policy_aliases(self, policy):
-        graph = DynamicGraph([(0, 1), (1, 2), (2, 0), (0, 3)])
-        engine = make_engine(f"order-simplified-{policy}", graph, seed=5)
-        assert engine.core_numbers() == core_numbers(engine.graph)
 
 
 class TestNoMcdProtocol:
@@ -118,12 +107,11 @@ class TestNoMcdProtocol:
 )
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    sequence=st.sampled_from(["om", "treap"]),
     data=st.data(),
 )
-def test_simplified_matches_recompute(seed, sequence, data):
-    """Hypothesis: arbitrary mixed per-edge streams keep the index true
-    on both sequence backends, with the full d_in/d_out audit on."""
+def test_simplified_matches_recompute(seed, data):
+    """Hypothesis: arbitrary mixed per-edge streams keep the index true,
+    with the full d_in/d_out audit on."""
     rng = random.Random(seed)
     n = data.draw(st.integers(min_value=4, max_value=18), label="n")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -135,7 +123,6 @@ def test_simplified_matches_recompute(seed, sequence, data):
         DynamicGraph(base, vertices=range(n)),
         seed=seed,
         audit=True,
-        sequence=sequence,
     )
     batch = Batch()
     for edge in spare[: data.draw(st.integers(0, 10), label="inserts")]:
@@ -150,13 +137,12 @@ def test_simplified_matches_recompute(seed, sequence, data):
 class TestSnapshot:
     def test_round_trip_preserves_engine_and_state(self, tmp_path):
         edges, spare = random_gnm(14, 30, seed=6)
-        svc = CoreService.open(edges, engine="order-simplified-treap")
+        svc = CoreService.open(edges, engine="order-simplified")
         path = tmp_path / "snap.json"
         svc.save(path)
         restored = CoreService.load(path)
         assert restored.engine_name == "order-simplified"
         assert isinstance(restored.engine, SimplifiedCoreMaintainer)
-        assert restored.engine.sequence == "treap"
         assert restored.cores() == svc.cores()
         assert restored.engine.order() == svc.engine.order()
         # The restored index is live: updates keep it true.

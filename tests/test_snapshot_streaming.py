@@ -46,6 +46,20 @@ class TestSnapshot:
         text = json.dumps(to_snapshot(engine))
         assert "version" in json.loads(text)
 
+    def test_sequence_field_of_older_snapshots_is_ignored(
+        self, small_random_graph
+    ):
+        # Builds with a k-order backend switch wrote "sequence"; this
+        # build keeps one backend, stops writing it and restores as is.
+        original = OrderedCoreMaintainer(small_random_graph)
+        snapshot = to_snapshot(original)
+        assert "sequence" not in snapshot
+        snapshot["sequence"] = "treap"
+        restored = from_snapshot(snapshot)
+        restored.check()
+        assert restored.core_numbers() == original.core_numbers()
+        assert restored.order() == original.order()
+
     def test_version_skew_names_both_versions(self):
         with pytest.raises(
             StaleIndexError,

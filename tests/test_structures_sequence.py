@@ -1,10 +1,9 @@
-"""Tests for the order-maintenance sequence backends.
+"""Tests for the order-maintenance list behind the k-order blocks.
 
-Both :class:`TaggedOrderList` and :class:`OrderStatisticTreap` implement
-the :class:`SequenceIndex` protocol, so a shared parametrized suite
-drives them through the same scenarios against a plain-list reference —
-including the relabel-storm stress case (adversarial same-position
-inserts) that exercises the OM list's Bender relabeling.
+:class:`TaggedOrderList` is driven through positional scenarios and a
+hypothesis model against a plain-list reference, plus the relabel-storm
+stress cases (adversarial same-position inserts) that exercise its
+Bender relabeling.
 """
 
 import random
@@ -13,33 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures.sequence import (
-    SequenceIndex,
-    SequenceStats,
-    TaggedOrderList,
-)
-from repro.structures.treap import OrderStatisticTreap
-
-BACKENDS = ("om", "treap")
-
-
-def make_backend(name, stats=None):
-    if name == "om":
-        return TaggedOrderList(stats=stats)
-    return OrderStatisticTreap(rng=random.Random(0), stats=stats)
+from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 
 # ----------------------------------------------------------------------
-# Protocol conformance and shared behavior
+# Sequence behavior against positions and a plain-list model
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestSharedBehavior:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(make_backend(backend), SequenceIndex)
-
-    def test_positional_insertions(self, backend):
-        seq = make_backend(backend)
+class TestSequenceBehavior:
+    def test_positional_insertions(self):
+        seq = TaggedOrderList()
         seq.insert_back("b")
         seq.insert_front("a")
         seq.insert_after("b", "d")
@@ -48,14 +30,14 @@ class TestSharedBehavior:
         assert len(seq) == 4 and "c" in seq and "z" not in seq
         seq.check_invariants()
 
-    def test_extend_front_preserves_given_order(self, backend):
-        seq = make_backend(backend)
+    def test_extend_front_preserves_given_order(self):
+        seq = TaggedOrderList()
         seq.insert_back("x")
         seq.extend_front(["a", "b", "c"])
         assert seq.to_list() == ["a", "b", "c", "x"]
 
-    def test_move_after(self, backend):
-        seq = make_backend(backend)
+    def test_move_after(self):
+        seq = TaggedOrderList()
         seq.extend_back("abcde")
         seq.move_after("d", "b")
         assert seq.to_list() == list("acdbe")
@@ -65,16 +47,16 @@ class TestSharedBehavior:
             seq.move_after("a", "a")
         seq.check_invariants()
 
-    def test_precedes_matches_positions(self, backend):
-        seq = make_backend(backend)
+    def test_precedes_matches_positions(self):
+        seq = TaggedOrderList()
         seq.extend_back(range(10))
         for i in range(10):
             for j in range(10):
                 if i != j:
                     assert seq.precedes(i, j) == (i < j)
 
-    def test_rank_select_first_last_neighbors(self, backend):
-        seq = make_backend(backend)
+    def test_rank_select_first_last_neighbors(self):
+        seq = TaggedOrderList()
         seq.extend_back("abcde")
         assert [seq.rank(c) for c in "abcde"] == [0, 1, 2, 3, 4]
         assert [seq.select(i) for i in range(5)] == list("abcde")
@@ -84,8 +66,8 @@ class TestSharedBehavior:
         with pytest.raises(IndexError):
             seq.select(5)
 
-    def test_duplicate_and_missing_items_raise(self, backend):
-        seq = make_backend(backend)
+    def test_duplicate_and_missing_items_raise(self):
+        seq = TaggedOrderList()
         seq.insert_back(1)
         with pytest.raises(ValueError):
             seq.insert_back(1)
@@ -96,8 +78,8 @@ class TestSharedBehavior:
         with pytest.raises(KeyError):
             seq.order_key(2)
 
-    def test_empty_sequence_edges(self, backend):
-        seq = make_backend(backend)
+    def test_empty_sequence_edges(self):
+        seq = TaggedOrderList()
         assert len(seq) == 0 and not seq and seq.to_list() == []
         with pytest.raises(IndexError):
             seq.first()
@@ -110,8 +92,8 @@ class TestSharedBehavior:
         assert seq.to_list() == [2]
         seq.check_invariants()
 
-    def test_order_keys_compare_like_positions(self, backend):
-        seq = make_backend(backend)
+    def test_order_keys_compare_like_positions(self):
+        seq = TaggedOrderList()
         seq.extend_back(range(20))
         keys = {i: seq.order_key(i) for i in range(20)}
         for a in range(20):
@@ -119,9 +101,9 @@ class TestSharedBehavior:
                 assert (keys[a] < keys[b]) == (a < b)
                 assert (keys[a] > keys[b]) == (a > b)
 
-    def test_order_queries_counted(self, backend):
+    def test_order_queries_counted(self):
         stats = SequenceStats()
-        seq = make_backend(backend, stats)
+        seq = TaggedOrderList(stats=stats)
         seq.extend_back(range(5))
         before = stats.order_queries
         seq.precedes(0, 4)
@@ -132,9 +114,9 @@ class TestSharedBehavior:
         st.tuples(st.integers(0, 3), st.integers(0, 1000)), max_size=120
     ))
     @settings(max_examples=60, deadline=None)
-    def test_random_interleaving_matches_reference(self, backend, ops):
+    def test_random_interleaving_matches_reference(self, ops):
         """Random insert/remove/precedes interleavings vs a plain list."""
-        seq = make_backend(backend)
+        seq = TaggedOrderList()
         ref = []
         next_item = 0
         for kind, pick in ops:
@@ -298,30 +280,8 @@ class TestTaggedOrderList:
         assert seq.to_list() == ref
         seq.check_invariants()
 
-    def test_om_answers_without_rank_walks(self):
-        stats = SequenceStats()
-        seq = TaggedOrderList(stats=stats)
-        seq.extend_back(range(500))
-        for i in range(0, 500, 3):
-            seq.precedes(i, (i * 13 + 7) % 500) if i != (i * 13 + 7) % 500 else None
-        assert stats.rank_walk_steps == 0
-        seq.rank(250)  # the diagnostic walk *is* charged
-        assert stats.rank_walk_steps == 250
-
-    def test_treap_rank_walks_counted(self):
-        stats = SequenceStats()
-        seq = OrderStatisticTreap(range(100), rng=random.Random(3), stats=stats)
-        assert stats.rank_walk_steps == 0
-        seq.precedes(10, 90)
-        assert stats.order_queries == 1
-        assert stats.rank_walk_steps > 0
-
     def test_stats_reset_and_as_dict(self):
-        stats = SequenceStats(order_queries=3, relabels=1, rank_walk_steps=7)
-        assert stats.as_dict() == {
-            "order_queries": 3, "relabels": 1, "rank_walk_steps": 7,
-        }
+        stats = SequenceStats(order_queries=3, relabels=1)
+        assert stats.as_dict() == {"order_queries": 3, "relabels": 1}
         stats.reset()
-        assert stats.as_dict() == {
-            "order_queries": 0, "relabels": 0, "rank_walk_steps": 0,
-        }
+        assert stats.as_dict() == {"order_queries": 0, "relabels": 0}

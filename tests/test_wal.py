@@ -230,9 +230,10 @@ class TestDurableSession:
         assert not rec.recovery.from_snapshot
         rec.close()
 
-    #: Logs written before the sharded engines and the region scheduler
-    #: were deleted: the header names a retired engine and carries
-    #: schedule-only options.  Each replays on the sequential engine.
+    #: Logs written before the sharded engines, the region scheduler,
+    #: the policy/backend aliases and the treap backend were deleted:
+    #: the header names a retired engine or carries an option that never
+    #: changes a core number.  Each replays on the engine it maps to.
     RETIRED_HEADERS = [
         ("order-sharded", {"parallel": 2}, "order"),
         ("order-sharded", {"reshard": "batch", "engine": "order-simplified"},
@@ -240,6 +241,14 @@ class TestDurableSession:
         ("order-sharded-simplified", {"partition": True, "parallel": 4},
          "order-simplified"),
         ("order", {"partition": True, "parallel": 2}, "order"),
+        ("order-treap", {}, "order"),
+        ("order-simplified-large", {}, "order-simplified"),
+        ("trav", {}, "trav-2"),
+        ("order", {"sequence": "treap", "policy": "random"}, "order"),
+        ("order-simplified", {"sequence": "om", "policy": "large"},
+         "order-simplified"),
+        ("order-sharded", {"engine": "order-simplified-treap"},
+         "order-simplified"),
     ]
 
     @pytest.mark.parametrize("engine,opts,rebuilt", RETIRED_HEADERS)
@@ -255,12 +264,15 @@ class TestDurableSession:
             Batch().remove(1, 2).insert(4, 1).insert(4, 2).insert(11, 3),
             Batch().insert(1, 2).remove(10, 11),
         ]
+        live = CoreService.open(engine=rebuilt)
         for receipt, batch in enumerate(batches, start=1):
             wal.append(receipt, batch)
+            live.apply(batch)
         wal.close()
         rec = CoreService.recover(log)
         assert rec.engine.name == rebuilt
         assert rec.recovery.replayed == len(batches)
+        assert rec.cores() == live.cores()
         assert rec.cores() == core_numbers(rec.engine.graph)
         rec.engine.check()
         replica = LogReplica(log)
@@ -274,6 +286,7 @@ class TestDurableSession:
          ({"engine": "order", "opts": {"turbo": 1}}, "'opts'"),
          ({"engine": "order-sharded", "opts": {"engine": "bogus"}},
           "'engine'"),
+         ({"engine": "order-treap-large"}, "'engine'"),
          ({"engine": ["order"]}, "'engine'")],
     )
     def test_unknown_header_engine_or_option_is_corruption(
@@ -287,6 +300,27 @@ class TestDurableSession:
             CoreService.recover(log)
         with pytest.raises(LogCorruptionError, match=field):
             LogReplica(log)
+
+    @pytest.mark.parametrize("engine", ["order", "order-simplified"])
+    def test_snapshot_naming_the_treap_backend_recovers(
+        self, tmp_path, engine
+    ):
+        """Compaction snapshots from builds with a backend switch carry
+        ``"sequence"``; recovery ignores it and replays the tail."""
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(TRIANGLE, engine=engine, log=log)
+        self.commit(svc, (3, 4), (4, 1))
+        snapshot = tmp_path / "s.wal.snapshot"
+        raw = json.loads(snapshot.read_text())
+        raw["sequence"] = "treap"
+        snapshot.write_text(json.dumps(raw))
+        expected = svc.cores()
+        rec = CoreService.recover(log)
+        assert rec.recovery.from_snapshot and rec.recovery.replayed == 1
+        assert rec.engine.name == engine
+        assert rec.cores() == expected
+        rec.engine.check()
+        rec.close()
 
     def test_open_refuses_existing_log(self, tmp_path):
         log = tmp_path / "s.wal"
@@ -471,7 +505,7 @@ class TestTokensAndTailing:
         from repro.service.wal import read_header
 
         log = tmp_path / "s.wal"
-        make_log(log, engine="order-treap", seed=7).close()
+        make_log(log, engine="order-simplified", seed=7).close()
         assert read_header(log) == scan(log).header
 
     def test_read_header_rejects_garbage(self, tmp_path):
