@@ -17,11 +17,28 @@ Lists
     The order-family subset — engines that carry the full index
     (k-order + degrees) and the batch/service contracts the
     service-level suites exercise.
+:func:`engine_variants` / :func:`order_family_variants`
+    The lists above plus configurations no registry name spells but the
+    code still runs (:data:`POLICY_VARIANTS`, :data:`TRAV_VARIANTS`);
+    harnesses that build engines in-process run over these and build
+    each one with :func:`build_engine`.
 """
 
 from __future__ import annotations
 
-from repro.engine.registry import available_engines
+from repro.core.maintainer import OrderedCoreMaintainer
+from repro.engine.registry import available_engines, make_engine
+
+#: The default engine under the other two Section VI generation
+#: policies, written ``order/<policy>``.  ``policy=`` is an
+#: ``OrderedCoreMaintainer`` constructor argument (the Fig. 9 experiment
+#: sets it), not a registry option; it decides the initial k-order that
+#: every later update walks.  ``small`` is plain ``order``.
+POLICY_VARIANTS = ("order/large", "order/random")
+
+#: Hop counts of the ``trav-<h>`` pattern beyond ``trav-2``: ``h`` is the
+#: depth of the degree hierarchy the traversal prunes with.
+TRAV_VARIANTS = ("trav-3", "trav-4", "trav-5", "trav-6")
 
 
 def contract_engines() -> tuple[str, ...]:
@@ -34,6 +51,25 @@ def order_family_engines() -> tuple[str, ...]:
     return tuple(
         name for name in contract_engines() if name.startswith("order")
     )
+
+
+def engine_variants() -> tuple[str, ...]:
+    """Every contract engine plus the unregistered configurations."""
+    return contract_engines() + POLICY_VARIANTS + TRAV_VARIANTS
+
+
+def order_family_variants() -> tuple[str, ...]:
+    """The order-family engines plus the default engine's policies."""
+    return order_family_engines() + POLICY_VARIANTS
+
+
+def build_engine(variant: str, graph, **opts):
+    """Build ``variant`` (a name from :func:`engine_variants`) over
+    ``graph``; ``opts`` are the factory options (``seed``, ``audit``)."""
+    name, _, policy = variant.partition("/")
+    if policy:
+        return OrderedCoreMaintainer(graph, policy=policy, **opts)
+    return make_engine(name, graph, **opts)
 
 
 def mixed_batch_stream(rng, n_batches, batch_size, universe):

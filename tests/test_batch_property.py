@@ -1,10 +1,10 @@
 """Property-based agreement tests for the batch pipeline.
 
 Random interleaved insert/remove batches — including batches that add
-brand-new vertices — are applied through ``apply_batch`` on all three
-engines; after every batch each engine must agree with a from-scratch
-``core_numbers`` recomputation of its own graph (and hence with every
-other engine).
+brand-new vertices — are applied through ``apply_batch`` on every engine
+and engine variant of the conformance contract; after every batch each
+engine must agree with a from-scratch ``core_numbers`` recomputation of
+its own graph (and hence with every other engine).
 """
 
 import random
@@ -13,14 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import contract_engines, mixed_batch_stream
+from engine_contract import build_engine, engine_variants, mixed_batch_stream
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch, make_engine
 from repro.graphs.undirected import DynamicGraph
 
-# One engine per algorithm, straight from the conformance contract — a
+# Every engine and variant, straight from the conformance contract — a
 # newly registered engine joins this agreement suite with no edit here.
-ENGINES = contract_engines()
+ENGINES = engine_variants()
 
 
 def random_batch_stream(seed, n_batches=6, batch_size=25, universe=60):
@@ -35,7 +35,7 @@ def random_batch_stream(seed, n_batches=6, batch_size=25, universe=60):
 def test_engines_agree_after_each_mixed_batch(seed):
     base, batches = random_batch_stream(seed)
     engines = {
-        name: make_engine(
+        name: build_engine(
             name,
             DynamicGraph(base),
             seed=seed,

@@ -1,5 +1,5 @@
 """Boundary cases of the sequential run schedule, over every order-family
-engine.
+engine and the default engine's generation policies.
 
 Batches run as same-kind runs, one after another
 (:meth:`repro.engine.batch.Batch.runs`).  These tests pin what that
@@ -25,16 +25,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import order_family_engines
+from engine_contract import (
+    build_engine,
+    order_family_engines,
+    order_family_variants,
+)
 from repro.core.decomposition import core_numbers
 from repro.core.snapshot import from_snapshot, to_snapshot
-from repro.engine import Batch, make_engine
+from repro.engine import Batch
 from repro.errors import EdgeNotFoundError
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 from repro.testing import FaultPlan, InjectedFault
 
-ENGINES = order_family_engines()
+ENGINES = order_family_variants()
 
 
 def pockets_graph(n_pockets=3, size=6, seed=0):
@@ -52,7 +56,7 @@ def pockets_graph(n_pockets=3, size=6, seed=0):
 
 def per_edge(name, edges, batch):
     """The same engine family driven one edge at a time, in op order."""
-    engine = make_engine(name, DynamicGraph(edges))
+    engine = build_engine(name, DynamicGraph(edges))
     for op in batch:
         if op.kind == "insert":
             engine.insert_edge(*op.edge)
@@ -77,11 +81,11 @@ class TestIndependence:
         for sub in subs:
             for op in sub:
                 whole.remove(*op.edge)
-        reference = make_engine(name, DynamicGraph(edges), audit=True)
+        reference = build_engine(name, DynamicGraph(edges), audit=True)
         reference.apply_batch(whole)
         expected = reference.core_numbers()
         for permutation in itertools.permutations(range(len(subs))):
-            engine = make_engine(name, DynamicGraph(edges), audit=True)
+            engine = build_engine(name, DynamicGraph(edges), audit=True)
             for index in permutation:
                 engine.apply_batch(subs[index])
             assert engine.core_numbers() == expected
@@ -94,7 +98,7 @@ class TestIndependence:
                 batch.remove(*edge)
         for u, v in [(0, 1000), (1000, 1001), (200, 300)]:
             batch.insert(u, v)
-        engine = make_engine(name, DynamicGraph(edges), audit=True)
+        engine = build_engine(name, DynamicGraph(edges), audit=True)
         result = engine.apply_batch(batch)
         assert result.inserts == 3 and result.removes == 16
         assert result.results is None  # removal runs are coalesced
@@ -108,7 +112,7 @@ class TestIndependence:
             [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12), (12, 10)]
         )
         edges = [(0, 3), (10, 13), (1, 3), (11, 13)]  # alternating pockets
-        engine = make_engine(name, graph)
+        engine = build_engine(name, graph)
         result = engine.apply_batch(Batch.inserts(edges))
         # Edges are already in canonical orientation, so kept results
         # come back in exactly the batch's op order.
@@ -128,7 +132,7 @@ class TestBoundaries:
             .insert(0, 100)  # the bridge, mid-batch
             .remove(*pockets[1][0])
         )
-        engine = make_engine(name, DynamicGraph(edges), audit=True)
+        engine = build_engine(name, DynamicGraph(edges), audit=True)
         engine.apply_batch(batch)
         assert engine.graph.has_edge(0, 100)
         assert engine.core_numbers() == per_edge(
@@ -141,7 +145,7 @@ class TestBoundaries:
         conflicting ops keep their order and cores end where they
         started."""
         edges, _ = pockets_graph(2)
-        engine = make_engine(name, DynamicGraph(edges), audit=True)
+        engine = build_engine(name, DynamicGraph(edges), audit=True)
         before = engine.core_numbers()
         batch = Batch().insert(0, 100).remove(0, 100)
         assert [kind for kind, _ in batch.runs()] == ["insert", "remove"]
@@ -152,7 +156,7 @@ class TestBoundaries:
         assert_exact(engine)
 
     def test_batch_over_brand_new_vertices(self, name):
-        engine = make_engine(name, DynamicGraph(), audit=True)
+        engine = build_engine(name, DynamicGraph(), audit=True)
         batch = Batch.inserts([("a", "b"), ("b", "c"), ("x", "y")])
         result = engine.apply_batch(batch)
         assert result.inserts == 3
@@ -162,7 +166,7 @@ class TestBoundaries:
     def test_new_vertex_bridging_two_pockets(self, name):
         edges, _ = pockets_graph(2)
         batch = Batch.inserts([(0, "hub"), (100, "hub")])
-        engine = make_engine(name, DynamicGraph(edges), audit=True)
+        engine = build_engine(name, DynamicGraph(edges), audit=True)
         engine.apply_batch(batch)
         # Both pockets are 2-cores, so a degree-2 hub joins at level 2.
         assert engine.core_of("hub") == 2
@@ -173,7 +177,7 @@ class TestBoundaries:
 
     def test_vertex_removal_through_a_bridge(self, name):
         edges, _ = pockets_graph(2)
-        engine = make_engine(name, DynamicGraph(edges), audit=True)
+        engine = build_engine(name, DynamicGraph(edges), audit=True)
         engine.insert_edge(0, 100)
         engine.remove_vertex(0)
         assert not engine.graph.has_vertex(0)
@@ -181,7 +185,7 @@ class TestBoundaries:
         assert_exact(engine)
 
     def test_add_vertex_is_an_isolated_core_zero(self, name):
-        engine = make_engine(name, DynamicGraph([(0, 1)]))
+        engine = build_engine(name, DynamicGraph([(0, 1)]))
         assert engine.add_vertex("lonely") is True
         assert engine.add_vertex("lonely") is False
         assert engine.core["lonely"] == 0
@@ -191,7 +195,7 @@ class TestBoundaries:
 
     def test_snapshot_round_trip_after_a_mixed_batch(self, name):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)]
-        engine = make_engine(name, DynamicGraph(edges))
+        engine = build_engine(name, DynamicGraph(edges))
         engine.apply_batch(
             Batch().insert(4, 5).insert(5, 0).remove(1, 2).insert(3, 0)
         )
@@ -206,7 +210,7 @@ class TestBoundaries:
 class TestFailures:
     def test_missing_edge_raises_and_commits_nothing(self, name):
         edges, _ = pockets_graph(2)
-        engine = make_engine(name, DynamicGraph(edges))
+        engine = build_engine(name, DynamicGraph(edges))
         before = engine.core_numbers()
         with pytest.raises(EdgeNotFoundError):
             engine.remove_edge(0, 100)
@@ -224,13 +228,13 @@ class TestFailures:
             for edge in pocket[:4]:
                 batch.remove(*edge)
         batch.remove(0, 100)  # never an edge: pockets are disjoint
-        engine = make_engine(name, DynamicGraph(edges))
+        engine = build_engine(name, DynamicGraph(edges))
         with pytest.raises(EdgeNotFoundError):
             engine.apply_batch(batch)
         assert_exact(engine)
 
     def test_mid_batch_fault_leaves_index_usable(self, name):
-        engine = make_engine(
+        engine = build_engine(
             name, DynamicGraph([(1, 2), (2, 3), (10, 11), (11, 12)])
         )
         with FaultPlan(seed=1).crash("engine.mid_batch"):
@@ -240,6 +244,12 @@ class TestFailures:
         engine.apply_batch(Batch().insert(3, 1).insert(5, 1))
         assert engine.core_of(1) == 2
         assert_exact(engine)
+
+
+@pytest.mark.parametrize("name", order_family_engines())
+class TestDurableFailures:
+    """Durable sessions open engines by registry name, so these run over
+    the names only."""
 
     def test_durable_session_heals_a_mid_batch_fault(self, name, tmp_path):
         log = tmp_path / "s.wal"
@@ -287,10 +297,10 @@ class TestRunOracle:
         rng.shuffle(pairs)
         m = data.draw(st.integers(10, len(pairs)), label="m")
         base_edges, spare = pairs[:m], pairs[m:] + bridges
-        engine = make_engine(
+        engine = build_engine(
             name, DynamicGraph(base_edges), seed=seed, audit=True
         )
-        reference = make_engine(name, DynamicGraph(base_edges), seed=seed)
+        reference = build_engine(name, DynamicGraph(base_edges), seed=seed)
         for _ in range(data.draw(st.integers(1, 3), label="rounds")):
             batch = Batch()
             present = list(engine.graph.edges())

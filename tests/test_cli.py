@@ -29,6 +29,26 @@ class TestParser:
         args = build_parser().parse_args(["table2", "--hops", "2,4"])
         assert args.hops == (2, 4)
 
+    def test_engine_help_lists_the_registry(self, capsys):
+        from repro.engine.registry import available_engines
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        known = f"{', '.join(available_engines())}, trav-<h> (h >= 2)"
+        assert known in help_text
+        assert build_parser().parse_args(
+            ["batch", "--engine", "trav-9"]
+        ).engine == "trav-9"
+
+    @pytest.mark.parametrize("engine", ["order-large", "order-treap", "trav"])
+    def test_retired_engine_names_are_rejected(self, capsys, engine):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "--engine", engine])
+        err = capsys.readouterr().err
+        assert f"unknown engine {engine!r}" in err
+        assert "order-simplified, trav-<h>" in err
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -250,6 +270,32 @@ class TestHardenedDurabilityCommands:
             assert code == 4
             assert _json.loads(captured.out)["corrupt"] is True
             assert "corrupt" in captured.err
+
+    @pytest.mark.parametrize(
+        "engine,rebuilt",
+        [(f"{base}-{suffix}", base)
+         for base in ("order", "order-simplified")
+         for suffix in ("small", "large", "random", "om", "treap")]
+        + [("trav", "trav-2")],
+    )
+    def test_retired_alias_header_recovers(
+        self, capsys, tmp_path, engine, rebuilt
+    ):
+        import json as _json
+
+        from repro.engine import Batch
+        from repro.service import WriteAheadLog
+
+        log = tmp_path / "alias.wal"
+        wal = WriteAheadLog.create(log, engine=engine, seed=0)
+        wal.append(1, Batch.inserts([(1, 2), (2, 3), (3, 1), (3, 4)]))
+        wal.close()
+        code, out = run_cli(capsys, "recover", "--log", str(log), "--json")
+        assert code == 0
+        payload = _json.loads(out)
+        assert payload["engine"] == rebuilt
+        assert payload["replayed"] == 1
+        assert payload["vertices"] == 4 and payload["edges"] == 4
 
     def test_unknown_header_engine_exits_4(self, capsys, tmp_path):
         from repro.service import WriteAheadLog

@@ -7,7 +7,9 @@ loudly, counters are omitted (never zero-filled) when their machinery
 did not run, and ``check()`` holds after hypothesis-generated mixed
 workloads.  A new engine registered anywhere in the package is pulled
 into the battery with no test edit; :class:`TestRegistryCoverage` pins
-that property itself.
+that property itself.  The battery also runs the configurations no
+registry name spells: the default engine under each generation policy
+and further ``trav-<h>`` hop counts.
 
 The run-path invariants at the bottom pin the batch-native contract the
 order family shares: a run-scheduled batch lands the *same* net core
@@ -23,12 +25,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from engine_contract import (
+    POLICY_VARIANTS,
+    TRAV_VARIANTS,
+    build_engine,
     contract_engines,
+    engine_variants,
     mixed_batch_stream,
     order_family_engines,
 )
 from repro.core.decomposition import core_numbers
-from repro.engine import Batch, make_engine
+from repro.engine import Batch
 from repro.engine.base import CoreMaintainer
 from repro.engine.registry import available_engines, is_engine_name
 from repro.errors import ServiceError
@@ -37,10 +43,18 @@ from repro.service import CoreService
 
 ALL_ENGINES = contract_engines()
 
+#: The battery's parametrization: every contract engine plus the
+#: unregistered policy and hop-count configurations.
+VARIANTS = engine_variants()
+
 #: Engines whose batch path is run-scheduled (coalesced insertion runs,
 #: joint removal cascades) — the run-path invariant tests below compare
 #: them against the per-edge fallback inherited from the base class.
 RUN_NATIVE = ("order", "order-simplified")
+
+#: The run-path invariants' parametrization: the run-native engines plus
+#: the default engine under its other generation policies.
+RUN_PATH = RUN_NATIVE + POLICY_VARIANTS
 
 #: The chargeable work counter per run-native family: the default engine
 #: counts mcd repairs, the simplified engine counts candidate visits.
@@ -85,15 +99,36 @@ class TestRegistryCoverage:
         assert set(RUN_NATIVE) <= set(ALL_ENGINES)
         assert set(CHARGEABLE) == set(RUN_NATIVE)
 
+    def test_variants_are_distinct_unregistered_configurations(self):
+        assert VARIANTS[: len(ALL_ENGINES)] == ALL_ENGINES
+        assert not set(POLICY_VARIANTS + TRAV_VARIANTS) & set(
+            available_engines()
+        )
+        graph = DynamicGraph(
+            [(i, j) for i in range(8) for j in range(i + 1, 8) if (i + j) % 3]
+        )
+        orders = {}
+        for name in ("order",) + POLICY_VARIANTS:
+            engine = build_engine(name, graph.copy(), seed=1)
+            assert engine.name == "order"
+            orders[name] = engine.korder.order()
+        # Each policy is a different initial k-order, hence a different
+        # configuration of the same engine.
+        assert len(set(map(tuple, orders.values()))) == len(orders)
+        for name in TRAV_VARIANTS:
+            engine = build_engine(name, graph.copy())
+            assert engine.name == name
+            assert engine.h == int(name.rpartition("-")[2])
 
-@pytest.mark.parametrize("name", ALL_ENGINES)
+
+@pytest.mark.parametrize("name", VARIANTS)
 class TestConformance:
-    """The contract proper, over every registered name."""
+    """The contract proper, over every registered name and variant."""
 
     def test_batch_and_per_edge_agree_with_recompute(self, name):
         base, batches = mixed_batch_stream(random.Random(17), 3, 14, 26)
-        batched = make_engine(name, DynamicGraph(base), seed=0)
-        per_edge = make_engine(name, DynamicGraph(base), seed=0)
+        batched = build_engine(name, DynamicGraph(base), seed=0)
+        per_edge = build_engine(name, DynamicGraph(base), seed=0)
         for batch in batches:
             batched.apply_batch(batch)
             _apply_per_edge(per_edge, batch)
@@ -103,7 +138,7 @@ class TestConformance:
 
     def test_snapshot_round_trips_or_refuses_loudly(self, name, tmp_path):
         base, batches = mixed_batch_stream(random.Random(5), 2, 12, 22)
-        service = CoreService.open(base, engine=name, seed=0)
+        service = CoreService(build_engine(name, DynamicGraph(base), seed=0))
         service.apply(batches[0])
         path = tmp_path / "snap.json"
         try:
@@ -124,7 +159,7 @@ class TestConformance:
 
     def test_counters_omitted_not_zero_filled(self, name):
         base, batches = mixed_batch_stream(random.Random(23), 3, 14, 26)
-        engine = make_engine(name, DynamicGraph(base), seed=0)
+        engine = build_engine(name, DynamicGraph(base), seed=0)
         for batch in batches:
             result = engine.apply_batch(batch)
             for key, value in result.counters.items():
@@ -138,7 +173,7 @@ class TestConformance:
                     assert key not in result.counters, key
 
 
-@pytest.mark.parametrize("name", ALL_ENGINES)
+@pytest.mark.parametrize("name", VARIANTS)
 @settings(
     max_examples=8,
     deadline=None,
@@ -150,7 +185,7 @@ def test_check_holds_after_mixed_workloads(name, seed):
     (where it has one) and a full recompute both validate the index."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, 2, 12, 20)
-    engine = make_engine(name, DynamicGraph(base), seed=seed)
+    engine = build_engine(name, DynamicGraph(base), seed=seed)
     for batch in batches:
         engine.apply_batch(batch)
         if hasattr(engine, "check"):
@@ -158,7 +193,7 @@ def test_check_holds_after_mixed_workloads(name, seed):
         assert engine.core_numbers() == core_numbers(engine.graph)
 
 
-@pytest.mark.parametrize("name", RUN_NATIVE)
+@pytest.mark.parametrize("name", RUN_PATH)
 @settings(
     max_examples=15,
     deadline=None,
@@ -170,8 +205,8 @@ def test_run_path_matches_per_edge_path(name, seed):
     identical net ``changed`` deltas and identical final cores."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, 2, 14, 24)
-    run_engine = make_engine(name, DynamicGraph(base), seed=0)
-    edge_engine = make_engine(name, DynamicGraph(base), seed=0)
+    run_engine = build_engine(name, DynamicGraph(base), seed=0)
+    edge_engine = build_engine(name, DynamicGraph(base), seed=0)
     for batch in batches:
         run_result = run_engine.apply_batch(batch)
         edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
@@ -180,7 +215,7 @@ def test_run_path_matches_per_edge_path(name, seed):
     assert run_engine.core_numbers() == core_numbers(run_engine.graph)
 
 
-@pytest.mark.parametrize("name", RUN_NATIVE)
+@pytest.mark.parametrize("name", RUN_PATH)
 @settings(
     max_examples=15,
     deadline=None,
@@ -204,8 +239,8 @@ def test_run_path_agrees_on_homogeneous_batches(name, data):
     else:
         count = min(len(spare), data.draw(st.integers(2, 14), label="k"))
         batch = Batch.inserts(spare[:count])
-    run_engine = make_engine(name, DynamicGraph(base), seed=0)
-    edge_engine = make_engine(name, DynamicGraph(base), seed=0)
+    run_engine = build_engine(name, DynamicGraph(base), seed=0)
+    edge_engine = build_engine(name, DynamicGraph(base), seed=0)
     run_result = run_engine.apply_batch(batch)
     edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
     assert run_result.changed == edge_result.changed
@@ -219,7 +254,7 @@ def test_run_path_agrees_on_homogeneous_batches(name, data):
 _AMORTIZE_SEEDS = range(40)
 
 
-@pytest.mark.parametrize("name", RUN_NATIVE)
+@pytest.mark.parametrize("name", RUN_PATH)
 @pytest.mark.parametrize("run_kind", ["remove", "insert"])
 def test_run_path_amortizes_homogeneous_batches(name, run_kind):
     """The amortization claim, pinned as a deterministic aggregate: over
@@ -239,7 +274,7 @@ def test_run_path_amortizes_homogeneous_batches(name, run_kind):
     traversal sizes legitimately differ in both directions there (the
     net-delta equality above is the mixed-batch guarantee).
     """
-    key = CHARGEABLE[name]
+    key = CHARGEABLE[name.partition("/")[0]]
     run_visited = edge_visited = run_charged = edge_charged = 0
     for seed in _AMORTIZE_SEEDS:
         rng = random.Random(seed)
@@ -251,8 +286,8 @@ def test_run_path_amortizes_homogeneous_batches(name, run_kind):
             batch = Batch.removes(rng.sample(base, min(len(base), count)))
         else:
             batch = Batch.inserts(spare[: min(len(spare), count)])
-        run_engine = make_engine(name, DynamicGraph(base), seed=0)
-        edge_engine = make_engine(name, DynamicGraph(base), seed=0)
+        run_engine = build_engine(name, DynamicGraph(base), seed=0)
+        edge_engine = build_engine(name, DynamicGraph(base), seed=0)
         run_result = run_engine.apply_batch(batch)
         edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
         assert run_result.changed == edge_result.changed

@@ -8,10 +8,12 @@ full invariant audit passes, (b) the recovered cores equal a
 from-scratch decomposition of the recovered graph, and (c) the batch
 that was in flight is present or absent according to the write-ahead
 contract — present iff the crash hit after the log record was written.
+The matrix runs on both order-family engines.
 """
 
 import pytest
 
+from engine_contract import order_family_engines
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
 from repro.engine.registry import make_engine
@@ -110,11 +112,14 @@ class CrashMatrix:
         # No svc.close(): the "process" died at the crash point.
 
 
+@pytest.mark.parametrize("engine", order_family_engines())
 @pytest.mark.parametrize("point", sorted(DURABLE_AFTER))
 class TestCrashRecoveryMatrix(CrashMatrix):
-    def test_recovery_after_crash(self, tmp_path, point):
+    def test_recovery_after_crash(self, tmp_path, point, engine):
         log = tmp_path / "s.wal"
-        svc = CoreService.open(TRIANGLE, log=log, fsync="always")
+        svc = CoreService.open(
+            TRIANGLE, log=log, engine=engine, fsync="always"
+        )
         with svc.transaction() as tx:
             tx.insert(3, 4)  # one clean commit before the crash
         self.crash_commit(svc, point, (4, 1))
@@ -134,12 +139,14 @@ class TestCrashRecoveryMatrix(CrashMatrix):
         rec.engine.check()
         rec.close()
 
-    def test_recovery_matches_scratch_decomposition(self, tmp_path, point):
+    def test_recovery_matches_scratch_decomposition(
+        self, tmp_path, point, engine
+    ):
         log = tmp_path / "s.wal"
         svc = CoreService.open(
             [(i, i + 1) for i in range(8)] + [(0, 4), (2, 6)],
             log=log,
-            engine="order-simplified",
+            engine=engine,
             fsync="always",
         )
         self.crash_commit(svc, point, (1, 5))

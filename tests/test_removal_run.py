@@ -5,7 +5,9 @@ The contract: one joint cascade per affected ``K``-level plus incremental
 path leaves — same cores, a valid k-order, ``deg+`` and ``mcd`` exact —
 while charging only one targeted ``mcd`` pass (the disposed set) per run
 instead of a refresh per edge.  The property suite drives random removal
-runs against the per-edge path and the from-scratch oracle.
+runs against the per-edge path and the from-scratch oracle.  Both run
+under every Section VI generation policy, since the policy fixes the
+initial k-order the cascade walks.
 """
 
 import random
@@ -14,28 +16,38 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition import core_numbers, korder_decomposition
+from engine_contract import POLICY_VARIANTS, build_engine
+from repro.core.decomposition import (
+    POLICIES,
+    core_numbers,
+    korder_decomposition,
+)
 from repro.core.korder import KOrder
 from repro.core.maintainer import compute_mcd
 from repro.core.removal import order_remove_run
-from repro.engine import Batch, make_engine
+from repro.engine import Batch
 from repro.errors import EdgeNotFoundError
 from repro.graphs.undirected import DynamicGraph
 
-def build_state(edges, vertices=()):
+#: The default engine and its generation-policy variants.
+ORDER_VARIANTS = ("order",) + POLICY_VARIANTS
+
+
+def build_state(edges, vertices=(), policy="small"):
     graph = DynamicGraph(edges, vertices=vertices)
-    decomposition = korder_decomposition(graph, policy="small")
+    decomposition = korder_decomposition(graph, policy=policy, seed=0)
     korder = KOrder.from_decomposition(decomposition)
     core = dict(decomposition.core)
     mcd = compute_mcd(graph, core)
     return graph, korder, core, mcd
 
 
+@pytest.mark.parametrize("policy", POLICIES)
 class TestOrderRemoveRun:
-    def test_single_edge_run_matches_per_edge_semantics(self):
+    def test_single_edge_run_matches_per_edge_semantics(self, policy):
         """One-edge runs reproduce the Algorithm 4 outcome exactly."""
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
-        graph, korder, core, mcd = build_state(edges)
+        graph, korder, core, mcd = build_state(edges, policy=policy)
         run = order_remove_run(graph, korder, core, mcd, [(0, 1)])
         assert run.removed == 1
         assert set(run.changed) == {0, 1, 2}
@@ -44,10 +56,10 @@ class TestOrderRemoveRun:
         korder.audit(graph, core)
         assert mcd == compute_mcd(graph, core)
 
-    def test_mcd_is_exact_without_any_caller_refresh(self):
+    def test_mcd_is_exact_without_any_caller_refresh(self, policy):
         """The run's whole point: mcd leaves the call already repaired."""
         edges = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-        graph, korder, core, mcd = build_state(edges)
+        graph, korder, core, mcd = build_state(edges, policy=policy)
         run = order_remove_run(
             graph, korder, core, mcd, [(0, 1), (2, 3), (4, 5)]
         )
@@ -55,11 +67,11 @@ class TestOrderRemoveRun:
         # Targeted accounting: exactly one recomputation per demotion.
         assert run.recomputed == sum(-d for d in run.changed.values())
 
-    def test_multi_level_demotion_in_one_run(self):
+    def test_multi_level_demotion_in_one_run(self, policy):
         """A batch can sink a vertex through several K-levels at once —
         something no single per-edge removal (|delta| <= 1) can do."""
         edges = [(a, b) for a in range(6) for b in range(a + 1, 6)]  # K6
-        graph, korder, core, mcd = build_state(edges)
+        graph, korder, core, mcd = build_state(edges, policy=policy)
         assert all(c == 5 for c in core.values())
         victims = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         run = order_remove_run(graph, korder, core, mcd, victims)
@@ -72,7 +84,7 @@ class TestOrderRemoveRun:
         korder.audit(graph, core)
         assert mcd == compute_mcd(graph, core)
 
-    def test_no_cascade_run_costs_no_recomputation(self):
+    def test_no_cascade_run_costs_no_recomputation(self, policy):
         """Slack-absorbing removals are pure decrements: the counter that
         used to grow by ~2 endpoints per edge stays at zero."""
         # Two squares, each with one diagonal: dropping the diagonals
@@ -81,16 +93,16 @@ class TestOrderRemoveRun:
             (0, 1), (1, 2), (2, 3), (3, 0), (0, 2),
             (4, 5), (5, 6), (6, 7), (7, 4), (4, 6),
         ]
-        graph, korder, core, mcd = build_state(edges)
+        graph, korder, core, mcd = build_state(edges, policy=policy)
         run = order_remove_run(graph, korder, core, mcd, [(0, 2), (4, 6)])
         assert run.changed == {} and run.recomputed == 0
         assert core == core_numbers(graph)
         korder.audit(graph, core)
         assert mcd == compute_mcd(graph, core)
 
-    def test_invalid_edge_mid_run_leaves_index_consistent(self):
+    def test_invalid_edge_mid_run_leaves_index_consistent(self, policy):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
-        graph, korder, core, mcd = build_state(edges)
+        graph, korder, core, mcd = build_state(edges, policy=policy)
         with pytest.raises(EdgeNotFoundError):
             order_remove_run(
                 graph, korder, core, mcd, [(0, 1), (7, 8), (2, 3)]
@@ -101,12 +113,13 @@ class TestOrderRemoveRun:
         korder.audit(graph, core)
         assert mcd == compute_mcd(graph, core)
 
-    def test_empty_run(self):
-        graph, korder, core, mcd = build_state([(0, 1)])
+    def test_empty_run(self, policy):
+        graph, korder, core, mcd = build_state([(0, 1)], policy=policy)
         run = order_remove_run(graph, korder, core, mcd, [])
         assert run.removed == 0 and run.changed == {} and run.levels == ()
 
 
+@pytest.mark.parametrize("name", ORDER_VARIANTS)
 class TestRunAgreesWithPerEdgePath:
     """Property: batch-native runs and the per-edge loop are equivalent."""
 
@@ -116,7 +129,7 @@ class TestRunAgreesWithPerEdgePath:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=2**16), data=st.data())
-    def test_run_matches_per_edge_and_oracle(self, seed, data):
+    def test_run_matches_per_edge_and_oracle(self, name, seed, data):
         rng = random.Random(seed)
         n = data.draw(st.integers(min_value=4, max_value=24), label="n")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -126,12 +139,12 @@ class TestRunAgreesWithPerEdgePath:
         k = data.draw(st.integers(0, min(len(base), 16)), label="removes")
         victims = rng.sample(base, k)
 
-        batched = make_engine(
-            "order", DynamicGraph(base, vertices=range(n)),
+        batched = build_engine(
+            name, DynamicGraph(base, vertices=range(n)),
             seed=seed, audit=True,
         )
-        per_edge = make_engine(
-            "order", DynamicGraph(base, vertices=range(n)), seed=seed
+        per_edge = build_engine(
+            name, DynamicGraph(base, vertices=range(n)), seed=seed
         )
         for edge in victims:
             per_edge.remove_edge(*edge)
@@ -144,7 +157,7 @@ class TestRunAgreesWithPerEdgePath:
         # The run never does more mcd work than the per-edge refreshes.
         assert batched.mcd_recomputations <= per_edge.mcd_recomputations
 
-    def test_deep_cascade_crossing_levels_agrees(self):
+    def test_deep_cascade_crossing_levels_agrees(self, name):
         """Nested cliques wired to a path: stripping the bridge edges
         cascades across three K-levels; both paths must agree."""
         k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
@@ -153,8 +166,8 @@ class TestRunAgreesWithPerEdgePath:
         tail = [(20, 21), (21, 22)]
         base = k5 + k3 + bridges + tail
         victims = [(0, 10), (1, 11), (10, 11), (20, 21), (0, 1), (0, 2)]
-        batched = make_engine("order", DynamicGraph(base), audit=True)
-        per_edge = make_engine("order", DynamicGraph(base))
+        batched = build_engine(name, DynamicGraph(base), audit=True)
+        per_edge = build_engine(name, DynamicGraph(base))
         for edge in victims:
             per_edge.remove_edge(*edge)
         result = batched.apply_batch(Batch.removes(victims))
@@ -167,7 +180,7 @@ class TestRunAgreesWithPerEdgePath:
             d < 0 for d in result.changed.values()
         )
 
-    def test_batch_counter_drops_versus_per_edge_loop(self):
+    def test_batch_counter_drops_versus_per_edge_loop(self, name):
         """Acceptance: per-batch mcd recomputations collapse from
         O(edges) refresh passes to one targeted pass per run."""
         rng = random.Random(3)
@@ -176,8 +189,8 @@ class TestRunAgreesWithPerEdgePath:
         rng.shuffle(pairs)
         base = pairs[:800]
         victims = rng.sample(base, 300)
-        batched = make_engine("order", DynamicGraph(base, vertices=range(n)))
-        per_edge = make_engine("order", DynamicGraph(base, vertices=range(n)))
+        batched = build_engine(name, DynamicGraph(base, vertices=range(n)))
+        per_edge = build_engine(name, DynamicGraph(base, vertices=range(n)))
         for edge in victims:
             per_edge.remove_edge(*edge)
         result = batched.apply_batch(Batch.removes(victims))

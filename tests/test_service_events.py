@@ -5,8 +5,8 @@ vertices) commit through a ``CoreService`` session; after every commit,
 the events delivered to a subscriber must match a from-scratch
 ``core_numbers`` recomputation of the graph before vs after the commit —
 per-vertex old/new core agreement, no duplicate events, no missed
-events — on both order-family engines and against the naive engine's
-own oracle schedule.
+events — on every engine and engine variant of the conformance contract,
+and against the naive engine's own oracle schedule.
 """
 
 import random
@@ -15,16 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import mixed_batch_stream, order_family_engines
+from engine_contract import build_engine, engine_variants, mixed_batch_stream
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
-#: Every order-family engine (full index + service contracts), straight
-#: from the conformance contract: the paper's engine and the
-#: Guo–Sekerinski no-mcd variant must tell the subscriber the same story.
-ENGINES = order_family_engines()
+#: Every engine and variant of the conformance contract: the paper's
+#: engine under each generation policy, the Guo–Sekerinski no-mcd
+#: variant, the traversal baseline at each hop count and the naive
+#: oracle must all tell the subscriber the same story.
+ENGINES = engine_variants()
 
 
 def expected_story(before, after):
@@ -39,9 +40,7 @@ def expected_story(before, after):
 def replay_and_check(engine_name, seed, n_batches, batch_size, universe):
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, n_batches, batch_size, universe)
-    svc = CoreService.open(
-        DynamicGraph(base), engine=engine_name, seed=seed
-    )
+    svc = CoreService(build_engine(engine_name, DynamicGraph(base), seed=seed))
     captured = []
     svc.subscribe(captured.append)
     all_events = []
@@ -96,7 +95,7 @@ def test_event_stream_matches_oracle_property(
 
 
 def test_backends_emit_identical_event_sequences():
-    """Every order-family engine must agree event-for-event, not just
+    """Every engine must agree event-for-event, not just
     core-for-core: events are vertex-sorted per commit, so the schedule
     (engine, run coalescing) must not leak into the story."""
     streams = [

@@ -3,7 +3,8 @@
 :class:`TaggedOrderList` is driven through positional scenarios and a
 hypothesis model against a plain-list reference, plus the relabel-storm
 stress cases (adversarial same-position inserts) that exercise its
-Bender relabeling.
+Bender relabeling.  The behavior suite runs twice: over the real label
+space and over a narrow one where nearly every insert relabels.
 """
 
 import random
@@ -15,13 +16,25 @@ from hypothesis import strategies as st
 from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 
+class NarrowOrderList(TaggedOrderList):
+    """The same list over a 2^10 label space with 2-wide append gaps:
+    gaps run out after a few inserts, and the whole-space spread fallback
+    (unreachable at the real width) fires under modest loads."""
+
+    _SPAN = 1 << 10
+    _GAP = 1 << 1
+
+
 # ----------------------------------------------------------------------
 # Sequence behavior against positions and a plain-list model
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "order_list", [TaggedOrderList, NarrowOrderList], ids=["wide", "narrow"]
+)
 class TestSequenceBehavior:
-    def test_positional_insertions(self):
-        seq = TaggedOrderList()
+    def test_positional_insertions(self, order_list):
+        seq = order_list()
         seq.insert_back("b")
         seq.insert_front("a")
         seq.insert_after("b", "d")
@@ -30,14 +43,14 @@ class TestSequenceBehavior:
         assert len(seq) == 4 and "c" in seq and "z" not in seq
         seq.check_invariants()
 
-    def test_extend_front_preserves_given_order(self):
-        seq = TaggedOrderList()
+    def test_extend_front_preserves_given_order(self, order_list):
+        seq = order_list()
         seq.insert_back("x")
         seq.extend_front(["a", "b", "c"])
         assert seq.to_list() == ["a", "b", "c", "x"]
 
-    def test_move_after(self):
-        seq = TaggedOrderList()
+    def test_move_after(self, order_list):
+        seq = order_list()
         seq.extend_back("abcde")
         seq.move_after("d", "b")
         assert seq.to_list() == list("acdbe")
@@ -47,16 +60,16 @@ class TestSequenceBehavior:
             seq.move_after("a", "a")
         seq.check_invariants()
 
-    def test_precedes_matches_positions(self):
-        seq = TaggedOrderList()
+    def test_precedes_matches_positions(self, order_list):
+        seq = order_list()
         seq.extend_back(range(10))
         for i in range(10):
             for j in range(10):
                 if i != j:
                     assert seq.precedes(i, j) == (i < j)
 
-    def test_rank_select_first_last_neighbors(self):
-        seq = TaggedOrderList()
+    def test_rank_select_first_last_neighbors(self, order_list):
+        seq = order_list()
         seq.extend_back("abcde")
         assert [seq.rank(c) for c in "abcde"] == [0, 1, 2, 3, 4]
         assert [seq.select(i) for i in range(5)] == list("abcde")
@@ -66,8 +79,8 @@ class TestSequenceBehavior:
         with pytest.raises(IndexError):
             seq.select(5)
 
-    def test_duplicate_and_missing_items_raise(self):
-        seq = TaggedOrderList()
+    def test_duplicate_and_missing_items_raise(self, order_list):
+        seq = order_list()
         seq.insert_back(1)
         with pytest.raises(ValueError):
             seq.insert_back(1)
@@ -78,8 +91,8 @@ class TestSequenceBehavior:
         with pytest.raises(KeyError):
             seq.order_key(2)
 
-    def test_empty_sequence_edges(self):
-        seq = TaggedOrderList()
+    def test_empty_sequence_edges(self, order_list):
+        seq = order_list()
         assert len(seq) == 0 and not seq and seq.to_list() == []
         with pytest.raises(IndexError):
             seq.first()
@@ -92,8 +105,8 @@ class TestSequenceBehavior:
         assert seq.to_list() == [2]
         seq.check_invariants()
 
-    def test_order_keys_compare_like_positions(self):
-        seq = TaggedOrderList()
+    def test_order_keys_compare_like_positions(self, order_list):
+        seq = order_list()
         seq.extend_back(range(20))
         keys = {i: seq.order_key(i) for i in range(20)}
         for a in range(20):
@@ -101,9 +114,9 @@ class TestSequenceBehavior:
                 assert (keys[a] < keys[b]) == (a < b)
                 assert (keys[a] > keys[b]) == (a > b)
 
-    def test_order_queries_counted(self):
+    def test_order_queries_counted(self, order_list):
         stats = SequenceStats()
-        seq = TaggedOrderList(stats=stats)
+        seq = order_list(stats=stats)
         seq.extend_back(range(5))
         before = stats.order_queries
         seq.precedes(0, 4)
@@ -114,9 +127,9 @@ class TestSequenceBehavior:
         st.tuples(st.integers(0, 3), st.integers(0, 1000)), max_size=120
     ))
     @settings(max_examples=60, deadline=None)
-    def test_random_interleaving_matches_reference(self, ops):
+    def test_random_interleaving_matches_reference(self, order_list, ops):
         """Random insert/remove/precedes interleavings vs a plain list."""
-        seq = TaggedOrderList()
+        seq = order_list()
         ref = []
         next_item = 0
         for kind, pick in ops:
@@ -278,6 +291,28 @@ class TestTaggedOrderList:
                 seq.insert_back(i)
                 ref.append(i)
         assert seq.to_list() == ref
+        seq.check_invariants()
+
+    def test_narrow_label_space_reaches_the_spread_fallback(self):
+        """What the narrow behavior variant stresses: a same-position
+        storm past the label space's density limit relabels on nearly
+        every insert and ends in whole-space spreads, yet keeps order."""
+        spreads = []
+
+        class Counting(NarrowOrderList):
+            def _spread(self, count=True):
+                spreads.append(len(self))
+                super()._spread(count)
+
+        seq = Counting()
+        seq.extend_back(range(2))
+        ref = [0, 1]
+        for item in range(2, 300):
+            seq.insert_after(0, item)
+            ref.insert(1, item)
+        assert seq.to_list() == ref
+        assert seq.stats.relabels > 100
+        assert spreads
         seq.check_invariants()
 
     def test_stats_reset_and_as_dict(self):

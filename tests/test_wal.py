@@ -241,12 +241,19 @@ class TestDurableSession:
         ("order-sharded-simplified", {"partition": True, "parallel": 4},
          "order-simplified"),
         ("order", {"partition": True, "parallel": 2}, "order"),
-        ("order-treap", {}, "order"),
-        ("order-simplified-large", {}, "order-simplified"),
+        *[
+            (f"{base}-{suffix}", {}, base)
+            for base in ("order", "order-simplified")
+            for suffix in ("small", "large", "random", "om", "treap")
+        ],
         ("trav", {}, "trav-2"),
         ("order", {"sequence": "treap", "policy": "random"}, "order"),
         ("order-simplified", {"sequence": "om", "policy": "large"},
          "order-simplified"),
+        ("order", {"sequence": "om"}, "order"),
+        ("order", {"policy": "large"}, "order"),
+        ("order-simplified", {"sequence": "treap"}, "order-simplified"),
+        ("order-simplified", {"policy": "small"}, "order-simplified"),
         ("order-sharded", {"engine": "order-simplified-treap"},
          "order-simplified"),
     ]
