@@ -1,13 +1,13 @@
 """Head-to-head ablation: ``order`` vs ``order-simplified``.
 
-Both engines run the *same* scan and cascade; the only difference is the
-bookkeeping around them.  The default engine maintains ``mcd`` with a
-targeted repair pass after every update (charged as
-``mcd_recomputations``); the simplified engine (Guo & Sekerinski, arXiv
-2201.07103) keeps two order-local degrees whose upkeep is folded into
-the scan itself, so the repair pass — and the ``mcd`` structure —
-disappears.  Its chargeable work is the candidate scan
-(``candidate_visits``).
+Both engines store the same index and run the *same* scan and cascade
+kernel; the only difference is the ``mcd`` upkeep around it.  The paper's
+``order`` engine repairs ``mcd`` with a targeted recomputation pass after
+every update (charged as ``mcd_recomputations``); the simplified engine
+(Guo & Sekerinski, arXiv 2201.07103) uses ``mcd == d_in + d_out`` to keep
+it exact with O(1) endpoint upkeep, one pass over the promoted vertices
+and the incremental removal cascade, so the repair pass disappears.  Its
+chargeable work is the candidate scan (``candidate_visits``).
 
 Three replays on the Table II workloads, all asserting core agreement:
 

@@ -11,8 +11,8 @@ Public entry points:
 * :class:`~repro.core.maintainer.OrderedCoreMaintainer` — the dynamic
   engine (``OrderInsert`` / ``OrderRemoval``).
 * :class:`~repro.core.simplified.SimplifiedCoreMaintainer` — the
-  Guo–Sekerinski simplified variant (no ``mcd``; two order-local
-  degrees replace it).
+  Guo–Sekerinski simplified variant (same index and kernel; ``mcd``
+  kept exact without a repair pass).
 """
 
 from repro.engine.base import CoreMaintainer, UpdateResult

@@ -180,7 +180,9 @@ def _remove_candidates(
         anchor = w1
         seq_w1 = visit_seq[w1]
         for w2 in graph.adj[w1]:
-            if core_k_mismatch(block, w2):
+            # Every core-K vertex is still in the block: membership is
+            # the exact test for core(w2) == K.
+            if w2 not in block:
                 continue
             st = status.get(w2)
             if st is None:
@@ -204,12 +206,3 @@ def _remove_candidates(
                     queued.add(w2)
             # settled neighbors need no adjustment
 
-
-def core_k_mismatch(block: TaggedOrderList, vertex: Vertex) -> bool:
-    """Whether ``vertex`` is outside the block under maintenance.
-
-    During the scan every core-``K`` vertex — untouched, candidate or
-    settled — is physically present in the ``O_K`` block, so membership is
-    the cheapest exact test for ``core(w) == K``.
-    """
-    return vertex not in block

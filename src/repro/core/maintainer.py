@@ -1,6 +1,9 @@
-"""The order-based core-maintenance engine (the paper's contribution).
+"""The order-based core-maintenance engines (the paper's contribution).
 
-:class:`OrderedCoreMaintainer` glues together:
+:class:`OrderFamilyMaintainer` holds the index both order-family engines
+share — core numbers, the k-order with ``deg+``, and ``mcd`` — with its
+accessors, vertex bookkeeping, snapshot-restore constructor and audit.
+:class:`OrderedCoreMaintainer`, the paper's engine, glues together:
 
 * the static k-order decomposition (Section VI generation heuristics);
 * :func:`repro.core.insertion.order_insert` (Algorithms 2-3);
@@ -52,8 +55,17 @@ def compute_mcd(
     }
 
 
-class OrderedCoreMaintainer(RunScheduledMaintainer):
-    """Dynamic core maintenance via an explicitly maintained k-order.
+class OrderFamilyMaintainer(RunScheduledMaintainer):
+    """State and plumbing shared by the order-family engines.
+
+    Both engines hold the same index — core numbers, the k-order (whose
+    blocks carry the paper's ``deg+``) and the max-core degrees ``mcd``
+    — and run the same kernel: :func:`~repro.core.insertion.order_insert`
+    and the :mod:`repro.core.removal` cascades.  They differ only in the
+    ``mcd`` upkeep around that kernel and in the counter they charge it
+    to (:class:`OrderedCoreMaintainer`: ``mcd_recomputations``;
+    :class:`~repro.core.simplified.SimplifiedCoreMaintainer`:
+    ``candidate_visits``).
 
     Parameters
     ----------
@@ -72,13 +84,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         tests (it costs ``O(m log n)`` per update).
     """
 
-    name = "order"
-
-    #: Per-vertex ``mcd`` recomputations performed by repairs — the cost
-    #: the batched path amortizes.  Class-level default so engines
-    #: restored from snapshots (which bypass ``__init__``) start at 0 too.
-    mcd_recomputations = 0
-
     def __init__(
         self,
         graph: DynamicGraph,
@@ -92,7 +97,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         self._core: dict[Vertex, int] = decomposition.core
         self.korder = KOrder.from_decomposition(decomposition)
         self._mcd = compute_mcd(graph, self._core)
-        self.mcd_recomputations = 0
 
     @classmethod
     def from_index_state(
@@ -104,7 +108,7 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         mcd: dict[Vertex, int],
         *,
         audit: bool = False,
-    ) -> "OrderedCoreMaintainer":
+    ) -> "OrderFamilyMaintainer":
         """Rebuild a live maintainer from already-valid index state.
 
         ``order`` must be a valid k-order of ``graph`` with ``core`` /
@@ -112,8 +116,9 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         ``core`` and ``mcd`` dicts are adopted, not copied.  This is the
         one bypass of ``__init__`` — used by snapshot restore
         (:func:`repro.core.snapshot.from_snapshot`), so new maintainer
-        state only ever needs to be wired here.  Raises ``ValueError``
-        when ``order`` lists a vertex twice.
+        state only ever needs to be wired here (counters start at their
+        class-level 0).  Raises ``ValueError`` when ``order`` lists a
+        vertex twice.
         """
         maintainer = cls.__new__(cls)
         CoreMaintainer.__init__(maintainer, graph)
@@ -125,7 +130,6 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         korder.deg_plus.update(deg_plus)
         maintainer.korder = korder
         maintainer._mcd = mcd
-        maintainer.mcd_recomputations = 0
         return maintainer
 
     # ------------------------------------------------------------------
@@ -151,8 +155,18 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
         """The maintained k-order as a list."""
         return self.korder.order()
 
+    def degeneracy_order(self) -> list[Vertex]:
+        """The maintained k-order read as a degeneracy ordering.
+
+        Reversed, it is a *degeneracy order*: every vertex has at most
+        ``degeneracy`` neighbors earlier in it (its ``deg+`` neighbors),
+        which is what greedy coloring and clique heuristics consume (see
+        :func:`repro.applications.coloring.greedy_coloring`).
+        """
+        return self.korder.order()
+
     # ------------------------------------------------------------------
-    # Updates
+    # Vertices
     # ------------------------------------------------------------------
 
     def add_vertex(self, vertex: Vertex) -> bool:
@@ -160,6 +174,55 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
             return False
         self._register_vertex(vertex)
         return True
+
+    def _register_vertex(self, vertex: Vertex) -> None:
+        self._core[vertex] = 0
+        self.korder.append(0, vertex)
+        self.korder.deg_plus[vertex] = 0
+        self._mcd[vertex] = 0
+
+    def _forget_vertex(self, vertex: Vertex) -> None:
+        if self._core.pop(vertex, None) is None:
+            return
+        self.korder.forget(vertex)
+        self._mcd.pop(vertex, None)
+
+    # ------------------------------------------------------------------
+    # Audit
+    # ------------------------------------------------------------------
+
+    def check(self) -> None:
+        """Audit the whole index; raises on violation (used in tests).
+
+        :meth:`KOrder.audit` validates Lemma 5.1 and ``deg+``; ``mcd`` is
+        recomputed from scratch and compared.
+        """
+        self.korder.audit(self._graph, self._core)
+        expected = compute_mcd(self._graph, self._core)
+        if expected != self._mcd:
+            bad = {
+                v: (self._mcd.get(v), expected[v])
+                for v in expected
+                if self._mcd.get(v) != expected[v]
+            }
+            raise InvariantViolationError(f"mcd out of sync: {bad}")
+
+
+class OrderedCoreMaintainer(OrderFamilyMaintainer):
+    """Dynamic core maintenance via an explicitly maintained k-order.
+
+    The paper's engine: after each update a targeted ``mcd`` repair pass
+    (:meth:`_refresh_mcd`) runs over the changed vertices' neighborhoods,
+    charged as ``mcd_recomputations``.  Parameters are those of
+    :class:`OrderFamilyMaintainer`.
+    """
+
+    name = "order"
+
+    #: Per-vertex ``mcd`` recomputations performed by repairs — the cost
+    #: the batched path amortizes.  Class-level default so engines
+    #: restored from snapshots (which bypass ``__init__``) start at 0 too.
+    mcd_recomputations = 0
 
     def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """OrderInsert: insert ``(u, v)``, repair cores, k-order and mcd."""
@@ -268,31 +331,9 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
             self.check()
         return run
 
-    def degeneracy_order(self) -> list[Vertex]:
-        """The maintained k-order read as a degeneracy ordering.
-
-        Reversed, it is a *degeneracy order*: every vertex has at most
-        ``degeneracy`` neighbors earlier in it (its ``deg+`` neighbors),
-        which is what greedy coloring and clique heuristics consume (see
-        :func:`repro.applications.coloring.greedy_coloring`).
-        """
-        return self.korder.order()
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _register_vertex(self, vertex: Vertex) -> None:
-        self._core[vertex] = 0
-        self.korder.append(0, vertex)
-        self.korder.deg_plus[vertex] = 0
-        self._mcd[vertex] = 0
-
-    def _forget_vertex(self, vertex: Vertex) -> None:
-        if self._core.pop(vertex, None) is None:
-            return
-        self.korder.forget(vertex)
-        self._mcd.pop(vertex, None)
 
     def _refresh_mcd(
         self,
@@ -327,19 +368,3 @@ class OrderedCoreMaintainer(RunScheduledMaintainer):
                     continue
                 if core[z] == crossing_level:
                     mcd[z] += delta
-
-    # ------------------------------------------------------------------
-    # Audit
-    # ------------------------------------------------------------------
-
-    def check(self) -> None:
-        """Audit the whole index; raises on violation (used in tests)."""
-        self.korder.audit(self._graph, self._core)
-        expected = compute_mcd(self._graph, self._core)
-        if expected != self._mcd:
-            bad = {
-                v: (self._mcd.get(v), expected[v])
-                for v in expected
-                if self._mcd.get(v) != expected[v]
-            }
-            raise InvariantViolationError(f"mcd out of sync: {bad}")

@@ -35,6 +35,11 @@ Two entry points share that repair:
   ``recomputed`` field, which the maintainer folds into its
   ``mcd_recomputations`` counter).
 
+The run's per-level body is :func:`demote_level` (joint cascade with
+incremental ``mcd``, then the k-order repair).  It is also the simplified
+engine's per-edge removal: seeded with the edge's roots, one level
+suffices because a single edge demotes by at most one (Theorem 3.1).
+
 Processing levels in descending order is sound because a level-``K``
 cascade can only create new sub-threshold vertices at level ``K`` (its
 own queue) or ``K - 1`` (the vertices it demotes): demoting ``w`` from
@@ -55,6 +60,35 @@ Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
 
 
+def detach_edge(
+    graph: DynamicGraph,
+    korder: KOrder,
+    core: dict[Vertex, int],
+    mcd: dict[Vertex, int],
+    u: Vertex,
+    v: Vertex,
+) -> tuple[int, int]:
+    """Remove ``(u, v)`` from ``graph`` with its O(1) index upkeep.
+
+    The departing edge leaves the earlier endpoint's ``deg+`` (it counted
+    the later endpoint); the order test reads the k-order, not the graph,
+    so it is unaffected by the edge already being gone.  Each endpoint at
+    the lower level loses one ``mcd`` unit (Algorithm 4, lines 3-4), so
+    the cascade sees correct bounds.  Returns ``(core(u), core(v))``.
+    """
+    graph.remove_edge(u, v)  # validates before any index mutation
+    cu, cv = core[u], core[v]
+    if cu < cv or (cu == cv and korder.precedes(u, v)):
+        korder.deg_plus[u] -= 1
+    else:
+        korder.deg_plus[v] -= 1
+    if cu <= cv:
+        mcd[u] -= 1
+    if cv <= cu:
+        mcd[v] -= 1
+    return cu, cv
+
+
 def order_remove(
     graph: DynamicGraph,
     korder: KOrder,
@@ -73,23 +107,8 @@ def order_remove(
     Returns ``(v_star, K, visited)`` with ``v_star`` in disposal order and
     ``visited`` the number of vertices whose ``cd`` was materialized.
     """
-    graph.remove_edge(u, v)  # validates before any index mutation
-    cu, cv = core[u], core[v]
+    cu, cv = detach_edge(graph, korder, core, mcd, u, v)
     K = min(cu, cv)
-
-    # The departing edge leaves the earlier endpoint's deg+ (it counted
-    # the later endpoint); the order test reads the k-order, not the
-    # graph, so it is unaffected by the edge already being gone.
-    if cu < cv or (cu == cv and korder.precedes(u, v)):
-        korder.deg_plus[u] -= 1
-    else:
-        korder.deg_plus[v] -= 1
-
-    # Early mcd decrements (Algorithm 4, lines 3-4).
-    if cu <= cv:
-        mcd[u] -= 1
-    if cv <= cu:
-        mcd[v] -= 1
 
     # Find V* with the traversal-removal cascade (Section IV-B).
     if cu < cv:
@@ -195,6 +214,62 @@ class RemovalRunResult:
     levels: tuple = ()
 
 
+def demote_level(
+    graph: DynamicGraph,
+    korder: KOrder,
+    core: dict[Vertex, int],
+    mcd: dict[Vertex, int],
+    K: int,
+    seeds: Iterable[Vertex],
+) -> tuple[list[Vertex], int]:
+    """One joint ``V*`` cascade at level ``K``, then its k-order repair.
+
+    Every seed still at core ``K`` is examined; those with ``mcd`` below
+    ``K`` enter the cascade at once.  ``mcd`` stays exact incrementally:
+    a demotion ``K -> K-1`` decrements ``mcd`` of the core-``K``
+    neighbors (the only ones that lose a qualifying neighbor) and
+    recomputes the demoted vertex's own ``mcd`` during the adjacency scan
+    the cascade already pays for.  :func:`_repair_level` then moves the
+    disposed vertices to the tail of ``O_{K-1}``.
+
+    Returns ``(disposed, touched)``: ``V*`` in disposal order and the
+    number of distinct vertices whose ``mcd`` bound was examined.
+    """
+    stack: list[Vertex] = []
+    touched: set[Vertex] = set()
+    for w in seeds:
+        if core[w] != K:  # re-seeded at a lower level meanwhile
+            continue
+        touched.add(w)
+        if mcd[w] < K:
+            stack.append(w)
+    if not stack:
+        return [], len(touched)
+    queued = set(stack)
+    disposed: list[Vertex] = []
+    below = K - 1
+    while stack:
+        w = stack.pop()
+        disposed.append(w)
+        core[w] = below
+        new_mcd = 0
+        for z in graph.adj[w]:
+            cz = core[z]
+            if cz >= below:
+                new_mcd += 1
+            if cz == K:
+                # z lost a qualifying neighbor (w fell below K).
+                touched.add(z)
+                bound = mcd[z] - 1
+                mcd[z] = bound
+                if bound < K and z not in queued:
+                    stack.append(z)
+                    queued.add(z)
+        mcd[w] = new_mcd
+    _repair_level(graph, korder, core, K, disposed)
+    return disposed, len(touched)
+
+
 def order_remove_run(
     graph: DynamicGraph,
     korder: KOrder,
@@ -211,7 +286,6 @@ def order_remove_run(
     completing the cascades for the edges that did land, so the index
     stays fully consistent with the partially-updated graph.
     """
-    deg_plus = korder.deg_plus
     # Vertices whose mcd dropped, keyed by their (stable until their
     # level is processed) core number: the joint-cascade seed sets.
     pending: dict[int, set[Vertex]] = {}
@@ -219,25 +293,14 @@ def order_remove_run(
     levels: list[int] = []
     try:
         for u, v in edges:
-            graph.remove_edge(u, v)  # validates before any index mutation
-            cu, cv = core[u], core[v]
-            # The departing edge leaves the earlier endpoint's deg+; no
-            # reorder happens during this phase, so all order tests are
-            # against one stable k-order.
-            if cu < cv or (cu == cv and korder.precedes(u, v)):
-                deg_plus[u] -= 1
-            else:
-                deg_plus[v] -= 1
-            # Early mcd decrements (Algorithm 4, lines 3-4), seeding any
-            # endpoint that fell below its level.
-            if cu <= cv:
-                mcd[u] -= 1
-                if mcd[u] < cu:
-                    pending.setdefault(cu, set()).add(u)
-            if cv <= cu:
-                mcd[v] -= 1
-                if mcd[v] < cv:
-                    pending.setdefault(cv, set()).add(v)
+            # No reorder happens during this phase, so every order test
+            # is against one stable k-order.
+            cu, cv = detach_edge(graph, korder, core, mcd, u, v)
+            # Seed any endpoint that fell below its level.
+            if cu <= cv and mcd[u] < cu:
+                pending.setdefault(cu, set()).add(u)
+            if cv <= cu and mcd[v] < cv:
+                pending.setdefault(cv, set()).add(v)
             result.removed += 1
     finally:
         # Runs even when an edge op raises, so the removals that did land
@@ -245,47 +308,16 @@ def order_remove_run(
         changed = result.changed
         while pending:
             K = max(pending)
-            seeds = pending.pop(K)
-            # One joint V* cascade for the whole level: every
-            # sub-threshold root enters the queue at once.
-            stack: list[Vertex] = []
-            queued: set[Vertex] = set()
-            touched: set[Vertex] = set()
-            for w in seeds:
-                if core[w] != K:  # re-seeded at a lower level meanwhile
-                    continue
-                touched.add(w)
-                if mcd[w] < K:
-                    stack.append(w)
-                    queued.add(w)
-            disposed: list[Vertex] = []
-            while stack:
-                w = stack.pop()
-                disposed.append(w)
-                core[w] = K - 1
-                changed[w] = changed.get(w, 0) - 1
-                new_mcd = 0
-                for z in graph.adj[w]:
-                    cz = core[z]
-                    if cz >= K - 1:
-                        new_mcd += 1
-                    if cz == K:
-                        # z lost a qualifying neighbor (w fell below K).
-                        touched.add(z)
-                        mcd[z] -= 1
-                        if mcd[z] < K and z not in queued:
-                            stack.append(z)
-                            queued.add(z)
-                # w's own mcd now bounds against K-1; recomputed in the
-                # adjacency scan the cascade pays for anyway.
-                mcd[w] = new_mcd
-                result.recomputed += 1
-            result.visited += len(touched)
+            disposed, touched = demote_level(
+                graph, korder, core, mcd, K, pending.pop(K)
+            )
+            result.visited += touched
             if not disposed:
                 continue
             levels.append(K)
-            # Repair the k-order once for the level.
-            _repair_level(graph, korder, core, K, disposed)
+            result.recomputed += len(disposed)
+            for w in disposed:
+                changed[w] = changed.get(w, 0) - 1
             # Demotions may leave vertices sub-threshold at K-1 too —
             # batches can sink a vertex through several levels.
             lower = {w for w in disposed if mcd[w] < K - 1}
@@ -293,3 +325,4 @@ def order_remove_run(
                 pending.setdefault(K - 1, set()).update(lower)
         result.levels = tuple(levels)
     return result
+

@@ -6,14 +6,11 @@ every restart by snapshotting the maintained state — the graph, the
 k-order, ``deg+`` and ``mcd`` — and restoring it without recomputation.
 
 Both order-family engines checkpoint here: the default
-:class:`~repro.core.maintainer.OrderedCoreMaintainer` and the
-:class:`~repro.core.simplified.SimplifiedCoreMaintainer`.  They share
-the layout — the simplified engine's ``d_in`` is stored through the
-``mcd`` array (its :attr:`~repro.core.simplified.SimplifiedCoreMaintainer.mcd`
-property derives ``d_in + d_out`` on demand) and recovered on restore as
-``mcd - deg_plus``, so either engine can be rebuilt from the same
-fields.  The ``engine`` field records which class to rebuild; snapshots
-written before it exists restore as the default engine.  Older builds
+:class:`~repro.core.simplified.SimplifiedCoreMaintainer` and the paper's
+:class:`~repro.core.maintainer.OrderedCoreMaintainer`.  They hold the
+same index, so they share the layout and restore by adopting the stored
+fields directly.  The ``engine`` field records which class to rebuild;
+snapshots written before it exists restore as ``order``.  Older builds
 also wrote a ``"sequence"`` field naming the k-order backend; restore
 ignores it, since every backend held the same order.
 
@@ -36,7 +33,10 @@ import os
 from pathlib import Path
 from typing import Union
 
-from repro.core.maintainer import OrderedCoreMaintainer
+from repro.core.maintainer import (
+    OrderedCoreMaintainer,
+    OrderFamilyMaintainer,
+)
 from repro.core.simplified import SimplifiedCoreMaintainer
 from repro.errors import StaleIndexError
 from repro.graphs.undirected import DynamicGraph
@@ -44,14 +44,16 @@ from repro.testing.faults import inject
 
 PathLike = Union[str, Path]
 
-#: Engines with snapshot support (both restore through the same layout).
-OrderEngine = Union[OrderedCoreMaintainer, SimplifiedCoreMaintainer]
+#: Engine classes with snapshot support, by the name a snapshot records.
+_ENGINES = {
+    cls.name: cls for cls in (OrderedCoreMaintainer, SimplifiedCoreMaintainer)
+}
 
 #: Snapshot schema version; bump on layout changes.
 SNAPSHOT_VERSION = 1
 
 
-def to_snapshot(maintainer: OrderEngine) -> dict:
+def to_snapshot(maintainer: OrderFamilyMaintainer) -> dict:
     """Serialize a maintainer's full state to a JSON-friendly dict.
 
     The k-order is stored as one global vertex list plus per-vertex
@@ -74,7 +76,9 @@ def to_snapshot(maintainer: OrderEngine) -> dict:
     }
 
 
-def from_snapshot(snapshot: dict, audit: bool = True) -> OrderEngine:
+def from_snapshot(
+    snapshot: dict, audit: bool = True
+) -> OrderFamilyMaintainer:
     """Rebuild a live maintainer from :func:`to_snapshot` output.
 
     Raises :class:`StaleIndexError` when the snapshot is malformed or its
@@ -104,29 +108,20 @@ def from_snapshot(snapshot: dict, audit: bool = True) -> OrderEngine:
     graph = DynamicGraph(edges, vertices=order)
     # Pre-"engine" snapshots come from builds that snapshotted "order" only.
     engine = snapshot.get("engine", "order")
+    cls = _ENGINES.get(engine)
+    if cls is None:
+        raise StaleIndexError(
+            f"snapshot field 'engine' names unknown engine {engine!r}; "
+            f"this build restores: {', '.join(_ENGINES)}"
+        )
     try:
-        if engine == "order":
-            maintainer = OrderedCoreMaintainer.from_index_state(
-                graph,
-                order,
-                dict(zip(order, cores)),
-                dict(zip(order, deg_plus)),
-                dict(zip(order, mcd)),
-            )
-        elif engine == "order-simplified":
-            maintainer = SimplifiedCoreMaintainer.from_index_state(
-                graph,
-                order,
-                dict(zip(order, cores)),
-                dict(zip(order, deg_plus)),
-                # d_in + d_out = mcd, and deg_plus *is* d_out.
-                {v: m - d for v, m, d in zip(order, mcd, deg_plus)},
-            )
-        else:
-            raise StaleIndexError(
-                f"snapshot field 'engine' names unknown engine {engine!r}; "
-                "this build restores: order, order-simplified"
-            )
+        maintainer = cls.from_index_state(
+            graph,
+            order,
+            dict(zip(order, cores)),
+            dict(zip(order, deg_plus)),
+            dict(zip(order, mcd)),
+        )
     except ValueError as exc:
         raise StaleIndexError(str(exc)) from exc
     if audit:
@@ -159,11 +154,13 @@ def write_json_atomic(payload: dict, path: PathLike) -> None:
     os.replace(tmp, path)
 
 
-def save_snapshot(maintainer: OrderEngine, path: PathLike) -> None:
+def save_snapshot(maintainer: OrderFamilyMaintainer, path: PathLike) -> None:
     """Write :func:`to_snapshot` output as JSON (atomically)."""
     write_json_atomic(to_snapshot(maintainer), path)
 
 
-def load_snapshot(path: PathLike, audit: bool = True) -> OrderEngine:
+def load_snapshot(
+    path: PathLike, audit: bool = True
+) -> OrderFamilyMaintainer:
     """Read a JSON snapshot back into a live maintainer."""
     return from_snapshot(json.loads(Path(path).read_text()), audit=audit)

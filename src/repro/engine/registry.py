@@ -14,8 +14,8 @@ Names
 ``order-simplified``
     The Guo–Sekerinski simplified order-based engine
     (:class:`~repro.core.simplified.SimplifiedCoreMaintainer`): same
-    k-order index, but two order-local degrees replace the maintained
-    ``mcd`` so no repair pass runs after updates.  This is
+    index and kernel, but ``mcd`` (``= d_in + d_out``) stays exact
+    without a repair pass after updates.  This is
     :data:`DEFAULT_ENGINE` — what consumers get when they do not pick
     an engine — per the ``bench_simplified_ablation.py`` measurements.
 ``trav-<h>``
@@ -46,8 +46,8 @@ EngineFactory = Callable[..., CoreMaintainer]
 #: the simplified order engine by the PR-10 ablation: with batch-native
 #: runs on both sides it ties the mixed-batched regime (1.03x median,
 #: within noise) and wins every per-edge regime (insert 1.1-1.4x,
-#: remove 1.6-2.1x) while maintaining strictly less state (no ``mcd``,
-#: no repair pass).  See ROADMAP.md and BENCH_simplified_ablation.json.
+#: remove 1.6-2.1x) because it keeps ``mcd`` exact without a repair
+#: pass.  See ROADMAP.md and BENCH_simplified_ablation.json.
 DEFAULT_ENGINE = "order-simplified"
 
 _REGISTRY: Dict[str, EngineFactory] = {}

@@ -67,8 +67,7 @@ class RunScheduledMaintainer(CoreMaintainer):
         pays one coalesced commit per side: insertion runs go through
         :meth:`_insert_run` (per-op results kept), removal runs through
         :meth:`_remove_run` (one aggregate result per run — batch-native
-        joint cascades, see :func:`repro.core.removal.order_remove_run`
-        and :func:`repro.core.simplified.simplified_remove_run`).
+        joint cascades, see :func:`repro.core.removal.order_remove_run`).
 
         ``BatchResult.results`` keeps per-op detail only for batches
         without removals: removal runs are fully coalesced, so per-edge

@@ -246,13 +246,10 @@ class CoreService:
         raise :class:`~repro.errors.ServiceError` (rebuild them from the
         edge list instead).
         """
-        from repro.core.maintainer import OrderedCoreMaintainer
-        from repro.core.simplified import SimplifiedCoreMaintainer
+        from repro.core.maintainer import OrderFamilyMaintainer
         from repro.core.snapshot import save_snapshot
 
-        if not isinstance(
-            self._engine, (OrderedCoreMaintainer, SimplifiedCoreMaintainer)
-        ):
+        if not isinstance(self._engine, OrderFamilyMaintainer):
             raise ServiceError(
                 f"engine {self._engine.name!r} has no snapshot support; "
                 "only the order-family engines' index can be checkpointed"
@@ -271,8 +268,7 @@ class CoreService:
         order-family engine (the ones with snapshot support); returns
         the snapshot path.
         """
-        from repro.core.maintainer import OrderedCoreMaintainer
-        from repro.core.simplified import SimplifiedCoreMaintainer
+        from repro.core.maintainer import OrderFamilyMaintainer
         from repro.core.snapshot import to_snapshot, write_json_atomic
         from repro.service.wal import snapshot_path
 
@@ -288,9 +284,7 @@ class CoreService:
                 "service has no commit log to compact; open the session "
                 "with log=... or CoreService.recover"
             )
-        if not isinstance(
-            self._engine, (OrderedCoreMaintainer, SimplifiedCoreMaintainer)
-        ):
+        if not isinstance(self._engine, OrderFamilyMaintainer):
             raise ServiceError(
                 f"engine {self._engine.name!r} has no snapshot support, so "
                 "its log cannot be compacted (and a logged session over a "

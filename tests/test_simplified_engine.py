@@ -1,11 +1,13 @@
 """The simplified order-based engine (Guo & Sekerinski).
 
 Beyond the cross-engine agreement suites (``test_batch_property``,
-``test_service_events``) this pins the engine's *protocol*: no ``mcd``
-structure exists — ``mcd`` is derived from the two order-local degrees —
-batch counters report ``candidate_visits`` instead of
-``mcd_recomputations``, and snapshots round-trip through the shared
-order-family layout with the ``engine`` field dispatching the restore.
+``test_service_events``) this pins the engine's *protocol*: it stores
+the same index as ``order`` (``mcd`` next to ``deg+``) and exposes
+``d_in = mcd - d_out`` as a view, it runs the same kernel — so every
+update reports exactly what ``order`` reports — batch counters report
+``candidate_visits`` instead of ``mcd_recomputations``, and snapshots
+round-trip through the shared order-family layout with the ``engine``
+field dispatching the restore.
 """
 
 import random
@@ -40,13 +42,21 @@ class TestRegistryFamily:
 
 
 class TestNoMcdProtocol:
-    def test_mcd_is_derived_not_stored(self):
-        edges, _ = random_gnm(15, 35, seed=1)
+    def test_mcd_is_stored_and_d_in_derived(self):
+        edges, spare = random_gnm(15, 35, seed=1)
         engine = make_engine("order-simplified", DynamicGraph(edges))
-        # The property materializes d_in + d_out on demand ...
+        for e in spare[:6]:
+            engine.insert_edge(*e)
+        for e in edges[:6]:
+            engine.remove_edge(*e)
+        # mcd is the stored index, not rebuilt on each access ...
+        assert engine.mcd is engine.mcd
         assert engine.mcd == compute_mcd(engine.graph, engine.core)
-        # ... and no maintained mcd dict backs it.
-        assert not hasattr(engine, "_mcd")
+        # ... d_in is its read-only view mcd - d_out ...
+        assert engine.d_in == compute_d_in(
+            engine.graph, engine.core, engine.order()
+        )
+        # ... and no repair pass exists to count.
         assert not hasattr(engine, "mcd_recomputations")
 
     def test_degree_identity_holds_under_updates(self):
@@ -150,6 +160,16 @@ class TestSnapshot:
         restored.engine.check()
         assert restored.cores() == core_numbers(restored.graph)
 
+    def test_layout_matches_order_engine(self):
+        edges, _ = random_gnm(30, 70, seed=8)
+        order = to_snapshot(OrderedCoreMaintainer(DynamicGraph(edges)))
+        simplified = to_snapshot(
+            SimplifiedCoreMaintainer(DynamicGraph(edges))
+        )
+        assert order.pop("engine") == "order"
+        assert simplified.pop("engine") == "order-simplified"
+        assert order == simplified
+
     def test_dispatch_defaults_to_order_engine(self):
         edges, _ = random_gnm(10, 18, seed=7)
         snapshot = to_snapshot(OrderedCoreMaintainer(DynamicGraph(edges)))
@@ -171,3 +191,60 @@ class TestSnapshot:
         svc = CoreService.open([(0, 1)], engine="trav-2")
         with pytest.raises(ServiceError, match="no snapshot support"):
             svc.save(tmp_path / "nope.json")
+
+
+class TestKernelParity:
+    """Both order engines run one kernel, so on the same stream they
+    report the same update, field for field; only the ``mcd`` upkeep
+    around the kernel differs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_edge_updates_match(self, seed):
+        rng = random.Random(seed)
+        edges, spare = random_gnm(24, 60, seed=seed)
+        order = OrderedCoreMaintainer(DynamicGraph(edges))
+        simplified = SimplifiedCoreMaintainer(DynamicGraph(edges))
+        live = list(edges)
+        for _ in range(80):
+            if spare and (not live or rng.random() < 0.5):
+                edge = spare.pop(rng.randrange(len(spare)))
+                live.append(edge)
+                op = "insert_edge"
+            else:
+                edge = live.pop(rng.randrange(len(live)))
+                spare.append(edge)
+                op = "remove_edge"
+            expected = getattr(order, op)(*edge)
+            got = getattr(simplified, op)(*edge)
+            assert (got.k, got.changed, got.visited, got.evicted) == (
+                expected.k, expected.changed, expected.visited,
+                expected.evicted,
+            )
+        order.check()
+        simplified.check()
+        assert simplified.order() == order.order()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batches_match(self, seed):
+        rng = random.Random(seed)
+        edges, spare = random_gnm(24, 60, seed=seed)
+        order = OrderedCoreMaintainer(DynamicGraph(edges))
+        simplified = SimplifiedCoreMaintainer(DynamicGraph(edges))
+        live = list(edges)
+        for _ in range(12):
+            removes = rng.sample(live, min(len(live), rng.randrange(6)))
+            inserts = rng.sample(spare, min(len(spare), rng.randrange(6)))
+            batch = Batch.removes(removes)
+            for edge in inserts:
+                batch.insert(*edge)
+            live = [e for e in live if e not in removes] + inserts
+            spare = [e for e in spare if e not in inserts] + removes
+            expected = order.apply_batch(batch)
+            got = simplified.apply_batch(batch)
+            assert got.visited == expected.visited
+            assert list(got.changed.items()) == list(
+                expected.changed.items()
+            )
+        order.check()
+        simplified.check()
+        assert simplified.order() == order.order()
