@@ -230,14 +230,13 @@ class Batch:
                 conflicts.add(op.edge)
         return conflicts
 
-    def runs(self, reorder: bool = True) -> list[tuple[str, list[Edge]]]:
+    def runs(self) -> list[tuple[str, list[Edge]]]:
         """Maximal same-kind runs, the unit engines coalesce repair over.
 
-        With ``reorder=True`` (the default) and no edge appearing with
-        both kinds, the batch is rescheduled as one removal run followed
-        by one insertion run: insertions and removals of *distinct* edges
-        commute, so the final graph is identical and engines get the
-        longest possible runs.  Removals go first because they are
+        When no edge appears with both kinds, the batch is rescheduled
+        as one removal run followed by one insertion run: insertions and
+        removals of *distinct* edges commute, so the final graph is
+        identical and engines get the longest possible runs.  Removals go first because they are
         cheapest on the sparsest graph (before the batch's insertions
         land), and the insertion run's coalesced repair cost does not
         depend on its position.  Conflicting batches (some edge inserted
@@ -247,12 +246,14 @@ class Batch:
         ...                ("insert", (5, 6))])
         >>> batch.runs()
         [('remove', [(3, 4)]), ('insert', [(1, 2), (5, 6)])]
-        >>> batch.runs(reorder=False)
-        [('insert', [(1, 2)]), ('remove', [(3, 4)]), ('insert', [(5, 6)])]
+        >>> conflicting = Batch([("insert", (1, 2)), ("remove", (1, 2)),
+        ...                      ("insert", (5, 6))])
+        >>> conflicting.runs()
+        [('insert', [(1, 2)]), ('remove', [(1, 2)]), ('insert', [(5, 6)])]
         """
         if not self._ops:
             return []
-        if reorder and not self.conflicting_edges():
+        if not self.conflicting_edges():
             runs = []
             inserts = self.edges(INSERT)
             removes = self.edges(REMOVE)

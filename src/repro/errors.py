@@ -87,14 +87,6 @@ class TransactionError(ServiceError):
     """A service transaction was used after commit or rollback."""
 
 
-class SubscriptionOverflowError(ServiceError):
-    """A bounded subscription's buffer filled under the ``error`` policy.
-
-    Raised out of the commit path (the commit itself has already been
-    applied — the same contract as a subscriber callback that raises).
-    """
-
-
 class LogCorruptionError(ServiceError):
     """A write-ahead commit log is unreadable beyond normal tail tearing.
 

@@ -3,11 +3,13 @@
 Every commit a :class:`~repro.service.CoreService` performs emits one
 :class:`CoreEvent` per vertex whose core number *net-changed* over the
 commit, derived from the engine's exact ``BatchResult.changed`` deltas.
-Subscribers register a callback (optionally filtered to the cores at or
-above a level of interest) and receive the commit's events in a
-deterministic order — the downstream-analysis hook the paper's
-motivation sections describe (community tracking, engagement monitoring)
-without ever polling engine state.
+Subscribers (optionally filtered to the cores at or above a level of
+interest) receive the commit's events in a deterministic order — the
+downstream-analysis hook the paper's motivation sections describe
+(community tracking, engagement monitoring) without ever polling engine
+state.  A subscription either *pushes* each event to a callback inline
+on the commit path, or is *pulled*: events wait in a bounded buffer that
+drops its oldest event when full (see :class:`Subscription`).
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
 from repro.engine.batch import vertex_sort_key
-from repro.errors import ServiceError, SubscriptionOverflowError
-
-#: Accepted overflow policies for bounded subscriptions.
-OVERFLOW_POLICIES = ("block", "drop_oldest", "error")
+from repro.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.service.session import CoreService
@@ -71,29 +70,18 @@ class Subscription:
     or above that level are delivered: a vertex entering, leaving, or
     moving within the ``>= min_k`` region (``max(old, new) >= min_k``).
 
-    **Unbounded (default):** ``callback(event)`` runs inline on the
-    commit path, one call per filtered event — a slow callback slows
-    every commit.
+    A subscription either pushes or is pulled:
 
-    **Bounded (``max_pending=N``):** filtered events land in an internal
-    buffer of at most ``N`` events instead; the consumer empties it on
-    its own schedule with :meth:`drain` (through the callback) or
-    :meth:`take` (raw events — pass ``callback=None`` for a pure
-    pull-mode subscription).  When a commit would overflow the buffer,
-    the ``overflow`` policy decides:
+    **Push (a callback):** ``callback(event)`` runs inline on the commit
+    path, one call per filtered event — a slow callback slows every
+    commit.
 
-    ``"block"``
-        the commit path drains the whole backlog through the callback
-        first (the producer pays for the lagging consumer — synchronous
-        backpressure);
-    ``"drop_oldest"``
-        the oldest buffered event is discarded and
-        :attr:`dropped_events` incremented (bounded memory, lossy —
-        the policy the async serving front uses per subscriber);
-    ``"error"``
-        :class:`~repro.errors.SubscriptionOverflowError` is raised out
-        of the commit (which has already been applied — the same
-        contract as a raising callback).
+    **Pull (``max_pending=N``, no callback):** filtered events land in a
+    buffer of at most ``N`` events, which the consumer empties with
+    :meth:`take` on its own schedule.  A full buffer drops its oldest
+    event and counts it in :attr:`dropped_events` — bounded memory,
+    lossy, and the commit path never waits (the async serving front
+    gives every remote subscriber one of these).
     """
 
     __slots__ = (
@@ -101,8 +89,6 @@ class Subscription:
         "_callback",
         "_min_k",
         "_active",
-        "_max_pending",
-        "_overflow",
         "_pending",
         "dropped_events",
     )
@@ -113,37 +99,23 @@ class Subscription:
         callback: Optional[EventCallback],
         min_k: Optional[int] = None,
         max_pending: Optional[int] = None,
-        overflow: str = "block",
     ) -> None:
-        if overflow not in OVERFLOW_POLICIES:
+        if (callback is None) == (max_pending is None):
             raise ServiceError(
-                f"unknown overflow policy {overflow!r}; choose from "
-                f"{', '.join(OVERFLOW_POLICIES)}"
+                "a subscription takes a callback (push) or max_pending=N "
+                "(pull, consumed via take()), not both or neither"
             )
         if max_pending is not None and max_pending < 1:
             raise ServiceError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        if callback is None:
-            if max_pending is None:
-                raise ServiceError(
-                    "a subscription without a callback must be bounded "
-                    "(pass max_pending=...) and consumed via take()"
-                )
-            if overflow == "block":
-                raise ServiceError(
-                    "overflow='block' drains through the callback; a "
-                    "pull-mode (callback=None) subscription needs "
-                    "'drop_oldest' or 'error'"
-                )
         self._service = service
         self._callback = callback
         self._min_k = min_k
         self._active = True
-        self._max_pending = max_pending
-        self._overflow = overflow
-        self._pending: deque[CoreEvent] = deque()
-        #: Events discarded by the ``drop_oldest`` policy so far.
+        # A push subscription never buffers; its deque stays empty.
+        self._pending: deque[CoreEvent] = deque(maxlen=max_pending)
+        #: Events a full pull buffer dropped so far.
         self.dropped_events = 0
 
     @property
@@ -158,25 +130,20 @@ class Subscription:
 
     @property
     def max_pending(self) -> Optional[int]:
-        """The buffer bound (``None`` = unbounded inline delivery)."""
-        return self._max_pending
-
-    @property
-    def overflow(self) -> str:
-        """The bounded buffer's overflow policy."""
-        return self._overflow
+        """The pull buffer's bound (``None`` for a push subscription)."""
+        return self._pending.maxlen
 
     @property
     def pending(self) -> int:
-        """Buffered events awaiting :meth:`drain` / :meth:`take`."""
+        """Buffered events awaiting :meth:`take`."""
         return len(self._pending)
 
     def close(self) -> None:
         """Stop receiving events; idempotent.
 
-        Already-buffered events stay readable through :meth:`drain` /
-        :meth:`take` — closing stops *new* deliveries, it does not
-        discard what the consumer has not seen yet.
+        Already-buffered events stay readable through :meth:`take` —
+        closing stops *new* deliveries, it does not discard what the
+        consumer has not seen yet.
         """
         if self._active:
             self._active = False
@@ -187,23 +154,6 @@ class Subscription:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def drain(self, limit: Optional[int] = None) -> int:
-        """Deliver up to ``limit`` buffered events through the callback.
-
-        Returns how many were delivered.  Raises
-        :class:`~repro.errors.ServiceError` on a pull-mode subscription
-        (no callback) — use :meth:`take` there.
-        """
-        if self._callback is None:
-            raise ServiceError(
-                "pull-mode subscription has no callback; use take()"
-            )
-        delivered = 0
-        while self._pending and (limit is None or delivered < limit):
-            self._callback(self._pending.popleft())
-            delivered += 1
-        return delivered
 
     def take(self, limit: Optional[int] = None) -> tuple[CoreEvent, ...]:
         """Pop and return up to ``limit`` buffered events (all if ``None``)."""
@@ -218,28 +168,19 @@ class Subscription:
     def _deliver(self, events: Sequence[CoreEvent]) -> None:
         """Dispatch a commit's events through the filter, in order."""
         min_k = self._min_k
-        bounded = self._max_pending is not None
+        callback = self._callback
+        pending = self._pending
         for event in events:
             if not self._active:
                 break  # the callback closed us mid-commit
             if min_k is not None and max(event.old_core, event.new_core) < min_k:
                 continue
-            if not bounded:
-                self._callback(event)
+            if callback is not None:
+                callback(event)
                 continue
-            if len(self._pending) >= self._max_pending:
-                if self._overflow == "drop_oldest":
-                    self._pending.popleft()
-                    self.dropped_events += 1
-                elif self._overflow == "error":
-                    raise SubscriptionOverflowError(
-                        f"subscription buffer full ({self._max_pending} "
-                        "pending events); drain() or take() them, raise "
-                        "max_pending, or pick a lossy overflow policy"
-                    )
-                else:  # block: the commit path pays to flush the backlog
-                    self.drain()
-            self._pending.append(event)
+            if len(pending) == pending.maxlen:
+                self.dropped_events += 1  # the append below drops the oldest
+            pending.append(event)
 
 
 def events_from_deltas(

@@ -1,10 +1,11 @@
 """Read replicas fed by incremental write-ahead-log tailing.
 
 A :class:`LogReplica` maintains its *own* engine by replaying a durable
-session's commit log (:mod:`repro.service.wal`), so the query layer
-(``core`` / ``top`` / ``spectrum`` / ``kcore``) can be answered without
-ever touching the primary's write path — the fan-out story the ROADMAP's
-"millions of users" axis needs.  The replica polls with
+session's commit log (:mod:`repro.service.wal`), so reads can be
+answered from its :attr:`~LogReplica.engine`'s core map without ever
+touching the primary's write path — the serving front answers
+``replica=true`` queries with :func:`repro.service.server.answer` over
+it, the same read dispatcher the primary uses.  The replica polls with
 :func:`~repro.service.wal.tail` from its last frame offset (O(new
 bytes), not O(log)), applies only records it has not seen, and rebuilds
 itself from the compaction snapshot when it notices the log rotated
@@ -29,30 +30,17 @@ are never caught).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Hashable
 
-from repro.analysis import kcore_views
-from repro.errors import LogCorruptionError, ReproError
 from repro.graphs.undirected import DynamicGraph
-from repro.service.wal import (
-    base_engine,
-    batch_from_ops,
-    read_header,
-    scan,
-    tail,
-)
+from repro.service.wal import base_engine, read_header, replay, scan, tail
 from repro.testing.faults import InjectedFault, inject, register_fault_point
-
-Vertex = Hashable
 
 register_fault_point(
     "replica.stale_read",
-    "LogReplica.refresh: the poll is skipped and the query layer "
-    "knowingly answers from stale state (behavioural: caught by the "
+    "LogReplica.refresh: the poll is skipped and replica reads "
+    "knowingly answer from stale state (behavioural: caught by the "
     "replica, counted in stale_serves)",
 )
-
-_MISSING = object()
 
 
 class LogReplica:
@@ -89,28 +77,12 @@ class LogReplica:
     def _build(self) -> None:
         """(Re)build the replica engine: snapshot seed + full replay."""
         info = scan(self._log)
-        header = info.header
         engine, base, _ = base_engine(self._log, info, audit=self._audit)
-        applied = base
-        for receipt_id, ops in info.records:
-            if receipt_id <= base:
-                continue
-            self._replay(engine, receipt_id, ops)
-            applied = receipt_id
+        self._applied, _ = replay(engine, self._log, info.records, base)
         self._engine = engine
-        self._header = header
+        self._header = info.header
         self._offset = info.valid_bytes
-        self._applied = applied
         self.rebuilds += 1
-
-    def _replay(self, engine, receipt_id: int, ops: list) -> None:
-        try:
-            engine.apply_batch(batch_from_ops(ops))
-        except ReproError as exc:
-            raise LogCorruptionError(
-                f"commit log {str(self._log)!r} record {receipt_id} does "
-                f"not apply to the replica state: {exc}"
-            ) from exc
 
     def refresh(self) -> int:
         """Poll the log and apply new records; returns how many applied.
@@ -134,13 +106,9 @@ class LogReplica:
             before = self._applied
             self._build()
             return max(0, self._applied - before)
-        applied = 0
-        for receipt_id, ops in chunk.records:
-            if receipt_id <= self._applied:
-                continue
-            self._replay(self._engine, receipt_id, ops)
-            self._applied = receipt_id
-            applied += 1
+        self._applied, applied = replay(
+            self._engine, self._log, chunk.records, self._applied
+        )
         self._offset = chunk.offset
         self.refreshes += 1
         return applied
@@ -172,31 +140,3 @@ class LogReplica:
             f"LogReplica({str(self._log)!r}, receipt={self._applied}, "
             f"refreshes={self.refreshes}, rebuilds={self.rebuilds})"
         )
-
-    # ------------------------------------------------------------------
-    # Query layer (mirrors CoreService reads)
-    # ------------------------------------------------------------------
-
-    def core(self, vertex: Vertex, default=_MISSING):
-        """Core number of one vertex (``KeyError`` unless ``default``)."""
-        c = self._engine.core.get(vertex, _MISSING)
-        if c is _MISSING:
-            if default is _MISSING:
-                raise KeyError(vertex)
-            return default
-        return c
-
-    def cores(self) -> dict:
-        return dict(self._engine.core)
-
-    def kcore(self, k: int) -> kcore_views.KCoreView:
-        return kcore_views.KCoreView(self._engine.core, k, self.graph)
-
-    def degeneracy(self) -> int:
-        return kcore_views.degeneracy(self._engine.core)
-
-    def top(self, n: int) -> list:
-        return kcore_views.top_cores(self._engine.core, n)
-
-    def spectrum(self) -> dict:
-        return kcore_views.core_spectrum(self._engine.core)

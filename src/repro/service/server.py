@@ -44,10 +44,15 @@ commit receipts, never read from the poisoned engine), tagged
 :class:`~repro.service.replica.LogReplica` fed by incremental WAL
 tailing — the write path is never touched.
 
+Primary, last-good and replica reads differ only in the core map they
+read: :func:`answer` is the one dispatcher for all three, and a
+malformed read (unknown op, missing or non-integer parameter) is a
+``BadRequest`` whichever source it targets.
+
 **Event fan-out.**  ``subscribe`` streams every commit's
 :class:`~repro.service.events.CoreEvent` records to the client as framed
 event batches through a *bounded* per-subscriber buffer
-(``subscriber_buffer``, ``drop_oldest`` overflow): a slow consumer loses
+(``subscriber_buffer``, oldest event dropped first): a slow consumer loses
 old events (counted in the frames' ``dropped`` field), never stalls the
 commit path or the other subscribers.  After a failover the stream gets
 a ``reset`` frame — events from the crash window are gone; resync by
@@ -130,7 +135,8 @@ class ServerLimits:
         Seconds a commit may wait end-to-end when the client sends no
         ``deadline_ms``.
     subscriber_buffer:
-        Bounded per-subscriber event buffer (``drop_oldest`` overflow).
+        Bounded per-subscriber event buffer; a full one drops its
+        oldest event.
     retry_after:
         Base backoff hint (seconds) carried by ``RetryAfter`` responses;
         scaled up with queue depth and for degraded sessions.
@@ -191,9 +197,7 @@ class _RemoteSubscriber:
         self.sub_id = sub_id
         self.min_k = min_k
         self.buffer = buffer
-        self.sub = session.service.subscribe(
-            None, min_k=min_k, max_pending=buffer, overflow="drop_oldest"
-        )
+        self.sub = session.service.subscribe(min_k=min_k, max_pending=buffer)
         self.wake = asyncio.Event()
         self.reset_receipt: Optional[int] = None
         self.closed = False
@@ -209,10 +213,7 @@ class _RemoteSubscriber:
         """
         old_dropped = self.sub.dropped_events
         self.sub.close()
-        self.sub = service.subscribe(
-            None, min_k=self.min_k, max_pending=self.buffer,
-            overflow="drop_oldest",
-        )
+        self.sub = service.subscribe(min_k=self.min_k, max_pending=self.buffer)
         self.sub.dropped_events = old_dropped
         self.reset_receipt = reset_receipt
         self.wake.set()
@@ -475,57 +476,16 @@ class TenantSession:
     def query(self, op: str, params: dict) -> dict:
         """Answer one read; degraded/recovering states use last-good."""
         if self.state == HEALTHY:
-            source, result = "primary", self._query_primary(op, params)
+            source, cores = "primary", self.service.engine.core
         else:
             self.degraded_reads += 1
-            source, result = "last_good", self._query_last_good(op, params)
+            source, cores = "last_good", self.cores
         return {
-            "result": result,
+            "result": answer(cores, op, params),
             "source": source,
             "receipt": self._last_receipt_id(),
             "state": self.state,
         }
-
-    def _query_primary(self, op: str, params: dict):
-        svc = self.service
-        if op == "core":
-            return svc.core(params["vertex"], default=None)
-        if op == "cores":
-            return _pairs(svc.cores())
-        if op == "top":
-            return [list(pair) for pair in svc.top(int(params.get("n", 10)))]
-        if op == "spectrum":
-            return _pairs(svc.spectrum())
-        if op == "degeneracy":
-            return svc.degeneracy()
-        if op == "kcore":
-            view = svc.kcore(int(params["k"]))
-            return sorted(view, key=vertex_sort_key)
-        raise ServiceError(f"unknown query op {op!r}")
-
-    def _query_last_good(self, op: str, params: dict):
-        cores = self.cores
-        if op == "core":
-            return cores.get(params["vertex"])
-        if op == "cores":
-            return _pairs(cores)
-        if op == "top":
-            return [
-                list(pair)
-                for pair in kcore_views.top_cores(
-                    cores, int(params.get("n", 10))
-                )
-            ]
-        if op == "spectrum":
-            return _pairs(kcore_views.core_spectrum(cores))
-        if op == "degeneracy":
-            return kcore_views.degeneracy(cores)
-        if op == "kcore":
-            k = int(params["k"])
-            return sorted(
-                (v for v, c in cores.items() if c >= k), key=vertex_sort_key
-            )
-        raise ServiceError(f"unknown query op {op!r}")
 
     def status(self) -> dict:
         report = self.last_recovery
@@ -545,12 +505,7 @@ class TenantSession:
             "tokens_cached": len(self.tokens),
             "subscribers": len(self.subscribers),
             "recovery_error": self.recovery_error,
-            "last_recovery": None if report is None else {
-                "replayed": report.replayed,
-                "skipped": report.skipped,
-                "torn_bytes": report.torn_bytes,
-                "from_snapshot": report.from_snapshot,
-            },
+            "last_recovery": None if report is None else report._asdict(),
         }
 
 
@@ -560,6 +515,44 @@ def _pairs(mapping: dict) -> list:
         ([k, v] for k, v in mapping.items()),
         key=lambda pair: vertex_sort_key(pair[0]),
     )
+
+
+def _int_param(op: str, params: dict, name: str, default=None) -> int:
+    """Integer parameter ``name`` of read ``op`` (``ServiceError`` if not)."""
+    value = params.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ServiceError(
+            f"query op {op!r} needs an integer {name!r}, got {value!r}"
+        ) from None
+
+
+def answer(cores, op: str, params: dict):
+    """The ``result`` of read ``op`` over the core mapping ``cores``.
+
+    The one read dispatcher: primary, last-good and replica reads all
+    come here with their own core map.  A missing or non-integer
+    parameter, or an unknown ``op``, raises
+    :class:`~repro.errors.ServiceError`.
+    """
+    if op == "core":
+        if "vertex" not in params:
+            raise ServiceError("query op 'core' needs a 'vertex'")
+        return cores.get(params["vertex"])
+    if op == "cores":
+        return _pairs(cores)
+    if op == "top":
+        n = _int_param(op, params, "n", 10)
+        return [list(pair) for pair in kcore_views.top_cores(cores, n)]
+    if op == "spectrum":
+        return _pairs(kcore_views.core_spectrum(cores))
+    if op == "degeneracy":
+        return kcore_views.degeneracy(cores)
+    if op == "kcore":
+        k = _int_param(op, params, "k")
+        return sorted(kcore_views.KCoreView(cores, k), key=vertex_sort_key)
+    raise ServiceError(f"unknown query op {op!r}")
 
 
 class _Connection:
@@ -966,18 +959,19 @@ class CoreServer:
             return protocol.failure(
                 req_id, protocol.ERR_BAD_REQUEST, "query needs an 'op'"
             )
+        replica = None
         if params.get("replica"):
             replica = await asyncio.to_thread(self._get_replica, session)
             await asyncio.to_thread(replica.refresh)
-            payload = _replica_query(replica, op, params)
+        try:
+            if replica is None:
+                return protocol.ok(req_id, session.query(op, params))
             return protocol.ok(req_id, {
-                "result": payload,
+                "result": answer(replica.engine.core, op, params),
                 "source": "replica",
                 "receipt": replica.receipt,
                 "state": session.state,
             })
-        try:
-            return protocol.ok(req_id, session.query(op, params))
         except ServiceError as exc:
             return protocol.failure(
                 req_id, protocol.ERR_BAD_REQUEST, str(exc)
@@ -1008,19 +1002,3 @@ class CoreServer:
         subscriber.session.subscribers.pop(sub_id, None)
         subscriber.close()
         return protocol.ok(req_id, {"sub": sub_id, "closed": True})
-
-
-def _replica_query(replica: LogReplica, op: str, params: dict):
-    if op == "core":
-        return replica.core(params["vertex"], default=None)
-    if op == "cores":
-        return _pairs(replica.cores())
-    if op == "top":
-        return [list(pair) for pair in replica.top(int(params.get("n", 10)))]
-    if op == "spectrum":
-        return _pairs(replica.spectrum())
-    if op == "degeneracy":
-        return replica.degeneracy()
-    if op == "kcore":
-        return sorted(replica.kcore(int(params["k"])), key=vertex_sort_key)
-    raise ServiceError(f"unknown query op {op!r}")

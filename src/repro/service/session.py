@@ -33,7 +33,7 @@ from repro.analysis import kcore_views
 from repro.engine.base import CoreMaintainer
 from repro.engine.batch import Batch
 from repro.engine.registry import DEFAULT_ENGINE, make_engine
-from repro.errors import LogCorruptionError, ReproError, ServiceError
+from repro.errors import ServiceError
 from repro.graphs.undirected import DynamicGraph
 from repro.service.events import EventCallback, Subscription
 from repro.service.transactions import CommitReceipt, Transaction
@@ -203,7 +203,7 @@ class CoreService:
             DEFAULT_FSYNC_EVERY,
             WriteAheadLog,
             base_engine,
-            batch_from_ops,
+            replay,
             scan,
         )
 
@@ -211,19 +211,7 @@ class CoreService:
         info = scan(log)
         engine, base, from_snap = base_engine(log, info, audit=audit)
         service = cls(engine)
-        replayed = skipped = 0
-        for receipt_id, ops in info.records:
-            if receipt_id <= base:
-                skipped += 1  # already in the snapshot: replay is a no-op
-                continue
-            try:
-                engine.apply_batch(batch_from_ops(ops))
-            except ReproError as exc:
-                raise LogCorruptionError(
-                    f"commit log {str(log)!r} record {receipt_id} does "
-                    f"not apply to the recovered state: {exc}"
-                ) from exc
-            replayed += 1
+        _, replayed = replay(engine, log, info.records, base)
         service._next_receipt = max(info.last_receipt, base) + 1
         service._wal = WriteAheadLog.attach(
             log,
@@ -232,7 +220,7 @@ class CoreService:
         )
         service._recovery = RecoveryReport(
             replayed=replayed,
-            skipped=skipped,
+            skipped=len(info.records) - replayed,
             torn_bytes=info.torn_bytes,
             from_snapshot=from_snap,
         )
@@ -543,30 +531,27 @@ class CoreService:
         *,
         min_k: Optional[int] = None,
         max_pending: Optional[int] = None,
-        overflow: str = "block",
     ) -> Subscription:
-        """Deliver every future commit's core events to ``callback``.
+        """Deliver every future commit's core events, pushed or pulled.
 
-        ``callback(event)`` runs synchronously during commit, once per
-        changed vertex, after the engine's state is fully consistent —
-        reading the service from inside a callback sees the post-commit
-        world.  With ``min_k``, only events touching the cores at or
-        above that level arrive (``max(old, new) >= min_k``).  Close the
-        returned :class:`~repro.service.events.Subscription` (or use it
-        as a context manager) to stop.  A callback that raises aborts
-        the remaining dispatch and propagates out of the commit; the
-        commit itself is already applied.
+        **Push:** ``callback(event)`` runs synchronously during commit,
+        once per changed vertex, after the engine's state is fully
+        consistent — reading the service from inside a callback sees the
+        post-commit world.  A callback that raises aborts the remaining
+        dispatch and propagates out of the commit; the commit itself is
+        already applied.
 
-        A slow callback slows every commit, so subscriptions can be
-        *bounded* instead: with ``max_pending=N`` events are buffered on
-        the subscription (consume them with
-        :meth:`~repro.service.events.Subscription.drain` or
-        :meth:`~repro.service.events.Subscription.take`) and the
-        ``overflow`` policy — ``"block"`` (commit path flushes the
-        backlog), ``"drop_oldest"`` (discard + count) or ``"error"`` —
-        decides what a full buffer does.  ``callback=None`` makes a
-        pure pull-mode subscription (requires ``max_pending`` and a
-        non-``block`` policy).
+        **Pull:** with ``max_pending=N`` and no callback, events wait in
+        a buffer of at most ``N`` on the subscription until
+        :meth:`~repro.service.events.Subscription.take` pops them; a
+        full buffer drops its oldest event and counts it in
+        ``dropped_events``, so a lagging consumer never slows a commit.
+
+        Pass exactly one of the two.  With ``min_k``, only events
+        touching the cores at or above that level arrive
+        (``max(old, new) >= min_k``).  Close the returned
+        :class:`~repro.service.events.Subscription` (or use it as a
+        context manager) to stop.
 
         >>> svc = CoreService.open([(0, 1), (1, 2), (2, 0)])
         >>> sub = svc.subscribe(
@@ -578,7 +563,7 @@ class CoreService:
         >>> receipt = svc.insert(1, 3)   # closed: nothing printed
         """
         subscription = Subscription(
-            self, callback, min_k, max_pending=max_pending, overflow=overflow
+            self, callback, min_k, max_pending=max_pending
         )
         self._subscribers.append(subscription)
         return subscription

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.batch import Batch
-from repro.errors import LogCorruptionError, ServiceError
+from repro.errors import LogCorruptionError, ReproError, ServiceError
 from repro.graphs.undirected import DynamicGraph
 from repro.testing.faults import inject, is_armed
 
@@ -288,6 +288,33 @@ def batch_to_ops(batch: Batch) -> list:
 def batch_from_ops(ops: list) -> Batch:
     """Rebuild a :class:`Batch` from :func:`batch_to_ops` output."""
     return Batch((kind, (u, v)) for kind, u, v in ops)
+
+
+def replay(
+    engine, log: PathLike, records: list, after: int
+) -> tuple[int, int]:
+    """Apply the ``(receipt_id, ops)`` records newer than ``after``.
+
+    Records at or below ``after`` are already in ``engine`` and are
+    skipped, which makes replay idempotent.  Returns ``(last, replayed)``:
+    the receipt id the engine now reflects (``after`` when nothing
+    applied) and how many records were applied.  A record that no longer
+    applies raises :class:`~repro.errors.LogCorruptionError`.
+    """
+    last, replayed = after, 0
+    for receipt_id, ops in records:
+        if receipt_id <= after:
+            continue
+        try:
+            engine.apply_batch(batch_from_ops(ops))
+        except ReproError as exc:
+            raise LogCorruptionError(
+                f"commit log {str(log)!r} record {receipt_id} does "
+                f"not apply to the recovered state: {exc}"
+            ) from exc
+        last = receipt_id
+        replayed += 1
+    return last, replayed
 
 
 def snapshot_path(log: PathLike) -> Path:

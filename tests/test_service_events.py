@@ -125,7 +125,7 @@ def test_naive_engine_tells_the_same_story():
 
 
 class TestBoundedSubscriptions:
-    """max_pending + overflow policies, validated against the oracle."""
+    """Pull-mode max_pending buffers, validated against the oracle."""
 
     def test_pull_mode_drains_the_full_story(self):
         """A bounded pull subscription with room sees exactly what an
@@ -136,7 +136,7 @@ class TestBoundedSubscriptions:
         svc = CoreService.open(DynamicGraph(base), engine="order", seed=3)
         captured = []
         svc.subscribe(captured.append)
-        pulled = svc.subscribe(max_pending=10_000, overflow="drop_oldest")
+        pulled = svc.subscribe(max_pending=10_000)
         for batch in batches:
             captured.clear()
             svc.apply(batch)
@@ -148,7 +148,7 @@ class TestBoundedSubscriptions:
 
     def test_drop_oldest_keeps_newest_and_counts(self):
         svc = CoreService.open(engine="order")
-        sub = svc.subscribe(max_pending=3, overflow="drop_oldest")
+        sub = svc.subscribe(max_pending=3)
         for i in range(8):
             svc.insert(100 + i, 200 + i)  # two events per commit
         assert sub.pending == 3
@@ -158,51 +158,21 @@ class TestBoundedSubscriptions:
         assert [e.receipt_id for e in newest] == [7, 8, 8]
         svc.close()
 
-    def test_error_policy_raises_and_commit_survives(self):
-        from repro.errors import SubscriptionOverflowError
-
-        svc = CoreService.open(engine="order")
-        sub = svc.subscribe(max_pending=2, overflow="error")
-        with pytest.raises(SubscriptionOverflowError):
-            for i in range(4):
-                svc.insert(i * 2, i * 2 + 1)
-        # The overflow surfaced mid-commit, but the commit itself landed
-        # (events fan out after apply) and the session keeps working.
-        sub.close()
-        svc.insert(50, 51)
-        assert svc.core(50) == 1
-        svc.close()
-
-    def test_block_policy_calls_back_inline(self):
-        """block on a callback subscription: the buffer self-drains by
-        invoking the callback when full, so nothing is ever lost."""
-        seen = []
-        svc = CoreService.open(engine="order")
-        sub = svc.subscribe(seen.append, max_pending=2, overflow="block")
-        for i in range(6):
-            svc.insert(300 + i, 400 + i)
-        sub.drain()  # the final commits' events are still buffered
-        assert len(seen) == 12  # every event delivered, none dropped
-        assert sub.dropped_events == 0
-        svc.close()
-
-    def test_pull_mode_requires_bound_and_policy(self):
+    def test_takes_a_callback_or_a_bound(self):
         from repro.errors import ServiceError
 
         svc = CoreService.open(engine="order")
+        with pytest.raises(ServiceError, match="callback"):
+            svc.subscribe()  # neither push nor pull
+        with pytest.raises(ServiceError, match="not both"):
+            svc.subscribe(lambda e: None, max_pending=4)
         with pytest.raises(ServiceError, match="max_pending"):
-            svc.subscribe()  # pull-mode needs an explicit bound
-        with pytest.raises(ServiceError, match="block"):
-            svc.subscribe(max_pending=4)  # and a non-blocking policy
-        with pytest.raises(ServiceError, match="overflow"):
-            svc.subscribe(max_pending=4, overflow="bogus")
-        with pytest.raises(ServiceError, match="max_pending"):
-            svc.subscribe(max_pending=0, overflow="drop_oldest")
+            svc.subscribe(max_pending=0)
         svc.close()
 
     def test_take_limits_and_close_keeps_buffered(self):
         svc = CoreService.open(engine="order")
-        sub = svc.subscribe(max_pending=100, overflow="drop_oldest")
+        sub = svc.subscribe(max_pending=100)
         svc.insert(1, 2)
         svc.insert(3, 4)
         first = sub.take(1)
@@ -217,7 +187,7 @@ class TestBoundedSubscriptions:
 
     def test_min_k_filter_composes_with_bounds(self):
         svc = CoreService.open(engine="order")
-        sub = svc.subscribe(min_k=2, max_pending=50, overflow="drop_oldest")
+        sub = svc.subscribe(min_k=2, max_pending=50)
         svc.insert(0, 1)            # cores stay below 2: filtered out
         assert sub.pending == 0
         svc.apply(Batch.inserts([(1, 2), (2, 0)]))  # triangle: crosses 2

@@ -577,6 +577,93 @@ class TestReplica:
         run(scenario())
 
 
+#: One read of each query op, as ``(op, params)``.
+ALL_READS = [
+    ("core", {"vertex": 3}),
+    ("cores", {}),
+    ("top", {"n": 3}),
+    ("spectrum", {}),
+    ("degeneracy", {}),
+    ("kcore", {"k": 2}),
+]
+
+
+async def degrade_for_reads(client):
+    """Crash the session before its next commit reaches the log.
+
+    Run under ``ServerLimits(recovery_delay=...)`` so the session stays
+    degraded, answering reads from its last-good core map, while the
+    test reads.  The crashed commit is not logged, so a replica still
+    agrees with the last-good state.
+    """
+    with FaultPlan().crash("wal.before_append"):
+        with pytest.raises(RetryAfterError):
+            await client.commit([("insert", 0, 9)], retry=False)
+    await wait_for_state(client, "degraded")
+
+
+class TestReadSources:
+    """Primary, replica and last-good reads share one dispatcher."""
+
+    def test_every_source_gives_the_same_answer(self, tmp_path):
+        async def scenario():
+            limits = ServerLimits(recovery_delay=30)
+            async with CoreServer(log_dir=tmp_path, limits=limits) as server:
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE)
+                await client.commit([("insert", 2, 3), ("insert", 3, 0),
+                                     ("insert", 4, 5), ("insert", 5, 0)])
+                await client.commit([("remove", 4, 5), ("insert", 4, 0)])
+                answers = {"primary": [], "replica": [], "last_good": []}
+                for op, params in ALL_READS:
+                    for source in ("primary", "replica"):
+                        reply = await client.query(
+                            op, replica=source == "replica", **params
+                        )
+                        assert reply["source"] == source
+                        answers[source].append(reply["result"])
+                await degrade_for_reads(client)
+                for op, params in ALL_READS:
+                    reply = await client.query(op, **params)
+                    assert reply["source"] == "last_good"
+                    answers["last_good"].append(reply["result"])
+                assert answers["replica"] == answers["primary"]
+                assert answers["last_good"] == answers["primary"]
+                await client.close()
+        run(scenario())
+
+    @pytest.mark.parametrize("source", ["primary", "replica", "last_good"])
+    @pytest.mark.parametrize("op, params", [
+        ("nope", {}),
+        ("core", {}),
+        ("kcore", {}),
+        ("kcore", {"k": "x"}),
+        ("top", {"n": "x"}),
+    ], ids=["unknown-op", "core-no-vertex", "kcore-no-k", "kcore-bad-k",
+            "top-bad-n"])
+    def test_malformed_read_is_a_bad_request(self, tmp_path, source, op,
+                                             params):
+        async def scenario():
+            limits = ServerLimits(recovery_delay=30)
+            async with CoreServer(log_dir=tmp_path, limits=limits) as server:
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE)
+                if source == "last_good":
+                    await degrade_for_reads(client)
+                replica = source == "replica"
+                with pytest.raises(RemoteError) as info:
+                    await client.query(op, replica=replica, **params)
+                assert info.value.err_type == "BadRequest"
+                # The connection survives and still answers a valid read.
+                reply = await client.query("kcore", k=2, replica=replica)
+                assert reply["source"] == source
+                assert reply["result"] == [0, 1, 2]
+                await client.close()
+        run(scenario())
+
+
 class TestNetworkFaults:
     """End-to-end matrix for the behavioural server.* fault points.
 

@@ -284,7 +284,7 @@ class TestDurableSession:
         rec.engine.check()
         replica = LogReplica(log)
         assert replica.engine.name == rebuilt
-        assert replica.cores() == rec.cores()
+        assert dict(replica.engine.core) == rec.cores()
         rec.close()
 
     @pytest.mark.parametrize(
