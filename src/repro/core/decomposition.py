@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Hashable, Mapping, Optional
 
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.buckets import DegreeBuckets
@@ -57,6 +57,19 @@ class KOrderDecomposition:
 def core_numbers(graph: DynamicGraph) -> dict[Vertex, int]:
     """Core number of every vertex, via linear bucket peeling."""
     return korder_decomposition(graph, policy="small").core
+
+
+def compute_mcd(
+    graph: DynamicGraph, core: Mapping[Vertex, int]
+) -> dict[Vertex, int]:
+    """Max-core degree of every vertex: neighbors with ``core >= core(v)``.
+
+    The traversal hierarchy's ``r_1`` and the order family's ``mcd``.
+    """
+    return {
+        v: sum(1 for w in nbrs if core[w] >= core[v])
+        for v, nbrs in graph.adj.items()
+    }
 
 
 def korder_decomposition(

@@ -3,6 +3,9 @@
 :class:`OrderFamilyMaintainer` holds the index both order-family engines
 share — core numbers, the k-order with ``deg+``, and ``mcd`` — with its
 accessors, vertex bookkeeping, snapshot-restore constructor and audit.
+Both engines commit batches through the run hooks of
+:meth:`repro.engine.base.CoreMaintainer.apply_batch`, and a per-edge
+insert is a one-edge insertion run.
 :class:`OrderedCoreMaintainer`, the paper's engine, glues together:
 
 * the static k-order decomposition (Section VI generation heuristics);
@@ -33,29 +36,19 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, Optional
 
-from repro.core.decomposition import korder_decomposition
+from repro.core.decomposition import compute_mcd, korder_decomposition
 from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
-from repro.core.removal import RemovalRunResult, order_remove, order_remove_run
+from repro.core.removal import order_remove, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
-from repro.engine.schedule import RunScheduledMaintainer
+from repro.engine.batch import RemovalRunResult
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
 
 
-def compute_mcd(
-    graph: DynamicGraph, core: Mapping[Vertex, int]
-) -> dict[Vertex, int]:
-    """Max-core degree of every vertex: neighbors with ``core >= core(v)``."""
-    return {
-        v: sum(1 for w in nbrs if core[w] >= core[v])
-        for v, nbrs in graph.adj.items()
-    }
-
-
-class OrderFamilyMaintainer(RunScheduledMaintainer):
+class OrderFamilyMaintainer(CoreMaintainer):
     """State and plumbing shared by the order-family engines.
 
     Both engines hold the same index — core numbers, the k-order (whose
@@ -166,6 +159,14 @@ class OrderFamilyMaintainer(RunScheduledMaintainer):
         return self.korder.order()
 
     # ------------------------------------------------------------------
+    # Updates
+    # ------------------------------------------------------------------
+
+    def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
+        """OrderInsert: insert ``(u, v)`` as a one-edge insertion run."""
+        return self._insert_run([(u, v)])[0]
+
+    # ------------------------------------------------------------------
     # Vertices
     # ------------------------------------------------------------------
 
@@ -212,9 +213,10 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     """Dynamic core maintenance via an explicitly maintained k-order.
 
     The paper's engine: after each update a targeted ``mcd`` repair pass
-    (:meth:`_refresh_mcd`) runs over the changed vertices' neighborhoods,
-    charged as ``mcd_recomputations``.  Parameters are those of
-    :class:`OrderFamilyMaintainer`.
+    runs over the changed vertices' neighborhoods, charged as
+    ``mcd_recomputations`` — once per insertion run (a per-edge insert
+    is a one-edge run) and once per removed edge (:meth:`_refresh_mcd`).
+    Parameters are those of :class:`OrderFamilyMaintainer`.
     """
 
     name = "order"
@@ -223,22 +225,6 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     #: the batched path amortizes.  Class-level default so engines
     #: restored from snapshots (which bypass ``__init__``) start at 0 too.
     mcd_recomputations = 0
-
-    def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
-        """OrderInsert: insert ``(u, v)``, repair cores, k-order and mcd."""
-        for endpoint in (u, v):
-            if not self._graph.has_vertex(endpoint):
-                self._graph.add_vertex(endpoint)
-                self._register_vertex(endpoint)
-        v_star, k, visited, evicted = order_insert(
-            self._graph, self.korder, self._core, u, v
-        )
-        self._refresh_mcd(v_star, (u, v), k + 1)
-        if self._audit:
-            self.check()
-        return UpdateResult(
-            "insert", (u, v), k, tuple(v_star), visited, evicted
-        )
 
     def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """OrderRemoval: remove ``(u, v)``, repair cores, k-order and mcd."""
@@ -249,11 +235,6 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
         if self._audit:
             self.check()
         return UpdateResult("remove", (u, v), k, tuple(v_star), visited)
-
-    # The batch pipeline (``apply_batch`` / ``insert_edges_bulk``) is
-    # inherited from
-    # :class:`~repro.engine.schedule.RunScheduledMaintainer`; this class
-    # contributes the ``mcd``-maintaining run commits below.
 
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation (sequence stats + ``mcd`` repairs)."""
@@ -341,7 +322,8 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
         endpoints: tuple[Vertex, Vertex],
         crossing_level: int,
     ) -> None:
-        """Repair ``mcd`` after an update.
+        """Repair ``mcd`` after one per-edge update (removals here, and
+        the jump ablation's insertions).
 
         ``V*`` members and the edge endpoints are recomputed from scratch
         (their own core or adjacency changed).  For any other neighbor

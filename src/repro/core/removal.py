@@ -33,7 +33,10 @@ Two entry points share that repair:
   already pays for.  No per-edge ``mcd`` refresh remains — the run
   charges exactly one targeted recomputation per *demotion* (the
   ``recomputed`` field, which the maintainer folds into its
-  ``mcd_recomputations`` counter).
+  ``mcd_recomputations`` counter).  It returns a
+  :class:`~repro.engine.batch.RemovalRunResult`, the type every engine's
+  removal-run hook hands to
+  :meth:`~repro.engine.base.CoreMaintainer.apply_batch`.
 
 The run's per-level body is :func:`demote_level` (joint cascade with
 incremental ``mcd``, then the k-order repair).  It is also the simplified
@@ -50,10 +53,10 @@ limited to the per-edge ``|delta core| <= 1`` of Theorem 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
 from repro.core.korder import KOrder
+from repro.engine.batch import RemovalRunResult
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
@@ -181,37 +184,6 @@ def _repair_level(
         deg_plus[w] = new_plus
         korder.remove(w)
         korder.append(K - 1, w)
-
-
-@dataclass
-class RemovalRunResult:
-    """Aggregate outcome of one batch-native removal run.
-
-    Attributes
-    ----------
-    removed:
-        Edges that actually left the graph.
-    changed:
-        Net core delta per demoted vertex (always negative; a vertex
-        demoted across ``d`` levels carries ``-d``).
-    visited:
-        Search-space size: distinct vertices whose ``mcd`` bound was
-        examined, summed over the per-level cascades (the run-level
-        analogue of the per-edge ``len(cd)``).
-    recomputed:
-        Per-vertex ``mcd`` recomputations the run performed — exactly one
-        per demotion, i.e. one targeted pass over the run's disposed set
-        (endpoint upkeep is pure decrements and charges nothing).
-    levels:
-        The ``K``-levels whose joint cascade disposed at least one
-        vertex, in the descending order they were processed.
-    """
-
-    removed: int = 0
-    changed: dict = field(default_factory=dict)
-    visited: int = 0
-    recomputed: int = 0
-    levels: tuple = ()
 
 
 def demote_level(

@@ -57,13 +57,9 @@ from typing import Hashable, Iterable, Mapping
 
 from repro.core.insertion import order_insert
 from repro.core.maintainer import OrderFamilyMaintainer
-from repro.core.removal import (
-    RemovalRunResult,
-    demote_level,
-    detach_edge,
-    order_remove_run,
-)
+from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import UpdateResult
+from repro.engine.batch import RemovalRunResult
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
@@ -96,10 +92,11 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
     the paper's ``"small"`` heuristic.
 
     ``audit`` re-checks every invariant after each update (tests only).
-    Batches commit run-natively through
-    :class:`~repro.engine.schedule.RunScheduledMaintainer`: removal runs
+    Batches commit run-natively through the run hooks of
+    :meth:`~repro.engine.base.CoreMaintainer.apply_batch`: removal runs
     go through :func:`~repro.core.removal.order_remove_run`, insertion
-    runs through one loop with a single boundary audit.
+    runs through one loop with a single boundary audit (a per-edge
+    insert is a one-edge run).
     """
 
     name = "order-simplified"
@@ -130,13 +127,6 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
     # Updates
     # ------------------------------------------------------------------
 
-    def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
-        """``OrderInsert`` plus O(1)-per-promotion ``mcd`` upkeep."""
-        result = self._insert(u, v)
-        if self._audit:
-            self.check()
-        return result
-
     def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """``OrderRemoval`` with the incremental-``mcd`` cascade."""
         graph, core, mcd = self._graph, self._core, self._mcd
@@ -152,7 +142,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         return UpdateResult("remove", (u, v), K, tuple(v_star), visited)
 
     # ------------------------------------------------------------------
-    # Run commits (the RunScheduledMaintainer hooks)
+    # Run commits (the apply_batch run hooks)
     # ------------------------------------------------------------------
 
     def _insert_run(self, edges) -> list[UpdateResult]:

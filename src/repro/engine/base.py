@@ -1,9 +1,11 @@
 """Shared interface for every core-maintenance engine.
 
-Three engines implement it:
+Four engines implement it:
 
 * :class:`repro.core.maintainer.OrderedCoreMaintainer` — the paper's
   order-based algorithm;
+* :class:`repro.core.simplified.SimplifiedCoreMaintainer` — the same
+  index and kernel with Guo & Sekerinski's ``mcd`` upkeep (the default);
 * :class:`repro.traversal.maintainer.TraversalCoreMaintainer` — the
   state-of-the-art baseline (Sariyüce et al.), parameterized by hop count;
 * :class:`repro.naive.maintainer.NaiveCoreMaintainer` — recompute from
@@ -14,11 +16,13 @@ through the engine so its index stays consistent with the graph.
 
 Besides the per-edge updates the paper describes, every engine accepts a
 :class:`~repro.engine.batch.Batch` of mixed insertions/removals through
-:meth:`CoreMaintainer.apply_batch`.  The base class provides a per-edge
-fallback; engines override it with genuinely faster batched paths (the
-order engine coalesces ``mcd`` repair per same-kind run — batch-native on
-both the insertion and removal sides; the naive engine recomputes once
-per batch).
+:meth:`CoreMaintainer.apply_batch`, the one batch loop: it replays the
+batch as same-kind runs and dispatches them to the :meth:`_insert_run` /
+:meth:`_remove_run` hooks.  The base hooks apply the run one edge at a
+time (what ``trav-<h>`` uses); the order family overrides both with
+coalesced commits (one ``mcd`` repair per insertion run, one joint
+cascade per removal run), and the naive engine replaces
+:meth:`~CoreMaintainer.apply_batch` itself to recompute once per batch.
 
 Engines are created by name through the registry in
 :mod:`repro.engine.registry` (:func:`~repro.engine.registry.make_engine`).
@@ -31,7 +35,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional
 
-from repro.engine.batch import Batch, BatchResult, net_changes
+from repro.engine.batch import (
+    INSERT,
+    Batch,
+    BatchResult,
+    RemovalRunResult,
+    merge_deltas,
+    net_changes,
+)
 from repro.graphs.undirected import DynamicGraph
 from repro.testing.faults import inject
 
@@ -166,26 +177,69 @@ class CoreMaintainer(ABC):
     def apply_batch(self, batch: Batch) -> BatchResult:
         """Apply a mixed :class:`~repro.engine.batch.Batch` of updates.
 
-        The base implementation replays the batch one edge at a time in
-        op order and aggregates the results; engines override it with
-        faster schedules that leave the final graph and core numbers
-        identical (per-op attribution may then follow the engine's
-        schedule rather than the batch's op order).
+        The batch replays as same-kind runs (:meth:`Batch.runs`): a
+        conflict-free batch becomes one removal run followed by one
+        insertion run, a conflicting one keeps its op order.  Insertion
+        runs go through :meth:`_insert_run` (one
+        :class:`UpdateResult` per op), removal runs through
+        :meth:`_remove_run` (one
+        :class:`~repro.engine.batch.RemovalRunResult` per run).  The final
+        graph and core numbers are those of op-order replay.
+
+        ``BatchResult.results`` keeps per-op detail only for batches
+        without removals, in the batch's op order; a removal run is
+        aggregated at run level, so any batch that removes reports
+        ``results=None`` (``changed``/``visited`` stay exact).
         """
         started = time.perf_counter()
         baseline = self._batch_counters()
-        results = []
+        results: list[UpdateResult] = []
+        removal_runs: list[RemovalRunResult] = []
         inserts = removes = 0
-        for op in batch:
+        for kind, run_edges in batch.runs():
             inject("engine.mid_batch")
-            if op.kind == "insert":
-                results.append(self.insert_edge(*op.edge))
-                inserts += 1
+            if kind == INSERT:
+                results.extend(self._insert_run(run_edges))
+                inserts += len(run_edges)
             else:
-                results.append(self.remove_edge(*op.edge))
-                removes += 1
-        return self._finish_batch(
-            results, inserts, removes, started, counter_baseline=baseline
+                removal_runs.append(self._remove_run(run_edges))
+                removes += len(run_edges)
+        visited = sum(r.visited for r in results)
+        changed = net_changes(results)
+        for run in removal_runs:
+            visited += run.visited
+            merge_deltas(changed, run.changed.items())
+        return BatchResult(
+            engine=self.name,
+            inserts=inserts,
+            removes=removes,
+            changed=changed,
+            visited=visited,
+            seconds=time.perf_counter() - started,
+            results=None if removal_runs else results,
+            counters=self._counter_deltas(baseline),
+        )
+
+    def _insert_run(self, edges: list[Edge]) -> list[UpdateResult]:
+        """Insert a run of edges; returns one result per op.
+
+        The default applies :meth:`insert_edge` per edge; engines with a
+        coalesced insertion commit override it.
+        """
+        return [self.insert_edge(u, v) for u, v in edges]
+
+    def _remove_run(self, edges: list[Edge]) -> RemovalRunResult:
+        """Remove a run of edges; returns one aggregate run result.
+
+        The default applies :meth:`remove_edge` per edge; the order
+        family overrides it with the batch-native joint cascade
+        (:func:`repro.core.removal.order_remove_run`).
+        """
+        results = [self.remove_edge(u, v) for u, v in edges]
+        return RemovalRunResult(
+            removed=len(results),
+            changed=net_changes(results),
+            visited=sum(r.visited for r in results),
         )
 
     def _batch_counters(self) -> dict[str, int]:
@@ -200,10 +254,7 @@ class CoreMaintainer(ABC):
     def _counter_deltas(self, baseline: Optional[dict]) -> dict:
         """Current :meth:`_batch_counters` as per-batch deltas.
 
-        ``baseline`` is a counter snapshot taken when the batch started;
-        engines whose schedules build :class:`BatchResult` directly (the
-        order engines' run scheduler) share this arithmetic with
-        :meth:`_finish_batch`.
+        ``baseline`` is a counter snapshot taken when the batch started.
 
         Counters the engine never touched are omitted, not zero-filled:
         :meth:`_batch_counters` values are cumulative and monotonic, so
@@ -222,34 +273,6 @@ class CoreMaintainer(ABC):
                 if value
             }
         return {key: value for key, value in counters.items() if value}
-
-    def _finish_batch(
-        self,
-        results: list,
-        inserts: int,
-        removes: int,
-        started: float,
-        counter_baseline: Optional[dict] = None,
-    ) -> BatchResult:
-        """Aggregate per-op results into a :class:`BatchResult`.
-
-        Shared by every schedule that keeps per-op attribution, so the
-        aggregate definitions (net changes, visited, timing) live in one
-        place.  ``counter_baseline`` (a :meth:`_batch_counters` snapshot
-        taken when the batch started) turns the cumulative counters into
-        per-batch deltas.
-        """
-        counters = self._counter_deltas(counter_baseline)
-        return BatchResult(
-            engine=self.name,
-            inserts=inserts,
-            removes=removes,
-            changed=net_changes(results),
-            visited=sum(r.visited for r in results),
-            seconds=time.perf_counter() - started,
-            results=results,
-            counters=counters,
-        )
 
     # ------------------------------------------------------------------
     # Hooks

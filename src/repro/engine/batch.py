@@ -293,11 +293,12 @@ class BatchResult:
     seconds:
         Wall time spent inside ``apply_batch``.
     results:
-        Per-operation :class:`~repro.engine.base.UpdateResult` detail when
-        the engine's schedule can attribute changes to individual edges;
-        ``None`` for fully coalesced paths (naive recompute, and any
-        order-engine batch containing a removal run — removal runs share
-        one joint cascade, so per-edge attribution no longer exists).
+        Per-operation :class:`~repro.engine.base.UpdateResult` detail, in
+        the batch's op order, for batches without removals; ``None`` for
+        any batch that removes (every engine but naive aggregates a
+        removal run at run level — the order family's runs share one
+        joint cascade, so per-edge attribution no longer exists) and for
+        every naive batch (one recompute per batch).
     counters:
         Per-batch instrumentation deltas reported by the engine — for the
         order engine: ``order_queries``, ``relabels`` (the k-order
@@ -336,6 +337,43 @@ class BatchResult:
         if self.results is not None:
             return sum(len(r.changed) for r in self.results)
         return sum(abs(d) for d in self.changed.values())
+
+
+@dataclass
+class RemovalRunResult:
+    """Aggregate outcome of one removal run of a batch.
+
+    :func:`repro.core.removal.order_remove_run` (the order family's joint
+    cascade) fills every field; the per-edge default of
+    :meth:`repro.engine.base.CoreMaintainer._remove_run` fills
+    ``removed``, ``changed`` and ``visited`` only.
+
+    Attributes
+    ----------
+    removed:
+        Edges that actually left the graph.
+    changed:
+        Net core delta per demoted vertex (always negative; a vertex
+        demoted across ``d`` levels carries ``-d``).
+    visited:
+        Search-space size: for a joint cascade, distinct vertices whose
+        ``mcd`` bound was examined, summed over the per-level cascades
+        (the run-level analogue of the per-edge ``len(cd)``); otherwise
+        the per-edge ``visited`` summed over the run.
+    recomputed:
+        Per-vertex ``mcd`` recomputations the run performed — exactly one
+        per demotion, i.e. one targeted pass over the run's disposed set
+        (endpoint upkeep is pure decrements and charges nothing).
+    levels:
+        The ``K``-levels whose joint cascade disposed at least one
+        vertex, in the descending order they were processed.
+    """
+
+    removed: int = 0
+    changed: dict = field(default_factory=dict)
+    visited: int = 0
+    recomputed: int = 0
+    levels: tuple = ()
 
 
 def merge_deltas(changed: dict, deltas: Iterable) -> dict:

@@ -4,11 +4,16 @@ The paper's temporal datasets (Facebook, Youtube, DBLP) carry edge
 timestamps; the insertion workload replays the *latest* 100,000 edges in
 timestamp order.  :class:`TemporalEdgeStream` models exactly that: an edge
 sequence sorted by timestamp with cheap suffix/prefix slicing.
+
+:class:`ExpiryQueue` is the sliding-window expiry rule shared by the live
+monitor (:class:`repro.streaming.SlidingWindowCoreMonitor`) and the trace
+adapter (:func:`repro.scenarios.loaders.scenario_from_stream`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+import collections
+from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.errors import WorkloadError
 from repro.graphs.undirected import DynamicGraph
@@ -178,3 +183,58 @@ class TemporalEdgeStream:
             g.add_vertex(u)
             g.add_vertex(v)
         return g
+
+
+class ExpiryQueue:
+    """Live edges of a sliding window, each expiring ``window`` after its
+    latest arrival.
+
+    Arrivals must come in non-decreasing time order.  A re-arrival of a
+    live edge refreshes its expiry: the edge's old queue entry stays
+    behind and is skipped when it comes due, so every operation is
+    amortized O(1).
+
+    >>> window = ExpiryQueue(10)
+    >>> window.arrive((1, 2), 0)
+    True
+    >>> window.arrive((1, 2), 5)  # re-arrival: refreshed, not new
+    False
+    >>> window.expire(10)  # the entry queued at t=0 is stale
+    []
+    >>> window.expire(15), len(window)
+    ([(1, 2)], 0)
+    """
+
+    def __init__(self, window: float) -> None:
+        self.window = window
+        #: live edge -> expiry time
+        self._expiry: dict[Hashable, float] = {}
+        #: (expiry time, edge) in arrival order; stale entries skipped
+        self._queue: collections.deque = collections.deque()
+
+    def __len__(self) -> int:
+        return len(self._expiry)
+
+    def arrive(self, edge: Hashable, t: float) -> bool:
+        """Record an arrival of ``edge`` at ``t``; ``True`` when it was
+        not live (a fresh edge), ``False`` for a refresh."""
+        fresh = edge not in self._expiry
+        due = t + self.window
+        self._expiry[edge] = due
+        self._queue.append((due, edge))
+        return fresh
+
+    def expire(self, t: float) -> list:
+        """Remove and return every live edge due by ``t``, oldest first."""
+        due: list = []
+        queue, expiry = self._queue, self._expiry
+        while queue and queue[0][0] <= t:
+            at, edge = queue.popleft()
+            if expiry.get(edge) == at:
+                del expiry[edge]
+                due.append(edge)
+        return due
+
+    def last_due(self, default: float) -> float:
+        """The latest expiry time still queued (``default`` when empty)."""
+        return self._queue[-1][0] if self._queue else default

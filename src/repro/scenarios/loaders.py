@@ -18,14 +18,13 @@ insert/expire workload.
 
 from __future__ import annotations
 
-import collections
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.batch import normalize_edge
 from repro.errors import ScenarioError
 from repro.graphs.io import read_temporal_edge_list
-from repro.graphs.temporal import TemporalEdgeStream
+from repro.graphs.temporal import ExpiryQueue, TemporalEdgeStream
 from repro.scenarios.base import Scenario, ScenarioBuilder
 
 PathLike = Union[str, Path]
@@ -87,8 +86,7 @@ def scenario_from_stream(
         seed=seed,
         params=dict(params or {}),
     )
-    expiry: dict[tuple, float] = {}
-    queue: collections.deque[tuple[float, tuple]] = collections.deque()
+    live = ExpiryQueue(window) if window is not None else None
     pending_t: Optional[float] = None
 
     def close_tick(next_t: Optional[float]) -> None:
@@ -102,23 +100,15 @@ def scenario_from_stream(
     ):
         close_tick(t)
         pending_t = t
-        if window is not None:
-            while queue and queue[0][0] <= t:
-                due_at, edge = queue.popleft()
-                if expiry.get(edge) != due_at:
-                    continue  # refreshed since this entry was queued
-                del expiry[edge]
+        if live is not None:
+            for edge in live.expire(t):
                 builder.remove(*edge)
         for u, v in edges:
-            edge = normalize_edge(u, v)
             builder.insert(u, v)
-            if window is not None:
-                # New arrivals schedule an expiry; re-arrivals of a
-                # live edge refresh it (stale queue entries are skipped
-                # lazily, the monitor's own trick).
-                due = t + window
-                expiry[edge] = due
-                queue.append((due, edge))
+            if live is not None:
+                # New arrivals schedule an expiry; re-arrivals of a live
+                # edge refresh it.
+                live.arrive(normalize_edge(u, v), t)
     close_tick(None)
     return builder.build()
 

@@ -105,6 +105,10 @@ class Subscription:
                 "a subscription takes a callback (push) or max_pending=N "
                 "(pull, consumed via take()), not both or neither"
             )
+        if min_k is not None and (
+            isinstance(min_k, bool) or not isinstance(min_k, int)
+        ):
+            raise ServiceError(f"min_k must be an integer, got {min_k!r}")
         if max_pending is not None and max_pending < 1:
             raise ServiceError(
                 f"max_pending must be >= 1, got {max_pending}"

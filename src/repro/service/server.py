@@ -517,15 +517,27 @@ def _pairs(mapping: dict) -> list:
     )
 
 
-def _int_param(op: str, params: dict, name: str, default=None) -> int:
-    """Integer parameter ``name`` of read ``op`` (``ServiceError`` if not)."""
-    value = params.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+_REQUIRED = object()
+
+
+def _int_param(op: str, params: dict, name: str, default=_REQUIRED,
+               minimum=None):
+    """Integer parameter ``name`` of request ``op``, at least ``minimum``
+    when one is given; ``default`` when absent (``ServiceError`` if the
+    parameter is malformed, or absent without a default)."""
+    value = params.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
         raise ServiceError(
-            f"query op {op!r} needs an integer {name!r}, got {value!r}"
-        ) from None
+            f"{op!r} needs an integer {name!r}{bound}, got {value!r}"
+        )
+    return value
 
 
 def answer(cores, op: str, params: dict):
@@ -836,7 +848,10 @@ class CoreServer:
     async def _handle_commit(self, req_id, session: TenantSession,
                              params: dict) -> dict:
         token = params.get("token")
-        deadline_ms = params.get("deadline_ms")
+        try:
+            deadline_ms = _int_param("commit", params, "deadline_ms", None)
+        except ServiceError as exc:
+            return protocol.failure(req_id, protocol.ERR_BAD_REQUEST, str(exc))
         deadline = (
             deadline_ms / 1000.0
             if deadline_ms is not None
@@ -979,11 +994,15 @@ class CoreServer:
 
     def _handle_subscribe(self, conn: _Connection, req_id,
                           session: TenantSession, params: dict) -> dict:
-        min_k = params.get("min_k")
-        buffer = min(
-            int(params.get("buffer") or self.limits.subscriber_buffer),
-            self.limits.subscriber_buffer,
-        )
+        limit = self.limits.subscriber_buffer
+        try:
+            min_k = _int_param("subscribe", params, "min_k", None)
+            buffer = _int_param(
+                "subscribe", params, "buffer", limit, minimum=1
+            )
+        except ServiceError as exc:
+            return protocol.failure(req_id, protocol.ERR_BAD_REQUEST, str(exc))
+        buffer = min(buffer, limit)
         sub_id = next(self._sub_ids)
         subscriber = _RemoteSubscriber(session, conn, sub_id, min_k, buffer)
         session.subscribers[sub_id] = subscriber

@@ -21,7 +21,6 @@ of k-core scope).
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
@@ -29,20 +28,10 @@ from repro.engine.base import CoreMaintainer
 from repro.engine.registry import DEFAULT_ENGINE
 from repro.engine.batch import Batch, normalize_edge
 from repro.errors import WorkloadError
+from repro.graphs.temporal import ExpiryQueue
 from repro.service import CoreEvent, CoreService
 
 Vertex = Hashable
-Edge = tuple[Vertex, Vertex]
-
-
-def _norm(u: Vertex, v: Vertex) -> Edge:
-    """Stable canonical orientation of a stream edge.
-
-    Delegates to :func:`repro.engine.batch.normalize_edge`: vertex
-    ordering when comparable, a ``(type name, repr)`` key otherwise —
-    never bare ``repr``, whose formatting must not decide edge identity.
-    """
-    return normalize_edge(u, v)
 
 
 @dataclass
@@ -110,10 +99,7 @@ class SlidingWindowCoreMonitor:
             )
         self._service = service
         self._subscription = service.subscribe(self._count_event)
-        #: live edge -> expiry time
-        self._expiry: dict[Edge, float] = {}
-        #: expiry queue: (expiry_time, edge); stale entries skipped lazily
-        self._queue: collections.deque[tuple[float, Edge]] = collections.deque()
+        self._live = ExpiryQueue(window)
         self._now = float("-inf")
         self.stats = WindowStats()
 
@@ -136,7 +122,7 @@ class SlidingWindowCoreMonitor:
 
     def live_edges(self) -> int:
         """Number of edges currently inside the window."""
-        return len(self._expiry)
+        return len(self._live)
 
     def core_of(self, vertex: Vertex) -> int:
         """Current core number (0 for unseen vertices)."""
@@ -178,21 +164,12 @@ class SlidingWindowCoreMonitor:
                 f"events must be time-ordered: {t} after {self._now}"
             )
         self.advance_to(t)
-        expiry = t + self.window
         # Normalize (and thereby validate) every pair before committing
         # any monitor state: a bad pair mid-list must not leave edges
         # queued for expiry that the engine never saw.
-        edges = [_norm(u, v) for u, v in pairs]
-        fresh: list[Edge] = []
-        fresh_set: set[Edge] = set()
-        for edge in edges:
-            if edge in self._expiry or edge in fresh_set:
-                self.stats.refreshes += 1
-            else:
-                fresh.append(edge)
-                fresh_set.add(edge)
-            self._expiry[edge] = expiry
-            self._queue.append((expiry, edge))
+        edges = [normalize_edge(u, v) for u, v in pairs]
+        fresh = [edge for edge in edges if self._live.arrive(edge, t)]
+        self.stats.refreshes += len(edges) - len(fresh)
         if fresh:
             self._service.apply(Batch.inserts(fresh))
             self.stats.arrivals += len(fresh)
@@ -209,14 +186,7 @@ class SlidingWindowCoreMonitor:
                 f"cannot rewind time from {self._now} to {t}"
             )
         self._now = t
-        due: list[Edge] = []
-        queue = self._queue
-        while queue and queue[0][0] <= t:
-            expiry, edge = queue.popleft()
-            if self._expiry.get(edge) != expiry:
-                continue  # refreshed since this entry was queued
-            del self._expiry[edge]
-            due.append(edge)
+        due = self._live.expire(t)
         if due:
             self._service.apply(Batch.removes(due))
             self.stats.expiries += len(due)
@@ -224,6 +194,4 @@ class SlidingWindowCoreMonitor:
 
     def drain(self) -> int:
         """Expire everything (end of stream); returns edges removed."""
-        return self.advance_to(
-            max((e for e, _ in self._queue), default=self._now)
-        )
+        return self.advance_to(self._live.last_due(self._now))

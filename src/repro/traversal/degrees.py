@@ -22,19 +22,10 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
+from repro.core.decomposition import compute_mcd
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
-
-
-def compute_mcd(
-    graph: DynamicGraph, core: Mapping[Vertex, int]
-) -> dict[Vertex, int]:
-    """``r_1``: max-core degree of every vertex."""
-    return {
-        v: sum(1 for w in nbrs if core[w] >= core[v])
-        for v, nbrs in graph.adj.items()
-    }
 
 
 def compute_next_level(

@@ -343,7 +343,9 @@ class TestApplyBatchAgreement:
 
     def test_bulk_wrapper_still_returns_per_edge_results(self):
         engine = OrderedCoreMaintainer(DynamicGraph(), audit=True)
-        results = engine.insert_edges_bulk([(0, 1), (1, 2), (2, 0)])
+        results = engine.apply_batch(
+            Batch.inserts([(0, 1), (1, 2), (2, 0)])
+        ).results
         assert [r.kind for r in results] == ["insert"] * 3
         assert engine.core_of(0) == 2
 

@@ -13,7 +13,7 @@ and further ``trav-<h>`` hop counts.
 
 The run-path invariants at the bottom pin the batch-native contract the
 order family shares: a run-scheduled batch lands the *same* net core
-deltas as the per-edge fallback path, and over a pool of homogeneous
+deltas as per-edge replay in op order, and over a pool of homogeneous
 (single-run) batches the coalesced machinery charges less in aggregate
 than per-edge application — the amortization claim, as a test.
 """
@@ -35,7 +35,7 @@ from engine_contract import (
 )
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch
-from repro.engine.base import CoreMaintainer
+from repro.engine.batch import BatchResult, net_changes
 from repro.engine.registry import available_engines, is_engine_name
 from repro.errors import ServiceError
 from repro.graphs.undirected import DynamicGraph
@@ -49,7 +49,7 @@ VARIANTS = engine_variants()
 
 #: Engines whose batch path is run-scheduled (coalesced insertion runs,
 #: joint removal cascades) — the run-path invariant tests below compare
-#: them against the per-edge fallback inherited from the base class.
+#: them against per-edge replay in op order (:func:`_apply_per_edge`).
 RUN_NATIVE = ("order", "order-simplified")
 
 #: The run-path invariants' parametrization: the run-native engines plus
@@ -65,11 +65,27 @@ CHARGEABLE = {
 
 
 def _apply_per_edge(engine, batch):
-    for op in batch:
-        if op.kind == "insert":
-            engine.insert_edge(*op.edge)
-        else:
-            engine.remove_edge(*op.edge)
+    """Replay ``batch`` one edge at a time in op order — the per-edge
+    reference the run path is held to.  Returns a :class:`BatchResult`
+    with the replay's net ``changed``, summed ``visited`` and counter
+    deltas."""
+    baseline = engine._batch_counters()
+    results = [
+        engine.insert_edge(*op.edge)
+        if op.kind == "insert"
+        else engine.remove_edge(*op.edge)
+        for op in batch
+    ]
+    inserts, removes = batch.counts()
+    return BatchResult(
+        engine=engine.name,
+        inserts=inserts,
+        removes=removes,
+        changed=net_changes(results),
+        visited=sum(r.visited for r in results),
+        results=results,
+        counters=engine._counter_deltas(baseline),
+    )
 
 
 def _random_graph(rng, n, m):
@@ -193,7 +209,7 @@ def test_check_holds_after_mixed_workloads(name, seed):
         assert engine.core_numbers() == core_numbers(engine.graph)
 
 
-@pytest.mark.parametrize("name", RUN_PATH)
+@pytest.mark.parametrize("name", RUN_PATH + ("trav-2",))
 @settings(
     max_examples=15,
     deadline=None,
@@ -201,15 +217,17 @@ def test_check_holds_after_mixed_workloads(name, seed):
 )
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_run_path_matches_per_edge_path(name, seed):
-    """Any batch: the run-scheduled path and the per-edge fallback land
-    identical net ``changed`` deltas and identical final cores."""
+    """Any batch: the run-scheduled path and per-edge replay land
+    identical net ``changed`` deltas and identical final cores.
+    ``trav-2`` runs the base class's per-edge run hooks through the same
+    batch loop."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, 2, 14, 24)
     run_engine = build_engine(name, DynamicGraph(base), seed=0)
     edge_engine = build_engine(name, DynamicGraph(base), seed=0)
     for batch in batches:
         run_result = run_engine.apply_batch(batch)
-        edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
+        edge_result = _apply_per_edge(edge_engine, batch)
         assert run_result.changed == edge_result.changed
         assert run_engine.core_numbers() == edge_engine.core_numbers()
     assert run_engine.core_numbers() == core_numbers(run_engine.graph)
@@ -242,7 +260,7 @@ def test_run_path_agrees_on_homogeneous_batches(name, data):
     run_engine = build_engine(name, DynamicGraph(base), seed=0)
     edge_engine = build_engine(name, DynamicGraph(base), seed=0)
     run_result = run_engine.apply_batch(batch)
-    edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
+    edge_result = _apply_per_edge(edge_engine, batch)
     assert run_result.changed == edge_result.changed
     assert run_engine.core_numbers() == edge_engine.core_numbers()
     assert run_engine.core_numbers() == core_numbers(run_engine.graph)
@@ -289,7 +307,7 @@ def test_run_path_amortizes_homogeneous_batches(name, run_kind):
         run_engine = build_engine(name, DynamicGraph(base), seed=0)
         edge_engine = build_engine(name, DynamicGraph(base), seed=0)
         run_result = run_engine.apply_batch(batch)
-        edge_result = CoreMaintainer.apply_batch(edge_engine, batch)
+        edge_result = _apply_per_edge(edge_engine, batch)
         assert run_result.changed == edge_result.changed
         run_visited += run_result.visited
         edge_visited += edge_result.visited

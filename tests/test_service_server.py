@@ -508,6 +508,44 @@ class TestSubscriptions:
         run(scenario())
 
 
+class TestMalformedParams:
+    """Malformed stream and commit parameters answer ``BadRequest`` at
+    the server boundary and never reach (or crash) the tenant."""
+
+    @pytest.mark.parametrize("method, params", [
+        ("subscribe", {"min_k": "2"}),
+        ("subscribe", {"buffer": "x"}),
+        ("subscribe", {"buffer": -5}),
+        ("commit", {"ops": [["insert", 3, 4]], "deadline_ms": "soon"}),
+    ], ids=["min_k-str", "buffer-str", "buffer-negative", "deadline-str"])
+    def test_bad_param_is_a_bad_request(self, tmp_path, method, params):
+        async def scenario():
+            async with CoreServer(log_dir=tmp_path) as server:
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE)
+                with pytest.raises(RemoteError) as info:
+                    await client._request(method, params)
+                assert info.value.err_type == "BadRequest"
+                # The tenant is untouched: the next commit lands and
+                # nothing crashed.
+                summary = await client.commit([("insert", 0, 3)])
+                assert summary["ops"] == 1
+                status = await client.status()
+                assert status["crashes"] == 0
+                assert status["state"] == "healthy"
+                await client.close()
+        run(scenario())
+
+    def test_subscription_rejects_a_non_integer_min_k(self):
+        from repro.errors import ServiceError
+
+        svc = CoreService.open()
+        with pytest.raises(ServiceError, match="min_k"):
+            svc.subscribe(max_pending=4, min_k="2")
+        svc.close()
+
+
 class TestReplica:
     def test_replica_reads_match_primary(self, tmp_path):
         async def scenario():

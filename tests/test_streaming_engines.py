@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.decomposition import core_numbers
 from repro.naive.maintainer import NaiveCoreMaintainer
-from repro.streaming import SlidingWindowCoreMonitor, _norm
+from repro.engine.batch import normalize_edge
+from repro.streaming import SlidingWindowCoreMonitor
 from repro.traversal.maintainer import TraversalCoreMaintainer
 
 
@@ -77,12 +78,12 @@ class TestEngineSelection:
 class TestNormHardening:
     def test_comparable_vertices_use_their_own_order(self):
         # repr ordering would yield (10, 2) since "10" < "2".
-        assert _norm(10, 2) == (2, 10)
-        assert _norm(2, 10) == (2, 10)
+        assert normalize_edge(10, 2) == (2, 10)
+        assert normalize_edge(2, 10) == (2, 10)
 
     def test_mixed_type_vertices_are_stable(self):
-        assert _norm(1, "b") == _norm("b", 1)
-        assert _norm((1, 2), "x") == _norm("x", (1, 2))
+        assert normalize_edge(1, "b") == normalize_edge("b", 1)
+        assert normalize_edge((1, 2), "x") == normalize_edge("x", (1, 2))
 
     def test_mixed_type_stream_keeps_one_edge_identity(self):
         monitor = SlidingWindowCoreMonitor(window=10.0)
@@ -97,4 +98,4 @@ class TestNormHardening:
     def test_incomparable_same_type_vertices(self):
         # Sets don't define a total order; the (type, repr) key decides.
         u, v = frozenset({1}), frozenset({2})
-        assert _norm(u, v) == _norm(v, u)
+        assert normalize_edge(u, v) == normalize_edge(v, u)
