@@ -13,7 +13,11 @@ The paper's speed argument rests on O(1) order tests inside a block
   for relabelings, whose amortized cost is logarithmic in the list size
   (the classic O(1)-amortized bound needs a second indirection level,
   which our workloads have not justified — the ``relabels`` counter
-  tells).
+  tells).  Prepends — whole ``OrderInsert`` chains included — land at
+  the fast path's fixed spacing below the first node, so they are
+  amortized O(1): one whole-list spread per ~2^27 single prepends on a
+  30k-item list.  An insert that even a whole-list spread cannot make
+  room for raises :class:`OverflowError` without changing the list.
 * :class:`SequenceStats` — shared instrumentation: ``order_queries``
   (order tests answered) and ``relabels`` (OM relabeling events).
 
@@ -103,11 +107,10 @@ class TaggedOrderList:
     ``_SPAN``; stored nodes carry strictly increasing integer labels in
     between.  ``precedes`` is one integer comparison; insertion bisects
     the neighboring label gap (with wide fast-path gaps for appends and
-    prepends, and batch-aware label preallocation for whole
-    :meth:`extend_front` chains) and, when a gap is exhausted, relabels
-    the smallest
-    enclosing label-aligned range whose density is below the level's
-    threshold — Bender et al.'s simplified tag-management policy.
+    prepends, which whole :meth:`extend_front` chains share) and, when
+    a gap is exhausted, relabels the smallest enclosing label-aligned
+    range whose density is below the level's threshold — Bender et
+    al.'s simplified tag-management policy.
 
     Parameters
     ----------
@@ -264,15 +267,20 @@ class TaggedOrderList:
         ``extend_front([a, b, c])`` on sequence ``[x]`` yields
         ``[a, b, c, x]`` — the ``OrderInsert`` ending-phase move.
 
-        The whole chain is labeled in one pass: a label gap sized to the
-        chain is reserved in front of the current first node and the
-        chain's labels are spread evenly across it.  Inserting the chain
-        one item at a time would repeatedly bisect the same gap and
-        trigger a relabeling roughly every ``log2(_GAP)`` items — the
-        "relabel storm" that made bulk loads pay O(chain * relabel) —
-        whereas the preallocated chain triggers at most one spread of
-        the existing labels (and typically none: the ``relabels``
-        counter stays flat).
+        The whole chain is labeled in one pass, directly below the
+        current first node at the prepend fast path's spacing
+        ``min(_GAP, first.label // (L + 1))`` for a chain of length
+        ``L``.  A chain therefore uses only the front room it needs:
+        after one spread has opened the front gap, a 30k-item list takes
+        ~2^27 single-item prepends before it needs another, so prepends
+        cost amortized O(1).  Only when the front gap is shorter than
+        the chain are the existing labels spread over the whole space
+        once (one ``relabels`` event) before the chain lands.
+
+        Raises :class:`ValueError` on an item already stored (or twice
+        in the chain) and :class:`OverflowError` when the list would
+        hold more than ``_SPAN // 2`` items, the most a whole-list spread
+        leaves gaps of 2 between; neither error changes the list.
         """
         chain = list(items)
         if not chain:
@@ -282,14 +290,22 @@ class TaggedOrderList:
             if item in self._nodes or item in seen:
                 raise ValueError(f"item {item!r} already stored in sequence")
             seen.add(item)
+        if len(self._nodes) + len(chain) > self._SPAN // 2:
+            raise OverflowError(
+                f"order list full: {len(self._nodes)} + {len(chain)} items "
+                f"exceed {self._SPAN // 2}"
+            )
         first = self._head.next
         if first.label <= len(chain):
             # Not enough label room in front: spread the existing labels
             # over the whole space once, instead of cascading per-item
             # relabels while the chain lands.
             self._spread()
-        step = first.label // (len(chain) + 1)
-        if step < 1:  # pragma: no cover - needs ~2^61 stored items
+        step = min(self._GAP, first.label // (len(chain) + 1))
+        if step < 1:
+            # Even the spread front gap is shorter than the chain, i.e.
+            # (items + 1) * (chain + 1) exceeds the label space: insert
+            # one at a time and let the range relabeling make room.
             previous: Optional[Hashable] = None
             for item in chain:
                 if previous is None:
@@ -299,7 +315,7 @@ class TaggedOrderList:
                 previous = item
             return
         prev = self._head
-        label = 0
+        label = first.label - (len(chain) + 1) * step
         for item in chain:
             label += step
             node = _ListNode(item, label)
@@ -325,7 +341,12 @@ class TaggedOrderList:
             raise ValueError(f"cannot move {item!r} after itself")
         node.prev.next = node.next
         node.next.prev = node.prev
-        self._place(node, anchor, anchor.next)
+        try:
+            self._place(node, anchor, anchor.next)
+        except OverflowError:
+            # Nothing was relabeled: put the node back where it was.
+            node.prev.next = node.next.prev = node
+            raise
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item`` from the sequence — O(1) unlink.
@@ -353,15 +374,16 @@ class TaggedOrderList:
         if item in self._nodes:
             raise ValueError(f"item {item!r} already stored in sequence")
         node = _ListNode(item, 0)
-        self._nodes[item] = node
         self._place(node, prev, nxt)
+        self._nodes[item] = node
 
     def _place(self, node: _ListNode, prev: _ListNode, nxt: _ListNode) -> None:
         """Label and link an (unlinked) node between ``prev`` and ``nxt``."""
         if nxt.label - prev.label < 2:
             # Gap exhausted: redistribute labels around a *real* anchor
             # (sentinel labels are fixed).  Guaranteed to leave
-            # ``nxt.label - prev.label >= 2`` (see _relabel).
+            # ``nxt.label - prev.label >= 2`` or to raise OverflowError
+            # before changing anything (see _relabel).
             self._relabel(prev if prev is not self._head else nxt)
         lo, hi = prev.label, nxt.label
         if nxt is self._tail and lo + self._GAP < hi:
@@ -385,16 +407,17 @@ class TaggedOrderList:
         slack of at least 2.  Those nodes are then spread evenly over the
         range.  Every gap inside the relabeled range, and the gaps to the
         neighbors just outside it, end up >= 2, so the pending insertion
-        always succeeds without cascading.
+        always succeeds without cascading — or, when not even a
+        whole-space spread leaves gaps of 2, raises :class:`OverflowError`
+        with every label unchanged.
         """
-        self.stats.relabels += 1
         i = 1
         while True:
             width = 1 << i
             if width >= self._SPAN:
                 # Degenerate fallback: spread everything over the whole
                 # label space (unreachable until ~2^40 stored items).
-                self._spread(count=False)
+                self._spread()
                 return
             base = anchor.label - (anchor.label % width)
             first = anchor
@@ -409,6 +432,7 @@ class TaggedOrderList:
                 count += 1
                 node = node.next
             if count <= 4**i // 3**i and width >= 2 * (count + 1):
+                self.stats.relabels += 1
                 step = width // (count + 1)
                 label = base
                 node = first
@@ -419,18 +443,22 @@ class TaggedOrderList:
                 return
             i += 1
 
-    def _spread(self, count: bool = True) -> None:
+    def _spread(self) -> None:
         """Redistribute every label evenly over the whole label space.
 
-        One relabeling event (charged to ``stats.relabels`` unless called
-        from ``_relabel``, which already charged itself); leaves the
+        One relabeling event (charged to ``stats.relabels``); leaves the
         front gap at ``_SPAN // (n + 1)``, which is what
         :meth:`extend_front` relies on to reserve chain-sized room.
+        Raises :class:`OverflowError`, changing nothing, when the spread
+        would leave gaps below 2 — a pending insertion could not fit.
         """
-        if count:
-            self.stats.relabels += 1
         nodes = list(self._iter_nodes())
         step = self._SPAN // (len(nodes) + 1)
+        if step < 2:
+            raise OverflowError(
+                f"order list full: {len(nodes)} items leave no label room"
+            )
+        self.stats.relabels += 1
         label = 0
         for node in nodes:
             label += step

@@ -10,7 +10,7 @@ space and over a narrow one where nearly every insert relabels.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.structures.sequence import SequenceStats, TaggedOrderList
@@ -124,36 +124,79 @@ class TestSequenceBehavior:
         assert stats.order_queries == before + 2
 
     @given(ops=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 1000)), max_size=120
+        st.tuples(st.integers(0, 5), st.integers(0, 1000)), max_size=120
     ))
     @settings(max_examples=60, deadline=None)
+    # Fill with 100 appends, then prepend chains: in the narrow space the
+    # 20-chain spreads and falls back to per-item inserts, and the later
+    # chains fill the list exactly and overflow it; in the wide space
+    # the chains shrink the front gap until one of them spreads.
+    @example(ops=[(1, 0)] * 100 + [(4, 19)] + [(4, 39)] * 10 + [
+        (4, 31), (1, 0), (0, 1), (5, 3), (3, 5), (2, 7), (1, 0),
+    ])
     def test_random_interleaving_matches_reference(self, order_list, ops):
-        """Random insert/remove/precedes interleavings vs a plain list."""
+        """Random insert/prepend-chain/move/remove/precedes interleavings
+        vs a plain list.  Chains of 1-40 items reach the fast-path
+        placement, the spread fallback and (narrow) the per-item
+        fallback.  Only past ``_SPAN // 2`` items may an insert or a
+        move raise, and then it must leave the list unchanged; a chain
+        that would pass that size always raises."""
         seq = order_list()
         ref = []
+        room = order_list._SPAN // 2
         next_item = 0
+
+        def attempt(call, size):
+            try:
+                call()
+            except OverflowError:
+                assert size > room
+                assert seq.to_list() == ref
+                return False
+            return True
+
+        def insert(call, at):
+            if attempt(call, len(ref) + 1):
+                ref.insert(at, item)
+
         for kind, pick in ops:
-            if kind == 0 or not ref:  # insert at a position
+            item = next_item
+            if kind == 4:  # prepend a chain
+                chain = list(range(item, item + 1 + pick % 40))
+                next_item += len(chain)
+                if len(ref) + len(chain) > room:
+                    with pytest.raises(OverflowError):
+                        seq.extend_front(chain)
+                    assert seq.to_list() == ref
+                else:
+                    seq.extend_front(chain)
+                    ref[:0] = chain
+            elif kind == 0 or not ref:  # insert at a position
+                next_item += 1
                 if ref and pick % 2:
                     anchor = ref[pick % len(ref)]
-                    seq.insert_after(anchor, next_item)
-                    ref.insert(ref.index(anchor) + 1, next_item)
+                    insert(
+                        lambda: seq.insert_after(anchor, item),
+                        ref.index(anchor) + 1,
+                    )
                 else:
-                    seq.insert_front(next_item)
-                    ref.insert(0, next_item)
-                next_item += 1
+                    insert(lambda: seq.insert_front(item), 0)
             elif kind == 1:
-                seq.insert_back(next_item)
-                ref.append(next_item)
                 next_item += 1
+                insert(lambda: seq.insert_back(item), len(ref))
             elif kind == 2:
                 victim = ref.pop(pick % len(ref))
                 seq.remove(victim)
             else:
                 a = ref[pick % len(ref)]
                 b = ref[(pick * 7 + 3) % len(ref)]
-                if a != b:
+                if a == b:
+                    continue
+                if kind == 3:
                     assert seq.precedes(a, b) == (ref.index(a) < ref.index(b))
+                elif attempt(lambda: seq.move_after(a, b), len(ref)):
+                    ref.remove(b)  # kind 5 moved b right after a
+                    ref.insert(ref.index(a) + 1, b)
         assert seq.to_list() == ref
         seq.check_invariants()
 
@@ -179,9 +222,9 @@ class TestTaggedOrderList:
         seq.check_invariants()
 
     def test_extend_front_preallocates_labels(self):
-        """A whole chain prepended at once reserves one chain-sized label
-        gap instead of bisecting the same gap per item — no relabel
-        storm (ROADMAP's batch-aware label preallocation)."""
+        """A whole chain prepended at once is labeled in one pass below
+        the first node instead of bisecting the same gap per item — no
+        relabel storm on a roomy front."""
         stats = SequenceStats()
         seq = TaggedOrderList(stats=stats)
         seq.extend_back(range(100))
@@ -293,6 +336,77 @@ class TestTaggedOrderList:
         assert seq.to_list() == ref
         seq.check_invariants()
 
+    def test_single_prepends_relabel_a_bounded_number_of_labels(self):
+        """Repeated one-item prepends — OrderInsert moving a single
+        promoted vertex to the front of its new block — cost amortized
+        O(1): one spread opens the front gap, and the chains then land
+        at fast-path spacing instead of halving it until the next
+        whole-list spread."""
+
+        class RewriteCounting(TaggedOrderList):
+            rewrites = 0
+
+            def _labels(self):
+                return [node.label for node in self._iter_nodes()]
+
+            def _relabel(self, anchor):
+                before, rewrites = self._labels(), self.rewrites
+                super()._relabel(anchor)
+                if self.rewrites == rewrites:  # a range, not a spread
+                    self.rewrites += sum(
+                        a != b for a, b in zip(before, self._labels())
+                    )
+
+            def _spread(self):
+                self.rewrites += len(self)
+                super()._spread()
+
+        seq = RewriteCounting()
+        seq.extend_back(range(30_000))
+        for item in range(30_000, 40_000):
+            seq.extend_front([item])
+        assert seq.stats.relabels <= 2
+        assert seq.rewrites <= 2 * 40_000
+        assert seq.to_list() == list(range(39_999, 29_999, -1)) + list(
+            range(30_000)
+        )
+        seq.check_invariants()
+
+    def test_full_list_raises_instead_of_misordering(self):
+        """A whole-space spread keeps gaps of 2 for at most ``_SPAN // 2``
+        items.  Past that, a relabel used to spread labels at step 1,
+        collide, and silently break order tests; now both insert entry
+        points refuse before changing anything."""
+        room = NarrowOrderList._SPAN // 2
+        seq = NarrowOrderList()
+        seq.insert_back(0)
+        for item in range(1, room):
+            seq.insert_after(0, item)
+        full = seq.to_list()
+        with pytest.raises(OverflowError):
+            seq.insert_after(0, room)
+        assert seq.to_list() == full and room not in seq
+        seq.check_invariants()
+        assert all(seq.precedes(a, b) for a, b in zip(full, full[1:]))
+        # An open gap still takes one more item, but a move into the
+        # exhausted gap behind 0 cannot be made room for either.
+        seq.insert_after(full[-1], room)
+        full.append(room)
+        with pytest.raises(OverflowError):
+            seq.move_after(0, full[-2])
+        assert seq.to_list() == full
+        seq.check_invariants()
+
+        small = NarrowOrderList(range(10))
+        with pytest.raises(OverflowError):
+            small.extend_front(range(100, 100 + room - 9))
+        assert small.to_list() == list(range(10))
+        small.check_invariants()
+        chain = list(range(100, 100 + room - 10))  # exactly fills it
+        small.extend_front(chain)
+        assert small.to_list() == chain + list(range(10))
+        small.check_invariants()
+
     def test_narrow_label_space_reaches_the_spread_fallback(self):
         """What the narrow behavior variant stresses: a same-position
         storm past the label space's density limit relabels on nearly
@@ -300,9 +414,9 @@ class TestTaggedOrderList:
         spreads = []
 
         class Counting(NarrowOrderList):
-            def _spread(self, count=True):
+            def _spread(self):
                 spreads.append(len(self))
-                super()._spread(count)
+                super()._spread()
 
         seq = Counting()
         seq.extend_back(range(2))
