@@ -7,8 +7,9 @@ per update, and how much more does the order-based engine buy on top.
 
 from _bench_common import BENCH_SEED, once
 
-from repro.bench.runner import build_engine, run_updates
+from repro.bench.runner import run_updates
 from repro.bench.workloads import make_workload
+from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
 
 
@@ -19,7 +20,7 @@ def bench_naive_vs_maintenance(benchmark):
     def run_all_engines():
         times = {}
         for name in ("naive", "trav-2", "order"):
-            engine = build_engine(name, workload.base_graph(), seed=BENCH_SEED)
+            engine = make_engine(name, workload.base_graph())
             log = run_updates(engine, workload.update_edges, "insert")
             times[name] = log.total_seconds
         return times

@@ -10,8 +10,9 @@ carries the counters so the bench log doubles as the results table.
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import build_engine, run_batches, run_mixed
+from repro.bench.runner import run_batches, run_mixed
 from repro.bench.workloads import mixed_batch_workload
+from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
 
 BATCH_SIZE = 100
@@ -28,7 +29,7 @@ def _workload(name="gowalla"):
 @pytest.mark.parametrize("engine_name", ["order", "trav-2", "naive"])
 def bench_batched_replay(benchmark, engine_name):
     workload, plan, batches = _workload()
-    engine = build_engine(engine_name, workload.base_graph(), seed=BENCH_SEED)
+    engine = make_engine(engine_name, workload.base_graph())
     results = once(benchmark, run_batches, engine, batches)
     benchmark.extra_info["ops"] = len(plan)
     benchmark.extra_info["batches"] = len(batches)
@@ -41,7 +42,7 @@ def bench_batched_replay(benchmark, engine_name):
 @pytest.mark.parametrize("engine_name", ["order", "naive"])
 def bench_per_edge_replay(benchmark, engine_name):
     workload, plan, _ = _workload()
-    engine = build_engine(engine_name, workload.base_graph(), seed=BENCH_SEED)
+    engine = make_engine(engine_name, workload.base_graph())
     log = once(benchmark, run_mixed, engine, plan)
     benchmark.extra_info["ops"] = len(plan)
     mcd = getattr(engine, "mcd_recomputations", None)
@@ -54,9 +55,9 @@ def bench_batched_beats_per_edge_on_mcd_repair(benchmark):
     workload, plan, batches = _workload()
 
     def run():
-        per_edge = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+        per_edge = make_engine("order", workload.base_graph())
         run_mixed(per_edge, plan)
-        batched = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+        batched = make_engine("order", workload.base_graph())
         run_batches(batched, batches)
         assert per_edge.core_numbers() == batched.core_numbers()
         return per_edge.mcd_recomputations, batched.mcd_recomputations

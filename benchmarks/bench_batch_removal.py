@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import build_engine, run_batches, run_mixed, run_updates
+from repro.bench.runner import run_batches, run_mixed, run_updates
 from repro.bench.workloads import make_workload, mixed_batch_workload
+from repro.engine import make_engine
 from repro.engine.batch import Batch
 from repro.graphs.datasets import load_dataset
 
@@ -88,9 +89,9 @@ def bench_window_expiry_removal_runs(benchmark):
     ]
 
     def run():
-        per_edge = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
+        per_edge = make_engine("order", workload.full_graph())
         log = run_updates(per_edge, victims, "remove")
-        batched = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
+        batched = make_engine("order", workload.full_graph())
         results = run_batches(batched, windows)
         assert per_edge.core_numbers() == batched.core_numbers()
         return per_edge, log, batched, results
@@ -123,9 +124,9 @@ def bench_mixed_stream_with_removal_runs(benchmark):
     )
 
     def run():
-        per_edge = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+        per_edge = make_engine("order", workload.base_graph())
         log = run_mixed(per_edge, plan)
-        batched = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+        batched = make_engine("order", workload.base_graph())
         results = run_batches(batched, batches)
         assert per_edge.core_numbers() == batched.core_numbers()
         return per_edge, log, batched, results

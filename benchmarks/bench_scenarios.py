@@ -81,7 +81,7 @@ def bench_scenario_family(benchmark, name):
     scenario = _scenario(name)
 
     def run():
-        return sc.replay_all(scenario, ENGINES, seed=BENCH_SEED, check=True)
+        return sc.replay_all(scenario, ENGINES, check=True)
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     entry = {

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 import pytest
-from _bench_common import BENCH_SEED, BENCH_UPDATES, once
+from _bench_common import BENCH_UPDATES, once
 
 from repro.engine.batch import Batch
 from repro.service import CoreClient, CoreServer, CoreService, ServerLimits
@@ -100,7 +100,7 @@ async def _commit_all(client, ops):
 def _run_sequential(total_commits):
     """One client, one session, one commit in flight at a time."""
     async def scenario():
-        async with CoreServer(seed=BENCH_SEED) as server:
+        async with CoreServer() as server:
             host, port = await server.start()
             client = await CoreClient.connect(host, port, session="seq")
             ops = pocket_ops(0, total_commits)
@@ -115,7 +115,7 @@ def _run_sequential(total_commits):
 def _run_multi_tenant(n_clients, commits_each):
     """N clients pipelining concurrently onto N tenant sessions."""
     async def scenario():
-        async with CoreServer(seed=BENCH_SEED) as server:
+        async with CoreServer() as server:
             host, port = await server.start()
             clients = [
                 await CoreClient.connect(host, port, session=f"s{i}")
@@ -167,7 +167,7 @@ def bench_serving_overhead_vs_facade(benchmark):
     ops = pocket_ops(0, COMMITS)
 
     def facade_side():
-        svc = CoreService.open(seed=BENCH_SEED)
+        svc = CoreService.open()
         started = time.perf_counter()
         for op in ops:
             svc.apply(Batch((kind, (u, v)) for kind, u, v in op))
@@ -177,7 +177,7 @@ def bench_serving_overhead_vs_facade(benchmark):
 
     def served_side():
         async def scenario():
-            async with CoreServer(seed=BENCH_SEED) as server:
+            async with CoreServer() as server:
                 host, port = await server.start()
                 client = await CoreClient.connect(host, port, session="t")
                 started = time.perf_counter()
@@ -220,7 +220,7 @@ def bench_event_fanout(benchmark):
     """S subscribers during a commit storm: delivery is complete."""
     async def scenario():
         limits = ServerLimits(subscriber_buffer=100_000)
-        async with CoreServer(seed=BENCH_SEED, limits=limits) as server:
+        async with CoreServer(limits=limits) as server:
             host, port = await server.start()
             client = await CoreClient.connect(host, port, session="t")
             streams = [
@@ -292,7 +292,7 @@ def bench_degraded_reads_vs_healthy(benchmark):
     n_queries = max(50, COMMITS)
 
     async def scenario():
-        async with CoreServer(seed=BENCH_SEED) as server:  # memory-only
+        async with CoreServer() as server:  # memory-only
             host, port = await server.start()
             client = await CoreClient.connect(host, port, session="t")
             for op in pocket_ops(0, COMMITS):

@@ -27,9 +27,10 @@ from pathlib import Path
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import build_engine, build_service
 from repro.bench.workloads import mixed_batch_workload
+from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
+from repro.service import CoreService
 from repro.streaming import SlidingWindowCoreMonitor
 
 #: Ops per batch in the mixed-batch replay.
@@ -71,7 +72,7 @@ def _emit_artifact():
 
 
 def _replay_raw(workload, batches):
-    engine = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+    engine = make_engine("order", workload.base_graph())
     started = time.perf_counter()
     for batch in batches:
         engine.apply_batch(batch)
@@ -79,7 +80,7 @@ def _replay_raw(workload, batches):
 
 
 def _replay_service(workload, batches, subscriber_count=0):
-    service = build_service("order", workload.base_graph(), seed=BENCH_SEED)
+    service = CoreService.open(workload.base_graph(), engine="order")
     sinks = [[] for _ in range(subscriber_count)]
     for sink in sinks:
         service.subscribe(sink.append)

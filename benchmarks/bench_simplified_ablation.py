@@ -35,8 +35,9 @@ from pathlib import Path
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import build_engine, run_batches, run_updates
+from repro.bench.runner import run_batches, run_updates
 from repro.bench.workloads import make_workload
+from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
 from repro.scenarios import make_scenario
 
@@ -116,11 +117,9 @@ def bench_simplified_insert(benchmark, dataset):
     )
 
     def run():
-        order = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+        order = make_engine("order", workload.base_graph())
         order_log = run_updates(order, workload.update_edges, "insert")
-        simplified = build_engine(
-            "order-simplified", workload.base_graph(), seed=BENCH_SEED
-        )
+        simplified = make_engine("order-simplified", workload.base_graph())
         simplified_log = run_updates(
             simplified, workload.update_edges, "insert"
         )
@@ -169,11 +168,9 @@ def bench_simplified_remove(benchmark, dataset):
     removals = list(reversed(workload.update_edges))
 
     def run():
-        order = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
+        order = make_engine("order", workload.full_graph())
         order_log = run_updates(order, removals, "remove")
-        simplified = build_engine(
-            "order-simplified", workload.full_graph(), seed=BENCH_SEED
-        )
+        simplified = make_engine("order-simplified", workload.full_graph())
         simplified_log = run_updates(simplified, removals, "remove")
         assert order.core_numbers() == simplified.core_numbers()
         return order, order_log, simplified, simplified_log
@@ -224,11 +221,9 @@ def bench_simplified_mixed_batches(benchmark):
     batches = [tick.batch for tick in scenario.ticks]
 
     def run():
-        order = build_engine("order", scenario.base_graph(), seed=BENCH_SEED)
+        order = make_engine("order", scenario.base_graph())
         order_results = run_batches(order, batches)
-        simplified = build_engine(
-            "order-simplified", scenario.base_graph(), seed=BENCH_SEED
-        )
+        simplified = make_engine("order-simplified", scenario.base_graph())
         simplified_results = run_batches(simplified, batches)
         assert order.core_numbers() == simplified.core_numbers()
         return order_results, simplified_results

@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import build_engine, build_service
 from repro.bench.workloads import mixed_batch_workload
+from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
 from repro.service import CoreService, log_stat
 
@@ -80,7 +80,7 @@ def _workload():
 
 
 def _replay_raw(workload, batches):
-    engine = build_engine("order", workload.base_graph(), seed=BENCH_SEED)
+    engine = make_engine("order", workload.base_graph())
     started = time.perf_counter()
     for batch in batches:
         engine.apply_batch(batch)
@@ -88,8 +88,8 @@ def _replay_raw(workload, batches):
 
 
 def _replay_durable(workload, batches, log, **wal_opts):
-    service = build_service(
-        "order", workload.base_graph(), seed=BENCH_SEED, log=log, **wal_opts
+    service = CoreService.open(
+        workload.base_graph(), engine="order", log=log, **wal_opts
     )
     started = time.perf_counter()
     for batch in batches:

@@ -31,9 +31,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for engine_name in ("order", "trav-2", "trav-4", "naive"):
-        svc = CoreService.open(
-            workload.base_graph(), engine=engine_name, seed=5
-        )
+        svc = CoreService.open(workload.base_graph(), engine=engine_name)
         ins = run_updates(svc.engine, workload.update_edges, "insert")
         rem = run_updates(
             svc.engine, list(reversed(workload.update_edges)), "remove"

@@ -30,7 +30,7 @@ def main() -> None:
     # The paper's engine is pinned by name here because the story below
     # is its mcd-repair amortization (the registry default is the
     # simplified engine, which has no mcd at all).
-    per_edge = CoreService.open(workload.base_graph(), engine="order", seed=13)
+    per_edge = CoreService.open(workload.base_graph(), engine="order")
     started = time.perf_counter()
     for kind, (u, v) in plan:
         op = per_edge.insert if kind == "insert" else per_edge.remove
@@ -38,7 +38,7 @@ def main() -> None:
     per_edge_seconds = time.perf_counter() - started
 
     # Batched replay: mcd repair coalesced per same-kind run.
-    batched = CoreService.open(workload.base_graph(), engine="order", seed=13)
+    batched = CoreService.open(workload.base_graph(), engine="order")
     started = time.perf_counter()
     for batch in batches:
         batched.apply(batch)

@@ -18,7 +18,7 @@ from repro.bench.workloads import make_workload
 def main() -> None:
     dataset = load_dataset("facebook", scale=0.5, seed=7)
     workload = make_workload(dataset, n_updates=1500, seed=7)
-    svc = CoreService.open(workload.base_graph(), seed=7)
+    svc = CoreService.open(workload.base_graph())
 
     # Track the most active user (highest initial coreness).
     user, coreness = svc.top(1)[0]

@@ -44,7 +44,8 @@ through the engine registry, one name per algorithm:
 * ``"naive"`` — :class:`~repro.naive.maintainer.NaiveCoreMaintainer`,
   full recomputation (oracle).
 
-New engines plug in with :func:`~repro.engine.registry.register_engine`.
+``audit=True`` is the one engine option: it runs the engine's invariant
+audit after every update.
 
 The batch pipeline
 ------------------
@@ -83,7 +84,6 @@ from repro.engine import (
     UpdateResult,
     available_engines,
     make_engine,
-    register_engine,
 )
 from repro.graphs.datasets import dataset_names, load_dataset
 from repro.graphs.temporal import TemporalEdgeStream
@@ -114,5 +114,4 @@ __all__ = [
     "korder_decomposition",
     "load_dataset",
     "make_engine",
-    "register_engine",
 ]

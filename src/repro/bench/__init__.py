@@ -18,8 +18,6 @@ from repro.bench.workloads import (
     sample_vertex_fraction,
 )
 from repro.bench.runner import (
-    build_engine,
-    build_service,
     run_batches,
     run_mixed,
     run_updates,
@@ -29,8 +27,6 @@ from repro.bench.runner import (
 __all__ = [
     "UpdateWorkload",
     "batches_from_plan",
-    "build_engine",
-    "build_service",
     "grouped_stream",
     "make_workload",
     "mixed_batch_workload",

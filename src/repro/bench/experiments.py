@@ -36,8 +36,6 @@ from repro.analysis.distributions import (
 from repro.analysis.metrics import UpdateLog
 from repro.analysis.subcore import order_core, pure_core, sub_core
 from repro.bench.runner import (
-    build_engine,
-    build_service,
     run_batches,
     run_mixed,
     run_updates,
@@ -54,8 +52,10 @@ from repro.bench.workloads import (
 from repro.core.decomposition import core_numbers, korder_decomposition
 from repro.core.korder import KOrder
 from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
+from repro.engine.registry import make_engine
 from repro.graphs.datasets import dataset_names, load_dataset
 from repro.graphs.undirected import DynamicGraph
+from repro.service import CoreService
 
 #: Traversal hop counts benchmarked in Table II / Table III.
 DEFAULT_HOPS: tuple[int, ...] = (2, 3, 4, 5, 6)
@@ -174,9 +174,9 @@ def insertion_visits(
     core changes (|V*|)."""
     dataset = load_dataset(name, scale=scale, seed=seed)
     workload = make_workload(dataset, n_updates, seed=seed)
-    trav = build_engine("trav-2", workload.base_graph(), seed=seed)
+    trav = make_engine("trav-2", workload.base_graph())
     trav_log = run_updates(trav, workload.update_edges, "insert")
-    order = build_engine("order", workload.base_graph(), seed=seed)
+    order = make_engine("order", workload.base_graph())
     order_log = run_updates(order, workload.update_edges, "insert")
     return InsertionVisitResult(
         dataset=name,
@@ -318,7 +318,7 @@ def table2(
     insert_seconds: dict[str, float] = {}
     remove_seconds: dict[str, float] = {}
     for engine_name in engines:
-        engine = build_engine(engine_name, workload.base_graph(), seed=seed)
+        engine = make_engine(engine_name, workload.base_graph())
         insert_log = run_updates(engine, workload.update_edges, "insert")
         insert_seconds[engine_name] = insert_log.total_seconds
         # Removal continues from the post-insertion state (the full graph),
@@ -353,7 +353,7 @@ def table3(
     for engine_name in ["order"] + [f"trav-{h}" for h in hops]:
         graph = DynamicGraph.from_edges(graph_edges)
         _, seconds = time_index_build(
-            lambda g, _n=engine_name: build_engine(_n, g, seed=seed), graph
+            lambda g, _n=engine_name: make_engine(_n, g), graph
         )
         build_seconds[engine_name] = seconds
     return Table3Row(name, build_seconds)
@@ -394,7 +394,7 @@ def fig11(
         sub = load_dataset(name, scale=scale, seed=seed)
         sub.edges = edges
         workload = make_workload(sub, n_updates, seed=seed)
-        engine = build_engine("order", workload.base_graph(), seed=seed)
+        engine = make_engine("order", workload.base_graph())
         log = run_updates(engine, workload.update_edges, "insert")
         return log.total_seconds
 
@@ -456,7 +456,7 @@ def fig12(
     """
     dataset = load_dataset(name, scale=scale, seed=seed)
     workload, groups = grouped_stream(dataset, n_groups, group_size, seed=seed)
-    engine = build_engine("order", workload.base_graph(), seed=seed)
+    engine = make_engine("order", workload.base_graph())
     present = list(workload.base_edges)
     group_seconds: list[float] = []
     group_changed: list[int] = []
@@ -536,11 +536,11 @@ def batch_throughput(
     )
     rows = []
     for engine_name in engines:
-        per_edge = build_engine(engine_name, workload.base_graph(), seed=seed)
+        per_edge = make_engine(engine_name, workload.base_graph())
         per_edge_log = run_mixed(per_edge, plan)
         # The batched replay goes through the service façade — the path
         # every production consumer takes (commits, receipts, events).
-        batched = build_service(engine_name, workload.base_graph(), seed=seed)
+        batched = CoreService.open(workload.base_graph(), engine=engine_name)
         results = run_batches(batched, batches)
         assert per_edge.core_numbers() == batched.cores(), (
             f"{engine_name}: batched replay diverged from per-edge replay"
@@ -594,12 +594,10 @@ def ablation_jump(
     dataset = load_dataset(name, scale=scale, seed=seed)
     workload = make_workload(dataset, n_updates, seed=seed)
 
-    jump_engine = build_engine("order", workload.base_graph(), seed=seed)
+    jump_engine = make_engine("order", workload.base_graph())
     jump_log = run_updates(jump_engine, workload.update_edges, "insert")
 
-    scan_engine = ScanningOrderedCoreMaintainer(
-        workload.base_graph(), seed=seed
-    )
+    scan_engine = ScanningOrderedCoreMaintainer(workload.base_graph())
     scan_started = time.perf_counter()
     scan_visited = 0
     for edge in workload.update_edges:

@@ -1,10 +1,10 @@
-"""Timed update replay (per-edge and batched) over service sessions.
+"""Timed update replay, per edge and batched.
 
-Engines are constructed through the service façade
-(:func:`build_service` → :class:`repro.service.CoreService`); the
-per-edge replay helpers time the paper's update algorithms directly on
-``service.engine``, while batched replays go through the façade's
-commit path.
+Callers build a bare engine with :func:`~repro.engine.registry.make_engine`
+or a session with :meth:`repro.service.CoreService.open`.  The per-edge
+replay helpers time the paper's update algorithms directly on an
+engine; batched replays accept either and go through the session's
+commit path when given one.
 """
 
 from __future__ import annotations
@@ -20,29 +20,6 @@ from repro.service import CoreService
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-
-def build_service(
-    name: str, graph: DynamicGraph, seed: int = 0, **opts
-) -> CoreService:
-    """Open a :class:`~repro.service.CoreService` session by engine name.
-
-    The bench drivers' one construction path — extra keyword options
-    (``audit``, ``log``, ``fsync``, …) pass through to
-    :meth:`CoreService.open`, which rejects the ones it does not
-    understand.
-    """
-    return CoreService.open(graph, engine=name, seed=seed, **opts)
-
-
-def build_engine(
-    name: str, graph: DynamicGraph, seed: int = 0, **opts
-) -> CoreMaintainer:
-    """Instantiate a bare maintenance engine by registry name.
-
-    Kept for per-edge measurement call sites (and their ``seed``
-    convention); equivalent to ``build_service(...).engine``.
-    """
-    return build_service(name, graph, seed=seed, **opts).engine
 
 
 def run_updates(

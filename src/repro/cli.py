@@ -288,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             dataset = load_dataset(name, scale=args.scale, seed=args.seed)
             workload = make_workload(dataset, args.updates, seed=args.seed)
             service = CoreService.open(
-                workload.base_graph(), engine=args.engine, seed=args.seed
+                workload.base_graph(), engine=args.engine
             )
             # Per-edge replay on service.engine on purpose: validate
             # exercises the paper's per-edge OrderInsert/OrderRemoval
@@ -394,7 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         async def _serve() -> int:
             async with CoreServer(
                 engine=args.engine,
-                seed=args.seed,
                 log_dir=args.log_dir,
                 fsync=args.fsync,
             ) as server:
@@ -497,9 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
         try:
-            reports = sc.replay_all(
-                scenario, engines, seed=args.seed, check=args.check
-            )
+            reports = sc.replay_all(scenario, engines, check=args.check)
         except ScenarioError as exc:
             print(f"replay: {exc}", file=sys.stderr)
             return 5

@@ -122,10 +122,10 @@ class ScanningOrderedCoreMaintainer:
 
     name = "order-scan"
 
-    def __init__(self, graph: DynamicGraph, seed: Optional[int] = 0) -> None:
+    def __init__(self, graph: DynamicGraph) -> None:
         from repro.core.maintainer import OrderedCoreMaintainer
 
-        self._inner = OrderedCoreMaintainer(graph, policy="small", seed=seed)
+        self._inner = OrderedCoreMaintainer(graph, policy="small")
         self.total_scanned = 0
 
     @property

@@ -1,12 +1,11 @@
 """The engine layer: shared interface, batch pipeline, and registry.
 
-This is the *extension* surface — implement
-:class:`~repro.engine.base.CoreMaintainer`, plug it in with
-:func:`~repro.engine.registry.register_engine`, and every consumer can
-reach it by name.  Applications should not drive engines directly:
-:class:`repro.service.CoreService` is the public entry point (sessions,
-transactions, queries, event subscriptions) and wraps any engine built
-here.
+Every engine implements :class:`~repro.engine.base.CoreMaintainer` and
+is built by name with :func:`~repro.engine.registry.make_engine`; a new
+engine is one more name in that table.  Applications should not drive
+engines directly: :class:`repro.service.CoreService` is the public
+entry point (sessions, transactions, queries, event subscriptions) and
+wraps any engine built here.
 
 What lives here:
 
@@ -17,11 +16,8 @@ What lives here:
   :class:`~repro.engine.batch.BatchResult` — the mixed insert/remove
   batch pipeline (`engine.apply_batch(batch)`);
 * :func:`~repro.engine.registry.make_engine` — build any engine by name
-  (``"order-simplified"``, ``"order"``, ``"trav-<h>"``, ``"naive"``;
-  each accepts ``seed`` and ``audit``), rejecting options the
-  engine does not understand (:func:`~repro.engine.registry.engine_options`
-  lists what each accepts); :func:`~repro.engine.registry.register_engine`
-  plugs in new ones.
+  (``"order-simplified"``, ``"order"``, ``"trav-<h>"``, ``"naive"``);
+  its one option is ``audit``.
 """
 
 from repro.engine.base import CoreMaintainer, UpdateResult
@@ -35,10 +31,8 @@ from repro.engine.batch import (
 from repro.engine.registry import (
     DEFAULT_ENGINE,
     available_engines,
-    engine_options,
     is_engine_name,
     make_engine,
-    register_engine,
 )
 
 __all__ = [
@@ -49,10 +43,8 @@ __all__ = [
     "DEFAULT_ENGINE",
     "UpdateResult",
     "available_engines",
-    "engine_options",
     "is_engine_name",
     "make_engine",
     "normalize_edge",
-    "register_engine",
     "vertex_sort_key",
 ]

@@ -64,21 +64,6 @@ class BatchError(ReproError, ValueError):
     """A :class:`repro.engine.batch.Batch` was constructed incorrectly."""
 
 
-class EngineOptionError(ReproError, TypeError):
-    """An engine factory received an option it does not understand."""
-
-    def __init__(self, engine: str, stray: tuple, accepted: tuple) -> None:
-        noun = "option" if len(stray) == 1 else "options"
-        super().__init__(
-            f"engine {engine!r} got unknown {noun} "
-            f"{', '.join(repr(s) for s in stray)}; accepted options: "
-            f"{', '.join(accepted) if accepted else '(none)'}"
-        )
-        self.engine = engine
-        self.stray = stray
-        self.accepted = accepted
-
-
 class ServiceError(ReproError, RuntimeError):
     """A :class:`repro.service.CoreService` operation was invalid."""
 

@@ -104,10 +104,8 @@ def replay(
     scenario: Scenario,
     *,
     engine: str = DEFAULT_ENGINE,
-    seed: Optional[int] = 0,
     service: Optional[CoreService] = None,
     keep_cores: bool = False,
-    **engine_opts,
 ) -> ReplayReport:
     """Replay a scenario, one service commit per tick.
 
@@ -120,9 +118,7 @@ def replay(
     """
     owned = service is None
     if owned:
-        service = CoreService.open(
-            scenario.base_graph(), engine=engine, seed=seed, **engine_opts
-        )
+        service = CoreService.open(scenario.base_graph(), engine=engine)
     report = ReplayReport(
         scenario=scenario.name, engine=service.engine_name
     )
@@ -189,15 +185,12 @@ def replay_all(
     scenario: Scenario,
     engines: Sequence[str],
     *,
-    seed: Optional[int] = 0,
     keep_cores: bool = False,
     check: bool = True,
 ) -> Dict[str, ReplayReport]:
     """Replay one scenario across several engines, agreement-checked."""
     reports = {
-        name: replay(
-            scenario, engine=name, seed=seed, keep_cores=keep_cores
-        )
+        name: replay(scenario, engine=name, keep_cores=keep_cores)
         for name in engines
     }
     if check:

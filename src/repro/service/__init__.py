@@ -26,10 +26,9 @@ The async serving front lives here too::
         await client.commit([("insert", 0, 1)])         # exactly-once
         await client.cores(replica=True)                # log-tailing replica
 
-Consumers (the CLI, the sliding-window monitor, examples, benchmark
-drivers) build engines only through this package; the engine registry
-and batch pipeline underneath (:mod:`repro.engine`) stay the extension
-surface for new engine implementations.
+Consumers (the CLI, the sliding-window monitor, examples) build engines
+through this package; the engine registry and batch pipeline underneath
+(:mod:`repro.engine`) are where engine implementations live.
 """
 
 from repro.service.client import CoreClient, EventBatch, EventStream

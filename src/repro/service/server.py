@@ -47,7 +47,9 @@ tailing — the write path is never touched.
 Primary, last-good and replica reads differ only in the core map they
 read: :func:`answer` is the one dispatcher for all three, and a
 malformed read (unknown op, missing or non-integer parameter) is a
-``BadRequest`` whichever source it targets.
+``BadRequest`` whichever source it targets.  So is a malformed request
+envelope: ``params`` that is not an object, an invalid session name, or
+a commit ``token`` that is not a string.
 
 **Event fan-out.**  ``subscribe`` streams every commit's
 :class:`~repro.service.events.CoreEvent` records to the client as framed
@@ -74,6 +76,7 @@ import asyncio
 import itertools
 import re
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -520,6 +523,15 @@ def _pairs(mapping: dict) -> list:
 _REQUIRED = object()
 
 
+def _check_session_name(name) -> None:
+    """Raise ``ServiceError`` unless ``name`` is a valid session name."""
+    if not isinstance(name, str) or not _SESSION_NAME.match(name):
+        raise ServiceError(
+            f"invalid session name {name!r}; use 1-64 characters from "
+            "[A-Za-z0-9._-]"
+        )
+
+
 def _int_param(op: str, params: dict, name: str, default=_REQUIRED,
                minimum=None):
     """Integer parameter ``name`` of request ``op``, at least ``minimum``
@@ -551,7 +563,12 @@ def answer(cores, op: str, params: dict):
     if op == "core":
         if "vertex" not in params:
             raise ServiceError("query op 'core' needs a 'vertex'")
-        return cores.get(params["vertex"])
+        vertex = params["vertex"]
+        if not isinstance(vertex, Hashable):
+            raise ServiceError(
+                f"query op 'core' needs a scalar 'vertex', got {vertex!r}"
+            )
+        return cores.get(vertex)
     if op == "cores":
         return _pairs(cores)
     if op == "top":
@@ -605,8 +622,8 @@ class CoreServer:
 
     Parameters
     ----------
-    engine / seed:
-        How new sessions build their engine (any registry name).
+    engine:
+        The registry name new sessions build their engine from.
     log_dir:
         Directory for per-session write-ahead logs (``<name>.wal``).
         With a log, sessions are durable, recoverable after a crash and
@@ -630,13 +647,11 @@ class CoreServer:
         self,
         *,
         engine: str = DEFAULT_ENGINE,
-        seed: Optional[int] = 0,
         log_dir=None,
         fsync: str = "always",
         limits: Optional[ServerLimits] = None,
     ) -> None:
         self.engine = engine
-        self.seed = seed
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.fsync = fsync
         self.limits = limits or ServerLimits()
@@ -709,11 +724,7 @@ class CoreServer:
         session = self.sessions.get(name)
         if session is not None:
             return session
-        if not _SESSION_NAME.match(name or ""):
-            raise ServiceError(
-                f"invalid session name {name!r}; use 1-64 characters from "
-                "[A-Za-z0-9._-]"
-            )
+        _check_session_name(name)
         lock = self._session_locks.setdefault(name, asyncio.Lock())
         async with lock:
             session = self.sessions.get(name)
@@ -725,18 +736,13 @@ class CoreServer:
 
     def _open_service(self, name: str) -> CoreService:
         if self.log_dir is None:
-            return CoreService.open(engine=self.engine, seed=self.seed)
+            return CoreService.open(engine=self.engine)
         self.log_dir.mkdir(parents=True, exist_ok=True)
         log = self.log_dir / f"{name}.wal"
         if log.exists():
             # Server restart: resume the tenant from its own log.
             return CoreService.recover(log, fsync=self.fsync)
-        return CoreService.open(
-            engine=self.engine,
-            seed=self.seed,
-            log=log,
-            fsync=self.fsync,
-        )
+        return CoreService.open(engine=self.engine, log=log, fsync=self.fsync)
 
     def _get_replica(self, session: TenantSession) -> LogReplica:
         if not session.recoverable:
@@ -810,14 +816,22 @@ class CoreServer:
                 req_id, protocol.ERR_BAD_REQUEST,
                 "requests need an 'id' and a 'method'",
             )
+        if not isinstance(params, dict):
+            return protocol.failure(
+                req_id, protocol.ERR_BAD_REQUEST,
+                f"'params' must be an object, got {params!r}",
+            )
         if method == "ping":
             return protocol.ok(req_id, "pong")
         if method == "server_stats":
             return protocol.ok(req_id, self.stats())
+        name = message.get("session") or "default"
         try:
-            session = await self.get_session(
-                message.get("session") or "default"
-            )
+            _check_session_name(name)
+        except ServiceError as exc:
+            return protocol.failure(req_id, protocol.ERR_BAD_REQUEST, str(exc))
+        try:
+            session = await self.get_session(name)
         except (ReproError, OSError) as exc:
             return protocol.failure(
                 req_id, protocol.ERR_INTERNAL, str(exc)
@@ -849,6 +863,10 @@ class CoreServer:
                              params: dict) -> dict:
         token = params.get("token")
         try:
+            if token is not None and not isinstance(token, str):
+                raise ServiceError(
+                    f"'commit' needs a string 'token', got {token!r}"
+                )
             deadline_ms = _int_param("commit", params, "deadline_ms", None)
         except ServiceError as exc:
             return protocol.failure(req_id, protocol.ERR_BAD_REQUEST, str(exc))
@@ -1012,7 +1030,10 @@ class CoreServer:
     def _handle_unsubscribe(self, conn: _Connection, req_id,
                             params: dict) -> dict:
         sub_id = params.get("sub")
-        subscriber = conn.subs.pop(sub_id, None)
+        subscriber = (
+            conn.subs.pop(sub_id, None) if isinstance(sub_id, Hashable)
+            else None
+        )
         if subscriber is None:
             return protocol.failure(
                 req_id, protocol.ERR_BAD_REQUEST,

@@ -101,11 +101,10 @@ class CoreService:
         graph: Union[DynamicGraph, Iterable[Edge], None] = None,
         *,
         engine: str = DEFAULT_ENGINE,
-        seed: Optional[int] = 0,
+        audit: bool = False,
         log=None,
         fsync: str = "always",
         fsync_every: Optional[int] = None,
-        **opts,
     ) -> "CoreService":
         """Open a service over ``graph`` with a registry-named engine.
 
@@ -113,8 +112,8 @@ class CoreService:
         (adopted as-is), any iterable of edges, or ``None`` for an empty
         graph.  ``engine`` is any :func:`~repro.engine.registry.make_engine`
         name (``"order-simplified"``, ``"order"``, ``"trav-<h>"``,
-        ``"naive"``); extra options (``seed``, ``audit``) go to the
-        engine factory, which rejects names it does not understand.
+        ``"naive"``); ``audit=True`` makes the engine audit its
+        invariants after every update.
 
         With ``log=path`` the session is durable: a fresh write-ahead
         commit log (:mod:`repro.service.wal`) is created at ``path`` —
@@ -134,15 +133,14 @@ class CoreService:
             graph = DynamicGraph()
         elif not isinstance(graph, DynamicGraph):
             graph = DynamicGraph(graph)
-        service = cls(make_engine(engine, graph, seed=seed, **opts))
+        service = cls(make_engine(engine, graph, audit=audit))
         if log is not None:
             from repro.service.wal import DEFAULT_FSYNC_EVERY, WriteAheadLog
 
             service._wal = WriteAheadLog.create(
                 Path(log),
                 engine=engine,
-                seed=seed,
-                opts=opts,
+                opts={"audit": audit} if audit else {},
                 fsync=fsync,
                 fsync_every=fsync_every or DEFAULT_FSYNC_EVERY,
             )

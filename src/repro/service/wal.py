@@ -22,7 +22,7 @@ frame followed by further valid records is not a torn tail; that raises
 committed history.
 
 The first record is the header (``kind: "header"``): log version, the
-engine registry name / seed / options needed to rebuild an empty engine
+engine registry name and options needed to rebuild an empty engine
 when no snapshot exists, and ``base_receipt`` — the receipt id already
 captured by the snapshot this log continues from.  Every other record
 is a commit: its receipt id plus the batch's ops.  Vertices must be
@@ -354,9 +354,11 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
     Returns ``(engine, base_receipt, from_snapshot)``.  The compaction
     snapshot next to ``log`` seeds the engine when it exists; records at
     or below ``base_receipt`` are already in it.  Otherwise an empty
-    engine is built from the header's engine name, seed and options.
-    Logs written by a retired engine name (``_RETIRED_ENGINES``) rebuild
-    on the engine it maps to, and ``_RETIRED_OPTIONS`` are dropped.
+    engine is built from the header's engine name and options.  Logs
+    written by a retired engine name (``_RETIRED_ENGINES``) rebuild on
+    the engine it maps to, ``_RETIRED_OPTIONS`` are dropped, and the
+    ``"seed"`` field older builds wrote is ignored (no engine is
+    randomized).
 
     Raises :class:`~repro.errors.LogCorruptionError` when the header
     promises a snapshot that is missing, or names an engine or option
@@ -389,9 +391,7 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
             f"unknown engine {name!r}"
         )
     try:
-        engine = make_engine(
-            name, DynamicGraph(), seed=header.get("seed", 0), **opts
-        )
+        engine = make_engine(name, DynamicGraph(), **opts)
     except (TypeError, ValueError) as exc:
         raise LogCorruptionError(
             f"commit log {str(log)!r} header field 'opts' is not "
@@ -444,7 +444,6 @@ class WriteAheadLog:
         path: PathLike,
         *,
         engine: str,
-        seed,
         opts: Optional[dict] = None,
         base_receipt: int = 0,
         fsync: str = "always",
@@ -466,7 +465,6 @@ class WriteAheadLog:
             "kind": "header",
             "version": WAL_VERSION,
             "engine": engine,
-            "seed": seed,
             "opts": dict(opts or {}),
             "base_receipt": base_receipt,
         }
@@ -662,7 +660,6 @@ def log_stat(path: PathLike) -> dict:
         "path": str(path),
         "version": header.get("version"),
         "engine": header.get("engine"),
-        "seed": header.get("seed"),
         "base_receipt": header.get("base_receipt", 0),
         "records": len(info.records),
         "last_receipt": info.last_receipt,

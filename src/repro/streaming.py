@@ -53,16 +53,13 @@ class SlidingWindowCoreMonitor:
     ----------
     window:
         Lifetime of an edge after its (re-)arrival.
-    seed:
-        Seed for engines that use randomness (ignored by the rest).
     engine:
         Registry name of the maintenance engine (default
-        :data:`~repro.engine.registry.DEFAULT_ENGINE`);
-        any extra keyword arguments are passed to the engine factory.
+        :data:`~repro.engine.registry.DEFAULT_ENGINE`).
     service:
         An already-open :class:`~repro.service.CoreService` to drive
         instead of opening one (its graph must still be edgeless — the
-        window starts empty).  Mutually exclusive with engine options.
+        window starts empty).  Mutually exclusive with ``engine``.
 
     Events must be fed in non-decreasing timestamp order via
     :meth:`observe` / :meth:`observe_many`; :meth:`advance_to` expires
@@ -74,24 +71,18 @@ class SlidingWindowCoreMonitor:
     def __init__(
         self,
         window: float,
-        seed: Optional[int] = 0,
         engine: str = DEFAULT_ENGINE,
         service: Optional[CoreService] = None,
-        **engine_opts,
     ) -> None:
         if window <= 0:
             raise WorkloadError(f"window must be positive, got {window}")
         self.window = window
         if service is None:
-            service = CoreService.open(engine=engine, seed=seed, **engine_opts)
-        elif engine != DEFAULT_ENGINE or seed != 0 or engine_opts:
+            service = CoreService.open(engine=engine)
+        elif engine != DEFAULT_ENGINE:
             # An adopted service already has its engine; silently
-            # ignoring configuration here would be exactly the option
-            # swallowing make_engine refuses.
-            raise WorkloadError(
-                "pass either service= or engine configuration "
-                "(engine/seed/engine options), not both"
-            )
+            # ignoring the name here would hide a misconfiguration.
+            raise WorkloadError("pass either service= or engine=, not both")
         elif service.graph.m:
             raise WorkloadError(
                 "the window starts empty: the adopted service already "

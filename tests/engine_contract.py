@@ -63,13 +63,16 @@ def order_family_variants() -> tuple[str, ...]:
     return order_family_engines() + POLICY_VARIANTS
 
 
-def build_engine(variant: str, graph, **opts):
+def build_engine(variant: str, graph, *, audit=False, seed=0):
     """Build ``variant`` (a name from :func:`engine_variants`) over
-    ``graph``; ``opts`` are the factory options (``seed``, ``audit``)."""
+    ``graph``.  ``seed`` drives the ``order/random`` policy's initial
+    k-order; registry names have nothing random and take only ``audit``."""
     name, _, policy = variant.partition("/")
     if policy:
-        return OrderedCoreMaintainer(graph, policy=policy, **opts)
-    return make_engine(name, graph, **opts)
+        return OrderedCoreMaintainer(
+            graph, policy=policy, seed=seed, audit=audit
+        )
+    return make_engine(name, graph, audit=audit)
 
 
 def mixed_batch_stream(rng, n_batches, batch_size, universe):

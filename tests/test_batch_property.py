@@ -79,7 +79,7 @@ def test_order_engine_batch_matches_recompute(seed, data):
     m = data.draw(st.integers(min_value=0, max_value=len(pairs)), label="m")
     base, spare = pairs[:m], pairs[m:]
     engine = make_engine(
-        "order", DynamicGraph(base, vertices=range(n)), seed=seed, audit=True
+        "order", DynamicGraph(base, vertices=range(n)), audit=True
     )
     batch = Batch()
     for edge in spare[: data.draw(st.integers(0, 12), label="inserts")]:

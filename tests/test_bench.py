@@ -4,7 +4,7 @@ reporting)."""
 import pytest
 
 from repro.bench import experiments, reporting
-from repro.bench.runner import build_engine, run_mixed, run_updates
+from repro.bench.runner import run_mixed, run_updates
 from repro.bench.workloads import (
     grouped_stream,
     interleave_removals,
@@ -13,6 +13,7 @@ from repro.bench.workloads import (
     sample_vertex_fraction,
 )
 from repro.core.decomposition import core_numbers
+from repro.engine import make_engine
 from repro.errors import WorkloadError
 from repro.graphs.datasets import load_dataset
 
@@ -98,19 +99,9 @@ class TestWorkloads:
 
 
 class TestRunner:
-    def test_build_engine_names(self, gowalla):
-        g = gowalla.graph()
-        assert build_engine("order", g.copy()).name == "order"
-        assert build_engine("trav-3", g.copy()).name == "trav-3"
-        assert build_engine("naive", g.copy()).name == "naive"
-
-    def test_build_engine_unknown(self, gowalla):
-        with pytest.raises(ValueError):
-            build_engine("quantum", gowalla.graph())
-
     def test_run_updates_insert_then_remove(self, gowalla):
         w = make_workload(gowalla, 20, seed=1)
-        engine = build_engine("order", w.base_graph())
+        engine = make_engine("order", w.base_graph())
         ins = run_updates(engine, w.update_edges, "insert")
         assert len(ins) == 20
         assert ins.total_seconds > 0
@@ -120,13 +111,13 @@ class TestRunner:
         assert engine.core_numbers() == core_numbers(w.base_graph())
 
     def test_run_updates_kind_validated(self, gowalla):
-        engine = build_engine("order", gowalla.graph())
+        engine = make_engine("order", gowalla.graph())
         with pytest.raises(ValueError):
             run_updates(engine, [], "upsert")
 
     def test_run_mixed(self, gowalla):
         w = make_workload(gowalla, 10, seed=2)
-        engine = build_engine("order", w.base_graph())
+        engine = make_engine("order", w.base_graph())
         plan = interleave_removals(
             w.base_edges, w.update_edges, p=0.5, seed=3
         )

@@ -287,7 +287,7 @@ class TestHardenedDurabilityCommands:
         from repro.service import WriteAheadLog
 
         log = tmp_path / "alias.wal"
-        wal = WriteAheadLog.create(log, engine=engine, seed=0)
+        wal = WriteAheadLog.create(log, engine=engine)
         wal.append(1, Batch.inserts([(1, 2), (2, 3), (3, 1), (3, 4)]))
         wal.close()
         code, out = run_cli(capsys, "recover", "--log", str(log), "--json")
@@ -301,7 +301,7 @@ class TestHardenedDurabilityCommands:
         from repro.service import WriteAheadLog
 
         log = tmp_path / "bogus.wal"
-        WriteAheadLog.create(log, engine="bogus", seed=0).close()
+        WriteAheadLog.create(log, engine="bogus").close()
         code = main(["recover", "--log", str(log)])
         assert code == 4
         assert "'engine'" in capsys.readouterr().err

@@ -143,8 +143,8 @@ class TestConformance:
 
     def test_batch_and_per_edge_agree_with_recompute(self, name):
         base, batches = mixed_batch_stream(random.Random(17), 3, 14, 26)
-        batched = build_engine(name, DynamicGraph(base), seed=0)
-        per_edge = build_engine(name, DynamicGraph(base), seed=0)
+        batched = build_engine(name, DynamicGraph(base))
+        per_edge = build_engine(name, DynamicGraph(base))
         for batch in batches:
             batched.apply_batch(batch)
             _apply_per_edge(per_edge, batch)
@@ -154,7 +154,7 @@ class TestConformance:
 
     def test_snapshot_round_trips_or_refuses_loudly(self, name, tmp_path):
         base, batches = mixed_batch_stream(random.Random(5), 2, 12, 22)
-        service = CoreService(build_engine(name, DynamicGraph(base), seed=0))
+        service = CoreService(build_engine(name, DynamicGraph(base)))
         service.apply(batches[0])
         path = tmp_path / "snap.json"
         try:
@@ -175,7 +175,7 @@ class TestConformance:
 
     def test_counters_omitted_not_zero_filled(self, name):
         base, batches = mixed_batch_stream(random.Random(23), 3, 14, 26)
-        engine = build_engine(name, DynamicGraph(base), seed=0)
+        engine = build_engine(name, DynamicGraph(base))
         for batch in batches:
             result = engine.apply_batch(batch)
             for key, value in result.counters.items():
@@ -223,8 +223,8 @@ def test_run_path_matches_per_edge_path(name, seed):
     batch loop."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, 2, 14, 24)
-    run_engine = build_engine(name, DynamicGraph(base), seed=0)
-    edge_engine = build_engine(name, DynamicGraph(base), seed=0)
+    run_engine = build_engine(name, DynamicGraph(base))
+    edge_engine = build_engine(name, DynamicGraph(base))
     for batch in batches:
         run_result = run_engine.apply_batch(batch)
         edge_result = _apply_per_edge(edge_engine, batch)
@@ -257,8 +257,8 @@ def test_run_path_agrees_on_homogeneous_batches(name, data):
     else:
         count = min(len(spare), data.draw(st.integers(2, 14), label="k"))
         batch = Batch.inserts(spare[:count])
-    run_engine = build_engine(name, DynamicGraph(base), seed=0)
-    edge_engine = build_engine(name, DynamicGraph(base), seed=0)
+    run_engine = build_engine(name, DynamicGraph(base))
+    edge_engine = build_engine(name, DynamicGraph(base))
     run_result = run_engine.apply_batch(batch)
     edge_result = _apply_per_edge(edge_engine, batch)
     assert run_result.changed == edge_result.changed
@@ -304,8 +304,8 @@ def test_run_path_amortizes_homogeneous_batches(name, run_kind):
             batch = Batch.removes(rng.sample(base, min(len(base), count)))
         else:
             batch = Batch.inserts(spare[: min(len(spare), count)])
-        run_engine = build_engine(name, DynamicGraph(base), seed=0)
-        edge_engine = build_engine(name, DynamicGraph(base), seed=0)
+        run_engine = build_engine(name, DynamicGraph(base))
+        edge_engine = build_engine(name, DynamicGraph(base))
         run_result = run_engine.apply_batch(batch)
         edge_result = _apply_per_edge(edge_engine, batch)
         assert run_result.changed == edge_result.changed

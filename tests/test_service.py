@@ -7,7 +7,6 @@ from repro.core.decomposition import core_numbers
 from repro.engine import DEFAULT_ENGINE
 from repro.engine.batch import Batch
 from repro.errors import (
-    EngineOptionError,
     SelfLoopError,
     ServiceError,
     TransactionError,
@@ -44,7 +43,7 @@ class TestSessionConstruction:
         assert svc.core(0) == 2
 
     def test_open_rejects_unknown_engine_option(self):
-        with pytest.raises(EngineOptionError, match="adit"):
+        with pytest.raises(TypeError, match="adit"):
             CoreService.open(TRIANGLE, adit=True)
 
     def test_constructor_adopts_existing_engine(self):
@@ -381,17 +380,16 @@ class TestMonitorIntegration:
             SlidingWindowCoreMonitor(window=5.0, service=svc)
 
     def test_monitor_rejects_service_plus_engine_config(self):
-        # Engine configuration alongside an adopted service would be
-        # silently ignored; it must raise instead.
-        for kwargs in (
-            {"engine": "naive"},
-            {"seed": 7},
-            {"audit": True},
-        ):
-            with pytest.raises(WorkloadError, match="not both"):
-                SlidingWindowCoreMonitor(
-                    window=5.0, service=CoreService.open(), **kwargs
-                )
+        # An engine name alongside an adopted service would be silently
+        # ignored; it must raise instead.
+        with pytest.raises(WorkloadError, match="not both"):
+            SlidingWindowCoreMonitor(
+                window=5.0, service=CoreService.open(), engine="naive"
+            )
+        # The monitor takes no other engine configuration at all.
+        for stray in ("seed", "audit"):
+            with pytest.raises(TypeError, match=stray):
+                SlidingWindowCoreMonitor(window=5.0, **{stray: 7})
 
     def test_monitor_stats_are_subscriber_driven(self):
         monitor = SlidingWindowCoreMonitor(window=2.0)
@@ -410,11 +408,12 @@ class TestMonitorIntegration:
 
 class TestBenchRunnerIntegration:
     def test_run_batches_accepts_services_and_engines(self):
-        from repro.bench.runner import build_engine, build_service, run_batches
+        from repro.bench.runner import run_batches
+        from repro.engine import make_engine
 
         batches = [Batch.inserts(TRIANGLE), Batch.removes([(0, 1)])]
-        engine = build_engine("order", DynamicGraph())
-        service = build_service("order", DynamicGraph())
+        engine = make_engine("order", DynamicGraph())
+        service = CoreService.open(engine="order")
         raw = run_batches(engine, batches)
         facade = run_batches(service, batches)
         assert [r.ops for r in raw] == [r.ops for r in facade] == [3, 1]

@@ -133,7 +133,7 @@ class TestBoundedSubscriptions:
         contract carries over."""
         rng = random.Random(3)
         base, batches = mixed_batch_stream(rng, 4, 15, 30)
-        svc = CoreService.open(DynamicGraph(base), engine="order", seed=3)
+        svc = CoreService.open(DynamicGraph(base), engine="order")
         captured = []
         svc.subscribe(captured.append)
         pulled = svc.subscribe(max_pending=10_000)

@@ -509,24 +509,43 @@ class TestSubscriptions:
 
 
 class TestMalformedParams:
-    """Malformed stream and commit parameters answer ``BadRequest`` at
-    the server boundary and never reach (or crash) the tenant."""
+    """Malformed request envelopes and parameters answer ``BadRequest``
+    at the server boundary and never reach (or crash) the tenant."""
 
-    @pytest.mark.parametrize("method, params", [
-        ("subscribe", {"min_k": "2"}),
-        ("subscribe", {"buffer": "x"}),
-        ("subscribe", {"buffer": -5}),
-        ("commit", {"ops": [["insert", 3, 4]], "deadline_ms": "soon"}),
-    ], ids=["min_k-str", "buffer-str", "buffer-negative", "deadline-str"])
-    def test_bad_param_is_a_bad_request(self, tmp_path, method, params):
+    @pytest.mark.parametrize("session, method, params", [
+        ("t", "subscribe", {"min_k": "2"}),
+        ("t", "subscribe", {"buffer": "x"}),
+        ("t", "subscribe", {"buffer": -5}),
+        ("t", "commit", {"ops": [["insert", 3, 4]], "deadline_ms": "soon"}),
+        ("t", "commit", [1]),
+        ("t", "query", "core"),
+        (5, "status", {}),
+        ("a b", "status", {}),
+        ("t", "commit", {"ops": [["insert", 3, 4]], "token": [1]}),
+        ("t", "query", {"op": "core", "vertex": [1, 2]}),
+        ("t", "query", {"op": "core", "vertex": [1], "replica": True}),
+        ("t", "unsubscribe", {"sub": [1]}),
+    ], ids=["min_k-str", "buffer-str", "buffer-negative", "deadline-str",
+            "params-list", "params-str", "session-int", "session-invalid",
+            "token-list", "vertex-list", "replica-vertex-list", "sub-list"])
+    def test_bad_param_is_a_bad_request(
+        self, tmp_path, session, method, params
+    ):
         async def scenario():
             async with CoreServer(log_dir=tmp_path) as server:
                 host, port = await server.start()
                 client = await CoreClient.connect(host, port, session="t")
                 await client.commit(TRIANGLE)
+                # A live subscription, so a bad unsubscribe id meets a
+                # non-empty table.
+                await client.subscribe()
+                client.session = session
                 with pytest.raises(RemoteError) as info:
-                    await client._request(method, params)
+                    # Bounded: a request the server drops unanswered
+                    # must fail here, not hang the suite.
+                    await asyncio.wait_for(client._request(method, params), 10)
                 assert info.value.err_type == "BadRequest"
+                client.session = "t"
                 # The tenant is untouched: the next commit lands and
                 # nothing crashed.
                 summary = await client.commit([("insert", 0, 3)])

@@ -131,7 +131,6 @@ def test_simplified_matches_recompute(seed, data):
     engine = make_engine(
         "order-simplified",
         DynamicGraph(base, vertices=range(n)),
-        seed=seed,
         audit=True,
     )
     batch = Batch()

@@ -29,7 +29,6 @@ TRIANGLE = [(1, 2), (2, 3), (3, 1)]
 
 def make_log(path, **kwargs):
     kwargs.setdefault("engine", "order")
-    kwargs.setdefault("seed", 0)
     return WriteAheadLog.create(path, **kwargs)
 
 
@@ -185,12 +184,12 @@ class TestWriteAheadLog:
 
     def test_log_stat_fields(self, tmp_path):
         log = tmp_path / "s.wal"
-        wal = make_log(log, fsync="never", seed=7)
+        wal = make_log(log, fsync="never")
         wal.append(1, Batch().insert(1, 2))
         wal.close()
         stat = log_stat(log)
         assert stat["engine"] == "order"
-        assert stat["seed"] == 7
+        assert "seed" not in stat and "seed" not in scan(log).header
         assert stat["version"] == WAL_VERSION
         assert stat["records"] == 1
         assert stat["last_receipt"] == 1
@@ -294,7 +293,8 @@ class TestDurableSession:
          ({"engine": "order-sharded", "opts": {"engine": "bogus"}},
           "'engine'"),
          ({"engine": "order-treap-large"}, "'engine'"),
-         ({"engine": ["order"]}, "'engine'")],
+         ({"engine": ["order"]}, "'engine'"),
+         ({"seed": 7, "opts": {"audit": False, "turbo": 1}}, "'opts'")],
     )
     def test_unknown_header_engine_or_option_is_corruption(
         self, tmp_path, header, field
@@ -302,11 +302,60 @@ class TestDurableSession:
         from repro.service import LogReplica
 
         log = tmp_path / "s.wal"
-        make_log(log, **header).close()
+        make_log(log).close()
+        self.rewrite_header(log, **header)
         with pytest.raises(LogCorruptionError, match=field):
             CoreService.recover(log)
         with pytest.raises(LogCorruptionError, match=field):
             LogReplica(log)
+
+    def test_audit_is_logged_and_recovered(self, tmp_path):
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(engine="order", audit=True, log=log)
+        assert svc.engine._audit
+        self.commit(svc, (1, 2), (2, 3), (3, 1))
+        svc.close()
+        assert scan(log).header["opts"] == {"audit": True}
+        rec = CoreService.recover(log)
+        assert rec.engine._audit
+        assert rec.cores() == {1: 2, 2: 2, 3: 2}
+        rec.close()
+
+    @staticmethod
+    def rewrite_header(log, **fields):
+        """Re-frame ``log``'s header with ``fields`` set, leaving every
+        commit record after it as it was."""
+        from repro.service.wal import read_header
+
+        header = read_header(log)
+        header.update(fields)
+        records = log.read_bytes().split(b"\n", 1)[1]
+        log.write_bytes(_frame(json.dumps(header).encode()) + records)
+
+    @pytest.mark.parametrize("compacted", [False, True],
+                             ids=["log-only", "snapshot"])
+    def test_seeded_header_from_older_builds_recovers(
+        self, tmp_path, compacted
+    ):
+        """Older builds wrote an engine ``"seed"`` (which no engine read)
+        and spelled ``opts`` out; recovery ignores the seed."""
+        from repro.service import LogReplica
+
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(log=log, fsync="never")
+        self.commit(svc, (1, 2), (2, 3), (3, 1))
+        if compacted:
+            svc.compact()
+        self.commit(svc, (3, 4), (4, 1), (4, 2))
+        expected = svc.cores()
+        svc.close()
+        self.rewrite_header(log, seed=7, opts={"audit": False})
+        rec = CoreService.recover(log)
+        assert rec.recovery.from_snapshot == compacted
+        assert rec.cores() == expected
+        rec.engine.check()
+        assert dict(LogReplica(log).engine.core) == expected
+        rec.close()
 
     @pytest.mark.parametrize("engine", ["order", "order-simplified"])
     def test_snapshot_naming_the_treap_backend_recovers(
@@ -512,7 +561,7 @@ class TestTokensAndTailing:
         from repro.service.wal import read_header
 
         log = tmp_path / "s.wal"
-        make_log(log, engine="order-simplified", seed=7).close()
+        make_log(log, engine="order-simplified").close()
         assert read_header(log) == scan(log).header
 
     def test_read_header_rejects_garbage(self, tmp_path):
