@@ -1,10 +1,15 @@
 """Batch-native removal runs vs the per-edge loop.
 
 The removal-side claim of the batch pipeline: a window-expiry batch of E
-edges performs O(1) targeted ``mcd`` passes per *run* (the joint cascade
-keeps ``mcd`` incrementally exact) instead of one refresh per edge, and
-that shows up as wall-clock wins.  Each bench asserts the counter collapse outright and the wall-clock win at
-meaningful stream lengths (tiny CI smoke scales only record it).
+edges runs one joint cascade per affected level instead of one cascade
+per edge, and that shows up as wall-clock wins.  Both paths keep ``mcd``
+incrementally exact inside the cascade and charge one recomputation per
+demotion, so on pure removals their ``mcd_recomputations`` agree
+exactly; on a mixed stream the batched side still charges less, because
+its insertion runs coalesce their ``mcd`` repair.  Each bench asserts
+the counters outright and the wall-clock win at meaningful stream
+lengths (tiny CI smoke scales only record it), on the median of
+``WALL_CLOCK_ROUNDS`` paired rounds.
 
 Besides ``benchmark.extra_info``, every bench appends a record to a
 ``BENCH_batch_removal.json`` artifact (ops/sec plus the per-run
@@ -14,6 +19,7 @@ set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 
 import json
 import os
+import statistics
 from pathlib import Path
 
 import pytest
@@ -30,6 +36,9 @@ WINDOW = int(os.environ.get("REPRO_BENCH_WINDOW", "50"))
 #: Below this many update edges, wall-clock asserts are skipped (CI
 #: smoke runs are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
+#: Paired (per-edge, batched) rounds behind each wall-clock assert; the
+#: medians are compared, so one noisy ~10 ms round cannot decide it.
+WALL_CLOCK_ROUNDS = 9
 
 _RECORDS: list[dict] = []
 
@@ -78,6 +87,26 @@ def _record(name, ops, per_edge_s, batched_s, per_edge_mcd, batched_mcd,
     return entry
 
 
+def _seconds(log, results):
+    """(per-edge, batched) seconds of one paired round."""
+    return log.total_seconds, sum(r.seconds for r in results)
+
+
+def _assert_batched_wins(run, first):
+    """Re-run ``run`` for the remaining paired rounds (``first`` is the
+    measured one) and compare the per-side medians."""
+    rounds = [first]
+    for _ in range(WALL_CLOCK_ROUNDS - 1):
+        _, log, _, results = run()
+        rounds.append(_seconds(log, results))
+    per_edge_s = statistics.median(r[0] for r in rounds)
+    batched_s = statistics.median(r[1] for r in rounds)
+    assert batched_s < per_edge_s, (
+        f"batch-native removal should beat the per-edge loop: "
+        f"median {batched_s:.3f}s vs {per_edge_s:.3f}s"
+    )
+
+
 def bench_window_expiry_removal_runs(benchmark):
     """Window expiry: bulk deletions, the workload the run coalesces."""
     dataset = load_dataset("gowalla", scale=BENCH_SCALE, seed=BENCH_SEED)
@@ -97,23 +126,18 @@ def bench_window_expiry_removal_runs(benchmark):
         return per_edge, log, batched, results
 
     per_edge, log, batched, results = once(benchmark, run)
-    batched_seconds = sum(r.seconds for r in results)
+    per_edge_seconds, batched_seconds = _seconds(log, results)
     entry = _record(
         "window_expiry", len(victims),
-        log.total_seconds, batched_seconds,
+        per_edge_seconds, batched_seconds,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=len(windows),
     )
     benchmark.extra_info.update(entry)
-    # The headline counter collapse: per-edge refreshes ~2+|V*| vertices
-    # per edge; the joint cascade recomputes only demoted vertices.
-    if victims:
-        assert batched.mcd_recomputations < per_edge.mcd_recomputations
+    # Both paths recompute mcd once per demoted vertex, nothing else.
+    assert batched.mcd_recomputations == per_edge.mcd_recomputations
     if len(victims) >= WALL_CLOCK_MIN_OPS:
-        assert batched_seconds < log.total_seconds, (
-            f"batch-native removal should beat the per-edge loop: "
-            f"{batched_seconds:.3f}s vs {log.total_seconds:.3f}s"
-        )
+        _assert_batched_wins(run, (per_edge_seconds, batched_seconds))
 
 
 def bench_mixed_stream_with_removal_runs(benchmark):
@@ -132,16 +156,17 @@ def bench_mixed_stream_with_removal_runs(benchmark):
         return per_edge, log, batched, results
 
     per_edge, log, batched, results = once(benchmark, run)
-    batched_seconds = sum(r.seconds for r in results)
+    per_edge_seconds, batched_seconds = _seconds(log, results)
     removal_runs = sum(1 for r in results if r.removes)
     entry = _record(
         "mixed_stream", len(plan),
-        log.total_seconds, batched_seconds,
+        per_edge_seconds, batched_seconds,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=removal_runs,
     )
     benchmark.extra_info.update(entry)
-    if any(r.removes for r in results):
+    if any(r.inserts for r in results):
+        # Only the insertion runs' coalesced repair can save mcd work.
         assert batched.mcd_recomputations < per_edge.mcd_recomputations
     if len(plan) >= WALL_CLOCK_MIN_OPS:
-        assert batched_seconds < log.total_seconds
+        _assert_batched_wins(run, (per_edge_seconds, batched_seconds))

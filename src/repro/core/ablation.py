@@ -13,6 +13,10 @@ strategy differs: the candidate heap is kept as a *live set* for the
 termination test but never used to jump.  The extra return value
 ``scanned`` counts sequential steps, so ``scanned - visited`` is exactly
 the work the jump heap eliminates.
+
+:class:`ScanningOrderedCoreMaintainer` is the ``order`` engine with this
+scan swapped in for its insertion runs; removals, ``mcd`` upkeep,
+vertex bookkeeping and the audit are the ``order`` engine's own.
 ``benchmarks/bench_ablation_jump.py`` reports the comparison.
 """
 
@@ -22,6 +26,7 @@ from typing import Hashable, Optional
 
 from repro.core.insertion import _SETTLED, _VC, _remove_candidates
 from repro.core.korder import KOrder
+from repro.core.maintainer import OrderedCoreMaintainer
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.heaps import LazyMinHeap
 
@@ -34,12 +39,12 @@ def order_insert_scan(
     core: dict[Vertex, int],
     u: Vertex,
     v: Vertex,
-) -> tuple[list[Vertex], int, int, int]:
+) -> tuple[list[Vertex], int, int, int, int]:
     """Insert ``(u, v)`` with a sequential ``O_K`` scan (no jumps).
 
-    Returns ``(v_star, K, visited, scanned)`` — ``visited`` matches the
-    jump implementation's ``|V+|``; ``scanned`` additionally counts every
-    Case-2a vertex stepped over one at a time.
+    Returns ``(v_star, K, visited, evicted, scanned)`` — the first four
+    match :func:`~repro.core.insertion.order_insert`'s; ``scanned``
+    additionally counts every Case-2a vertex stepped over one at a time.
     """
     graph.add_edge(u, v)
     if core[u] > core[v] or (core[u] == core[v] and korder.precedes(v, u)):
@@ -47,7 +52,7 @@ def order_insert_scan(
     K = core[u]
     korder.deg_plus[u] += 1
     if korder.deg_plus[u] <= K:
-        return [], K, 0, 0
+        return [], K, 0, 0, 0
 
     block = korder.block(K)
     deg_plus = korder.deg_plus
@@ -104,58 +109,31 @@ def order_insert_scan(
             break
 
     v_star = [w for w in vc_order if status[w] == _VC]
+    evicted = len(vc_order) - len(v_star)
     if v_star:
         for w in v_star:
             core[w] = K + 1
             korder.remove(w)
         korder.prepend_chain(K + 1, v_star)
-    return v_star, K, visited, scanned
+    return v_star, K, visited, evicted, scanned
 
 
-class ScanningOrderedCoreMaintainer:
-    """A thin engine wrapper around :func:`order_insert_scan` for benches.
+class ScanningOrderedCoreMaintainer(OrderedCoreMaintainer):
+    """The ``order`` engine with :func:`order_insert_scan` as its
+    insertion scan, for the jump ablation.
 
-    Removals delegate to the production ``OrderRemoval``; only insertions
-    differ.  Exposes ``total_scanned`` so the ablation can report how many
+    Exposes ``total_scanned`` so the ablation can report how many
     sequential steps the jump heap would have skipped.
     """
 
     name = "order-scan"
 
-    def __init__(self, graph: DynamicGraph) -> None:
-        from repro.core.maintainer import OrderedCoreMaintainer
+    #: Sequential steps taken by every scan so far.
+    total_scanned = 0
 
-        self._inner = OrderedCoreMaintainer(graph, policy="small")
-        self.total_scanned = 0
-
-    @property
-    def graph(self) -> DynamicGraph:
-        return self._inner.graph
-
-    @property
-    def core(self):
-        return self._inner.core
-
-    def core_numbers(self):
-        return self._inner.core_numbers()
-
-    def insert_edge(self, u: Vertex, v: Vertex):
-        from repro.engine.base import UpdateResult
-
-        inner = self._inner
-        for endpoint in (u, v):
-            if not inner.graph.has_vertex(endpoint):
-                inner.graph.add_vertex(endpoint)
-                inner._register_vertex(endpoint)
-        v_star, k, visited, scanned = order_insert_scan(
-            inner.graph, inner.korder, inner._core, u, v
+    def _order_insert(self, graph, korder, core, u, v):
+        v_star, k, visited, evicted, scanned = order_insert_scan(
+            graph, korder, core, u, v
         )
         self.total_scanned += scanned
-        inner._refresh_mcd(v_star, (u, v), k + 1)
-        return UpdateResult("insert", (u, v), k, tuple(v_star), visited)
-
-    def remove_edge(self, u: Vertex, v: Vertex):
-        return self._inner.remove_edge(u, v)
-
-    def check(self) -> None:
-        self._inner.check()
+        return v_star, k, visited, evicted

@@ -2,22 +2,27 @@
 
 :class:`OrderFamilyMaintainer` holds the index both order-family engines
 share — core numbers, the k-order with ``deg+``, and ``mcd`` — with its
-accessors, vertex bookkeeping, snapshot-restore constructor and audit.
-Both engines commit batches through the run hooks of
-:meth:`repro.engine.base.CoreMaintainer.apply_batch`, and a per-edge
-insert is a one-edge insertion run.
-:class:`OrderedCoreMaintainer`, the paper's engine, glues together:
+accessors, vertex bookkeeping, snapshot-restore constructor and audit,
+and it owns the whole removal path: a per-edge ``OrderRemoval``
+(Algorithm 4) is :func:`repro.core.removal.detach_edge` followed by one
+:func:`repro.core.removal.demote_level` cascade seeded with the edge's
+roots, and a removal run goes through
+:func:`repro.core.removal.order_remove_run` (one joint cascade per
+``K``-level).  Both keep ``mcd`` exact incrementally, so no repair pass
+follows a removal.  Both engines commit batches through the run hooks
+of :meth:`repro.engine.base.CoreMaintainer.apply_batch`, and a per-edge
+insert is a one-edge insertion run; the engines differ only in that
+insertion run and in the counter they charge.
+
+:class:`OrderedCoreMaintainer`, the paper's engine, adds:
 
 * the static k-order decomposition (Section VI generation heuristics);
-* :func:`repro.core.insertion.order_insert` (Algorithms 2-3);
-* :func:`repro.core.removal.order_remove` (Algorithm 4) for per-edge
-  removals and :func:`repro.core.removal.order_remove_run` for
-  batch-native removal runs (one joint cascade per ``K``-level,
-  incremental ``mcd``);
-* ``mcd`` upkeep — the order-based algorithm still maintains max-core
-  degrees because the removal cascade bounds ``cd`` with them (the paper's
-  Algorithm 2 line 33 / Algorithm 4 line 15), but crucially it does *not*
-  maintain ``pcd``, whose 2-hop upkeep dominates the traversal algorithm.
+* :func:`repro.core.insertion.order_insert` (Algorithms 2-3) with one
+  coalesced boundary ``mcd`` repair per insertion run — the order-based
+  algorithm still maintains max-core degrees because the removal
+  cascade bounds ``cd`` with them (the paper's Algorithm 2 line 33 /
+  Algorithm 4 line 15), but crucially it does *not* maintain ``pcd``,
+  whose 2-hop upkeep dominates the traversal algorithm.
 
 Example
 -------
@@ -34,12 +39,13 @@ Example
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import Hashable, Iterable, Mapping, Optional
 
 from repro.core.decomposition import compute_mcd, korder_decomposition
 from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
-from repro.core.removal import order_remove, order_remove_run
+from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
 from repro.engine.batch import RemovalRunResult
 from repro.errors import InvariantViolationError
@@ -54,9 +60,11 @@ class OrderFamilyMaintainer(CoreMaintainer):
     Both engines hold the same index — core numbers, the k-order (whose
     blocks carry the paper's ``deg+``) and the max-core degrees ``mcd``
     — and run the same kernel: :func:`~repro.core.insertion.order_insert`
-    and the :mod:`repro.core.removal` cascades.  They differ only in the
-    ``mcd`` upkeep around that kernel and in the counter they charge it
-    to (:class:`OrderedCoreMaintainer`: ``mcd_recomputations``;
+    and the :mod:`repro.core.removal` cascades.  Removals are defined
+    here once; the engines differ only in the ``mcd`` upkeep around an
+    insertion run (``_insert_run``) and in the counter they charge
+    (:meth:`_charge_removal`; :class:`OrderedCoreMaintainer`:
+    ``mcd_recomputations``;
     :class:`~repro.core.simplified.SimplifiedCoreMaintainer`:
     ``candidate_visits``).
 
@@ -166,6 +174,39 @@ class OrderFamilyMaintainer(CoreMaintainer):
         """OrderInsert: insert ``(u, v)`` as a one-edge insertion run."""
         return self._insert_run([(u, v)])[0]
 
+    def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
+        """OrderRemoval: remove ``(u, v)``, then one level-``K`` cascade
+        seeded with the edge's roots (one edge demotes by at most one
+        level, Theorem 3.1); cores, k-order and ``mcd`` end exact."""
+        graph, core, mcd = self._graph, self._core, self._mcd
+        cu, cv = detach_edge(graph, self.korder, core, mcd, u, v)
+        K = min(cu, cv)
+        roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
+        v_star, visited = demote_level(
+            graph, self.korder, core, mcd, K, roots
+        )
+        self._charge_removal(len(v_star), visited)
+        if self._audit:
+            self.check()
+        return UpdateResult("remove", (u, v), K, tuple(v_star), visited)
+
+    def _remove_run(self, edges) -> RemovalRunResult:
+        """Remove a run of edges through the batch-native joint cascade
+        (:func:`~repro.core.removal.order_remove_run`)."""
+        run = order_remove_run(
+            self._graph, self.korder, self._core, self._mcd, edges
+        )
+        self._charge_removal(run.recomputed, run.visited)
+        if self._audit:
+            self.check()
+        return run
+
+    @abstractmethod
+    def _charge_removal(self, demoted: int, visited: int) -> None:
+        """Fold one removal's cost into the engine's counter: ``demoted``
+        vertices (each had its ``mcd`` recomputed in the cascade) and
+        ``visited`` examined ``mcd`` bounds."""
+
     # ------------------------------------------------------------------
     # Vertices
     # ------------------------------------------------------------------
@@ -212,10 +253,10 @@ class OrderFamilyMaintainer(CoreMaintainer):
 class OrderedCoreMaintainer(OrderFamilyMaintainer):
     """Dynamic core maintenance via an explicitly maintained k-order.
 
-    The paper's engine: after each update a targeted ``mcd`` repair pass
-    runs over the changed vertices' neighborhoods, charged as
-    ``mcd_recomputations`` — once per insertion run (a per-edge insert
-    is a one-edge run) and once per removed edge (:meth:`_refresh_mcd`).
+    The paper's engine: after each insertion run a targeted ``mcd``
+    repair pass runs over the changed vertices' neighborhoods (a
+    per-edge insert is a one-edge run).  ``mcd_recomputations`` charges
+    that pass and, for removals, one recomputation per demoted vertex.
     Parameters are those of :class:`OrderFamilyMaintainer`.
     """
 
@@ -226,15 +267,13 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     #: restored from snapshots (which bypass ``__init__``) start at 0 too.
     mcd_recomputations = 0
 
-    def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
-        """OrderRemoval: remove ``(u, v)``, repair cores, k-order and mcd."""
-        v_star, k, visited = order_remove(
-            self._graph, self.korder, self._core, self._mcd, u, v
-        )
-        self._refresh_mcd(v_star, (u, v), k)
-        if self._audit:
-            self.check()
-        return UpdateResult("remove", (u, v), k, tuple(v_star), visited)
+    #: The insertion scan; the jump ablation
+    #: (:class:`~repro.core.ablation.ScanningOrderedCoreMaintainer`)
+    #: swaps in a sequential one.
+    _order_insert = staticmethod(order_insert)
+
+    def _charge_removal(self, demoted: int, visited: int) -> None:
+        self.mcd_recomputations += demoted
 
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation (sequence stats + ``mcd`` repairs)."""
@@ -260,7 +299,7 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
                     if not graph.has_vertex(endpoint):
                         graph.add_vertex(endpoint)
                         self._register_vertex(endpoint)
-                v_star, k, visited, evicted = order_insert(
+                v_star, k, visited, evicted = self._order_insert(
                     graph, self.korder, core, u, v
                 )
                 for w in v_star:
@@ -294,59 +333,3 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
         if self._audit:
             self.check()
         return results
-
-    def _remove_run(self, edges) -> RemovalRunResult:
-        """Remove a run of edges through the batch-native joint cascade.
-
-        ``mcd`` is maintained incrementally inside
-        :func:`~repro.core.removal.order_remove_run`, so the run charges
-        exactly one targeted recomputation per demotion (one pass over
-        the run's disposed set) instead of the per-edge path's
-        ``V* + endpoints`` refresh for every edge.
-        """
-        run = order_remove_run(
-            self._graph, self.korder, self._core, self._mcd, edges
-        )
-        self.mcd_recomputations += run.recomputed
-        if self._audit:
-            self.check()
-        return run
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _refresh_mcd(
-        self,
-        changed: list[Vertex],
-        endpoints: tuple[Vertex, Vertex],
-        crossing_level: int,
-    ) -> None:
-        """Repair ``mcd`` after one per-edge update (removals here, and
-        the jump ablation's insertions).
-
-        ``V*`` members and the edge endpoints are recomputed from scratch
-        (their own core or adjacency changed).  For any other neighbor
-        ``z`` of a ``V*`` member, the member's core crossed ``core(z)``
-        exactly when ``core(z) == crossing_level`` — ``K+1`` for inserts
-        (the member rose from below ``z`` to its level), ``K`` for removals
-        (the member fell from ``z``'s level to below it).
-        """
-        graph = self._graph
-        core = self._core
-        mcd = self._mcd
-        recomputed = set(changed)
-        recomputed.update(endpoints)
-        for w in recomputed:
-            cw = core[w]
-            mcd[w] = sum(1 for x in graph.adj[w] if core[x] >= cw)
-        self.mcd_recomputations += len(recomputed)
-        if not changed:
-            return
-        delta = 1 if core[changed[0]] == crossing_level else -1
-        for w in changed:
-            for z in graph.adj[w]:
-                if z in recomputed:
-                    continue
-                if core[z] == crossing_level:
-                    mcd[z] += delta

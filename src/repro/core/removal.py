@@ -1,9 +1,9 @@
 """``OrderRemoval`` — Algorithm 4 of the paper — and its batch-native run.
 
-Finding ``V*`` reuses the traversal-removal cascade: initialize
-``cd(w) = mcd(w)`` lazily for touched vertices and repeatedly dispose of
-core-``K`` vertices whose ``cd`` dropped below ``K`` (they cannot stay in
-the ``K``-core).  That part is already cheap — ``O(sum deg over V*)``.
+Finding ``V*`` reuses the traversal-removal cascade: repeatedly dispose
+of core-``K`` vertices whose ``mcd`` bound dropped below ``K`` (they
+cannot stay in the ``K``-core).  That part is already cheap —
+``O(sum deg over V*)``.
 
 The paper's gain on removals is the *index* repair: instead of the 2-hop
 ``pcd`` maintenance of the traversal algorithm, only the k-order is
@@ -13,35 +13,33 @@ each still-core-``K`` neighbor that preceded it loses one ``deg+`` unit
 (the vertex jumped from after them to before them).  Vertices already in
 ``O_{K-1}`` are unaffected (the newcomers land *behind* them).
 
-Two entry points share that repair:
+The building blocks:
 
-* :func:`order_remove` — the per-edge Algorithm 4.  It consumes the
-  maintained ``mcd`` as cascade bounds and leaves the final ``mcd``
-  refresh of the touched neighborhoods to the caller (the maintainer's
-  ``_refresh_mcd``), which costs one recomputation pass *per edge*.
-* :func:`order_remove_run` — the batch-native run (in the spirit of Guo &
-  Sekerinski 2022's simplified order-based variants).  All edges of a
-  removal run leave the graph up front (``deg+`` and the early ``mcd``
-  decrements of Algorithm 4 lines 3-4 applied as they go); then one joint
-  ``V*`` cascade runs per affected ``K``-level, highest level first,
-  seeded with *every* sub-threshold root of that level at once, so
-  overlapping neighborhoods are walked once per run instead of once per
-  edge.  Crucially the cascade keeps ``mcd`` exact *incrementally*: a
+* :func:`detach_edge` — the edge leaves the graph with its O(1) index
+  upkeep (``deg+`` and the early ``mcd`` decrements of Algorithm 4
+  lines 3-4).
+* :func:`demote_level` — one joint ``V*`` cascade at level ``K`` and its
+  k-order repair.  The cascade keeps ``mcd`` exact *incrementally*: a
   demotion ``K -> K-1`` decrements ``mcd`` of the core-``K`` neighbors
   (the only ones that lose a qualifying neighbor) and recomputes the
   demoted vertex's own ``mcd`` during the adjacency scan the cascade
-  already pays for.  No per-edge ``mcd`` refresh remains — the run
-  charges exactly one targeted recomputation per *demotion* (the
-  ``recomputed`` field, which the maintainer folds into its
-  ``mcd_recomputations`` counter).  It returns a
-  :class:`~repro.engine.batch.RemovalRunResult`, the type every engine's
-  removal-run hook hands to
+  already pays for, so no refresh pass follows.
+* :func:`order_remove_run` — the batch-native run (in the spirit of
+  Guo & Sekerinski 2022's simplified order-based variants).  All edges
+  of a removal run are detached up front; then one :func:`demote_level`
+  runs per affected ``K``-level, highest level first, seeded with
+  *every* sub-threshold root of that level at once, so overlapping
+  neighborhoods are walked once per run instead of once per edge.  It
+  returns a :class:`~repro.engine.batch.RemovalRunResult`, the type
+  every engine's removal-run hook hands to
   :meth:`~repro.engine.base.CoreMaintainer.apply_batch`.
 
-The run's per-level body is :func:`demote_level` (joint cascade with
-incremental ``mcd``, then the k-order repair).  It is also the simplified
-engine's per-edge removal: seeded with the edge's roots, one level
-suffices because a single edge demotes by at most one (Theorem 3.1).
+A per-edge removal
+(:meth:`repro.core.maintainer.OrderFamilyMaintainer.remove_edge`) is
+:func:`detach_edge` followed by one :func:`demote_level` seeded with the
+edge's roots: one level suffices because a single edge demotes by at
+most one (Theorem 3.1).  Either path charges one ``mcd`` recomputation
+per demotion.
 
 Processing levels in descending order is sound because a level-``K``
 cascade can only create new sub-threshold vertices at level ``K`` (its
@@ -92,66 +90,6 @@ def detach_edge(
     return cu, cv
 
 
-def order_remove(
-    graph: DynamicGraph,
-    korder: KOrder,
-    core: dict[Vertex, int],
-    mcd: dict[Vertex, int],
-    u: Vertex,
-    v: Vertex,
-) -> tuple[list[Vertex], int, int]:
-    """Remove ``(u, v)`` and repair ``core`` and ``korder``.
-
-    ``mcd`` must be the maintained max-core degrees; this function applies
-    the paper's early endpoint decrements (Algorithm 4 lines 3-4) so the
-    cascade sees correct bounds, but the caller performs the final ``mcd``
-    refresh for ``V*`` neighborhoods.
-
-    Returns ``(v_star, K, visited)`` with ``v_star`` in disposal order and
-    ``visited`` the number of vertices whose ``cd`` was materialized.
-    """
-    cu, cv = detach_edge(graph, korder, core, mcd, u, v)
-    K = min(cu, cv)
-
-    # Find V* with the traversal-removal cascade (Section IV-B).
-    if cu < cv:
-        roots = (u,)
-    elif cv < cu:
-        roots = (v,)
-    else:
-        roots = (u, v)
-    cd: dict[Vertex, int] = {}
-    queued: set[Vertex] = set()
-    stack: list[Vertex] = []
-    for root in roots:
-        cd[root] = mcd[root]
-        if cd[root] < K:
-            stack.append(root)
-            queued.add(root)
-    disposed: list[Vertex] = []
-    while stack:
-        w = stack.pop()
-        disposed.append(w)
-        core[w] = K - 1
-        for z in graph.adj[w]:
-            if core.get(z) != K:
-                continue
-            bound = cd.get(z)
-            if bound is None:
-                bound = mcd[z]
-            bound -= 1
-            cd[z] = bound
-            if bound < K and z not in queued:
-                stack.append(z)
-                queued.add(z)
-
-    # Repair the k-order: move V* members to the tail of O_{K-1}.
-    if disposed:
-        _repair_level(graph, korder, core, K, disposed)
-
-    return disposed, K, len(cd)
-
-
 def _repair_level(
     graph: DynamicGraph,
     korder: KOrder,
@@ -160,7 +98,7 @@ def _repair_level(
     disposed: list[Vertex],
 ) -> None:
     """Move a level's ``V*`` to the tail of ``O_{K-1}`` in disposal order
-    (Theorem 5.3) — the repair shared by the per-edge and run paths.
+    (Theorem 5.3).
 
     Each mover's ``deg+`` is recomputed from its neighborhood (stayers
     plus later-disposed members, which land behind it); every
@@ -250,10 +188,7 @@ def order_remove_run(
     edges: Iterable[Edge],
 ) -> RemovalRunResult:
     """Remove a whole run of ``edges`` and repair ``core``, ``korder``
-    and ``mcd`` — the batch-native counterpart of :func:`order_remove`.
-
-    Unlike the per-edge path, ``mcd`` is maintained *incrementally* and is
-    exact when the call returns; the caller performs no refresh.  If an
+    and ``mcd``; ``mcd`` is exact when the call returns.  If an
     edge is invalid (absent from the graph), the run raises after first
     completing the cascades for the edges that did land, so the index
     stays fully consistent with the partially-updated graph.

@@ -34,18 +34,17 @@ runs unchanged, and after it the engine pays only O(1) endpoint upkeep
 plus one adjacency pass per promoted vertex (recompute its ``mcd``; each
 old ``O_{K+1}`` neighbor gains one).  The ``order`` engine instead
 recomputes ``mcd`` of the endpoints and of ``V*`` from scratch after
-every update (its ``mcd_recomputations``).
+every insertion run (its ``mcd_recomputations``).
 
-Removals — per edge and per run — go through
-:func:`~repro.core.removal.demote_level`, whose cascade keeps ``mcd``
+Removals — per edge and per run — are
+:class:`~repro.core.maintainer.OrderFamilyMaintainer`'s, shared with the
+``order`` engine: :func:`~repro.core.removal.demote_level` keeps ``mcd``
 exact incrementally (stayers decremented, each mover recomputed in the
 adjacency scan the cascade already pays for), so no refresh pass follows.
-The per-edge path seeds it with the edge's roots; removal runs go through
-:func:`~repro.core.removal.order_remove_run`.  What remains chargeable
-is the candidate scan itself, reported as ``candidate_visits`` (the
-engine's analogue of ``|V+|`` / ``|V'|``), which replaces
-``mcd_recomputations`` in :class:`~repro.engine.batch.BatchResult`
-counters.
+What remains chargeable is the candidate scan itself, reported as
+``candidate_visits`` (the engine's analogue of ``|V+|`` / ``|V'|``),
+which replaces ``mcd_recomputations`` in
+:class:`~repro.engine.batch.BatchResult` counters.
 
 The engine registers as ``make_engine("order-simplified")``, the
 registry default.
@@ -57,9 +56,7 @@ from typing import Hashable, Iterable, Mapping
 
 from repro.core.insertion import order_insert
 from repro.core.maintainer import OrderFamilyMaintainer
-from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import UpdateResult
-from repro.engine.batch import RemovalRunResult
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
@@ -93,10 +90,9 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
 
     ``audit`` re-checks every invariant after each update (tests only).
     Batches commit run-natively through the run hooks of
-    :meth:`~repro.engine.base.CoreMaintainer.apply_batch`: removal runs
-    go through :func:`~repro.core.removal.order_remove_run`, insertion
-    runs through one loop with a single boundary audit (a per-edge
-    insert is a one-edge run).
+    :meth:`~repro.engine.base.CoreMaintainer.apply_batch`: removals are
+    the shared family path, insertion runs go through one loop with a
+    single boundary audit (a per-edge insert is a one-edge run).
     """
 
     name = "order-simplified"
@@ -105,9 +101,6 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
     #: engine's cost driver, replacing ``mcd_recomputations`` in batch
     #: counters.  Class-level default so snapshot restores start at 0.
     candidate_visits = 0
-
-    def __init__(self, graph: DynamicGraph, audit: bool = False) -> None:
-        super().__init__(graph, audit=audit)
 
     @property
     def d_in(self) -> dict[Vertex, int]:
@@ -124,24 +117,6 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         return self.korder.deg_plus
 
     # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
-        """``OrderRemoval`` with the incremental-``mcd`` cascade."""
-        graph, core, mcd = self._graph, self._core, self._mcd
-        cu, cv = detach_edge(graph, self.korder, core, mcd, u, v)
-        K = min(cu, cv)
-        roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
-        v_star, visited = demote_level(
-            graph, self.korder, core, mcd, K, roots
-        )
-        self.candidate_visits += visited
-        if self._audit:
-            self.check()
-        return UpdateResult("remove", (u, v), K, tuple(v_star), visited)
-
-    # ------------------------------------------------------------------
     # Run commits (the apply_batch run hooks)
     # ------------------------------------------------------------------
 
@@ -155,17 +130,6 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         if self._audit:
             self.check()
         return results
-
-    def _remove_run(self, edges) -> RemovalRunResult:
-        """Remove a run of edges through the batch-native joint cascade;
-        its ``visited`` is folded into ``candidate_visits``."""
-        run = order_remove_run(
-            self._graph, self.korder, self._core, self._mcd, edges
-        )
-        self.candidate_visits += run.visited
-        if self._audit:
-            self.check()
-        return run
 
     # ------------------------------------------------------------------
     # Internals
@@ -207,6 +171,9 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         return UpdateResult(
             "insert", (u, v), k, tuple(v_star), visited, evicted
         )
+
+    def _charge_removal(self, demoted: int, visited: int) -> None:
+        self.candidate_visits += visited
 
     def _batch_counters(self) -> dict[str, int]:
         """Sequence stats plus the scan counter, in place of the ``order``

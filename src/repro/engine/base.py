@@ -156,7 +156,7 @@ class CoreMaintainer(ABC):
         """
         results = [
             self.remove_edge(vertex, w)
-            for w in list(self._graph.adj[vertex])
+            for w in list(self._graph.neighbors(vertex))
         ]
         self._graph.remove_vertex(vertex)
         self._forget_vertex(vertex)

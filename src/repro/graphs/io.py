@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -132,6 +133,8 @@ def read_temporal_edge_list(
         if len(fields) > time_column:
             try:
                 t = float(fields[time_column])
+                if math.isnan(t):
+                    raise ValueError
             except ValueError:
                 raise EdgeListFormatError(
                     path, lineno,

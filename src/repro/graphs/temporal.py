@@ -13,6 +13,7 @@ adapter (:func:`repro.scenarios.loaders.scenario_from_stream`).
 from __future__ import annotations
 
 import collections
+import math
 from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.errors import WorkloadError
@@ -23,10 +24,17 @@ TimedEdge = tuple[int, int, float]
 
 
 class TemporalEdgeStream:
-    """An edge sequence ordered by timestamp."""
+    """An edge sequence ordered by timestamp.
+
+    Raises :class:`~repro.errors.WorkloadError` on a NaN timestamp: it
+    compares false with every time, so it has no place in the order.
+    """
 
     def __init__(self, timed_edges: Iterable[TimedEdge]) -> None:
         self._edges: list[TimedEdge] = list(timed_edges)
+        for u, v, t in self._edges:
+            if math.isnan(t):
+                raise WorkloadError(f"edge ({u}, {v}) has a NaN timestamp")
         for earlier, later in zip(self._edges, self._edges[1:]):
             if earlier[2] > later[2]:
                 self._edges.sort(key=lambda e: e[2])
@@ -192,7 +200,9 @@ class ExpiryQueue:
     Arrivals must come in non-decreasing time order.  A re-arrival of a
     live edge refreshes its expiry: the edge's old queue entry stays
     behind and is skipped when it comes due, so every operation is
-    amortized O(1).
+    amortized O(1).  ``window`` must be positive (NaN is refused too:
+    nothing would ever expire); :class:`~repro.errors.WorkloadError`
+    otherwise.
 
     >>> window = ExpiryQueue(10)
     >>> window.arrive((1, 2), 0)
@@ -206,6 +216,8 @@ class ExpiryQueue:
     """
 
     def __init__(self, window: float) -> None:
+        if not window > 0:  # also false for NaN
+            raise WorkloadError(f"window must be positive, got {window}")
         self.window = window
         #: live edge -> expiry time
         self._expiry: dict[Hashable, float] = {}

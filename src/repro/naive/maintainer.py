@@ -57,8 +57,9 @@ class NaiveCoreMaintainer(CoreMaintainer):
         return self._recompute("insert", (u, v), k)
 
     def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
-        k = min(self._core[u], self._core[v])
+        # Validates first; removing the edge does not change core.
         self._graph.remove_edge(u, v)
+        k = min(self._core[u], self._core[v])
         return self._recompute("remove", (u, v), k)
 
     def apply_batch(self, batch: Batch) -> BatchResult:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.batch import normalize_edge
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, WorkloadError
 from repro.graphs.io import read_temporal_edge_list
 from repro.graphs.temporal import ExpiryQueue, TemporalEdgeStream
 from repro.scenarios.base import Scenario, ScenarioBuilder
@@ -79,14 +79,15 @@ def scenario_from_stream(
     timestamp; those groups are coalesced into one tick (scenario ticks
     are strictly time-ordered).
     """
-    if window is not None and window <= 0:
-        raise ScenarioError(f"window must be positive, got {window}")
+    try:
+        live = ExpiryQueue(window) if window is not None else None
+    except WorkloadError as err:
+        raise ScenarioError(str(err)) from None
     builder = ScenarioBuilder(
         name,
         seed=seed,
         params=dict(params or {}),
     )
-    live = ExpiryQueue(window) if window is not None else None
     pending_t: Optional[float] = None
 
     def close_tick(next_t: Optional[float]) -> None:

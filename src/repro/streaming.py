@@ -21,6 +21,7 @@ of k-core scope).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
@@ -74,8 +75,7 @@ class SlidingWindowCoreMonitor:
         engine: str = DEFAULT_ENGINE,
         service: Optional[CoreService] = None,
     ) -> None:
-        if window <= 0:
-            raise WorkloadError(f"window must be positive, got {window}")
+        self._live = ExpiryQueue(window)  # validates window first
         self.window = window
         if service is None:
             service = CoreService.open(engine=engine)
@@ -90,7 +90,6 @@ class SlidingWindowCoreMonitor:
             )
         self._service = service
         self._subscription = service.subscribe(self._count_event)
-        self._live = ExpiryQueue(window)
         self._now = float("-inf")
         self.stats = WindowStats()
 
@@ -148,7 +147,8 @@ class SlidingWindowCoreMonitor:
 
         Expiry of due edges and insertion of the genuinely new arrivals
         each commit through one service transaction — one engine batch
-        per tick, however many edges arrive.
+        per tick, however many edges arrive.  ``t`` is checked by
+        :meth:`advance_to` before any state changes.
         """
         if t < self._now:
             raise WorkloadError(
@@ -172,6 +172,8 @@ class SlidingWindowCoreMonitor:
         All due edges leave the engine as one removal commit.  Returns
         the number of edges removed.
         """
+        if math.isnan(t):
+            raise WorkloadError("timestamp must not be NaN")
         if t < self._now:
             raise WorkloadError(
                 f"cannot rewind time from {self._now} to {t}"

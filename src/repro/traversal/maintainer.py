@@ -98,9 +98,10 @@ class TraversalCoreMaintainer(CoreMaintainer):
         )
 
     def remove_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
+        # Validates first; removing the edge does not change core.
+        self._graph.remove_edge(u, v)
         cu, cv = self._core[u], self._core[v]
         k = min(cu, cv)
-        self._graph.remove_edge(u, v)
         # The cascade needs post-removal mcd bounds for the endpoints, but
         # the hierarchy itself must keep its *old* values until refresh()
         # runs, otherwise the delta detection cannot see that they changed.

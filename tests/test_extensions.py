@@ -222,18 +222,54 @@ class TestScanAblation:
         d = korder_decomposition(triangle_graph, policy="small")
         ko = KOrder.from_decomposition(d)
         core = dict(d.core)
-        v_star, k, visited, scanned = order_insert_scan(
+        v_star, k, visited, evicted, scanned = order_insert_scan(
             triangle_graph, ko, core, 3, 0
         )
         assert v_star == [3]
         assert k == 1
+        assert evicted == 0
         assert scanned >= visited >= 1
         ko.audit(triangle_graph, core)
 
-    def test_removals_delegate(self, triangle_graph):
+    def test_removals_use_the_order_engines_path(self, triangle_graph):
         scan = ScanningOrderedCoreMaintainer(triangle_graph)
         result = scan.remove_edge(0, 1)
         assert set(result.changed) == {0, 1, 2}
+        scan.check()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_updates_match_order_engine_under_audit(self, seed):
+        """Scan inserts and shared removals agree with ``order`` op by op
+        (including the Algorithm 3 evictions), with the full index
+        audited after every update."""
+        rng = random.Random(seed)
+        n = 24
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rng.shuffle(pairs)
+        live, spare = pairs[:60], pairs[60:]
+        scan = ScanningOrderedCoreMaintainer(
+            DynamicGraph(live, vertices=range(n)), audit=True
+        )
+        order = OrderedCoreMaintainer(DynamicGraph(live, vertices=range(n)))
+        evicted = 0
+        for _ in range(300):
+            if spare and (not live or rng.random() < 0.55):
+                edge = spare.pop(rng.randrange(len(spare)))
+                rs, ro = scan.insert_edge(*edge), order.insert_edge(*edge)
+                live.append(edge)
+            else:
+                edge = live.pop(rng.randrange(len(live)))
+                rs, ro = scan.remove_edge(*edge), order.remove_edge(*edge)
+                spare.append(edge)
+            assert rs.changed == ro.changed
+            assert rs.visited == ro.visited
+            assert rs.evicted == ro.evicted
+            evicted += rs.evicted
+        assert scan.core_numbers() == order.core_numbers()
+        assert dict(scan.mcd) == dict(order.mcd)
+        assert scan.total_scanned > 0
+        # These streams do evict, so the evicted equality above bites.
+        assert evicted > 0
         scan.check()
 
     def test_ablation_experiment(self):

@@ -4,7 +4,7 @@ import gzip
 
 import pytest
 
-from repro.errors import DatasetError, WorkloadError
+from repro.errors import DatasetError, EdgeListFormatError, WorkloadError
 from repro.graphs import io as gio
 from repro.graphs.datasets import (
     DATASETS,
@@ -60,6 +60,12 @@ class TestEdgeListIO:
         stream = gio.read_temporal_edge_list(path)
         assert stream.edges() == [(3, 4), (5, 6), (1, 2)]
 
+    def test_temporal_read_rejects_nan_timestamp(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1 2 1 100\n3 4 1 nan\n")
+        with pytest.raises(EdgeListFormatError, match=":2"):
+            gio.read_temporal_edge_list(path)
+
     def test_temporal_read_without_time_column(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("1 2\n3 4\n")
@@ -73,6 +79,10 @@ class TestTemporalEdgeStream:
         assert s[0] == (1, 2, 0.0)
         assert s[1] == (3, 4, 1.0)
         assert len(s) == 2
+
+    def test_nan_timestamp_rejected(self):
+        with pytest.raises(WorkloadError):
+            TemporalEdgeStream([(1, 2, 0.0), (3, 4, float("nan"))])
 
     def test_unsorted_input_gets_sorted(self):
         s = TemporalEdgeStream([(1, 2, 5.0), (3, 4, 1.0)])

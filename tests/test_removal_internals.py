@@ -7,7 +7,7 @@ import pytest
 from repro.core.decomposition import core_numbers, korder_decomposition
 from repro.core.korder import KOrder
 from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
-from repro.core.removal import order_remove
+from repro.core.removal import demote_level, detach_edge
 from repro.graphs.undirected import DynamicGraph
 
 
@@ -20,6 +20,17 @@ def build_state(edges, vertices=()):
     return graph, korder, core, mcd
 
 
+def remove_one(graph, korder, core, mcd, u, v):
+    """One per-edge OrderRemoval, as the order-family engines run it:
+    detach the edge, then one level-K cascade seeded with its roots.
+    Returns ``(v_star, K, visited)``."""
+    cu, cv = detach_edge(graph, korder, core, mcd, u, v)
+    K = min(cu, cv)
+    roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
+    v_star, visited = demote_level(graph, korder, core, mcd, K, roots)
+    return v_star, K, visited
+
+
 class TestDisposalMechanics:
     def test_disposed_appended_to_tail_of_lower_block(self):
         """V* lands at the *end* of O_{K-1}, after its original members."""
@@ -28,7 +39,7 @@ class TestDisposalMechanics:
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
         graph, korder, core, mcd = build_state(edges)
         o1_before = list(korder.iter_block(1))
-        v_star, k, _ = order_remove(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
         assert set(v_star) == {0, 1, 2}
         o1_after = list(korder.iter_block(1))
         assert o1_after[: len(o1_before)] == o1_before
@@ -41,7 +52,7 @@ class TestDisposalMechanics:
         # A 4-cycle: removing one edge demotes all four, one by one.
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
         graph, korder, core, mcd = build_state(edges)
-        v_star, k, _ = order_remove(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
         assert set(v_star) == {0, 1, 2, 3}
         assert k == 2
         assert list(korder.iter_block(1)) == v_star
@@ -54,14 +65,14 @@ class TestDisposalMechanics:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         graph, korder, core, mcd = build_state(edges)
         assert all(c == 2 for c in core.values())
-        v_star, k, visited = order_remove(graph, korder, core, mcd, 0, 2)
+        v_star, k, visited = remove_one(graph, korder, core, mcd, 0, 2)
         assert v_star == []
         assert all(c == 2 for c in core.values())
         korder.audit(graph, core)
 
     def test_removal_to_empty_graph(self):
         graph, korder, core, mcd = build_state([(0, 1)])
-        v_star, k, _ = order_remove(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
         assert set(v_star) == {0, 1}
         assert core == {0: 0, 1: 0}
         assert list(korder.iter_block(0)) == v_star
@@ -72,7 +83,7 @@ class TestDisposalMechanics:
         k4 = [(10, 11), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)]
         graph, korder, core, mcd = build_state(k4 + [(10, 0), (0, 1)])
         o3_before = list(korder.iter_block(3))
-        v_star, k, _ = order_remove(graph, korder, core, mcd, 10, 0)
+        v_star, k, _ = remove_one(graph, korder, core, mcd, 10, 0)
         assert k == 1
         assert list(korder.iter_block(3)) == o3_before
         assert core[10] == 3
@@ -87,7 +98,7 @@ class TestDegPlusRepair:
         extra = [(0, 4), (1, 4), (2, 4), (3, 4)]
         graph, korder, core, mcd = build_state(k4 + extra)
         total_before = sum(korder.deg_plus.values())
-        order_remove(graph, korder, core, mcd, 2, 3)
+        remove_one(graph, korder, core, mcd, 2, 3)
         # Exactly one deg+ unit disappears with the edge.
         assert sum(korder.deg_plus.values()) == total_before - 1
         korder.audit(graph, core)
@@ -103,11 +114,9 @@ class TestDegPlusRepair:
         victims = base[:]
         rng.shuffle(victims)
         for e in victims[:50]:
-            order_remove(graph, korder, core, mcd, *e)
-            # The algorithm leaves the final mcd refresh to the
-            # maintainer; emulate it so the next call sees clean bounds.
-            mcd.clear()
-            mcd.update(compute_mcd(graph, core))
+            remove_one(graph, korder, core, mcd, *e)
+            # The cascade keeps mcd exact: no refresh between removals.
+            assert mcd == compute_mcd(graph, core)
             korder.audit(graph, core)
             assert core == core_numbers(graph)
 

@@ -3,8 +3,7 @@
 The contract: one joint cascade per affected ``K``-level plus incremental
 ``mcd`` upkeep must leave *exactly* the state the per-edge ``OrderRemoval``
 path leaves — same cores, a valid k-order, ``deg+`` and ``mcd`` exact —
-while charging only one targeted ``mcd`` pass (the disposed set) per run
-instead of a refresh per edge.  The property suite drives random removal
+and both charge one ``mcd`` recomputation per demotion.  The property suite drives random removal
 runs against the per-edge path and the from-scratch oracle.  Both run
 under every Section VI generation policy, since the policy fixes the
 initial k-order the cascade walks.
@@ -154,8 +153,8 @@ class TestRunAgreesWithPerEdgePath:
         assert batched.core_numbers() == core_numbers(batched.graph)
         batched.check()  # audits the k-order and the maintained mcd
         assert dict(batched.mcd) == dict(per_edge.mcd)
-        # The run never does more mcd work than the per-edge refreshes.
-        assert batched.mcd_recomputations <= per_edge.mcd_recomputations
+        # Both paths recompute mcd once per demotion, nothing else.
+        assert batched.mcd_recomputations == per_edge.mcd_recomputations
 
     def test_deep_cascade_crossing_levels_agrees(self, name):
         """Nested cliques wired to a path: stripping the bridge edges
@@ -180,9 +179,12 @@ class TestRunAgreesWithPerEdgePath:
             d < 0 for d in result.changed.values()
         )
 
-    def test_batch_counter_drops_versus_per_edge_loop(self, name):
-        """Acceptance: per-batch mcd recomputations collapse from
-        O(edges) refresh passes to one targeted pass per run."""
+    def test_batch_and_per_edge_charge_one_recomputation_per_demotion(
+        self, name
+    ):
+        """Both removal paths keep mcd exact inside the cascade, so each
+        charges exactly one mcd recomputation per demotion — no per-edge
+        refresh pass remains to amortize."""
         rng = random.Random(3)
         n = 80
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -195,9 +197,7 @@ class TestRunAgreesWithPerEdgePath:
             per_edge.remove_edge(*edge)
         result = batched.apply_batch(Batch.removes(victims))
         assert batched.core_numbers() == per_edge.core_numbers()
-        # Per-edge path recomputes at least both endpoints per edge.
-        assert per_edge.mcd_recomputations >= 2 * len(victims)
-        # The run only recomputes demoted vertices.
-        assert result.counters["mcd_recomputations"] < (
-            0.5 * per_edge.mcd_recomputations
-        )
+        demotions = -sum(result.changed.values())
+        assert demotions > 0
+        assert result.counters["mcd_recomputations"] == demotions
+        assert per_edge.mcd_recomputations == demotions

@@ -513,6 +513,11 @@ class TestLoaders:
                 TemporalEdgeStream([]), window=0.0
             )
 
+    def test_nan_window_rejected(self):
+        stream = TemporalEdgeStream([(0, 1, 0.0), (1, 2, 10.0)])
+        with pytest.raises(ScenarioError):
+            sc.scenario_from_stream(stream, window=float("nan"))
+
     def test_duplicate_arrivals_skipped_without_window(self):
         stream = TemporalEdgeStream([
             (0, 1, 0.0), (1, 0, 1.0), (1, 2, 2.0),

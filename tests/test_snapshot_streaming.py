@@ -140,6 +140,26 @@ class TestSlidingWindow:
         with pytest.raises(WorkloadError):
             SlidingWindowCoreMonitor(window=0)
 
+    def test_nan_window_rejected(self):
+        """A NaN window compares false with every time, so nothing
+        would ever expire."""
+        with pytest.raises(WorkloadError):
+            SlidingWindowCoreMonitor(window=float("nan"))
+
+    def test_nan_timestamp_rejected_without_state_change(self):
+        """A NaN ``now`` would switch off the time-order check and keep
+        every edge live forever."""
+        monitor = SlidingWindowCoreMonitor(window=5)
+        monitor.observe(0, 1, 1)
+        with pytest.raises(WorkloadError):
+            monitor.observe(1, 2, float("nan"))
+        with pytest.raises(WorkloadError):
+            monitor.advance_to(float("nan"))
+        assert monitor.now == 1
+        assert monitor.live_edges() == 1
+        assert monitor.advance_to(100) == 1
+        assert monitor.live_edges() == 0
+
     def test_arrivals_build_cores(self):
         monitor = SlidingWindowCoreMonitor(window=100)
         for t, (u, v) in enumerate([(0, 1), (1, 2), (2, 0)]):
