@@ -81,49 +81,51 @@ def from_snapshot(
 ) -> OrderFamilyMaintainer:
     """Rebuild a live maintainer from :func:`to_snapshot` output.
 
-    Raises :class:`StaleIndexError` when the snapshot is malformed or its
-    invariants do not hold for the stored graph.
+    Raises :class:`StaleIndexError` when the snapshot is malformed (not
+    an object, a missing or mistyped field) or its invariants do not
+    hold for the stored graph.
     """
+    if not isinstance(snapshot, dict):
+        raise StaleIndexError(
+            f"snapshot is a JSON {type(snapshot).__name__}, not an object"
+        )
     if snapshot.get("version") != SNAPSHOT_VERSION:
         raise StaleIndexError(
             f"snapshot field 'version' is {snapshot.get('version')!r}; "
             f"this build reads version {SNAPSHOT_VERSION}"
         )
-    try:
-        order = snapshot["order"]
-        cores = snapshot["core"]
-        deg_plus = snapshot["deg_plus"]
-        mcd = snapshot["mcd"]
-        edges = [tuple(e) for e in snapshot["edges"]]
-    except KeyError as exc:
-        raise StaleIndexError(f"snapshot missing field {exc}") from exc
-    if not (len(order) == len(cores) == len(deg_plus) == len(mcd)):
-        raise StaleIndexError(
-            "snapshot per-vertex fields have inconsistent lengths: "
-            f"order={len(order)}, core={len(cores)}, "
-            f"deg_plus={len(deg_plus)}, mcd={len(mcd)}"
-        )
-
-    # Rebuild state without triggering a fresh decomposition.
-    graph = DynamicGraph(edges, vertices=order)
     # Pre-"engine" snapshots come from builds that snapshotted "order" only.
     engine = snapshot.get("engine", "order")
-    cls = _ENGINES.get(engine)
+    cls = _ENGINES.get(engine) if isinstance(engine, str) else None
     if cls is None:
         raise StaleIndexError(
             f"snapshot field 'engine' names unknown engine {engine!r}; "
             f"this build restores: {', '.join(_ENGINES)}"
         )
     try:
+        order = snapshot["order"]
+        cores = snapshot["core"]
+        deg_plus = snapshot["deg_plus"]
+        mcd = snapshot["mcd"]
+        edges = snapshot["edges"]
+        if not (len(order) == len(cores) == len(deg_plus) == len(mcd)):
+            raise StaleIndexError(
+                "snapshot per-vertex fields have inconsistent lengths: "
+                f"order={len(order)}, core={len(cores)}, "
+                f"deg_plus={len(deg_plus)}, mcd={len(mcd)}"
+            )
+        # Rebuild state without triggering a fresh decomposition.
         maintainer = cls.from_index_state(
-            graph,
+            DynamicGraph(edges, vertices=order),
             order,
             dict(zip(order, cores)),
             dict(zip(order, deg_plus)),
             dict(zip(order, mcd)),
         )
-    except ValueError as exc:
-        raise StaleIndexError(str(exc)) from exc
+    except KeyError as exc:
+        raise StaleIndexError(f"snapshot missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise StaleIndexError(f"snapshot is malformed: {exc}") from exc
     if audit:
         try:
             maintainer.check()

@@ -76,7 +76,6 @@ class TemporalEdgeStream:
         self,
         every: Optional[float] = None,
         *,
-        every_seconds: Optional[float] = None,
         count: Optional[int] = None,
     ) -> Iterator[tuple[float, list[Edge]]]:
         """Group the stream into arrival *ticks* for batched replay.
@@ -85,9 +84,9 @@ class TemporalEdgeStream:
         tick shares the tick's bucket — the unit
         :meth:`repro.streaming.SlidingWindowCoreMonitor.observe_many`
         consumes, so all of a tick's arrivals land on the engine as one
-        batch.  The three grouping knobs are mutually exclusive:
+        batch.  The two grouping knobs are mutually exclusive:
 
-        ``every=None`` (and no other knob)
+        ``every=None`` (and no ``count``)
             A tick is a maximal run of *identical* timestamps (the
             dataset's own granularity).
         ``every > 0``
@@ -95,14 +94,6 @@ class TemporalEdgeStream:
             absolute value (``t // every``) — the knob for stand-in
             datasets whose timestamps are dense event indices.  Each
             tick reports the *latest* timestamp it contains.
-        ``every_seconds > 0``
-            Wall-clock windows **aligned to the stream's first
-            timestamp**: window ``i`` covers
-            ``[t0 + i*w, t0 + (i+1)*w)`` and the tick reports the
-            window's *closing* time — the shape of a real feed flushed
-            every ``w`` seconds.  Empty windows (including the
-            empty *final* window that opens when the last edge sits
-            exactly on a boundary) are never emitted.
         ``count >= 1``
             Count-based ticks of exactly ``count`` edges each (the last
             may be shorter), stamped with the latest timestamp they
@@ -113,11 +104,8 @@ class TemporalEdgeStream:
         strictly increasing and can be fed to a time-ordered consumer
         directly.
         """
-        knobs = [k for k in (every, every_seconds, count) if k is not None]
-        if len(knobs) > 1:
-            raise WorkloadError(
-                "pass at most one of every=, every_seconds=, count="
-            )
+        if every is not None and count is not None:
+            raise WorkloadError("pass at most one of every=, count=")
         if count is not None:
             if count < 1:
                 raise WorkloadError(
@@ -127,32 +115,11 @@ class TemporalEdgeStream:
                 group = self._edges[start : start + count]
                 yield group[-1][2], [(u, v) for u, v, _ in group]
             return
-        if every_seconds is not None:
-            if every_seconds <= 0:
-                raise WorkloadError(
-                    f"tick width must be positive, got {every_seconds}"
-                )
-            if not self._edges:
-                return
-            t0 = self._edges[0][2]
-            width = every_seconds
-            window: Optional[int] = None
-            pending: list[Edge] = []
-            for u, v, t in self._edges:
-                key = int((t - t0) // width)
-                if pending and key != window:
-                    yield t0 + (window + 1) * width, pending
-                    pending = []
-                window = key
-                pending.append((u, v))
-            if pending:  # never a trailing empty window
-                yield t0 + (window + 1) * width, pending
-            return
         if every is not None and every <= 0:
             raise WorkloadError(f"tick width must be positive, got {every}")
         pending_key: Optional[float] = None
         pending_t = 0.0
-        pending = []
+        pending: list[Edge] = []
         for u, v, t in self._edges:
             key = t if every is None else t // every
             if pending and key != pending_key:

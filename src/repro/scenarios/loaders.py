@@ -10,8 +10,8 @@ emit, so real traces replay through exactly the same driver, benches and
 agreement checks.
 
 Grouping into ticks reuses :meth:`TemporalEdgeStream.ticks` (identical
-timestamps, fixed-width buckets, wall-clock windows via
-``every_seconds=``, or fixed-size ``count=`` groups), and an optional
+timestamps, fixed-width ``every=`` buckets, or fixed-size ``count=``
+groups), and an optional
 sliding ``window=`` turns an arrival-only trace into the monitor's mixed
 insert/expire workload.
 """
@@ -57,7 +57,6 @@ def scenario_from_stream(
     name: str = "trace",
     seed: int = 0,
     every: Optional[float] = None,
-    every_seconds: Optional[float] = None,
     count: Optional[int] = None,
     window: Optional[float] = None,
     params: Optional[dict] = None,
@@ -65,10 +64,10 @@ def scenario_from_stream(
     """Convert a temporal stream into a replayable scenario.
 
     The stream's arrivals are grouped into ticks with the same knobs as
-    :meth:`TemporalEdgeStream.ticks` (``every`` / ``every_seconds`` /
-    ``count``; default: one tick per distinct timestamp).  Arrivals of
-    an edge that is already live are skipped (simple graphs; with a
-    window, a re-arrival refreshes the edge's expiry instead).
+    :meth:`TemporalEdgeStream.ticks` (``every`` / ``count``; default:
+    one tick per distinct timestamp).  Arrivals of an edge that is
+    already live are skipped (simple graphs; with a window, a re-arrival
+    refreshes the edge's expiry instead).
 
     With ``window=w`` each edge expires ``w`` time units after its
     latest arrival, monitor-style: a tick's batch removes the due
@@ -96,9 +95,7 @@ def scenario_from_stream(
             builder.tick(pending_t)
             pending_t = None
 
-    for t, edges in stream.ticks(
-        every, every_seconds=every_seconds, count=count
-    ):
+    for t, edges in stream.ticks(every, count=count):
         close_tick(t)
         pending_t = t
         if live is not None:
@@ -123,7 +120,6 @@ def scenario_from_snap(
     strict: bool = False,
     duplicates: str = "first",
     every: Optional[float] = None,
-    every_seconds: Optional[float] = None,
     count: Optional[int] = None,
     window: Optional[float] = None,
 ) -> Scenario:
@@ -141,7 +137,6 @@ def scenario_from_snap(
         name=name or path.stem.removesuffix(".txt"),
         seed=seed,
         every=every,
-        every_seconds=every_seconds,
         count=count,
         window=window,
         params={"source": path.name},

@@ -27,6 +27,7 @@ from repro.engine.registry import DEFAULT_ENGINE
 from repro.errors import ScenarioError
 from repro.scenarios.base import Scenario
 from repro.service import CoreService
+from repro.service.wal import batch_to_ops
 
 Vertex = Hashable
 
@@ -219,9 +220,7 @@ async def replay_via_client(
             [("insert", u, v) for u, v in scenario.base_edges]
         )
     for seq, tick in enumerate(scenario.ticks):
-        await client.commit(
-            [(op.kind, op.edge[0], op.edge[1]) for op in tick.batch]
-        )
+        await client.commit(batch_to_ops(tick.batch))
         cores = await client.cores()
         report.checkpoints.append(TickCheckpoint(
             seq=seq,

@@ -8,16 +8,20 @@ log's (:mod:`repro.service.wal`) crash-evident line format::
     <length> <crc32-hex> <payload>\\n
 
 so a truncated or corrupted frame is *detected* (length or checksum
-mismatch) rather than silently mis-parsed.  Unlike the WAL there is no
-torn-tail repair: a trace is an immutable artifact, so any bad frame
-raises :class:`~repro.errors.TraceError` with the byte offset.
+mismatch) rather than silently mis-parsed.  Traces are read with the
+WAL's one frame walker (:func:`~repro.service.wal.frames`) under their
+own stop policy: unlike the WAL there is no torn-tail repair — a trace
+is an immutable artifact, so any bad frame, and any CRC-valid record
+with a missing or mistyped field, raises
+:class:`~repro.errors.TraceError` with the byte offset.  :func:`loads`
+is the one decoder; :func:`verify` runs it and reports the totals.
 
 Record layout (JSON payloads, canonical encoding — sorted keys, no
 whitespace — so ``record -> load -> record`` round-trips byte-for-byte):
 
 * first frame: the header — format tag, version, scenario ``name`` /
   ``seed`` / ``params``, the base edge list, and the total tick and op
-  counts (which is how :func:`verify` catches a file truncated exactly
+  counts (which is how :func:`loads` catches a file truncated exactly
   at a frame boundary);
 * one frame per tick: ``{"kind": "tick", "seq", "t", "ops"}`` with ops
   as ``[kind, u, v]`` triples (the WAL's op encoding).
@@ -31,10 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Union
 
-from repro.engine.batch import Batch
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 from repro.scenarios.base import Scenario, Tick
-from repro.service.wal import _frame, _parse_frame, batch_to_ops
+from repro.service.wal import batch_from_ops, batch_to_ops, frame, frames
 
 PathLike = Union[str, Path]
 
@@ -72,9 +75,9 @@ def dumps(scenario: Scenario) -> bytes:
         "ops": scenario.n_ops,
     }
     out = io.BytesIO()
-    out.write(_frame(_canonical(header)))
+    out.write(frame(_canonical(header)))
     for seq, tick in enumerate(scenario.ticks):
-        out.write(_frame(_canonical({
+        out.write(frame(_canonical({
             "kind": "tick",
             "seq": seq,
             "t": tick.t,
@@ -97,57 +100,70 @@ def record(scenario: Scenario, target: Union[PathLike, IO[bytes]]) -> int:
     return len(data)
 
 
-def _parse(data: bytes, origin: str) -> tuple[dict, list[dict]]:
-    """Split trace bytes into (header, tick records), offset-checked."""
-    offset = 0
-    header: dict = {}
-    ticks: list[dict] = []
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            raise TraceError(
-                f"trace {origin} ends with a truncated frame",
-                offset=offset,
+def _decode_tick(origin: str, start: int, record: dict, seq: int) -> Tick:
+    """Decode one tick frame; :class:`TraceError` naming ``start``."""
+    if record.get("kind") != "tick":
+        raise TraceError(
+            f"trace {origin} has a record of unknown kind "
+            f"{record.get('kind')!r}",
+            offset=start,
+        )
+    if record.get("seq") != seq:
+        raise TraceError(
+            f"trace {origin} tick sequence broken: expected seq {seq}, "
+            f"found {record.get('seq')!r}",
+            offset=start,
+        )
+    t = record.get("t")
+    if type(t) not in (int, float):
+        raise TraceError(
+            f"trace {origin} tick field 't' is {t!r}", offset=start
+        )
+    try:
+        batch = batch_from_ops(record.get("ops"))
+    except (ReproError, TypeError, ValueError) as exc:
+        raise TraceError(
+            f"trace {origin} tick field 'ops' is not a list of "
+            f"[kind, u, v] triples: {exc}",
+            offset=start,
+        ) from exc
+    return Tick(float(t), batch)
+
+
+def loads(data: bytes, origin: str = "<bytes>") -> Scenario:
+    """Rebuild a :class:`Scenario` from trace bytes.
+
+    Any bad frame, malformed record or broken count raises
+    :class:`~repro.errors.TraceError` with the byte offset.
+    """
+    header = None
+    ticks: list[Tick] = []
+    for start, record in frames(data):
+        if record is None:
+            what = (
+                "has a corrupt frame" if data.find(b"\n", start) >= 0
+                else "ends with a truncated frame"
             )
-        record_ = _parse_frame(data[offset:newline])
-        if record_ is None:
+            raise TraceError(f"trace {origin} {what}", offset=start)
+        if header is not None:
+            ticks.append(_decode_tick(origin, start, record, len(ticks)))
+        elif (record.get("kind") != "header"
+              or record.get("format") != TRACE_FORMAT):
             raise TraceError(
-                f"trace {origin} has a corrupt frame", offset=offset
+                f"trace {origin} has no valid trace header "
+                "(is this a WAL file?)",
+                offset=0,
             )
-        if offset == 0:
-            if (
-                record_.get("kind") != "header"
-                or record_.get("format") != TRACE_FORMAT
-            ):
-                raise TraceError(
-                    f"trace {origin} has no valid trace header "
-                    f"(is this a WAL file?)",
-                    offset=0,
-                )
-            if record_.get("version") != TRACE_VERSION:
-                raise TraceError(
-                    f"trace {origin} is format version "
-                    f"{record_.get('version')!r}; this build reads "
-                    f"version {TRACE_VERSION}",
-                    offset=0,
-                )
-            header = record_
-        elif record_.get("kind") != "tick":
+        elif record.get("version") != TRACE_VERSION:
             raise TraceError(
-                f"trace {origin} has a record of unknown kind "
-                f"{record_.get('kind')!r}",
-                offset=offset,
+                f"trace {origin} is format version "
+                f"{record.get('version')!r}; this build reads version "
+                f"{TRACE_VERSION}",
+                offset=0,
             )
         else:
-            if record_.get("seq") != len(ticks):
-                raise TraceError(
-                    f"trace {origin} tick sequence broken: expected "
-                    f"seq {len(ticks)}, found {record_.get('seq')!r}",
-                    offset=offset,
-                )
-            ticks.append(record_)
-        offset = newline + 1
-    if not header:
+            header = record
+    if header is None:
         raise TraceError(f"trace {origin} is empty", offset=0)
     if len(ticks) != header.get("ticks"):
         raise TraceError(
@@ -155,26 +171,18 @@ def _parse(data: bytes, origin: str) -> tuple[dict, list[dict]]:
             f"carries {len(ticks)} — truncated at a frame boundary?",
             offset=len(data),
         )
-    return header, ticks
-
-
-def loads(data: bytes, origin: str = "<bytes>") -> Scenario:
-    """Rebuild a :class:`Scenario` from trace bytes."""
-    header, tick_records = _parse(data, origin)
-    ticks = [
-        Tick(
-            float(rec["t"]),
-            Batch((kind, (u, v)) for kind, u, v in rec["ops"]),
+    try:
+        scenario = Scenario(
+            header["name"],
+            seed=header["seed"],
+            params=header.get("params", {}),
+            base_edges=[(u, v) for u, v in header.get("base", [])],
+            ticks=ticks,
         )
-        for rec in tick_records
-    ]
-    scenario = Scenario(
-        header["name"],
-        seed=header["seed"],
-        params=header.get("params", {}),
-        base_edges=[(u, v) for u, v in header.get("base", [])],
-        ticks=ticks,
-    )
+    except (KeyError, ReproError, TypeError, ValueError) as exc:
+        raise TraceError(
+            f"trace {origin} is not a valid scenario: {exc!r}"
+        ) from exc
     if scenario.n_ops != header.get("ops"):
         raise TraceError(
             f"trace {origin} declares {header.get('ops')} ops but "
@@ -183,12 +191,16 @@ def loads(data: bytes, origin: str = "<bytes>") -> Scenario:
     return scenario
 
 
+def _read(source: Union[PathLike, IO[bytes]]) -> tuple[bytes, str]:
+    if hasattr(source, "read"):
+        return source.read(), "<stream>"
+    path = Path(source)
+    return path.read_bytes(), repr(str(path))
+
+
 def load(source: Union[PathLike, IO[bytes]]) -> Scenario:
     """Load a trace from a path or binary file object."""
-    if hasattr(source, "read"):
-        return loads(source.read(), origin="<stream>")
-    path = Path(source)
-    return loads(path.read_bytes(), origin=repr(str(path)))
+    return loads(*_read(source))
 
 
 @dataclass(frozen=True)
@@ -205,31 +217,19 @@ class TraceInfo:
 
 
 def verify(source: Union[PathLike, IO[bytes]]) -> TraceInfo:
-    """Validate a trace end to end without building the scenario.
+    """Validate a trace end to end: exactly the checks :func:`loads` makes.
 
-    Checks the framing (length + crc32 per line), the header, the tick
-    sequence numbers and the declared tick/op totals; raises
-    :class:`~repro.errors.TraceError` with the byte offset of the first
-    problem.
+    Raises :class:`~repro.errors.TraceError` with the byte offset of the
+    first problem.
     """
-    if hasattr(source, "read"):
-        data, origin = source.read(), "<stream>"
-    else:
-        path = Path(source)
-        data, origin = path.read_bytes(), repr(str(path))
-    header, tick_records = _parse(data, origin)
-    ops = sum(len(rec["ops"]) for rec in tick_records)
-    if ops != header.get("ops"):
-        raise TraceError(
-            f"trace {origin} declares {header.get('ops')} ops but "
-            f"carries {ops}"
-        )
+    data, origin = _read(source)
+    scenario = loads(data, origin)
     return TraceInfo(
-        name=header["name"],
-        seed=header["seed"],
-        params=header.get("params", {}),
-        base_edges=len(header.get("base", [])),
-        ticks=len(tick_records),
-        ops=ops,
+        name=scenario.name,
+        seed=scenario.seed,
+        params=scenario.params,
+        base_edges=len(scenario.base_edges),
+        ticks=scenario.n_ticks,
+        ops=scenario.n_ops,
         total_bytes=len(data),
     )

@@ -40,7 +40,7 @@ import json
 from typing import Optional
 
 from repro.errors import ServiceError
-from repro.service.wal import _frame, _parse_frame
+from repro.service.wal import frame, frames
 
 #: Per-connection stream limit: one frame must fit (cores dumps of a
 #: large session are the biggest payloads the protocol carries).
@@ -136,7 +136,7 @@ def raise_remote_error(error: dict) -> None:
 
 def encode_frame(record: dict) -> bytes:
     """Serialize one message as a framed line (WAL framing)."""
-    return _frame(json.dumps(record).encode())
+    return frame(json.dumps(record).encode())
 
 
 async def read_message(reader: asyncio.StreamReader) -> Optional[dict]:
@@ -154,7 +154,7 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[dict]:
         raise ProtocolError(
             f"frame exceeds the {STREAM_LIMIT}-byte stream limit"
         ) from exc
-    record = _parse_frame(line[:-1])
+    _, record = next(frames(line))
     if record is None:
         raise ProtocolError(
             f"received {len(line)} bytes that are not a valid frame"

@@ -6,10 +6,13 @@ answered from its :attr:`~LogReplica.engine`'s core map without ever
 touching the primary's write path — the serving front answers
 ``replica=true`` queries with :func:`repro.service.server.answer` over
 it, the same read dispatcher the primary uses.  The replica polls with
-:func:`~repro.service.wal.tail` from its last frame offset (O(new
-bytes), not O(log)), applies only records it has not seen, and rebuilds
-itself from the compaction snapshot when it notices the log rotated
-under it (the header changed or the file shrank).
+:func:`~repro.service.wal.tail` from its last frame offset (decoding
+O(new bytes), not O(log)), applies only records it has not seen, and
+rebuilds itself from the compaction snapshot when it notices the log
+rotated under it (the header changed or the file shrank).  ``tail``
+walks frames and decodes commit records exactly as recovery's
+:func:`~repro.service.wal.scan` does, so a replica refuses the same
+logs, with :class:`~repro.errors.LogCorruptionError`.
 
 Staleness contract
 ------------------
@@ -32,7 +35,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.graphs.undirected import DynamicGraph
-from repro.service.wal import base_engine, read_header, replay, scan, tail
+from repro.service.wal import base_engine, replay, scan, tail
 from repro.testing.faults import InjectedFault, inject, register_fault_point
 
 register_fault_point(
@@ -97,19 +100,15 @@ class LogReplica:
         except InjectedFault:
             self.stale_serves += 1
             return 0
-        if read_header(self._log) != self._header:
-            before = self._applied
-            self._build()
-            return max(0, self._applied - before)
         chunk = tail(self._log, self._offset)
-        if chunk.rotated:
+        if chunk.rotated or chunk.header != self._header:
             before = self._applied
             self._build()
             return max(0, self._applied - before)
         self._applied, applied = replay(
             self._engine, self._log, chunk.records, self._applied
         )
-        self._offset = chunk.offset
+        self._offset = chunk.valid_bytes
         self.refreshes += 1
         return applied
 

@@ -88,7 +88,7 @@ from repro.errors import BatchError, ReproError, ServiceError
 from repro.service import protocol
 from repro.service.replica import LogReplica
 from repro.service.session import CoreService
-from repro.service.wal import scan
+from repro.service.wal import batch_from_ops, scan
 from repro.testing.faults import (
     InjectedFault,
     inject,
@@ -433,9 +433,7 @@ class TenantSession:
                 token,
                 {"receipt_id": receipt_id, "replayed": True},
             )
-        return max(
-            info.last_receipt, info.header.get("base_receipt", 0)
-        )
+        return info.last_receipt
 
     def _remember(self, token: Optional[str], summary: dict) -> None:
         if token is None:
@@ -920,9 +918,7 @@ class CoreServer:
                 retryable=True, retry_after_ms=retry_ms,
             )
         try:
-            batch = Batch(
-                (kind, (u, v)) for kind, u, v in params.get("ops", ())
-            )
+            batch = batch_from_ops(params.get("ops", ()))
         except (ReproError, TypeError, ValueError) as exc:
             return protocol.failure(
                 req_id, protocol.ERR_BATCH, str(exc)

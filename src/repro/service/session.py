@@ -213,6 +213,7 @@ class CoreService:
         service._next_receipt = max(info.last_receipt, base) + 1
         service._wal = WriteAheadLog.attach(
             log,
+            info,
             fsync=fsync,
             fsync_every=fsync_every or DEFAULT_FSYNC_EVERY,
         )

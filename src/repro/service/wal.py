@@ -15,18 +15,24 @@ An append-only text file of framed JSON records, one per line::
     <length> <crc32-hex> <payload>\\n
 
 ``length`` is the payload's byte length and ``crc32`` its checksum, so a
-torn tail write (crash mid-append) is *detected* — the frame fails —
-and *repaired* by truncating back to the last valid record.  A bad
-frame followed by further valid records is not a torn tail; that raises
-:class:`~repro.errors.LogCorruptionError` instead of silently dropping
-committed history.
+torn write is *detected*: the frame fails.  :func:`frames` is the one
+walker over framed bytes (this log, replica tails, recorded traces and
+the wire protocol); each reader keeps only its stop policy.
+:func:`scan` reads a bad final frame as a torn tail (a crash
+mid-append), which :meth:`WriteAheadLog.attach` *repairs* by truncating
+back to the last valid record, and raises
+:class:`~repro.errors.LogCorruptionError` for a bad frame followed by
+valid ones rather than silently drop committed history; :func:`tail`
+stops at a partial frame and resumes there on the next poll.  Both
+decode commit records in one place, so a CRC-valid record with a
+missing or mistyped field is corruption on every path.
 
 The first record is the header (``kind: "header"``): log version, the
 engine registry name and options needed to rebuild an empty engine
 when no snapshot exists, and ``base_receipt`` — the receipt id already
 captured by the snapshot this log continues from.  Every other record
 is a commit: its receipt id plus the batch's ops.  Vertices must be
-JSON-representable (the same contract as :mod:`repro.core.snapshot`).
+JSON scalars: one that decodes to a list or object cannot be replayed.
 
 Fsync policy
 ------------
@@ -47,10 +53,15 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from repro.engine.batch import Batch
-from repro.errors import LogCorruptionError, ReproError, ServiceError
+from repro.engine.batch import INSERT, REMOVE, Batch
+from repro.errors import (
+    LogCorruptionError,
+    ReproError,
+    ServiceError,
+    StaleIndexError,
+)
 from repro.graphs.undirected import DynamicGraph
 from repro.testing.faults import inject, is_armed
 
@@ -66,55 +77,78 @@ FSYNC_POLICIES = ("always", "interval", "never")
 DEFAULT_FSYNC_EVERY = 64
 
 
-def _frame(payload: bytes) -> bytes:
+def frame(payload: bytes) -> bytes:
+    """One framed record: ``<length> <crc32-hex> <payload>\\n``."""
     return b"%d %08x " % (len(payload), zlib.crc32(payload)) + payload + b"\n"
 
 
 def _parse_frame(line: bytes) -> Optional[dict]:
     """Decode one framed line; ``None`` when the frame is invalid."""
-    parts = line.split(b" ", 2)
-    if len(parts) != 3:
-        return None
-    length_b, crc_b, payload = parts
     try:
-        length = int(length_b)
-        crc = int(crc_b, 16)
-    except ValueError:
-        return None
-    if len(payload) != length or zlib.crc32(payload) != crc:
-        return None
-    try:
+        length, crc, payload = line.split(b" ", 2)
+        if int(length) != len(payload) or int(crc, 16) != zlib.crc32(payload):
+            return None
         record = json.loads(payload)
     except ValueError:
         return None
     return record if isinstance(record, dict) else None
 
 
+def frames(
+    data: bytes, offset: int = 0
+) -> Iterator[tuple[int, Optional[dict]]]:
+    """Walk the framed records of ``data`` from byte ``offset``.
+
+    Yields ``(start, record)`` per frame: its byte offset and its JSON
+    object, or ``None`` when the frame is invalid (bad length, checksum
+    or JSON, a payload that is not an object, or a final frame with no
+    newline — a torn tail).  The walk goes on past an invalid frame at
+    the next newline; each reader picks its own stop policy.
+
+    >>> data = frame(b'{"n": 1}') + frame(b'{"n": 2}')[:12]
+    >>> list(frames(data))
+    [(0, {'n': 1}), (20, None)]
+    """
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        if newline < 0:
+            yield offset, None
+            return
+        yield offset, _parse_frame(data[offset:newline])
+        offset = newline + 1
+
+
 @dataclass(frozen=True)
 class LogInfo:
-    """Outcome of scanning a log file (see :func:`scan`).
+    """Outcome of reading a log file (see :func:`scan` and :func:`tail`).
 
     Attributes
     ----------
     header:
         The decoded header record.
     records:
-        ``(receipt_id, ops)`` pairs for every valid commit record, in
+        ``(receipt_id, ops)`` pairs for every commit record read, in
         log order; ``ops`` is a list of ``[kind, u, v]`` triples.
     valid_bytes:
-        Length of the valid framed prefix; bytes beyond it are a torn
-        tail (:meth:`torn_bytes`).
+        End of the valid framed prefix: bytes beyond it are a torn tail
+        (:meth:`torn_bytes`), and :func:`tail` resumes there.
     total_bytes:
-        File size at scan time.
+        File size at read time.
+    tokens:
+        receipt id -> idempotency token, for records that carried one
+        (see :meth:`WriteAheadLog.append`).
+    rotated:
+        :func:`tail` only: the file shrank below the requested offset
+        (a compaction replaced it), so nothing was read and the caller
+        must rebuild from the snapshot instead of resuming.
     """
 
     header: dict
     records: list
     valid_bytes: int
     total_bytes: int
-    #: receipt id -> idempotency token, for records that carried one
-    #: (see :meth:`WriteAheadLog.append`); empty otherwise.
     tokens: dict = field(default_factory=dict)
+    rotated: bool = False
 
     @property
     def torn_bytes(self) -> int:
@@ -129,155 +163,144 @@ class LogInfo:
         return self.header.get("base_receipt", 0)
 
 
-def scan(path: PathLike) -> LogInfo:
-    """Read and validate ``path``; detect (but do not repair) torn tails.
-
-    Raises :class:`~repro.errors.LogCorruptionError` for a missing or
-    malformed header, a bad frame that is *not* at the tail (valid
-    records follow it), or out-of-order receipt ids.
-    """
-    data = Path(path).read_bytes()
-    lines = data.split(b"\n")
-    # A well-formed log ends with "\n", so the final split element is
-    # empty; anything else is an unterminated (torn) final record.
-    offset = 0
-    parsed: list[tuple[int, dict]] = []  # (end_offset, record)
-    bad_at: Optional[int] = None
-    for line in lines:
-        if not line and offset >= len(data):
-            break
-        record = _parse_frame(line) if line else None
-        end = offset + len(line) + 1  # +1 for the newline
-        if record is None or end > len(data):
-            if bad_at is None:
-                bad_at = offset
-        elif bad_at is not None:
-            raise LogCorruptionError(
-                f"commit log {str(path)!r} has a corrupt record at byte "
-                f"{bad_at} followed by valid records — not a torn tail; "
-                "refusing to drop committed history"
-            )
-        else:
-            parsed.append((end, record))
-        offset = end
-    if not parsed or parsed[0][1].get("kind") != "header":
-        raise LogCorruptionError(
-            f"commit log {str(path)!r} has no valid header record"
-        )
-    header = parsed[0][1]
-    if header.get("version") != WAL_VERSION:
-        raise LogCorruptionError(
-            f"commit log {str(path)!r} header field 'version' is "
-            f"{header.get('version')!r}; this build reads version "
-            f"{WAL_VERSION}"
-        )
-    records: list[tuple[int, list]] = []
-    tokens: dict[int, str] = {}
-    last = header.get("base_receipt", 0)
-    for end, record in parsed[1:]:
-        if record.get("kind") != "commit":
-            raise LogCorruptionError(
-                f"commit log {str(path)!r} has a record of unknown kind "
-                f"{record.get('kind')!r} at byte offset {end}"
-            )
-        receipt = record["receipt"]
-        if receipt <= last:
-            raise LogCorruptionError(
-                f"commit log {str(path)!r} receipt ids not increasing: "
-                f"{receipt} after {last}"
-            )
-        last = receipt
-        records.append((receipt, record["ops"]))
-        if record.get("token") is not None:
-            tokens[receipt] = record["token"]
-    valid_bytes = parsed[-1][0] if parsed else 0
-    return LogInfo(
-        header=header,
-        records=records,
-        valid_bytes=valid_bytes,
-        total_bytes=len(data),
-        tokens=tokens,
-    )
+#: JSON types a logged vertex may decode to (hashable scalars).
+_VERTEX_TYPES = (str, int, float, bool, type(None))
 
 
-def read_header(path: PathLike) -> dict:
-    """Decode just the log's header record (first frame, one small read).
+def _is_op(op) -> bool:
+    return (type(op) is list and len(op) == 3 and op[0] in (INSERT, REMOVE)
+            and type(op[1]) in _VERTEX_TYPES and type(op[2]) in _VERTEX_TYPES)
 
-    Cheap enough to call per poll: the log replica compares successive
-    headers to notice a compaction (:meth:`WriteAheadLog.rotate`
-    rewrites the header with a new ``base_receipt``) without re-scanning
-    the whole file.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise LogCorruptionError(
-            f"commit log {str(path)!r} has no valid header record"
-        )
-    record = _parse_frame(line[:-1])
+
+def _decode_header(log: PathLike, record: Optional[dict]) -> dict:
+    """Check a header record; :class:`LogCorruptionError` if malformed."""
     if record is None or record.get("kind") != "header":
         raise LogCorruptionError(
-            f"commit log {str(path)!r} has no valid header record"
+            f"commit log {str(log)!r} has no valid header record"
+        )
+    if record.get("version") != WAL_VERSION:
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} header field 'version' is "
+            f"{record.get('version')!r}; this build reads version "
+            f"{WAL_VERSION}"
+        )
+    base = record.get("base_receipt", 0)
+    if type(base) is not int or base < 0:
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} header field 'base_receipt' is "
+            f"{base!r}, not a receipt id"
         )
     return record
 
 
-@dataclass(frozen=True)
-class TailChunk:
-    """One incremental read of a live log (see :func:`tail`).
+def _corrupt(log: PathLike, start: int, what: str) -> LogCorruptionError:
+    return LogCorruptionError(
+        f"commit log {str(log)!r} record at byte offset {start} {what}"
+    )
 
-    ``records`` / ``tokens`` mirror :class:`LogInfo`; ``offset`` is
-    where the next :func:`tail` call should resume; ``rotated`` means
-    the file shrank below the requested offset (a compaction replaced
-    it) and the caller must rebuild from the snapshot instead of
-    resuming.
+
+def _decode(
+    log: PathLike, header: dict, framed: list, valid_bytes: int, size: int
+) -> LogInfo:
+    """Decode the ``(start, record)`` commit frames after ``header``.
+
+    Every record must be a commit whose ``receipt`` is an int above the
+    previous one (the header's ``base_receipt`` for the first) and
+    whose ``ops`` are ``[kind, u, v]`` triples of a known kind; anything
+    else is a :class:`LogCorruptionError` naming the byte offset.
     """
+    records: list[tuple[int, list]] = []
+    tokens: dict[int, str] = {}
+    last = header.get("base_receipt", 0)
+    for start, record in framed:
+        if record.get("kind") != "commit":
+            raise _corrupt(
+                log, start, f"has unknown kind {record.get('kind')!r}"
+            )
+        receipt = record.get("receipt")
+        if type(receipt) is not int:
+            raise _corrupt(log, start, f"has field 'receipt' {receipt!r}")
+        if receipt <= last:
+            raise _corrupt(
+                log, start, f"has receipt ids not increasing: {receipt} "
+                f"after {last}",
+            )
+        ops = record.get("ops")
+        if type(ops) is not list or not all(map(_is_op, ops)):
+            raise _corrupt(
+                log, start,
+                "has field 'ops' that is not a list of [kind, u, v] triples",
+            )
+        token = record.get("token")
+        if token is not None:
+            if not isinstance(token, str):
+                raise _corrupt(log, start, f"has field 'token' {token!r}")
+            tokens[receipt] = token
+        records.append((receipt, ops))
+        last = receipt
+    return LogInfo(header, records, valid_bytes, size, tokens)
 
-    records: list
-    tokens: dict
-    offset: int
-    rotated: bool
+
+def _valid_prefix(walk: Iterator, size: int) -> tuple[list, int]:
+    """The valid frames ``walk`` yields before its first bad one, and
+    that bad frame's offset (``size`` when there is none)."""
+    valid: list[tuple[int, dict]] = []
+    for start, record in walk:
+        if record is None:
+            return valid, start
+        valid.append((start, record))
+    return valid, size
 
 
-def tail(path: PathLike, offset: int = 0) -> TailChunk:
+def scan(path: PathLike) -> LogInfo:
+    """Read and validate ``path``; detect (but do not repair) torn tails.
+
+    A bad final frame is a torn tail (:attr:`LogInfo.torn_bytes`).
+    Raises :class:`~repro.errors.LogCorruptionError` for a missing or
+    malformed header, a bad frame that is *not* at the tail (valid
+    records follow it), or a malformed commit record.
+    """
+    data = Path(path).read_bytes()
+    walk = frames(data)
+    valid, end = _valid_prefix(walk, len(data))
+    if any(record is not None for _, record in walk):
+        raise LogCorruptionError(
+            f"commit log {str(path)!r} has a corrupt record at byte "
+            f"{end} followed by valid records — not a torn tail; "
+            "refusing to drop committed history"
+        )
+    header = _decode_header(path, valid[0][1] if valid else None)
+    return _decode(path, header, valid[1:], end, len(data))
+
+
+def read_header(path: PathLike) -> dict:
+    """Decode just the log's header record (first frame, one small read)."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    return _decode_header(path, next(frames(line), (0, None))[1])
+
+
+def tail(path: PathLike, offset: int = 0) -> LogInfo:
     """Read the complete frames appended at or after ``offset``.
 
     The polling read for WAL-fed read replicas: unlike :func:`scan` it
-    tolerates a trailing partial frame (the writer may be mid-append —
-    the bytes are simply left for the next call) and never repairs the
-    file.  ``offset`` must be a frame boundary previously returned by
-    :func:`tail` (or ``0``, which also validates and skips the header).
-    A file shorter than ``offset`` reports ``rotated=True`` with nothing
-    parsed.
+    stops at the first partial or invalid frame (the writer may be
+    mid-append — the bytes are left for the next call, which resumes
+    at the returned :attr:`~LogInfo.valid_bytes`) and never repairs
+    the file.  ``offset`` must be a frame boundary previously returned
+    by :func:`tail` (or ``0``).  The header is decoded on every call, so
+    a caller notices a compaction by it changing; a file shorter than
+    ``offset`` reports ``rotated=True`` with no records.
     """
     data = Path(path).read_bytes()
+    walk = frames(data)
+    header = _decode_header(path, next(walk, (0, None))[1])
     if offset > len(data):
-        return TailChunk(records=[], tokens={}, offset=0, rotated=True)
-    records: list[tuple[int, list]] = []
-    tokens: dict[int, str] = {}
-    position = offset
-    first = offset == 0
-    while position < len(data):
-        newline = data.find(b"\n", position)
-        if newline < 0:
-            break  # partial frame: the writer is mid-append
-        record = _parse_frame(data[position:newline])
-        if record is None:
-            break  # not yet valid; scan()/attach() decide if it's torn
-        if first:
-            if record.get("kind") != "header":
-                raise LogCorruptionError(
-                    f"commit log {str(path)!r} has no valid header record"
-                )
-            first = False
-        elif record.get("kind") == "commit":
-            records.append((record["receipt"], record["ops"]))
-            if record.get("token") is not None:
-                tokens[record["receipt"]] = record["token"]
-        position = newline + 1
-    return TailChunk(
-        records=records, tokens=tokens, offset=position, rotated=False
+        return LogInfo(header, [], 0, len(data), rotated=True)
+    valid, end = _valid_prefix(
+        frames(data, offset) if offset else walk, len(data)
     )
+    return _decode(path, header, valid, end, len(data))
 
 
 def batch_to_ops(batch: Batch) -> list:
@@ -360,17 +383,28 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
     ``"seed"`` field older builds wrote is ignored (no engine is
     randomized).
 
-    Raises :class:`~repro.errors.LogCorruptionError` when the header
-    promises a snapshot that is missing, or names an engine or option
-    this build does not know.
+    Raises :class:`~repro.errors.LogCorruptionError` when the snapshot
+    is damaged (unreadable JSON, a malformed field or a failed audit),
+    when the header promises a snapshot that is missing, or names an
+    engine or option this build does not know.
     """
     from repro.core.snapshot import from_snapshot
     from repro.engine.registry import is_engine_name, make_engine
 
     snap = snapshot_path(log)
     if snap.exists():
-        raw = json.loads(snap.read_text())
-        return from_snapshot(raw, audit=audit), raw.get("receipt", 0), True
+        try:
+            raw = json.loads(snap.read_bytes())
+            engine = from_snapshot(raw, audit=audit)
+            receipt = raw.get("receipt", 0)
+            if type(receipt) is not int:
+                raise StaleIndexError(f"field 'receipt' is {receipt!r}")
+        except (ValueError, StaleIndexError) as exc:
+            raise LogCorruptionError(
+                f"commit log {str(log)!r} continues from compaction "
+                f"snapshot {str(snap)!r}, which is damaged: {exc}"
+            ) from exc
+        return engine, receipt, True
     header = info.header
     if header.get("base_receipt", 0) or header.get("snapshot"):
         raise LogCorruptionError(
@@ -468,25 +502,25 @@ class WriteAheadLog:
             "opts": dict(opts or {}),
             "base_receipt": base_receipt,
         }
-        _write_atomic(path, _frame(json.dumps(header).encode()))
+        _write_atomic(path, frame(json.dumps(header).encode()))
         return cls(path, header, base_receipt, fsync, fsync_every)
 
     @classmethod
     def attach(
         cls,
         path: PathLike,
+        info: LogInfo,
         *,
         fsync: str = "always",
         fsync_every: int = DEFAULT_FSYNC_EVERY,
     ) -> "WriteAheadLog":
-        """Reopen an existing log for appending.
+        """Reopen an existing log for appending, given its :func:`scan`.
 
-        Scans the file, truncates any torn tail (physically, so later
+        Truncates the torn tail ``info`` found (physically, so later
         appends start on a frame boundary) and resumes at the last valid
         receipt id.
         """
         path = Path(path)
-        info = scan(path)
         if info.torn_bytes:
             with open(path, "r+b") as fh:
                 fh.truncate(info.valid_bytes)
@@ -555,7 +589,7 @@ class WriteAheadLog:
         if token is not None:
             record["token"] = token
         payload = json.dumps(record).encode()
-        framed = _frame(payload)
+        framed = frame(payload)
         inject("wal.before_append")
         if is_armed("wal.mid_append"):
             # Instrumented split write: lets the crash matrix land a
@@ -610,7 +644,7 @@ class WriteAheadLog:
         # proceed without it rather than rebuild from empty.
         header["snapshot"] = True
         self._fh.close()
-        _write_atomic(self._path, _frame(json.dumps(header).encode()))
+        _write_atomic(self._path, frame(json.dumps(header).encode()))
         self._header = header
         self._last_receipt = max(self._last_receipt, base_receipt)
         self._since_sync = 0

@@ -58,3 +58,19 @@ def random_gnm(n: int, m: int, seed: int) -> DynamicGraph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     return DynamicGraph(pairs[:m], vertices=range(n))
+
+
+#: CRC-valid commit-log records with a missing or mistyped field, as
+#: appended after receipt 1; every log reader must refuse each of them.
+MALFORMED_COMMITS = {
+    "no-receipt": {"kind": "commit", "ops": [["insert", 8, 9]]},
+    "no-ops": {"kind": "commit", "receipt": 2},
+    "string-receipt": {
+        "kind": "commit", "receipt": "7", "ops": [["insert", 8, 9]],
+    },
+    "short-op": {"kind": "commit", "receipt": 2, "ops": [["insert", 1]]},
+    "unknown-op-kind": {
+        "kind": "commit", "receipt": 2, "ops": [["upsert", 1, 2]],
+    },
+    "unknown-kind": {"kind": "bogus"},
+}

@@ -271,6 +271,41 @@ class TestHardenedDurabilityCommands:
             assert _json.loads(captured.out)["corrupt"] is True
             assert "corrupt" in captured.err
 
+    def test_malformed_commit_record_exits_4(self, capsys, tmp_path):
+        from repro.service.wal import frame
+
+        log = self.make_log(tmp_path)
+        with open(log, "ab") as fh:
+            fh.write(frame(b'{"kind": "commit"}'))
+        for cmd in ("log-stat", "recover"):
+            code = main([cmd, "--log", str(log)])
+            assert code == 4
+            assert "field 'receipt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        ['{"version": 1, "order": [', "[1, 2]", "edges"],
+        ids=["truncated", "not-an-object", "edge-not-a-pair"],
+    )
+    def test_damaged_snapshot_exits_4(self, capsys, tmp_path, damage):
+        import json as _json
+
+        from repro.service import CoreService
+
+        log = self.make_log(tmp_path)
+        svc = CoreService.recover(log)
+        svc.compact()
+        svc.close()
+        snap = tmp_path / "session.wal.snapshot"
+        if damage == "edges":
+            raw = _json.loads(snap.read_text())
+            raw["edges"].append(7)
+            damage = _json.dumps(raw)
+        snap.write_text(damage)
+        code = main(["recover", "--log", str(log)])
+        assert code == 4
+        assert str(snap) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "engine,rebuilt",
         [(f"{base}-{suffix}", base)
@@ -443,15 +478,15 @@ class TestScenarioCommands:
         """--check regenerates from the header: a tampered-but-reframed
         trace whose ticks differ from its claimed family/seed fails."""
         from repro.scenarios.trace import _canonical
-        from repro.service.wal import _frame, _parse_frame
+        from repro.service.wal import frame, frames
 
         path = self.gen(capsys, tmp_path)
         # Re-frame the header claiming a different seed (valid CRC).
         data = path.read_bytes()
         end = data.find(b"\n")
-        header = _parse_frame(data[:end])
+        _, header = next(frames(data))
         header["seed"] = 8
-        path.write_bytes(_frame(_canonical(header)) + data[end + 1:])
+        path.write_bytes(frame(_canonical(header)) + data[end + 1:])
         capsys.readouterr()
         code = main(["replay", "--trace", str(path), "--check"])
         assert code == 5

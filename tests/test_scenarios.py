@@ -7,6 +7,7 @@ and truncation detection with byte offsets) and the SNAP loaders.
 """
 
 import gzip
+import io
 import random
 
 import pytest
@@ -319,6 +320,33 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="empty"):
             sc.loads(b"")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("ops", None), ("ops", [["insert", 1]]),
+         ("ops", [["upsert", 1, 2]]), ("t", "noon")],
+        ids=["no-ops", "short-op", "unknown-op-kind", "string-t"],
+    )
+    def test_malformed_tick_is_refused_by_loads_and_verify(
+        self, field, value
+    ):
+        """A CRC-valid tick record with a missing or mistyped field is a
+        TraceError naming its offset, from ``loads`` and ``verify``."""
+        from repro.scenarios.trace import _canonical
+        from repro.service.wal import frame, frames
+
+        data = sc.dumps(tiny_scenario("burst", seed=1))
+        _, (start, tick) = list(frames(data))[:2]
+        if value is None:
+            del tick[field]
+        else:
+            tick[field] = value
+        end = data.index(b"\n", start) + 1
+        damaged = data[:start] + frame(_canonical(tick)) + data[end:]
+        for read in (sc.loads, lambda d: sc.verify(io.BytesIO(d))):
+            with pytest.raises(TraceError, match=f"'{field}'") as info:
+                read(damaged)
+            assert info.value.offset == start
+
 
 # ----------------------------------------------------------------------
 # Loaders (SNAP + stream adapters) and the reader satellites
@@ -396,37 +424,6 @@ class TestTicksKnobs:
     def test_knobs_are_mutually_exclusive(self):
         with pytest.raises(WorkloadError, match="at most one"):
             list(self.stream().ticks(5.0, count=2))
-        with pytest.raises(WorkloadError, match="at most one"):
-            list(self.stream().ticks(every_seconds=5.0, count=2))
-
-    def test_every_seconds_windows_align_to_first_timestamp(self):
-        ticks = list(self.stream().ticks(every_seconds=10.0))
-        assert ticks == [
-            (10.0, [(1, 2), (2, 3)]),
-            (20.0, [(3, 4), (4, 5)]),
-            (30.0, [(5, 6)]),
-        ]
-
-    def test_every_seconds_boundary_edge_opens_no_empty_window(self):
-        """An edge sitting exactly on a window boundary must not leave a
-        trailing empty window behind it."""
-        stream = TemporalEdgeStream([(1, 2, 0.0), (2, 3, 10.0)])
-        ticks = list(stream.ticks(every_seconds=10.0))
-        assert ticks == [(10.0, [(1, 2)]), (20.0, [(2, 3)])]
-        assert all(edges for _, edges in ticks)
-
-    def test_every_seconds_skips_empty_middle_windows(self):
-        stream = TemporalEdgeStream([(1, 2, 0.0), (2, 3, 95.0)])
-        assert list(stream.ticks(every_seconds=10.0)) == [
-            (10.0, [(1, 2)]), (100.0, [(2, 3)]),
-        ]
-
-    def test_every_seconds_empty_stream(self):
-        assert list(TemporalEdgeStream([]).ticks(every_seconds=5.0)) == []
-
-    def test_every_seconds_rejects_nonpositive(self):
-        with pytest.raises(WorkloadError):
-            list(self.stream().ticks(every_seconds=0))
 
     def test_count_groups_are_fixed_size(self):
         ticks = list(self.stream().ticks(count=2))

@@ -27,8 +27,10 @@ from repro.service import (
     ServerLimits,
     SessionDegradedError,
 )
-from repro.service.wal import scan
+from repro.service.wal import frame, scan
 from repro.testing.faults import FaultPlan
+
+from helpers import MALFORMED_COMMITS
 
 TRIANGLE = [("insert", 0, 1), ("insert", 1, 2), ("insert", 2, 0)]
 
@@ -358,6 +360,32 @@ class TestFailover:
                 st = await wait_for_state(client, "healthy")
                 assert (await client.query("cores"))["source"] == "primary"
                 assert (await client.status())["degraded_reads"] >= 4
+                await client.close()
+        run(scenario())
+
+    def test_malformed_log_record_degrades_the_session(self, tmp_path):
+        """A CRC-valid commit record with no ``ops`` fails recovery as
+        log corruption: the supervisor parks the session degraded with
+        the reason, and the server still closes."""
+        async def scenario():
+            limits = ServerLimits(recovery_delay=0.2)
+            async with CoreServer(log_dir=tmp_path, limits=limits) as server:
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE)
+                with open(tmp_path / "t.wal", "ab") as fh:
+                    fh.write(frame(json.dumps(
+                        MALFORMED_COMMITS["no-ops"]
+                    ).encode()))
+                with FaultPlan().crash("engine.mid_batch"):
+                    with pytest.raises(RetryAfterError):
+                        await client.commit(
+                            [("insert", 0, 3)], retry=False
+                        )
+                while (st := await client.status())["recovery_error"] is None:
+                    await asyncio.sleep(0.01)
+                assert st["state"] == "degraded"
+                assert "field 'ops'" in st["recovery_error"]
                 await client.close()
         run(scenario())
 
@@ -878,11 +906,11 @@ class TestServerLifecycle:
 def test_wire_frames_are_wal_framed(tmp_path):
     """The protocol really shares the WAL's framing discipline."""
     from repro.service import protocol
-    from repro.service.wal import _parse_frame
+    from repro.service.wal import frames
 
     frame = protocol.encode_frame({"id": 1, "ok": True, "result": None})
     assert frame.endswith(b"\n")
-    assert _parse_frame(frame[:-1]) == {"id": 1, "ok": True, "result": None}
+    assert list(frames(frame)) == [(0, {"id": 1, "ok": True, "result": None})]
     length, crc, payload = frame[:-1].split(b" ", 2)
     assert int(length) == len(payload)
     json.loads(payload)

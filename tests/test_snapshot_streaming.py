@@ -113,6 +113,20 @@ class TestSnapshot:
         else:  # pragma: no cover - the raise is the point
             raise AssertionError("unknown engine accepted")
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda s: [s], lambda s: s["edges"].append(7),
+         lambda s: s["edges"].append([1, 2, 3]),
+         lambda s: s.update(core=5), lambda s: s.update(order=[[0]] * 4)],
+        ids=["not-an-object", "edge-not-a-list", "edge-not-a-pair",
+             "core-not-a-list", "unhashable-vertex"],
+    )
+    def test_malformed_fields_are_stale_index(self, triangle_graph, damage):
+        snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
+        snapshot = damage(snapshot) or snapshot
+        with pytest.raises(StaleIndexError):
+            from_snapshot(snapshot)
+
     def test_corrupted_invariants_detected(self, triangle_graph):
         snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
         snapshot["deg_plus"] = [d + 1 for d in snapshot["deg_plus"]]

@@ -11,6 +11,8 @@ verify the recovered cores against a from-scratch decomposition.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
@@ -18,11 +20,14 @@ from repro.errors import LogCorruptionError, ServiceError
 from repro.service import CoreService, WriteAheadLog, log_stat
 from repro.service.wal import (
     WAL_VERSION,
-    _frame,
     batch_from_ops,
     batch_to_ops,
+    frame,
     scan,
+    tail,
 )
+
+from helpers import MALFORMED_COMMITS
 
 TRIANGLE = [(1, 2), (2, 3), (3, 1)]
 
@@ -57,14 +62,14 @@ class TestFraming:
 
     def test_scan_no_header_raises(self, tmp_path):
         log = tmp_path / "s.wal"
-        log.write_bytes(_frame(b'{"kind": "commit", "receipt": 1}'))
+        log.write_bytes(frame(b'{"kind": "commit", "receipt": 1}'))
         with pytest.raises(LogCorruptionError, match="no valid header"):
             scan(log)
 
     def test_scan_version_skew_raises(self, tmp_path):
         log = tmp_path / "s.wal"
         payload = json.dumps({"kind": "header", "version": 99}).encode()
-        log.write_bytes(_frame(payload))
+        log.write_bytes(frame(payload))
         with pytest.raises(
             LogCorruptionError,
             match=r"'version' is 99; this build reads version 1",
@@ -107,7 +112,7 @@ class TestFraming:
             {"kind": "commit", "receipt": 5, "ops": [["insert", 2, 3]]}
         ).encode()
         with open(log, "ab") as fh:
-            fh.write(_frame(record))
+            fh.write(frame(record))
         with pytest.raises(
             LogCorruptionError, match="receipt ids not increasing"
         ):
@@ -152,7 +157,7 @@ class TestWriteAheadLog:
         clean_size = log.stat().st_size
         with open(log, "ab") as fh:
             fh.write(b"99 0bad0bad torn")
-        wal = WriteAheadLog.attach(log, fsync="never")
+        wal = WriteAheadLog.attach(log, scan(log), fsync="never")
         assert log.stat().st_size == clean_size
         assert wal.last_receipt == 1
         wal.append(2, Batch().insert(2, 3))
@@ -330,7 +335,7 @@ class TestDurableSession:
         header = read_header(log)
         header.update(fields)
         records = log.read_bytes().split(b"\n", 1)[1]
-        log.write_bytes(_frame(json.dumps(header).encode()) + records)
+        log.write_bytes(frame(json.dumps(header).encode()) + records)
 
     @pytest.mark.parametrize("compacted", [False, True],
                              ids=["log-only", "snapshot"])
@@ -483,7 +488,7 @@ class TestDurableSession:
             {"kind": "commit", "receipt": 2, "ops": [["remove", 8, 9]]}
         ).encode()
         with open(log, "ab") as fh:
-            fh.write(_frame(record))
+            fh.write(frame(record))
         with pytest.raises(
             LogCorruptionError, match="does not apply to the recovered state"
         ):
@@ -581,16 +586,16 @@ class TestTokensAndTailing:
         chunk = tail(log, 0)
         assert [rid for rid, _ in chunk.records] == [1]
         assert not chunk.rotated
-        offset = chunk.offset
+        offset = chunk.valid_bytes
         wal.append(2, Batch().insert(2, 3))
         wal.append(3, Batch().insert(3, 1))
         chunk2 = tail(log, offset)
         assert [rid for rid, _ in chunk2.records] == [2, 3]
         assert chunk2.tokens == {}
         # Nothing new: empty chunk, same offset.
-        chunk3 = tail(log, chunk2.offset)
+        chunk3 = tail(log, chunk2.valid_bytes)
         assert chunk3.records == []
-        assert chunk3.offset == chunk2.offset
+        assert chunk3.valid_bytes == chunk2.valid_bytes
         wal.close()
 
     def test_tail_tolerates_a_writer_mid_append(self, tmp_path):
@@ -601,15 +606,15 @@ class TestTokensAndTailing:
         log = tmp_path / "s.wal"
         wal = make_log(log)
         wal.append(1, Batch().insert(1, 2))
-        base = tail(log, 0).offset
-        full = _frame(json.dumps(
+        base = tail(log, 0).valid_bytes
+        full = frame(json.dumps(
             {"kind": "commit", "receipt": 2, "ops": [["insert", 2, 3]]}
         ).encode())
         with open(log, "ab") as fh:
             fh.write(full[: len(full) // 2])
         chunk = tail(log, base)
         assert chunk.records == []  # partial frame: wait, don't guess
-        assert chunk.offset == base
+        assert chunk.valid_bytes == base
         with open(log, "ab") as fh:
             fh.write(full[len(full) // 2:])
         chunk2 = tail(log, base)
@@ -623,10 +628,133 @@ class TestTokensAndTailing:
         wal = make_log(log)
         for i in range(5):
             wal.append(i + 1, Batch().insert(i, i + 100))
-        offset = tail(log, 0).offset
+        offset = tail(log, 0).valid_bytes
         wal.close()
         # Simulate a compaction rotating the log under the tailer: the
         # file is replaced by a fresh, shorter one.
         log.unlink()
         make_log(log, base_receipt=5).close()
         assert tail(log, offset).rotated
+
+
+class TestOneDecoder:
+    """scan, tail and recovery decode commit records the same way."""
+
+    @pytest.mark.parametrize(
+        "record", list(MALFORMED_COMMITS.values()),
+        ids=list(MALFORMED_COMMITS),
+    )
+    def test_malformed_commit_is_corruption_everywhere(
+        self, tmp_path, record
+    ):
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(log=log)
+        svc.insert(1, 2)
+        svc.close()
+        resume = tail(log, 0).valid_bytes
+        with open(log, "ab") as fh:
+            fh.write(frame(json.dumps(record).encode()))
+        for read in (scan, tail, lambda p: tail(p, resume),
+                     CoreService.recover):
+            with pytest.raises(
+                LogCorruptionError, match=f"byte offset {resume}"
+            ):
+                read(log)
+
+    def test_tail_reports_the_current_header(self, tmp_path):
+        """A resumed tail decodes the header too, so a compaction shows
+        even when the rotated log has grown past the old offset."""
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(log=log, fsync="never")
+        svc.insert(1, 2)
+        offset = tail(log, 0).valid_bytes
+        svc.compact()
+        svc.insert(2, 3)
+        chunk = tail(log, offset)
+        assert chunk.header == scan(log).header
+        assert chunk.header["base_receipt"] == 1
+        svc.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(10, 19)),
+            min_size=1, max_size=12, unique=True,
+        ),
+        cuts=st.lists(st.integers(0, 2000), max_size=6),
+        tokens=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_chained_tails_equal_scan(self, tmp_path_factory, batches,
+                                      cuts, tokens):
+        """Tailing a growing log at random moments, each call resuming
+        at the last ``valid_bytes``, then once more past a writer
+        mid-append, reads exactly the records one final scan reads."""
+        log = tmp_path_factory.mktemp("tail") / "s.wal"
+        wal = make_log(log, fsync="never")
+        chained, tokens_seen, offset = [], {}, 0
+        moments = {cut % len(batches) for cut in cuts}
+        for receipt, (u, v) in enumerate(batches, start=1):
+            token = f"t{receipt}" if tokens[receipt - 1] else None
+            wal.append(receipt, Batch().insert(u, v), token=token)
+            if receipt - 1 in moments:
+                chunk = tail(log, offset)
+                assert chunk.valid_bytes >= offset
+                chained += chunk.records
+                tokens_seen.update(chunk.tokens)
+                offset = chunk.valid_bytes
+        wal.close()
+        # A writer mid-append: the partial frame is left for later.
+        with open(log, "ab") as fh:
+            fh.write(frame(b'{"kind": "commit"}')[:7])
+        chunk = tail(log, offset)
+        chained += chunk.records
+        tokens_seen.update(chunk.tokens)
+        info = scan(log)
+        assert chained == info.records
+        assert tokens_seen == info.tokens
+        assert chunk.valid_bytes == info.valid_bytes
+        assert chunk.torn_bytes == info.torn_bytes == 7
+
+
+class TestDamagedSnapshot:
+    """A damaged compaction snapshot is log corruption, not a crash."""
+
+    @staticmethod
+    def compacted_log(tmp_path):
+        log = tmp_path / "s.wal"
+        svc = CoreService.open(TRIANGLE, log=log, fsync="never")
+        svc.insert(3, 4)
+        svc.compact()
+        svc.close()
+        return log, tmp_path / "s.wal.snapshot"
+
+    @staticmethod
+    def damage(snap, how):
+        raw = json.loads(snap.read_text())
+        if how == "truncated":
+            snap.write_text(snap.read_text()[:40])
+        elif how == "not-an-object":
+            snap.write_text(json.dumps([raw]))
+        elif how == "edge-not-a-pair":
+            raw["edges"].append(7)
+            snap.write_text(json.dumps(raw))
+        elif how == "fails-audit":
+            raw["mcd"][0] += 1
+            snap.write_text(json.dumps(raw))
+
+    @pytest.mark.parametrize(
+        "how", ["truncated", "not-an-object", "edge-not-a-pair",
+                "fails-audit"],
+    )
+    def test_recover_refuses_damaged_snapshot(self, tmp_path, how):
+        from repro.service import LogReplica
+
+        log, snap = self.compacted_log(tmp_path)
+        self.damage(snap, how)
+        readers = [CoreService.recover]
+        if how != "fails-audit":  # replicas skip the audit by default
+            readers.append(LogReplica)
+        for read in readers:
+            with pytest.raises(LogCorruptionError) as info:
+                read(log)
+            assert str(snap) in str(info.value)
