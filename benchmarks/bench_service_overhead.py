@@ -5,9 +5,9 @@ delta capture, event construction, subscriber dispatch).  That wrapper
 must stay in the noise: the acceptance bar is the façade within 5% of
 raw ``apply_batch`` throughput on the mixed-batch workload.  Each bench
 replays the same batch stream through a bare engine and through a
-service session (best of ``REPLAYS`` replays each, interleaved, to damp
-scheduler noise), asserts identical final cores, and — at meaningful
-stream lengths — asserts the 5% bound outright.
+service session in ``BENCH_ROUNDS`` paired rounds (alternating which
+side runs first), asserts identical final cores, and — at meaningful
+stream lengths — asserts the 5% bound on the median per-round ratio.
 
 A second bench drives the sliding-window monitor at the temporal
 stream's natural tick granularity (``TemporalEdgeStream.ticks``), the
@@ -25,7 +25,14 @@ import time
 from pathlib import Path
 
 import pytest
-from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
+from _bench_common import (
+    BENCH_ROUNDS,
+    BENCH_SCALE,
+    BENCH_SEED,
+    BENCH_UPDATES,
+    once,
+    paired_medians,
+)
 
 from repro.bench.workloads import mixed_batch_workload
 from repro.engine import make_engine
@@ -35,8 +42,6 @@ from repro.streaming import SlidingWindowCoreMonitor
 
 #: Ops per batch in the mixed-batch replay.
 BATCH_SIZE = int(os.environ.get("REPRO_BENCH_BATCH", "50"))
-#: Replays per side; the minimum is kept, interleaved raw/façade.
-REPLAYS = int(os.environ.get("REPRO_BENCH_REPLAYS", "3"))
 #: Below this many ops the 5% wall-clock assert is skipped (CI smoke
 #: scales are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
@@ -62,7 +67,7 @@ def _emit_artifact():
                 "scale": BENCH_SCALE,
                 "updates": BENCH_UPDATES,
                 "batch_size": BATCH_SIZE,
-                "replays": REPLAYS,
+                "rounds": BENCH_ROUNDS,
                 "bound": OVERHEAD_BOUND,
                 "records": _RECORDS,
             },
@@ -90,7 +95,7 @@ def _replay_service(workload, batches, subscriber_count=0):
     return service, time.perf_counter() - started
 
 
-def _record(name, ops, raw_s, facade_s, extra=None):
+def _record(name, ops, raw_s, facade_s, ratio, extra=None):
     entry = {
         "bench": name,
         "ops": ops,
@@ -98,7 +103,7 @@ def _record(name, ops, raw_s, facade_s, extra=None):
         "facade_seconds": round(facade_s, 6),
         "raw_ops_per_sec": round(ops / raw_s, 1) if raw_s else None,
         "facade_ops_per_sec": round(ops / facade_s, 1) if facade_s else None,
-        "overhead_ratio": round(facade_s / raw_s, 4) if raw_s else None,
+        "overhead_ratio": round(ratio, 4),
     }
     if extra:
         entry.update(extra)
@@ -115,31 +120,27 @@ def bench_service_vs_raw_mixed_batches(benchmark, subscribers):
     )
 
     def run():
-        raw_best = facade_best = float("inf")
-        engine = service = None
-        # Interleave the replays so drift hits both sides equally.
-        for _ in range(REPLAYS):
-            engine, raw_s = _replay_raw(workload, batches)
-            service, facade_s = _replay_service(
+        raw_s, facade_s, ratio, engine, service = paired_medians(
+            lambda: _replay_raw(workload, batches),
+            lambda: _replay_service(
                 workload, batches, subscriber_count=subscribers
-            )
-            raw_best = min(raw_best, raw_s)
-            facade_best = min(facade_best, facade_s)
+            ),
+        )
         assert engine.core_numbers() == service.cores(), (
             "façade replay diverged from raw apply_batch"
         )
-        return raw_best, facade_best
+        return raw_s, facade_s, ratio
 
-    raw_s, facade_s = once(benchmark, run)
+    raw_s, facade_s, ratio = once(benchmark, run)
     entry = _record(
         f"mixed_batches_subs{subscribers}", len(plan), raw_s, facade_s,
-        extra={"subscribers": subscribers, "batches": len(batches)},
+        ratio, extra={"subscribers": subscribers, "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
     if len(plan) >= WALL_CLOCK_MIN_OPS and subscribers == 0:
-        assert facade_s <= raw_s * OVERHEAD_BOUND, (
-            f"façade overhead {facade_s / raw_s:.3f}x exceeds "
-            f"{OVERHEAD_BOUND}x: {facade_s:.3f}s vs {raw_s:.3f}s"
+        assert ratio <= OVERHEAD_BOUND, (
+            f"façade overhead {ratio:.3f}x (median over {BENCH_ROUNDS} "
+            f"paired rounds) exceeds {OVERHEAD_BOUND}x"
         )
 
 

@@ -5,27 +5,36 @@ commit.  With fsync off that bookkeeping must stay in the noise — the
 acceptance bar is a WAL-backed session (``fsync="never"``) within 10%
 of raw ``apply_batch`` throughput on the mixed-batch workload.  The
 bench replays the same batch stream through a bare engine and through a
-durable session (best of ``REPLAYS`` replays each, interleaved to damp
-scheduler noise), asserts identical final cores, and — at meaningful
-stream lengths — asserts the 10% bound outright.
+durable session in ``BENCH_ROUNDS`` paired rounds (alternating which
+side runs first), asserts identical final cores, and — at meaningful
+stream lengths — asserts the 10% bound on the median per-round ratio.
 
 The fsync policies that actually hit the disk are *recorded*, not
 gated: ``always`` pays one fsync per commit and ``interval`` amortizes
 it, and both costs are hardware truths rather than code regressions.
-A final bench measures recovery itself — scan + replay of the full log
-onto the latest snapshot — so the artifact tracks restart cost too.
+A final bench measures recovery itself — scan, replay of the full log
+into the latest snapshot's graph and one index build — so the artifact
+tracks restart cost too.
 
 Every bench appends a record to a ``BENCH_wal_overhead.json`` artifact;
 set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 """
 
+import itertools
 import json
 import os
 import time
 from pathlib import Path
 
 import pytest
-from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
+from _bench_common import (
+    BENCH_ROUNDS,
+    BENCH_SCALE,
+    BENCH_SEED,
+    BENCH_UPDATES,
+    once,
+    paired_medians,
+)
 
 from repro.bench.workloads import mixed_batch_workload
 from repro.engine import make_engine
@@ -34,8 +43,6 @@ from repro.service import CoreService, log_stat
 
 #: Ops per batch in the mixed-batch replay.
 BATCH_SIZE = int(os.environ.get("REPRO_BENCH_BATCH", "50"))
-#: Replays per side; the minimum is kept, interleaved raw/durable.
-REPLAYS = int(os.environ.get("REPRO_BENCH_REPLAYS", "3"))
 #: Below this many ops the wall-clock assert is skipped (CI smoke
 #: scales are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
@@ -63,7 +70,7 @@ def _emit_artifact():
                 "scale": BENCH_SCALE,
                 "updates": BENCH_UPDATES,
                 "batch_size": BATCH_SIZE,
-                "replays": REPLAYS,
+                "rounds": BENCH_ROUNDS,
                 "bound": OVERHEAD_BOUND,
                 "records": _RECORDS,
             },
@@ -99,7 +106,18 @@ def _replay_durable(workload, batches, log, **wal_opts):
     return service, elapsed
 
 
-def _record(name, ops, raw_s, wal_s, extra=None):
+def _paired(workload, batches, tmp_path, **wal_opts):
+    """:func:`paired_medians` of raw and durable replays; each durable
+    replay gets a fresh log."""
+    logs = (tmp_path / f"{wal_opts['fsync']}-{n}.wal"
+            for n in itertools.count())
+    return paired_medians(
+        lambda: _replay_raw(workload, batches),
+        lambda: _replay_durable(workload, batches, next(logs), **wal_opts),
+    )
+
+
+def _record(name, ops, raw_s, wal_s, ratio, extra=None):
     entry = {
         "bench": name,
         "ops": ops,
@@ -107,7 +125,7 @@ def _record(name, ops, raw_s, wal_s, extra=None):
         "wal_seconds": round(wal_s, 6),
         "raw_ops_per_sec": round(ops / raw_s, 1) if raw_s else None,
         "wal_ops_per_sec": round(ops / wal_s, 1) if wal_s else None,
-        "overhead_ratio": round(wal_s / raw_s, 4) if raw_s else None,
+        "overhead_ratio": round(ratio, 4),
     }
     if extra:
         entry.update(extra)
@@ -120,32 +138,24 @@ def bench_wal_fsync_never_vs_raw(benchmark, tmp_path):
     workload, plan, batches = _workload()
 
     def run():
-        raw_best = wal_best = float("inf")
-        engine = service = None
-        # Interleave the replays so drift hits both sides equally.
-        for replay in range(REPLAYS):
-            engine, raw_s = _replay_raw(workload, batches)
-            log = tmp_path / f"never-{replay}.wal"
-            service, wal_s = _replay_durable(
-                workload, batches, log, fsync="never"
-            )
-            raw_best = min(raw_best, raw_s)
-            wal_best = min(wal_best, wal_s)
+        raw_s, wal_s, ratio, engine, service = _paired(
+            workload, batches, tmp_path, fsync="never"
+        )
         assert engine.core_numbers() == service.cores(), (
             "durable replay diverged from raw apply_batch"
         )
-        return raw_best, wal_best
+        return raw_s, wal_s, ratio
 
-    raw_s, wal_s = once(benchmark, run)
+    raw_s, wal_s, ratio = once(benchmark, run)
     entry = _record(
-        "fsync_never", len(plan), raw_s, wal_s,
+        "fsync_never", len(plan), raw_s, wal_s, ratio,
         extra={"fsync": "never", "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
     if len(plan) >= WALL_CLOCK_MIN_OPS:
-        assert wal_s <= raw_s * OVERHEAD_BOUND, (
-            f"WAL overhead {wal_s / raw_s:.3f}x exceeds "
-            f"{OVERHEAD_BOUND}x: {wal_s:.3f}s vs {raw_s:.3f}s"
+        assert ratio <= OVERHEAD_BOUND, (
+            f"WAL overhead {ratio:.3f}x (median over {BENCH_ROUNDS} "
+            f"paired rounds) exceeds {OVERHEAD_BOUND}x"
         )
 
 
@@ -158,25 +168,19 @@ def bench_wal_fsync_policies(benchmark, tmp_path, fsync):
         wal_opts["fsync_every"] = FSYNC_EVERY
 
     def run():
-        raw_best = wal_best = float("inf")
-        for replay in range(REPLAYS):
-            _, raw_s = _replay_raw(workload, batches)
-            log = tmp_path / f"{fsync}-{replay}.wal"
-            _, wal_s = _replay_durable(workload, batches, log, **wal_opts)
-            raw_best = min(raw_best, raw_s)
-            wal_best = min(wal_best, wal_s)
-        return raw_best, wal_best
+        return _paired(workload, batches, tmp_path, **wal_opts)[:3]
 
-    raw_s, wal_s = once(benchmark, run)
+    raw_s, wal_s, ratio = once(benchmark, run)
     entry = _record(
-        f"fsync_{fsync}", len(plan), raw_s, wal_s,
+        f"fsync_{fsync}", len(plan), raw_s, wal_s, ratio,
         extra={"fsync": fsync, "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
 
 
 def bench_wal_recovery(benchmark, tmp_path):
-    """Restart cost: scan + replay the full log onto the base snapshot."""
+    """Restart cost: scan, replay the full log into the base snapshot's
+    graph, build the index once."""
     workload, plan, batches = _workload()
     log = tmp_path / "recovery.wal"
     service, _ = _replay_durable(workload, batches, log, fsync="never")

@@ -1,12 +1,13 @@
 """Checkpoint and restore a CoreService session across "restarts".
 
 Index creation is the one-time cost of adopting core maintenance
-(Table III of the paper).  A long-lived service amortizes it once and then
-checkpoints the maintained state: graph + k-order + deg+ + mcd.
-``CoreService.load`` validates every invariant before going live, so a
-corrupt checkpoint fails fast instead of silently corrupting future
-updates — and the restored session subscribes and commits like the
-original.
+(Table III of the paper), and it is linear: one decomposition plus the
+k-order build.  Reading a stored index back measured no faster than
+building it, so a checkpoint holds what the index is a function of —
+the graph's vertices and edges, plus the engine name — and
+``CoreService.load`` builds the index once.  A malformed checkpoint
+fails fast with ``StaleIndexError``, and the restored session
+subscribes and commits like the original.
 
 Run:  python examples/index_checkpointing.py
 """
@@ -41,11 +42,11 @@ def main() -> None:
         print(f"checkpoint written in {time.perf_counter() - started:.3f}s "
               f"({path.stat().st_size / 1024:.0f} KiB)")
 
-        # "Restart": restore instead of rebuilding.
+        # "Restart": read the graph back and build the index once.
         started = time.perf_counter()
-        restored = CoreService.load(path)  # audits invariants on load
+        restored = CoreService.load(path)
         restore_seconds = time.perf_counter() - started
-        print(f"restore + audit: {restore_seconds:.3f}s")
+        print(f"restore (read + one index build): {restore_seconds:.3f}s")
 
         assert restored.cores() == svc.cores()
         # The restored service resumes exactly where the old one stopped
@@ -57,9 +58,10 @@ def main() -> None:
         print(
             "restored service resumed updates; degeneracy "
             f"{restored.degeneracy()}, {len(promotions)} core events "
-            "delivered, all invariants hold"
+            "delivered"
         )
-        restored.engine.check()
+        restored.engine.check()  # the full index audit
+        print("restored index passes the full invariant audit")
 
 
 if __name__ == "__main__":

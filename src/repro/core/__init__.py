@@ -27,6 +27,7 @@ from repro.core.simplified import SimplifiedCoreMaintainer
 from repro.core.snapshot import (
     from_snapshot,
     load_snapshot,
+    read_snapshot,
     save_snapshot,
     to_snapshot,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "from_snapshot",
     "korder_decomposition",
     "load_snapshot",
+    "read_snapshot",
     "save_snapshot",
     "to_snapshot",
 ]

@@ -2,7 +2,7 @@
 
 :class:`OrderFamilyMaintainer` holds the index both order-family engines
 share — core numbers, the k-order with ``deg+``, and ``mcd`` — with its
-accessors, vertex bookkeeping, snapshot-restore constructor and audit,
+accessors, vertex bookkeeping and audit,
 and it owns the whole removal path: a per-edge ``OrderRemoval``
 (Algorithm 4) is :func:`repro.core.removal.detach_edge` followed by one
 :func:`repro.core.removal.demote_level` cascade seeded with the edge's
@@ -40,7 +40,7 @@ Example
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from repro.core.decomposition import compute_mcd, korder_decomposition
 from repro.core.insertion import order_insert
@@ -98,40 +98,6 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._core: dict[Vertex, int] = decomposition.core
         self.korder = KOrder.from_decomposition(decomposition)
         self._mcd = compute_mcd(graph, self._core)
-
-    @classmethod
-    def from_index_state(
-        cls,
-        graph: DynamicGraph,
-        order: Iterable[Vertex],
-        core: dict[Vertex, int],
-        deg_plus: Mapping[Vertex, int],
-        mcd: dict[Vertex, int],
-        *,
-        audit: bool = False,
-    ) -> "OrderFamilyMaintainer":
-        """Rebuild a live maintainer from already-valid index state.
-
-        ``order`` must be a valid k-order of ``graph`` with ``core`` /
-        ``deg_plus`` / ``mcd`` consistent; no decomposition runs.  The
-        ``core`` and ``mcd`` dicts are adopted, not copied.  This is the
-        one bypass of ``__init__`` — used by snapshot restore
-        (:func:`repro.core.snapshot.from_snapshot`), so new maintainer
-        state only ever needs to be wired here (counters start at their
-        class-level 0).  Raises ``ValueError`` when ``order`` lists a
-        vertex twice.
-        """
-        maintainer = cls.__new__(cls)
-        CoreMaintainer.__init__(maintainer, graph)
-        maintainer._audit = audit
-        maintainer._core = core
-        korder = KOrder()
-        for vertex in order:
-            korder.append(core[vertex], vertex)
-        korder.deg_plus.update(deg_plus)
-        maintainer.korder = korder
-        maintainer._mcd = mcd
-        return maintainer
 
     # ------------------------------------------------------------------
     # Accessors
@@ -263,8 +229,7 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     name = "order"
 
     #: Per-vertex ``mcd`` recomputations performed by repairs — the cost
-    #: the batched path amortizes.  Class-level default so engines
-    #: restored from snapshots (which bypass ``__init__``) start at 0 too.
+    #: the batched path amortizes.
     mcd_recomputations = 0
 
     #: The insertion scan; the jump ablation

@@ -99,7 +99,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
 
     #: Vertices examined by the insertion scan / removal cascade — the
     #: engine's cost driver, replacing ``mcd_recomputations`` in batch
-    #: counters.  Class-level default so snapshot restores start at 0.
+    #: counters.
     candidate_visits = 0
 
     @property

@@ -1,29 +1,33 @@
-"""Checkpoint / restore for the order-based index.
+"""Checkpoint / restore for a maintained session: its graph, not its index.
 
 Table III of the paper measures index *creation* as the one-time cost of
-adopting core maintenance.  A long-lived service can avoid paying it on
-every restart by snapshotting the maintained state — the graph, the
-k-order, ``deg+`` and ``mcd`` — and restoring it without recomputation.
+adopting core maintenance, and that cost is linear: one static
+decomposition plus the k-order build.  Reading a stored index back
+measured no faster than building it again, so a snapshot stores only
+what every engine's index is a function of: the vertex set and the
+edges.  Restoring builds the engine once with
+:func:`~repro.engine.registry.make_engine`, which makes snapshots work
+for every engine, not only the order family.
 
-Both order-family engines checkpoint here: the default
-:class:`~repro.core.simplified.SimplifiedCoreMaintainer` and the paper's
-:class:`~repro.core.maintainer.OrderedCoreMaintainer`.  They hold the
-same index, so they share the layout and restore by adopting the stored
-fields directly.  The ``engine`` field records which class to rebuild;
-snapshots written before it exists restore as ``order``.  Older builds
-also wrote a ``"sequence"`` field naming the k-order backend; restore
-ignores it, since every backend held the same order.
+Layout (version 2), a plain JSON-serializable dict::
 
-The snapshot is a plain JSON-serializable dict (versioned), so it can go
-to disk, a blob store, or over the wire.  Restoring validates the
-invariants (Lemma 5.1 audit plus an ``mcd`` check) before handing back a
-live maintainer, so a corrupted or hand-edited snapshot fails loudly
-rather than silently corrupting future updates.
+    {"version": 2, "engine": "order-simplified",
+     "vertices": [...], "edges": [[u, v], ...]}
 
-Vertices must be JSON-representable for file round-trips; integer and
-string vertices are preserved exactly (JSON object keys are strings, so
-integer vertices are re-keyed through the order list, which keeps native
-types).
+``vertices`` lists every vertex, so isolated ones (core 0) survive, and
+``engine`` names the registry engine to build.  A compaction snapshot
+(:meth:`repro.service.CoreService.compact`) adds the ``receipt`` it
+covers.
+
+Version 1 stored the order-family index itself: ``order`` (every vertex,
+in k-order) and per-vertex ``core`` / ``deg_plus`` / ``mcd`` arrays
+beside ``edges``.  Those snapshots still restore: :func:`read_snapshot`
+takes their ``edges`` and the vertex set their ``order`` carries, and
+ignores the index fields, which the build recomputes.  A version-1
+snapshot without ``engine`` restores as ``order``.
+
+Vertices must be JSON scalars for file round-trips; integer and string
+vertices are preserved exactly (they never become JSON object keys).
 """
 
 from __future__ import annotations
@@ -33,105 +37,80 @@ import os
 from pathlib import Path
 from typing import Union
 
-from repro.core.maintainer import (
-    OrderedCoreMaintainer,
-    OrderFamilyMaintainer,
-)
-from repro.core.simplified import SimplifiedCoreMaintainer
-from repro.errors import StaleIndexError
+from repro.engine.base import CoreMaintainer
+from repro.engine.registry import is_engine_name, make_engine
+from repro.errors import ReproError, StaleIndexError
 from repro.graphs.undirected import DynamicGraph
 from repro.testing.faults import inject
 
 PathLike = Union[str, Path]
 
-#: Engine classes with snapshot support, by the name a snapshot records.
-_ENGINES = {
-    cls.name: cls for cls in (OrderedCoreMaintainer, SimplifiedCoreMaintainer)
-}
+#: Snapshot schema version written; bump on layout changes.
+SNAPSHOT_VERSION = 2
 
-#: Snapshot schema version; bump on layout changes.
-SNAPSHOT_VERSION = 1
+#: The field holding the vertex list, per readable version.
+_VERTEX_FIELD = {1: "order", 2: "vertices"}
 
 
-def to_snapshot(maintainer: OrderFamilyMaintainer) -> dict:
-    """Serialize a maintainer's full state to a JSON-friendly dict.
+def to_snapshot(engine: CoreMaintainer) -> dict:
+    """An engine's graph and name as a JSON-friendly dict.
 
-    The k-order is stored as one global vertex list plus per-vertex
-    ``core`` / ``deg+`` / ``mcd`` arrays aligned with it, which keeps
-    vertex objects out of JSON object keys (preserving their types).
+    >>> from repro.engine.registry import make_engine
+    >>> to_snapshot(make_engine("naive", DynamicGraph([(0, 1)], [2])))
+    {'version': 2, 'engine': 'naive', 'vertices': [2, 0, 1], 'edges': [[0, 1]]}
     """
-    order = maintainer.order()
-    korder = maintainer.korder
+    graph = engine.graph
     return {
         "version": SNAPSHOT_VERSION,
-        "engine": maintainer.name,
-        "order": order,
-        "core": [maintainer.core[v] for v in order],
-        "deg_plus": [korder.deg_plus[v] for v in order],
-        "mcd": [maintainer.mcd[v] for v in order],
-        "edges": sorted(
-            [sorted((u, v), key=repr) for u, v in maintainer.graph.edges()],
-            key=repr,
-        ),
+        "engine": engine.name,
+        "vertices": list(graph.vertices()),
+        "edges": [list(edge) for edge in graph.edges()],
     }
 
 
-def from_snapshot(
-    snapshot: dict, audit: bool = True
-) -> OrderFamilyMaintainer:
-    """Rebuild a live maintainer from :func:`to_snapshot` output.
+def read_snapshot(snapshot) -> tuple[str, DynamicGraph]:
+    """The engine name and the graph a version 1 or 2 snapshot stores.
 
-    Raises :class:`StaleIndexError` when the snapshot is malformed (not
-    an object, a missing or mistyped field) or its invariants do not
-    hold for the stored graph.
+    Raises :class:`StaleIndexError` when the snapshot is malformed: not
+    an object, an unknown version or engine, a missing vertex list or
+    ``edges``, or an entry that is not a vertex or a ``[u, v]`` pair.
     """
     if not isinstance(snapshot, dict):
         raise StaleIndexError(
             f"snapshot is a JSON {type(snapshot).__name__}, not an object"
         )
-    if snapshot.get("version") != SNAPSHOT_VERSION:
+    version = snapshot.get("version")
+    if type(version) is not int or version not in _VERTEX_FIELD:
         raise StaleIndexError(
-            f"snapshot field 'version' is {snapshot.get('version')!r}; "
-            f"this build reads version {SNAPSHOT_VERSION}"
+            f"snapshot field 'version' is {version!r}; this build reads "
+            f"versions {', '.join(map(str, _VERTEX_FIELD))}"
         )
-    # Pre-"engine" snapshots come from builds that snapshotted "order" only.
+    # Version-1 snapshots written before "engine" existed came from
+    # builds that snapshotted "order" only.
     engine = snapshot.get("engine", "order")
-    cls = _ENGINES.get(engine) if isinstance(engine, str) else None
-    if cls is None:
+    if not isinstance(engine, str) or not is_engine_name(engine):
         raise StaleIndexError(
-            f"snapshot field 'engine' names unknown engine {engine!r}; "
-            f"this build restores: {', '.join(_ENGINES)}"
+            f"snapshot field 'engine' names unknown engine {engine!r}"
+        )
+    field = _VERTEX_FIELD[version]
+    vertices, edges = snapshot.get(field), snapshot.get("edges")
+    if type(vertices) is not list:
+        raise StaleIndexError(f"snapshot field {field!r} is not a list")
+    if type(edges) is not list or not all(
+        type(e) is list and len(e) == 2 for e in edges
+    ):
+        raise StaleIndexError(
+            "snapshot field 'edges' is not a list of [u, v] pairs"
         )
     try:
-        order = snapshot["order"]
-        cores = snapshot["core"]
-        deg_plus = snapshot["deg_plus"]
-        mcd = snapshot["mcd"]
-        edges = snapshot["edges"]
-        if not (len(order) == len(cores) == len(deg_plus) == len(mcd)):
-            raise StaleIndexError(
-                "snapshot per-vertex fields have inconsistent lengths: "
-                f"order={len(order)}, core={len(cores)}, "
-                f"deg_plus={len(deg_plus)}, mcd={len(mcd)}"
-            )
-        # Rebuild state without triggering a fresh decomposition.
-        maintainer = cls.from_index_state(
-            DynamicGraph(edges, vertices=order),
-            order,
-            dict(zip(order, cores)),
-            dict(zip(order, deg_plus)),
-            dict(zip(order, mcd)),
-        )
-    except KeyError as exc:
-        raise StaleIndexError(f"snapshot missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        return engine, DynamicGraph(edges, vertices=vertices)
+    except (TypeError, ReproError) as exc:
         raise StaleIndexError(f"snapshot is malformed: {exc}") from exc
-    if audit:
-        try:
-            maintainer.check()
-        except AssertionError as exc:
-            raise StaleIndexError(f"snapshot fails invariants: {exc}") from exc
-    return maintainer
+
+
+def from_snapshot(snapshot) -> CoreMaintainer:
+    """Build the engine a snapshot names over the graph it stores."""
+    return make_engine(*read_snapshot(snapshot))
 
 
 def write_json_atomic(payload: dict, path: PathLike) -> None:
@@ -156,13 +135,11 @@ def write_json_atomic(payload: dict, path: PathLike) -> None:
     os.replace(tmp, path)
 
 
-def save_snapshot(maintainer: OrderFamilyMaintainer, path: PathLike) -> None:
+def save_snapshot(engine: CoreMaintainer, path: PathLike) -> None:
     """Write :func:`to_snapshot` output as JSON (atomically)."""
-    write_json_atomic(to_snapshot(maintainer), path)
+    write_json_atomic(to_snapshot(engine), path)
 
 
-def load_snapshot(
-    path: PathLike, audit: bool = True
-) -> OrderFamilyMaintainer:
-    """Read a JSON snapshot back into a live maintainer."""
-    return from_snapshot(json.loads(Path(path).read_text()), audit=audit)
+def load_snapshot(path: PathLike) -> CoreMaintainer:
+    """Read a JSON snapshot back and build its engine."""
+    return from_snapshot(json.loads(Path(path).read_text()))

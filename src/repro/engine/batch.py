@@ -216,6 +216,19 @@ class Batch:
                 )
             overlay[edge] = op.kind == INSERT
 
+    def apply_to(self, graph) -> None:
+        """Apply the ops to a bare graph in op order: no engine, no index.
+
+        An op that does not apply raises the graph's own error, after
+        the ops before it landed; :meth:`check_applicable` first rules
+        that out.
+        """
+        for op in self._ops:
+            if op.kind == INSERT:
+                graph.add_edge(*op.edge)
+            else:
+                graph.remove_edge(*op.edge)
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

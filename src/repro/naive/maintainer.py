@@ -74,16 +74,8 @@ class NaiveCoreMaintainer(CoreMaintainer):
         started = time.perf_counter()
         graph = self._graph
         old_core = dict(self._core)
-        inserts = removes = 0
         try:
-            for op in batch:
-                u, v = op.edge
-                if op.kind == "insert":
-                    graph.add_edge(u, v)
-                    inserts += 1
-                else:
-                    graph.remove_edge(u, v)
-                    removes += 1
+            batch.apply_to(graph)
         finally:
             # Recompute even when an op raises mid-batch: the mutations
             # that did land must not leave the core map out of sync.
@@ -95,6 +87,7 @@ class NaiveCoreMaintainer(CoreMaintainer):
             for v in old_core.keys() | new_core.keys()
             if new_core.get(v, 0) != old_core.get(v, 0)
         }
+        inserts, removes = batch.counts()
         return BatchResult(
             engine=self.name,
             inserts=inserts,

@@ -1,18 +1,23 @@
 """Read replicas fed by incremental write-ahead-log tailing.
 
-A :class:`LogReplica` maintains its *own* engine by replaying a durable
+A :class:`LogReplica` maintains its *own* engine from a durable
 session's commit log (:mod:`repro.service.wal`), so reads can be
 answered from its :attr:`~LogReplica.engine`'s core map without ever
 touching the primary's write path — the serving front answers
 ``replica=true`` queries with :func:`repro.service.server.answer` over
-it, the same read dispatcher the primary uses.  The replica polls with
-:func:`~repro.service.wal.tail` from its last frame offset (decoding
-O(new bytes), not O(log)), applies only records it has not seen, and
-rebuilds itself from the compaction snapshot when it notices the log
-rotated under it (the header changed or the file shrank).  ``tail``
-walks frames and decodes commit records exactly as recovery's
-:func:`~repro.service.wal.scan` does, so a replica refuses the same
-logs, with :class:`~repro.errors.LogCorruptionError`.
+it, the same read dispatcher the primary uses.
+
+It catches up the way recovery does: on first attach, and again when it
+notices the log rotated under it (the header changed or the file
+shrank), :func:`~repro.service.wal.rebuild` replays the log into the
+compaction snapshot's graph and builds the engine once.  Between
+rebuilds it polls with :func:`~repro.service.wal.tail` from its last
+frame offset (decoding O(new bytes), not O(log)) and applies only the
+records it has not seen, incrementally through the engine's
+``apply_batch``.  ``tail`` walks frames and decodes commit records
+exactly as recovery's :func:`~repro.service.wal.scan` does, so a
+replica refuses the same logs, with
+:class:`~repro.errors.LogCorruptionError`.
 
 Staleness contract
 ------------------
@@ -35,7 +40,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.graphs.undirected import DynamicGraph
-from repro.service.wal import base_engine, replay, scan, tail
+from repro.service.wal import rebuild, replay, scan, tail
 from repro.testing.faults import InjectedFault, inject, register_fault_point
 
 register_fault_point(
@@ -53,14 +58,10 @@ class LogReplica:
     ----------
     log:
         Path of the primary's write-ahead log.
-    audit:
-        Audit the snapshot's invariants when (re)building (slow; off by
-        default — the primary already audits on recovery).
     """
 
-    def __init__(self, log, *, audit: bool = False) -> None:
+    def __init__(self, log) -> None:
         self._log = Path(log)
-        self._audit = audit
         self._engine = None
         self._header: dict = {}
         self._offset = 0
@@ -78,11 +79,9 @@ class LogReplica:
     # ------------------------------------------------------------------
 
     def _build(self) -> None:
-        """(Re)build the replica engine: snapshot seed + full replay."""
+        """(Re)build the replica engine from the log, indexing once."""
         info = scan(self._log)
-        engine, base, _ = base_engine(self._log, info, audit=self._audit)
-        self._applied, _ = replay(engine, self._log, info.records, base)
-        self._engine = engine
+        self._engine, self._applied, _, _ = rebuild(self._log, info)
         self._header = info.header
         self._offset = info.valid_bytes
         self.rebuilds += 1
@@ -93,7 +92,7 @@ class LogReplica:
         Tolerates a writer mid-append (the partial frame is left for the
         next poll) and notices log rotation — a compaction — by the
         header changing or the file shrinking, triggering a rebuild from
-        the new snapshot.
+        the new snapshot and log.
         """
         try:
             inject("replica.stale_read")
@@ -106,7 +105,8 @@ class LogReplica:
             self._build()
             return max(0, self._applied - before)
         self._applied, applied = replay(
-            self._engine, self._log, chunk.records, self._applied
+            self._log, chunk.records, self._applied, self._engine.graph,
+            self._engine.apply_batch,
         )
         self._offset = chunk.valid_bytes
         self.refreshes += 1

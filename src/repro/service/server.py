@@ -88,7 +88,7 @@ from repro.errors import BatchError, ReproError, ServiceError
 from repro.service import protocol
 from repro.service.replica import LogReplica
 from repro.service.session import CoreService
-from repro.service.wal import batch_from_ops, scan
+from repro.service.wal import batch_from_ops
 from repro.testing.faults import (
     InjectedFault,
     inject,
@@ -298,12 +298,10 @@ class TenantSession:
         self._closing = False
         self._receipt_floor = 0
         self._task = asyncio.create_task(self._supervise())
-        # Rebuild the token table of a restarted session (the server was
-        # handed a recovered service): the log knows every token that
-        # landed before the restart.
-        if service.recovery is not None and service.log_path is not None:
-            self._receipt_floor = self._load_tokens_from_log()
-            self.last_recovery = service.recovery
+        # A restarted session (the server was handed a recovered
+        # service): the log knew every token that landed before it.
+        if service.recovery is not None:
+            self._adopt_recovered(service)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -415,25 +413,24 @@ class TenantSession:
             return
         self.service = service
         self.cores = dict(service.cores())
-        last_logged = self._load_tokens_from_log()
-        self._receipt_floor = last_logged
-        self.last_recovery = service.recovery
+        self._adopt_recovered(service)
         self.recovery_error = None
         self.recoveries += 1
         self.server.recoveries += 1
         for subscriber in list(self.subscribers.values()):
-            subscriber.resubscribe(service, last_logged)
+            subscriber.resubscribe(service, self._receipt_floor)
         self.state = HEALTHY
 
-    def _load_tokens_from_log(self) -> int:
-        """Rebuild the token table from the log; returns its last receipt."""
-        info = scan(self.service.log_path)
-        for receipt_id, token in sorted(info.tokens.items()):
+    def _adopt_recovered(self, service: CoreService) -> None:
+        """Take a recovered service's token table, receipt floor and
+        report from its recovery scan."""
+        for receipt_id, token in sorted(service.logged_tokens.items()):
             self._remember(
                 token,
                 {"receipt_id": receipt_id, "replayed": True},
             )
-        return info.last_receipt
+        self._receipt_floor = service.last_receipt_id
+        self.last_recovery = service.recovery
 
     def _remember(self, token: Optional[str], summary: dict) -> None:
         if token is None:

@@ -16,12 +16,14 @@ A service wraps one maintenance engine behind three surfaces:
   commit's exact net core deltas.
 
 Sessions are durable two ways: :meth:`~CoreService.save` /
-:meth:`CoreService.load` checkpoint and restore the maintained index
-explicitly, and :meth:`open` with ``log=`` attaches a write-ahead commit
-log (:mod:`repro.service.wal`) so every commit is on disk *before* the
-engine applies it — :meth:`CoreService.recover` then replays the log
-onto the latest snapshot after a crash, and :meth:`~CoreService.compact`
-folds the log back into a snapshot.
+:meth:`CoreService.load` checkpoint the graph explicitly and rebuild the
+engine from it (:mod:`repro.core.snapshot`), and :meth:`open` with
+``log=`` attaches a write-ahead commit log (:mod:`repro.service.wal`) so
+every commit is on disk *before* the engine applies it.  After a crash
+:meth:`CoreService.recover` replays the log into the latest snapshot's
+graph and builds the engine once (:func:`repro.service.wal.rebuild`),
+and :meth:`~CoreService.compact` folds the log back into a snapshot.
+Both work for every engine.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class RecoveryReport(NamedTuple):
 
     ``replayed`` log records were applied, ``skipped`` were already in
     the snapshot (idempotent replay), ``torn_bytes`` of torn tail were
-    truncated, and ``from_snapshot`` says whether a snapshot seeded the
-    engine (else it was rebuilt empty from the log header).
+    truncated, and ``from_snapshot`` says whether a snapshot's graph
+    seeded the replay (else it started from an empty graph).
     """
 
     replayed: int
@@ -90,6 +92,7 @@ class CoreService:
         self._closed = False
         self._poisoned = False
         self._recovery: Optional[RecoveryReport] = None
+        self._logged_tokens: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Session construction
@@ -122,7 +125,7 @@ class CoreService:
         ``fsync`` policy ``"always"`` / ``"interval"`` / ``"never"``,
         fsynced) *before* the engine applies it.  A non-empty starting
         graph is immediately checkpointed (:meth:`compact`) so recovery
-        has a base snapshot; that requires an order-family engine.
+        has a base snapshot.
 
         >>> CoreService.open([(0, 1)], engine="naive").engine_name
         'naive'
@@ -147,29 +150,23 @@ class CoreService:
             if graph.n:
                 # The log only replays commits; a non-empty base state
                 # must come from a snapshot, taken right now.
-                try:
-                    service.compact()
-                except ServiceError:
-                    service._wal.close()
-                    service._wal.path.unlink()
-                    service._wal = None
-                    raise
+                service.compact()
         return service
 
     @classmethod
-    def load(cls, path, *, audit: bool = True) -> "CoreService":
+    def load(cls, path) -> "CoreService":
         """Restore a service from a :meth:`save` checkpoint.
 
-        The maintained index (graph, k-order, ``deg+``, ``mcd``) is
-        rebuilt without recomputation and its invariants are audited
-        (disable with ``audit=False``); see :mod:`repro.core.snapshot`.
+        The checkpoint holds the graph and the engine name; the engine
+        is built once over the graph (see :mod:`repro.core.snapshot`,
+        which also reads the index-format checkpoints of older builds).
         Subscriptions are runtime state, not part of the checkpoint —
         re-subscribe on the restored service and events flow from its
         first commit.
         """
         from repro.core.snapshot import load_snapshot
 
-        return cls(load_snapshot(path, audit=audit))
+        return cls(load_snapshot(path))
 
     @classmethod
     def recover(
@@ -178,39 +175,41 @@ class CoreService:
         *,
         fsync: str = "always",
         fsync_every: Optional[int] = None,
-        audit: bool = True,
     ) -> "CoreService":
         """Rebuild a durable session from its commit log after a crash.
 
-        The latest compaction snapshot (if any) seeds the engine; every
-        log record it does not already cover is replayed, in receipt
-        order, through the engine's batch pipeline.  Replay is
-        **idempotent**: records at or below the snapshot's receipt id
-        are skipped, so recovering twice — or recovering a log whose
-        compaction crashed between the snapshot rename and the log
-        truncation — lands the same state as recovering once.  A torn
-        tail record (crash mid-append) is truncated away; corruption
-        beyond that raises :class:`~repro.errors.LogCorruptionError`.
+        The latest compaction snapshot's graph (if any) takes every log
+        record it does not already cover, in receipt order, each checked
+        with :meth:`~repro.engine.batch.Batch.check_applicable`; then the
+        header's engine is built once over the result
+        (:func:`repro.service.wal.rebuild`).  Replay is **idempotent**:
+        records at or below the snapshot's receipt id are skipped, so
+        recovering twice — or recovering a log whose compaction crashed
+        between the snapshot rename and the log truncation — lands the
+        same state as recovering once.  A torn tail record (crash
+        mid-append) is truncated away; corruption beyond that, or a
+        record that no longer applies, raises
+        :class:`~repro.errors.LogCorruptionError`.
 
         The returned service is live and attached to the (repaired) log:
         its receipt ids continue after the last logged commit, and new
         commits append under the given ``fsync`` policy.  What happened
-        is reported in :attr:`recovery`.
+        is reported in :attr:`recovery`, and the idempotency tokens the
+        log holds in :attr:`logged_tokens`.
         """
         from repro.service.wal import (
             DEFAULT_FSYNC_EVERY,
             WriteAheadLog,
-            base_engine,
-            replay,
+            rebuild,
             scan,
         )
 
         log = Path(log)
         info = scan(log)
-        engine, base, from_snap = base_engine(log, info, audit=audit)
+        engine, receipt, replayed, from_snapshot = rebuild(log, info)
         service = cls(engine)
-        _, replayed = replay(engine, log, info.records, base)
-        service._next_receipt = max(info.last_receipt, base) + 1
+        service._next_receipt = max(info.last_receipt, receipt) + 1
+        service._logged_tokens = info.tokens
         service._wal = WriteAheadLog.attach(
             log,
             info,
@@ -221,41 +220,28 @@ class CoreService:
             replayed=replayed,
             skipped=len(info.records) - replayed,
             torn_bytes=info.torn_bytes,
-            from_snapshot=from_snap,
+            from_snapshot=from_snapshot,
         )
         return service
 
     def save(self, path) -> None:
-        """Checkpoint the maintained index as JSON at ``path``.
-
-        Only the order-family engines (``order``, ``order-simplified``)
-        maintain a serializable index; other engines
-        raise :class:`~repro.errors.ServiceError` (rebuild them from the
-        edge list instead).
-        """
-        from repro.core.maintainer import OrderFamilyMaintainer
+        """Checkpoint the session's graph and engine name as JSON at
+        ``path`` (atomically; see :mod:`repro.core.snapshot`)."""
         from repro.core.snapshot import save_snapshot
 
-        if not isinstance(self._engine, OrderFamilyMaintainer):
-            raise ServiceError(
-                f"engine {self._engine.name!r} has no snapshot support; "
-                "only the order-family engines' index can be checkpointed"
-            )
         save_snapshot(self._engine, path)
 
     def compact(self) -> Path:
         """Fold the commit log into a snapshot and truncate it.
 
-        Writes the current index as the session's snapshot (atomically:
+        Writes the current graph as the session's snapshot (atomically:
         temp file, fsync, rename) stamped with the last issued receipt
         id, then rotates the log down to a fresh header whose
         ``base_receipt`` records what the snapshot covers.  A crash
         between the two steps is safe: recovery skips log records the
-        snapshot already contains.  Requires a logged session and an
-        order-family engine (the ones with snapshot support); returns
+        snapshot already contains.  Requires a logged session; returns
         the snapshot path.
         """
-        from repro.core.maintainer import OrderFamilyMaintainer
         from repro.core.snapshot import to_snapshot, write_json_atomic
         from repro.service.wal import snapshot_path
 
@@ -271,14 +257,7 @@ class CoreService:
                 "service has no commit log to compact; open the session "
                 "with log=... or CoreService.recover"
             )
-        if not isinstance(self._engine, OrderFamilyMaintainer):
-            raise ServiceError(
-                f"engine {self._engine.name!r} has no snapshot support, so "
-                "its log cannot be compacted (and a logged session over a "
-                "non-empty graph cannot be opened): recovery would have no "
-                "base snapshot to replay onto"
-            )
-        receipt = self._next_receipt - 1
+        receipt = self.last_receipt_id
         snapshot = to_snapshot(self._engine)
         snapshot["receipt"] = receipt
         path = snapshot_path(self._wal.path)
@@ -352,6 +331,18 @@ class CoreService:
         """How this session was recovered (``None`` unless built by
         :meth:`recover`)."""
         return self._recovery
+
+    @property
+    def logged_tokens(self) -> dict[int, str]:
+        """Receipt id -> idempotency token of the records :meth:`recover`
+        found in the log (empty otherwise)."""
+        return self._logged_tokens
+
+    @property
+    def last_receipt_id(self) -> int:
+        """Id of the last receipt minted, including those minted before
+        a recovery."""
+        return self._next_receipt - 1
 
     @property
     def closed(self) -> bool:

@@ -1,12 +1,13 @@
 """Durable write-ahead commit log for :class:`~repro.service.CoreService`.
 
 The order-based index is pure in-memory state: a process crash loses
-every commit since the last explicit snapshot, and rebuilding it from
-the edge list pays Table III's full re-decomposition cost.  The service
-already produces the exact recovery material for free — each commit is
-one validated :class:`~repro.engine.batch.Batch` with a monotone receipt
-id — so durability is an append-only log of those records, replayed
-onto the latest snapshot at recovery.
+every commit since the last explicit snapshot.  The service already
+produces the exact recovery material for free — each commit is one
+validated :class:`~repro.engine.batch.Batch` with a monotone receipt id
+— so durability is an append-only log of those records.  Recovery
+(:func:`rebuild`) replays them into the latest snapshot's *graph* and
+then builds the index once: Table III's one linear construction instead
+of one incremental update per logged op.
 
 Log format
 ----------
@@ -28,8 +29,8 @@ decode commit records in one place, so a CRC-valid record with a
 missing or mistyped field is corruption on every path.
 
 The first record is the header (``kind: "header"``): log version, the
-engine registry name and options needed to rebuild an empty engine
-when no snapshot exists, and ``base_receipt`` — the receipt id already
+engine registry name and options recovery builds the engine with,
+and ``base_receipt`` — the receipt id already
 captured by the snapshot this log continues from.  Every other record
 is a commit: its receipt id plus the batch's ops.  Vertices must be
 JSON scalars: one that decodes to a list or object cannot be replayed.
@@ -53,7 +54,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from repro.engine.batch import INSERT, REMOVE, Batch
 from repro.errors import (
@@ -314,27 +315,39 @@ def batch_from_ops(ops: list) -> Batch:
 
 
 def replay(
-    engine, log: PathLike, records: list, after: int
+    log: PathLike,
+    records: list,
+    after: int,
+    graph: DynamicGraph,
+    apply: Optional[Callable[[Batch], object]] = None,
 ) -> tuple[int, int]:
-    """Apply the ``(receipt_id, ops)`` records newer than ``after``.
+    """Land the ``(receipt_id, ops)`` records newer than ``after``.
 
-    Records at or below ``after`` are already in ``engine`` and are
-    skipped, which makes replay idempotent.  Returns ``(last, replayed)``:
-    the receipt id the engine now reflects (``after`` when nothing
-    applied) and how many records were applied.  A record that no longer
-    applies raises :class:`~repro.errors.LogCorruptionError`.
+    Records at or below ``after`` are already in the state and are
+    skipped, which makes replay idempotent.  Each other record is checked
+    against ``graph`` (:meth:`~repro.engine.batch.Batch.check_applicable`)
+    before it lands — through ``apply`` (a replica's ``engine.apply_batch``
+    over ``graph``), else into ``graph`` itself — so one that no longer
+    applies raises :class:`~repro.errors.LogCorruptionError`.  Returns
+    ``(last, replayed)``: the receipt id the state now reflects (``after``
+    when nothing landed) and how many records landed.
     """
     last, replayed = after, 0
     for receipt_id, ops in records:
         if receipt_id <= after:
             continue
         try:
-            engine.apply_batch(batch_from_ops(ops))
+            batch = batch_from_ops(ops)
+            batch.check_applicable(graph)
         except ReproError as exc:
             raise LogCorruptionError(
                 f"commit log {str(log)!r} record {receipt_id} does "
                 f"not apply to the recovered state: {exc}"
             ) from exc
+        if apply is not None:
+            apply(batch)
+        else:
+            batch.apply_to(graph)
         last = receipt_id
         replayed += 1
     return last, replayed
@@ -362,40 +375,56 @@ _RETIRED_ENGINES = {
     },
 }
 
-#: Header options older builds accepted that never change a core number
-#: when replay starts from an empty graph: batch scheduling knobs, the
-#: k-order generation policy and the k-order block backend.  Replay drops
-#: them.
+#: Header options older builds accepted that never change a core number:
+#: batch scheduling knobs, the k-order generation policy and the k-order
+#: block backend.  :func:`rebuild` drops them.
 _RETIRED_OPTIONS = (
     "partition", "parallel", "reshard", "engine", "policy", "sequence",
 )
 
 
-def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
-    """The engine a log's replay starts from.
+def _header_engine(log: PathLike, header: dict) -> tuple[str, dict]:
+    """The engine name and options a log header asks for.
 
-    Returns ``(engine, base_receipt, from_snapshot)``.  The compaction
-    snapshot next to ``log`` seeds the engine when it exists; records at
-    or below ``base_receipt`` are already in it.  Otherwise an empty
-    engine is built from the header's engine name and options.  Logs
-    written by a retired engine name (``_RETIRED_ENGINES``) rebuild on
-    the engine it maps to, ``_RETIRED_OPTIONS`` are dropped, and the
+    Logs written by a retired engine name (``_RETIRED_ENGINES``) rebuild
+    on the engine it maps to, ``_RETIRED_OPTIONS`` are dropped, and the
     ``"seed"`` field older builds wrote is ignored (no engine is
-    randomized).
-
-    Raises :class:`~repro.errors.LogCorruptionError` when the snapshot
-    is damaged (unreadable JSON, a malformed field or a failed audit),
-    when the header promises a snapshot that is missing, or names an
-    engine or option this build does not know.
+    randomized).  An unknown name is :class:`LogCorruptionError`.
     """
-    from repro.core.snapshot import from_snapshot
-    from repro.engine.registry import is_engine_name, make_engine
+    from repro.engine.registry import is_engine_name
+
+    opts = header.get("opts") or {}
+    name = header.get("engine")
+    if isinstance(name, str) and name in _RETIRED_ENGINES:
+        # A sharded log names its sub-engine, possibly by a retired alias.
+        name = opts.get("engine", _RETIRED_ENGINES[name])
+        name = _RETIRED_ENGINES.get(name, name)
+    if not isinstance(name, str) or not is_engine_name(name):
+        raise LogCorruptionError(
+            f"commit log {str(log)!r} header field 'engine' names "
+            f"unknown engine {name!r}"
+        )
+    return name, {k: v for k, v in opts.items() if k not in _RETIRED_OPTIONS}
+
+
+def _base_graph(
+    log: PathLike, header: dict
+) -> tuple[DynamicGraph, int, bool]:
+    """The graph a log's replay starts from, the receipt it covers and
+    whether a snapshot seeded it.
+
+    That is the compaction snapshot's graph when the snapshot exists
+    (version 1 or 2, see :mod:`repro.core.snapshot`), else an empty one.
+    A damaged snapshot, or a header promising one that is missing, is
+    :class:`LogCorruptionError`.
+    """
+    from repro.core.snapshot import read_snapshot
 
     snap = snapshot_path(log)
     if snap.exists():
         try:
             raw = json.loads(snap.read_bytes())
-            engine = from_snapshot(raw, audit=audit)
+            _, graph = read_snapshot(raw)
             receipt = raw.get("receipt", 0)
             if type(receipt) is not int:
                 raise StaleIndexError(f"field 'receipt' is {receipt!r}")
@@ -404,34 +433,46 @@ def base_engine(log: PathLike, info: LogInfo, *, audit: bool = False):
                 f"commit log {str(log)!r} continues from compaction "
                 f"snapshot {str(snap)!r}, which is damaged: {exc}"
             ) from exc
-        return engine, receipt, True
-    header = info.header
+        return graph, receipt, True
     if header.get("base_receipt", 0) or header.get("snapshot"):
         raise LogCorruptionError(
             f"commit log {str(log)!r} continues from a compaction "
             f"snapshot (receipt {header.get('base_receipt', 0)}) "
             f"but {str(snap)!r} is missing"
         )
-    opts = header.get("opts") or {}
-    name = header.get("engine")
-    if isinstance(name, str) and name in _RETIRED_ENGINES:
-        # A sharded log names its sub-engine, possibly by a retired alias.
-        name = opts.get("engine", _RETIRED_ENGINES[name])
-        name = _RETIRED_ENGINES.get(name, name)
-    opts = {k: v for k, v in opts.items() if k not in _RETIRED_OPTIONS}
-    if not isinstance(name, str) or not is_engine_name(name):
-        raise LogCorruptionError(
-            f"commit log {str(log)!r} header field 'engine' names "
-            f"unknown engine {name!r}"
-        )
+    return DynamicGraph(), 0, False
+
+
+def rebuild(log: PathLike, info: LogInfo) -> tuple:
+    """Build the engine a scanned log describes, indexing once.
+
+    The compaction snapshot's graph (or an empty graph) takes every
+    ``info`` record its receipt does not cover, through :func:`replay`
+    into the bare graph.  Then ``make_engine(header engine, graph,
+    **header opts)`` runs once: one static decomposition instead of one
+    incremental update per logged op.  The cores are the same either
+    way; only the built k-order may differ from the live session's.
+    Returns ``(engine, receipt, replayed, from_snapshot)``: the receipt
+    id the engine reflects, how many records were replayed, and whether
+    a snapshot seeded the graph.
+
+    Raises :class:`~repro.errors.LogCorruptionError` when the header
+    names an engine or option this build does not know, when the
+    snapshot is damaged or missing, or when a record does not apply.
+    """
+    from repro.engine.registry import make_engine
+
+    name, opts = _header_engine(log, info.header)
+    graph, base, from_snapshot = _base_graph(log, info.header)
+    receipt, replayed = replay(log, info.records, base, graph)
     try:
-        engine = make_engine(name, DynamicGraph(), **opts)
-    except (TypeError, ValueError) as exc:
+        engine = make_engine(name, graph, **opts)
+    except TypeError as exc:
         raise LogCorruptionError(
             f"commit log {str(log)!r} header field 'opts' is not "
             f"accepted by engine {name!r}: {exc}"
         ) from exc
-    return engine, 0, False
+    return engine, receipt, replayed, from_snapshot
 
 
 class WriteAheadLog:

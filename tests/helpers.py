@@ -74,3 +74,23 @@ MALFORMED_COMMITS = {
     },
     "unknown-kind": {"kind": "bogus"},
 }
+
+
+def v1_snapshot(engine) -> dict:
+    """An order-family engine in the version-1 snapshot layout older
+    builds wrote: the index itself (``order`` with aligned ``core`` /
+    ``deg_plus`` / ``mcd``) beside ``edges``.  This build reads such a
+    snapshot for its vertices and edges only."""
+    order = engine.order()
+    return {
+        "version": 1,
+        "engine": engine.name,
+        "order": order,
+        "core": [engine.core[v] for v in order],
+        "deg_plus": [engine.korder.deg_plus[v] for v in order],
+        "mcd": [engine.mcd[v] for v in order],
+        "edges": sorted(
+            [sorted((u, v), key=repr) for u, v in engine.graph.edges()],
+            key=repr,
+        ),
+    }

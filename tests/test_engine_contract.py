@@ -37,7 +37,7 @@ from repro.core.decomposition import core_numbers
 from repro.engine import Batch
 from repro.engine.batch import BatchResult, net_changes
 from repro.engine.registry import available_engines, is_engine_name
-from repro.errors import EdgeNotFoundError, ServiceError, VertexNotFoundError
+from repro.errors import EdgeNotFoundError, VertexNotFoundError
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
@@ -152,20 +152,14 @@ class TestConformance:
             assert batched.core_numbers() == oracle
             assert per_edge.core_numbers() == oracle
 
-    def test_snapshot_round_trips_or_refuses_loudly(self, name, tmp_path):
+    def test_snapshot_round_trips(self, name, tmp_path):
         base, batches = mixed_batch_stream(random.Random(5), 2, 12, 22)
         service = CoreService(build_engine(name, DynamicGraph(base)))
         service.apply(batches[0])
         path = tmp_path / "snap.json"
-        try:
-            service.save(path)
-        except ServiceError as err:
-            # Engines without a serializable index must refuse with a
-            # message naming the gap — never write a partial snapshot.
-            assert "snapshot" in str(err)
-            assert not path.exists()
-            return
+        service.save(path)
         restored = CoreService.load(path)
+        assert restored.engine_name == service.engine_name
         assert restored.cores() == service.cores()
         # The restored session is live, not a frozen readback.
         service.apply(batches[1])

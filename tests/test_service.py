@@ -8,7 +8,6 @@ from repro.engine import DEFAULT_ENGINE
 from repro.engine.batch import Batch
 from repro.errors import (
     SelfLoopError,
-    ServiceError,
     TransactionError,
     WorkloadError,
 )
@@ -354,10 +353,17 @@ class TestCheckpointing:
         assert [(e.vertex, e.new_core) for e in seen] == [(3, 2)]
         assert restored.cores() == core_numbers(restored.graph)
 
-    def test_save_rejects_engines_without_snapshots(self, tmp_path):
-        svc = CoreService.open(TRIANGLE, engine="naive")
-        with pytest.raises(ServiceError, match="naive"):
-            svc.save(tmp_path / "nope.json")
+    def test_save_load_round_trips_every_engine(self, tmp_path):
+        for engine in ("naive", "trav-2"):
+            svc = CoreService.open(TRIANGLE + [(2, 3)], engine=engine)
+            svc.insert(0, 3)
+            path = tmp_path / f"{engine}.json"
+            svc.save(path)
+            restored = CoreService.load(path)
+            assert restored.engine_name == engine
+            assert restored.cores() == svc.cores() == dict.fromkeys(range(4), 2)
+            restored.insert(1, 3)
+            assert restored.cores() == core_numbers(restored.graph)
 
 
 class TestMonitorIntegration:

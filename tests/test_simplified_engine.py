@@ -6,8 +6,7 @@ the same index as ``order`` (``mcd`` next to ``deg+``) and exposes
 ``d_in = mcd - d_out`` as a view, it runs the same kernel — so every
 update reports exactly what ``order`` reports — batch counters report
 ``candidate_visits`` instead of ``mcd_recomputations``, and snapshots
-round-trip through the shared order-family layout with the ``engine``
-field dispatching the restore.
+name their engine, so a restore rebuilds the same engine.
 """
 
 import random
@@ -21,7 +20,7 @@ from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
 from repro.core.simplified import SimplifiedCoreMaintainer, compute_d_in
 from repro.core.snapshot import from_snapshot, to_snapshot
 from repro.engine import Batch, make_engine
-from repro.errors import ServiceError, StaleIndexError
+from repro.errors import StaleIndexError
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
@@ -159,15 +158,15 @@ class TestSnapshot:
         restored.engine.check()
         assert restored.cores() == core_numbers(restored.graph)
 
-    def test_layout_matches_order_engine(self):
+    def test_index_matches_order_engine(self):
         edges, _ = random_gnm(30, 70, seed=8)
-        order = to_snapshot(OrderedCoreMaintainer(DynamicGraph(edges)))
-        simplified = to_snapshot(
-            SimplifiedCoreMaintainer(DynamicGraph(edges))
-        )
-        assert order.pop("engine") == "order"
-        assert simplified.pop("engine") == "order-simplified"
-        assert order == simplified
+        order = OrderedCoreMaintainer(DynamicGraph(edges))
+        simplified = SimplifiedCoreMaintainer(DynamicGraph(edges))
+        assert simplified.order() == order.order()
+        assert simplified.korder.deg_plus == order.korder.deg_plus
+        assert dict(simplified.mcd) == dict(order.mcd)
+        assert to_snapshot(order)["engine"] == "order"
+        assert to_snapshot(simplified)["engine"] == "order-simplified"
 
     def test_dispatch_defaults_to_order_engine(self):
         edges, _ = random_gnm(10, 18, seed=7)
@@ -186,10 +185,16 @@ class TestSnapshot:
         with pytest.raises(StaleIndexError, match="order-quantum"):
             from_snapshot(snapshot)
 
-    def test_non_order_family_engines_still_refuse_save(self, tmp_path):
-        svc = CoreService.open([(0, 1)], engine="trav-2")
-        with pytest.raises(ServiceError, match="no snapshot support"):
-            svc.save(tmp_path / "nope.json")
+    def test_non_order_family_engines_round_trip(self, tmp_path):
+        edges, spare = random_gnm(14, 30, seed=6)
+        svc = CoreService.open(edges, engine="trav-2")
+        path = tmp_path / "snap.json"
+        svc.save(path)
+        restored = CoreService.load(path)
+        assert restored.engine_name == "trav-2"
+        assert restored.cores() == svc.cores()
+        restored.apply(Batch.inserts(spare[:5]))
+        assert restored.cores() == core_numbers(restored.graph)
 
 
 class TestKernelParity:

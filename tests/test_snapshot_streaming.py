@@ -15,17 +15,25 @@ from repro.errors import StaleIndexError, WorkloadError
 from repro.graphs.undirected import DynamicGraph
 from repro.streaming import SlidingWindowCoreMonitor
 
-from helpers import random_gnm
+from helpers import random_gnm, v1_snapshot
+
+
+def assert_same_graph(a, b):
+    assert set(a.vertices()) == set(b.vertices())
+    assert {frozenset(e) for e in a.edges()} == {frozenset(e) for e in b.edges()}
 
 
 class TestSnapshot:
     def test_roundtrip_preserves_everything(self, small_random_graph):
         original = OrderedCoreMaintainer(small_random_graph, seed=1)
         restored = from_snapshot(to_snapshot(original))
+        assert restored.name == original.name
+        assert_same_graph(restored.graph, original.graph)
         assert restored.core_numbers() == original.core_numbers()
-        assert restored.order() == original.order()
+        # The index is rebuilt, not adopted: the k-order may differ, but
+        # mcd is a function of the graph and the cores.
         assert dict(restored.mcd) == dict(original.mcd)
-        assert restored.graph.m == original.graph.m
+        restored.check()
 
     def test_restored_engine_keeps_working(self, triangle_graph):
         original = OrderedCoreMaintainer(triangle_graph, seed=1)
@@ -43,8 +51,19 @@ class TestSnapshot:
 
     def test_snapshot_is_json_serializable(self, triangle_graph):
         engine = OrderedCoreMaintainer(triangle_graph)
-        text = json.dumps(to_snapshot(engine))
-        assert "version" in json.loads(text)
+        snapshot = json.loads(json.dumps(to_snapshot(engine)))
+        assert snapshot == {
+            "version": 2,
+            "engine": "order",
+            "vertices": [0, 1, 2, 3],
+            "edges": [[0, 1], [0, 2], [1, 2], [2, 3]],
+        }
+
+    def test_isolated_vertices_survive(self):
+        engine = OrderedCoreMaintainer(DynamicGraph([(0, 1)], vertices=["x"]))
+        engine.remove_edge(0, 1)
+        restored = from_snapshot(json.loads(json.dumps(to_snapshot(engine))))
+        assert restored.core_numbers() == {"x": 0, 0: 0, 1: 0}
 
     def test_sequence_field_of_older_snapshots_is_ignored(
         self, small_random_graph
@@ -52,19 +71,17 @@ class TestSnapshot:
         # Builds with a k-order backend switch wrote "sequence"; this
         # build keeps one backend, stops writing it and restores as is.
         original = OrderedCoreMaintainer(small_random_graph)
-        snapshot = to_snapshot(original)
-        assert "sequence" not in snapshot
+        snapshot = v1_snapshot(original)
         snapshot["sequence"] = "treap"
         restored = from_snapshot(snapshot)
         restored.check()
         assert restored.core_numbers() == original.core_numbers()
-        assert restored.order() == original.order()
 
     def test_version_skew_names_both_versions(self):
         with pytest.raises(
             StaleIndexError,
             match=r"snapshot field 'version' is 99; "
-            r"this build reads version 1",
+            r"this build reads versions 1, 2",
         ):
             from_snapshot({"version": 99})
 
@@ -74,69 +91,69 @@ class TestSnapshot:
         ):
             from_snapshot({"order": []})
 
-    def test_missing_field_named(self):
+    @pytest.mark.parametrize(
+        "snapshot,field",
+        [({"version": 1, "edges": []}, "order"),
+         ({"version": 2, "edges": []}, "vertices"),
+         ({"version": 1, "order": []}, "edges"),
+         ({"version": 2, "vertices": []}, "edges")],
+    )
+    def test_missing_field_named(self, snapshot, field):
         with pytest.raises(
-            StaleIndexError, match=r"snapshot missing field 'core'"
-        ):
-            from_snapshot({"version": 1, "order": []})
-
-    def test_length_mismatch_reports_every_length(self, triangle_graph):
-        snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
-        snapshot["core"] = snapshot["core"][:-1]
-        with pytest.raises(
-            StaleIndexError,
-            match=r"inconsistent lengths: order=4, core=3, "
-            r"deg_plus=4, mcd=4",
+            StaleIndexError, match=rf"snapshot field '{field}' is not a list"
         ):
             from_snapshot(snapshot)
 
-    def test_unknown_engine_lists_known_engines(self, triangle_graph):
+    def test_version_1_index_fields_are_ignored(self, triangle_graph):
+        # Version 1 stored the index; this build rebuilds it, so damaged
+        # index fields (the old audit's business) no longer matter.
+        snapshot = v1_snapshot(OrderedCoreMaintainer(triangle_graph))
+        snapshot["core"] = snapshot["core"][:-1]
+        snapshot["deg_plus"] = [d + 1 for d in snapshot["deg_plus"]]
+        del snapshot["mcd"]
+        restored = from_snapshot(snapshot)
+        restored.check()
+        assert restored.core_numbers() == {0: 2, 1: 2, 2: 2, 3: 1}
+
+    def test_version_1_order_carries_the_vertex_set(self):
+        engine = OrderedCoreMaintainer(DynamicGraph([(0, 1)], vertices=["x"]))
+        restored = from_snapshot(v1_snapshot(engine))
+        assert restored.core_numbers() == {"x": 0, 0: 1, 1: 1}
+
+    def test_unknown_engine_named(self, triangle_graph):
         snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
         snapshot["engine"] = "order-quantum"
         with pytest.raises(
             StaleIndexError,
-            match=r"names unknown engine 'order-quantum'; "
-            r"this build restores: order, order-simplified",
+            match=r"snapshot field 'engine' names unknown engine "
+            r"'order-quantum'",
         ):
             from_snapshot(snapshot)
 
-    def test_unknown_engine_not_wrapped_as_value_error(self, triangle_graph):
-        # The unknown-engine raise sits inside a try that converts
-        # ValueError to StaleIndexError; make sure the message survives
-        # verbatim rather than being double-wrapped.
+    @pytest.mark.parametrize("name", ["naive", "trav-2", "order"])
+    def test_every_engine_restores(self, triangle_graph, name):
         snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
-        snapshot["engine"] = "naive"
-        try:
-            from_snapshot(snapshot)
-        except StaleIndexError as exc:
-            assert "names unknown engine 'naive'" in str(exc)
-        else:  # pragma: no cover - the raise is the point
-            raise AssertionError("unknown engine accepted")
+        snapshot["engine"] = name
+        restored = from_snapshot(snapshot)
+        assert restored.name == name
+        assert restored.core_numbers() == {0: 2, 1: 2, 2: 2, 3: 1}
 
     @pytest.mark.parametrize(
         "damage",
         [lambda s: [s], lambda s: s["edges"].append(7),
          lambda s: s["edges"].append([1, 2, 3]),
-         lambda s: s.update(core=5), lambda s: s.update(order=[[0]] * 4)],
+         lambda s: s.update(vertices=5), lambda s: s.update(vertices=[[0]]),
+         lambda s: s["edges"].append([0, 1]),
+         lambda s: s["edges"].append([4, 4])],
         ids=["not-an-object", "edge-not-a-list", "edge-not-a-pair",
-             "core-not-a-list", "unhashable-vertex"],
+             "vertices-not-a-list", "unhashable-vertex", "duplicate-edge",
+             "self-loop"],
     )
     def test_malformed_fields_are_stale_index(self, triangle_graph, damage):
         snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
         snapshot = damage(snapshot) or snapshot
         with pytest.raises(StaleIndexError):
             from_snapshot(snapshot)
-
-    def test_corrupted_invariants_detected(self, triangle_graph):
-        snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
-        snapshot["deg_plus"] = [d + 1 for d in snapshot["deg_plus"]]
-        with pytest.raises(StaleIndexError):
-            from_snapshot(snapshot)
-
-    def test_audit_can_be_skipped(self, triangle_graph):
-        snapshot = to_snapshot(OrderedCoreMaintainer(triangle_graph))
-        restored = from_snapshot(snapshot, audit=False)
-        assert restored.graph.m == 4
 
     def test_snapshot_after_updates(self, small_random_graph):
         engine = OrderedCoreMaintainer(small_random_graph, seed=3)

@@ -389,11 +389,19 @@ class TestDurableSession:
         with pytest.raises(ServiceError, match="already exists"):
             CoreService.open(TRIANGLE, log=log)
 
-    def test_open_nonsnapshot_engine_nonempty_graph_cleans_up(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["naive", "trav-2"])
+    def test_any_engine_nonempty_graph_is_durable(self, tmp_path, engine):
         log = tmp_path / "s.wal"
-        with pytest.raises(ServiceError, match="no snapshot support"):
-            CoreService.open(TRIANGLE, engine="naive", log=log)
-        assert not log.exists()
+        svc = CoreService.open(TRIANGLE, engine=engine, log=log)
+        self.commit(svc, (3, 4), (4, 1))
+        svc.compact()
+        self.commit(svc, (4, 2))
+        expected = svc.cores()
+        rec = CoreService.recover(log)
+        assert rec.engine.name == engine
+        assert rec.recovery.from_snapshot and rec.recovery.replayed == 1
+        assert rec.cores() == expected
+        rec.close()
 
     def test_nonsnapshot_engine_empty_graph_is_durable(self, tmp_path):
         log = tmp_path / "s.wal"
@@ -738,23 +746,23 @@ class TestDamagedSnapshot:
         elif how == "edge-not-a-pair":
             raw["edges"].append(7)
             snap.write_text(json.dumps(raw))
-        elif how == "fails-audit":
-            raw["mcd"][0] += 1
+        elif how == "missing-edges":
+            del raw["edges"]
+            snap.write_text(json.dumps(raw))
+        elif how == "vertices-not-a-list":
+            raw["vertices"] = {"0": 0}
             snap.write_text(json.dumps(raw))
 
     @pytest.mark.parametrize(
         "how", ["truncated", "not-an-object", "edge-not-a-pair",
-                "fails-audit"],
+                "missing-edges", "vertices-not-a-list"],
     )
     def test_recover_refuses_damaged_snapshot(self, tmp_path, how):
         from repro.service import LogReplica
 
         log, snap = self.compacted_log(tmp_path)
         self.damage(snap, how)
-        readers = [CoreService.recover]
-        if how != "fails-audit":  # replicas skip the audit by default
-            readers.append(LogReplica)
-        for read in readers:
+        for read in (CoreService.recover, LogReplica):
             with pytest.raises(LogCorruptionError) as info:
                 read(log)
             assert str(snap) in str(info.value)
