@@ -16,8 +16,9 @@ Three replays on the Table II workloads, all asserting core agreement:
   the one removal path of ``OrderFamilyMaintainer`` and differ only in
   the counter they charge, so it checks that they agree and records
   timings that should tie;
-* a mixed batched stream through ``apply_batch`` — one recorded
-  ``mixed`` scenario replayed tick-for-tick on both engines.  Since the
+* a mixed batched stream through the run loop (``maintain_batch``,
+  which ``apply_batch`` skips for ticks large enough to rebuild) — one
+  recorded ``mixed`` scenario replayed tick-for-tick on both engines.  Since the
   simplified engine gained batch-native runs, both sides amortize their
   bookkeeping across joint cascades here; this head-to-head decides the
   registry default (see ROADMAP).
@@ -37,7 +38,7 @@ from pathlib import Path
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
-from repro.bench.runner import run_batches, run_updates
+from repro.bench.runner import run_updates
 from repro.bench.workloads import make_workload
 from repro.engine import make_engine
 from repro.graphs.datasets import load_dataset
@@ -204,8 +205,9 @@ def bench_simplified_remove(benchmark, dataset):
 
 
 def bench_simplified_mixed_batches(benchmark):
-    """Mixed batched stream through ``apply_batch`` — both engines now
-    run batch-native removal runs, so this head-to-head is what decides
+    """Mixed batched stream through the run loop (``maintain_batch``) —
+    both engines run batch-native removal runs, so this head-to-head is
+    what decides
     the registry default.  The stream is one recorded ``mixed`` scenario
     (the canonical :func:`repro.scenarios.make_scenario` generator),
     built once and replayed tick-for-tick on both engines: byte-identical
@@ -223,11 +225,13 @@ def bench_simplified_mixed_batches(benchmark):
     )
     batches = [tick.batch for tick in scenario.ticks]
 
+    # The kernels head to head: the run loop on every tick, never the
+    # rebuild that apply_batch picks for large ticks (same on both).
     def run():
         order = make_engine("order", scenario.base_graph())
-        order_results = run_batches(order, batches)
+        order_results = [order.maintain_batch(b) for b in batches]
         simplified = make_engine("order-simplified", scenario.base_graph())
-        simplified_results = run_batches(simplified, batches)
+        simplified_results = [simplified.maintain_batch(b) for b in batches]
         assert order.core_numbers() == simplified.core_numbers()
         return order_results, simplified_results
 

@@ -72,7 +72,7 @@ def main() -> None:
     assert naive.cores() == batched.cores()
     print(
         f"naive  batched : {naive_seconds:.3f}s, "
-        f"{naive.engine.recomputations} recomputations for {len(plan)} ops"
+        f"{naive.engine.rebuilds} rebuilds for {len(plan)} ops"
     )
 
     # Batches are first-class values: build them directly, too.

@@ -58,8 +58,11 @@ wins (Fig. 12) — go through :class:`~repro.engine.batch.Batch`:
 >>> result.ops
 3
 
-Every engine accepts any batch; the order engine coalesces its ``mcd``
-repair per same-kind run, and the naive engine recomputes once per batch.
+Every engine accepts any batch.  A batch small against the graph runs
+through the engine's incremental run loop (the order engine coalesces
+its ``mcd`` repair per same-kind run); a large one is applied to the
+graph and the index is rebuilt once, which is all the naive engine ever
+does.
 :class:`~repro.engine.batch.BatchResult` aggregates net core changes,
 search-space size, per-kind op counts and wall time.
 

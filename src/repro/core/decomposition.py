@@ -103,19 +103,16 @@ def _peel_small(graph: DynamicGraph) -> KOrderDecomposition:
     whole peel ``O(m + n)`` (amortized bucket scans).
     """
     result = KOrderDecomposition()
+    core, deg_plus, order = result.core, result.deg_plus, result.order
     adj = graph.adj
     buckets = DegreeBuckets({v: len(nbrs) for v, nbrs in adj.items()})
     k = 0
-    while buckets:
-        vertex, degree = buckets.pop_min()
+    for vertex, degree in buckets.peel_min(adj):
         if degree > k:
             k = degree
-        result.core[vertex] = k
-        result.deg_plus[vertex] = degree
-        result.order.append(vertex)
-        for w in adj[vertex]:
-            if w in buckets:
-                buckets.decrease(w)
+        core[vertex] = k
+        deg_plus[vertex] = degree
+        order.append(vertex)
     return result
 
 

@@ -19,7 +19,7 @@ engines' ``audit`` mode used heavily by the tests.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.core.decomposition import KOrderDecomposition
 from repro.errors import InvariantViolationError
@@ -32,18 +32,23 @@ Vertex = Hashable
 class KOrder:
     """Per-core-number blocks of vertices in maintained k-order."""
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[SequenceStats] = None) -> None:
         #: Shared operation counters across all blocks, past and present.
-        self.stats = SequenceStats()
+        self.stats = SequenceStats() if stats is None else stats
         self._blocks: dict[int, TaggedOrderList] = {}
         self._k_of: dict[Vertex, int] = {}
         #: ``deg+``: neighbors after the vertex in the global order.
         self.deg_plus: dict[Vertex, int] = {}
 
     @classmethod
-    def from_decomposition(cls, decomposition: KOrderDecomposition) -> "KOrder":
-        """Build the index from a static decomposition's order."""
-        ko = cls()
+    def from_decomposition(
+        cls,
+        decomposition: KOrderDecomposition,
+        stats: Optional[SequenceStats] = None,
+    ) -> "KOrder":
+        """Build the index from a static decomposition's order; ``stats``
+        carries an earlier index's counters over (a rebuild)."""
+        ko = cls(stats)
         for vertex in decomposition.order:
             ko.append(decomposition.core[vertex], vertex)
         ko.deg_plus.update(decomposition.deg_plus)

@@ -81,8 +81,8 @@ class OrderFamilyMaintainer(CoreMaintainer):
     seed:
         Makes the random policy deterministic.
     audit:
-        When true, the full index is audited after every update; meant for
-        tests (it costs ``O(m log n)`` per update).
+        When true, the full index is audited after every update and every
+        rebuilt batch; meant for tests (it costs ``O(m log n)`` per update).
     """
 
     def __init__(
@@ -94,18 +94,26 @@ class OrderFamilyMaintainer(CoreMaintainer):
     ) -> None:
         super().__init__(graph)
         self._audit = audit
-        decomposition = korder_decomposition(graph, policy=policy, seed=seed)
-        self._core: dict[Vertex, int] = decomposition.core
-        self.korder = KOrder.from_decomposition(decomposition)
-        self._mcd = compute_mcd(graph, self._core)
+        self._policy = policy
+        self._seed = seed
+        self.korder = KOrder()
+        self._build_index()
+
+    def _build_index(self) -> None:
+        """Decompose the graph into a k-order, then compute ``mcd``; the
+        k-order keeps the previous one's cumulative stats."""
+        decomposition = korder_decomposition(
+            self._graph, policy=self._policy, seed=self._seed
+        )
+        self._core.update(decomposition.core)
+        self.korder = KOrder.from_decomposition(
+            decomposition, stats=self.korder.stats
+        )
+        self._mcd = compute_mcd(self._graph, self._core)
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-
-    @property
-    def core(self) -> Mapping[Vertex, int]:
-        return self._core
 
     @property
     def mcd(self) -> Mapping[Vertex, int]:
@@ -240,9 +248,16 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     def _charge_removal(self, demoted: int, visited: int) -> None:
         self.mcd_recomputations += demoted
 
+    def _rebuild(self) -> dict[Vertex, int]:
+        """A rebuild recomputes every vertex's ``mcd``; charge them."""
+        changed = super()._rebuild()
+        self.mcd_recomputations += len(self._mcd)
+        return changed
+
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation (sequence stats + ``mcd`` repairs)."""
-        counters = self.korder.stats.as_dict()
+        counters = super()._batch_counters()
+        counters.update(self.korder.stats.as_dict())
         counters["mcd_recomputations"] = self.mcd_recomputations
         return counters
 

@@ -178,6 +178,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
     def _batch_counters(self) -> dict[str, int]:
         """Sequence stats plus the scan counter, in place of the ``order``
         engine's ``mcd_recomputations``."""
-        counters = self.korder.stats.as_dict()
+        counters = super()._batch_counters()
+        counters.update(self.korder.stats.as_dict())
         counters["candidate_visits"] = self.candidate_visits
         return counters

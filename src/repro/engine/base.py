@@ -16,13 +16,25 @@ through the engine so its index stays consistent with the graph.
 
 Besides the per-edge updates the paper describes, every engine accepts a
 :class:`~repro.engine.batch.Batch` of mixed insertions/removals through
-:meth:`CoreMaintainer.apply_batch`, the one batch loop: it replays the
-batch as same-kind runs and dispatches them to the :meth:`_insert_run` /
-:meth:`_remove_run` hooks.  The base hooks apply the run one edge at a
-time (what ``trav-<h>`` uses); the order family overrides both with
-coalesced commits (one ``mcd`` repair per insertion run, one joint
-cascade per removal run), and the naive engine replaces
-:meth:`~CoreMaintainer.apply_batch` itself to recompute once per batch.
+:meth:`CoreMaintainer.apply_batch`, which applies it one of two ways:
+
+* **maintain** (:meth:`CoreMaintainer.maintain_batch`, the one run
+  loop): replay the batch as same-kind runs dispatched to the
+  :meth:`_insert_run` / :meth:`_remove_run` hooks.  The base hooks apply
+  the run one edge at a time (what ``trav-<h>`` uses); the order family
+  overrides both with coalesced commits (one ``mcd`` repair per
+  insertion run, one joint cascade per removal run);
+* **rebuild** (:meth:`CoreMaintainer.rebuild_batch`): apply the batch
+  to the graph, then build the index once with the code the engine's
+  constructor runs, and report the net old-against-new core diff.
+
+One count-based rule picks between them: rebuild when
+``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
+running ``visited`` per op over the batches it maintained (1 before the
+first).  The paper's regime — one update at a time on a large graph — is
+far below the threshold, and the per-edge API (:meth:`insert_edge` /
+:meth:`remove_edge`) never consults it.  ``naive`` is the rule's
+"always rebuild" case.
 
 Engines are created by name through the registry in
 :mod:`repro.engine.registry` (:func:`~repro.engine.registry.make_engine`).
@@ -40,6 +52,7 @@ from repro.engine.batch import (
     Batch,
     BatchResult,
     RemovalRunResult,
+    core_diff,
     merge_deltas,
     net_changes,
 )
@@ -48,6 +61,11 @@ from repro.testing.faults import inject
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
+
+#: ``C`` of the rebuild rule: a batch rebuilds the index when
+#: ``C * ops * visited-per-op >= |V| + |E|``.  Taken from the crossovers
+#: of ``benchmarks/bench_rebuild_sweep.py`` (``BENCH_rebuild_sweep.json``).
+REBUILD_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -95,8 +113,23 @@ class CoreMaintainer(ABC):
     #: Human-readable engine name, overridden by subclasses.
     name = "abstract"
 
+    #: Index builds from the graph after construction (rebuilt batches,
+    #: and every update of the naive engine).
+    rebuilds = 0
+
+    #: Run the engine's invariant audit (``check``) after each update,
+    #: each maintained run and each rebuild; engines with an audit set it.
+    _audit = False
+
     def __init__(self, graph: DynamicGraph) -> None:
         self._graph = graph
+        #: Core numbers.  Rebuilds refill this dict in place, so a live
+        #: view of :attr:`core` never goes stale.
+        self._core: dict[Vertex, int] = {}
+        #: Ops and ``visited`` summed over the maintained batches: the
+        #: rebuild rule's visited-per-op estimate.
+        self._maintained_ops = 0
+        self._maintained_visited = 0
 
     # ------------------------------------------------------------------
     # Read-only accessors
@@ -108,9 +141,10 @@ class CoreMaintainer(ABC):
         return self._graph
 
     @property
-    @abstractmethod
     def core(self) -> Mapping[Vertex, int]:
-        """Current core numbers; treat as read-only."""
+        """Current core numbers; treat as read-only.  The same mapping
+        for the engine's whole life, updated in place."""
+        return self._core
 
     def core_of(self, vertex: Vertex) -> int:
         """Core number of one vertex."""
@@ -175,7 +209,35 @@ class CoreMaintainer(ABC):
     # ------------------------------------------------------------------
 
     def apply_batch(self, batch: Batch) -> BatchResult:
-        """Apply a mixed :class:`~repro.engine.batch.Batch` of updates.
+        """Apply a mixed :class:`~repro.engine.batch.Batch` of updates,
+        by :meth:`rebuild_batch` when :meth:`_rebuild_pays` says the
+        batch is large against the graph, by :meth:`maintain_batch`
+        otherwise.  Either way the final graph and core numbers are those
+        of op-order replay, and ``changed`` is the batch's net delta."""
+        if self._rebuild_pays(len(batch)):
+            return self.rebuild_batch(batch)
+        return self.maintain_batch(batch)
+
+    def _rebuild_pays(self, ops: int) -> bool:
+        """The rebuild rule: ``C * ops * v >= |V| + |E|``.
+
+        ``v`` is ``visited`` per op over the batches this engine
+        maintained, and 1 before the first, so a first batch rebuilds
+        when it holds at least ``1/C`` of the graph.  Counts only, never
+        a clock: which batches rebuild is fixed by the inputs.
+        """
+        if not ops:
+            return False
+        size = self._graph.n + self._graph.m
+        if not self._maintained_ops:
+            return REBUILD_FACTOR * ops >= size
+        return (
+            REBUILD_FACTOR * ops * self._maintained_visited
+            >= size * self._maintained_ops
+        )
+
+    def maintain_batch(self, batch: Batch) -> BatchResult:
+        """Apply a batch through the engine's incremental run loop.
 
         The batch replays as same-kind runs (:meth:`Batch.runs`): a
         conflict-free batch becomes one removal run followed by one
@@ -183,8 +245,7 @@ class CoreMaintainer(ABC):
         runs go through :meth:`_insert_run` (one
         :class:`UpdateResult` per op), removal runs through
         :meth:`_remove_run` (one
-        :class:`~repro.engine.batch.RemovalRunResult` per run).  The final
-        graph and core numbers are those of op-order replay.
+        :class:`~repro.engine.batch.RemovalRunResult` per run).
 
         ``BatchResult.results`` keeps per-op detail only for batches
         without removals, in the batch's op order; a removal run is
@@ -209,6 +270,8 @@ class CoreMaintainer(ABC):
         for run in removal_runs:
             visited += run.visited
             merge_deltas(changed, run.changed.items())
+        self._maintained_ops += inserts + removes
+        self._maintained_visited += visited
         return BatchResult(
             engine=self.name,
             inserts=inserts,
@@ -219,6 +282,61 @@ class CoreMaintainer(ABC):
             results=None if removal_runs else results,
             counters=self._counter_deltas(baseline),
         )
+
+    def rebuild_batch(self, batch: Batch) -> BatchResult:
+        """Apply a batch to the graph, then build the index once.
+
+        The graph takes the batch's runs in the order
+        :meth:`maintain_batch` would, with the same ``engine.mid_batch``
+        fault point before each, so both paths land the same ops when
+        one raises.  The index is rebuilt even then, so the ops that
+        landed leave it consistent with the graph.  ``changed`` is the
+        net old-against-new core diff, ``results`` is ``None`` and
+        ``visited`` is ``|V|``.
+        """
+        started = time.perf_counter()
+        baseline = self._batch_counters()
+        graph = self._graph
+        try:
+            for kind, run_edges in batch.runs():
+                inject("engine.mid_batch")
+                update = graph.add_edge if kind == INSERT else graph.remove_edge
+                for u, v in run_edges:
+                    update(u, v)
+        finally:
+            changed = self._rebuild()
+        inserts, removes = batch.counts()
+        return BatchResult(
+            engine=self.name,
+            inserts=inserts,
+            removes=removes,
+            changed=changed,
+            visited=graph.n,
+            seconds=time.perf_counter() - started,
+            results=None,
+            counters=self._counter_deltas(baseline),
+        )
+
+    def _rebuild(self) -> dict[Vertex, int]:
+        """Rebuild the whole index from the graph, counting it in
+        :attr:`rebuilds` and auditing it when the engine audits; returns
+        the net core delta it found."""
+        old = dict(self._core)
+        self._build_index()
+        self.rebuilds += 1
+        if self._audit:
+            self.check()
+        return core_diff(old, self._core)
+
+    @abstractmethod
+    def _build_index(self) -> None:
+        """Build the index from the graph, as the constructor does.
+
+        Updates :attr:`_core` in place (``self._core.update``: the graph
+        holds every vertex the map does, and a vertex keeps its place in
+        the iteration order) and keeps every cumulative counter, so a
+        rebuild never moves one back.
+        """
 
     def _insert_run(self, edges: list[Edge]) -> list[UpdateResult]:
         """Insert a run of edges; returns one result per op.
@@ -243,13 +361,13 @@ class CoreMaintainer(ABC):
         )
 
     def _batch_counters(self) -> dict[str, int]:
-        """Cumulative instrumentation counters; engines override.
+        """Cumulative instrumentation counters; engines extend it.
 
-        The order engine reports its k-order stats (``order_queries``,
-        ``relabels``) plus ``mcd_recomputations``; the default is no
-        counters.
+        The base reports :attr:`rebuilds`; the order engine adds its
+        k-order stats (``order_queries``, ``relabels``) plus
+        ``mcd_recomputations``.
         """
-        return {}
+        return {"rebuilds": self.rebuilds}
 
     def _counter_deltas(self, baseline: Optional[dict]) -> dict:
         """Current :meth:`_batch_counters` as per-batch deltas.

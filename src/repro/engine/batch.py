@@ -301,23 +301,25 @@ class BatchResult:
         Net core-number delta per vertex over the whole batch; vertices
         whose core ended where it started are omitted.
     visited:
-        Total search-space size (sum of per-update ``|V+|`` / ``|V'|``,
-        or one ``n`` per recomputation for the naive engine).
+        Total search-space size (sum of per-update ``|V+|`` / ``|V'|``),
+        or ``n`` for a batch applied by rebuilding the index.
     seconds:
         Wall time spent inside ``apply_batch``.
     results:
         Per-operation :class:`~repro.engine.base.UpdateResult` detail, in
-        the batch's op order, for batches without removals; ``None`` for
-        any batch that removes (every engine but naive aggregates a
-        removal run at run level — the order family's runs share one
-        joint cascade, so per-edge attribution no longer exists) and for
-        every naive batch (one recompute per batch).
+        the batch's op order, for maintained batches without removals;
+        ``None`` for any batch that removes (a removal run is aggregated
+        at run level — the order family's runs share one joint cascade,
+        so per-edge attribution no longer exists) and for every rebuilt
+        batch (one index build per batch, every ``naive`` batch among
+        them).
     counters:
         Per-batch instrumentation deltas reported by the engine — for the
         order engine: ``order_queries``, ``relabels`` (the k-order
         stats), ``mcd_recomputations``
         (``candidate_visits`` on the simplified engine, which has no
-        ``mcd``); empty for engines without counters.  Counters the engine's
+        ``mcd``); ``rebuilds`` (index builds from the graph after
+        construction) on every engine that has done one.  Counters the engine's
         machinery never touched are omitted, not zero-filled: a missing
         key means "this engine never ran that code", a ``0`` means "ran
         this batch and did nothing".
@@ -403,6 +405,20 @@ def merge_deltas(changed: dict, deltas: Iterable) -> dict:
         else:
             changed.pop(vertex, None)
     return changed
+
+
+def core_diff(old: dict, new: dict) -> dict[Vertex, int]:
+    """Net core delta per vertex from ``old`` to ``new``, dropping zeros.
+
+    The one old-against-new diff, taken around every from-scratch
+    rebuild.  A vertex absent from ``old`` counts from core 0; updates
+    never drop a vertex, so every key of ``old`` is in ``new``.
+
+    >>> core_diff({1: 1, 2: 1, 3: 0}, {1: 2, 2: 1, 3: 0, 4: 1})
+    {1: 1, 4: 1}
+    """
+    get = old.get
+    return {v: c - get(v, 0) for v, c in new.items() if c != get(v, 0)}
 
 
 def net_changes(results: Sequence) -> dict[Vertex, int]:

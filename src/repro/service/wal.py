@@ -77,6 +77,11 @@ FSYNC_POLICIES = ("always", "interval", "never")
 #: Default append count between fsyncs under the ``interval`` policy.
 DEFAULT_FSYNC_EVERY = 64
 
+#: Encodes commit records.  Byte-identical to ``json.dumps`` (the same
+#: defaults); skipping the circular-reference check, which a record of
+#: plain lists and scalars cannot need, makes each append cheaper.
+_RECORD_ENCODER = json.JSONEncoder(check_circular=False)
+
 
 def frame(payload: bytes) -> bytes:
     """One framed record: ``<length> <crc32-hex> <payload>\\n``."""
@@ -629,7 +634,7 @@ class WriteAheadLog:
         }
         if token is not None:
             record["token"] = token
-        payload = json.dumps(record).encode()
+        payload = _RECORD_ENCODER.encode(record).encode()
         framed = frame(payload)
         inject("wal.before_append")
         if is_armed("wal.mid_append"):

@@ -9,16 +9,17 @@ Two structures live here:
 
 * :class:`IndexedSet` — a set with O(1) membership, insertion, removal *and*
   O(1) uniform random sampling (array + position map with swap-removal).
-  Random sampling is what the "random deg+ first" k-order heuristic needs.
 * :class:`DegreeBuckets` — vertices bucketed by current degree, supporting
   ``decrease``, removal, and extraction of the minimum / maximum / random
-  vertex among those whose degree is below a bound.
+  vertex among those whose degree is below a bound (random sampling is
+  what the "random deg+ first" k-order heuristic needs).  Its buckets
+  keep the same array + position discipline in plain lists.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 
 class IndexedSet:
@@ -89,7 +90,8 @@ class DegreeBuckets:
     Supports the three peeling policies used to generate k-orders:
 
     * ``pop_min()`` — smallest-degree vertex (the "small deg+ first"
-      heuristic, i.e. the canonical BZ order);
+      heuristic, i.e. the canonical BZ order); :meth:`peel_min` runs the
+      whole peel in that order;
     * ``pop_max_below(bound)`` — largest-degree vertex with degree < bound
       ("large deg+ first");
     * ``pop_random_below(bound, rng)`` — uniform vertex with degree < bound
@@ -97,27 +99,51 @@ class DegreeBuckets:
 
     ``decrease(v)`` moves a vertex one bucket down; degrees never increase
     during peeling, which keeps the min-pointer amortized O(1).
+
+    Each bucket is a plain list, with one map from vertex to its slot in
+    its bucket: removal swaps the bucket's tail into the freed slot and
+    pops take the tail (the :class:`IndexedSet` discipline, without an
+    object and method calls per bucket, which cost more than the peel).
     """
 
     def __init__(self, degrees: dict[Hashable, int]) -> None:
         self._degree: dict[Hashable, int] = dict(degrees)
         max_deg = max(self._degree.values(), default=0)
-        self._buckets: list[IndexedSet] = [IndexedSet() for _ in range(max_deg + 1)]
+        self._buckets: list[list[Hashable]] = [[] for _ in range(max_deg + 1)]
+        self._slot: dict[Hashable, int] = {}
         for vertex, degree in self._degree.items():
             if degree < 0:
                 raise ValueError(f"negative degree for {vertex!r}")
-            self._buckets[degree].add(vertex)
+            self._put(vertex, degree)
         self._min_ptr = 0
-        self._size = len(self._degree)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._degree)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._degree)
 
     def __contains__(self, vertex: Hashable) -> bool:
         return vertex in self._degree
+
+    def _put(self, vertex: Hashable, degree: int) -> None:
+        bucket = self._buckets[degree]
+        self._slot[vertex] = len(bucket)
+        bucket.append(vertex)
+
+    def _take(self, vertex: Hashable, degree: int) -> None:
+        bucket = self._buckets[degree]
+        slot = self._slot.pop(vertex)
+        tail = bucket.pop()
+        if slot < len(bucket):
+            bucket[slot] = tail
+            self._slot[tail] = slot
+
+    def _pop_tail(self, degree: int) -> Hashable:
+        vertex = self._buckets[degree].pop()
+        del self._slot[vertex]
+        del self._degree[vertex]
+        return vertex
 
     def degree_of(self, vertex: Hashable) -> int:
         """Current (remaining) degree of ``vertex``."""
@@ -128,10 +154,10 @@ class DegreeBuckets:
         degree = self._degree[vertex]
         if degree == 0:
             raise ValueError(f"degree of {vertex!r} already 0")
-        self._buckets[degree].discard(vertex)
+        self._take(vertex, degree)
         degree -= 1
         self._degree[vertex] = degree
-        self._buckets[degree].add(vertex)
+        self._put(vertex, degree)
         if degree < self._min_ptr:
             self._min_ptr = degree
         return degree
@@ -139,27 +165,62 @@ class DegreeBuckets:
     def remove(self, vertex: Hashable) -> int:
         """Remove ``vertex``; returns the degree it had."""
         degree = self._degree.pop(vertex)
-        self._buckets[degree].discard(vertex)
-        self._size -= 1
+        self._take(vertex, degree)
         return degree
 
     def pop_min(self) -> tuple[Hashable, int]:
         """Remove and return ``(vertex, degree)`` with the smallest degree."""
-        if not self._size:
+        degree = self.min_degree()
+        if degree is None:
             raise KeyError("pop from empty DegreeBuckets")
-        while self._min_ptr < len(self._buckets) and not self._buckets[self._min_ptr]:
-            self._min_ptr += 1
-        bucket = self._buckets[self._min_ptr]
-        vertex = bucket.pop_any()
-        degree = self._degree.pop(vertex)
-        self._size -= 1
-        return vertex, degree
+        return self._pop_tail(degree), degree
+
+    def peel_min(
+        self, adj: Mapping[Hashable, Iterable[Hashable]]
+    ) -> Iterator[tuple[Hashable, int]]:
+        """Empty the buckets smallest degree first: pop each vertex as
+        :meth:`pop_min` would, decrease its neighbors in ``adj`` that are
+        still bucketed, then yield ``(vertex, degree)``.
+
+        The same removal sequence as a ``pop_min`` / ``decrease`` loop,
+        with the bucket moves written out: this loop is every index
+        build's largest cost.
+        """
+        degrees, buckets, slots = self._degree, self._buckets, self._slot
+        low = self._min_ptr
+        while degrees:
+            while not buckets[low]:
+                low += 1
+            vertex = buckets[low].pop()
+            del slots[vertex]
+            del degrees[vertex]
+            popped = low
+            for w in adj[vertex]:
+                degree = degrees.get(w)
+                if degree is None:
+                    continue
+                bucket = buckets[degree]
+                slot = slots[w]
+                tail = bucket.pop()
+                if slot < len(bucket):
+                    bucket[slot] = tail
+                    slots[tail] = slot
+                degree -= 1
+                degrees[w] = degree
+                bucket = buckets[degree]
+                slots[w] = len(bucket)
+                bucket.append(w)
+                if degree < low:
+                    low = degree
+            self._min_ptr = low
+            yield vertex, popped
+            low = self._min_ptr
 
     def min_degree(self) -> Optional[int]:
         """Smallest current degree, or ``None`` when empty."""
-        if not self._size:
+        if not self._degree:
             return None
-        while self._min_ptr < len(self._buckets) and not self._buckets[self._min_ptr]:
+        while not self._buckets[self._min_ptr]:
             self._min_ptr += 1
         return self._min_ptr
 
@@ -172,12 +233,8 @@ class DegreeBuckets:
         """
         top = min(bound - 1, len(self._buckets) - 1)
         for degree in range(top, -1, -1):
-            bucket = self._buckets[degree]
-            if bucket:
-                vertex = bucket.pop_any()
-                self._degree.pop(vertex)
-                self._size -= 1
-                return vertex, degree
+            if self._buckets[degree]:
+                return self._pop_tail(degree), degree
         return None
 
     def pop_random_below(
@@ -190,21 +247,20 @@ class DegreeBuckets:
         """
         top = min(bound - 1, len(self._buckets) - 1)
         total = 0
-        non_empty: list[IndexedSet] = []
+        non_empty: list[int] = []
         for degree in range(0, top + 1):
-            bucket = self._buckets[degree]
-            if bucket:
-                non_empty.append(bucket)
-                total += len(bucket)
+            if self._buckets[degree]:
+                non_empty.append(degree)
+                total += len(self._buckets[degree])
         if total == 0:
             return None
         pick = rng.randrange(total)
-        for bucket in non_empty:
+        for degree in non_empty:
+            bucket = self._buckets[degree]
             if pick < len(bucket):
-                vertex = bucket._items[pick]
-                bucket.discard(vertex)
-                degree = self._degree.pop(vertex)
-                self._size -= 1
+                vertex = bucket[pick]
+                self._take(vertex, degree)
+                del self._degree[vertex]
                 return vertex, degree
             pick -= len(bucket)
         raise AssertionError("unreachable")  # pragma: no cover

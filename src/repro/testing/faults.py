@@ -53,8 +53,8 @@ FAULT_POINTS: dict[str, str] = {
     "wal.before_fsync": "WriteAheadLog: about to fsync the log file",
     "wal.after_fsync": "WriteAheadLog: log fsynced, append not yet reported",
     "engine.mid_batch": (
-        "engine apply_batch: before each same-kind run of one batch "
-        "(never fires on naive, which recomputes once per batch)"
+        "engine apply_batch: before each same-kind run of one batch, "
+        "on the run loop and on the rebuild path alike"
     ),
     "snapshot.mid_write": (
         "snapshot writer: half the payload written to the temp file, "

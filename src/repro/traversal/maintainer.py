@@ -35,7 +35,8 @@ class TraversalCoreMaintainer(CoreMaintainer):
         ``r_1 = mcd`` and ``r_2 = pcd``; the insertion DFS prunes with
         ``r_{h-1}`` and seeds candidate degrees with ``r_h``.
     audit:
-        When true, the hierarchy is audited after every update (tests).
+        When true, the hierarchy is audited after every update and every
+        rebuilt batch (tests).
     """
 
     def __init__(self, graph: DynamicGraph, h: int = 2, audit: bool = False) -> None:
@@ -45,14 +46,14 @@ class TraversalCoreMaintainer(CoreMaintainer):
         self.h = h
         self.name = f"trav-{h}"
         self._audit = audit
-        self._core: dict[Vertex, int] = core_numbers(graph)
-        self.hierarchy = DegreeHierarchy(graph, self._core, depth=h)
         #: Total hierarchy value recomputations — the maintenance cost.
         self.maintenance_work = 0
+        self._build_index()
 
-    @property
-    def core(self) -> Mapping[Vertex, int]:
-        return self._core
+    def _build_index(self) -> None:
+        """Decompose the graph, then compute ``r_1 .. r_h`` from scratch."""
+        self._core.update(core_numbers(self._graph))
+        self.hierarchy = DegreeHierarchy(self._graph, self._core, depth=self.h)
 
     @property
     def mcd(self) -> Mapping[Vertex, int]:

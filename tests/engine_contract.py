@@ -22,6 +22,10 @@ Lists
     code still runs (:data:`POLICY_VARIANTS`, :data:`TRAV_VARIANTS`);
     harnesses that build engines in-process run over these and build
     each one with :func:`build_engine`.
+:data:`BATCH_PATHS`
+    The two ways ``apply_batch`` applies a batch.  Suites that pin what
+    a batch does run each path by name, so the rebuild rule cannot
+    route a test's batches away from the code it claims to test.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ POLICY_VARIANTS = ("order/large", "order/random")
 #: Hop counts of the ``trav-<h>`` pattern beyond ``trav-2``: ``h`` is the
 #: depth of the degree hierarchy the traversal prunes with.
 TRAV_VARIANTS = ("trav-3", "trav-4", "trav-5", "trav-6")
+
+#: ``maintain_batch`` is the incremental run loop, ``rebuild_batch``
+#: applies the batch to the graph and builds the index once.
+BATCH_PATHS = ("maintain_batch", "rebuild_batch")
 
 
 def contract_engines() -> tuple[str, ...]:

@@ -1,8 +1,9 @@
 """Property-based agreement tests for the batch pipeline.
 
 Random interleaved insert/remove batches — including batches that add
-brand-new vertices — are applied through ``apply_batch`` on every engine
-and engine variant of the conformance contract; after every batch each
+brand-new vertices — are applied through each batch path (the run loop
+and the rebuild that ``apply_batch`` picks between) on every engine and
+engine variant of the conformance contract; after every batch each
 engine must agree with a from-scratch ``core_numbers`` recomputation of
 its own graph (and hence with every other engine).
 """
@@ -13,7 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import build_engine, engine_variants, mixed_batch_stream
+from engine_contract import (
+    BATCH_PATHS,
+    build_engine,
+    engine_variants,
+    mixed_batch_stream,
+)
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch, make_engine
 from repro.graphs.undirected import DynamicGraph
@@ -31,8 +37,9 @@ def random_batch_stream(seed, n_batches=6, batch_size=25, universe=60):
     )
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_engines_agree_after_each_mixed_batch(seed):
+def test_engines_agree_after_each_mixed_batch(seed, path):
     base, batches = random_batch_stream(seed)
     engines = {
         name: build_engine(
@@ -46,7 +53,7 @@ def test_engines_agree_after_each_mixed_batch(seed):
     for batch in batches:
         reference = None
         for name, engine in engines.items():
-            engine.apply_batch(batch)
+            getattr(engine, path)(batch)
             oracle = core_numbers(engine.graph)
             snapshot = engine.core_numbers()
             assert snapshot == oracle, f"{name} diverged from recompute"
@@ -61,6 +68,7 @@ def test_engines_agree_after_each_mixed_batch(seed):
                 ), f"{name} diverged from {ENGINES[0]}"
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @settings(
     max_examples=25,
     deadline=None,
@@ -70,7 +78,7 @@ def test_engines_agree_after_each_mixed_batch(seed):
     seed=st.integers(min_value=0, max_value=2**16),
     data=st.data(),
 )
-def test_order_engine_batch_matches_recompute(seed, data):
+def test_order_engine_batch_matches_recompute(path, seed, data):
     """Hypothesis: arbitrary valid mixed batches keep the order index true."""
     rng = random.Random(seed)
     n = data.draw(st.integers(min_value=4, max_value=20), label="n")
@@ -86,5 +94,5 @@ def test_order_engine_batch_matches_recompute(seed, data):
         batch.insert(*edge)
     for edge in rng.sample(base, min(len(base), data.draw(st.integers(0, 12), label="removes"))):
         batch.remove(*edge)
-    engine.apply_batch(batch)
+    getattr(engine, path)(batch)
     assert engine.core_numbers() == core_numbers(engine.graph)

@@ -82,12 +82,12 @@ class TestIndependence:
             for op in sub:
                 whole.remove(*op.edge)
         reference = build_engine(name, DynamicGraph(edges), audit=True)
-        reference.apply_batch(whole)
+        reference.maintain_batch(whole)
         expected = reference.core_numbers()
         for permutation in itertools.permutations(range(len(subs))):
             engine = build_engine(name, DynamicGraph(edges), audit=True)
             for index in permutation:
-                engine.apply_batch(subs[index])
+                engine.maintain_batch(subs[index])
             assert engine.core_numbers() == expected
 
     def test_mixed_batch_matches_per_edge_path(self, name):
@@ -99,7 +99,7 @@ class TestIndependence:
         for u, v in [(0, 1000), (1000, 1001), (200, 300)]:
             batch.insert(u, v)
         engine = build_engine(name, DynamicGraph(edges), audit=True)
-        result = engine.apply_batch(batch)
+        result = engine.maintain_batch(batch)
         assert result.inserts == 3 and result.removes == 16
         assert result.results is None  # removal runs are coalesced
         assert engine.core_numbers() == per_edge(
@@ -113,7 +113,7 @@ class TestIndependence:
         )
         edges = [(0, 3), (10, 13), (1, 3), (11, 13)]  # alternating pockets
         engine = build_engine(name, graph)
-        result = engine.apply_batch(Batch.inserts(edges))
+        result = engine.maintain_batch(Batch.inserts(edges))
         # Edges are already in canonical orientation, so kept results
         # come back in exactly the batch's op order.
         assert [r.edge for r in result.results] == edges
@@ -133,7 +133,7 @@ class TestBoundaries:
             .remove(*pockets[1][0])
         )
         engine = build_engine(name, DynamicGraph(edges), audit=True)
-        engine.apply_batch(batch)
+        engine.maintain_batch(batch)
         assert engine.graph.has_edge(0, 100)
         assert engine.core_numbers() == per_edge(
             name, edges, batch
@@ -149,7 +149,7 @@ class TestBoundaries:
         before = engine.core_numbers()
         batch = Batch().insert(0, 100).remove(0, 100)
         assert [kind for kind, _ in batch.runs()] == ["insert", "remove"]
-        result = engine.apply_batch(batch)
+        result = engine.maintain_batch(batch)
         assert result.inserts == 1 and result.removes == 1
         assert not engine.graph.has_edge(0, 100)
         assert engine.core_numbers() == before
@@ -158,7 +158,7 @@ class TestBoundaries:
     def test_batch_over_brand_new_vertices(self, name):
         engine = build_engine(name, DynamicGraph(), audit=True)
         batch = Batch.inserts([("a", "b"), ("b", "c"), ("x", "y")])
-        result = engine.apply_batch(batch)
+        result = engine.maintain_batch(batch)
         assert result.inserts == 3
         assert [r.edge for r in result.results] == [op.edge for op in batch]
         assert_exact(engine)
@@ -167,7 +167,7 @@ class TestBoundaries:
         edges, _ = pockets_graph(2)
         batch = Batch.inserts([(0, "hub"), (100, "hub")])
         engine = build_engine(name, DynamicGraph(edges), audit=True)
-        engine.apply_batch(batch)
+        engine.maintain_batch(batch)
         # Both pockets are 2-cores, so a degree-2 hub joins at level 2.
         assert engine.core_of("hub") == 2
         assert engine.core_numbers() == per_edge(
@@ -189,14 +189,14 @@ class TestBoundaries:
         assert engine.add_vertex("lonely") is True
         assert engine.add_vertex("lonely") is False
         assert engine.core["lonely"] == 0
-        engine.apply_batch(Batch.inserts([("lonely", 0), ("lonely", 1)]))
+        engine.maintain_batch(Batch.inserts([("lonely", 0), ("lonely", 1)]))
         assert engine.core["lonely"] == 2
         assert_exact(engine)
 
     def test_snapshot_round_trip_after_a_mixed_batch(self, name):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)]
         engine = build_engine(name, DynamicGraph(edges))
-        engine.apply_batch(
+        engine.maintain_batch(
             Batch().insert(4, 5).insert(5, 0).remove(1, 2).insert(3, 0)
         )
         restored = from_snapshot(json.loads(json.dumps(to_snapshot(engine))))
@@ -215,6 +215,12 @@ class TestBoundaries:
 
 @pytest.mark.parametrize("name", ENGINES)
 class TestFailures:
+    """An op or a fault that interrupts the run loop leaves an index
+    that describes its graph."""
+
+    #: The engine method that applies the batch.
+    path = "maintain_batch"
+
     def test_missing_edge_raises_and_commits_nothing(self, name):
         edges, _ = pockets_graph(2)
         engine = build_engine(name, DynamicGraph(edges))
@@ -222,7 +228,7 @@ class TestFailures:
         with pytest.raises(EdgeNotFoundError):
             engine.remove_edge(0, 100)
         with pytest.raises(EdgeNotFoundError):
-            engine.apply_batch(Batch.removes([(0, 100)]))
+            getattr(engine, self.path)(Batch.removes([(0, 100)]))
         assert engine.core_numbers() == before
         assert_exact(engine)
 
@@ -237,7 +243,7 @@ class TestFailures:
         batch.remove(0, 100)  # never an edge: pockets are disjoint
         engine = build_engine(name, DynamicGraph(edges))
         with pytest.raises(EdgeNotFoundError):
-            engine.apply_batch(batch)
+            getattr(engine, self.path)(batch)
         assert_exact(engine)
 
     def test_mid_batch_fault_leaves_index_usable(self, name):
@@ -246,11 +252,30 @@ class TestFailures:
         )
         with FaultPlan(seed=1).crash("engine.mid_batch"):
             with pytest.raises(InjectedFault):
-                engine.apply_batch(Batch().insert(3, 1).insert(12, 10))
+                getattr(engine, self.path)(Batch().insert(3, 1).insert(12, 10))
         assert_exact(engine)
-        engine.apply_batch(Batch().insert(3, 1).insert(5, 1))
+        getattr(engine, self.path)(Batch().insert(3, 1).insert(5, 1))
         assert engine.core_of(1) == 2
         assert_exact(engine)
+
+    def test_fault_between_runs_keeps_the_landed_run(self, name):
+        """A fault before the second run leaves the first run applied,
+        on both paths alike, and the index consistent with it."""
+        engine = build_engine(name, DynamicGraph([(1, 2), (2, 3), (3, 4)]))
+        batch = Batch().insert(1, 3).remove(1, 3).insert(2, 4)
+        with FaultPlan().crash("engine.mid_batch", hits=2):
+            with pytest.raises(InjectedFault):
+                getattr(engine, self.path)(batch)
+        assert engine.graph.has_edge(1, 3)
+        assert not engine.graph.has_edge(2, 4)
+        assert_exact(engine)
+
+
+class TestRebuildFailures(TestFailures):
+    """The same failures on the rebuild path: the ops that landed are
+    in the graph and the rebuilt index describes it."""
+
+    path = "rebuild_batch"
 
 
 @pytest.mark.parametrize("name", order_family_engines())
@@ -322,7 +347,7 @@ class TestRunOracle:
             spare = spare[6:] + spare[:6]  # rotate the insert pool
             if not batch:
                 continue
-            engine.apply_batch(batch)
+            engine.maintain_batch(batch)
             for op in batch:
                 if op.kind == "insert":
                     reference.insert_edge(*op.edge)

@@ -28,7 +28,7 @@ class TestBulkInsert:
         base, batch = pairs[:60], pairs[60:220]
         bulk = OrderedCoreMaintainer(DynamicGraph(base, vertices=range(n)))
         seq = OrderedCoreMaintainer(DynamicGraph(base, vertices=range(n)))
-        bulk_results = bulk.apply_batch(Batch.inserts(batch)).results
+        bulk_results = bulk.maintain_batch(Batch.inserts(batch)).results
         seq_results = [seq.insert_edge(*e) for e in batch]
         assert bulk.core_numbers() == seq.core_numbers()
         assert dict(bulk.mcd) == dict(seq.mcd)
@@ -38,13 +38,13 @@ class TestBulkInsert:
 
     def test_bulk_then_removals_work(self, triangle_graph):
         engine = OrderedCoreMaintainer(triangle_graph, audit=True)
-        engine.apply_batch(Batch.inserts([(3, 0), (3, 4), (4, 0)]))
+        engine.maintain_batch(Batch.inserts([(3, 0), (3, 4), (4, 0)]))
         engine.remove_edge(3, 0)
         assert engine.core_numbers() == core_numbers(engine.graph)
 
     def test_bulk_registers_new_vertices(self):
         engine = OrderedCoreMaintainer(DynamicGraph(), audit=True)
-        engine.apply_batch(Batch.inserts([("a", "b"), ("b", "c"), ("c", "a")]))
+        engine.maintain_batch(Batch.inserts([("a", "b"), ("b", "c"), ("c", "a")]))
         assert engine.core_of("a") == 2
 
     def test_bulk_audit_mode(self, small_random_graph):
@@ -52,7 +52,7 @@ class TestBulkInsert:
         for e in edges[:20]:
             small_random_graph.remove_edge(*e)
         engine = OrderedCoreMaintainer(small_random_graph, audit=True)
-        engine.apply_batch(Batch.inserts(edges[:20]))
+        engine.maintain_batch(Batch.inserts(edges[:20]))
         engine.check()
 
 

@@ -3,9 +3,10 @@
 Covers the acceptance criteria of the engine-layer refactor:
 
 * ``make_engine`` resolves all three engine families by name;
-* ``apply_batch`` on a mixed 500-insert/500-remove workload agrees with
-  the naive from-scratch oracle on every engine;
-* the order engine's batched path performs measurably fewer ``mcd``
+* both batch paths (the run loop and the rebuild ``apply_batch`` picks
+  between) on a mixed 500-insert/500-remove workload agree with the
+  naive from-scratch oracle on every engine;
+* the order engine's run loop performs measurably fewer ``mcd``
   recomputations than the same workload replayed per edge.
 """
 
@@ -28,6 +29,7 @@ from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
 from repro.traversal.maintainer import TraversalCoreMaintainer
 
+from engine_contract import BATCH_PATHS
 from helpers import random_gnm
 
 
@@ -224,15 +226,16 @@ class TestApplyBatchAgreement:
             (graph.add_edge if kind == "insert" else graph.remove_edge)(a, b)
         return core_numbers(graph)
 
+    @pytest.mark.parametrize("path", BATCH_PATHS)
     @pytest.mark.parametrize(
         "name", ["order", "order-simplified", "trav-2", "naive"]
     )
     def test_batched_replay_matches_recompute_oracle(
-        self, name, workload, oracle
+        self, name, path, workload, oracle
     ):
         graph_factory, plan = workload
         engine = make_engine(name, graph_factory())
-        result = engine.apply_batch(Batch(plan))
+        result = getattr(engine, path)(Batch(plan))
         assert result.inserts == 500 and result.removes == 500
         assert engine.core_numbers() == oracle
         # Net changes in the result must equal the oracle's view too.
@@ -244,10 +247,11 @@ class TestApplyBatchAgreement:
         }
         assert result.changed == expected
 
-    def test_order_batched_path_repairs_mcd_and_korder(self, workload):
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_order_batched_path_repairs_mcd_and_korder(self, path, workload):
         graph_factory, plan = workload
         engine = make_engine("order", graph_factory(), audit=True)
-        engine.apply_batch(Batch(plan))
+        getattr(engine, path)(Batch(plan))
         engine.check()
         assert dict(engine.mcd) == compute_mcd(engine.graph, engine.core)
 
@@ -258,7 +262,7 @@ class TestApplyBatchAgreement:
             op = per_edge.insert_edge if kind == "insert" else per_edge.remove_edge
             op(a, b)
         batched = make_engine("order", graph_factory())
-        batched.apply_batch(Batch(plan))
+        batched.maintain_batch(Batch(plan))
         assert batched.core_numbers() == per_edge.core_numbers()
         # Removal repair cannot be deferred (the cascade consumes mcd),
         # so the amortization comes from the insertion run; on this
@@ -276,7 +280,7 @@ class TestApplyBatchAgreement:
         for _, (a, b) in inserts:
             per_edge.insert_edge(a, b)
         batched = make_engine("order", graph_factory())
-        batched.apply_batch(Batch(inserts))
+        batched.maintain_batch(Batch(inserts))
         assert batched.core_numbers() == per_edge.core_numbers()
         assert batched.mcd_recomputations <= batched.graph.n
         assert per_edge.mcd_recomputations >= 2 * len(inserts)
@@ -285,13 +289,14 @@ class TestApplyBatchAgreement:
         graph_factory, plan = workload
         engine = make_engine("naive", graph_factory())
         result = engine.apply_batch(Batch(plan))
-        assert engine.recomputations == 1
+        assert engine.rebuilds == 1
         assert result.results is None
         assert result.visited == engine.graph.n
 
-    def test_batch_registers_new_vertices(self):
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_batch_registers_new_vertices(self, path):
         engine = make_engine("order", DynamicGraph([(0, 1)]), audit=True)
-        result = engine.apply_batch(
+        result = getattr(engine, path)(
             Batch.inserts([("a", "b"), ("b", "c"), ("c", "a"), (1, "a")])
         )
         assert engine.core_of("a") == 2
@@ -299,7 +304,7 @@ class TestApplyBatchAgreement:
 
     def test_bulk_wrapper_still_returns_per_edge_results(self):
         engine = OrderedCoreMaintainer(DynamicGraph(), audit=True)
-        results = engine.apply_batch(
+        results = engine.maintain_batch(
             Batch.inserts([(0, 1), (1, 2), (2, 0)])
         ).results
         assert [r.kind for r in results] == ["insert"] * 3
@@ -310,13 +315,14 @@ class TestApplyBatchAgreement:
         result = engine.apply_batch(Batch())
         assert result.ops == 0 and result.changed == {}
 
-    def test_order_index_stays_consistent_when_an_op_raises(self):
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_order_index_stays_consistent_when_an_op_raises(self, path):
         from repro.errors import EdgeExistsError
 
         engine = make_engine("order", DynamicGraph([(0, 1), (1, 2), (2, 0)]))
         # (0, 1) already exists: the third op raises after two landed.
         with pytest.raises(EdgeExistsError):
-            engine.apply_batch(Batch([
+            getattr(engine, path)(Batch([
                 ("insert", (0, 3)), ("insert", (3, 1)), ("insert", (0, 1)),
             ]))
         engine.check()  # mcd and k-order must survive the failed batch
@@ -340,7 +346,7 @@ class TestBatchResult:
         engine = make_engine("order", random_gnm(20, 40, seed=4))
         edges = [e for e in random_gnm(20, 60, seed=5).edges()
                  if not engine.graph.has_edge(*e)][:10]
-        result = engine.apply_batch(Batch.inserts(edges))
+        result = engine.maintain_batch(Batch.inserts(edges))
         assert result.ops == len(edges) == result.inserts
         assert result.seconds >= 0.0
         assert result.visited == sum(r.visited for r in result.results)
@@ -351,8 +357,8 @@ class TestBatchResult:
         engine = make_engine("order", random_gnm(20, 40, seed=4))
         edges = [e for e in random_gnm(20, 70, seed=5).edges()
                  if not engine.graph.has_edge(*e)]
-        first = engine.apply_batch(Batch.inserts(edges[:8]))
-        second = engine.apply_batch(Batch.removes(edges[:8]))
+        first = engine.maintain_batch(Batch.inserts(edges[:8]))
+        second = engine.maintain_batch(Batch.removes(edges[:8]))
         for result in (first, second):
             expected = {"order_queries", "mcd_recomputations"}
             assert expected <= set(result.counters)
@@ -371,6 +377,6 @@ class TestBatchResult:
                  if not graph.has_edge(*e)][:5]
         naive = make_engine("naive", graph.copy())
         result = naive.apply_batch(Batch.inserts(edges))
-        assert result.counters == {"recomputations": 1}
+        assert result.counters == {"rebuilds": 1}
         trav = make_engine("trav-2", graph.copy())
-        assert trav.apply_batch(Batch.inserts(edges)).counters == {}
+        assert trav.maintain_batch(Batch.inserts(edges)).counters == {}

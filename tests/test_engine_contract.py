@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from engine_contract import (
+    BATCH_PATHS,
     POLICY_VARIANTS,
     TRAV_VARIANTS,
     build_engine,
@@ -141,12 +142,13 @@ class TestRegistryCoverage:
 class TestConformance:
     """The contract proper, over every registered name and variant."""
 
-    def test_batch_and_per_edge_agree_with_recompute(self, name):
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_batch_and_per_edge_agree_with_recompute(self, name, path):
         base, batches = mixed_batch_stream(random.Random(17), 3, 14, 26)
         batched = build_engine(name, DynamicGraph(base))
         per_edge = build_engine(name, DynamicGraph(base))
         for batch in batches:
-            batched.apply_batch(batch)
+            getattr(batched, path)(batch)
             _apply_per_edge(per_edge, batch)
             oracle = core_numbers(batched.graph)
             assert batched.core_numbers() == oracle
@@ -177,11 +179,12 @@ class TestConformance:
         assert engine.graph.m == 2
         assert engine.core_numbers() == core_numbers(engine.graph)
 
-    def test_counters_omitted_not_zero_filled(self, name):
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_counters_omitted_not_zero_filled(self, name, path):
         base, batches = mixed_batch_stream(random.Random(23), 3, 14, 26)
         engine = build_engine(name, DynamicGraph(base))
         for batch in batches:
-            result = engine.apply_batch(batch)
+            result = getattr(engine, path)(batch)
             for key, value in result.counters.items():
                 assert isinstance(value, int) and value >= 0, (key, value)
             # A counter whose cumulative total never moved means the
@@ -193,6 +196,7 @@ class TestConformance:
                     assert key not in result.counters, key
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @pytest.mark.parametrize("name", VARIANTS)
 @settings(
     max_examples=8,
@@ -200,14 +204,14 @@ class TestConformance:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(min_value=0, max_value=2**16))
-def test_check_holds_after_mixed_workloads(name, seed):
+def test_check_holds_after_mixed_workloads(name, path, seed):
     """Hypothesis: after every mixed batch the engine's own ``check()``
     (where it has one) and a full recompute both validate the index."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, 2, 12, 20)
     engine = build_engine(name, DynamicGraph(base), seed=seed)
     for batch in batches:
-        engine.apply_batch(batch)
+        getattr(engine, path)(batch)
         if hasattr(engine, "check"):
             engine.check()
         assert engine.core_numbers() == core_numbers(engine.graph)
@@ -230,7 +234,7 @@ def test_run_path_matches_per_edge_path(name, seed):
     run_engine = build_engine(name, DynamicGraph(base))
     edge_engine = build_engine(name, DynamicGraph(base))
     for batch in batches:
-        run_result = run_engine.apply_batch(batch)
+        run_result = run_engine.maintain_batch(batch)
         edge_result = _apply_per_edge(edge_engine, batch)
         assert run_result.changed == edge_result.changed
         assert run_engine.core_numbers() == edge_engine.core_numbers()
@@ -263,7 +267,7 @@ def test_run_path_agrees_on_homogeneous_batches(name, data):
         batch = Batch.inserts(spare[:count])
     run_engine = build_engine(name, DynamicGraph(base))
     edge_engine = build_engine(name, DynamicGraph(base))
-    run_result = run_engine.apply_batch(batch)
+    run_result = run_engine.maintain_batch(batch)
     edge_result = _apply_per_edge(edge_engine, batch)
     assert run_result.changed == edge_result.changed
     assert run_engine.core_numbers() == edge_engine.core_numbers()
@@ -313,7 +317,7 @@ def test_run_path_amortizes_homogeneous_batches(name, run_kind):
             batch = Batch.inserts(spare[: min(len(spare), count)])
         run_engine = build_engine(name, DynamicGraph(base))
         edge_engine = build_engine(name, DynamicGraph(base))
-        run_result = run_engine.apply_batch(batch)
+        run_result = run_engine.maintain_batch(batch)
         edge_result = _apply_per_edge(edge_engine, batch)
         assert run_result.changed == edge_result.changed
         run_visited += run_result.visited

@@ -13,7 +13,7 @@ The matrix runs on both order-family engines.
 
 import pytest
 
-from engine_contract import order_family_engines
+from engine_contract import BATCH_PATHS, order_family_engines
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
 from repro.engine.registry import make_engine
@@ -178,13 +178,14 @@ class TestInjectedFaultPropagation:
     def test_fault_is_a_repro_error(self):
         assert issubclass(InjectedFault, ReproError)
 
-    def test_library_never_swallows_faults(self):
-        # A fault inside the engine's batch path must surface to the
-        # caller — no except clause in the library may eat it.
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_library_never_swallows_faults(self, path):
+        # A fault inside either batch path must surface to the caller —
+        # no except clause in the library may eat it.
         engine = make_engine("order", DynamicGraph(TRIANGLE))
         with FaultPlan(seed=1).crash("engine.mid_batch"):
             with pytest.raises(InjectedFault):
-                engine.apply_batch(Batch().insert(3, 4))
+                getattr(engine, path)(Batch().insert(3, 4))
 
 
 class TestRegisterFaultPoint:

@@ -14,8 +14,10 @@ recovered cores must equal a from-scratch decomposition of the shadow.
 Commits come in two shapes: single-op transactions and multi-edge
 transactions whose removals coalesce into one batch-native removal run
 (the joint-cascade path), so WAL replay of run-scheduled batches is
-crash-tested too.  Run on both order-family engines, so the replay path
-is proven engine-independent.
+crash-tested too.  A third shape is a multi-edge commit forced down the
+rebuild path (apply to the graph, build the index once) and crashed at
+``engine.mid_batch`` before or between its runs.  Run on both
+order-family engines, so the replay path is proven engine-independent.
 """
 
 import tempfile
@@ -182,6 +184,35 @@ class DurableSessionMachine(RuleBasedStateMachine):
             return
         self.svc = None
         self.pending = ops if durable else None
+
+    @precondition(lambda self: self.svc is not None)
+    @rule(
+        pairs=st.lists(st.tuples(VERTICES, VERTICES), min_size=2, max_size=8),
+        hits=st.sampled_from([1, 2]),
+    )
+    def crash_mid_rebuilt_batch(self, pairs, hits):
+        """Crash a multi-edge commit that the engine applies by
+        rebuilding its index, at ``engine.mid_batch`` before its first
+        run or (``hits=2``) between its removal and insertion runs.  The
+        append landed, so recovery must replay the whole batch."""
+        ops = self._run_ops(pairs)
+        if not ops:
+            return
+        # Force the rebuild path for this one commit, whatever the
+        # batch's size against the graph.
+        self.svc.engine._rebuild_pays = lambda n_ops: True
+        with FaultPlan(seed=1).crash("engine.mid_batch", hits=hits) as plan:
+            try:
+                self._commit_ops(ops)
+            except InjectedFault:
+                pass
+        if not plan.fired:
+            del self.svc.engine._rebuild_pays
+            for op in ops:
+                self._apply_to_shadow(op)
+            return
+        self.svc = None
+        self.pending = ops
 
     @precondition(lambda self: self.svc is None)
     @rule()

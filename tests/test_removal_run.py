@@ -147,7 +147,7 @@ class TestRunAgreesWithPerEdgePath:
         )
         for edge in victims:
             per_edge.remove_edge(*edge)
-        batched.apply_batch(Batch.removes(victims))
+        batched.maintain_batch(Batch.removes(victims))
 
         assert batched.core_numbers() == per_edge.core_numbers()
         assert batched.core_numbers() == core_numbers(batched.graph)
@@ -169,7 +169,7 @@ class TestRunAgreesWithPerEdgePath:
         per_edge = build_engine(name, DynamicGraph(base))
         for edge in victims:
             per_edge.remove_edge(*edge)
-        result = batched.apply_batch(Batch.removes(victims))
+        result = batched.maintain_batch(Batch.removes(victims))
         assert batched.core_numbers() == per_edge.core_numbers()
         batched.check()
         # Coalesced runs drop per-edge attribution but keep exact
@@ -195,7 +195,7 @@ class TestRunAgreesWithPerEdgePath:
         per_edge = build_engine(name, DynamicGraph(base, vertices=range(n)))
         for edge in victims:
             per_edge.remove_edge(*edge)
-        result = batched.apply_batch(Batch.removes(victims))
+        result = batched.maintain_batch(Batch.removes(victims))
         assert batched.core_numbers() == per_edge.core_numbers()
         demotions = -sum(result.changed.values())
         assert demotions > 0

@@ -6,7 +6,8 @@ the events delivered to a subscriber must match a from-scratch
 ``core_numbers`` recomputation of the graph before vs after the commit —
 per-vertex old/new core agreement, no duplicate events, no missed
 events — on every engine and engine variant of the conformance contract,
-and against the naive engine's own oracle schedule.
+through each batch path (run loop and rebuild), and against the naive
+engine's own oracle schedule.
 """
 
 import random
@@ -15,7 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import build_engine, engine_variants, mixed_batch_stream
+from engine_contract import (
+    BATCH_PATHS,
+    build_engine,
+    engine_variants,
+    mixed_batch_stream,
+)
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
 from repro.graphs.undirected import DynamicGraph
@@ -37,10 +43,18 @@ def expected_story(before, after):
     }
 
 
-def replay_and_check(engine_name, seed, n_batches, batch_size, universe):
+def replay_and_check(
+    engine_name, seed, n_batches, batch_size, universe, path=None
+):
+    """Replay a mixed stream through a service and check every commit's
+    events; ``path`` pins the engine to one of :data:`BATCH_PATHS`
+    (``None`` leaves ``apply_batch``'s rule to pick)."""
     rng = random.Random(seed)
     base, batches = mixed_batch_stream(rng, n_batches, batch_size, universe)
-    svc = CoreService(build_engine(engine_name, DynamicGraph(base), seed=seed))
+    engine = build_engine(engine_name, DynamicGraph(base), seed=seed)
+    if path is not None:
+        engine.apply_batch = getattr(engine, path)
+    svc = CoreService(engine)
     captured = []
     svc.subscribe(captured.append)
     all_events = []
@@ -67,14 +81,17 @@ def replay_and_check(engine_name, seed, n_batches, batch_size, universe):
     return all_events
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @pytest.mark.parametrize("engine_name", ENGINES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_event_stream_matches_oracle_fixed_streams(engine_name, seed):
+def test_event_stream_matches_oracle_fixed_streams(engine_name, seed, path):
     replay_and_check(
-        engine_name, seed, n_batches=6, batch_size=25, universe=60
+        engine_name, seed, n_batches=6, batch_size=25, universe=60,
+        path=path,
     )
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @pytest.mark.parametrize("engine_name", ENGINES)
 @settings(
     max_examples=15,
@@ -88,30 +105,37 @@ def test_event_stream_matches_oracle_fixed_streams(engine_name, seed):
     universe=st.integers(min_value=8, max_value=48),
 )
 def test_event_stream_matches_oracle_property(
-    engine_name, seed, n_batches, batch_size, universe
+    engine_name, path, seed, n_batches, batch_size, universe
 ):
     """Hypothesis: arbitrary valid mixed streams tell the exact story."""
-    replay_and_check(engine_name, seed, n_batches, batch_size, universe)
+    replay_and_check(
+        engine_name, seed, n_batches, batch_size, universe, path=path
+    )
 
 
 def test_backends_emit_identical_event_sequences():
-    """Every engine must agree event-for-event, not just
-    core-for-core: events are vertex-sorted per commit, so the schedule
-    (engine, run coalescing) must not leak into the story."""
+    """Every engine on every batch path must agree event-for-event, not
+    just core-for-core: events are vertex-sorted per commit, so the
+    schedule (engine, run coalescing, rebuild) must not leak into the
+    story."""
+    runs = [(name, path) for name in ENGINES for path in BATCH_PATHS]
     streams = [
-        replay_and_check(name, 7, n_batches=5, batch_size=20, universe=40)
-        for name in ENGINES
+        replay_and_check(
+            name, 7, n_batches=5, batch_size=20, universe=40, path=path
+        )
+        for name, path in runs
     ]
-    for name, stream in zip(ENGINES[1:], streams[1:]):
+    for run, stream in zip(runs[1:], streams[1:]):
         assert stream == streams[0], (
-            f"{name} told a different story than {ENGINES[0]}"
+            f"{run} told a different story than {runs[0]}"
         )
 
 
 def test_naive_engine_tells_the_same_story():
     """The event layer is engine-agnostic: the oracle engine agrees."""
     order = replay_and_check(
-        "order", 11, n_batches=4, batch_size=15, universe=30
+        "order", 11, n_batches=4, batch_size=15, universe=30,
+        path="maintain_batch",
     )
     naive = replay_and_check(
         "naive", 11, n_batches=4, batch_size=15, universe=30

@@ -24,6 +24,8 @@ from repro.errors import StaleIndexError
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CoreService
 
+from engine_contract import BATCH_PATHS
+
 
 def random_gnm(n, m, seed=0):
     rng = random.Random(seed)
@@ -77,7 +79,7 @@ class TestNoMcdProtocol:
     def test_batch_counters_report_candidate_visits(self):
         edges, spare = random_gnm(16, 30, seed=3)
         engine = make_engine("order-simplified", DynamicGraph(edges))
-        result = engine.apply_batch(
+        result = engine.maintain_batch(
             Batch.inserts(spare[:6]).remove(*edges[0]).remove(*edges[1])
         )
         assert "candidate_visits" in result.counters
@@ -88,8 +90,8 @@ class TestNoMcdProtocol:
     def test_counters_are_per_batch_deltas(self):
         edges, spare = random_gnm(16, 30, seed=4)
         engine = make_engine("order-simplified", DynamicGraph(edges))
-        first = engine.apply_batch(Batch.inserts(spare[:8]))
-        second = engine.apply_batch(Batch.removes(spare[:8]))
+        first = engine.maintain_batch(Batch.inserts(spare[:8]))
+        second = engine.maintain_batch(Batch.removes(spare[:8]))
         totals = engine._batch_counters()
         assert totals["candidate_visits"] == (
             first.counters.get("candidate_visits", 0)
@@ -109,6 +111,7 @@ class TestNoMcdProtocol:
         assert "iso" in engine.d_in and 1 not in engine.d_in
 
 
+@pytest.mark.parametrize("path", BATCH_PATHS)
 @settings(
     max_examples=25,
     deadline=None,
@@ -118,7 +121,7 @@ class TestNoMcdProtocol:
     seed=st.integers(min_value=0, max_value=2**16),
     data=st.data(),
 )
-def test_simplified_matches_recompute(seed, data):
+def test_simplified_matches_recompute(path, seed, data):
     """Hypothesis: arbitrary mixed per-edge streams keep the index true,
     with the full d_in/d_out audit on."""
     rng = random.Random(seed)
@@ -138,7 +141,7 @@ def test_simplified_matches_recompute(seed, data):
     removes = data.draw(st.integers(0, 10), label="removes")
     for edge in rng.sample(base, min(len(base), removes)):
         batch.remove(*edge)
-    engine.apply_batch(batch)
+    getattr(engine, path)(batch)
     assert engine.core_numbers() == core_numbers(engine.graph)
 
 
@@ -243,8 +246,8 @@ class TestKernelParity:
                 batch.insert(*edge)
             live = [e for e in live if e not in removes] + inserts
             spare = [e for e in spare if e not in inserts] + removes
-            expected = order.apply_batch(batch)
-            got = simplified.apply_batch(batch)
+            expected = order.maintain_batch(batch)
+            got = simplified.maintain_batch(batch)
             assert got.visited == expected.visited
             assert list(got.changed.items()) == list(
                 expected.changed.items()

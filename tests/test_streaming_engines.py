@@ -49,7 +49,7 @@ class TestEngineSelection:
         monitor.observe_many([(0, 1), (1, 2), (2, 0), (1, 2)], t=0.0)
         # Three distinct edges inserted with ONE recomputation; the
         # duplicate in the same tick counts as a refresh.
-        assert monitor.engine.recomputations == 1
+        assert monitor.engine.rebuilds == 1
         assert monitor.stats.arrivals == 3
         assert monitor.stats.refreshes == 1
         assert monitor.core_of(0) == 2
@@ -69,9 +69,9 @@ class TestEngineSelection:
     def test_expiry_is_batched(self):
         monitor = SlidingWindowCoreMonitor(window=1.0, engine="naive")
         monitor.observe_many([(0, 1), (1, 2), (2, 0)], t=0.0)
-        before = monitor.engine.recomputations
+        before = monitor.engine.rebuilds
         assert monitor.advance_to(5.0) == 3  # all expire in one batch
-        assert monitor.engine.recomputations == before + 1
+        assert monitor.engine.rebuilds == before + 1
         assert monitor.stats.expiries == 3
 
 

@@ -145,3 +145,29 @@ class TestDegreeBuckets:
         while b:
             peeled.append(b.pop_min()[1])
         assert peeled == sorted(degrees.values())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_peel_min_matches_a_pop_min_loop(self, seed):
+        """``peel_min`` writes the bucket moves out for speed; it must
+        remove vertices in the sequence ``pop_min`` and ``decrease``
+        give, which every k-order built by the small policy follows."""
+        rng = random.Random(seed)
+        n = 20 + 30 * seed
+        adj = {v: set() for v in range(n)}
+        for _ in range(3 * n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        adj["iso"] = set()
+        degrees = {v: len(nbrs) for v, nbrs in adj.items()}
+        loop, expected = DegreeBuckets(degrees), []
+        while loop:
+            vertex, degree = loop.pop_min()
+            expected.append((vertex, degree))
+            for w in adj[vertex]:
+                if w in loop:
+                    loop.decrease(w)
+        peel = DegreeBuckets(degrees)
+        assert list(peel.peel_min(adj)) == expected
+        assert not peel and peel.min_degree() is None

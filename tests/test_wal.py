@@ -179,6 +179,33 @@ class TestWriteAheadLog:
         wal.close()
         assert [r for r, _ in scan(log).records] == [3]
 
+    def test_appended_frames_are_json_dumps_frames(self, tmp_path):
+        """Commit records are framed byte for byte as ``json.dumps``
+        writes them: unicode, floats, ``None``/``bool`` vertices and
+        tokens included."""
+        log = tmp_path / "s.wal"
+        wal = make_log(log, fsync="never")
+        header_bytes = log.read_bytes()
+        batches = [
+            (Batch().insert(1, 2).remove(3, 4), None),
+            (Batch().insert("ä", "ü").insert("x\"y", "z\\w"), "tok-1"),
+            (Batch().insert(1.5, 2.25).insert(None, True), "t€"),
+            (Batch.inserts([(i, i + 1) for i in range(50)]), "bulk"),
+        ]
+        expected = b""
+        for receipt, (batch, token) in enumerate(batches, start=1):
+            wal.append(receipt, batch, token=token)
+            record = {
+                "kind": "commit",
+                "receipt": receipt,
+                "ops": batch_to_ops(batch),
+            }
+            if token is not None:
+                record["token"] = token
+            expected += frame(json.dumps(record).encode())
+        wal.close()
+        assert log.read_bytes() == header_bytes + expected
+
     def test_close_idempotent_append_after_close_raises(self, tmp_path):
         wal = make_log(tmp_path / "s.wal")
         wal.close()
