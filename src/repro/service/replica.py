@@ -5,7 +5,9 @@ session's commit log (:mod:`repro.service.wal`), so reads can be
 answered from its :attr:`~LogReplica.engine`'s core map without ever
 touching the primary's write path — the serving front answers
 ``replica=true`` queries with :func:`repro.service.server.answer` over
-it, the same read dispatcher the primary uses.
+the replica's :attr:`~LogReplica.index`, the same read dispatcher the
+primary uses.  The index is fed each tailed record's net deltas and
+replaced with the engine on every rebuild.
 
 It catches up the way recovery does: on first attach, and again when it
 notices the log rotated under it (the header changed or the file
@@ -37,8 +39,12 @@ are never caught).
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
+from typing import Callable
 
+from repro.analysis.kcore_views import CoreIndex
+from repro.engine.batch import Batch
 from repro.graphs.undirected import DynamicGraph
 from repro.service.wal import rebuild, replay, scan, tail
 from repro.testing.faults import InjectedFault, inject, register_fault_point
@@ -63,6 +69,10 @@ class LogReplica:
     def __init__(self, log) -> None:
         self._log = Path(log)
         self._engine = None
+        self._index = None
+        # Serializes refreshes and reads: the serving front runs both in
+        # worker threads, and a read must not see a half-applied record.
+        self._lock = threading.Lock()
         self._header: dict = {}
         self._offset = 0
         self._applied = 0
@@ -82,6 +92,7 @@ class LogReplica:
         """(Re)build the replica engine from the log, indexing once."""
         info = scan(self._log)
         self._engine, self._applied, _, _ = rebuild(self._log, info)
+        self._index = CoreIndex(self._engine.core)
         self._header = info.header
         self._offset = info.valid_bytes
         self.rebuilds += 1
@@ -92,25 +103,35 @@ class LogReplica:
         Tolerates a writer mid-append (the partial frame is left for the
         next poll) and notices log rotation — a compaction — by the
         header changing or the file shrinking, triggering a rebuild from
-        the new snapshot and log.
+        the new snapshot and log.  Safe to call from several threads.
         """
-        try:
-            inject("replica.stale_read")
-        except InjectedFault:
-            self.stale_serves += 1
-            return 0
-        chunk = tail(self._log, self._offset)
-        if chunk.rotated or chunk.header != self._header:
-            before = self._applied
-            self._build()
-            return max(0, self._applied - before)
-        self._applied, applied = replay(
-            self._log, chunk.records, self._applied, self._engine.graph,
-            self._engine.apply_batch,
-        )
-        self._offset = chunk.valid_bytes
-        self.refreshes += 1
-        return applied
+        with self._lock:
+            try:
+                inject("replica.stale_read")
+            except InjectedFault:
+                self.stale_serves += 1
+                return 0
+            chunk = tail(self._log, self._offset)
+            if chunk.rotated or chunk.header != self._header:
+                before = self._applied
+                self._build()
+                return max(0, self._applied - before)
+            self._applied, applied = replay(
+                self._log, chunk.records, self._applied, self._engine.graph,
+                self._apply,
+            )
+            self._offset = chunk.valid_bytes
+            self.refreshes += 1
+            return applied
+
+    def _apply(self, batch: Batch) -> None:
+        self._index.apply(self._engine.apply_batch(batch).changed)
+
+    def read(self, reader: Callable[[CoreIndex], object]) -> tuple:
+        """``(reader(index), receipt)``, taken while no refresh runs, so
+        the answer is exactly the state of the receipt beside it."""
+        with self._lock:
+            return reader(self._index), self._applied
 
     # ------------------------------------------------------------------
     # Introspection
@@ -129,6 +150,11 @@ class LogReplica:
     def engine(self):
         """The replica's engine (treat as strictly read-only)."""
         return self._engine
+
+    @property
+    def index(self) -> CoreIndex:
+        """The read index over the replica engine's core map."""
+        return self._index
 
     @property
     def graph(self) -> DynamicGraph:

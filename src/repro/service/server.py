@@ -37,19 +37,26 @@ out of the recovered log.
 **Degraded-mode reads.**  While degraded or recovering, the session
 keeps answering ``core`` / ``top`` / ``spectrum`` / ``cores`` /
 ``kcore`` from its *last-good* core map (maintained incrementally from
-commit receipts, never read from the poisoned engine), tagged
+commit receipts — each commit's endpoints enter it at core 0, then its
+net deltas fold in — never read from the poisoned engine), tagged
 ``"source": "last_good"`` so clients know what they got.
 
 **Read replicas.**  Queries with ``replica=true`` are answered by a
 :class:`~repro.service.replica.LogReplica` fed by incremental WAL
-tailing — the write path is never touched.
+tailing — the write path is never touched.  The replica's refresh and
+the read run in worker threads, each under the replica's lock, so
+concurrent replica reads never apply a record twice or read a
+half-applied one.
 
-Primary, last-good and replica reads differ only in the core map they
-read: :func:`answer` is the one dispatcher for all three, and a
-malformed read (unknown op, missing or non-integer parameter) is a
-``BadRequest`` whichever source it targets.  So is a malformed request
-envelope: ``params`` that is not an object, an invalid session name, or
-a commit ``token`` that is not a string.
+Primary, last-good and replica reads differ only in the read index they
+read: each source keeps a
+:class:`~repro.analysis.kcore_views.CoreIndex` over its core map, fed
+the same net deltas, so ``top``, ``spectrum`` and ``degeneracy`` are
+lookups everywhere.  :func:`answer` is the one dispatcher for all
+three, and a malformed read (unknown op, missing or non-integer
+parameter) is a ``BadRequest`` whichever source it targets.  So is a
+malformed request envelope: ``params`` that is not an object, an
+invalid session name, or a commit ``token`` that is not a string.
 
 **Event fan-out.**  ``subscribe`` streams every commit's
 :class:`~repro.service.events.CoreEvent` records to the client as framed
@@ -280,9 +287,10 @@ class TenantSession:
         #: retry that arrives before the original resolves attaches to
         #: this future instead of enqueuing a second apply.
         self.pending_tokens: dict[str, asyncio.Future] = {}
-        #: Last-good core map, maintained incrementally from receipts —
-        #: the state degraded-mode reads answer from.
-        self.cores: dict = dict(service.cores())
+        #: Read index over the last-good core map, maintained
+        #: incrementally from receipts — the state degraded-mode reads
+        #: answer from.
+        self.last_good = kcore_views.CoreIndex(service.cores())
         self.commits = 0
         self.shed = 0
         self.deadline_expired = 0
@@ -369,8 +377,7 @@ class TenantSession:
             else:
                 self.server.inflight -= 1
                 self.commits += 1
-                for vertex, delta in receipt.deltas.items():
-                    self.cores[vertex] = self.cores.get(vertex, 0) + delta
+                fold_commit(self.last_good, item.batch, receipt.deltas)
                 summary = {
                     "receipt_id": receipt.receipt_id,
                     "ops": receipt.ops,
@@ -412,7 +419,7 @@ class TenantSession:
             self.state = DEGRADED
             return
         self.service = service
-        self.cores = dict(service.cores())
+        self.last_good = kcore_views.CoreIndex(service.cores())
         self._adopt_recovered(service)
         self.recovery_error = None
         self.recoveries += 1
@@ -474,12 +481,12 @@ class TenantSession:
     def query(self, op: str, params: dict) -> dict:
         """Answer one read; degraded/recovering states use last-good."""
         if self.state == HEALTHY:
-            source, cores = "primary", self.service.engine.core
+            source, index = "primary", self.service.index
         else:
             self.degraded_reads += 1
-            source, cores = "last_good", self.cores
+            source, index = "last_good", self.last_good
         return {
-            "result": answer(cores, op, params),
+            "result": answer(index, op, params),
             "source": source,
             "receipt": self._last_receipt_id(),
             "state": self.state,
@@ -505,6 +512,25 @@ class TenantSession:
             "recovery_error": self.recovery_error,
             "last_recovery": None if report is None else report._asdict(),
         }
+
+
+def fold_commit(index: kcore_views.CoreIndex, batch: Batch,
+                deltas: dict) -> None:
+    """Bring a last-good read index up to one commit of ``batch``.
+
+    The batch's endpoints enter the index's core map at core 0 — an edge
+    inserted and removed in one batch moves no core, yet leaves both
+    vertices in the graph and so in the primary's map — then the
+    commit's net ``deltas`` fold into the map and the index.
+    """
+    cores = index.core
+    for op in batch:
+        u, v = op.edge
+        cores.setdefault(u, 0)
+        cores.setdefault(v, 0)
+    for vertex, delta in deltas.items():
+        cores[vertex] = cores.get(vertex, 0) + delta
+    index.apply(deltas)
 
 
 def _pairs(mapping: dict) -> list:
@@ -547,14 +573,17 @@ def _int_param(op: str, params: dict, name: str, default=_REQUIRED,
     return value
 
 
-def answer(cores, op: str, params: dict):
-    """The ``result`` of read ``op`` over the core mapping ``cores``.
+def answer(index: kcore_views.CoreIndex, op: str, params: dict):
+    """The ``result`` of read ``op`` over the read index ``index``.
 
     The one read dispatcher: primary, last-good and replica reads all
-    come here with their own core map.  A missing or non-integer
-    parameter, or an unknown ``op``, raises
-    :class:`~repro.errors.ServiceError`.
+    come here with their own index.  ``top``, ``spectrum`` and
+    ``degeneracy`` go through :mod:`~repro.analysis.kcore_views`'s
+    dispatching functions; ``core``, ``cores`` and ``kcore`` read the
+    index's core map.  A missing or non-integer parameter, or an unknown
+    ``op``, raises :class:`~repro.errors.ServiceError`.
     """
+    cores = index.core
     if op == "core":
         if "vertex" not in params:
             raise ServiceError("query op 'core' needs a 'vertex'")
@@ -568,11 +597,11 @@ def answer(cores, op: str, params: dict):
         return _pairs(cores)
     if op == "top":
         n = _int_param(op, params, "n", 10)
-        return [list(pair) for pair in kcore_views.top_cores(cores, n)]
+        return [list(pair) for pair in kcore_views.top_cores(index, n)]
     if op == "spectrum":
-        return _pairs(kcore_views.core_spectrum(cores))
+        return _pairs(kcore_views.core_spectrum(index))
     if op == "degeneracy":
-        return kcore_views.degeneracy(cores)
+        return kcore_views.degeneracy(index)
     if op == "kcore":
         k = _int_param(op, params, "k")
         return sorted(kcore_views.KCoreView(cores, k), key=vertex_sort_key)
@@ -992,10 +1021,13 @@ class CoreServer:
         try:
             if replica is None:
                 return protocol.ok(req_id, session.query(op, params))
+            result, receipt = await asyncio.to_thread(
+                replica.read, lambda index: answer(index, op, params)
+            )
             return protocol.ok(req_id, {
-                "result": answer(replica.engine.core, op, params),
+                "result": result,
                 "source": "replica",
-                "receipt": replica.receipt,
+                "receipt": receipt,
                 "state": session.state,
             })
         except ServiceError as exc:

@@ -10,7 +10,10 @@ A service wraps one maintenance engine behind three surfaces:
   :meth:`~CoreService.kcore`, :meth:`~CoreService.degeneracy`,
   :meth:`~CoreService.top`, :meth:`~CoreService.spectrum`, all answered
   through :mod:`repro.analysis.kcore_views` over the engine's public
-  core mapping — never through maintainer internals;
+  core mapping — never through maintainer internals.  ``top``,
+  ``spectrum`` and ``degeneracy`` are lookups in the session's
+  :class:`~repro.analysis.kcore_views.CoreIndex` (:attr:`~CoreService.index`),
+  which every commit feeds its net deltas; ``kcore`` is a live scan;
 * **reactions** — :meth:`~CoreService.subscribe` delivers
   :class:`~repro.service.events.CoreEvent` records derived from each
   commit's exact net core deltas.
@@ -93,6 +96,7 @@ class CoreService:
         self._poisoned = False
         self._recovery: Optional[RecoveryReport] = None
         self._logged_tokens: dict[int, str] = {}
+        self._index = kcore_views.CoreIndex(engine.core)
 
     # ------------------------------------------------------------------
     # Session construction
@@ -302,9 +306,17 @@ class CoreService:
         The escape hatch for per-edge measurement and analysis helpers
         that consume a :class:`~repro.engine.base.CoreMaintainer`; treat
         it as read-only — updates applied behind the service's back are
-        invisible to subscribers.
+        invisible to subscribers, and to the aggregate reads ``top``,
+        ``spectrum`` and ``degeneracy``, whose :attr:`index` only learns
+        of commits made through the service.
         """
         return self._engine
+
+    @property
+    def index(self) -> kcore_views.CoreIndex:
+        """The read index over the engine's core map, fed by every
+        commit; the serving front answers primary reads from it."""
+        return self._index
 
     @property
     def engine_name(self) -> str:
@@ -354,10 +366,12 @@ class CoreService:
         """Whether a mid-commit engine failure invalidated the session.
 
         A poisoned session still answers reads (from the possibly
-        half-mutated in-memory state — callers wanting last-*good* state
-        must keep their own, as the serving front's degraded mode does)
-        but refuses every further commit.  On a logged session,
-        :meth:`recover` builds a clean replacement from the log.
+        half-mutated in-memory state, which ``top``, ``spectrum`` and
+        ``degeneracy`` read consistently with :meth:`cores` — callers
+        wanting last-*good* state must keep their own, as the serving
+        front's degraded mode does) but refuses every further commit.
+        On a logged session, :meth:`recover` builds a clean replacement
+        from the log.
         """
         return self._poisoned
 
@@ -441,10 +455,14 @@ class CoreService:
             # The engine raised mid-apply: its index may be half-mutated
             # (validation already passed, so this is an engine-internal
             # failure or an injected crash).  Poison the session so no
-            # later commit builds on a corrupt in-memory state.
+            # later commit builds on a corrupt in-memory state, and
+            # drop the read index, which got no deltas for whatever
+            # did land: the next read rebuilds it from the core map.
             self._poisoned = True
+            self._index.reset()
             raise
         deltas = result.changed
+        self._index.apply(deltas)
         core = self._engine.core
         receipt = CommitReceipt(
             receipt_id=receipt_id,
@@ -497,11 +515,11 @@ class CoreService:
 
     def degeneracy(self) -> int:
         """The largest ``k`` with a non-empty ``k``-core."""
-        return kcore_views.degeneracy(self._engine.core)
+        return kcore_views.degeneracy(self._index)
 
     def top(self, n: int) -> list[tuple[Vertex, int]]:
         """The ``n`` vertices with the highest core numbers (descending)."""
-        return kcore_views.top_cores(self._engine.core, n)
+        return kcore_views.top_cores(self._index, n)
 
     def spectrum(self) -> dict[int, int]:
         """Map ``k -> |k-shell|`` for every non-empty shell.
@@ -509,7 +527,7 @@ class CoreService:
         >>> CoreService.open([(0, 1), (1, 2), (2, 0), (2, 3)]).spectrum()
         {1: 1, 2: 3}
         """
-        return kcore_views.core_spectrum(self._engine.core)
+        return kcore_views.core_spectrum(self._index)
 
     # ------------------------------------------------------------------
     # Event stream

@@ -10,19 +10,17 @@ which are implemented here from scratch:
   :class:`~repro.structures.sequence.SequenceStats`.
 * :class:`~repro.structures.heaps.LazyMinHeap` — the jump heap ``B`` used by
   ``OrderInsert`` to skip over vertices that can be proven irrelevant.
-* :class:`~repro.structures.buckets.DegreeBuckets` /
-  :class:`~repro.structures.buckets.IndexedSet` — bucketed degree queues
-  powering the linear-time peeling (``CoreDecomp``) under the three k-order
-  generation heuristics.
+* :class:`~repro.structures.buckets.DegreeBuckets` — bucketed degree
+  queues powering the linear-time peeling (``CoreDecomp``) under the
+  three k-order generation heuristics.
 """
 
-from repro.structures.buckets import DegreeBuckets, IndexedSet
+from repro.structures.buckets import DegreeBuckets
 from repro.structures.heaps import LazyMinHeap
 from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 __all__ = [
     "DegreeBuckets",
-    "IndexedSet",
     "LazyMinHeap",
     "SequenceStats",
     "TaggedOrderList",

@@ -5,83 +5,18 @@ degree is below the current ``k``.  The classic Batagelj–Zaversnik
 implementation keeps vertices bucketed by their *current* degree so the next
 vertex to peel is found in amortized ``O(1)``.
 
-Two structures live here:
-
-* :class:`IndexedSet` — a set with O(1) membership, insertion, removal *and*
-  O(1) uniform random sampling (array + position map with swap-removal).
-* :class:`DegreeBuckets` — vertices bucketed by current degree, supporting
-  ``decrease``, removal, and extraction of the minimum / maximum / random
-  vertex among those whose degree is below a bound (random sampling is
-  what the "random deg+ first" k-order heuristic needs).  Its buckets
-  keep the same array + position discipline in plain lists.
+:class:`DegreeBuckets` keeps vertices bucketed by current degree,
+supporting ``decrease``, removal, and extraction of the minimum / maximum
+/ random vertex among those whose degree is below a bound (random
+sampling is what the "random deg+ first" k-order heuristic needs).  Its
+buckets are plain lists with a position map; a removal swaps the
+bucket's tail into the freed slot.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
-
-
-class IndexedSet:
-    """A hash set that also supports O(1) uniform random choice."""
-
-    def __init__(self, items: Iterable[Hashable] = ()) -> None:
-        self._items: list[Hashable] = []
-        self._pos: dict[Hashable, int] = {}
-        for item in items:
-            self.add(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._pos
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._items)
-
-    def add(self, item: Hashable) -> bool:
-        """Insert ``item``; returns ``False`` if it was already present."""
-        if item in self._pos:
-            return False
-        self._pos[item] = len(self._items)
-        self._items.append(item)
-        return True
-
-    def discard(self, item: Hashable) -> bool:
-        """Remove ``item`` if present (swap with the tail; O(1))."""
-        pos = self._pos.pop(item, None)
-        if pos is None:
-            return False
-        tail = self._items.pop()
-        if pos < len(self._items):
-            # ``item`` was not the tail: move the tail into its slot.
-            self._items[pos] = tail
-            self._pos[tail] = pos
-        return True
-
-    def pop_any(self) -> Hashable:
-        """Remove and return an arbitrary item (the array tail)."""
-        if not self._items:
-            raise KeyError("pop from empty IndexedSet")
-        item = self._items[-1]
-        self.discard(item)
-        return item
-
-    def choose(self, rng: random.Random) -> Hashable:
-        """Uniformly random member (not removed)."""
-        if not self._items:
-            raise KeyError("choose from empty IndexedSet")
-        return self._items[rng.randrange(len(self._items))]
-
-    def pop_random(self, rng: random.Random) -> Hashable:
-        """Remove and return a uniformly random member."""
-        item = self.choose(rng)
-        self.discard(item)
-        return item
 
 
 class DegreeBuckets:
@@ -102,8 +37,8 @@ class DegreeBuckets:
 
     Each bucket is a plain list, with one map from vertex to its slot in
     its bucket: removal swaps the bucket's tail into the freed slot and
-    pops take the tail (the :class:`IndexedSet` discipline, without an
-    object and method calls per bucket, which cost more than the peel).
+    pops take the tail (no object and method calls per bucket, which
+    cost more than the peel).
     """
 
     def __init__(self, degrees: dict[Hashable, int]) -> None:

@@ -3,6 +3,8 @@ queries, subscriptions, and checkpointing."""
 
 import pytest
 
+from engine_contract import BATCH_PATHS
+from repro.analysis import kcore_views
 from repro.core.decomposition import core_numbers
 from repro.engine import DEFAULT_ENGINE
 from repro.engine.batch import Batch
@@ -14,6 +16,7 @@ from repro.errors import (
 from repro.graphs.undirected import DynamicGraph
 from repro.service import CommitReceipt, CoreEvent, CoreService
 from repro.streaming import SlidingWindowCoreMonitor
+from repro.testing.faults import FaultPlan, InjectedFault
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -222,6 +225,25 @@ class TestQueries:
         assert svc.top(0) == []
         assert [c for _, c in svc.top(10)] == [2, 2, 2, 1]
         assert svc.spectrum() == {2: 3, 1: 1}
+
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_poisoned_session_reads_agree_with_its_cores(self, path):
+        # The batch's removal run lands (the triangle falls to core 1),
+        # then the fault fires before its insertion run: the engine's
+        # map moved, but the commit reported no deltas.
+        svc = self.build()
+        svc.engine.apply_batch = getattr(svc.engine, path)
+        assert svc.spectrum() == {1: 1, 2: 3}  # the index is built
+        with FaultPlan().crash("engine.mid_batch", hits=2):
+            with pytest.raises(InjectedFault):
+                svc.apply(Batch().remove(0, 1).insert(5, 6))
+        assert svc.poisoned
+        cores = svc.cores()
+        assert set(cores.values()) == {1}
+        assert svc.spectrum() == kcore_views.core_spectrum(cores)
+        assert svc.degeneracy() == kcore_views.degeneracy(cores) == 1
+        for n in (1, 3, 10):
+            assert svc.top(n) == kcore_views.top_cores(cores, n)
 
 
 class TestEventStream:

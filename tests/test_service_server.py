@@ -12,6 +12,7 @@ function running one scenario coroutine under ``asyncio.run``.
 
 import asyncio
 import json
+import sys
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.service import (
     ServerLimits,
     SessionDegradedError,
 )
-from repro.service.wal import frame, scan
+from repro.service.wal import batch_from_ops, frame, scan
 from repro.testing.faults import FaultPlan
 
 from helpers import MALFORMED_COMMITS
@@ -612,6 +613,55 @@ class TestReplica:
                 await client.close()
         run(scenario())
 
+    def test_concurrent_replica_reads_answer_a_committed_prefix(
+        self, tmp_path
+    ):
+        # Replica reads refresh the replica and answer from its index in
+        # worker threads.  Many at once on one session, beside commits,
+        # must each answer exactly the state of the receipt they report.
+        edges = [(i, j) for i in range(14) for j in range(i + 1, 14)
+                 if (3 * i + j) % 4]
+        batches = [[("insert", u, v) for u, v in edges[k:k + 5]]
+                   for k in range(0, len(edges), 5)]
+        oracle = CoreService.open()
+        expected = {0: []}
+        for receipt, ops in enumerate(batches, start=1):
+            oracle.apply(batch_from_ops(ops))
+            expected[receipt] = [list(pair) for pair in oracle.top(5)]
+        replies = []
+
+        async def reads(client):
+            for _ in range(30):
+                replies.append(await client.query("top", n=5, replica=True))
+
+        async def scenario():
+            async with CoreServer(log_dir=tmp_path) as server:
+                host, port = await server.start()
+                clients = [
+                    await CoreClient.connect(host, port, session="t")
+                    for _ in range(5)
+                ]
+
+                async def commits():
+                    for ops in batches:
+                        await clients[0].commit(ops)
+
+                await asyncio.gather(
+                    commits(), *(reads(c) for c in clients[1:])
+                )
+                for client in clients:
+                    await client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run(asyncio.wait_for(scenario(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == 4 * 30
+        for reply in replies:
+            assert reply["result"] == expected[reply["receipt"]]
+
     def test_replica_tails_incrementally(self, tmp_path):
         async def scenario():
             async with CoreServer(log_dir=tmp_path) as server:
@@ -665,6 +715,7 @@ class TestReplica:
 #: One read of each query op, as ``(op, params)``.
 ALL_READS = [
     ("core", {"vertex": 3}),
+    ("core", {"vertex": 7}),
     ("cores", {}),
     ("top", {"n": 3}),
     ("spectrum", {}),
@@ -700,6 +751,9 @@ class TestReadSources:
                 await client.commit([("insert", 2, 3), ("insert", 3, 0),
                                      ("insert", 4, 5), ("insert", 5, 0)])
                 await client.commit([("remove", 4, 5), ("insert", 4, 0)])
+                # Vertices born at core 0: no delta mentions 7 or 8, yet
+                # both stay in the graph.
+                await client.commit([("insert", 7, 8), ("remove", 7, 8)])
                 answers = {"primary": [], "replica": [], "last_good": []}
                 for op, params in ALL_READS:
                     for source in ("primary", "replica"):

@@ -1,72 +1,10 @@
-"""Unit tests for IndexedSet and DegreeBuckets (the peeling substrate)."""
+"""Unit tests for DegreeBuckets (the peeling substrate)."""
 
 import random
 
 import pytest
 
-from repro.structures.buckets import DegreeBuckets, IndexedSet
-
-
-class TestIndexedSet:
-    def test_add_and_contains(self):
-        s = IndexedSet([1, 2])
-        assert 1 in s and 2 in s and 3 not in s
-        assert len(s) == 2
-
-    def test_add_duplicate_returns_false(self):
-        s = IndexedSet()
-        assert s.add(1) is True
-        assert s.add(1) is False
-        assert len(s) == 1
-
-    def test_discard_middle(self):
-        s = IndexedSet([1, 2, 3, 4])
-        assert s.discard(2) is True
-        assert 2 not in s
-        assert set(s) == {1, 3, 4}
-
-    def test_discard_tail(self):
-        s = IndexedSet([1, 2, 3])
-        s.discard(3)
-        assert set(s) == {1, 2}
-
-    def test_discard_absent(self):
-        s = IndexedSet([1])
-        assert s.discard(9) is False
-
-    def test_pop_any_empties(self):
-        s = IndexedSet([1, 2, 3])
-        popped = {s.pop_any() for _ in range(3)}
-        assert popped == {1, 2, 3}
-        with pytest.raises(KeyError):
-            s.pop_any()
-
-    def test_choose_uniformity(self):
-        s = IndexedSet(range(4))
-        rng = random.Random(0)
-        counts = {i: 0 for i in range(4)}
-        for _ in range(4000):
-            counts[s.choose(rng)] += 1
-        assert all(800 < c < 1200 for c in counts.values()), counts
-
-    def test_choose_empty_raises(self):
-        with pytest.raises(KeyError):
-            IndexedSet().choose(random.Random(0))
-
-    def test_pop_random_removes(self):
-        s = IndexedSet(range(10))
-        rng = random.Random(1)
-        seen = {s.pop_random(rng) for _ in range(10)}
-        assert seen == set(range(10))
-        assert len(s) == 0
-
-    def test_iteration_after_churn(self):
-        s = IndexedSet()
-        for i in range(20):
-            s.add(i)
-        for i in range(0, 20, 3):
-            s.discard(i)
-        assert set(s) == {i for i in range(20) if i % 3 != 0}
+from repro.structures.buckets import DegreeBuckets
 
 
 class TestDegreeBuckets:
