@@ -131,3 +131,49 @@ def test_stale_entries_are_compacted():
         assert kcore_views.top_cores(index, n) == kcore_views.top_cores(
             dict(core), n
         )
+
+
+def test_an_empty_map_reads_like_a_scan():
+    core: dict = {}
+    index = CoreIndex(core)
+    assert_matches_scan(index, core)
+    # Vertices that arrive at core 0 need no delta: level 0 is the rest.
+    core.update({"b": 0, 1: 0})
+    index.apply({})
+    assert kcore_views.core_spectrum(index) == {0: 2}
+    assert_matches_scan(index, dict(core))
+
+
+def test_reset_rebuilds_after_changes_without_deltas():
+    # A commit that fails half-way moves the map but reports no deltas;
+    # after reset the index answers for the map as it now stands.
+    core = {v: 2 for v in range(3)} | {3: 1}
+    index = CoreIndex(core)
+    assert_matches_scan(index, dict(core))
+    core.update({0: 1, 1: 1, 2: 1, 4: 0})
+    index.reset()
+    assert index._counts is None and not index._heaps
+    assert kcore_views.core_spectrum(index) == {0: 1, 1: 4}
+    assert_matches_scan(index, dict(core))
+
+
+def test_a_drained_level_restarts_from_its_arrivals():
+    core = {"a": 2, "b": 2, "c": 1}
+    index = CoreIndex(core)
+    assert kcore_views.top_cores(index, 3) == [("a", 2), ("b", 2), ("c", 1)]
+    core.update({"a": 1, "b": 1})
+    index.apply({"a": -1, "b": -1})
+    assert 2 not in index._heaps
+    assert kcore_views.degeneracy(index) == 1
+    core.update({"c": 2, "d": 2})
+    index.apply({"c": 1, "d": 2})
+    assert [entry[3] for entry in sorted(index._heaps[2])] == ["c", "d"]
+    assert_matches_scan(index, dict(core))
+
+
+def test_top_crosses_into_level_zero_in_scan_order():
+    # ``1`` and ``"1"`` share a repr body; the type name orders them.
+    core = {"1": 0, 1: 0, 2: 1, "z": 0, (0, 1): 0}
+    index = CoreIndex(core)
+    assert kcore_views.top_cores(index, 3) == [(2, 1), (1, 0), ("1", 0)]
+    assert_matches_scan(index, dict(core))
