@@ -24,10 +24,19 @@ insertion run and in the counter they charge.
   Algorithm 4 line 15), but crucially it does *not* maintain ``pcd``,
   whose 2-hop upkeep dominates the traversal algorithm.
 
+The k-order and ``mcd`` exist to make the *next* update cheap, so a
+rebuilt batch (:meth:`~repro.engine.base.CoreMaintainer.rebuild_batch`)
+runs only the peel: it refreshes the core numbers and keeps the peel's
+order and ``deg+``.  The first later update or read of the order index
+builds the k-order and ``mcd`` from them (:meth:`_materialize`), so a
+run of rebuilt batches builds them zero times.  The constructor builds
+both at once.
+
 Example
 -------
 >>> from repro.graphs import DynamicGraph
->>> from repro.core import OrderedCoreMaintainer
+>>> from repro.core import OrderedCoreMaintainer, core_numbers
+>>> from repro.engine import Batch
 >>> g = DynamicGraph([(0, 1), (1, 2), (2, 0)])
 >>> m = OrderedCoreMaintainer(g)
 >>> m.core_of(0)
@@ -35,6 +44,12 @@ Example
 >>> result = m.insert_edge(0, 3)
 >>> m.core_of(3)
 1
+>>> _ = m.rebuild_batch(Batch.inserts([(0, 4), (1, 4), (2, 4)]))
+>>> m.core_of(4)
+3
+>>> result = m.insert_edge(3, 4)
+>>> core_numbers(m.graph) == m.core_numbers()
+True
 """
 
 from __future__ import annotations
@@ -42,7 +57,11 @@ from __future__ import annotations
 from abc import abstractmethod
 from typing import Hashable, Mapping, Optional
 
-from repro.core.decomposition import compute_mcd, korder_decomposition
+from repro.core.decomposition import (
+    KOrderDecomposition,
+    compute_mcd,
+    korder_decomposition,
+)
 from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
 from repro.core.removal import demote_level, detach_edge, order_remove_run
@@ -50,6 +69,7 @@ from repro.engine.base import CoreMaintainer, UpdateResult
 from repro.engine.batch import RemovalRunResult
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
+from repro.structures.sequence import SequenceStats
 
 Vertex = Hashable
 
@@ -96,19 +116,38 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._audit = audit
         self._policy = policy
         self._seed = seed
-        self.korder = KOrder()
+        #: The one stats object every k-order of this engine counts in.
+        self._stats = SequenceStats()
+        #: The last peel, kept until the k-order and ``mcd`` are built
+        #: from it; ``None`` once they are.
+        self._peel: Optional[KOrderDecomposition] = None
+        self._korder: Optional[KOrder] = None
+        self._mcd: Optional[dict[Vertex, int]] = None
         self._build_index()
+        self._materialize()
 
     def _build_index(self) -> None:
-        """Decompose the graph into a k-order, then compute ``mcd``; the
-        k-order keeps the previous one's cumulative stats."""
-        decomposition = korder_decomposition(
+        """Peel the graph: fold its cores into :attr:`_core` and keep its
+        order and ``deg+`` for :meth:`_materialize`.  The k-order and
+        ``mcd`` are dropped, marked not built."""
+        peel = korder_decomposition(
             self._graph, policy=self._policy, seed=self._seed
         )
-        self._core.update(decomposition.core)
-        self.korder = KOrder.from_decomposition(
-            decomposition, stats=self.korder.stats
-        )
+        self._core.update(peel.core)
+        # The build reads cores from the live map: one core dict, not two.
+        peel.core = self._core
+        self._peel = peel
+        self._korder = self._mcd = None
+
+    def _materialize(self) -> None:
+        """Build the k-order and ``mcd`` from the last peel, unless they
+        are built.  Runs at the top of every path that reads or changes
+        the order index."""
+        peel = self._peel
+        if peel is None:
+            return
+        self._peel = None
+        self._korder = KOrder.from_decomposition(peel, stats=self._stats)
         self._mcd = compute_mcd(self._graph, self._core)
 
     # ------------------------------------------------------------------
@@ -116,15 +155,23 @@ class OrderFamilyMaintainer(CoreMaintainer):
     # ------------------------------------------------------------------
 
     @property
+    def korder(self) -> KOrder:
+        """The maintained k-order, with ``deg+`` (treat as read-only)."""
+        self._materialize()
+        return self._korder
+
+    @property
     def mcd(self) -> Mapping[Vertex, int]:
         """Maintained max-core degrees (read-only)."""
+        self._materialize()
         return self._mcd
 
     @property
-    def sequence_stats(self):
+    def sequence_stats(self) -> SequenceStats:
         """Cumulative :class:`~repro.structures.sequence.SequenceStats`
-        of the k-order's blocks (order queries, relabels)."""
-        return self.korder.stats
+        of the k-order's blocks (order queries, relabels): one object for
+        the engine's life, read without building the k-order."""
+        return self._stats
 
     def order(self) -> list[Vertex]:
         """The maintained k-order as a list."""
@@ -152,13 +199,14 @@ class OrderFamilyMaintainer(CoreMaintainer):
         """OrderRemoval: remove ``(u, v)``, then one level-``K`` cascade
         seeded with the edge's roots (one edge demotes by at most one
         level, Theorem 3.1); cores, k-order and ``mcd`` end exact."""
-        graph, core, mcd = self._graph, self._core, self._mcd
-        cu, cv = detach_edge(graph, self.korder, core, mcd, u, v)
+        self._materialize()
+        graph, korder, core, mcd = (
+            self._graph, self._korder, self._core, self._mcd
+        )
+        cu, cv = detach_edge(graph, korder, core, mcd, u, v)
         K = min(cu, cv)
         roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
-        v_star, visited = demote_level(
-            graph, self.korder, core, mcd, K, roots
-        )
+        v_star, visited = demote_level(graph, korder, core, mcd, K, roots)
         self._charge_removal(len(v_star), visited)
         if self._audit:
             self.check()
@@ -167,8 +215,9 @@ class OrderFamilyMaintainer(CoreMaintainer):
     def _remove_run(self, edges) -> RemovalRunResult:
         """Remove a run of edges through the batch-native joint cascade
         (:func:`~repro.core.removal.order_remove_run`)."""
+        self._materialize()
         run = order_remove_run(
-            self._graph, self.korder, self._core, self._mcd, edges
+            self._graph, self._korder, self._core, self._mcd, edges
         )
         self._charge_removal(run.recomputed, run.visited)
         if self._audit:
@@ -186,21 +235,27 @@ class OrderFamilyMaintainer(CoreMaintainer):
     # ------------------------------------------------------------------
 
     def add_vertex(self, vertex: Vertex) -> bool:
+        self._materialize()
         if not self._graph.add_vertex(vertex):
             return False
         self._register_vertex(vertex)
         return True
 
     def _register_vertex(self, vertex: Vertex) -> None:
+        """Index a vertex just added to the graph; callers build the
+        index (:meth:`_materialize`) before they add it."""
         self._core[vertex] = 0
-        self.korder.append(0, vertex)
-        self.korder.deg_plus[vertex] = 0
+        self._korder.append(0, vertex)
+        self._korder.deg_plus[vertex] = 0
         self._mcd[vertex] = 0
 
     def _forget_vertex(self, vertex: Vertex) -> None:
+        # An isolated vertex reaches here without a remove_edge, after it
+        # left the graph: the peel still holds it, so build, then drop it.
+        self._materialize()
         if self._core.pop(vertex, None) is None:
             return
-        self.korder.forget(vertex)
+        self._korder.forget(vertex)
         self._mcd.pop(vertex, None)
 
     # ------------------------------------------------------------------
@@ -213,7 +268,8 @@ class OrderFamilyMaintainer(CoreMaintainer):
         :meth:`KOrder.audit` validates Lemma 5.1 and ``deg+``; ``mcd`` is
         recomputed from scratch and compared.
         """
-        self.korder.audit(self._graph, self._core)
+        self._materialize()
+        self._korder.audit(self._graph, self._core)
         expected = compute_mcd(self._graph, self._core)
         if expected != self._mcd:
             bad = {
@@ -222,6 +278,13 @@ class OrderFamilyMaintainer(CoreMaintainer):
                 if self._mcd.get(v) != expected[v]
             }
             raise InvariantViolationError(f"mcd out of sync: {bad}")
+
+    def _batch_counters(self) -> dict[str, int]:
+        """Cumulative instrumentation plus the k-order's sequence stats,
+        read without building the k-order."""
+        counters = super()._batch_counters()
+        counters.update(self._stats.as_dict())
+        return counters
 
 
 class OrderedCoreMaintainer(OrderFamilyMaintainer):
@@ -248,16 +311,17 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     def _charge_removal(self, demoted: int, visited: int) -> None:
         self.mcd_recomputations += demoted
 
-    def _rebuild(self) -> dict[Vertex, int]:
-        """A rebuild recomputes every vertex's ``mcd``; charge them."""
-        changed = super()._rebuild()
-        self.mcd_recomputations += len(self._mcd)
-        return changed
+    def _materialize(self) -> None:
+        """Charge a deferred build's ``mcd``: one recomputation per
+        vertex.  The constructor's build, which :attr:`rebuilds` does not
+        count either, is not charged."""
+        if self._peel is not None and self.rebuilds:
+            self.mcd_recomputations += self._graph.n
+        super()._materialize()
 
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation (sequence stats + ``mcd`` repairs)."""
         counters = super()._batch_counters()
-        counters.update(self.korder.stats.as_dict())
         counters["mcd_recomputations"] = self.mcd_recomputations
         return counters
 
@@ -269,7 +333,10 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
         promotion so the boundary repair can tell which neighbors' levels
         the vertex crossed over the whole run.
         """
-        graph, core, mcd = self._graph, self._core, self._mcd
+        self._materialize()
+        graph, korder, core, mcd = (
+            self._graph, self._korder, self._core, self._mcd
+        )
         endpoints: set[Vertex] = set()
         old_core: dict[Vertex, int] = {}
         results = []
@@ -280,7 +347,7 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
                         graph.add_vertex(endpoint)
                         self._register_vertex(endpoint)
                 v_star, k, visited, evicted = self._order_insert(
-                    graph, self.korder, core, u, v
+                    graph, korder, core, u, v
                 )
                 for w in v_star:
                     # order_insert already bumped core[w]; remember the value

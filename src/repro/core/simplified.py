@@ -108,7 +108,8 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
 
         Built on each access (O(V)); index it once, not per vertex.
         """
-        d_out = self.korder.deg_plus
+        self._materialize()
+        d_out = self._korder.deg_plus
         return {v: m - d_out[v] for v, m in self._mcd.items()}
 
     @property
@@ -126,6 +127,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         Each insert leaves ``mcd`` exact, so there is no boundary repair
         to coalesce: the run is the per-edge path minus per-edge audits.
         """
+        self._materialize()
         results = [self._insert(u, v) for u, v in edges]
         if self._audit:
             self.check()
@@ -137,14 +139,16 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
 
     def _insert(self, u: Vertex, v: Vertex) -> UpdateResult:
         """Insert ``(u, v)`` through the shared scan, then repair ``mcd``."""
-        graph, core, mcd = self._graph, self._core, self._mcd
+        graph, korder, core, mcd = (
+            self._graph, self._korder, self._core, self._mcd
+        )
         for endpoint in (u, v):
             if not graph.has_vertex(endpoint):
                 graph.add_vertex(endpoint)
                 self._register_vertex(endpoint)
         cu, cv = core[u], core[v]
         v_star, k, visited, evicted = order_insert(
-            graph, self.korder, core, u, v
+            graph, korder, core, u, v
         )
         self.candidate_visits += visited
         # The new edge counts for a non-promoted endpoint iff its
@@ -179,6 +183,5 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         """Sequence stats plus the scan counter, in place of the ``order``
         engine's ``mcd_recomputations``."""
         counters = super()._batch_counters()
-        counters.update(self.korder.stats.as_dict())
         counters["candidate_visits"] = self.candidate_visits
         return counters

@@ -25,8 +25,13 @@ Besides the per-edge updates the paper describes, every engine accepts a
   overrides both with coalesced commits (one ``mcd`` repair per
   insertion run, one joint cascade per removal run);
 * **rebuild** (:meth:`CoreMaintainer.rebuild_batch`): apply the batch
-  to the graph, then build the index once with the code the engine's
-  constructor runs, and report the net old-against-new core diff.
+  to the graph, recompute the core numbers once from it
+  (:meth:`_build_index`), and report the net old-against-new core diff.
+  For ``naive`` and ``trav-<h>`` that is the constructor's whole build.
+  The order family runs only its peel and keeps the peel's order and
+  ``deg+``; the first later path that reads or changes its k-order
+  builds the k-order and ``mcd`` from them (:meth:`_materialize`), so a
+  run of rebuilt batches never builds them.
 
 One count-based rule picks between them: rebuild when
 ``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
@@ -254,6 +259,7 @@ class CoreMaintainer(ABC):
         """
         started = time.perf_counter()
         baseline = self._batch_counters()
+        self._materialize()
         results: list[UpdateResult] = []
         removal_runs: list[RemovalRunResult] = []
         inserts = removes = 0
@@ -284,7 +290,9 @@ class CoreMaintainer(ABC):
         )
 
     def rebuild_batch(self, batch: Batch) -> BatchResult:
-        """Apply a batch to the graph, then build the index once.
+        """Apply a batch to the graph, then rebuild the index once
+        (:meth:`_build_index`: the core numbers, and whatever else of
+        the index the engine does not defer to :meth:`_materialize`).
 
         The graph takes the batch's runs in the order
         :meth:`maintain_batch` would, with the same ``engine.mid_batch``
@@ -318,9 +326,10 @@ class CoreMaintainer(ABC):
         )
 
     def _rebuild(self) -> dict[Vertex, int]:
-        """Rebuild the whole index from the graph, counting it in
-        :attr:`rebuilds` and auditing it when the engine audits; returns
-        the net core delta it found."""
+        """Rebuild the index from the graph, counting it in
+        :attr:`rebuilds` and auditing it when the engine audits (the
+        audit builds any deferred part first, so it covers the whole
+        index); returns the net core delta it found."""
         old = dict(self._core)
         self._build_index()
         self.rebuilds += 1
@@ -330,13 +339,20 @@ class CoreMaintainer(ABC):
 
     @abstractmethod
     def _build_index(self) -> None:
-        """Build the index from the graph, as the constructor does.
+        """Build from the graph what a rebuild needs: the core numbers,
+        and the rest of the index or what :meth:`_materialize` builds it
+        from.
 
         Updates :attr:`_core` in place (``self._core.update``: the graph
         holds every vertex the map does, and a vertex keeps its place in
         the iteration order) and keeps every cumulative counter, so a
         rebuild never moves one back.
         """
+
+    def _materialize(self) -> None:
+        """Build the part of the index :meth:`_build_index` deferred; a
+        no-op unless the engine defers (the order family defers its
+        k-order and ``mcd`` to the first update after a rebuild)."""
 
     def _insert_run(self, edges: list[Edge]) -> list[UpdateResult]:
         """Insert a run of edges; returns one result per op.

@@ -45,7 +45,8 @@ POLICY_VARIANTS = ("order/large", "order/random")
 TRAV_VARIANTS = ("trav-3", "trav-4", "trav-5", "trav-6")
 
 #: ``maintain_batch`` is the incremental run loop, ``rebuild_batch``
-#: applies the batch to the graph and builds the index once.
+#: applies the batch to the graph and recomputes the core numbers once
+#: (the order family builds its k-order and ``mcd`` on the next update).
 BATCH_PATHS = ("maintain_batch", "rebuild_batch")
 
 

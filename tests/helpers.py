@@ -60,6 +60,16 @@ def random_gnm(n: int, m: int, seed: int) -> DynamicGraph:
     return DynamicGraph(pairs[:m], vertices=range(n))
 
 
+def absent_edges(graph: DynamicGraph, n: int, count: int, seed: int):
+    """``count`` distinct pairs over ``range(n)`` that are not edges of
+    ``graph``, in a seeded random order."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if not graph.has_edge(u, v)]
+    rng.shuffle(pairs)
+    return pairs[:count]
+
+
 #: CRC-valid commit-log records with a missing or mistyped field, as
 #: appended after receipt 1; every log reader must refuse each of them.
 MALFORMED_COMMITS = {

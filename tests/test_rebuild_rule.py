@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from engine_contract import contract_engines, order_family_engines
+from helpers import absent_edges
 from repro.analysis.kcore_views import KCoreView
 from repro.core.decomposition import core_numbers
 from repro.core.simplified import SimplifiedCoreMaintainer
@@ -45,14 +46,6 @@ RULED = tuple(name for name in ENGINES if name != "naive")
 
 def _random_graph(n, m, seed):
     return DynamicGraph(erdos_renyi_gnm(n, m, seed=seed), vertices=range(n))
-
-
-def _absent_edges(graph, n, count, seed):
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if not graph.has_edge(u, v)]
-    rng.shuffle(pairs)
-    return pairs[:count]
 
 
 def _threshold(graph):
@@ -86,7 +79,7 @@ class TestRule:
         graph = _random_graph(40, 90, seed=2)
         engine = make_engine(name, graph)
         result = engine.maintain_batch(
-            Batch.inserts(_absent_edges(graph, 40, 6, seed=2))
+            Batch.inserts(absent_edges(graph, 40, 6, seed=2))
         )
         per_op = result.visited / result.ops
         size = engine.graph.n + engine.graph.m
@@ -100,7 +93,7 @@ class TestRule:
         ``v``: the fresh-engine prior of 1 still holds after them."""
         graph = _random_graph(30, 60, seed=3)
         engine = make_engine(name, graph)
-        for u, v in _absent_edges(graph, 30, 5, seed=3):
+        for u, v in absent_edges(graph, 30, 5, seed=3):
             engine.insert_edge(u, v)
         size = engine.graph.n + engine.graph.m
         assert [engine._rebuild_pays(ops) for ops in range(1, 40)] == [
@@ -110,7 +103,7 @@ class TestRule:
     def test_apply_batch_takes_the_path_the_rule_names(self, name):
         graph = _random_graph(40, 90, seed=4)
         at = _threshold(graph)
-        edges = _absent_edges(graph, 40, at, seed=4)
+        edges = absent_edges(graph, 40, at, seed=4)
         small = make_engine(name, graph.copy())
         result = small.apply_batch(Batch.inserts(edges[: at - 1]))
         assert "rebuilds" not in result.counters
@@ -126,7 +119,7 @@ class TestRule:
         back, so later mid-size batches keep rebuilding."""
         graph = _random_graph(40, 90, seed=9)
         engine = make_engine(name, graph)
-        spare = _absent_edges(graph, 40, 400, seed=9)
+        spare = absent_edges(graph, 40, 400, seed=9)
         burst = engine.maintain_batch(Batch.inserts(spare[:12]))
         assert burst.visited > 0
         estimate = (engine._maintained_ops, engine._maintained_visited)
@@ -151,7 +144,7 @@ class TestRule:
         engine = make_engine(name, graph, audit=True)
         audits = []
         engine.check = lambda: audits.append(engine.rebuilds)
-        engine.rebuild_batch(Batch.inserts(_absent_edges(graph, 30, 20, 10)))
+        engine.rebuild_batch(Batch.inserts(absent_edges(graph, 30, 20, 10)))
         assert audits == [1]
 
     def test_empty_batch_is_maintained(self, name):
@@ -180,7 +173,7 @@ def test_rebuilt_batch_reports_net_delta(name):
     graph = _random_graph(30, 50, seed=6)
     engine = make_engine(name, graph)
     before = engine.core_numbers()
-    batch = Batch.inserts(_absent_edges(graph, 30, 40, seed=6))
+    batch = Batch.inserts(absent_edges(graph, 30, 40, seed=6))
     for edge in list(graph.edges())[:10]:
         batch.remove(*edge)
     result = engine.rebuild_batch(batch)
@@ -209,7 +202,7 @@ class TestLiveViews:
         graph = _random_graph(20, 30, seed=7)
         engine = make_engine(name, graph)
         core = engine.core
-        engine.rebuild_batch(Batch.inserts(_absent_edges(graph, 20, 30, 7)))
+        engine.rebuild_batch(Batch.inserts(absent_edges(graph, 20, 30, 7)))
         engine.maintain_batch(Batch.removes(list(engine.graph.edges())[:3]))
         engine.insert_edge(0, 100)
         assert engine.core is core
@@ -247,7 +240,7 @@ def test_counters_never_move_back(name):
     rebuild."""
     graph = _random_graph(40, 80, seed=8)
     engine = make_engine(name, graph)
-    spare = _absent_edges(graph, 40, 80, seed=8)
+    spare = absent_edges(graph, 40, 80, seed=8)
     totals = [engine._batch_counters()]
     stats = getattr(engine, "sequence_stats", None)
     results = [
@@ -373,7 +366,7 @@ def test_straddling_pair_takes_both_paths(name):
     for seed in range(5):
         graph = _random_graph(30, 60, seed=seed)
         at = _threshold(graph)
-        edges = _absent_edges(graph, 30, at, seed=seed)
+        edges = absent_edges(graph, 30, at, seed=seed)
         for ops, rebuilds in ((at - 1, 0), (at, 1)):
             engine = make_engine(name, graph.copy())
             replay = make_engine(name, graph.copy())

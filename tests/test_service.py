@@ -66,7 +66,10 @@ class TestTransactions:
         assert svc.core(3) == 2
 
     def test_receipt_carries_batch_result_and_counters(self):
-        svc = CoreService.open(TRIANGLE, engine="order")
+        # A tail long enough that the commit is maintained: a rebuilt
+        # commit recomputes no mcd, so it charges no mcd_recomputations.
+        tail = [(v, v + 1) for v in range(2, 12)]
+        svc = CoreService.open(TRIANGLE + tail, engine="order")
         with svc.transaction() as tx:
             tx.insert(0, 3).remove(1, 2)
         receipt = tx.receipt
@@ -74,6 +77,7 @@ class TestTransactions:
         assert (receipt.inserts, receipt.removes, receipt.ops) == (1, 1, 2)
         assert receipt.engine == "order"
         assert receipt.seconds == receipt.result.seconds
+        assert "rebuilds" not in receipt.counters
         assert "mcd_recomputations" in receipt.counters
 
     def test_exception_rolls_back(self):
