@@ -2,16 +2,17 @@
 
 A miniature of the paper's Table II and Fig. 2 on a single dataset:
 inserts then removes the same edge stream with all three engines, printing
-accumulated time and search-space statistics.  Sessions open through the
-service façade; the per-edge replay times ``service.engine`` directly so
-the measurement is of the paper's update algorithms, not the wrapper.
+accumulated time and search-space statistics.  The per-edge replay times
+engines built by ``make_engine`` directly, with no service session
+around them, so the measurement is of the paper's update algorithms, not
+the façade.
 
 Run:  python examples/algorithm_comparison.py [dataset]
 """
 
 import sys
 
-from repro import CoreService, load_dataset
+from repro import load_dataset, make_engine
 from repro.bench.runner import run_updates
 from repro.bench.workloads import make_workload
 
@@ -31,10 +32,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for engine_name in ("order", "trav-2", "trav-4", "naive"):
-        svc = CoreService.open(workload.base_graph(), engine=engine_name)
-        ins = run_updates(svc.engine, workload.update_edges, "insert")
+        engine = make_engine(engine_name, workload.base_graph())
+        ins = run_updates(engine, workload.update_edges, "insert")
         rem = run_updates(
-            svc.engine, list(reversed(workload.update_edges)), "remove"
+            engine, list(reversed(workload.update_edges)), "remove"
         )
         ratio = ins.visited_to_changed_ratio()
         print(

@@ -4,13 +4,14 @@ A DBLP-style temporal collaboration network: papers arrive in timestamp
 order and every paper adds a clique among its authors.  Each epoch of
 collaborations commits as one service transaction, a subscriber tallies
 promotions, and the "elite" core — the max-k core — is read straight
-from the query layer, alongside an approximate densest subgroup.
+from the query layer.  Its edge density is a 1/2-approximation of the
+densest subgraph's: the max-core of degeneracy ``k`` has density at
+least ``k / 2``, and no subgraph is denser than ``k``.
 
 Run:  python examples/temporal_collaboration.py
 """
 
 from repro import CoreService, load_dataset
-from repro.applications.densest import dynamic_densest
 
 
 def main() -> None:
@@ -19,7 +20,6 @@ def main() -> None:
     # Start from the first 60% of history, stream in the remaining 40%.
     split = int(len(stream) * 0.6)
     svc = CoreService.open(stream.graph_before(split))
-    densest = dynamic_densest(svc.engine)
 
     _, future = stream.split_at(split)
     epochs = 8
@@ -33,13 +33,11 @@ def main() -> None:
                     tx.insert(u, v)
         promoted = tx.receipt.promotions
         top = svc.degeneracy()
-        elite = svc.kcore(top)
-        dens_set, dens = densest.current()
+        elite = svc.kcore(top).subgraph()
         print(
             f"epoch {epoch + 1}: +{len(chunk):4d} edges, "
             f"{promoted:3d} promotions | elite core k={top} "
-            f"({len(elite)} authors) | densest approx {dens:.2f} "
-            f"({len(dens_set)} authors)"
+            f"({elite.n} authors, density {elite.m / elite.n:.2f})"
         )
 
 

@@ -1,4 +1,4 @@
-"""Measurement substrate: structural sets, distributions, k-core views."""
+"""Measurement substrate: structural sets, distributions, core reads."""
 
 from repro.analysis.subcore import order_core, pure_core, sub_core
 from repro.analysis.distributions import (
@@ -6,13 +6,7 @@ from repro.analysis.distributions import (
     cumulative_distribution,
     ratio_sum,
 )
-from repro.analysis.kcore_views import (
-    core_spectrum,
-    degeneracy,
-    k_core_subgraph,
-    k_shell_vertices,
-    onion_layers,
-)
+from repro.analysis.kcore_views import core_spectrum, degeneracy
 from repro.analysis.metrics import UpdateLog
 from repro.analysis.validation import (
     ValidationReport,
@@ -29,9 +23,6 @@ __all__ = [
     "core_spectrum",
     "cumulative_distribution",
     "degeneracy",
-    "k_core_subgraph",
-    "k_shell_vertices",
-    "onion_layers",
     "order_core",
     "pure_core",
     "ratio_sum",

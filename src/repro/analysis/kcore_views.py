@@ -1,10 +1,9 @@
-"""Views over a core decomposition: k-cores, shells, onion layers.
+"""Reads over a core decomposition: k-core views and aggregates.
 
-These are the read-side products that make core maintenance useful —
-the paper's motivating applications (community search, visualization,
-topology analysis) all consume them.  :class:`repro.service.CoreService`
-answers every query through this module, so reads never reach into
-maintainer internals.
+The paper's motivating applications (community search, densest
+subgraphs, visualization) consume core numbers through reads like
+these.  :class:`repro.service.CoreService` answers every query through
+this module, so reads never reach into maintainer internals.
 
 The aggregate reads :func:`top_cores`, :func:`core_spectrum` and
 :func:`degeneracy` take either a plain core mapping, which they scan, or
@@ -12,8 +11,9 @@ a :class:`CoreIndex` over a live mapping, which answers them as lookups:
 the paper maintains core numbers so that a read never recomputes the
 decomposition, and the index does the same for the reads.  The service,
 the serving front's last-good map and every read replica each keep one,
-fed each commit's net deltas.  :class:`KCoreView` (``kcore``) stays a
-live scan.
+fed each commit's net deltas.  The scan over a plain mapping is the
+oracle the index is tested against.  :class:`KCoreView` (``kcore``)
+stays a live scan.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from repro.engine.batch import vertex_sort_key
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
-
-
-def k_core_vertices(core: Mapping[Vertex, int], k: int) -> set[Vertex]:
-    """Vertices of the ``k``-core (``core(v) >= k``)."""
-    return {v for v, c in core.items() if c >= k}
 
 
 class KCoreView:
@@ -88,8 +83,8 @@ class KCoreView:
         """The ``k``-core as an induced subgraph of the view's graph."""
         if self._graph is None:
             raise ValueError(
-                "this KCoreView was built without a graph; "
-                "use k_core_subgraph(graph, core, k) instead"
+                "this KCoreView was built without a graph; build it as "
+                "KCoreView(core, k, graph) or read CoreService.kcore(k)"
             )
         return self._graph.subgraph(self.vertices())
 
@@ -284,18 +279,6 @@ def top_cores(core: Cores, n: int) -> list[tuple[Vertex, int]]:
     )
 
 
-def k_core_subgraph(
-    graph: DynamicGraph, core: Mapping[Vertex, int], k: int
-) -> DynamicGraph:
-    """The ``k``-core as an induced subgraph."""
-    return graph.subgraph(k_core_vertices(core, k))
-
-
-def k_shell_vertices(core: Mapping[Vertex, int], k: int) -> set[Vertex]:
-    """Vertices with core number exactly ``k`` (the ``k``-shell)."""
-    return {v for v, c in core.items() if c == k}
-
-
 def degeneracy(core: Cores) -> int:
     """Maximum core number (0 for an empty graph)."""
     if isinstance(core, CoreIndex):
@@ -311,53 +294,3 @@ def core_spectrum(core: Cores) -> dict[int, int]:
     for c in core.values():
         spectrum[c] = spectrum.get(c, 0) + 1
     return spectrum
-
-
-def onion_layers(graph: DynamicGraph) -> dict[Vertex, int]:
-    """Onion decomposition: the peeling round in which each vertex leaves.
-
-    Refines the k-shell view used by the paper's visualization citations:
-    within a shell, layers order vertices from the periphery inward.
-    Round ``r`` removes every vertex whose remaining degree is below the
-    current core level ``k`` simultaneously.
-    """
-    degrees = {v: graph.degree(v) for v in graph.vertices()}
-    remaining = set(degrees)
-    layer: dict[Vertex, int] = {}
-    round_no = 0
-    k = 1
-    while remaining:
-        peel = [v for v in remaining if degrees[v] < k]
-        if not peel:
-            k += 1
-            continue
-        round_no += 1
-        for v in peel:
-            layer[v] = round_no
-            remaining.discard(v)
-        for v in peel:
-            for w in graph.adj[v]:
-                if w in remaining:
-                    degrees[w] -= 1
-    return layer
-
-
-def densest_core(
-    graph: DynamicGraph, core: Mapping[Vertex, int]
-) -> tuple[set[Vertex], float]:
-    """The max-core vertex set and its edge density (``m' / n'``).
-
-    The max-core is a classical 2-approximation seed for the densest
-    subgraph; :mod:`repro.applications.densest` refines it.
-    """
-    top = degeneracy(core)
-    vertices = k_core_vertices(core, top)
-    if not vertices:
-        return set(), 0.0
-    inner_edges = 0
-    for v in vertices:
-        for w in graph.adj[v]:
-            if w in vertices:
-                inner_edges += 1
-    inner_edges //= 2
-    return vertices, inner_edges / len(vertices)

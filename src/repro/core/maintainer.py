@@ -174,16 +174,10 @@ class OrderFamilyMaintainer(CoreMaintainer):
         return self._stats
 
     def order(self) -> list[Vertex]:
-        """The maintained k-order as a list."""
-        return self.korder.order()
+        """The maintained k-order as a list.
 
-    def degeneracy_order(self) -> list[Vertex]:
-        """The maintained k-order read as a degeneracy ordering.
-
-        Reversed, it is a *degeneracy order*: every vertex has at most
-        ``degeneracy`` neighbors earlier in it (its ``deg+`` neighbors),
-        which is what greedy coloring and clique heuristics consume (see
-        :func:`repro.applications.coloring.greedy_coloring`).
+        Each vertex has ``deg+(v) <= core(v)`` neighbors after it, so
+        the list reversed is a degeneracy ordering.
         """
         return self.korder.order()
 

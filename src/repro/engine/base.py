@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from repro.engine.batch import (
     INSERT,
@@ -159,14 +159,6 @@ class CoreMaintainer(ABC):
         """A snapshot copy of all core numbers."""
         return dict(self.core)
 
-    def k_core(self, k: int) -> set[Vertex]:
-        """Vertex set of the ``k``-core (``core(v) >= k``)."""
-        return {v for v, c in self.core.items() if c >= k}
-
-    def k_shell(self, k: int) -> set[Vertex]:
-        """Vertices with core number exactly ``k``."""
-        return {v for v, c in self.core.items() if c == k}
-
     def degeneracy(self) -> int:
         """The largest ``k`` with a non-empty ``k``-core (max core number)."""
         return max(self.core.values(), default=0)
@@ -200,14 +192,6 @@ class CoreMaintainer(ABC):
         self._graph.remove_vertex(vertex)
         self._forget_vertex(vertex)
         return results
-
-    def insert_edges(self, edges: Iterable[Edge]) -> list[UpdateResult]:
-        """Insert several edges one by one."""
-        return [self.insert_edge(u, v) for u, v in edges]
-
-    def remove_edges(self, edges: Iterable[Edge]) -> list[UpdateResult]:
-        """Remove several edges one by one."""
-        return [self.remove_edge(u, v) for u, v in edges]
 
     # ------------------------------------------------------------------
     # Batch pipeline

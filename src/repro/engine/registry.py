@@ -1,6 +1,6 @@
 """Engine registry: one way to build every maintainer, by name.
 
-Every consumer (streaming monitor, benchmarks, CLI, applications) creates
+Every consumer (service, streaming monitor, benchmarks, CLI) creates
 engines through :func:`make_engine` instead of importing concrete classes.
 
 Names

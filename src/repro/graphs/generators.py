@@ -174,36 +174,6 @@ def chung_lu(
     return edges
 
 
-def watts_strogatz(
-    n: int,
-    k: int,
-    beta: float,
-    seed: Optional[int] = None,
-) -> list[Edge]:
-    """Small-world ring lattice with rewiring probability ``beta``."""
-    if k % 2 or k >= n:
-        raise ValueError("k must be even and smaller than n")
-    rng = random.Random(seed)
-    chosen: set[Edge] = set()
-    edges: list[Edge] = []
-    for u in range(n):
-        for step in range(1, k // 2 + 1):
-            v = (u + step) % n
-            if rng.random() < beta:
-                guard = 0
-                while guard < 100:
-                    guard += 1
-                    w = rng.randrange(n)
-                    if w != u and _norm(u, w) not in chosen:
-                        v = w
-                        break
-            e = _norm(u, v)
-            if e not in chosen:
-                chosen.add(e)
-                edges.append(e)
-    return edges
-
-
 def copying_model(
     n: int,
     out_degree: int,
@@ -338,102 +308,6 @@ def layered_citation(
                 chosen.add(e)
                 edges.append(e)
                 made += 1
-    return edges
-
-
-def rmat(
-    scale: int,
-    edge_factor: int = 8,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: Optional[int] = None,
-) -> list[Edge]:
-    """R-MAT recursive-matrix generator (Graph500 profile).
-
-    ``2**scale`` vertices and about ``edge_factor * 2**scale`` distinct
-    undirected edges, placed by recursively descending a 2x2 probability
-    matrix ``[[a, b], [c, 1-a-b-c]]``.  Produces the skewed, community-ish
-    structure common in large-graph benchmarking suites.
-    """
-    if not 0 < a + b + c < 1:
-        raise ValueError("a + b + c must lie strictly between 0 and 1")
-    rng = random.Random(seed)
-    n = 1 << scale
-    target = edge_factor * n
-    chosen: set[Edge] = set()
-    edges: list[Edge] = []
-    attempts = 0
-    limit = 50 * target
-    while len(edges) < target and attempts < limit:
-        attempts += 1
-        u = v = 0
-        for _ in range(scale):
-            r = rng.random()
-            u <<= 1
-            v <<= 1
-            if r < a:
-                pass
-            elif r < a + b:
-                v |= 1
-            elif r < a + b + c:
-                u |= 1
-            else:
-                u |= 1
-                v |= 1
-        if u == v:
-            continue
-        e = _norm(u, v)
-        if e in chosen:
-            continue
-        chosen.add(e)
-        edges.append(e)
-    return edges
-
-
-def forest_fire(
-    n: int,
-    forward_prob: float = 0.35,
-    seed: Optional[int] = None,
-) -> list[Edge]:
-    """Forest-fire model (Leskovec et al.): densifying temporal growth.
-
-    Each new vertex links to a random ambassador, then "burns" outward:
-    from each burned vertex a geometric number of unburned neighbors catch
-    fire and also receive links.  Produces shrinking diameters and heavy
-    densification — a good stress profile for maintenance algorithms
-    because later insertions land in increasingly dense regions.
-    """
-    if not 0.0 <= forward_prob < 1.0:
-        raise ValueError("forward_prob must be in [0, 1)")
-    rng = random.Random(seed)
-    edges: list[Edge] = []
-    adj: dict[int, set[int]] = {0: set()}
-    for v in range(1, n):
-        ambassador = rng.randrange(v)
-        burned = {ambassador}
-        frontier = [ambassador]
-        links = [ambassador]
-        while frontier:
-            x = frontier.pop()
-            # Geometric burn count with mean p / (1 - p).
-            burn = 0
-            while rng.random() < forward_prob:
-                burn += 1
-            if not burn:
-                continue
-            candidates = [w for w in adj[x] if w not in burned]
-            rng.shuffle(candidates)
-            for w in candidates[:burn]:
-                burned.add(w)
-                frontier.append(w)
-                links.append(w)
-        adj[v] = set()
-        for t in links:
-            if t not in adj[v]:
-                edges.append(_norm(t, v))
-                adj[v].add(t)
-                adj[t].add(v)
     return edges
 
 

@@ -5,9 +5,12 @@ The paper's datasets ship as plain-text edge lists:
 * SNAP format — ``u<TAB>v`` per line, ``#`` comments;
 * Konect format — ``u v [weight [timestamp]]`` per line, ``%`` comments.
 
-Both are supported, with transparent gzip based on the ``.gz`` suffix.
-Directed inputs are converted to undirected simple graphs the same way the
-paper does: direction dropped, duplicates and self-loops skipped.
+Both are read, with transparent gzip based on the ``.gz`` suffix:
+:func:`read_edge_list` returns the edges, :func:`read_temporal_edge_list`
+a timestamp-ordered stream (the scenario loaders' input).  Directed inputs
+are converted to undirected simple graphs the same way the paper does:
+direction dropped, duplicates and self-loops skipped.
+:func:`write_edge_list` writes the SNAP format.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 from repro.errors import EdgeListFormatError
 from repro.graphs.temporal import TemporalEdgeStream
-from repro.graphs.undirected import DynamicGraph
 
 Edge = tuple[int, int]
 PathLike = Union[str, Path]
@@ -175,66 +177,3 @@ def write_edge_list(path: PathLike, edges: Iterable[Edge], header: str = "") -> 
             handle.write(f"{u}\t{v}\n")
             count += 1
     return count
-
-
-def write_graph(path: PathLike, graph: DynamicGraph) -> int:
-    """Write a graph's edge set (isolated vertices are not preserved)."""
-    return write_edge_list(path, graph.edges())
-
-
-def read_graph(path: PathLike) -> DynamicGraph:
-    """Read an edge list straight into a :class:`DynamicGraph`."""
-    return DynamicGraph.from_edges(read_edge_list(path))
-
-
-# ----------------------------------------------------------------------
-# METIS adjacency format (used by partitioners and several core-
-# decomposition artifact repositories).
-# ----------------------------------------------------------------------
-
-def write_metis(path: PathLike, graph: DynamicGraph) -> int:
-    """Write a graph in METIS format (1-based adjacency lines).
-
-    METIS requires contiguous integer vertex ids; arbitrary hashable
-    vertices are mapped to ``1..n`` in sorted-by-repr order.  Returns the
-    number of vertices written.
-    """
-    ordered = sorted(graph.vertices(), key=repr)
-    index = {v: i + 1 for i, v in enumerate(ordered)}
-    with _open_text(path, "w") as handle:
-        handle.write(f"{graph.n} {graph.m}\n")
-        for v in ordered:
-            neighbors = sorted(index[w] for w in graph.adj[v])
-            handle.write(" ".join(str(w) for w in neighbors) + "\n")
-    return graph.n
-
-
-def read_metis(path: PathLike) -> DynamicGraph:
-    """Read a METIS adjacency file into a graph (vertices ``1..n``).
-
-    Only the plain unweighted format is supported; a format code other
-    than ``0``/absent raises :class:`ValueError`.
-    """
-    graph = DynamicGraph()
-    header: Optional[tuple[int, int]] = None
-    vertex = 0
-    for fields in iter_edge_lines(path):
-        if header is None:
-            if len(fields) >= 3 and fields[2] not in ("0", "00"):
-                raise ValueError(
-                    f"unsupported METIS format code {fields[2]!r}"
-                )
-            header = (int(fields[0]), int(fields[1]))
-            for v in range(1, header[0] + 1):
-                graph.add_vertex(v)
-            continue
-        vertex += 1
-        for token in fields:
-            w = int(token)
-            if not graph.has_edge(vertex, w) and vertex != w:
-                graph.add_edge(vertex, w)
-    if header is not None and graph.m != header[1]:
-        raise ValueError(
-            f"METIS header declares {header[1]} edges, found {graph.m}"
-        )
-    return graph

@@ -303,12 +303,13 @@ class CoreService:
     def engine(self) -> CoreMaintainer:
         """The underlying engine.
 
-        The escape hatch for per-edge measurement and analysis helpers
-        that consume a :class:`~repro.engine.base.CoreMaintainer`; treat
-        it as read-only — updates applied behind the service's back are
-        invisible to subscribers, and to the aggregate reads ``top``,
-        ``spectrum`` and ``degeneracy``, whose :attr:`index` only learns
-        of commits made through the service.
+        The escape hatch for per-edge measurement only: timing or
+        validating the engine's own update algorithms edge by edge, and
+        reading its counters.  Analysis that writes goes through a
+        :meth:`transaction`: updates applied behind the service's back
+        are invisible to subscribers, and to the aggregate reads
+        ``top``, ``spectrum`` and ``degeneracy``, whose :attr:`index`
+        only learns of commits made through the service.
         """
         return self._engine
 

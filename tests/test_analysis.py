@@ -13,22 +13,13 @@ from repro.analysis.distributions import (
     percentile,
     ratio_sum,
 )
-from repro.analysis.kcore_views import (
-    core_spectrum,
-    degeneracy,
-    densest_core,
-    k_core_subgraph,
-    k_core_vertices,
-    k_shell_vertices,
-    onion_layers,
-)
+from repro.analysis.kcore_views import KCoreView, core_spectrum, degeneracy
 from repro.analysis.metrics import UpdateLog
 from repro.analysis.subcore import order_core, pure_core, sub_core
 from repro.engine.base import UpdateResult
 from repro.core.decomposition import core_numbers, korder_decomposition
 from repro.core.korder import KOrder
 from repro.core.maintainer import compute_mcd
-from repro.graphs.undirected import DynamicGraph
 
 from helpers import u
 
@@ -148,51 +139,18 @@ class TestDistributions:
 
 
 class TestKCoreViews:
-    def test_k_core_vertices(self, triangle_graph):
-        core = core_numbers(triangle_graph)
-        assert k_core_vertices(core, 2) == {0, 1, 2}
-        assert k_core_vertices(core, 1) == {0, 1, 2, 3}
-        assert k_core_vertices(core, 3) == set()
-
-    def test_k_core_subgraph(self, triangle_graph):
-        core = core_numbers(triangle_graph)
-        sub = k_core_subgraph(triangle_graph, core, 2)
-        assert sub.n == 3 and sub.m == 3
-
-    def test_k_shell(self, triangle_graph):
-        core = core_numbers(triangle_graph)
-        assert k_shell_vertices(core, 1) == {3}
-
     def test_degeneracy_and_spectrum(self, fig3_graph):
         core = core_numbers(fig3_graph)
         assert degeneracy(core) == 3
         spectrum = core_spectrum(core)
         assert spectrum[3] == 8 and spectrum[2] == 5
 
-    def test_onion_layers_refine_shells(self, fig3_graph):
-        layers = onion_layers(fig3_graph)
-        core = core_numbers(fig3_graph)
-        # Chain tips leave in round 1; u0 leaves later than the tips.
-        assert layers[u(49)] == 1
-        assert layers[u(0)] > layers[u(49)]
-        # Every vertex gets a layer.
-        assert set(layers) == set(fig3_graph.vertices())
-        # Within the same graph, higher core implies weakly later layers
-        # for the minimum layer per core level.
-        min_layer = {}
-        for v, lay in layers.items():
-            k = core[v]
-            min_layer[k] = min(min_layer.get(k, lay), lay)
-        assert min_layer[3] >= min_layer[1]
-
-    def test_densest_core(self, fig3_graph):
-        core = core_numbers(fig3_graph)
-        vertices, density = densest_core(fig3_graph, core)
-        assert vertices == {6, 7, 8, 9, 10, 11, 12, 13}
-        assert density == pytest.approx(12 / 8)
-
-    def test_densest_core_empty(self):
-        assert densest_core(DynamicGraph(), {}) == (set(), 0.0)
+    def test_view_subgraph_needs_a_graph(self, triangle_graph):
+        core = core_numbers(triangle_graph)
+        with pytest.raises(ValueError, match=r"KCoreView\(core, k, graph\)"):
+            KCoreView(core, 2).subgraph()
+        sub = KCoreView(core, 2, triangle_graph).subgraph()
+        assert sub.n == 3 and sub.m == 3
 
 
 class TestUpdateLog:

@@ -1,16 +1,11 @@
-"""Tests for bulk insertion, the degeneracy order, and greedy coloring."""
+"""Tests for bulk insertion, the k-order as a degeneracy ordering, and
+the sliding-window monitor's streaming properties."""
 
 import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.applications.coloring import (
-    chromatic_upper_bound,
-    greedy_coloring,
-    greedy_coloring_in_order,
-    verify_coloring,
-)
 from repro.core.decomposition import core_numbers
 from repro.core.maintainer import OrderedCoreMaintainer
 from repro.engine.batch import Batch
@@ -56,10 +51,12 @@ class TestBulkInsert:
         engine.check()
 
 
-class TestDegeneracyOrderAndColoring:
-    def test_reverse_korder_is_degeneracy_order(self, small_random_graph):
+class TestDegeneracyOrder:
+    def test_korder_bounds_later_neighbors_by_degeneracy(
+        self, small_random_graph
+    ):
         engine = OrderedCoreMaintainer(small_random_graph)
-        order = engine.degeneracy_order()
+        order = engine.order()
         position = {v: i for i, v in enumerate(order)}
         d = engine.degeneracy()
         for v in small_random_graph.vertices():
@@ -69,50 +66,6 @@ class TestDegeneracyOrderAndColoring:
                 if position[w] > position[v]
             )
             assert later <= d
-
-    def test_coloring_proper_and_bounded(self, small_random_graph):
-        engine = OrderedCoreMaintainer(small_random_graph)
-        colors = greedy_coloring(engine)
-        assert verify_coloring(small_random_graph, colors)
-        assert max(colors.values()) + 1 <= chromatic_upper_bound(engine)
-
-    def test_coloring_stays_valid_under_updates(self, small_random_graph):
-        engine = OrderedCoreMaintainer(small_random_graph)
-        rng = random.Random(2)
-        vertices = sorted(small_random_graph.vertices())
-        for _ in range(30):
-            a, b = rng.sample(vertices, 2)
-            if engine.graph.has_edge(a, b):
-                engine.remove_edge(a, b)
-            else:
-                engine.insert_edge(a, b)
-        colors = greedy_coloring(engine)
-        assert verify_coloring(engine.graph, colors)
-        assert max(colors.values()) < chromatic_upper_bound(engine)
-
-    def test_clique_needs_exactly_size_colors(self):
-        k = 5
-        clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        engine = OrderedCoreMaintainer(DynamicGraph(clique))
-        colors = greedy_coloring(engine)
-        assert len(set(colors.values())) == k
-
-    def test_bipartite_uses_two_colors_or_fewer_than_bound(self):
-        bipartite = [(i, 10 + j) for i in range(4) for j in range(4)]
-        engine = OrderedCoreMaintainer(DynamicGraph(bipartite))
-        colors = greedy_coloring(engine)
-        assert verify_coloring(engine.graph, colors)
-        # Degeneracy of K_{4,4} is 4; bound certifies <= 5.
-        assert max(colors.values()) + 1 <= 5
-
-    def test_incomplete_coloring_rejected(self, triangle_graph):
-        assert not verify_coloring(triangle_graph, {0: 0, 1: 1})
-        assert not verify_coloring(triangle_graph, {0: 0, 1: 0, 2: 1, 3: 2})
-
-    def test_coloring_in_arbitrary_order_still_proper(self, small_random_graph):
-        order = sorted(small_random_graph.vertices())
-        colors = greedy_coloring_in_order(small_random_graph, order)
-        assert verify_coloring(small_random_graph, colors)
 
 
 class TestStreamingProperties:

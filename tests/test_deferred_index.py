@@ -171,7 +171,6 @@ ENTRY_POINTS = {
     "korder": lambda e, new, old: e.korder.block_sizes(),
     "mcd": lambda e, new, old: dict(e.mcd),
     "order": lambda e, new, old: e.order(),
-    "degeneracy_order": lambda e, new, old: e.degeneracy_order(),
     "d_in": lambda e, new, old: e.d_in,
     "d_out": lambda e, new, old: dict(e.d_out),
 }

@@ -1,6 +1,7 @@
-"""Documentation guarantees: doctests can't rot, links can't dangle.
+"""Documentation guarantees: doctests can't rot, links and names can't
+dangle.
 
-Two halves:
+Three parts:
 
 * the public façade's docstring examples (``CoreService``,
   ``Transaction``, ``Batch``, ``make_engine``) run
@@ -8,7 +9,10 @@ Two halves:
   ``pytest --doctest-modules``;
 * every relative markdown link in README.md, ROADMAP.md and docs/ must
   point at a file that exists, and README must link the documentation
-  suite.
+  suite;
+* every backticked ``repro.…`` dotted name in README.md and docs/ must
+  import, or resolve by ``getattr`` from the longest importable module
+  prefix.  ROADMAP.md is left out: it names planned modules.
 """
 
 import doctest
@@ -38,6 +42,32 @@ DOCUMENTS = (
 )
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+
+#: Documents whose ``repro.…`` names must resolve (not ROADMAP.md).
+NAMED_DOCUMENTS = ("README.md",) + tuple(
+    f"docs/{path.name}" for path in sorted((REPO / "docs").glob("*.md"))
+)
+
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, or an attribute path under the
+    longest prefix of it that imports."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
 
 
 @pytest.mark.parametrize("module_name", FACADE_MODULES)
@@ -70,3 +100,15 @@ def test_readme_links_the_docs_suite():
         "docs/BENCHMARKS.md",
     ):
         assert target in readme, f"README does not link {target}"
+
+
+@pytest.mark.parametrize("document", NAMED_DOCUMENTS)
+def test_backticked_repro_names_resolve(document):
+    text = (REPO / document).read_text()
+    names = {
+        name
+        for span in _CODE_SPAN.findall(text)
+        for name in _DOTTED.findall(span)
+    }
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"{document} names what does not exist: {missing}"

@@ -1,5 +1,5 @@
-"""Unit tests for the extension modules: RMAT/forest-fire generators,
-METIS IO, validation utilities, visualization, and the scan ablation."""
+"""Unit tests for the extension modules: validation utilities and the
+scan ablation."""
 
 import random
 
@@ -10,102 +10,10 @@ from repro.analysis.validation import (
     validate_against_reference,
     validate_maintainer,
 )
-from repro.applications.visualization import (
-    render_fingerprint,
-    render_shell_histogram,
-    shell_layout,
-)
 from repro.core.ablation import ScanningOrderedCoreMaintainer, order_insert_scan
-from repro.core.decomposition import core_numbers
 from repro.core.maintainer import OrderedCoreMaintainer
-from repro.graphs import generators
-from repro.graphs import io as gio
 from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
-
-from helpers import random_gnm
-
-
-class TestRmat:
-    def test_simple_and_deterministic(self):
-        edges = generators.rmat(8, edge_factor=4, seed=1)
-        assert edges == generators.rmat(8, edge_factor=4, seed=1)
-        seen = set()
-        for u, v in edges:
-            assert u != v
-            assert (u, v) not in seen
-            seen.add((u, v))
-
-    def test_vertex_range(self):
-        edges = generators.rmat(6, edge_factor=4, seed=2)
-        assert all(0 <= u < 64 and 0 <= v < 64 for u, v in edges)
-
-    def test_skewed_degrees(self):
-        g = DynamicGraph.from_edges(generators.rmat(9, edge_factor=6, seed=3))
-        assert g.max_degree() > 3 * g.average_degree()
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            generators.rmat(5, a=0.5, b=0.3, c=0.3)
-
-
-class TestForestFire:
-    def test_connected_growth(self):
-        edges = generators.forest_fire(150, forward_prob=0.35, seed=4)
-        g = DynamicGraph.from_edges(edges)
-        assert g.n == 150
-        assert g.connected_component(0) == set(g.vertices())
-
-    def test_densification_with_prob(self):
-        sparse = generators.forest_fire(150, forward_prob=0.1, seed=5)
-        dense = generators.forest_fire(150, forward_prob=0.5, seed=5)
-        assert len(dense) > len(sparse)
-
-    def test_prob_validation(self):
-        with pytest.raises(ValueError):
-            generators.forest_fire(10, forward_prob=1.0)
-
-    def test_deterministic(self):
-        assert generators.forest_fire(60, seed=6) == generators.forest_fire(
-            60, seed=6
-        )
-
-
-class TestMetisIO:
-    def test_roundtrip(self, tmp_path):
-        g = random_gnm(20, 40, seed=1)
-        path = tmp_path / "g.metis"
-        assert gio.write_metis(path, g) == 20
-        g2 = gio.read_metis(path)
-        assert g2.n == g.n and g2.m == g.m
-        # Vertices are relabelled 1..n in sorted order; degrees must match.
-        original = sorted(g.degree(v) for v in g.vertices())
-        restored = sorted(g2.degree(v) for v in g2.vertices())
-        assert original == restored
-
-    def test_header_first_line(self, tmp_path):
-        g = DynamicGraph([(1, 2), (2, 3)])
-        path = tmp_path / "g.metis"
-        gio.write_metis(path, g)
-        assert path.read_text().splitlines()[0] == "3 2"
-
-    def test_edge_count_mismatch_detected(self, tmp_path):
-        path = tmp_path / "bad.metis"
-        path.write_text("2 5\n2\n1\n")
-        with pytest.raises(ValueError):
-            gio.read_metis(path)
-
-    def test_weighted_format_rejected(self, tmp_path):
-        path = tmp_path / "weighted.metis"
-        path.write_text("2 1 011\n2\n1\n")
-        with pytest.raises(ValueError):
-            gio.read_metis(path)
-
-    def test_isolated_vertices_preserved(self, tmp_path):
-        g = DynamicGraph([(1, 2)], vertices=[1, 2, 3])
-        path = tmp_path / "iso.metis"
-        gio.write_metis(path, g)
-        assert gio.read_metis(path).n == 3
 
 
 class TestValidation:
@@ -144,46 +52,6 @@ class TestValidation:
         other.add_edge(0, 3)
         bad = validate_against_reference(engine, other)
         assert not bad.ok
-
-
-class TestVisualization:
-    def test_shell_layout_radii(self, fig3_graph):
-        core = core_numbers(fig3_graph)
-        layout = shell_layout(core, seed=1)
-        assert set(layout) == set(core)
-        # Higher coreness means closer to the origin on average.
-        def mean_radius(k):
-            rs = [
-                (x * x + y * y) ** 0.5
-                for v, (x, y) in layout.items()
-                if core[v] == k
-            ]
-            return sum(rs) / len(rs)
-
-        assert mean_radius(3) < mean_radius(1)
-
-    def test_layout_deterministic(self, triangle_graph):
-        core = core_numbers(triangle_graph)
-        assert shell_layout(core, seed=5) == shell_layout(core, seed=5)
-
-    def test_histogram_contains_all_shells(self, fig3_graph):
-        core = core_numbers(fig3_graph)
-        text = render_shell_histogram(core)
-        assert "k=1" in text and "k=2" in text and "k=3" in text
-        assert "(empty graph)" == render_shell_histogram({})
-
-    def test_fingerprint_shape(self, fig3_graph):
-        core = core_numbers(fig3_graph)
-        text = render_fingerprint(core, rows=11, cols=23, seed=2)
-        lines = text.splitlines()
-        assert len(lines) == 11
-        assert all(len(line) == 23 for line in lines)
-        assert "3" in text  # the 3-core shows up
-        assert render_fingerprint({}) == "(empty graph)"
-
-    def test_fingerprint_glyph_saturation(self):
-        core = {i: 12 for i in range(30)}
-        assert "*" in render_fingerprint(core, rows=7, cols=7, seed=0)
 
 
 class TestScanAblation:

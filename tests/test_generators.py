@@ -24,7 +24,6 @@ ALL_GENERATORS = [
         lambda s: generators.powerlaw_cluster(150, 4, 0.5, seed=s),
     ),
     ("chung_lu", lambda s: generators.chung_lu(200, 5.0, 2.3, seed=s)),
-    ("watts_strogatz", lambda s: generators.watts_strogatz(100, 4, 0.1, seed=s)),
     ("copying", lambda s: generators.copying_model(150, 4, 0.6, seed=s)),
     (
         "affiliation",
@@ -91,17 +90,6 @@ class TestSpecificShapes:
     def test_chung_lu_exponent_validated(self):
         with pytest.raises(ValueError):
             generators.chung_lu(100, 5.0, exponent=1.5, seed=0)
-
-    def test_watts_strogatz_parameter_validation(self):
-        with pytest.raises(ValueError):
-            generators.watts_strogatz(10, 3, 0.1, seed=0)  # odd k
-        with pytest.raises(ValueError):
-            generators.watts_strogatz(4, 6, 0.1, seed=0)  # k >= n
-
-    def test_watts_strogatz_zero_beta_is_lattice(self):
-        edges = generators.watts_strogatz(20, 4, 0.0, seed=0)
-        g = DynamicGraph.from_edges(edges)
-        assert all(g.degree(v) == 4 for v in g.vertices())
 
     def test_citation_edges_point_backwards(self):
         edges = generators.layered_citation(100, 2.5, seed=1)

@@ -45,15 +45,6 @@ class TestEdgeListIO:
             assert "5\t6" in handle.read()
         assert gio.read_edge_list(path) == [(5, 6)]
 
-    def test_graph_roundtrip(self, tmp_path):
-        path = tmp_path / "g.txt"
-        from repro.graphs.undirected import DynamicGraph
-
-        g = DynamicGraph([(1, 2), (2, 3)])
-        gio.write_graph(path, g)
-        g2 = gio.read_graph(path)
-        assert g2.m == 2 and g2.has_edge(1, 2)
-
     def test_temporal_read_sorts_by_time(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("1 2 1 300\n3 4 1 100\n5 6 1 200\n")

@@ -371,7 +371,8 @@ def test_straddling_pair_takes_both_paths(name):
             engine = make_engine(name, graph.copy())
             replay = make_engine(name, graph.copy())
             result = engine.apply_batch(Batch.inserts(edges[:ops]))
-            replay.insert_edges(edges[:ops])
+            for u, v in edges[:ops]:
+                replay.insert_edge(u, v)
             assert engine.rebuilds == rebuilds
             assert (result.results is None) == bool(rebuilds)
             assert engine.core_numbers() == replay.core_numbers()
