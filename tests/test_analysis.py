@@ -145,6 +145,23 @@ class TestKCoreViews:
         spectrum = core_spectrum(core)
         assert spectrum[3] == 8 and spectrum[2] == 5
 
+    def test_view_membership_over_a_plain_mapping(self, triangle_graph):
+        core = core_numbers(triangle_graph)
+        assert KCoreView(core, 2).vertices() == {0, 1, 2}
+        assert KCoreView(core, 1).vertices() == {0, 1, 2, 3}
+        assert 3 not in KCoreView(core, 2) and 99 not in KCoreView(core, 0)
+        empty = KCoreView(core, 3)
+        assert not empty and len(empty) == 0
+        # The 1-shell is the 1-core less the 2-core.
+        shell = KCoreView(core, 1).vertices() - KCoreView(core, 2).vertices()
+        assert shell == {3} and core_spectrum(core)[1] == len(shell)
+
+    def test_view_follows_its_mapping(self, triangle_graph):
+        core = core_numbers(triangle_graph)
+        view = KCoreView(core, 2)
+        core[3] = 2
+        assert 3 in view and len(view) == 4
+
     def test_view_subgraph_needs_a_graph(self, triangle_graph):
         core = core_numbers(triangle_graph)
         with pytest.raises(ValueError, match=r"KCoreView\(core, k, graph\)"):

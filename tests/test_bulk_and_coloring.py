@@ -3,15 +3,33 @@ the sliding-window monitor's streaming properties."""
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.decomposition import core_numbers
 from repro.core.maintainer import OrderedCoreMaintainer
 from repro.engine.batch import Batch
+from repro.engine.registry import make_engine
 from repro.graphs.undirected import DynamicGraph
 from repro.streaming import SlidingWindowCoreMonitor
 
+
+def reverse_korder_coloring(graph, order):
+    """Greedy colouring, last k-order vertex first.  Each vertex then
+    meets only its later neighbours already coloured, so a k-order whose
+    vertices have at most ``d`` later neighbours needs ``d + 1`` colours."""
+    colors = {}
+    for v in reversed(order):
+        taken = {colors[w] for w in graph.neighbors(v) if w in colors}
+        colors[v] = next(c for c in range(len(taken) + 1) if c not in taken)
+    return colors
+
+
+def assert_proper(graph, colors):
+    assert set(colors) == set(graph.vertices())
+    for a, b in graph.edges():
+        assert colors[a] != colors[b]
 
 
 class TestBulkInsert:
@@ -66,6 +84,45 @@ class TestDegeneracyOrder:
                 if position[w] > position[v]
             )
             assert later <= d
+
+    def test_reverse_korder_coloring_is_bounded(self, small_random_graph):
+        engine = OrderedCoreMaintainer(small_random_graph)
+        colors = reverse_korder_coloring(small_random_graph, engine.order())
+        assert_proper(small_random_graph, colors)
+        assert max(colors.values()) + 1 <= engine.degeneracy() + 1
+
+    @pytest.mark.parametrize("name", ["order", "order-simplified"])
+    def test_maintained_korder_stays_a_degeneracy_order(
+        self, name, small_random_graph
+    ):
+        engine = make_engine(name, small_random_graph)
+        rng = random.Random(2)
+        vertices = sorted(small_random_graph.vertices())
+        for _ in range(30):
+            a, b = rng.sample(vertices, 2)
+            if engine.graph.has_edge(a, b):
+                engine.remove_edge(a, b)
+            else:
+                engine.insert_edge(a, b)
+        colors = reverse_korder_coloring(engine.graph, engine.order())
+        assert_proper(engine.graph, colors)
+        assert max(colors.values()) <= engine.degeneracy()
+
+    def test_clique_needs_exactly_its_size(self):
+        k = 5
+        clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        engine = OrderedCoreMaintainer(DynamicGraph(clique))
+        colors = reverse_korder_coloring(engine.graph, engine.order())
+        assert len(set(colors.values())) == k
+
+    def test_complete_bipartite_stays_under_the_bound(self):
+        bipartite = [(i, 10 + j) for i in range(4) for j in range(4)]
+        engine = OrderedCoreMaintainer(DynamicGraph(bipartite))
+        colors = reverse_korder_coloring(engine.graph, engine.order())
+        assert_proper(engine.graph, colors)
+        # K_{4,4} has degeneracy 4, so at most 5 colours.
+        assert engine.degeneracy() == 4
+        assert max(colors.values()) + 1 <= 5
 
 
 class TestStreamingProperties:
