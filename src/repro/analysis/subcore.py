@@ -19,7 +19,7 @@ structural explanation for the speedups in Table II.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 from repro.core.korder import KOrder
 from repro.graphs.undirected import DynamicGraph
@@ -87,12 +87,3 @@ def order_core(
                 seen.add(w)
                 frontier.append(w)
     return seen
-
-
-def size_profile(
-    graph: DynamicGraph,
-    compute: Callable[[Vertex], set[Vertex]],
-    vertices,
-) -> list[int]:
-    """Sizes of ``compute(v)`` over ``vertices`` (Fig. 5 raw data)."""
-    return [len(compute(v)) for v in vertices]

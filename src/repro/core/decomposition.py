@@ -7,10 +7,15 @@ deg+(u) <- deg(u)").
 
 Three tie-breaking heuristics decide which removable vertex goes next:
 
-* ``"small"`` — smallest remaining degree first.  This is the canonical
-  Batagelj–Zaversnik order and the heuristic the paper recommends, because
-  vertices with small ``deg+`` placed early are less likely to enter
-  Case-1 of ``OrderInsert`` later (fewer candidates, smaller ``V+``).
+* ``"small"`` — smallest remaining degree first, the heuristic the paper
+  recommends, because vertices with small ``deg+`` placed early are less
+  likely to enter Case-1 of ``OrderInsert`` later (fewer candidates,
+  smaller ``V+``).  :func:`dense_peel` runs it as Batagelj–Zaversnik over
+  ints: each call numbers the vertices ``0 .. n-1`` and peels flat
+  ``deg`` / ``bins`` / ``pos`` / ``vert`` lists, one id lookup per
+  adjacency entry.  A vertex stops losing degree once it reaches the
+  level being peeled, so its ``deg+`` is counted afterwards
+  (:func:`later_degrees`), by the callers that need it.
 * ``"large"`` — largest remaining degree below ``k`` first.
 * ``"random"`` — uniformly random removable vertex.
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional, Sequence
 
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.buckets import DegreeBuckets
@@ -56,7 +61,8 @@ class KOrderDecomposition:
 
 def core_numbers(graph: DynamicGraph) -> dict[Vertex, int]:
     """Core number of every vertex, via linear bucket peeling."""
-    return korder_decomposition(graph, policy="small").core
+    vx, core, _ = dense_peel(graph)
+    return dict(zip(vx, core))
 
 
 def compute_mcd(
@@ -90,30 +96,74 @@ def korder_decomposition(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if policy == "small":
-        return _peel_small(graph)
-    return _peel_staged(graph, policy, random.Random(seed))
+    if policy != "small":
+        return _peel_staged(graph, policy, random.Random(seed))
+    vx, core, vert = dense_peel(graph)
+    order = [vx[i] for i in vert]
+    return KOrderDecomposition(
+        dict(zip(vx, core)), order, later_degrees(graph.adj, order)
+    )
 
 
-def _peel_small(graph: DynamicGraph) -> KOrderDecomposition:
-    """Always remove a globally minimum-degree vertex.
+def dense_peel(
+    graph: DynamicGraph,
+) -> tuple[list[Vertex], list[int], list[int]]:
+    """Batagelj–Zaversnik peel over ids numbered for this call.
 
-    With this policy the core number of a vertex is the running maximum of
-    removal-time degrees, which saves the explicit ``k`` loop and keeps the
-    whole peel ``O(m + n)`` (amortized bucket scans).
+    Returns ``(vx, core, vert)``: vertex ``vx[i]`` has id ``i`` and core
+    number ``core[i]``, and ``vert`` lists the ids in removal order,
+    smallest remaining degree first — a k-order.  ``O(m + n)``.
     """
-    result = KOrderDecomposition()
-    core, deg_plus, order = result.core, result.deg_plus, result.order
     adj = graph.adj
-    buckets = DegreeBuckets({v: len(nbrs) for v, nbrs in adj.items()})
-    k = 0
-    for vertex, degree in buckets.peel_min(adj):
-        if degree > k:
-            k = degree
-        core[vertex] = k
-        deg_plus[vertex] = degree
-        order.append(vertex)
-    return result
+    vx = list(adj)
+    ids = {v: i for i, v in enumerate(vx)}
+    nb = list(adj.values())
+    deg = list(map(len, nb))
+    # bins[d]: the first slot of degree d in vert (vertices by degree).
+    bins = [0] * (max(deg, default=0) + 2)
+    for d in deg:
+        bins[d + 1] += 1
+    for d in range(1, len(bins)):
+        bins[d] += bins[d - 1]
+    pos = [0] * len(vx)
+    vert = [0] * len(vx)
+    for v, d in enumerate(deg):
+        p = pos[v] = bins[d]
+        vert[p] = v
+        bins[d] = p + 1
+    bins.insert(0, 0)
+    # Swaps and moves touch only slots after the one being read.
+    for v in vert:
+        dv = deg[v]
+        for w in nb[v]:
+            u = ids[w]
+            du = deg[u]
+            if du > dv:
+                # Move u to the front of its bucket, then shrink the
+                # bucket by one: u now heads bucket du - 1.
+                pu = pos[u]
+                pw = bins[du]
+                x = vert[pw]
+                if u != x:
+                    pos[u] = pw
+                    vert[pu] = x
+                    pos[x] = pu
+                    vert[pw] = u
+                bins[du] = pw + 1
+                deg[u] = du - 1
+    return vx, deg, vert
+
+
+def later_degrees(
+    adj: Mapping[Vertex, set], order: Sequence[Vertex]
+) -> dict[Vertex, int]:
+    """``deg+`` along ``order``: each vertex's neighbors after it."""
+    deg_plus: dict[Vertex, int] = {}
+    seen: set[Vertex] = set()
+    for v in reversed(order):
+        deg_plus[v] = len(adj[v] & seen)
+        seen.add(v)
+    return deg_plus
 
 
 def _peel_staged(

@@ -27,8 +27,8 @@ insertion run and in the counter they charge.
 The k-order and ``mcd`` exist to make the *next* update cheap, so a
 rebuilt batch (:meth:`~repro.engine.base.CoreMaintainer.rebuild_batch`)
 runs only the peel: it refreshes the core numbers and keeps the peel's
-order and ``deg+``.  The first later update or read of the order index
-builds the k-order and ``mcd`` from them (:meth:`_materialize`), so a
+order.  The first later update or read of the order index builds
+``deg+``, the k-order and ``mcd`` from it (:meth:`_materialize`), so a
 run of rebuilt batches builds them zero times.  The constructor builds
 both at once.
 
@@ -60,7 +60,9 @@ from typing import Hashable, Mapping, Optional
 from repro.core.decomposition import (
     KOrderDecomposition,
     compute_mcd,
+    dense_peel,
     korder_decomposition,
+    later_degrees,
 )
 from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
@@ -118,9 +120,9 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._seed = seed
         #: The one stats object every k-order of this engine counts in.
         self._stats = SequenceStats()
-        #: The last peel, kept until the k-order and ``mcd`` are built
-        #: from it; ``None`` once they are.
-        self._peel: Optional[KOrderDecomposition] = None
+        #: The last peel's order, kept until ``deg+``, the k-order and
+        #: ``mcd`` are built from it; ``None`` once they are.
+        self._peel: Optional[list[Vertex]] = None
         self._korder: Optional[KOrder] = None
         self._mcd: Optional[dict[Vertex, int]] = None
         self._build_index()
@@ -128,25 +130,32 @@ class OrderFamilyMaintainer(CoreMaintainer):
 
     def _build_index(self) -> None:
         """Peel the graph: fold its cores into :attr:`_core` and keep its
-        order and ``deg+`` for :meth:`_materialize`.  The k-order and
-        ``mcd`` are dropped, marked not built."""
-        peel = korder_decomposition(
-            self._graph, policy=self._policy, seed=self._seed
-        )
-        self._core.update(peel.core)
-        # The build reads cores from the live map: one core dict, not two.
-        peel.core = self._core
-        self._peel = peel
+        order for :meth:`_materialize`.  The k-order and ``mcd`` are
+        dropped, marked not built."""
+        if self._policy == "small":
+            vx, core, vert = dense_peel(self._graph)
+            self._core.update(zip(vx, core))
+            self._peel = [vx[i] for i in vert]
+        else:
+            peel = korder_decomposition(
+                self._graph, policy=self._policy, seed=self._seed
+            )
+            self._core.update(peel.core)
+            self._peel = peel.order
         self._korder = self._mcd = None
 
     def _materialize(self) -> None:
-        """Build the k-order and ``mcd`` from the last peel, unless they
-        are built.  Runs at the top of every path that reads or changes
-        the order index."""
-        peel = self._peel
-        if peel is None:
+        """Build ``deg+``, the k-order and ``mcd`` from the last peel's
+        order, unless they are built.  Runs at the top of every path that
+        reads or changes the order index."""
+        order = self._peel
+        if order is None:
             return
         self._peel = None
+        # The build reads cores from the live map: one core dict, not two.
+        peel = KOrderDecomposition(
+            self._core, order, later_degrees(self._graph.adj, order)
+        )
         self._korder = KOrder.from_decomposition(peel, stats=self._stats)
         self._mcd = compute_mcd(self._graph, self._core)
 
@@ -244,9 +253,6 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._mcd[vertex] = 0
 
     def _forget_vertex(self, vertex: Vertex) -> None:
-        # An isolated vertex reaches here without a remove_edge, after it
-        # left the graph: the peel still holds it, so build, then drop it.
-        self._materialize()
         if self._core.pop(vertex, None) is None:
             return
         self._korder.forget(vertex)

@@ -28,10 +28,10 @@ Besides the per-edge updates the paper describes, every engine accepts a
   to the graph, recompute the core numbers once from it
   (:meth:`_build_index`), and report the net old-against-new core diff.
   For ``naive`` and ``trav-<h>`` that is the constructor's whole build.
-  The order family runs only its peel and keeps the peel's order and
-  ``deg+``; the first later path that reads or changes its k-order
-  builds the k-order and ``mcd`` from them (:meth:`_materialize`), so a
-  run of rebuilt batches never builds them.
+  The order family runs only its peel and keeps the peel's order; the
+  first later path that reads or changes its k-order builds ``deg+``,
+  the k-order and ``mcd`` from it (:meth:`_materialize`), so a run of
+  rebuilt batches never builds them.
 
 One count-based rule picks between them: rebuild when
 ``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
@@ -185,6 +185,8 @@ class CoreMaintainer(ABC):
         The paper treats vertex updates as edge-update sequences; engines
         inherit that behaviour.  Returns one result per removed edge.
         """
+        # Build a deferred index while the graph still holds the vertex.
+        self._materialize()
         results = [
             self.remove_edge(vertex, w)
             for w in list(self._graph.neighbors(vertex))

@@ -343,16 +343,6 @@ class BatchResult:
         """``|V*|`` of the batch: vertices with a net core change."""
         return len(self.changed)
 
-    @property
-    def vertex_changes(self) -> int:
-        """Total per-operation core changes (promotions + demotions).
-
-        Falls back to net deltas when per-operation detail is unavailable.
-        """
-        if self.results is not None:
-            return sum(len(r.changed) for r in self.results)
-        return sum(abs(d) for d in self.changed.values())
-
 
 @dataclass
 class RemovalRunResult:

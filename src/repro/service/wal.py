@@ -593,10 +593,6 @@ class WriteAheadLog:
         return self._last_receipt
 
     @property
-    def fsync_policy(self) -> str:
-        return self._fsync
-
-    @property
     def closed(self) -> bool:
         return self._fh is None
 

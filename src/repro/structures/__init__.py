@@ -11,8 +11,8 @@ which are implemented here from scratch:
 * :class:`~repro.structures.heaps.LazyMinHeap` — the jump heap ``B`` used by
   ``OrderInsert`` to skip over vertices that can be proven irrelevant.
 * :class:`~repro.structures.buckets.DegreeBuckets` — bucketed degree
-  queues powering the linear-time peeling (``CoreDecomp``) under the
-  three k-order generation heuristics.
+  queues powering the staged peels (``CoreDecomp``) of the ``"large"``
+  and ``"random"`` k-order generation heuristics.
 """
 
 from repro.structures.buckets import DegreeBuckets

@@ -1,39 +1,36 @@
-"""Bucketed degree queues for linear-time core decomposition.
+"""Bucketed degree queues for the staged k-order peels.
 
 ``CoreDecomp`` (Algorithm 1 of the paper) peels vertices whose remaining
-degree is below the current ``k``.  The classic Batagelj–Zaversnik
-implementation keeps vertices bucketed by their *current* degree so the next
-vertex to peel is found in amortized ``O(1)``.
+degree is below the current ``k``.  The ``"small"`` policy runs as
+Batagelj–Zaversnik over flat int lists
+(:func:`repro.core.decomposition.dense_peel`); the ``"large"`` and
+``"random"`` policies of Fig. 9 pick among *all* removable vertices at a
+stage, so they keep vertices bucketed by their current degree here.
 
-:class:`DegreeBuckets` keeps vertices bucketed by current degree,
-supporting ``decrease``, removal, and extraction of the minimum / maximum
-/ random vertex among those whose degree is below a bound (random
-sampling is what the "random deg+ first" k-order heuristic needs).  Its
-buckets are plain lists with a position map; a removal swaps the
-bucket's tail into the freed slot.
+:class:`DegreeBuckets` supports ``decrease``, removal, and extraction of
+the maximum or a random vertex among those whose degree is below a bound
+(random sampling is what the "random deg+ first" k-order heuristic
+needs).  Its buckets are plain lists with a position map; a removal
+swaps the bucket's tail into the freed slot.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Hashable, Optional
 
 
 class DegreeBuckets:
     """Vertices bucketed by current degree.
 
-    Supports the three peeling policies used to generate k-orders:
+    Supports the two staged peeling policies:
 
-    * ``pop_min()`` — smallest-degree vertex (the "small deg+ first"
-      heuristic, i.e. the canonical BZ order); :meth:`peel_min` runs the
-      whole peel in that order;
     * ``pop_max_below(bound)`` — largest-degree vertex with degree < bound
       ("large deg+ first");
     * ``pop_random_below(bound, rng)`` — uniform vertex with degree < bound
       ("random deg+ first").
 
-    ``decrease(v)`` moves a vertex one bucket down; degrees never increase
-    during peeling, which keeps the min-pointer amortized O(1).
+    ``decrease(v)`` moves a vertex one bucket down.
 
     Each bucket is a plain list, with one map from vertex to its slot in
     its bucket: removal swaps the bucket's tail into the freed slot and
@@ -50,7 +47,6 @@ class DegreeBuckets:
             if degree < 0:
                 raise ValueError(f"negative degree for {vertex!r}")
             self._put(vertex, degree)
-        self._min_ptr = 0
 
     def __len__(self) -> int:
         return len(self._degree)
@@ -93,8 +89,6 @@ class DegreeBuckets:
         degree -= 1
         self._degree[vertex] = degree
         self._put(vertex, degree)
-        if degree < self._min_ptr:
-            self._min_ptr = degree
         return degree
 
     def remove(self, vertex: Hashable) -> int:
@@ -102,62 +96,6 @@ class DegreeBuckets:
         degree = self._degree.pop(vertex)
         self._take(vertex, degree)
         return degree
-
-    def pop_min(self) -> tuple[Hashable, int]:
-        """Remove and return ``(vertex, degree)`` with the smallest degree."""
-        degree = self.min_degree()
-        if degree is None:
-            raise KeyError("pop from empty DegreeBuckets")
-        return self._pop_tail(degree), degree
-
-    def peel_min(
-        self, adj: Mapping[Hashable, Iterable[Hashable]]
-    ) -> Iterator[tuple[Hashable, int]]:
-        """Empty the buckets smallest degree first: pop each vertex as
-        :meth:`pop_min` would, decrease its neighbors in ``adj`` that are
-        still bucketed, then yield ``(vertex, degree)``.
-
-        The same removal sequence as a ``pop_min`` / ``decrease`` loop,
-        with the bucket moves written out: this loop is every index
-        build's largest cost.
-        """
-        degrees, buckets, slots = self._degree, self._buckets, self._slot
-        low = self._min_ptr
-        while degrees:
-            while not buckets[low]:
-                low += 1
-            vertex = buckets[low].pop()
-            del slots[vertex]
-            del degrees[vertex]
-            popped = low
-            for w in adj[vertex]:
-                degree = degrees.get(w)
-                if degree is None:
-                    continue
-                bucket = buckets[degree]
-                slot = slots[w]
-                tail = bucket.pop()
-                if slot < len(bucket):
-                    bucket[slot] = tail
-                    slots[tail] = slot
-                degree -= 1
-                degrees[w] = degree
-                bucket = buckets[degree]
-                slots[w] = len(bucket)
-                bucket.append(w)
-                if degree < low:
-                    low = degree
-            self._min_ptr = low
-            yield vertex, popped
-            low = self._min_ptr
-
-    def min_degree(self) -> Optional[int]:
-        """Smallest current degree, or ``None`` when empty."""
-        if not self._degree:
-            return None
-        while not self._buckets[self._min_ptr]:
-            self._min_ptr += 1
-        return self._min_ptr
 
     def pop_max_below(self, bound: int) -> Optional[tuple[Hashable, int]]:
         """Remove the largest-degree vertex with degree < ``bound``.

@@ -60,6 +60,29 @@ def random_gnm(n: int, m: int, seed: int) -> DynamicGraph:
     return DynamicGraph(pairs[:m], vertices=range(n))
 
 
+def cores_by_deletion(graph: DynamicGraph) -> dict:
+    """Core numbers by repeated deletion, sharing no code with the peels.
+
+    For each ``k`` from 1, strip vertices of degree below ``k`` until none
+    is left; what survives is the ``k``-core, and a vertex's core number
+    is the last ``k`` whose core holds it.
+    """
+    adj = {v: set(nbrs) for v, nbrs in graph.adj.items()}
+    core = dict.fromkeys(adj, 0)
+    k = 1
+    while adj:
+        low = [v for v, nbrs in adj.items() if len(nbrs) < k]
+        while low:
+            for v in low:
+                for w in adj.pop(v):
+                    adj[w].discard(v)
+            low = [v for v, nbrs in adj.items() if len(nbrs) < k]
+        for v in adj:
+            core[v] = k
+        k += 1
+    return core
+
+
 def absent_edges(graph: DynamicGraph, n: int, count: int, seed: int):
     """``count`` distinct pairs over ``range(n)`` that are not edges of
     ``graph``, in a seeded random order."""

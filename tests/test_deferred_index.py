@@ -1,8 +1,8 @@
 """A rebuilt batch builds core numbers only; the order index waits.
 
 :meth:`~repro.engine.base.CoreMaintainer.rebuild_batch` on an
-order-family engine runs the peel and keeps its order and ``deg+``; the
-k-order and ``mcd`` are built from them by the first path that reads or
+order-family engine runs the peel and keeps its order; ``deg+``, the
+k-order and ``mcd`` are built from it by the first path that reads or
 changes the order index (``OrderFamilyMaintainer._materialize``).  These
 tests pin, on ``order`` and ``order-simplified``:
 
@@ -63,7 +63,7 @@ def assert_same_index_no_more_work(lazy, eager):
 def builds(monkeypatch):
     """Count peels, k-order builds and ``mcd`` builds of the engines."""
     counts = {"peel": 0, "korder": 0, "mcd": 0}
-    peel = maintainer_module.korder_decomposition
+    peel = maintainer_module.dense_peel
     build_korder = KOrder.from_decomposition.__func__
     build_mcd = maintainer_module.compute_mcd
 
@@ -79,7 +79,7 @@ def builds(monkeypatch):
         counts["mcd"] += 1
         return build_mcd(*args)
 
-    monkeypatch.setattr(maintainer_module, "korder_decomposition", counted_peel)
+    monkeypatch.setattr(maintainer_module, "dense_peel", counted_peel)
     monkeypatch.setattr(KOrder, "from_decomposition", classmethod(counted_korder))
     monkeypatch.setattr(maintainer_module, "compute_mcd", counted_mcd)
     return counts
