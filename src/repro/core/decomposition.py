@@ -13,9 +13,12 @@ Three tie-breaking heuristics decide which removable vertex goes next:
   smaller ``V+``).  :func:`dense_peel` runs it as Batagelj–Zaversnik over
   ints: each call numbers the vertices ``0 .. n-1`` and peels flat
   ``deg`` / ``bins`` / ``pos`` / ``vert`` lists, one id lookup per
-  adjacency entry.  A vertex stops losing degree once it reaches the
-  level being peeled, so its ``deg+`` is counted afterwards
-  (:func:`later_degrees`), by the callers that need it.
+  adjacency entry.  An engine that peels after every batch keeps the
+  numbering instead (:class:`DenseIds`: neighbour-id lists updated with
+  each edge op) and peels those lists with no lookup.  A vertex stops
+  losing degree once it reaches the level being peeled, so its ``deg+``
+  is counted afterwards (:func:`later_degrees`), by the callers that
+  need it.
 * ``"large"`` — largest remaining degree below ``k`` first.
 * ``"random"`` — uniformly random removable vertex.
 
@@ -119,19 +122,7 @@ def dense_peel(
     ids = {v: i for i, v in enumerate(vx)}
     nb = list(adj.values())
     deg = list(map(len, nb))
-    # bins[d]: the first slot of degree d in vert (vertices by degree).
-    bins = [0] * (max(deg, default=0) + 2)
-    for d in deg:
-        bins[d + 1] += 1
-    for d in range(1, len(bins)):
-        bins[d] += bins[d - 1]
-    pos = [0] * len(vx)
-    vert = [0] * len(vx)
-    for v, d in enumerate(deg):
-        p = pos[v] = bins[d]
-        vert[p] = v
-        bins[d] = p + 1
-    bins.insert(0, 0)
+    bins, pos, vert = _bucket_sort(deg)
     # Swaps and moves touch only slots after the one being read.
     for v in vert:
         dv = deg[v]
@@ -152,6 +143,113 @@ def dense_peel(
                 bins[du] = pw + 1
                 deg[u] = du - 1
     return vx, deg, vert
+
+
+def _bucket_sort(deg: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Batagelj–Zaversnik's set-up over ids ``0 .. n-1`` of degrees
+    ``deg``: ``vert`` lists the ids by degree, ``pos[i]`` is id ``i``'s
+    slot in it and ``bins[d]`` the first slot of degree ``d``."""
+    bins = [0] * (max(deg, default=0) + 2)
+    for d in deg:
+        bins[d + 1] += 1
+    for d in range(1, len(bins)):
+        bins[d] += bins[d - 1]
+    pos = [0] * len(deg)
+    vert = [0] * len(deg)
+    for v, d in enumerate(deg):
+        p = pos[v] = bins[d]
+        vert[p] = v
+        bins[d] = p + 1
+    bins.insert(0, 0)
+    return bins, pos, vert
+
+
+class DenseIds:
+    """A graph's vertices numbered ``0 .. n-1``, kept in step with the
+    graph for repeated peels.
+
+    Vertex ``vx[i]`` has id ``i`` (``ids`` maps back), ``nb[i]`` lists
+    its neighbours' ids and ``core[i]`` is its core number at the last
+    peel; ids at or past ``len(core)`` joined since.  :meth:`add_edge`
+    and :meth:`remove_edge` apply an edge op to the graph, then to the
+    lists; :meth:`peel` runs Batagelj–Zaversnik over the lists with no
+    id lookup.  Vertices only join: the graph's own ``remove_vertex``
+    would leave the lists stale.
+
+    Numbering a graph costs about as much as :func:`dense_peel` does, so
+    a single peel is cheaper through :func:`dense_peel`; these lists pay
+    from the second peel on.
+    """
+
+    __slots__ = ("graph", "vx", "ids", "nb", "core")
+
+    def __init__(
+        self, graph: DynamicGraph, core: Mapping[Vertex, int]
+    ) -> None:
+        adj = graph.adj
+        self.graph = graph
+        self.vx = vx = list(adj)
+        self.ids = ids = {v: i for i, v in enumerate(vx)}
+        get = ids.__getitem__
+        self.nb = [list(map(get, nbrs)) for nbrs in adj.values()]
+        # The graph appends vertices, so those it gained since the
+        # last peel come last, at ids past len(self.core).
+        self.core = list(map(core.__getitem__, vx[: len(core)]))
+
+    def _number(self, vertex: Vertex) -> int:
+        i = self.ids[vertex] = len(self.vx)
+        self.vx.append(vertex)
+        self.nb.append([])
+        return i
+
+    def add_edge(self, u: Vertex, v: Vertex) -> None:
+        """``graph.add_edge(u, v)``, then the same edge in the lists."""
+        self.graph.add_edge(u, v)
+        ids = self.ids
+        # u first, as the graph adds a missing u before v.
+        iu = ids.get(u)
+        if iu is None:
+            iu = self._number(u)
+        iv = ids.get(v)
+        if iv is None:
+            iv = self._number(v)
+        nb = self.nb
+        nb[iu].append(iv)
+        nb[iv].append(iu)
+
+    def remove_edge(self, u: Vertex, v: Vertex) -> None:
+        """``graph.remove_edge(u, v)``, then the same edge in the lists."""
+        self.graph.remove_edge(u, v)
+        ids, nb = self.ids, self.nb
+        iu, iv = ids[u], ids[v]
+        nb[iu].remove(iv)
+        nb[iv].remove(iu)
+
+    def peel(self) -> tuple[list[int], list[int]]:
+        """Peel the lists; returns ``(core, vert)`` as :func:`dense_peel`
+        does (id-aligned cores, ids in removal order) and keeps ``core``
+        for the next peel.  ``O(m + n)``."""
+        nb = self.nb
+        deg = list(map(len, nb))
+        bins, pos, vert = _bucket_sort(deg)
+        # dense_peel's loop, less its ids[w] lookup.
+        for v in vert:
+            dv = deg[v]
+            for u in nb[v]:
+                du = deg[u]
+                if du > dv:
+                    pu = pos[u]
+                    pw = bins[du]
+                    x = vert[pw]
+                    if u != x:
+                        pos[u] = pw
+                        vert[pu] = x
+                        pos[x] = pu
+                        vert[pw] = u
+                    bins[du] = pw + 1
+                    deg[u] = du - 1
+        self.core = deg
+        return deg, vert
 
 
 def later_degrees(

@@ -28,9 +28,13 @@ The k-order and ``mcd`` exist to make the *next* update cheap, so a
 rebuilt batch (:meth:`~repro.engine.base.CoreMaintainer.rebuild_batch`)
 runs only the peel: it refreshes the core numbers and keeps the peel's
 order.  The first later update or read of the order index builds
-``deg+``, the k-order and ``mcd`` from it (:meth:`_materialize`), so a
-run of rebuilt batches builds them zero times.  The constructor builds
-both at once.
+``deg+``, the k-order and ``mcd`` from it (:meth:`_build_deferred`), so
+a run of rebuilt batches builds them zero times.  The constructor builds
+both at once.  A rebuilt batch also keeps the peel's vertex ids
+(:class:`~repro.core.decomposition.DenseIds`) for the next one, which
+applies its ops to them and peels them with no id lookup; any other
+update drops them, so a graph that is only maintained never holds
+them.
 
 Example
 -------
@@ -58,6 +62,7 @@ from abc import abstractmethod
 from typing import Hashable, Mapping, Optional
 
 from repro.core.decomposition import (
+    DenseIds,
     KOrderDecomposition,
     compute_mcd,
     dense_peel,
@@ -68,7 +73,7 @@ from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
 from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
-from repro.engine.batch import RemovalRunResult
+from repro.engine.batch import RemovalRunResult, id_core_diff
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.sequence import SequenceStats
@@ -125,26 +130,74 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._peel: Optional[list[Vertex]] = None
         self._korder: Optional[KOrder] = None
         self._mcd: Optional[dict[Vertex, int]] = None
+        #: The last rebuilt batch's vertex ids, kept in step with the
+        #: graph while batches keep rebuilding; ``None`` otherwise.
+        self._ids: Optional[DenseIds] = None
         self._build_index()
-        self._materialize()
+        self._build_deferred()
 
     def _build_index(self) -> None:
-        """Peel the graph: fold its cores into :attr:`_core` and keep its
-        order for :meth:`_materialize`.  The k-order and ``mcd`` are
-        dropped, marked not built."""
+        """Peel the graph itself (:func:`dense_peel`, holding nothing
+        afterwards): fold its cores into :attr:`_core` and keep its order
+        for :meth:`_build_deferred`."""
         if self._policy == "small":
             vx, core, vert = dense_peel(self._graph)
             self._core.update(zip(vx, core))
-            self._peel = [vx[i] for i in vert]
+            self._keep_order(vx, vert)
         else:
             peel = korder_decomposition(
                 self._graph, policy=self._policy, seed=self._seed
             )
             self._core.update(peel.core)
             self._peel = peel.order
+            self._korder = self._mcd = None
+
+    def _land(self, batch, target=None) -> None:
+        """Land a rebuilt batch's ops on the graph and on the kept ids;
+        with none kept, number the graph once the ops landed, so that
+        the peel sees each adjacency in the graph's own order (small
+        policy only).  Ids are held only once every op landed: after a
+        raise, the rebuild peels the graph itself and nothing is kept."""
+        if self._policy != "small":
+            super()._land(batch)
+            return
+        ids, self._ids = self._ids, None
+        super()._land(batch, ids)
+        self._ids = DenseIds(self._graph, self._core) if ids is None else ids
+
+    def _rebuild_index(self) -> dict[Vertex, int]:
+        """Peel the kept ids when a rebuilt batch left them, taking the
+        net delta from the id-aligned core lists; otherwise peel the
+        graph (:meth:`_build_index`)."""
+        ids = self._ids
+        if ids is None:
+            return super()._rebuild_index()
+        old = ids.core
+        core, vert = ids.peel()
+        vx = ids.vx
+        changed = id_core_diff(vx, old, core)
+        # Only changed vertices and those numbered since the last peel
+        # move in the core map.
+        at = ids.ids
+        self._core.update([(v, core[at[v]]) for v in changed])
+        self._core.update(zip(vx[len(old) :], core[len(old) :]))
+        self._keep_order(vx, vert)
+        return changed
+
+    def _keep_order(self, vx, vert) -> None:
+        """Keep an id-aligned peel's order for :meth:`_build_deferred`;
+        the k-order and ``mcd`` are dropped, marked not built."""
+        self._peel = list(map(vx.__getitem__, vert))
         self._korder = self._mcd = None
 
     def _materialize(self) -> None:
+        """Ready the index for an update other than a rebuilt batch: drop
+        the kept ids, which the update would leave behind the graph, and
+        build the deferred index."""
+        self._ids = None
+        self._build_deferred()
+
+    def _build_deferred(self) -> None:
         """Build ``deg+``, the k-order and ``mcd`` from the last peel's
         order, unless they are built.  Runs at the top of every path that
         reads or changes the order index."""
@@ -166,13 +219,13 @@ class OrderFamilyMaintainer(CoreMaintainer):
     @property
     def korder(self) -> KOrder:
         """The maintained k-order, with ``deg+`` (treat as read-only)."""
-        self._materialize()
+        self._build_deferred()
         return self._korder
 
     @property
     def mcd(self) -> Mapping[Vertex, int]:
         """Maintained max-core degrees (read-only)."""
-        self._materialize()
+        self._build_deferred()
         return self._mcd
 
     @property
@@ -268,7 +321,7 @@ class OrderFamilyMaintainer(CoreMaintainer):
         :meth:`KOrder.audit` validates Lemma 5.1 and ``deg+``; ``mcd`` is
         recomputed from scratch and compared.
         """
-        self._materialize()
+        self._build_deferred()
         self._korder.audit(self._graph, self._core)
         expected = compute_mcd(self._graph, self._core)
         if expected != self._mcd:
@@ -311,13 +364,13 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
     def _charge_removal(self, demoted: int, visited: int) -> None:
         self.mcd_recomputations += demoted
 
-    def _materialize(self) -> None:
+    def _build_deferred(self) -> None:
         """Charge a deferred build's ``mcd``: one recomputation per
         vertex.  The constructor's build, which :attr:`rebuilds` does not
         count either, is not charged."""
         if self._peel is not None and self.rebuilds:
             self.mcd_recomputations += self._graph.n
-        super()._materialize()
+        super()._build_deferred()
 
     def _batch_counters(self) -> dict[str, int]:
         """Cumulative instrumentation (sequence stats + ``mcd`` repairs)."""

@@ -108,9 +108,8 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
 
         Built on each access (O(V)); index it once, not per vertex.
         """
-        self._materialize()
-        d_out = self._korder.deg_plus
-        return {v: m - d_out[v] for v, m in self._mcd.items()}
+        d_out = self.korder.deg_plus
+        return {v: m - d_out[v] for v, m in self.mcd.items()}
 
     @property
     def d_out(self) -> Mapping[Vertex, int]:

@@ -30,8 +30,10 @@ Besides the per-edge updates the paper describes, every engine accepts a
   For ``naive`` and ``trav-<h>`` that is the constructor's whole build.
   The order family runs only its peel and keeps the peel's order; the
   first later path that reads or changes its k-order builds ``deg+``,
-  the k-order and ``mcd`` from it (:meth:`_materialize`), so a run of
-  rebuilt batches never builds them.
+  the k-order and ``mcd`` from it, so a run of rebuilt batches never
+  builds them.  Within such a run it also keeps the peel's vertex ids
+  and peels them again (:meth:`_land`, :meth:`_rebuild_index`); every
+  other update drops them (:meth:`_materialize`).
 
 One count-based rule picks between them: rebuild when
 ``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
@@ -280,23 +282,17 @@ class CoreMaintainer(ABC):
         (:meth:`_build_index`: the core numbers, and whatever else of
         the index the engine does not defer to :meth:`_materialize`).
 
-        The graph takes the batch's runs in the order
-        :meth:`maintain_batch` would, with the same ``engine.mid_batch``
-        fault point before each, so both paths land the same ops when
-        one raises.  The index is rebuilt even then, so the ops that
+        The graph takes the batch as :meth:`maintain_batch` would
+        (:meth:`_land`), so both paths land the same ops when one
+        raises.  The index is rebuilt even then, so the ops that
         landed leave it consistent with the graph.  ``changed`` is the
         net old-against-new core diff, ``results`` is ``None`` and
         ``visited`` is ``|V|``.
         """
         started = time.perf_counter()
         baseline = self._batch_counters()
-        graph = self._graph
         try:
-            for kind, run_edges in batch.runs():
-                inject("engine.mid_batch")
-                update = graph.add_edge if kind == INSERT else graph.remove_edge
-                for u, v in run_edges:
-                    update(u, v)
+            self._land(batch)
         finally:
             changed = self._rebuild()
         inserts, removes = batch.counts()
@@ -305,22 +301,44 @@ class CoreMaintainer(ABC):
             inserts=inserts,
             removes=removes,
             changed=changed,
-            visited=graph.n,
+            visited=self._graph.n,
             seconds=time.perf_counter() - started,
             results=None,
             counters=self._counter_deltas(baseline),
         )
 
+    def _land(self, batch: Batch, target=None) -> None:
+        """Apply ``batch`` to the graph for :meth:`rebuild_batch`: its
+        runs in the order :meth:`maintain_batch` takes them, with the
+        same ``engine.mid_batch`` fault point before each.  ``target``,
+        when given, takes each op in the graph's place through its
+        ``add_edge`` / ``remove_edge``."""
+        if target is None:
+            target = self._graph
+        for kind, run_edges in batch.runs():
+            inject("engine.mid_batch")
+            update = target.add_edge if kind == INSERT else target.remove_edge
+            for u, v in run_edges:
+                update(u, v)
+
     def _rebuild(self) -> dict[Vertex, int]:
-        """Rebuild the index from the graph, counting it in
-        :attr:`rebuilds` and auditing it when the engine audits (the
-        audit builds any deferred part first, so it covers the whole
-        index); returns the net core delta it found."""
-        old = dict(self._core)
-        self._build_index()
+        """Rebuild the index from the graph (:meth:`_rebuild_index`),
+        counting it in :attr:`rebuilds` and auditing it when the engine
+        audits (the audit builds any deferred part first, so it covers
+        the whole index); returns the net core delta it found."""
+        changed = self._rebuild_index()
         self.rebuilds += 1
         if self._audit:
             self.check()
+        return changed
+
+    def _rebuild_index(self) -> dict[Vertex, int]:
+        """:meth:`_build_index`, returning the net core delta: the
+        :func:`~repro.engine.batch.core_diff` of a copy of the core map
+        taken before it.  The order family overrides it to peel what it
+        kept from the last rebuilt batch, which yields the delta too."""
+        old = dict(self._core)
+        self._build_index()
         return core_diff(old, self._core)
 
     @abstractmethod
@@ -336,9 +354,12 @@ class CoreMaintainer(ABC):
         """
 
     def _materialize(self) -> None:
-        """Build the part of the index :meth:`_build_index` deferred; a
-        no-op unless the engine defers (the order family defers its
-        k-order and ``mcd`` to the first update after a rebuild)."""
+        """Ready the index for an update other than a rebuilt batch:
+        build the part of it :meth:`_build_index` deferred, and drop what
+        the engine kept only for the next rebuilt batch.  A no-op unless
+        the engine defers or keeps (the order family defers its k-order
+        and ``mcd`` to the first update after a rebuild, and keeps the
+        peel's vertex ids between rebuilt batches)."""
 
     def _insert_run(self, edges: list[Edge]) -> list[UpdateResult]:
         """Insert a run of edges; returns one result per op.

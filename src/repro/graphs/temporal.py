@@ -139,12 +139,6 @@ class TemporalEdgeStream:
         future = [(u, v) for u, v, _ in self._edges[index:]]
         return history, future
 
-    def time_range(self) -> Optional[tuple[float, float]]:
-        """(min timestamp, max timestamp), or ``None`` when empty."""
-        if not self._edges:
-            return None
-        return self._edges[0][2], self._edges[-1][2]
-
     def graph(self) -> DynamicGraph:
         """Materialize the full stream as a graph."""
         return DynamicGraph.from_edges((u, v) for u, v, _ in self._edges)

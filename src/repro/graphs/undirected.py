@@ -136,10 +136,6 @@ class DynamicGraph:
                     yield (u, v)
             seen.add(u)
 
-    def max_degree(self) -> int:
-        """Largest degree in the graph (0 for an empty graph)."""
-        return max((len(nbrs) for nbrs in self._adj.values()), default=0)
-
     def average_degree(self) -> float:
         """``2m / n`` (0.0 for an empty graph)."""
         return (2.0 * self._m / self.n) if self.n else 0.0
@@ -201,29 +197,3 @@ class DynamicGraph:
         nbrs_u.discard(v)
         self._adj[v].discard(u)
         self._m -= 1
-
-    # ------------------------------------------------------------------
-    # Traversal helpers
-    # ------------------------------------------------------------------
-
-    def connected_component(self, start: Vertex) -> set[Vertex]:
-        """Vertices reachable from ``start`` (including ``start``)."""
-        if start not in self._adj:
-            raise VertexNotFoundError(start)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map degree -> number of vertices with that degree."""
-        hist: dict[int, int] = {}
-        for nbrs in self._adj.values():
-            d = len(nbrs)
-            hist[d] = hist.get(d, 0) + 1
-        return hist

@@ -83,6 +83,25 @@ def cores_by_deletion(graph: DynamicGraph) -> dict:
     return core
 
 
+def max_degree(graph: DynamicGraph) -> int:
+    """Largest degree in ``graph`` (0 for an empty graph)."""
+    return max(map(len, graph.adj.values()), default=0)
+
+
+def connected_component(graph: DynamicGraph, start) -> set:
+    """Vertices reachable from ``start`` (including it); ``KeyError``
+    when ``start`` is not in ``graph``."""
+    adj = graph.adj
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for w in adj[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def absent_edges(graph: DynamicGraph, n: int, count: int, seed: int):
     """``count`` distinct pairs over ``range(n)`` that are not edges of
     ``graph``, in a seeded random order."""

@@ -3,8 +3,8 @@
 :meth:`~repro.engine.base.CoreMaintainer.rebuild_batch` on an
 order-family engine runs the peel and keeps its order; ``deg+``, the
 k-order and ``mcd`` are built from it by the first path that reads or
-changes the order index (``OrderFamilyMaintainer._materialize``).  These
-tests pin, on ``order`` and ``order-simplified``:
+changes the order index (``OrderFamilyMaintainer._build_deferred``).
+These tests pin, on ``order`` and ``order-simplified``:
 
 * **no build on a run of rebuilds** — consecutive rebuilt batches, and
   the reads that never touch the order index (``core``,
@@ -13,6 +13,8 @@ tests pin, on ``order`` and ``order-simplified``:
 * **every entry point** — each path that reads or changes the order
   index, taken right after a rebuild, leaves the engine exactly as an
   engine that built its index eagerly after the same rebuild;
+* **kept ids** — only a run of rebuilt batches holds the peel's vertex
+  ids; building an engine, and every other update, leaves none;
 * **a fault inside a rebuild** — the maintained batch after it audits
   clean;
 * **random interleaving** — hypothesis mixes rebuilt batches,
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 import repro.core.maintainer as maintainer_module
 from engine_contract import order_family_engines
 from helpers import absent_edges, random_gnm
-from repro.core.decomposition import core_numbers
+from repro.core.decomposition import DenseIds, core_numbers
 from repro.core.korder import KOrder
 from repro.engine import Batch, make_engine
 from repro.service import CoreService
@@ -61,15 +63,23 @@ def assert_same_index_no_more_work(lazy, eager):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count peels, k-order builds and ``mcd`` builds of the engines."""
+    """Count peels, k-order builds and ``mcd`` builds of the engines.
+
+    A peel is either entry point: :func:`dense_peel` over the graph, or
+    :meth:`DenseIds.peel` over the ids a rebuilt batch kept."""
     counts = {"peel": 0, "korder": 0, "mcd": 0}
     peel = maintainer_module.dense_peel
+    peel_ids = DenseIds.peel
     build_korder = KOrder.from_decomposition.__func__
     build_mcd = maintainer_module.compute_mcd
 
     def counted_peel(*args, **kwargs):
         counts["peel"] += 1
         return peel(*args, **kwargs)
+
+    def counted_peel_ids(ids):
+        counts["peel"] += 1
+        return peel_ids(ids)
 
     def counted_korder(cls, *args, **kwargs):
         counts["korder"] += 1
@@ -80,6 +90,7 @@ def builds(monkeypatch):
         return build_mcd(*args)
 
     monkeypatch.setattr(maintainer_module, "dense_peel", counted_peel)
+    monkeypatch.setattr(DenseIds, "peel", counted_peel_ids)
     monkeypatch.setattr(KOrder, "from_decomposition", classmethod(counted_korder))
     monkeypatch.setattr(maintainer_module, "compute_mcd", counted_mcd)
     return counts
@@ -226,6 +237,51 @@ def test_every_entry_point_sees_a_freshly_built_index(name, path, builds):
 
 
 # ----------------------------------------------------------------------
+# Vertex ids kept only between rebuilt batches
+# ----------------------------------------------------------------------
+
+#: Each update that must drop the ids a rebuilt batch kept, as
+#: ``(engine, new edges, present edges) -> result``.
+DROPPING_UPDATES = {
+    "maintain_batch": ENTRY_POINTS["maintain_batch"],
+    "maintain_batch-empty": ENTRY_POINTS["maintain_batch-empty"],
+    "insert_edge": ENTRY_POINTS["insert_edge"],
+    "remove_edge": ENTRY_POINTS["remove_edge"],
+    "add_vertex": ENTRY_POINTS["add_vertex"],
+    "remove_vertex": ENTRY_POINTS["remove_vertex"],
+}
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_only_a_run_of_rebuilt_batches_keeps_vertex_ids(name, tmp_path):
+    """A graph that is built or only maintained holds no peel ids: not
+    after the constructor, ``CoreService.open`` or ``recover``, and not
+    after any maintained or per-edge update."""
+    graph = random_gnm(40, 80, seed=6)
+    spare = absent_edges(graph, 40, 40, seed=6)
+    assert make_engine(name, graph.copy())._ids is None
+    log = tmp_path / "s.wal"
+    svc = CoreService.open(graph.copy(), engine=name, log=log, fsync="never")
+    assert svc.engine._ids is None
+    receipt = svc.apply(Batch.inserts(spare[:20]))
+    assert receipt.counters["rebuilds"] == 1
+    assert svc.engine._ids is not None
+    svc.close()
+    recovered = CoreService.recover(log)
+    assert recovered.engine._ids is None
+    recovered.close()
+    for update in DROPPING_UPDATES.values():
+        engine = make_engine(name, graph.copy())
+        engine.rebuild_batch(Batch.inserts(spare[:10]))
+        engine.rebuild_batch(Batch.inserts(spare[10:20]))
+        assert engine._ids is not None
+        present = list(engine.graph.edges())
+        update(engine, spare[20:], present[::7])
+        assert engine._ids is None
+        assert engine.core_numbers() == core_numbers(engine.graph)
+
+
+# ----------------------------------------------------------------------
 # A fault inside a rebuild
 # ----------------------------------------------------------------------
 
@@ -251,6 +307,7 @@ def test_maintained_batch_after_a_faulted_rebuild_audits_clean(
     assert not any(engine.graph.has_edge(*e) for e in gone + spare[:20])
     assert dict(engine.core) == core_numbers(engine.graph)
     assert builds["korder"] == 1
+    assert engine._ids is None
     engine.maintain_batch(
         Batch.inserts(spare[20:24]).remove(*next(iter(engine.graph.edges())))
     )

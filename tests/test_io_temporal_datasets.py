@@ -99,11 +99,6 @@ class TestTemporalEdgeStream:
         with pytest.raises(WorkloadError):
             TemporalEdgeStream([]).split_at(1)
 
-    def test_time_range(self):
-        assert TemporalEdgeStream([]).time_range() is None
-        s = TemporalEdgeStream([(1, 2, 3.0), (4, 5, 9.0)])
-        assert s.time_range() == (3.0, 9.0)
-
     def test_graph_before_keeps_future_vertices(self):
         s = TemporalEdgeStream.from_edges([(1, 2), (3, 4)])
         g = s.graph_before(1)

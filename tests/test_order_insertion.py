@@ -6,7 +6,7 @@ from repro.core.decomposition import core_numbers
 from repro.core.maintainer import OrderedCoreMaintainer
 from repro.graphs.undirected import DynamicGraph
 
-from helpers import fig3_edges, u
+from helpers import connected_component, fig3_edges, u
 
 
 def fresh_maintainer(edges, **kw):
@@ -169,4 +169,4 @@ class TestAgainstOracle:
                 continue
             sub = m.graph.subgraph(changed)
             start = next(iter(changed))
-            assert sub.connected_component(start) == changed
+            assert connected_component(sub, start) == changed

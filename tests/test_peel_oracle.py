@@ -10,8 +10,15 @@ peel never compares them), with isolated vertices, vertex removals and
 the empty graph.  Beside the cores, the order must be a k-order
 (Lemma 5.1) whose ``deg+`` counts each vertex's later neighbors, and an
 engine must pass its own audit.
+
+A run of rebuilt batches peels the vertex ids the first one numbered
+(:class:`~repro.core.decomposition.DenseIds`), kept in step with the
+graph op by op.  The last test drives engines through such runs, cut by
+the updates that must drop the ids, and checks the kept lists against
+the graph after every step.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +30,9 @@ from repro.core.decomposition import (
     korder_decomposition,
 )
 from repro.engine import Batch, make_engine
+from repro.engine.batch import core_diff, net_changes
 from repro.graphs.undirected import DynamicGraph
+from repro.testing.faults import FaultPlan, InjectedFault
 
 POOL = [f"s{i}" for i in range(7)] + [("t", i) for i in range(7)]
 
@@ -103,3 +112,104 @@ def test_rebuilt_engine_matches_the_deletion_oracle(graph, data, name):
     assert is_valid_korder(graph, core, order)
     assert dict(engine.korder.deg_plus) == later_neighbors(graph, order)
     engine.check()
+
+
+#: The steps of a run: forced rebuilt batches (drawn most often, so that
+#: runs of them occur), and each update that must drop the kept ids.
+STEPS = ("rebuild",) * 4 + (
+    "maintain", "edge", "add_vertex", "remove_vertex", "fault",
+)
+
+
+def toggle_batch(graph, pairs):
+    """A valid batch: each pair inserts the edge if the graph, as the
+    batch leaves it so far, lacks it, and removes it otherwise."""
+    batch = Batch()
+    flipped = set()
+    for u, v in pairs:
+        key = frozenset((u, v))
+        if graph.has_edge(u, v) != (key in flipped):
+            batch.remove(u, v)
+        else:
+            batch.insert(u, v)
+        flipped ^= {key}
+    return batch
+
+
+def kept_adjacency(engine):
+    """The engine's kept ids mapped back to vertices, or ``None``."""
+    ids = engine._ids
+    if ids is None:
+        return None
+    vx = ids.vx
+    assert ids.ids == {v: i for i, v in enumerate(vx)}
+    assert len(ids.core) <= len(vx)
+    assert all(len(set(nb)) == len(nb) for nb in ids.nb)
+    return {vx[i]: {vx[j] for j in nb} for i, nb in enumerate(ids.nb)}
+
+
+def step(engine, kind, pairs, vertex, hits):
+    """Run one step; returns the delta it reported (``None`` when a
+    fault cut it)."""
+    graph = engine.graph
+    if kind == "rebuild":
+        return engine.rebuild_batch(toggle_batch(graph, pairs)).changed
+    if kind == "maintain":
+        return engine.maintain_batch(toggle_batch(graph, pairs)).changed
+    if kind == "edge":
+        u, v = pairs[0] if pairs else PAIRS[0]
+        op = engine.remove_edge if graph.has_edge(u, v) else engine.insert_edge
+        return net_changes([op(u, v)])
+    if kind == "remove_vertex" and graph.has_vertex(vertex):
+        changed = net_changes(engine.remove_vertex(vertex))
+        changed.pop(vertex, None)
+        return changed
+    if kind in ("add_vertex", "remove_vertex"):
+        engine.add_vertex(vertex)
+        return {}
+    # A fault before the hits-th run: the runs before it land, and the
+    # rebuild peels what landed.  With fewer runs the batch completes.
+    with FaultPlan().crash("engine.mid_batch", hits=hits):
+        try:
+            return engine.rebuild_batch(toggle_batch(graph, pairs)).changed
+        except InjectedFault:
+            return None
+
+
+@pytest.mark.parametrize("name", order_family_engines())
+@given(
+    graph=graphs(),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(STEPS),
+            st.lists(st.sampled_from(PAIRS), max_size=12),
+            st.sampled_from(POOL),
+            st.integers(1, 2),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+    ],
+)
+def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
+    engine = make_engine(name, graph)
+    assert engine._ids is None
+    for kind, pairs, vertex, hits in steps:
+        before = engine.core_numbers()
+        changed = step(engine, kind, pairs, vertex, hits)
+        after = engine.core_numbers()
+        assert after == cores_by_deletion(engine.graph)
+        if changed is not None:
+            assert changed == core_diff(before, after)
+        kept = kept_adjacency(engine)
+        if kind == "rebuild" or (kind == "fault" and changed is not None):
+            assert kept == engine.graph.adj
+        else:
+            assert kept is None
+        engine.check()
