@@ -168,33 +168,26 @@ class DenseIds:
     """A graph's vertices numbered ``0 .. n-1``, kept in step with the
     graph for repeated peels.
 
-    Vertex ``vx[i]`` has id ``i`` (``ids`` maps back), ``nb[i]`` lists
-    its neighbours' ids and ``core[i]`` is its core number at the last
-    peel; ids at or past ``len(core)`` joined since.  :meth:`add_edge`
-    and :meth:`remove_edge` apply an edge op to the graph, then to the
-    lists; :meth:`peel` runs Batagelj–Zaversnik over the lists with no
-    id lookup.  Vertices only join: the graph's own ``remove_vertex``
-    would leave the lists stale.
+    Vertex ``vx[i]`` has id ``i`` (``ids`` maps back) and ``nb[i]``
+    lists its neighbours' ids.  :meth:`add_edge` and :meth:`remove_edge`
+    apply an edge op to the graph, then to the lists; :meth:`peel` runs
+    Batagelj–Zaversnik over the lists with no id lookup.  Vertices only
+    join: the graph's own ``remove_vertex`` would leave the lists stale.
 
     Numbering a graph costs about as much as :func:`dense_peel` does, so
-    a single peel is cheaper through :func:`dense_peel`; these lists pay
-    from the second peel on.
+    a single peel is cheaper through :func:`dense_peel`; the lists pay
+    only when they are peeled again.
     """
 
-    __slots__ = ("graph", "vx", "ids", "nb", "core")
+    __slots__ = ("graph", "vx", "ids", "nb")
 
-    def __init__(
-        self, graph: DynamicGraph, core: Mapping[Vertex, int]
-    ) -> None:
+    def __init__(self, graph: DynamicGraph) -> None:
         adj = graph.adj
         self.graph = graph
         self.vx = vx = list(adj)
         self.ids = ids = {v: i for i, v in enumerate(vx)}
         get = ids.__getitem__
         self.nb = [list(map(get, nbrs)) for nbrs in adj.values()]
-        # The graph appends vertices, so those it gained since the
-        # last peel come last, at ids past len(self.core).
-        self.core = list(map(core.__getitem__, vx[: len(core)]))
 
     def _number(self, vertex: Vertex) -> int:
         i = self.ids[vertex] = len(self.vx)
@@ -227,8 +220,7 @@ class DenseIds:
 
     def peel(self) -> tuple[list[int], list[int]]:
         """Peel the lists; returns ``(core, vert)`` as :func:`dense_peel`
-        does (id-aligned cores, ids in removal order) and keeps ``core``
-        for the next peel.  ``O(m + n)``."""
+        does (id-aligned cores, ids in removal order).  ``O(m + n)``."""
         nb = self.nb
         deg = list(map(len, nb))
         bins, pos, vert = _bucket_sort(deg)
@@ -248,7 +240,6 @@ class DenseIds:
                         vert[pw] = u
                     bins[du] = pw + 1
                     deg[u] = du - 1
-        self.core = deg
         return deg, vert
 
 

@@ -30,10 +30,12 @@ runs only the peel: it refreshes the core numbers and keeps the peel's
 order.  The first later update or read of the order index builds
 ``deg+``, the k-order and ``mcd`` from it (:meth:`_build_deferred`), so
 a run of rebuilt batches builds them zero times.  The constructor builds
-both at once.  A rebuilt batch also keeps the peel's vertex ids
-(:class:`~repro.core.decomposition.DenseIds`) for the next one, which
-applies its ops to them and peels them with no id lookup; any other
-update drops them, so a graph that is only maintained never holds
+both at once.  From a run's second rebuilt batch on, the engine also
+keeps the peel's vertex ids
+(:class:`~repro.core.decomposition.DenseIds`): each later rebuilt batch
+applies its ops to them and peels them with no id lookup
+(:meth:`_land`).  Any other update drops them, so a graph that is only
+maintained, or rebuilt once between maintained batches, never holds
 them.
 
 Example
@@ -73,10 +75,11 @@ from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
 from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
-from repro.engine.batch import RemovalRunResult, id_core_diff
+from repro.engine.batch import INSERT, Batch, RemovalRunResult
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.sequence import SequenceStats
+from repro.testing.faults import inject
 
 Vertex = Hashable
 
@@ -130,71 +133,68 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._peel: Optional[list[Vertex]] = None
         self._korder: Optional[KOrder] = None
         self._mcd: Optional[dict[Vertex, int]] = None
-        #: The last rebuilt batch's vertex ids, kept in step with the
-        #: graph while batches keep rebuilding; ``None`` otherwise.
+        #: Whether the last update was a rebuilt batch that landed in
+        #: full; from a run's second such batch on, the vertex ids kept
+        #: in step with the graph (:meth:`_land`), ``None`` otherwise.
+        self._rebuilt = False
         self._ids: Optional[DenseIds] = None
         self._build_index()
         self._build_deferred()
 
     def _build_index(self) -> None:
-        """Peel the graph itself (:func:`dense_peel`, holding nothing
-        afterwards): fold its cores into :attr:`_core` and keep its order
-        for :meth:`_build_deferred`."""
+        """Peel the graph: fold its cores into :attr:`_core` and keep its
+        order for :meth:`_build_deferred`.  The k-order and ``mcd`` are
+        dropped, marked not built.  The small policy peels the ids a
+        rebuilt batch kept (:meth:`_land`) when there are any, else the
+        graph itself (:func:`dense_peel`)."""
         if self._policy == "small":
-            vx, core, vert = dense_peel(self._graph)
+            ids = self._ids
+            if ids is None:
+                vx, core, vert = dense_peel(self._graph)
+            else:
+                vx = ids.vx
+                core, vert = ids.peel()
             self._core.update(zip(vx, core))
-            self._keep_order(vx, vert)
+            self._peel = [vx[i] for i in vert]
         else:
             peel = korder_decomposition(
                 self._graph, policy=self._policy, seed=self._seed
             )
             self._core.update(peel.core)
             self._peel = peel.order
-            self._korder = self._mcd = None
-
-    def _land(self, batch, target=None) -> None:
-        """Land a rebuilt batch's ops on the graph and on the kept ids;
-        with none kept, number the graph once the ops landed, so that
-        the peel sees each adjacency in the graph's own order (small
-        policy only).  Ids are held only once every op landed: after a
-        raise, the rebuild peels the graph itself and nothing is kept."""
-        if self._policy != "small":
-            super()._land(batch)
-            return
-        ids, self._ids = self._ids, None
-        super()._land(batch, ids)
-        self._ids = DenseIds(self._graph, self._core) if ids is None else ids
-
-    def _rebuild_index(self) -> dict[Vertex, int]:
-        """Peel the kept ids when a rebuilt batch left them, taking the
-        net delta from the id-aligned core lists; otherwise peel the
-        graph (:meth:`_build_index`)."""
-        ids = self._ids
-        if ids is None:
-            return super()._rebuild_index()
-        old = ids.core
-        core, vert = ids.peel()
-        vx = ids.vx
-        changed = id_core_diff(vx, old, core)
-        # Only changed vertices and those numbered since the last peel
-        # move in the core map.
-        at = ids.ids
-        self._core.update([(v, core[at[v]]) for v in changed])
-        self._core.update(zip(vx[len(old) :], core[len(old) :]))
-        self._keep_order(vx, vert)
-        return changed
-
-    def _keep_order(self, vx, vert) -> None:
-        """Keep an id-aligned peel's order for :meth:`_build_deferred`;
-        the k-order and ``mcd`` are dropped, marked not built."""
-        self._peel = list(map(vx.__getitem__, vert))
         self._korder = self._mcd = None
+
+    def _land(self, batch: Batch) -> None:
+        """Land a rebuilt batch's ops (small policy: on the kept ids too).
+
+        A run's first rebuilt batch lands on the graph alone and peels
+        it with :func:`dense_peel`; the second numbers the graph once
+        its ops landed, so its peel sees what :func:`dense_peel` would;
+        later ones land each op on the graph and then on the kept ids.
+        So a lone rebuilt batch never numbers the graph.  Ids are held
+        only once every op landed: after a raise, the rebuild peels the
+        graph itself and the next rebuilt batch starts a new run."""
+        ids, self._ids = self._ids, None
+        rebuilt, self._rebuilt = self._rebuilt, False
+        if ids is None:
+            super()._land(batch)
+            if rebuilt and self._policy == "small":
+                ids = DenseIds(self._graph)
+        else:
+            for kind, run_edges in batch.runs():
+                inject("engine.mid_batch")
+                update = ids.add_edge if kind == INSERT else ids.remove_edge
+                for u, v in run_edges:
+                    update(u, v)
+        self._ids = ids
+        self._rebuilt = True
 
     def _materialize(self) -> None:
         """Ready the index for an update other than a rebuilt batch: drop
         the kept ids, which the update would leave behind the graph, and
         build the deferred index."""
         self._ids = None
+        self._rebuilt = False
         self._build_deferred()
 
     def _build_deferred(self) -> None:

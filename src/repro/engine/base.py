@@ -31,9 +31,9 @@ Besides the per-edge updates the paper describes, every engine accepts a
   The order family runs only its peel and keeps the peel's order; the
   first later path that reads or changes its k-order builds ``deg+``,
   the k-order and ``mcd`` from it, so a run of rebuilt batches never
-  builds them.  Within such a run it also keeps the peel's vertex ids
-  and peels them again (:meth:`_land`, :meth:`_rebuild_index`); every
-  other update drops them (:meth:`_materialize`).
+  builds them.  From a run's second rebuilt batch on it also keeps the
+  peel's vertex ids and peels them again (:meth:`_land`); every other
+  update drops them (:meth:`_materialize`).
 
 One count-based rule picks between them: rebuild when
 ``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
@@ -307,38 +307,27 @@ class CoreMaintainer(ABC):
             counters=self._counter_deltas(baseline),
         )
 
-    def _land(self, batch: Batch, target=None) -> None:
+    def _land(self, batch: Batch) -> None:
         """Apply ``batch`` to the graph for :meth:`rebuild_batch`: its
         runs in the order :meth:`maintain_batch` takes them, with the
-        same ``engine.mid_batch`` fault point before each.  ``target``,
-        when given, takes each op in the graph's place through its
-        ``add_edge`` / ``remove_edge``."""
-        if target is None:
-            target = self._graph
+        same ``engine.mid_batch`` fault point before each."""
+        graph = self._graph
         for kind, run_edges in batch.runs():
             inject("engine.mid_batch")
-            update = target.add_edge if kind == INSERT else target.remove_edge
+            update = graph.add_edge if kind == INSERT else graph.remove_edge
             for u, v in run_edges:
                 update(u, v)
 
     def _rebuild(self) -> dict[Vertex, int]:
-        """Rebuild the index from the graph (:meth:`_rebuild_index`),
-        counting it in :attr:`rebuilds` and auditing it when the engine
-        audits (the audit builds any deferred part first, so it covers
-        the whole index); returns the net core delta it found."""
-        changed = self._rebuild_index()
+        """Rebuild the index from the graph, counting it in
+        :attr:`rebuilds` and auditing it when the engine audits (the
+        audit builds any deferred part first, so it covers the whole
+        index); returns the net core delta it found."""
+        old = dict(self._core)
+        self._build_index()
         self.rebuilds += 1
         if self._audit:
             self.check()
-        return changed
-
-    def _rebuild_index(self) -> dict[Vertex, int]:
-        """:meth:`_build_index`, returning the net core delta: the
-        :func:`~repro.engine.batch.core_diff` of a copy of the core map
-        taken before it.  The order family overrides it to peel what it
-        kept from the last rebuilt batch, which yields the delta too."""
-        old = dict(self._core)
-        self._build_index()
         return core_diff(old, self._core)
 
     @abstractmethod

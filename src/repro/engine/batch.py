@@ -24,8 +24,6 @@ coalesce its ``mcd`` repair per run instead of per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import ne
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import BatchError, SelfLoopError
@@ -414,27 +412,6 @@ def core_diff(old: dict, new: dict) -> dict[Vertex, int]:
     """
     get = old.get
     return {v: c - get(v, 0) for v, c in new.items() if c != get(v, 0)}
-
-
-def id_core_diff(
-    vx: Sequence[Vertex], old: Sequence[int], new: Sequence[int]
-) -> dict[Vertex, int]:
-    """:func:`core_diff` over id-aligned core lists: id ``i`` is vertex
-    ``vx[i]``, with core ``old[i]`` before and ``new[i]`` after.  Ids at
-    or past ``len(old)`` joined since and count from core 0.
-
-    >>> id_core_diff("abcd", [1, 1, 0], [2, 1, 0, 1])
-    {'a': 1, 'd': 1}
-    """
-    n = len(old)
-    changed = {
-        vx[i]: new[i] - old[i]
-        for i in compress(range(n), map(ne, new, old))
-    }
-    for i in range(n, len(new)):
-        if new[i]:
-            changed[vx[i]] = new[i]
-    return changed
 
 
 def net_changes(results: Sequence) -> dict[Vertex, int]:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
-from repro.engine.base import CoreMaintainer
 from repro.engine.registry import DEFAULT_ENGINE
 from repro.engine.batch import Batch, normalize_edge
 from repro.errors import WorkloadError
@@ -104,11 +103,6 @@ class SlidingWindowCoreMonitor:
     def service(self) -> CoreService:
         """The underlying service session (subscribe, query, save)."""
         return self._service
-
-    @property
-    def engine(self) -> CoreMaintainer:
-        """The service's engine (read-only use; kept for compatibility)."""
-        return self._service.engine
 
     def live_edges(self) -> int:
         """Number of edges currently inside the window."""

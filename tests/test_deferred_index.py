@@ -255,15 +255,19 @@ DROPPING_UPDATES = {
 @pytest.mark.parametrize("name", ENGINES)
 def test_only_a_run_of_rebuilt_batches_keeps_vertex_ids(name, tmp_path):
     """A graph that is built or only maintained holds no peel ids: not
-    after the constructor, ``CoreService.open`` or ``recover``, and not
-    after any maintained or per-edge update."""
+    after the constructor, ``CoreService.open`` or ``recover``, not
+    after a run's first rebuilt batch, and not after any maintained or
+    per-edge update."""
     graph = random_gnm(40, 80, seed=6)
     spare = absent_edges(graph, 40, 40, seed=6)
     assert make_engine(name, graph.copy())._ids is None
     log = tmp_path / "s.wal"
     svc = CoreService.open(graph.copy(), engine=name, log=log, fsync="never")
     assert svc.engine._ids is None
-    receipt = svc.apply(Batch.inserts(spare[:20]))
+    receipt = svc.apply(Batch.inserts(spare[:15]))
+    assert receipt.counters["rebuilds"] == 1
+    assert svc.engine._ids is None
+    receipt = svc.apply(Batch.inserts(spare[15:30]))
     assert receipt.counters["rebuilds"] == 1
     assert svc.engine._ids is not None
     svc.close()
@@ -273,6 +277,7 @@ def test_only_a_run_of_rebuilt_batches_keeps_vertex_ids(name, tmp_path):
     for update in DROPPING_UPDATES.values():
         engine = make_engine(name, graph.copy())
         engine.rebuild_batch(Batch.inserts(spare[:10]))
+        assert engine._ids is None
         engine.rebuild_batch(Batch.inserts(spare[10:20]))
         assert engine._ids is not None
         present = list(engine.graph.edges())

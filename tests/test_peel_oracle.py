@@ -11,9 +11,9 @@ the empty graph.  Beside the cores, the order must be a k-order
 (Lemma 5.1) whose ``deg+`` counts each vertex's later neighbors, and an
 engine must pass its own audit.
 
-A run of rebuilt batches peels the vertex ids the first one numbered
-(:class:`~repro.core.decomposition.DenseIds`), kept in step with the
-graph op by op.  The last test drives engines through such runs, cut by
+From a run's second rebuilt batch on, the engine peels the vertex ids
+that batch numbered (:class:`~repro.core.decomposition.DenseIds`), kept
+in step with the graph op by op; a run's first batch keeps none.  The last test drives engines through such runs, cut by
 the updates that must drop the ids, and checks the kept lists against
 the graph after every step.
 """
@@ -143,7 +143,6 @@ def kept_adjacency(engine):
         return None
     vx = ids.vx
     assert ids.ids == {v: i for i, v in enumerate(vx)}
-    assert len(ids.core) <= len(vx)
     assert all(len(set(nb)) == len(nb) for nb in ids.nb)
     return {vx[i]: {vx[j] for j in nb} for i, nb in enumerate(ids.nb)}
 
@@ -200,6 +199,8 @@ def step(engine, kind, pairs, vertex, hits):
 def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
     engine = make_engine(name, graph)
     assert engine._ids is None
+    # Whether the last step was a rebuilt batch that landed in full.
+    rebuilt = False
     for kind, pairs, vertex, hits in steps:
         before = engine.core_numbers()
         changed = step(engine, kind, pairs, vertex, hits)
@@ -208,8 +209,10 @@ def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
         if changed is not None:
             assert changed == core_diff(before, after)
         kept = kept_adjacency(engine)
-        if kind == "rebuild" or (kind == "fault" and changed is not None):
+        landed = kind == "rebuild" or (kind == "fault" and changed is not None)
+        if landed and rebuilt:
             assert kept == engine.graph.adj
         else:
             assert kept is None
+        rebuilt = landed
         engine.check()

@@ -403,7 +403,7 @@ class TestMonitorIntegration:
         svc = CoreService.open(engine="naive")
         monitor = SlidingWindowCoreMonitor(window=5.0, service=svc)
         monitor.observe_many(TRIANGLE, t=0.0)
-        assert monitor.engine is svc.engine
+        assert monitor.service.engine is svc.engine
         assert svc.degeneracy() == 2
 
     def test_monitor_rejects_a_populated_service(self):

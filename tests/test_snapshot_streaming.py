@@ -242,7 +242,7 @@ class TestSlidingWindow:
         drained = monitor.drain()
         assert monitor.live_edges() == 0
         assert drained > 0
-        assert all(c == 0 for c in monitor.engine.core_numbers().values())
+        assert all(c == 0 for c in monitor.service.engine.core_numbers().values())
 
     def test_matches_batch_ground_truth(self):
         """At any instant the window cores equal a fresh decomposition of

@@ -16,8 +16,8 @@ class TestEngineSelection:
         stream = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (0, 4)]
         for t, (a, b) in enumerate(stream):
             monitor.observe(a, b, float(t))
-        assert monitor.engine.core_numbers() == core_numbers(
-            monitor.engine.graph
+        assert monitor.service.engine.core_numbers() == core_numbers(
+            monitor.service.engine.graph
         )
         monitor.drain()
         assert monitor.live_edges() == 0
@@ -25,10 +25,10 @@ class TestEngineSelection:
 
     def test_engine_classes(self):
         assert isinstance(
-            SlidingWindowCoreMonitor(window=1, engine="naive").engine,
+            SlidingWindowCoreMonitor(window=1, engine="naive").service.engine,
             NaiveCoreMaintainer,
         )
-        trav = SlidingWindowCoreMonitor(window=1, engine="trav-3").engine
+        trav = SlidingWindowCoreMonitor(window=1, engine="trav-3").service.engine
         assert isinstance(trav, TraversalCoreMaintainer) and trav.h == 3
 
     def test_engines_agree_over_one_stream(self):
@@ -40,7 +40,7 @@ class TestEngineSelection:
             for t, (a, b) in enumerate(stream):
                 monitor.observe(a, b, float(t))
             cores[engine] = {
-                v: monitor.core_of(v) for v in monitor.engine.graph.vertices()
+                v: monitor.core_of(v) for v in monitor.service.engine.graph.vertices()
             }
         assert cores["order"] == cores["naive"]
 
@@ -49,7 +49,7 @@ class TestEngineSelection:
         monitor.observe_many([(0, 1), (1, 2), (2, 0), (1, 2)], t=0.0)
         # Three distinct edges inserted with ONE recomputation; the
         # duplicate in the same tick counts as a refresh.
-        assert monitor.engine.rebuilds == 1
+        assert monitor.service.engine.rebuilds == 1
         assert monitor.stats.arrivals == 3
         assert monitor.stats.refreshes == 1
         assert monitor.core_of(0) == 2
@@ -69,9 +69,9 @@ class TestEngineSelection:
     def test_expiry_is_batched(self):
         monitor = SlidingWindowCoreMonitor(window=1.0, engine="naive")
         monitor.observe_many([(0, 1), (1, 2), (2, 0)], t=0.0)
-        before = monitor.engine.rebuilds
+        before = monitor.service.engine.rebuilds
         assert monitor.advance_to(5.0) == 3  # all expire in one batch
-        assert monitor.engine.rebuilds == before + 1
+        assert monitor.service.engine.rebuilds == before + 1
         assert monitor.stats.expiries == 3
 
 
