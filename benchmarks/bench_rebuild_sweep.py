@@ -10,28 +10,38 @@ This bench measures both sides on the default engine.  For each scenario
 family (``sliding-window``, ``mixed``, ``burst``, ``relabel-storm``) at
 two graph sizes, it warms a graph up, re-chunks the rest of the family's
 op stream into batches of each size in :data:`BATCH_SIZES`, and applies
-the same batches to two engines on the same graph: one through
-``maintain_batch`` (the run loop), one through ``rebuild_batch``.  The
-two are timed batch by batch, alternately, so a host slowdown hits both.
-Each cell then yields one estimate of ``C``::
+the same batches to three engines on the same graph, timed batch by
+batch, alternately, so a host slowdown hits all three:
 
-    C_cell = (t_maintain / t_rebuild) * (|V| + |E|) / (ops * v)
+* ``maintain`` — ``maintain_batch`` (the run loop);
+* ``lone`` — ``rebuild_batch`` as a lone rebuilt batch between
+  maintained ones: it peels the graph, and then an empty
+  ``maintain_batch`` times, as its own column, the deferred ``deg+`` /
+  k-order / ``mcd`` build that the next maintained batch pays;
+* ``run`` — ``rebuild_batch`` inside a run of rebuilt batches: two
+  empty rebuilt batches before the cell start the run, so every timed
+  batch lands its ops on the kept vertex ids and peels them.
+
+Each cell then yields two estimates of ``C``::
+
+    C_lone = (t_maintain / (t_lone + t_build)) * (|V| + |E|) / (ops * v)
+    C_run  = (t_maintain / t_run) * (|V| + |E|) / (ops * v)
 
 with ``t`` the mean time per batch and ``v`` the mean ``visited`` per
 op: the rule trades total time, and a few costly cascades carry much of
-a stream's maintain time.
-
-the factor at which the rule would break even on that cell.  A family's
-crossover is the median of its cells; ``C`` is the median of the four
-family crossovers.  Every cell also records whether the committed
-``REBUILD_FACTOR`` picked the faster side.
+a stream's maintain time.  Each is the factor at which the rule would
+break even on that cell, for a batch that rebuilds alone and for one
+inside a run.  A family's crossover is the median of its cells; each
+``C`` is the median of the four family crossovers.  Every cell also
+records whether the committed ``REBUILD_FACTOR`` picked the faster side,
+both ways.
 
 The records land in ``BENCH_rebuild_sweep.json`` (in
 ``REPRO_BENCH_ARTIFACT_DIR``, default ``.``) when the bench runs at the
 default ``REPRO_BENCH_SCALE``; that file is committed.  Any other scale
 writes ``BENCH_rebuild_sweep-scale<scale>.json``, so a smoke run never
-overwrites the committed numbers.  Only answers are asserted: both
-engines end every cell on ``core_numbers`` of their graph.  Timings are
+overwrites the committed numbers.  Only answers are asserted: every
+engine ends every cell on ``core_numbers`` of its graph.  Timings are
 recorded, never gated.
 """
 
@@ -114,22 +124,25 @@ def _artifact_path() -> Path:
 
 
 def _summary(records: list[dict]) -> dict:
-    families = {}
-    for family in FAMILIES:
-        cells = [r["c_cell"] for r in records
-                 if r["family"] == family and r["c_cell"] is not None]
-        if cells:
-            families[family] = round(statistics.median(cells), 2)
-    picked = [r["rule_picks_faster"] for r in records]
-    return {
-        "crossover_by_family": families,
-        "crossover": (
-            round(statistics.median(families.values()), 2)
-            if families else None
-        ),
-        "rebuild_factor": REBUILD_FACTOR,
-        "rule_picks_faster": f"{sum(picked)}/{len(picked)}",
-    }
+    summary = {}
+    for case in ("lone", "run"):
+        families = {}
+        for family in FAMILIES:
+            cells = [r[f"c_{case}"] for r in records
+                     if r["family"] == family and r[f"c_{case}"] is not None]
+            if cells:
+                families[family] = round(statistics.median(cells), 2)
+        picked = [r[f"rule_picks_faster_{case}"] for r in records]
+        summary[case] = {
+            "crossover_by_family": families,
+            "crossover": (
+                round(statistics.median(families.values()), 2)
+                if families else None
+            ),
+            "rule_picks_faster": f"{sum(picked)}/{len(picked)}",
+        }
+    summary["rebuild_factor"] = REBUILD_FACTOR
+    return summary
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -163,48 +176,64 @@ def _stream(scenario, warm_ticks):
     return graph, ops
 
 
+def _timed(call, *args):
+    started = time.perf_counter()
+    result = call(*args)
+    return result, time.perf_counter() - started
+
+
 def _cell(graph, ops, size):
-    """Time ``maintain_batch`` against ``rebuild_batch`` on the same
-    batches of ``size`` ops; returns the cell's record or ``None``."""
+    """Time ``maintain_batch`` against a lone and a consecutive
+    ``rebuild_batch`` on the same batches of ``size`` ops; returns the
+    cell's record or ``None``."""
     count = min(BATCHES, len(ops) // size)
     if not count:
         return None
-    maintain = make_engine(DEFAULT_ENGINE, graph.copy())
-    rebuild = make_engine(DEFAULT_ENGINE, graph.copy())
-    t_maintain, t_rebuild, sizes = [], [], []
+    maintain, lone, run = (
+        make_engine(DEFAULT_ENGINE, graph.copy()) for _ in range(3)
+    )
+    # Start a run: its first batch peels the graph, its second numbers
+    # it and keeps the ids every timed batch then peels.
+    for _ in range(2):
+        run.rebuild_batch(Batch([]))
+    times = {"maintain": [], "lone": [], "build": [], "run": []}
+    sizes = []
     visited = 0
     gc.collect()
     for i in range(count):
         batch = Batch(ops[i * size:(i + 1) * size])
         sizes.append(maintain.graph.n + maintain.graph.m)
-        started = time.perf_counter()
-        visited += maintain.maintain_batch(batch).visited
-        t_maintain.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        rebuild.rebuild_batch(batch)
-        t_rebuild.append(time.perf_counter() - started)
-    for engine in (maintain, rebuild):
+        result, seconds = _timed(maintain.maintain_batch, batch)
+        visited += result.visited
+        times["maintain"].append(seconds)
+        times["lone"].append(_timed(lone.rebuild_batch, batch)[1])
+        times["build"].append(_timed(lone.maintain_batch, Batch([]))[1])
+        times["run"].append(_timed(run.rebuild_batch, batch)[1])
+    for engine in (maintain, lone, run):
         assert engine.core_numbers() == core_numbers(engine.graph)
-    assert maintain.core_numbers() == rebuild.core_numbers()
+        assert engine.core_numbers() == maintain.core_numbers()
     per_op = visited / (count * size)
     # |V| + |E| as the rule sees it: before each batch, averaged.
     graph_size = round(statistics.fmean(sizes))
-    tm, tr = statistics.fmean(t_maintain), statistics.fmean(t_rebuild)
+    mean = {name: statistics.fmean(t) for name, t in times.items()}
+    tm = mean["maintain"]
+    rebuilt = {"lone": mean["lone"] + mean["build"], "run": mean["run"]}
     rule = REBUILD_FACTOR * size * per_op >= graph_size
-    return {
+    record = {
         "ops": size,
         "batches": count,
         "graph_size": graph_size,
         "visited_per_op": round(per_op, 3),
-        "maintain_ms": round(1e3 * tm, 3),
-        "rebuild_ms": round(1e3 * tr, 3),
-        "c_cell": (
+        **{f"{name}_ms": round(1e3 * t, 3) for name, t in mean.items()},
+        "rule_rebuilds": rule,
+    }
+    for case, tr in rebuilt.items():
+        record[f"c_{case}"] = (
             round(tm / tr * graph_size / (size * per_op), 2)
             if per_op else None
-        ),
-        "rule_rebuilds": rule,
-        "rule_picks_faster": rule == (tr <= tm),
-    }
+        )
+        record[f"rule_picks_faster_{case}"] = rule == (tr <= tm)
+    return record
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

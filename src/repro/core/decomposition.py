@@ -75,10 +75,15 @@ def compute_mcd(
 
     The traversal hierarchy's ``r_1`` and the order family's ``mcd``.
     """
-    return {
-        v: sum(1 for w in nbrs if core[w] >= core[v])
-        for v, nbrs in graph.adj.items()
-    }
+    mcd: dict[Vertex, int] = {}
+    for v, nbrs in graph.adj.items():
+        k = core[v]
+        count = 0
+        for w in nbrs:
+            if core[w] >= k:
+                count += 1
+        mcd[v] = count
+    return mcd
 
 
 def korder_decomposition(

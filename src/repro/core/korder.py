@@ -19,6 +19,7 @@ engines' ``audit`` mode used heavily by the tests.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.core.decomposition import KOrderDecomposition
@@ -46,11 +47,14 @@ class KOrder:
         decomposition: KOrderDecomposition,
         stats: Optional[SequenceStats] = None,
     ) -> "KOrder":
-        """Build the index from a static decomposition's order; ``stats``
-        carries an earlier index's counters over (a rebuild)."""
+        """Build the index from a static decomposition's order, one
+        :meth:`~TaggedOrderList.extend_back` per run of equal core;
+        ``stats`` carries an earlier index's counters over (a rebuild)."""
         ko = cls(stats)
-        for vertex in decomposition.order:
-            ko.append(decomposition.core[vertex], vertex)
+        for k, run in groupby(decomposition.order, decomposition.core.__getitem__):
+            run = list(run)
+            ko.block(k).extend_back(run)
+            ko._k_of.update(dict.fromkeys(run, k))
         ko.deg_plus.update(decomposition.deg_plus)
         return ko
 

@@ -107,10 +107,11 @@ class TaggedOrderList:
     ``_SPAN``; stored nodes carry strictly increasing integer labels in
     between.  ``precedes`` is one integer comparison; insertion bisects
     the neighboring label gap (with wide fast-path gaps for appends and
-    prepends, which whole :meth:`extend_front` chains share) and, when
-    a gap is exhausted, relabels the smallest enclosing label-aligned
-    range whose density is below the level's threshold — Bender et
-    al.'s simplified tag-management policy.
+    prepends, which whole :meth:`extend_back` runs and
+    :meth:`extend_front` chains share) and, when a gap is exhausted,
+    relabels the smallest enclosing label-aligned range whose density
+    is below the level's threshold — Bender et al.'s simplified
+    tag-management policy.
 
     Parameters
     ----------
@@ -138,8 +139,7 @@ class TaggedOrderList:
         self._head.next = self._tail
         self._tail.prev = self._head
         self._nodes: dict[Hashable, _ListNode] = {}
-        for item in items:
-            self.insert_back(item)
+        self.extend_back(items)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -197,30 +197,6 @@ class TaggedOrderList:
             node = node.next
         return r
 
-    def select(self, index: int) -> Any:
-        """The item at position ``index`` — O(index) walk, diagnostic only.
-
-        Raises :class:`IndexError` when out of range.
-        """
-        if index < 0 or index >= len(self):
-            raise IndexError(f"position {index} out of range for size {len(self)}")
-        node = self._head.next
-        for _ in range(index):
-            node = node.next
-        return node.item
-
-    def first(self) -> Any:
-        """Leftmost item.  Raises :class:`IndexError` on an empty list."""
-        if not self._nodes:
-            raise IndexError("first() on empty list")
-        return self._head.next.item
-
-    def last(self) -> Any:
-        """Rightmost item.  Raises :class:`IndexError` on an empty list."""
-        if not self._nodes:
-            raise IndexError("last() on empty list")
-        return self._tail.prev.item
-
     def successor(self, item: Hashable) -> Optional[Any]:
         """Item immediately after ``item``, or ``None`` if it is the last."""
         node = self._nodes[item].next
@@ -251,14 +227,27 @@ class TaggedOrderList:
         anchor = self._nodes[anchor_item]
         self._insert_between(anchor, anchor.next, item)
 
-    def insert_before(self, anchor_item: Hashable, item: Hashable) -> None:
-        """Insert ``item`` immediately before ``anchor_item``."""
-        anchor = self._nodes[anchor_item]
-        self._insert_between(anchor.prev, anchor, item)
-
     def extend_back(self, items: Iterable[Hashable]) -> None:
-        """Append several items, preserving their given order."""
-        for item in items:
+        """Append ``items`` in order with the labels, and any
+        :class:`OverflowError`, of one :meth:`insert_back` per item: one
+        pass at the append fast path's spacing while it has room below
+        the tail, then item by item.  Raises :class:`ValueError`, changing
+        nothing, on an item already stored or repeated in ``items``."""
+        run = list(items)
+        self._check_new(run)
+        nodes, tail, gap = self._nodes, self._tail, self._GAP
+        prev = tail.prev
+        label = prev.label
+        room = (self._SPAN - 1 - label) // gap
+        for item in run[:room]:
+            label += gap
+            node = nodes[item] = _ListNode(item, label)
+            node.prev = prev
+            prev.next = node
+            prev = node
+        prev.next = tail
+        tail.prev = prev
+        for item in run[room:]:
             self.insert_back(item)
 
     def extend_front(self, items: Iterable[Hashable]) -> None:
@@ -285,11 +274,7 @@ class TaggedOrderList:
         chain = list(items)
         if not chain:
             return
-        seen: set = set()
-        for item in chain:
-            if item in self._nodes or item in seen:
-                raise ValueError(f"item {item!r} already stored in sequence")
-            seen.add(item)
+        self._check_new(chain)
         if len(self._nodes) + len(chain) > self._SPAN // 2:
             raise OverflowError(
                 f"order list full: {len(self._nodes)} + {len(chain)} items "
@@ -306,13 +291,9 @@ class TaggedOrderList:
             # Even the spread front gap is shorter than the chain, i.e.
             # (items + 1) * (chain + 1) exceeds the label space: insert
             # one at a time and let the range relabeling make room.
-            previous: Optional[Hashable] = None
-            for item in chain:
-                if previous is None:
-                    self.insert_front(item)
-                else:
-                    self.insert_after(previous, item)
-                previous = item
+            self.insert_front(chain[0])
+            for previous, item in zip(chain, chain[1:]):
+                self.insert_after(previous, item)
             return
         prev = self._head
         label = first.label - (len(chain) + 1) * step
@@ -367,6 +348,16 @@ class TaggedOrderList:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _check_new(self, run: list) -> None:
+        """Raise :class:`ValueError` on an item stored or repeated in ``run``."""
+        if len(set(run)) == len(run) and self._nodes.keys().isdisjoint(run):
+            return
+        seen: set = set()
+        for item in run:
+            if item in self._nodes or item in seen:
+                raise ValueError(f"item {item!r} already stored in sequence")
+            seen.add(item)
 
     def _insert_between(
         self, prev: _ListNode, nxt: _ListNode, item: Hashable

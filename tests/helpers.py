@@ -83,6 +83,15 @@ def cores_by_deletion(graph: DynamicGraph) -> dict:
     return core
 
 
+def mcd_by_scan(graph: DynamicGraph, core: dict) -> dict:
+    """Max-core degrees by one neighbour scan per vertex: how many
+    neighbours ``w`` of ``v`` have ``core[w] >= core[v]``."""
+    return {
+        v: len([w for w in graph.neighbors(v) if core[w] >= core[v]])
+        for v in graph.vertices()
+    }
+
+
 def max_degree(graph: DynamicGraph) -> int:
     """Largest degree in ``graph`` (0 for an empty graph)."""
     return max(map(len, graph.adj.values()), default=0)

@@ -1,8 +1,15 @@
 """Unit tests for the maintained k-order index."""
 
+import random
+
 import pytest
 
-from repro.core.decomposition import core_numbers, korder_decomposition
+from helpers import cores_by_deletion, mcd_by_scan
+from repro.core.decomposition import (
+    compute_mcd,
+    core_numbers,
+    korder_decomposition,
+)
 from repro.core.korder import KOrder
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
@@ -138,3 +145,80 @@ class TestAudit:
         ko.deg_plus.update({"b": 2, "a": 1, "c": 0})
         with pytest.raises(InvariantViolationError):
             ko.audit(g, core)
+
+
+K6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+TRIANGLE = [("x", "y"), ("y", "z"), ("z", "x")]
+
+
+def appended_one_by_one(decomposition):
+    """The index as one ``append`` per vertex of the order builds it."""
+    ko = KOrder()
+    for v in decomposition.order:
+        ko.append(decomposition.core[v], v)
+    return ko
+
+
+def block_labels(ko):
+    """Each block's OM-list labels, left to right."""
+    return {
+        k: [node.label for node in ko.block(k)._iter_nodes()]
+        for k in ko.block_sizes()
+    }
+
+
+def mixed_graph(seed):
+    """A seeded graph over ``str`` and tuple vertices, two of them
+    isolated."""
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(15)] + [("t", i) for i in range(15)]
+    graph = DynamicGraph(vertices=names + ["iso", ("iso",)])
+    for _ in range(25 + 20 * seed):
+        u, v = rng.sample(names, 2)
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    return graph
+
+
+class TestBulkBuild:
+    """``from_decomposition`` labels each block in one pass; the blocks,
+    the ``k_of`` map and every label match vertex-by-vertex appends."""
+
+    @pytest.mark.parametrize(
+        "edges, vertices, sizes",
+        [
+            (K6 + TRIANGLE, ["iso"], {0: 1, 2: 3, 5: 6}),
+            (K6, [], {5: 6}),
+            ([], [], {}),
+        ],
+        ids=["levels-0-2-5", "one-block", "empty"],
+    )
+    def test_from_decomposition(self, edges, vertices, sizes):
+        graph = DynamicGraph(edges, vertices=vertices)
+        d = korder_decomposition(graph)
+        ko = KOrder.from_decomposition(d)
+        ko.audit(graph, d.core)
+        assert ko.order() == d.order
+        assert ko.block_sizes() == sizes
+        assert {v: ko.k_of(v) for v in d.order} == d.core
+        assert block_labels(ko) == block_labels(appended_one_by_one(d))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_from_decomposition_on_mixed_vertices(self, seed):
+        graph = mixed_graph(seed)
+        d = korder_decomposition(graph)
+        ko = KOrder.from_decomposition(d)
+        ko.audit(graph, d.core)
+        assert ko.order() == d.order
+        assert ko.block_sizes() == appended_one_by_one(d).block_sizes()
+        assert block_labels(ko) == block_labels(appended_one_by_one(d))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_compute_mcd_matches_a_scan(self, seed):
+        graph = mixed_graph(seed)
+        core = cores_by_deletion(graph)
+        assert compute_mcd(graph, core) == mcd_by_scan(graph, core)
+        assert compute_mcd(graph, core)["iso"] == 0
+
+    def test_compute_mcd_on_the_empty_graph(self):
+        assert compute_mcd(DynamicGraph(), {}) == {}

@@ -25,6 +25,25 @@ class NarrowOrderList(TaggedOrderList):
     _GAP = 1 << 1
 
 
+def labels(seq):
+    """The stored labels, left to right."""
+    return [node.label for node in seq._iter_nodes()]
+
+
+def appended(seq, run, bulk):
+    """Append ``run`` to ``seq`` in one ``extend_back`` call (``bulk``)
+    or one ``insert_back`` per item; ``True`` when that overflowed."""
+    try:
+        if bulk:
+            seq.extend_back(run)
+        else:
+            for item in run:
+                seq.insert_back(item)
+    except OverflowError:
+        return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # Sequence behavior against positions and a plain-list model
 # ----------------------------------------------------------------------
@@ -38,7 +57,7 @@ class TestSequenceBehavior:
         seq.insert_back("b")
         seq.insert_front("a")
         seq.insert_after("b", "d")
-        seq.insert_before("d", "c")
+        seq.insert_after("b", "c")
         assert seq.to_list() == ["a", "b", "c", "d"]
         assert len(seq) == 4 and "c" in seq and "z" not in seq
         seq.check_invariants()
@@ -60,6 +79,61 @@ class TestSequenceBehavior:
             seq.move_after("a", "a")
         seq.check_invariants()
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 30_000])
+    def test_constructor_labels_like_insert_back(self, order_list, size):
+        """The constructor labels its items exactly as one ``insert_back``
+        per item does, past the end of the append fast path (511 items on
+        the narrow list) and up to the same ``OverflowError``."""
+        run = [("r", i) for i in range(size)]
+        grown = order_list()
+        if appended(grown, run, bulk=False):
+            assert size > order_list._SPAN // 2
+            with pytest.raises(OverflowError):
+                order_list(run)
+            return
+        seq = order_list(run)
+        assert seq.to_list() == run
+        assert labels(seq) == labels(grown)
+        assert seq.stats.relabels == grown.stats.relabels
+        seq.check_invariants()
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 30_000])
+    @pytest.mark.parametrize("stored", [False, True], ids=["empty", "non-empty"])
+    def test_extend_back_labels_like_insert_back(self, order_list, size, stored):
+        """``extend_back`` gives the labels, the relabel count and, on
+        overflow, the stored prefix that one ``insert_back`` per item
+        gives -- also after a last label off the fast path's grid."""
+        run = [("r", i) for i in range(size)]
+        outcomes = []
+        for bulk in (False, True):
+            seq = order_list()
+            if stored:
+                seq.insert_back("a")
+                seq.insert_back("b")
+                seq.insert_after("a", "c")  # bisects a gap
+                seq.remove("b")
+            overflowed = appended(seq, run, bulk)
+            seq.check_invariants()
+            outcomes.append(
+                (overflowed, seq.to_list(), labels(seq), seq.stats.relabels)
+            )
+        assert outcomes[0] == outcomes[1]
+        overflowed, order = outcomes[1][:2]
+        if not overflowed:
+            assert order == ["a", "c"] * stored + run
+
+    def test_bulk_append_rejects_duplicates_unchanged(self, order_list):
+        seq = order_list(range(5))
+        before = labels(seq)
+        for run in ([7, 8, 7], [9, 3], [2]):
+            with pytest.raises(ValueError):
+                seq.extend_back(run)
+            assert labels(seq) == before and len(seq) == 5
+            assert 7 not in seq and 9 not in seq
+        seq.check_invariants()
+        with pytest.raises(ValueError):
+            order_list(["x", "y", "x"])
+
     def test_precedes_matches_positions(self, order_list):
         seq = order_list()
         seq.extend_back(range(10))
@@ -68,16 +142,12 @@ class TestSequenceBehavior:
                 if i != j:
                     assert seq.precedes(i, j) == (i < j)
 
-    def test_rank_select_first_last_neighbors(self, order_list):
+    def test_rank_and_neighbors(self, order_list):
         seq = order_list()
         seq.extend_back("abcde")
         assert [seq.rank(c) for c in "abcde"] == [0, 1, 2, 3, 4]
-        assert [seq.select(i) for i in range(5)] == list("abcde")
-        assert seq.first() == "a" and seq.last() == "e"
         assert seq.successor("b") == "c" and seq.predecessor("b") == "a"
         assert seq.successor("e") is None and seq.predecessor("a") is None
-        with pytest.raises(IndexError):
-            seq.select(5)
 
     def test_duplicate_and_missing_items_raise(self, order_list):
         seq = order_list()
@@ -94,10 +164,6 @@ class TestSequenceBehavior:
     def test_empty_sequence_edges(self, order_list):
         seq = order_list()
         assert len(seq) == 0 and not seq and seq.to_list() == []
-        with pytest.raises(IndexError):
-            seq.first()
-        with pytest.raises(IndexError):
-            seq.last()
         seq.insert_back(1)
         seq.clear()
         assert seq.to_list() == [] and 1 not in seq
