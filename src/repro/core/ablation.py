@@ -9,10 +9,10 @@ one vertex at a time, stepping over Case-2a vertices individually.
 
 Semantics are identical (same ``V*``, same repaired k-order — the shared
 Algorithm 3 implementation is reused verbatim); only the traversal
-strategy differs: the candidate heap is kept as a *live set* for the
-termination test but never used to jump.  The extra return value
-``scanned`` counts sequential steps, so ``scanned - visited`` is exactly
-the work the jump heap eliminates.
+strategy differs: the vertices the jump heap would hold are kept in a
+plain *live* dict for the termination test, never used to jump.  The
+extra return value ``scanned`` counts sequential steps, so
+``scanned - visited`` is exactly the work the jump heap eliminates.
 
 :class:`ScanningOrderedCoreMaintainer` is the ``order`` engine with this
 scan swapped in for its insertion runs; removals, ``mcd`` upkeep,
@@ -28,7 +28,6 @@ from repro.core.insertion import _SETTLED, _VC, _remove_candidates
 from repro.core.korder import KOrder
 from repro.core.maintainer import OrderedCoreMaintainer
 from repro.graphs.undirected import DynamicGraph
-from repro.structures.heaps import LazyMinHeap
 
 Vertex = Hashable
 
@@ -55,16 +54,19 @@ def order_insert_scan(
         return [], K, 0, 0, 0
 
     block = korder.block(K)
+    nodes = block.nodes
+    adj = graph.adj
     deg_plus = korder.deg_plus
-    # Same candidate bookkeeping as the jump version — but used only as a
+    # The vertices the jump version's heap would hold — used only as a
     # live set for termination, never to find the next vertex.
-    live = LazyMinHeap()
+    live: dict[Vertex, int] = {}
     deg_star: dict[Vertex, int] = {}
     status: dict[Vertex, int] = {}
     visit_seq: dict[Vertex, int] = {}
     vc_order: list[Vertex] = []
     visited = 0
     scanned = 0
+    queries = 0
 
     cursor: Optional[Vertex] = u
     while cursor is not None:
@@ -84,37 +86,39 @@ def order_insert_scan(
                 break
             continue
         visited += 1
-        live.discard(vtx)
-        key_v = block.order_key(vtx)
+        live.pop(vtx, None)
+        queries += 1
+        key_v = nodes[vtx].label
         if star + deg_plus[vtx] > K:
             status[vtx] = _VC
             visit_seq[vtx] = visited
             vc_order.append(vtx)
-            for w in graph.adj[vtx]:
-                if w in block and w not in status:
-                    key_w = block.order_key(w)
+            for w in adj[vtx]:
+                if core[w] == K and w not in status:
+                    queries += 1
+                    key_w = nodes[w].label
                     if key_w > key_v:
                         new_star = deg_star.get(w, 0) + 1
                         deg_star[w] = new_star
                         if new_star == 1:
-                            live.push(key_w, w)
+                            live[w] = key_w
         else:
             deg_plus[vtx] += deg_star.pop(vtx, 0)
             status[vtx] = _SETTLED
-            _remove_candidates(
-                graph, block, deg_plus, deg_star, status, visit_seq,
-                live, vtx, key_v, K,
+            queries += _remove_candidates(
+                adj, block, core, deg_plus, deg_star, status, visit_seq,
+                live, vtx, K,
             )
         if not live:
             break
+    block.stats.order_queries += queries
 
     v_star = [w for w in vc_order if status[w] == _VC]
     evicted = len(vc_order) - len(v_star)
     if v_star:
         for w in v_star:
             core[w] = K + 1
-            korder.remove(w)
-        korder.prepend_chain(K + 1, v_star)
+        korder.promote_chain(K, v_star)
     return v_star, K, visited, evicted, scanned
 
 

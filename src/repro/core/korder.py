@@ -20,7 +20,7 @@ engines' ``audit`` mode used heavily by the tests.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterator, Optional
 
 from repro.core.decomposition import KOrderDecomposition
 from repro.errors import InvariantViolationError
@@ -115,19 +115,32 @@ class KOrder:
         self.block(k).insert_back(vertex)
         self._k_of[vertex] = k
 
-    def prepend_chain(self, k: int, vertices: Iterable[Vertex]) -> None:
-        """Insert ``vertices`` at the *front* of ``O_k``, preserving their
-        given relative order — the ``OrderInsert`` ending-phase move.
+    def promote_chain(self, k: int, vertices: list[Vertex]) -> None:
+        """Move ``vertices``, all in ``O_k``, to the *front* of
+        ``O_{k+1}`` in their given order — the ``OrderInsert``
+        ending-phase move.
 
-        Materialized once so one-shot iterables work, then handed to the
-        block as a whole chain, which the OM list labels in one pass at
-        its prepend fast-path spacing: amortized O(1) per vertex, with
-        one whole-block spread per ~2^27 single-vertex prepends on a
-        30k-vertex block."""
-        chain = list(vertices)
-        self.block(k).extend_front(chain)
-        for vertex in chain:
-            self._k_of[vertex] = k
+        The block labels the chain in one pass at its prepend fast-path
+        spacing (amortized O(1) per vertex, with one whole-block spread
+        per ~2^27 single-vertex prepends on a 30k-vertex block), and each
+        vertex keeps its list node (:meth:`TaggedOrderList.move_front`)."""
+        source = self._blocks[k]
+        self.block(k + 1).move_front(source, vertices)
+        k_of = self._k_of
+        for vertex in vertices:
+            k_of[vertex] = k + 1
+        if not source.nodes:
+            del self._blocks[k]
+
+    def move_back(self, vertex: Vertex, k: int) -> None:
+        """Move ``vertex`` from its block to the end of ``O_k``, keeping
+        its list node — the ``OrderRemoval`` repair's move."""
+        old = self._k_of[vertex]
+        source = self._blocks[old]
+        self.block(k).move_back(source, vertex)
+        self._k_of[vertex] = k
+        if not source.nodes:
+            del self._blocks[old]
 
     def remove(self, vertex: Vertex) -> None:
         """Remove ``vertex`` from its block (``deg+`` entry kept)."""

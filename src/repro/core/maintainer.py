@@ -396,7 +396,7 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
         try:
             for u, v in edges:
                 for endpoint in (u, v):
-                    if not graph.has_vertex(endpoint):
+                    if endpoint not in graph.adj:
                         graph.add_vertex(endpoint)
                         self._register_vertex(endpoint)
                 v_star, k, visited, evicted = self._order_insert(

@@ -79,7 +79,13 @@ def detach_edge(
     """
     graph.remove_edge(u, v)  # validates before any index mutation
     cu, cv = core[u], core[v]
-    if cu < cv or (cu == cv and korder.precedes(u, v)):
+    if cu == cv:
+        korder.stats.order_queries += 1
+        nodes = korder.block(cu).nodes
+        earlier = nodes[u].label < nodes[v].label
+    else:
+        earlier = cu < cv
+    if earlier:
         korder.deg_plus[u] -= 1
     else:
         korder.deg_plus[v] -= 1
@@ -103,25 +109,31 @@ def _repair_level(
     Each mover's ``deg+`` is recomputed from its neighborhood (stayers
     plus later-disposed members, which land behind it); every
     still-core-``K`` neighbor that preceded the mover loses one ``deg+``
-    unit (the mover jumped from after it to before it).  Order tests go
-    through ``order_key`` tokens: O(1) label compares.
+    unit (the mover jumped from after it to before it).  Order tests
+    compare integer labels read from the block's node map; removals
+    never relabel, so labels read before a mover leaves stay valid.
     """
     remaining = set(disposed)
-    block = korder.block(K)
+    nodes = korder.block(K).nodes
+    adj = graph.adj
     deg_plus = korder.deg_plus
+    queries = 0
     for w in disposed:
         remaining.discard(w)
-        key_w = block.order_key(w)
+        key_w = nodes[w].label
+        queries += 1
         new_plus = 0
-        for z in graph.adj[w]:
+        for z in adj[w]:
             cz = core[z]
-            if cz == K and block.order_key(z) < key_w:
-                deg_plus[z] -= 1
+            if cz == K:
+                queries += 1
+                if nodes[z].label < key_w:
+                    deg_plus[z] -= 1
             if cz >= K or z in remaining:
                 new_plus += 1
         deg_plus[w] = new_plus
-        korder.remove(w)
-        korder.append(K - 1, w)
+        korder.move_back(w, K - 1)
+    korder.stats.order_queries += queries
 
 
 def demote_level(

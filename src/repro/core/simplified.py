@@ -141,8 +141,9 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
         graph, korder, core, mcd = (
             self._graph, self._korder, self._core, self._mcd
         )
+        adj = graph.adj
         for endpoint in (u, v):
-            if not graph.has_vertex(endpoint):
+            if endpoint not in adj:
                 graph.add_vertex(endpoint)
                 self._register_vertex(endpoint)
         cu, cv = core[u], core[v]
@@ -164,7 +165,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
             promoted = set(v_star)
             for w in v_star:
                 count = 0
-                for z in graph.adj[w]:
+                for z in adj[w]:
                     cz = core[z]
                     if cz > k:
                         count += 1

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Mapping, NamedTuple, Optional
 
 from repro.engine.batch import (
     INSERT,
@@ -75,8 +74,7 @@ Edge = tuple[Vertex, Vertex]
 REBUILD_FACTOR = 10
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+class UpdateResult(NamedTuple):
     """Outcome of one edge update.
 
     Attributes
@@ -104,7 +102,7 @@ class UpdateResult:
     kind: str
     edge: Edge
     k: int
-    changed: tuple = field(default=())
+    changed: tuple = ()
     visited: int = 0
     evicted: int = 0
 

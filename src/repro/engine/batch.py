@@ -416,9 +416,11 @@ def core_diff(old: dict, new: dict) -> dict[Vertex, int]:
 
 def net_changes(results: Sequence) -> dict[Vertex, int]:
     """Fold per-update results into net core deltas, dropping zeros."""
-    changed: dict[Vertex, int] = {}
-    for result in results:
-        merge_deltas(
-            changed, ((vertex, result.delta) for vertex in result.changed)
-        )
-    return changed
+    return merge_deltas(
+        {},
+        (
+            (vertex, result.delta)
+            for result in results
+            for vertex in result.changed
+        ),
+    )

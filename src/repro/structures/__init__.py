@@ -8,20 +8,16 @@ which are implemented here from scratch:
   labels, Bender-style relabeling) that answers "does ``u`` precede
   ``v``?" in ``O(1)``, instrumented through
   :class:`~repro.structures.sequence.SequenceStats`.
-* :class:`~repro.structures.heaps.LazyMinHeap` — the jump heap ``B`` used by
-  ``OrderInsert`` to skip over vertices that can be proven irrelevant.
 * :class:`~repro.structures.buckets.DegreeBuckets` — bucketed degree
   queues powering the staged peels (``CoreDecomp``) of the ``"large"``
   and ``"random"`` k-order generation heuristics.
 """
 
 from repro.structures.buckets import DegreeBuckets
-from repro.structures.heaps import LazyMinHeap
 from repro.structures.sequence import SequenceStats, TaggedOrderList
 
 __all__ = [
     "DegreeBuckets",
-    "LazyMinHeap",
     "SequenceStats",
     "TaggedOrderList",
 ]

@@ -21,12 +21,12 @@ The paper's speed argument rests on O(1) order tests inside a block
 * :class:`SequenceStats` — shared instrumentation: ``order_queries``
   (order tests answered) and ``relabels`` (OM relabeling events).
 
-:class:`repro.core.korder.KOrder` keeps one list per block.  Order keys
-are the list nodes themselves (see ``order_key``), comparing by their
-*current* label: a relabeling rewrites labels in place, so keys held by
-a pending min-heap keep comparing correctly — the relative order of any
-two stored items never changes while both stay stored, which is exactly
-the invariant ``OrderInsert``'s jump heap relies on.
+:class:`repro.core.korder.KOrder` keeps one list per block.  The engine's
+hot loops read labels straight from the node map (``nodes``), so an
+order test is one integer comparison in C.  A relabeling rewrites labels
+in place without reordering items, so a label read before it stays
+comparable only with labels read before it: a holder of labels re-reads
+them when ``relabels`` moved, as ``OrderInsert``'s jump heap does.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class SequenceStats:
     Attributes
     ----------
     order_queries:
-        Order tests answered: ``precedes`` calls plus ``order_key``
-        token grants.  (Comparisons *between* granted tokens are not
-        counted — token compares are plain integer/label comparisons.)
+        Order tests answered: ``precedes`` calls plus the labels the
+        insertion scan and the removal repair read from
+        :attr:`TaggedOrderList.nodes` (each charges one per label read).
     relabels:
         OM-list relabeling events (label-range redistributions).
     """
@@ -66,15 +66,7 @@ class SequenceStats:
 
 
 class _ListNode:
-    """One OM-list node: the item plus its integer order label.
-
-    Nodes double as the list's *live order keys* (what
-    :meth:`TaggedOrderList.order_key` returns): they compare by their
-    current label, and relabeling rewrites labels in place without
-    reordering items, so a node held as a heap key keeps comparing
-    correctly across relabelings.  Equality stays identity — one stored
-    item, one node — which is what lazy heaps use to recognize re-pushes.
-    """
+    """One OM-list node: the item plus its integer order label."""
 
     __slots__ = ("item", "label", "prev", "next")
 
@@ -83,18 +75,6 @@ class _ListNode:
         self.label = label
         self.prev: Optional[_ListNode] = None
         self.next: Optional[_ListNode] = None
-
-    def __lt__(self, other: "_ListNode") -> bool:
-        return self.label < other.label
-
-    def __le__(self, other: "_ListNode") -> bool:
-        return self.label <= other.label
-
-    def __gt__(self, other: "_ListNode") -> bool:
-        return self.label > other.label
-
-    def __ge__(self, other: "_ListNode") -> bool:
-        return self.label >= other.label
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_ListNode({self.item!r}, label={self.label})"
@@ -108,7 +88,7 @@ class TaggedOrderList:
     between.  ``precedes`` is one integer comparison; insertion bisects
     the neighboring label gap (with wide fast-path gaps for appends and
     prepends, which whole :meth:`extend_back` runs and
-    :meth:`extend_front` chains share) and, when a gap is exhausted,
+    :meth:`move_front` chains share) and, when a gap is exhausted,
     relabels the smallest enclosing label-aligned range whose density
     is below the level's threshold — Bender et al.'s simplified
     tag-management policy.
@@ -138,7 +118,12 @@ class TaggedOrderList:
         self._tail = _ListNode(None, self._SPAN)
         self._head.next = self._tail
         self._tail.prev = self._head
-        self._nodes: dict[Hashable, _ListNode] = {}
+        #: The item-to-node map (read-only): ``nodes[item].label`` is the
+        #: item's current label, so ``a`` precedes ``b`` iff
+        #: ``nodes[a].label < nodes[b].label``.  Hot loops fetch it once
+        #: and charge ``stats.order_queries`` for the labels they read; a
+        #: label is stale once ``stats.relabels`` moved or its item moved.
+        self.nodes: dict[Hashable, _ListNode] = {}
         self.extend_back(items)
 
     # ------------------------------------------------------------------
@@ -146,13 +131,13 @@ class TaggedOrderList:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def __bool__(self) -> bool:
-        return bool(self._nodes)
+        return bool(self.nodes)
 
     def __contains__(self, item: Hashable) -> bool:
-        return item in self._nodes
+        return item in self.nodes
 
     def __iter__(self) -> Iterator[Hashable]:
         node = self._head.next
@@ -175,13 +160,7 @@ class TaggedOrderList:
         """``True`` iff ``a`` appears strictly before ``b`` — one integer
         comparison, the O(1) query the paper's cost model assumes."""
         self.stats.order_queries += 1
-        return self._nodes[a].label < self._nodes[b].label
-
-    def order_key(self, item: Hashable) -> _ListNode:
-        """The item's node as a live comparable token — O(1) to produce
-        and to compare, and immune to relabeling (see :class:`_ListNode`)."""
-        self.stats.order_queries += 1
-        return self._nodes[item]
+        return self.nodes[a].label < self.nodes[b].label
 
     def rank(self, item: Hashable) -> int:
         """0-based position of ``item`` — O(position) list walk.
@@ -189,7 +168,7 @@ class TaggedOrderList:
         Diagnostic only (audits, tests); the engine hot paths never call
         it.  Raises :class:`KeyError` on absent items.
         """
-        target = self._nodes[item]
+        target = self.nodes[item]
         r = 0
         node = self._head.next
         while node is not target:
@@ -199,12 +178,12 @@ class TaggedOrderList:
 
     def successor(self, item: Hashable) -> Optional[Any]:
         """Item immediately after ``item``, or ``None`` if it is the last."""
-        node = self._nodes[item].next
+        node = self.nodes[item].next
         return None if node is self._tail else node.item
 
     def predecessor(self, item: Hashable) -> Optional[Any]:
         """Item immediately before ``item``, or ``None`` if it is the first."""
-        node = self._nodes[item].prev
+        node = self.nodes[item].prev
         return None if node is self._head else node.item
 
     # ------------------------------------------------------------------
@@ -224,7 +203,7 @@ class TaggedOrderList:
 
         Raises :class:`KeyError` if the anchor is absent.
         """
-        anchor = self._nodes[anchor_item]
+        anchor = self.nodes[anchor_item]
         self._insert_between(anchor, anchor.next, item)
 
     def extend_back(self, items: Iterable[Hashable]) -> None:
@@ -235,7 +214,7 @@ class TaggedOrderList:
         nothing, on an item already stored or repeated in ``items``."""
         run = list(items)
         self._check_new(run)
-        nodes, tail, gap = self._nodes, self._tail, self._GAP
+        nodes, tail, gap = self.nodes, self._tail, self._GAP
         prev = tail.prev
         label = prev.label
         room = (self._SPAN - 1 - label) // gap
@@ -250,11 +229,15 @@ class TaggedOrderList:
         for item in run[room:]:
             self.insert_back(item)
 
-    def extend_front(self, items: Iterable[Hashable]) -> None:
-        """Prepend several items so they appear in their given order.
+    def move_front(
+        self, source: "TaggedOrderList", items: Iterable[Hashable]
+    ) -> None:
+        """Move ``items`` out of ``source`` to the front of this list in
+        their given order — the ``OrderInsert`` ending-phase move.
 
-        ``extend_front([a, b, c])`` on sequence ``[x]`` yields
-        ``[a, b, c, x]`` — the ``OrderInsert`` ending-phase move.
+        ``move_front(source, [a, b, c])`` on sequence ``[x]`` yields
+        ``[a, b, c, x]``.  The items keep their nodes, so a change of
+        k-order block allocates nothing.
 
         The whole chain is labeled in one pass, directly below the
         current first node at the prepend fast path's spacing
@@ -266,58 +249,74 @@ class TaggedOrderList:
         the chain are the existing labels spread over the whole space
         once (one ``relabels`` event) before the chain lands.
 
-        Raises :class:`ValueError` on an item already stored (or twice
-        in the chain) and :class:`OverflowError` when the list would
-        hold more than ``_SPAN // 2`` items, the most a whole-list spread
-        leaves gaps of 2 between; neither error changes the list.
+        Raises :class:`ValueError` on an item already stored here (or
+        twice in the chain) and :class:`OverflowError` when the list
+        would hold more than ``_SPAN // 2`` items, the most a whole-list
+        spread leaves gaps of 2 between; neither error changes either
+        list.  Raises :class:`KeyError` on an item ``source`` does not
+        hold.
         """
         chain = list(items)
-        if not chain:
-            return
         self._check_new(chain)
-        if len(self._nodes) + len(chain) > self._SPAN // 2:
+        nodes = self.nodes
+        count = len(chain)
+        if len(nodes) + count > self._SPAN // 2:
             raise OverflowError(
-                f"order list full: {len(self._nodes)} + {len(chain)} items "
+                f"order list full: {len(nodes)} + {count} items "
                 f"exceed {self._SPAN // 2}"
             )
+        taken = list(map(source._take, chain))
         first = self._head.next
-        if first.label <= len(chain):
+        if first.label <= count:
             # Not enough label room in front: spread the existing labels
             # over the whole space once, instead of cascading per-item
             # relabels while the chain lands.
             self._spread()
-        step = min(self._GAP, first.label // (len(chain) + 1))
+        step = min(self._GAP, first.label // (count + 1))
+        prev = self._head
         if step < 1:
             # Even the spread front gap is shorter than the chain, i.e.
-            # (items + 1) * (chain + 1) exceeds the label space: insert
+            # (items + 1) * (chain + 1) exceeds the label space: place
             # one at a time and let the range relabeling make room.
-            self.insert_front(chain[0])
-            for previous, item in zip(chain, chain[1:]):
-                self.insert_after(previous, item)
+            for node in taken:
+                self._place(node, prev, prev.next)
+                nodes[node.item] = node
+                prev = node
             return
-        prev = self._head
-        label = first.label - (len(chain) + 1) * step
-        for item in chain:
+        label = first.label - (count + 1) * step
+        for node in taken:
             label += step
-            node = _ListNode(item, label)
-            self._nodes[item] = node
+            node.label = label
+            nodes[node.item] = node
             node.prev = prev
             prev.next = node
             prev = node
         prev.next = first
         first.prev = prev
 
+    def move_back(self, source: "TaggedOrderList", item: Hashable) -> None:
+        """Move ``item`` out of ``source`` to the back of this list,
+        labeled as :meth:`insert_back` labels it, reusing its node.
+
+        Raises :class:`ValueError` on an item already stored here and
+        :class:`KeyError` on one ``source`` does not hold, before either
+        list changes.
+        """
+        if item in self.nodes:
+            raise ValueError(f"item {item!r} already stored in sequence")
+        node = source._take(item)
+        tail = self._tail
+        self._place(node, tail.prev, tail)
+        self.nodes[item] = node
+
     def move_after(self, anchor_item: Hashable, item: Hashable) -> None:
         """Relocate ``item`` to immediately after ``anchor_item``.
 
-        Reuses ``item``'s node (and hence its identity as an
-        :meth:`order_key` token): the node's label always reflects its
-        *current* position, so tokens held elsewhere — e.g. stale lazy
-        heap entries — keep comparing by live position instead of going
-        stale, which a remove-then-reinsert (fresh node) would cause.
+        Reuses ``item``'s node: one unlink and one :meth:`_place`, with
+        no node allocated and no node-map update.
         """
-        node = self._nodes[item]
-        anchor = self._nodes[anchor_item]
+        node = self.nodes[item]
+        anchor = self.nodes[anchor_item]
         if anchor is node:
             raise ValueError(f"cannot move {item!r} after itself")
         node.prev.next = node.next
@@ -334,14 +333,12 @@ class TaggedOrderList:
 
         Raises :class:`KeyError` if absent.
         """
-        node = self._nodes.pop(item)
-        node.prev.next = node.next
-        node.next.prev = node.prev
+        node = self._take(item)
         node.prev = node.next = None
 
     def clear(self) -> None:
         """Remove every item."""
-        self._nodes.clear()
+        self.nodes.clear()
         self._head.next = self._tail
         self._tail.prev = self._head
 
@@ -351,22 +348,32 @@ class TaggedOrderList:
 
     def _check_new(self, run: list) -> None:
         """Raise :class:`ValueError` on an item stored or repeated in ``run``."""
-        if len(set(run)) == len(run) and self._nodes.keys().isdisjoint(run):
+        if len(run) == 1:
+            if run[0] not in self.nodes:
+                return
+        elif len(set(run)) == len(run) and self.nodes.keys().isdisjoint(run):
             return
         seen: set = set()
         for item in run:
-            if item in self._nodes or item in seen:
+            if item in self.nodes or item in seen:
                 raise ValueError(f"item {item!r} already stored in sequence")
             seen.add(item)
+
+    def _take(self, item: Hashable) -> _ListNode:
+        """Unlink ``item``'s node and drop it from the map; returns it."""
+        node = self.nodes.pop(item)
+        node.prev.next = node.next
+        node.next.prev = node.prev
+        return node
 
     def _insert_between(
         self, prev: _ListNode, nxt: _ListNode, item: Hashable
     ) -> None:
-        if item in self._nodes:
+        if item in self.nodes:
             raise ValueError(f"item {item!r} already stored in sequence")
         node = _ListNode(item, 0)
         self._place(node, prev, nxt)
-        self._nodes[item] = node
+        self.nodes[item] = node
 
     def _place(self, node: _ListNode, prev: _ListNode, nxt: _ListNode) -> None:
         """Label and link an (unlinked) node between ``prev`` and ``nxt``."""
@@ -439,7 +446,7 @@ class TaggedOrderList:
 
         One relabeling event (charged to ``stats.relabels``); leaves the
         front gap at ``_SPAN // (n + 1)``, which is what
-        :meth:`extend_front` relies on to reserve chain-sized room.
+        :meth:`move_front` relies on to reserve chain-sized room.
         Raises :class:`OverflowError`, changing nothing, when the spread
         would leave gaps below 2 — a pending insertion could not fit.
         """
@@ -482,9 +489,9 @@ class TaggedOrderList:
                 raise AssertionError(f"label out of range at {node.item!r}")
             if node.next.prev is not node or node.prev.next is not node:
                 raise AssertionError(f"broken links at {node.item!r}")
-            if self._nodes.get(node.item) is not node:
+            if self.nodes.get(node.item) is not node:
                 raise AssertionError(f"node map out of sync at {node.item!r}")
             label = node.label
             node = node.next
-        if count != len(self._nodes):
+        if count != len(self.nodes):
             raise AssertionError("node map out of sync with list")

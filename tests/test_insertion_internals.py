@@ -1,15 +1,23 @@
 """White-box tests of OrderInsert's internals: candidate evictions
 (Algorithm 3), Observation 6.1 repositioning, and the jump behaviour."""
 
+import heapq
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import cores_by_deletion
+from repro.core import insertion, korder as korder_module
+from repro.core.ablation import ScanningOrderedCoreMaintainer
 from repro.core.decomposition import korder_decomposition
 from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
 from repro.core.maintainer import OrderedCoreMaintainer
 from repro.graphs.undirected import DynamicGraph
+from repro.structures.sequence import TaggedOrderList
 
 
 def build_state(edges, vertices=()):
@@ -187,3 +195,80 @@ class TestConsistencyWithOracle:
             order_insert(graph, korder, core, *e)
             korder.audit(graph, core)
             assert core == core_numbers(graph)
+
+
+class NarrowOrderList(TaggedOrderList):
+    """A k-order block over a 2^12 label space with 1-wide append gaps:
+    every eviction's ``move_after`` relabels, in mid-scan."""
+
+    _SPAN = 1 << 12
+    _GAP = 1
+
+
+N_REKEY = 30
+PAIRS_REKEY = [(i, j) for i in range(N_REKEY) for j in range(i + 1, N_REKEY)]
+
+
+def shuffled_pairs(seed):
+    """``PAIRS_REKEY`` in a seeded random order."""
+    pairs = PAIRS_REKEY[:]
+    random.Random(seed).shuffle(pairs)
+    return pairs
+
+
+class TestRekeyOnRelabel:
+    def test_rekeyed_scan_matches_sequential_scan(self):
+        """On narrow blocks, where every eviction relabels in mid-scan,
+        the jump scan must keep returning what the sequential scan
+        (which walks successor links and so holds no label across an
+        eviction) returns, edge by edge, with cores equal to the
+        deletion oracle and the whole index audited after every insert.
+
+        A probe on the re-key's ``heapify`` records how many live
+        entries each re-key rebuilt; some re-key must have rebuilt at
+        least one, or the examples never relabeled under a pending
+        candidate.  The two explicit examples are streams where a
+        relabel lands while candidates are pending and a later order
+        test reads a stale label unless the scan re-keys."""
+        rekeyed = []
+
+        def counting_heapify(heap):
+            rekeyed.append(len(heap))
+            heapq.heapify(heap)
+
+        @given(
+            pairs=st.permutations(PAIRS_REKEY),
+            base=st.integers(30, 60),
+            inserts=st.integers(20, 80),
+        )
+        @example(pairs=shuffled_pairs(66), base=45, inserts=80)
+        @example(pairs=shuffled_pairs(77), base=45, inserts=80)
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(pairs, base, inserts):
+            live, stream = pairs[:base], pairs[base:base + inserts]
+            scan = ScanningOrderedCoreMaintainer(
+                DynamicGraph(live, vertices=range(N_REKEY))
+            )
+            with mock.patch.object(
+                korder_module, "TaggedOrderList", NarrowOrderList
+            ):
+                jump = OrderedCoreMaintainer(
+                    DynamicGraph(live, vertices=range(N_REKEY)), audit=True
+                )
+            for edge in stream:
+                with mock.patch.object(
+                    korder_module, "TaggedOrderList", NarrowOrderList
+                ), mock.patch.object(insertion, "heapify", counting_heapify):
+                    rj = jump.insert_edge(*edge)
+                rs = scan.insert_edge(*edge)
+                assert (rj.changed, rj.k, rj.visited, rj.evicted) == (
+                    rs.changed, rs.k, rs.visited, rs.evicted
+                )
+                assert jump.core_numbers() == cores_by_deletion(jump.graph)
+            assert all(
+                isinstance(block, NarrowOrderList)
+                for block in jump.korder._blocks.values()
+            )
+
+        check()
+        assert any(rekeyed), "no relabel landed under a pending candidate"

@@ -81,12 +81,38 @@ class TestUpdates:
         assert list(ko.iter_block(5)) == ["new"]
         assert ko.order()[-1] == "new"
 
-    def test_prepend_chain_preserves_relative_order(self, korder_and_graph):
-        ko, _, _ = korder_and_graph
-        old_block2 = list(ko.iter_block(2))
-        ko.remove(3)
-        ko.prepend_chain(2, [3])
-        assert list(ko.iter_block(2)) == [3] + old_block2
+    def test_promote_chain_preserves_relative_order(self):
+        ko = KOrder()
+        for v in "abcd":
+            ko.append(1, v)
+        ko.append(2, "x")
+        node_c = ko.block(1).nodes["c"]
+        ko.promote_chain(1, ["c", "a"])
+        assert list(ko.iter_block(2)) == ["c", "a", "x"]
+        assert list(ko.iter_block(1)) == ["b", "d"]
+        assert ko.k_of("c") == ko.k_of("a") == 2
+        assert ko.block(2).nodes["c"] is node_c  # the node moved along
+        ko.promote_chain(1, ["b", "d"])
+        assert 1 not in ko.block_sizes()
+        assert ko.order() == ["b", "d", "c", "a", "x"]
+        ko.block(2).check_invariants()
+
+    def test_move_back_appends_to_another_block(self):
+        ko = KOrder()
+        for v in "abc":
+            ko.append(2, v)
+        ko.append(1, "x")
+        node_b = ko.block(2).nodes["b"]
+        ko.move_back("b", 1)
+        assert list(ko.iter_block(1)) == ["x", "b"]
+        assert list(ko.iter_block(2)) == ["a", "c"]
+        assert ko.k_of("b") == 1 and ko.block(1).nodes["b"] is node_b
+        with pytest.raises(ValueError):
+            ko.move_back("b", 1)  # already in O_1
+        ko.move_back("a", 1)
+        ko.move_back("c", 1)
+        assert ko.block_sizes() == {1: 4}
+        ko.block(1).check_invariants()
 
     def test_remove_drops_empty_block(self, korder_and_graph):
         ko, _, _ = korder_and_graph

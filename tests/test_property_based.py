@@ -12,7 +12,6 @@ from repro.core.decomposition import (
 from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
 from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
-from repro.structures.heaps import LazyMinHeap
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -37,33 +36,6 @@ op_streams = st.lists(
     ).filter(lambda op: op[1] != op[2]),
     max_size=60,
 )
-
-
-# ----------------------------------------------------------------------
-# Lazy heap properties
-# ----------------------------------------------------------------------
-
-class TestHeapProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 50), st.integers(0, 20)), max_size=60
-        )
-    )
-    def test_pops_come_out_sorted(self, pushes):
-        heap = LazyMinHeap()
-        live = {}
-        for key, item in pushes:
-            if item not in live:
-                heap.push(key, item)
-                live[item] = key
-        popped = []
-        while True:
-            top = heap.pop()
-            if top is None:
-                break
-            popped.append(top[0])
-        assert popped == sorted(popped)
-        assert len(popped) == len(live)
 
 
 # ----------------------------------------------------------------------

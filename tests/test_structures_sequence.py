@@ -30,6 +30,12 @@ def labels(seq):
     return [node.label for node in seq._iter_nodes()]
 
 
+def prepend(seq, chain):
+    """Prepend ``chain`` to ``seq`` through ``move_front``, out of a
+    scratch list that holds each of its items once."""
+    seq.move_front(TaggedOrderList(dict.fromkeys(chain)), chain)
+
+
 def appended(seq, run, bulk):
     """Append ``run`` to ``seq`` in one ``extend_back`` call (``bulk``)
     or one ``insert_back`` per item; ``True`` when that overflowed."""
@@ -62,11 +68,37 @@ class TestSequenceBehavior:
         assert len(seq) == 4 and "c" in seq and "z" not in seq
         seq.check_invariants()
 
-    def test_extend_front_preserves_given_order(self, order_list):
+    def test_move_front_preserves_given_order(self, order_list):
         seq = order_list()
         seq.insert_back("x")
-        seq.extend_front(["a", "b", "c"])
+        source = TaggedOrderList(["c", "b", "a", "d"])
+        node_b = source.nodes["b"]
+        seq.move_front(source, ["a", "b", "c"])
         assert seq.to_list() == ["a", "b", "c", "x"]
+        assert source.to_list() == ["d"] and "b" not in source
+        assert seq.nodes["b"] is node_b  # the node moved along
+        with pytest.raises(KeyError):
+            seq.move_front(source, ["e"])
+        with pytest.raises(ValueError):
+            seq.move_front(source, ["d", "a"])  # "a" is stored here
+        assert source.to_list() == ["d"]
+        seq.check_invariants()
+        source.check_invariants()
+
+    def test_move_back_appends_out_of_another_list(self, order_list):
+        seq = order_list(["x"])
+        source = TaggedOrderList(["a", "b", "c"])
+        node_b = source.nodes["b"]
+        seq.move_back(source, "b")
+        assert seq.to_list() == ["x", "b"] and source.to_list() == ["a", "c"]
+        assert seq.nodes["b"] is node_b
+        with pytest.raises(ValueError):
+            seq.move_back(TaggedOrderList(["x"]), "x")
+        with pytest.raises(KeyError):
+            seq.move_back(source, "z")
+        assert source.to_list() == ["a", "c"]
+        seq.check_invariants()
+        source.check_invariants()
 
     def test_move_after(self, order_list):
         seq = order_list()
@@ -159,7 +191,7 @@ class TestSequenceBehavior:
         with pytest.raises(KeyError):
             seq.rank(2)
         with pytest.raises(KeyError):
-            seq.order_key(2)
+            seq.precedes(1, 2)
 
     def test_empty_sequence_edges(self, order_list):
         seq = order_list()
@@ -171,10 +203,10 @@ class TestSequenceBehavior:
         assert seq.to_list() == [2]
         seq.check_invariants()
 
-    def test_order_keys_compare_like_positions(self, order_list):
+    def test_labels_compare_like_positions(self, order_list):
         seq = order_list()
         seq.extend_back(range(20))
-        keys = {i: seq.order_key(i) for i in range(20)}
+        keys = {i: seq.nodes[i].label for i in range(20)}
         for a in range(20):
             for b in range(20):
                 assert (keys[a] < keys[b]) == (a < b)
@@ -186,7 +218,7 @@ class TestSequenceBehavior:
         seq.extend_back(range(5))
         before = stats.order_queries
         seq.precedes(0, 4)
-        seq.order_key(2)
+        seq.precedes(4, 0)
         assert stats.order_queries == before + 2
 
     @given(ops=st.lists(
@@ -232,10 +264,10 @@ class TestSequenceBehavior:
                 next_item += len(chain)
                 if len(ref) + len(chain) > room:
                     with pytest.raises(OverflowError):
-                        seq.extend_front(chain)
+                        prepend(seq, chain)
                     assert seq.to_list() == ref
                 else:
-                    seq.extend_front(chain)
+                    prepend(seq, chain)
                     ref[:0] = chain
             elif kind == 0 or not ref:  # insert at a position
                 next_item += 1
@@ -287,7 +319,7 @@ class TestTaggedOrderList:
         assert seq.to_list() == expected
         seq.check_invariants()
 
-    def test_extend_front_preallocates_labels(self):
+    def test_move_front_preallocates_labels(self):
         """A whole chain prepended at once is labeled in one pass below
         the first node instead of bisecting the same gap per item — no
         relabel storm on a roomy front."""
@@ -295,7 +327,7 @@ class TestTaggedOrderList:
         seq = TaggedOrderList(stats=stats)
         seq.extend_back(range(100))
         chain = [1000 + i for i in range(5000)]
-        seq.extend_front(chain)
+        prepend(seq, chain)
         assert stats.relabels == 0
         assert seq.to_list() == chain + list(range(100))
         seq.check_invariants()
@@ -314,11 +346,11 @@ class TestTaggedOrderList:
         assert storm.to_list() == seq.to_list()
         assert storm_stats.relabels > 0
 
-    def test_extend_front_on_empty_and_tight_front(self):
+    def test_move_front_on_empty_and_tight_front(self):
         """Chains land correctly on an empty list and when the front gap
         is smaller than the chain (one spread, then the chain)."""
         seq = TaggedOrderList()
-        seq.extend_front("abc")
+        prepend(seq, "abc")
         assert seq.to_list() == list("abc")
         seq.check_invariants()
         # Exhaust the front label space so the chain cannot fit.
@@ -330,14 +362,14 @@ class TestTaggedOrderList:
         front = list(tight)
         chain = [-1, -2, -3, *range(100000, 103000)]
         before = stats.relabels
-        tight.extend_front(chain)
+        prepend(tight, chain)
         assert stats.relabels <= before + 1
         assert tight.to_list() == chain + front
         tight.check_invariants()
         with pytest.raises(ValueError):
-            tight.extend_front([-1])
+            prepend(tight, [-1])
         with pytest.raises(ValueError):
-            tight.extend_front(["x", "x"])
+            prepend(tight, ["x", "x"])
 
     def test_front_storm(self):
         """Prepend hammering exhausts the leading gap the same way."""
@@ -350,39 +382,43 @@ class TestTaggedOrderList:
         assert stats.relabels > 0
         seq.check_invariants()
 
-    def test_order_keys_stay_live_across_relabels(self):
-        """Keys granted before a relabel storm must still compare
-        correctly after it — the OrderInsert heap's invariant."""
+    def test_relabels_keep_order_and_move_labels(self):
+        """A relabel storm rewrites labels but never reorders items: labels
+        read after it compare like positions, while labels read before it
+        may not — why OrderInsert re-keys its heap when ``relabels``
+        moves."""
         seq = TaggedOrderList()
         seq.extend_back(range(100))
-        keys = {i: seq.order_key(i) for i in range(0, 100, 7)}
+        held = range(0, 100, 7)
+        before = {i: seq.nodes[i].label for i in held}
         relabels_before = seq.stats.relabels
         for i in range(1500):
             seq.insert_after(50, 1000 + i)  # storm between 50 and 51
         assert seq.stats.relabels > relabels_before
-        held = sorted(keys)
+        after = {i: seq.nodes[i].label for i in held}
+        assert after != before
         for a in held:
             for b in held:
-                assert (keys[a] < keys[b]) == (a < b)
+                assert (after[a] < after[b]) == (a < b)
 
-    def test_move_after_keeps_tokens_live(self):
-        """The OrderInsert stale-heap-entry hazard: a token granted
-        before the item is repositioned (and before relabel storms) must
-        keep comparing by the item's *current* position.  move_after
-        reuses the node, so the old token never freezes."""
+    def test_move_after_reuses_the_node(self):
+        """move_after relinks the item's own node: the node map keeps the
+        same node, whose label follows the item's new position through
+        later relabel storms."""
         seq = TaggedOrderList()
         seq.extend_back(range(50))
-        token_30 = seq.order_key(30)
-        token_10 = seq.order_key(10)
+        node_30 = seq.nodes[30]
         seq.move_after(5, 30)  # 30 now sits between 5 and 6
-        assert token_30 < token_10  # ...so it precedes 10 per its token
+        assert seq.nodes[30] is node_30
+        assert seq.precedes(30, 10) and seq.precedes(5, 30)
         relabels_before = seq.stats.relabels
         for i in range(1500):
             seq.insert_after(5, 1000 + i)  # storm right around 30's gap
         assert seq.stats.relabels > relabels_before
-        assert token_30 < token_10
-        assert (token_30 < seq.order_key(5)) is False
+        assert seq.nodes[30] is node_30
+        assert seq.nodes[5].label < node_30.label < seq.nodes[10].label
         assert seq.to_list().index(30) == seq.to_list().index(5) + 1501
+        seq.check_invariants()
 
     def test_labels_strictly_increasing_under_random_churn(self):
         rng = random.Random(9)
@@ -430,7 +466,7 @@ class TestTaggedOrderList:
         seq = RewriteCounting()
         seq.extend_back(range(30_000))
         for item in range(30_000, 40_000):
-            seq.extend_front([item])
+            prepend(seq, [item])
         assert seq.stats.relabels <= 2
         assert seq.rewrites <= 2 * 40_000
         assert seq.to_list() == list(range(39_999, 29_999, -1)) + list(
@@ -465,11 +501,11 @@ class TestTaggedOrderList:
 
         small = NarrowOrderList(range(10))
         with pytest.raises(OverflowError):
-            small.extend_front(range(100, 100 + room - 9))
+            prepend(small, range(100, 100 + room - 9))
         assert small.to_list() == list(range(10))
         small.check_invariants()
         chain = list(range(100, 100 + room - 10))  # exactly fills it
-        small.extend_front(chain)
+        prepend(small, chain)
         assert small.to_list() == chain + list(range(10))
         small.check_invariants()
 
