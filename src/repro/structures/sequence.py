@@ -265,7 +265,11 @@ class TaggedOrderList:
                 f"order list full: {len(nodes)} + {count} items "
                 f"exceed {self._SPAN // 2}"
             )
-        taken = list(map(source._take, chain))
+        # Look every node up before unlinking any, so a KeyError leaves
+        # ``source`` as it was.
+        taken = list(map(source.nodes.__getitem__, chain))
+        for item in chain:
+            source._take(item)
         first = self._head.next
         if first.label <= count:
             # Not enough label room in front: spread the existing labels

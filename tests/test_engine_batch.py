@@ -20,10 +20,12 @@ from repro.engine import (
     Batch,
     BatchResult,
     CoreMaintainer,
+    UpdateResult,
     available_engines,
     make_engine,
     normalize_edge,
 )
+from repro.engine.batch import net_changes
 from repro.errors import BatchError, SelfLoopError
 from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
@@ -380,3 +382,39 @@ class TestBatchResult:
         assert result.counters == {"rebuilds": 1}
         trav = make_engine("trav-2", graph.copy())
         assert trav.maintain_batch(Batch.inserts(edges)).counters == {}
+
+
+class TestUpdateResult:
+    def test_fields_and_defaults(self):
+        result = UpdateResult("insert", (1, 2), 3)
+        assert result._fields == (
+            "kind", "edge", "k", "changed", "visited", "evicted"
+        )
+        assert result == ("insert", (1, 2), 3, (), 0, 0)
+        engine = make_engine("order", DynamicGraph([(0, 1), (1, 2)]))
+        step = engine.insert_edge(0, 2)
+        assert isinstance(step, UpdateResult)
+        assert (step.kind, step.k, set(step.changed)) == (
+            "insert", 1, {0, 1, 2}
+        )
+
+    def test_delta_follows_kind(self):
+        assert UpdateResult("insert", (0, 1), 0).delta == 1
+        assert UpdateResult("remove", (0, 1), 1).delta == -1
+
+    def test_results_are_immutable(self):
+        result = UpdateResult("remove", (0, 1), 2, (0,), 4)
+        with pytest.raises(AttributeError):
+            result.visited = 5
+        assert result._replace(visited=5).visited == 5
+        assert result.visited == 4
+
+    def test_net_changes_folds_results_and_drops_zeros(self):
+        results = [
+            UpdateResult("insert", (1, 2), 1, (1, 2)),
+            UpdateResult("remove", (1, 2), 2, (1,)),
+            UpdateResult("insert", (3, 4), 1, (3,)),
+            UpdateResult("insert", (3, 5), 2, (3,)),
+        ]
+        assert net_changes(results) == {2: 1, 3: 2}
+        assert net_changes([]) == {}

@@ -272,3 +272,55 @@ class TestRekeyOnRelabel:
 
         check()
         assert any(rekeyed), "no relabel landed under a pending candidate"
+
+
+class TestRemoveCandidates:
+    """Algorithm 3 (``_remove_candidates``) driven on hand-built scan
+    states: block ``O_1``, the cursor ``s`` just settled."""
+
+    def test_evictee_settles_behind_cursor_and_unvisited_leaves_live(self):
+        """``c`` loses its only spare ``deg+`` unit to the settled cursor
+        and is evicted right behind it; the unvisited ``w`` it granted
+        ``deg*`` to drops to 0 and leaves the live map.  ``x`` sits in
+        another block and is never read."""
+        block = TaggedOrderList(["c", "s", "w"])
+        adj = {"s": {"c"}, "c": {"s", "w", "x"}, "w": {"c"}, "x": {"c"}}
+        core = {"c": 1, "s": 1, "w": 1, "x": 2}
+        deg_plus = {"c": 2, "s": 0, "w": 0}
+        deg_star = {"w": 1}
+        status = {"c": insertion._VC, "s": insertion._SETTLED}
+        live = {"w": block.nodes["w"].label}
+        reads = insertion._remove_candidates(
+            adj, block, core, deg_plus, deg_star, status, {"c": 1},
+            live, "s", 1,
+        )
+        assert reads == 1  # w's label; x is not in O_1
+        assert block.to_list() == ["s", "c", "w"]
+        assert status["c"] == insertion._SETTLED
+        assert deg_plus["c"] == 1
+        assert deg_star["w"] == 0 and live == {}
+
+    def test_evictions_cascade_behind_the_cursor_in_queue_order(self):
+        """Evicting ``c1`` takes back the ``deg*`` unit it granted ``c2``
+        (visited later), which evicts ``c2`` too; each evictee lands right
+        behind the previous one and absorbs what ``deg*`` it has left."""
+        block = TaggedOrderList(["c1", "c2", "s"])
+        adj = {"s": {"c1"}, "c1": {"s", "c2"}, "c2": {"c1"}}
+        core = dict.fromkeys(adj, 1)
+        deg_plus = {"c1": 1, "c2": 1, "s": 0}
+        deg_star = {"c2": 1}
+        status = {
+            "c1": insertion._VC, "c2": insertion._VC,
+            "s": insertion._SETTLED,
+        }
+        live = {}
+        reads = insertion._remove_candidates(
+            adj, block, core, deg_plus, deg_star, status,
+            {"c1": 1, "c2": 2}, live, "s", 1,
+        )
+        assert reads == 0  # no unvisited neighbor
+        assert block.to_list() == ["s", "c1", "c2"]
+        assert status["c1"] == status["c2"] == insertion._SETTLED
+        assert deg_plus == {"c1": 0, "c2": 1, "s": 0}
+        assert "c2" not in deg_star and live == {}
+        block.check_invariants()

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on the core data structures and the
 maintenance invariants."""
 
+import heapq
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from repro.core.decomposition import (
 from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
 from repro.graphs.undirected import DynamicGraph
 from repro.naive.maintainer import NaiveCoreMaintainer
+from repro.structures.sequence import TaggedOrderList
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -36,6 +39,72 @@ op_streams = st.lists(
     ).filter(lambda op: op[1] != op[2]),
     max_size=60,
 )
+
+
+# ----------------------------------------------------------------------
+# Jump-heap discipline (a heapq of (label, item) pairs plus a live map)
+# ----------------------------------------------------------------------
+
+class _NarrowOrderList(TaggedOrderList):
+    """A 2^12 label space with 1-wide append gaps: inserts relabel."""
+
+    _SPAN = 1 << 12
+    _GAP = 1
+
+
+class TestLabelHeapProperties:
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(), st.integers(0, 20), st.integers(0, 50)
+            ),
+            max_size=80,
+        )
+    )
+    def test_live_map_pops_each_live_item_once_in_key_order(self, ops):
+        """Pushing again or discarding (dropping from the live map)
+        leaves stale pairs in the heap; the scan's pop loop skips them,
+        so each live item comes out once, at its current key, in key
+        order."""
+        heap, live = [], {}
+        for push, item, key in ops:
+            if push:
+                live[item] = key
+                heapq.heappush(heap, (key, item))
+            else:
+                live.pop(item, None)
+        expected = sorted((key, item) for item, key in live.items())
+        popped = []
+        while heap:
+            key, item = heapq.heappop(heap)
+            if live.get(item) != key:
+                continue
+            del live[item]
+            popped.append((key, item))
+        assert popped == expected
+
+    @given(
+        held=st.sets(st.integers(0, 99), max_size=40),
+        at=st.integers(0, 99),
+        storm=st.integers(1, 600),
+    )
+    @settings(deadline=None)
+    def test_rekeyed_heap_pops_in_list_order_after_relabels(
+        self, held, at, storm
+    ):
+        """Labels held across relabels go stale; re-reading them from the
+        node map and heapifying once restores list order, as the
+        insertion scan does when ``relabels`` moves."""
+        seq = _NarrowOrderList(range(100))
+        live = {w: seq.nodes[w].label for w in held}
+        for i in range(storm):
+            seq.insert_after(at, 1000 + i)
+        live = {w: seq.nodes[w].label for w in live}
+        heap = [(key, w) for w, key in live.items()]
+        heapq.heapify(heap)
+        popped = [heapq.heappop(heap)[1] for _ in range(len(heap))]
+        assert popped == [w for w in seq.to_list() if w in held]
+        seq.check_invariants()
 
 
 # ----------------------------------------------------------------------

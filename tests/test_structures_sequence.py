@@ -7,6 +7,7 @@ Bender relabeling.  The behavior suite runs twice: over the real label
 space and over a narrow one where nearly every insert relabels.
 """
 
+import heapq
 import random
 
 import pytest
@@ -99,6 +100,87 @@ class TestSequenceBehavior:
         assert source.to_list() == ["a", "c"]
         seq.check_invariants()
         source.check_invariants()
+
+    def test_move_front_missing_item_changes_neither_list(self, order_list):
+        """A chain naming an item ``source`` does not hold raises
+        ``KeyError`` before any item of the chain leaves ``source``."""
+        seq = order_list(["x"])
+        source = TaggedOrderList(["a", "b", "c"])
+        with pytest.raises(KeyError):
+            seq.move_front(source, ["a", "b", "z"])
+        assert source.to_list() == ["a", "b", "c"] and len(source) == 3
+        assert seq.to_list() == ["x"]
+        seq.move_front(source, ["b", "a"])
+        assert seq.to_list() == ["b", "a", "x"] and source.to_list() == ["c"]
+        seq.check_invariants()
+        source.check_invariants()
+
+    def test_move_front_rejects_stored_and_repeated_items(self, order_list):
+        """One-item and longer chains alike: an item stored here or
+        repeated in the chain raises ``ValueError``, changing neither
+        list."""
+        seq = order_list(["a", "b"])
+        source = TaggedOrderList(["a", "n", "m"])
+        before = labels(seq)
+        for chain in (["a"], ["n", "n"], ["n", "b"], ["m", "n", "m"]):
+            with pytest.raises(ValueError):
+                seq.move_front(source, chain)
+            assert labels(seq) == before and seq.to_list() == ["a", "b"]
+            assert source.to_list() == ["a", "n", "m"]
+        seq.move_front(source, ["m"])
+        assert seq.to_list() == ["m", "a", "b"]
+        seq.check_invariants()
+        source.check_invariants()
+
+    def test_move_front_of_an_empty_chain_changes_nothing(self, order_list):
+        for stored in ([], ["x", "y"]):
+            seq = order_list(stored)
+            before = labels(seq)
+            seq.move_front(TaggedOrderList(["a"]), [])
+            assert seq.to_list() == stored and labels(seq) == before
+            seq.check_invariants()
+
+    def test_move_back_labels_like_insert_back(self, order_list):
+        """Nodes moved in from another list get the labels, and cause the
+        relabels, that ``insert_back`` gives fresh items."""
+        moved, fresh = order_list(), order_list()
+        source = TaggedOrderList(range(40))
+        for item in range(40):
+            moved.move_back(source, item)
+            fresh.insert_back(item)
+        assert labels(moved) == labels(fresh)
+        assert moved.stats.relabels == fresh.stats.relabels
+        assert not source and moved.to_list() == list(range(40))
+        moved.check_invariants()
+
+    @given(ops=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 10**6)), max_size=80
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_label_heap_pops_in_list_order(self, order_list, ops):
+        """``(label, item)`` pairs read from the node map pop off a heap in
+        list order after any mix of updates — the order OrderInsert's
+        jump heap visits a block in."""
+        seq = order_list()
+        next_item = 0
+        for kind, pick in ops:
+            items = seq.to_list()
+            if kind == 0 or not items:
+                seq.insert_front(next_item)
+                next_item += 1
+            elif kind == 1:
+                seq.insert_after(items[pick % len(items)], next_item)
+                next_item += 1
+            elif kind == 2 and len(items) > 1:
+                at = pick % len(items)
+                step = 1 + pick // 7 % (len(items) - 1)  # never the anchor
+                seq.move_after(items[at], items[(at + step) % len(items)])
+            else:
+                seq.remove(items[pick % len(items)])
+        heap = [(node.label, item) for item, node in seq.nodes.items()]
+        heapq.heapify(heap)
+        popped = [heapq.heappop(heap)[1] for _ in range(len(heap))]
+        assert popped == seq.to_list()
 
     def test_move_after(self, order_list):
         seq = order_list()
