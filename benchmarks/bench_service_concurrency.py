@@ -18,7 +18,7 @@ loopback TCP with the real protocol (framed JSONL, tokens, deadlines):
   every subscriber must see every event (bounded buffers sized to fit),
   and the delivered-events/sec rate is recorded.
 * ``degraded_reads`` — reads answered healthy (primary) vs degraded
-  (last-good map after a poisoned commit), recording both rates; the
+  (last-good state after a poisoned commit), recording both rates; the
   degraded path must answer every query.
 
 Artifact: ``BENCH_service_concurrency.json`` (set
@@ -288,7 +288,7 @@ def bench_event_fanout(benchmark):
 
 
 def bench_degraded_reads_vs_healthy(benchmark):
-    """Query rate healthy (primary) vs degraded (last-good map)."""
+    """Query rate healthy (primary) vs degraded (last-good state)."""
     n_queries = max(50, COMMITS)
 
     async def scenario():

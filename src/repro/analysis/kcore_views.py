@@ -7,13 +7,13 @@ this module, so reads never reach into maintainer internals.
 
 The aggregate reads :func:`top_cores`, :func:`core_spectrum` and
 :func:`degeneracy` take either a plain core mapping, which they scan, or
-a :class:`CoreIndex` over a live mapping, which answers them as lookups:
-the paper maintains core numbers so that a read never recomputes the
-decomposition, and the index does the same for the reads.  The service,
-the serving front's last-good map and every read replica each keep one,
-fed each commit's net deltas.  The scan over a plain mapping is the
-oracle the index is tested against.  :class:`KCoreView` (``kcore``)
-stays a live scan.
+a :class:`CoreIndex`, which answers them as lookups: the paper maintains
+core numbers so that a read never recomputes the decomposition, and the
+index does the same for the reads.  An index owns a copy of the core
+map and takes each acked commit through :meth:`CoreIndex.fold`, so no
+read touches an engine; the service and every read replica each keep
+one.  The scan over a plain mapping is the oracle the index is tested
+against.  :class:`KCoreView` (``kcore``) stays a live scan.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from typing import Hashable, Iterator, Mapping, Optional, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from repro.engine.batch import vertex_sort_key
+from repro.engine.batch import BatchOp, vertex_sort_key
 from repro.graphs.undirected import DynamicGraph
 
 Vertex = Hashable
@@ -32,8 +32,8 @@ Vertex = Hashable
 class KCoreView:
     """A lazy, *live* membership view of one ``k``-core.
 
-    Wraps a core-number mapping (typically an engine's read-only ``core``
-    accessor) without copying it: membership tests are O(1) lookups,
+    Wraps a core-number mapping (typically a :class:`CoreIndex`'s
+    ``core``) without copying it: membership tests are O(1) lookups,
     iteration and ``len`` scan on demand, and the view always reflects
     the mapping's **current** state — commit an update and the same view
     answers for the new cores.  Call :meth:`vertices` to pin a frozen
@@ -95,11 +95,11 @@ COMPACT_SLACK = 8
 
 
 class CoreIndex:
-    """A read index over a live core mapping: per-level counts and tie order.
+    """A read index that owns a core map: per-level counts and tie order.
 
-    The owner keeps ``core`` current and, after each commit, passes the
-    commit's net deltas to :meth:`apply` (the mapping already holding
-    the new values).  From those the index keeps
+    The constructor copies the mapping it is given; after that the map
+    moves only through :meth:`fold`, which takes one acked commit's
+    batch and net deltas.  From those the index keeps
 
     * a count per level ``k >= 1``, so :func:`core_spectrum` and
       :func:`degeneracy` cost O(levels).  The level-0 count is
@@ -114,23 +114,20 @@ class CoreIndex:
       entries as its level has vertices and is compacted.
 
     Both are built on the first read that needs them, so a commit
-    stream that never reads pays only the :meth:`apply` calls, which do
-    nothing while unbuilt.  :meth:`reset` drops them, for when the
-    mapping changed without deltas (a commit that failed half-way).
+    stream that never reads pays only the map updates in :meth:`fold`.
 
     Reach the answers through :func:`top_cores`, :func:`core_spectrum`
     and :func:`degeneracy`, which dispatch here:
 
-    >>> core = {"a": 2, "b": 2, "c": 1, "d": 0}
-    >>> index = CoreIndex(core)
+    >>> from repro.engine.batch import Batch
+    >>> index = CoreIndex({"a": 2, "b": 2, "c": 1, "d": 0})
     >>> top_cores(index, 3)
     [('a', 2), ('b', 2), ('c', 1)]
-    >>> core["c"] = 3
-    >>> index.apply({"c": 2})
+    >>> index.fold(Batch().insert("c", "e"), {"c": 2})
     >>> top_cores(index, 2), degeneracy(index)
     ([('c', 3), ('a', 2)], 3)
     >>> core_spectrum(index)
-    {0: 1, 2: 2, 3: 1}
+    {0: 2, 2: 2, 3: 1}
 
     Ties between distinct vertices with the same type name and ``repr``
     fall to the order the index saw them in, where the scan keeps the
@@ -140,30 +137,36 @@ class CoreIndex:
     __slots__ = ("core", "_counts", "_heaps", "_tiebreak")
 
     def __init__(self, core: Mapping[Vertex, int]) -> None:
-        #: The live mapping the index answers for.
-        self.core = core
+        #: The index's own core map; read it, move it through :meth:`fold`.
+        self.core: dict[Vertex, int] = dict(core)
         self._tiebreak = itertools.count()
-        self.reset()
-
-    def reset(self) -> None:
-        """Drop the built counts and heaps; the next read rebuilds them."""
         self._counts: Optional[dict[int, int]] = None
         self._heaps: dict[int, list] = {}
 
-    def apply(self, changed: Mapping[Vertex, int]) -> None:
-        """Fold one commit's net ``vertex -> delta`` changes.
+    def fold(self, batch: Iterable[BatchOp],
+             deltas: Mapping[Vertex, int]) -> None:
+        """Bring the index up to one acked commit of ``batch``.
 
-        Call after ``core`` holds the post-commit values.  Only levels
-        already built are touched; a level that was empty starts a heap
-        of its arrivals, since they are all of its members.
+        The batch's endpoints enter the map at core 0 — an edge inserted
+        and removed in one batch moves no core, yet leaves both vertices
+        in the graph — then the commit's net ``vertex -> delta`` changes
+        fold into the map.  Only levels already built are touched; a
+        level that was empty starts a heap of its arrivals, since they
+        are all of its members.
         """
-        counts = self._counts
-        if counts is None:
-            return
-        core, heaps = self.core, self._heaps
-        for vertex, delta in changed.items():
-            new = core[vertex]
-            old = new - delta
+        core = self.core
+        for op in batch:
+            u, v = op.edge
+            if u not in core:
+                core[u] = 0
+            if v not in core:
+                core[v] = 0
+        counts, heaps = self._counts, self._heaps
+        for vertex, delta in deltas.items():
+            old = core[vertex]
+            new = core[vertex] = old + delta
+            if counts is None:
+                continue
             if old:
                 left = counts[old] - 1
                 if left:

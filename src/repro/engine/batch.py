@@ -181,10 +181,6 @@ class Batch:
         """
         return self._n_inserts, len(self._ops) - self._n_inserts
 
-    def edges(self, kind: str) -> list[Edge]:
-        """The edges of every op of ``kind``, in batch order."""
-        return [op.edge for op in self._ops if op.kind == kind]
-
     def check_applicable(self, graph) -> None:
         """Raise :class:`~repro.errors.BatchError` unless every op is
         valid when the batch is replayed in op order against ``graph``.
@@ -236,16 +232,6 @@ class Batch:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def conflicting_edges(self) -> set[Edge]:
-        """Edges that appear with *both* kinds (must keep relative order)."""
-        seen: dict[Edge, str] = {}
-        conflicts: set[Edge] = set()
-        for op in self._ops:
-            prior = seen.setdefault(op.edge, op.kind)
-            if prior != op.kind:
-                conflicts.add(op.edge)
-        return conflicts
-
     def runs(self) -> list[tuple[str, list[Edge]]]:
         """Maximal same-kind runs, the unit engines coalesce repair over.
 
@@ -269,10 +255,14 @@ class Batch:
         """
         if not self._ops:
             return []
-        if not self.conflicting_edges():
+        # Exact duplicates never enter ``_ops``, so an edge appears twice
+        # exactly when it appears with both kinds.
+        if len(self._last_kind) == len(self._ops):
             runs = []
-            inserts = self.edges(INSERT)
-            removes = self.edges(REMOVE)
+            inserts: list[Edge] = []
+            removes: list[Edge] = []
+            for op in self._ops:
+                (inserts if op.kind == INSERT else removes).append(op.edge)
             if removes:
                 runs.append((REMOVE, removes))
             if inserts:

@@ -1,13 +1,12 @@
 """Read replicas fed by incremental write-ahead-log tailing.
 
 A :class:`LogReplica` maintains its *own* engine from a durable
-session's commit log (:mod:`repro.service.wal`), so reads can be
-answered from its :attr:`~LogReplica.engine`'s core map without ever
-touching the primary's write path — the serving front answers
-``replica=true`` queries with :func:`repro.service.server.answer` over
-the replica's :attr:`~LogReplica.index`, the same read dispatcher the
-primary uses.  The index is fed each tailed record's net deltas and
-replaced with the engine on every rebuild.
+session's commit log (:mod:`repro.service.wal`), so reads never touch
+the primary's write path — the serving front answers ``replica=true``
+queries with :func:`repro.service.server.answer` over the replica's
+:attr:`~LogReplica.index`, the same read dispatcher the session uses.
+The index owns a copy of the engine's core map, folds in each tailed
+record, and is replaced with the engine on every rebuild.
 
 It catches up the way recovery does: on first attach, and again when it
 notices the log rotated under it (the header changed or the file
@@ -125,7 +124,7 @@ class LogReplica:
             return applied
 
     def _apply(self, batch: Batch) -> None:
-        self._index.apply(self._engine.apply_batch(batch).changed)
+        self._index.fold(batch, self._engine.apply_batch(batch).changed)
 
     def read(self, reader: Callable[[CoreIndex], object]) -> tuple:
         """``(reader(index), receipt)``, taken while no refresh runs, so
@@ -153,7 +152,7 @@ class LogReplica:
 
     @property
     def index(self) -> CoreIndex:
-        """The read index over the replica engine's core map."""
+        """The read index over the replica's core map."""
         return self._index
 
     @property

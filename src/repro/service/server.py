@@ -36,9 +36,9 @@ out of the recovered log.
 
 **Degraded-mode reads.**  While degraded or recovering, the session
 keeps answering ``core`` / ``top`` / ``spectrum`` / ``cores`` /
-``kcore`` from its *last-good* core map (maintained incrementally from
-commit receipts — each commit's endpoints enter it at core 0, then its
-net deltas fold in — never read from the poisoned engine), tagged
+``kcore`` from the crashed service's read index, which folds in a
+commit only once the engine acks it and so holds exactly the last-good
+state — the poisoned engine is never read.  Those replies are tagged
 ``"source": "last_good"`` so clients know what they got.
 
 **Read replicas.**  Queries with ``replica=true`` are answered by a
@@ -48,12 +48,12 @@ the read run in worker threads, each under the replica's lock, so
 concurrent replica reads never apply a record twice or read a
 half-applied one.
 
-Primary, last-good and replica reads differ only in the read index they
-read: each source keeps a
-:class:`~repro.analysis.kcore_views.CoreIndex` over its core map, fed
-the same net deltas, so ``top``, ``spectrum`` and ``degeneracy`` are
-lookups everywhere.  :func:`answer` is the one dispatcher for all
-three, and a malformed read (unknown op, missing or non-integer
+Session and replica reads differ only in the read index they read:
+the session's service and each replica keep a
+:class:`~repro.analysis.kcore_views.CoreIndex` that owns its core map
+and folds in each commit, so ``top``, ``spectrum`` and ``degeneracy``
+are lookups everywhere.  :func:`answer` is the one dispatcher for all
+of them, and a malformed read (unknown op, missing or non-integer
 parameter) is a ``BadRequest`` whichever source it targets.  So is a
 malformed request envelope: ``params`` that is not an object, an
 invalid session name, or a commit ``token`` that is not a string.
@@ -287,10 +287,6 @@ class TenantSession:
         #: retry that arrives before the original resolves attaches to
         #: this future instead of enqueuing a second apply.
         self.pending_tokens: dict[str, asyncio.Future] = {}
-        #: Read index over the last-good core map, maintained
-        #: incrementally from receipts — the state degraded-mode reads
-        #: answer from.
-        self.last_good = kcore_views.CoreIndex(service.cores())
         self.commits = 0
         self.shed = 0
         self.deadline_expired = 0
@@ -377,7 +373,6 @@ class TenantSession:
             else:
                 self.server.inflight -= 1
                 self.commits += 1
-                fold_commit(self.last_good, item.batch, receipt.deltas)
                 summary = {
                     "receipt_id": receipt.receipt_id,
                     "ops": receipt.ops,
@@ -419,7 +414,6 @@ class TenantSession:
             self.state = DEGRADED
             return
         self.service = service
-        self.last_good = kcore_views.CoreIndex(service.cores())
         self._adopt_recovered(service)
         self.recovery_error = None
         self.recoveries += 1
@@ -479,14 +473,18 @@ class TenantSession:
     # -- reads ----------------------------------------------------------
 
     def query(self, op: str, params: dict) -> dict:
-        """Answer one read; degraded/recovering states use last-good."""
+        """Answer one read from the service's index.
+
+        While degraded or recovering, :attr:`service` is still the
+        crashed one, whose index holds the last acked state.
+        """
         if self.state == HEALTHY:
-            source, index = "primary", self.service.index
+            source = "primary"
         else:
             self.degraded_reads += 1
-            source, index = "last_good", self.last_good
+            source = "last_good"
         return {
-            "result": answer(index, op, params),
+            "result": answer(self.service.index, op, params),
             "source": source,
             "receipt": self._last_receipt_id(),
             "state": self.state,
@@ -512,25 +510,6 @@ class TenantSession:
             "recovery_error": self.recovery_error,
             "last_recovery": None if report is None else report._asdict(),
         }
-
-
-def fold_commit(index: kcore_views.CoreIndex, batch: Batch,
-                deltas: dict) -> None:
-    """Bring a last-good read index up to one commit of ``batch``.
-
-    The batch's endpoints enter the index's core map at core 0 — an edge
-    inserted and removed in one batch moves no core, yet leaves both
-    vertices in the graph and so in the primary's map — then the
-    commit's net ``deltas`` fold into the map and the index.
-    """
-    cores = index.core
-    for op in batch:
-        u, v = op.edge
-        cores.setdefault(u, 0)
-        cores.setdefault(v, 0)
-    for vertex, delta in deltas.items():
-        cores[vertex] = cores.get(vertex, 0) + delta
-    index.apply(deltas)
 
 
 def _pairs(mapping: dict) -> list:
@@ -576,12 +555,13 @@ def _int_param(op: str, params: dict, name: str, default=_REQUIRED,
 def answer(index: kcore_views.CoreIndex, op: str, params: dict):
     """The ``result`` of read ``op`` over the read index ``index``.
 
-    The one read dispatcher: primary, last-good and replica reads all
-    come here with their own index.  ``top``, ``spectrum`` and
-    ``degeneracy`` go through :mod:`~repro.analysis.kcore_views`'s
-    dispatching functions; ``core``, ``cores`` and ``kcore`` read the
-    index's core map.  A missing or non-integer parameter, or an unknown
-    ``op``, raises :class:`~repro.errors.ServiceError`.
+    The one read dispatcher: session reads, healthy or degraded, come
+    here with the service's index and replica reads with the
+    replica's.  ``top``, ``spectrum`` and ``degeneracy`` go through
+    :mod:`~repro.analysis.kcore_views`'s dispatching functions;
+    ``core``, ``cores`` and ``kcore`` read the index's core map.  A
+    missing or non-integer parameter, or an unknown ``op``, raises
+    :class:`~repro.errors.ServiceError`.
     """
     cores = index.core
     if op == "core":

@@ -9,11 +9,11 @@ A service wraps one maintenance engine behind three surfaces:
 * **reads** — :meth:`~CoreService.core`, :meth:`~CoreService.cores`,
   :meth:`~CoreService.kcore`, :meth:`~CoreService.degeneracy`,
   :meth:`~CoreService.top`, :meth:`~CoreService.spectrum`, all answered
-  through :mod:`repro.analysis.kcore_views` over the engine's public
-  core mapping — never through maintainer internals.  ``top``,
-  ``spectrum`` and ``degeneracy`` are lookups in the session's
-  :class:`~repro.analysis.kcore_views.CoreIndex` (:attr:`~CoreService.index`),
-  which every commit feeds its net deltas; ``kcore`` is a live scan;
+  from the session's :class:`~repro.analysis.kcore_views.CoreIndex`
+  (:attr:`~CoreService.index`), which owns a copy of the core map and
+  folds in each acked commit — never from the engine.  ``top``,
+  ``spectrum`` and ``degeneracy`` are lookups; ``kcore`` is a live scan
+  of the index's map;
 * **reactions** — :meth:`~CoreService.subscribe` delivers
   :class:`~repro.service.events.CoreEvent` records derived from each
   commit's exact net core deltas.
@@ -307,16 +307,18 @@ class CoreService:
         validating the engine's own update algorithms edge by edge, and
         reading its counters.  Analysis that writes goes through a
         :meth:`transaction`: updates applied behind the service's back
-        are invisible to subscribers, and to the aggregate reads
-        ``top``, ``spectrum`` and ``degeneracy``, whose :attr:`index`
-        only learns of commits made through the service.
+        are invisible to subscribers and to every read, since the
+        reads answer from :attr:`index`, which only learns of commits
+        made through the service.
         """
         return self._engine
 
     @property
     def index(self) -> kcore_views.CoreIndex:
-        """The read index over the engine's core map, fed by every
-        commit; the serving front answers primary reads from it."""
+        """The read index every read answers from: its own core map,
+        folded forward by each acked commit.  After a failed commit it
+        still holds the last acked state, so the serving front answers
+        healthy and degraded reads from it alike."""
         return self._index
 
     @property
@@ -366,13 +368,12 @@ class CoreService:
     def poisoned(self) -> bool:
         """Whether a mid-commit engine failure invalidated the session.
 
-        A poisoned session still answers reads (from the possibly
-        half-mutated in-memory state, which ``top``, ``spectrum`` and
-        ``degeneracy`` read consistently with :meth:`cores` — callers
-        wanting last-*good* state must keep their own, as the serving
-        front's degraded mode does) but refuses every further commit.
-        On a logged session, :meth:`recover` builds a clean replacement
-        from the log.
+        A poisoned session still answers every read, from the last
+        acked state: the failed commit never reached :attr:`index`,
+        whatever it left in the engine and in :attr:`graph` (which
+        ``kcore(k).subgraph()`` induces on).  It refuses
+        every further commit.  On a logged session, :meth:`recover`
+        builds a clean replacement from the log.
         """
         return self._poisoned
 
@@ -427,9 +428,11 @@ class CoreService:
         engine-internal failure can still land a partial batch; engines
         document those as bugs, not service states — when one happens
         anyway (or a fault plan simulates one), the session is marked
-        :attr:`poisoned` and refuses further commits: the in-memory
-        index is no longer trustworthy, and on a logged session
-        :meth:`recover` rebuilds a clean one from the log.
+        :attr:`poisoned` and refuses further commits: the engine is no
+        longer trustworthy, and on a logged session :meth:`recover`
+        rebuilds a clean one from the log.  The read index folds in a
+        commit only once the engine returns, so reads keep answering
+        the last acked state.
 
         On a logged session the batch is appended to the write-ahead
         log *before* the engine applies it (write-ahead ordering): a
@@ -441,7 +444,7 @@ class CoreService:
         if self._poisoned:
             raise ServiceError(
                 "engine was poisoned by a mid-commit failure; reads still "
-                "answer from the last in-memory state, but commits need a "
+                "answer from the last acked state, but commits need a "
                 "fresh session (CoreService.recover on a logged session)"
             )
         batch.check_applicable(self._engine.graph)
@@ -456,15 +459,13 @@ class CoreService:
             # The engine raised mid-apply: its index may be half-mutated
             # (validation already passed, so this is an engine-internal
             # failure or an injected crash).  Poison the session so no
-            # later commit builds on a corrupt in-memory state, and
-            # drop the read index, which got no deltas for whatever
-            # did land: the next read rebuilds it from the core map.
+            # later commit builds on a corrupt in-memory state; the read
+            # index never saw the commit.
             self._poisoned = True
-            self._index.reset()
             raise
         deltas = result.changed
-        self._index.apply(deltas)
-        core = self._engine.core
+        self._index.fold(batch, deltas)
+        core = self._index.core
         receipt = CommitReceipt(
             receipt_id=receipt_id,
             result=result,
@@ -493,7 +494,7 @@ class CoreService:
         Raises ``KeyError`` for a vertex the service has never seen,
         unless ``default`` is given.
         """
-        c = self._engine.core.get(vertex, _MISSING)
+        c = self._index.core.get(vertex, _MISSING)
         if c is _MISSING:
             if default is _MISSING:
                 raise KeyError(vertex)
@@ -502,17 +503,17 @@ class CoreService:
 
     def cores(self) -> dict[Vertex, int]:
         """A snapshot copy of every vertex's core number."""
-        return dict(self._engine.core)
+        return dict(self._index.core)
 
     def kcore(self, k: int) -> kcore_views.KCoreView:
         """A lazy, live membership view of the ``k``-core.
 
         O(1) membership tests, on-demand iteration, and it always
-        answers for the *current* graph — no copy is taken.  Call
+        answers for the last acked commit — no copy is taken.  Call
         ``.vertices()`` to pin a set or ``.subgraph()`` for the induced
         graph.
         """
-        return kcore_views.KCoreView(self._engine.core, k, self.graph)
+        return kcore_views.KCoreView(self._index.core, k, self.graph)
 
     def degeneracy(self) -> int:
         """The largest ``k`` with a non-empty ``k``-core."""

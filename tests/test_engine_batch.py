@@ -174,10 +174,12 @@ class TestBatch:
         with pytest.raises(SelfLoopError):
             Batch.inserts([(3, 3)])
 
-    def test_counts_and_edges(self):
+    def test_counts_and_runs(self):
         batch = Batch.inserts([(1, 2), (2, 3)]).remove(4, 5)
         assert batch.counts() == (2, 1)
-        assert batch.edges("remove") == [(4, 5)]
+        assert batch.runs() == [
+            ("remove", [(4, 5)]), ("insert", [(1, 2), (2, 3)]),
+        ]
 
     def test_conflict_free_batch_reorders_into_two_runs(self):
         batch = (
@@ -190,9 +192,13 @@ class TestBatch:
 
     def test_conflicting_batch_keeps_natural_order(self):
         batch = Batch().insert(1, 2).remove(1, 2).insert(3, 4)
-        assert batch.conflicting_edges() == {(1, 2)}
-        runs = batch.runs()
-        assert [kind for kind, _ in runs] == ["insert", "remove", "insert"]
+        assert batch.runs() == [
+            ("insert", [(1, 2)]), ("remove", [(1, 2)]), ("insert", [(3, 4)]),
+        ]
+        # An edge that only comes back as an exact duplicate conflicts
+        # with nothing: the batch still splits into two runs.
+        deduped = Batch().insert(1, 2).insert(2, 1).remove(3, 4)
+        assert deduped.runs() == [("remove", [(3, 4)]), ("insert", [(1, 2)])]
 
     def test_normalize_edge_prefers_vertex_order_over_repr(self):
         # repr ordering would put 10 before 2 ("10" < "2"); vertex

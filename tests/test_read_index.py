@@ -1,14 +1,15 @@
 """Property suite: the read index answers exactly what a scan answers.
 
 Random mixed batch streams commit through a logged ``CoreService`` whose
-engine is pinned to one of :data:`BATCH_PATHS`.  The three read sources
-of the serving front each keep a :class:`CoreIndex`: the primary's
-(``svc.index``), a last-good copy folded by
-:func:`~repro.service.server.fold_commit` and a :class:`LogReplica`
-tailing the log.  After commits the stream picks, each index's ``top``,
-``spectrum`` and ``degeneracy`` must equal :mod:`kcore_views`' scan over
-the engine's core map.  Reads are skipped on the other commits, so the
-indexes are fed deltas both while built and while not yet built.
+engine is pinned to one of :data:`BATCH_PATHS`.  The serving front's
+read sources each keep a :class:`CoreIndex` that owns its core map: the
+session's (``svc.index``, which answers healthy and degraded reads) and
+a :class:`LogReplica`'s, tailing the log.  After every commit both maps
+must equal the engine's.  After commits the stream picks, each index's
+``top``, ``spectrum`` and ``degeneracy`` must also equal
+:mod:`kcore_views`' scan over the engine's core map.  Reads are skipped
+on the other commits, so the indexes fold commits both while built and
+while not yet built.
 
 The streams mix vertex types (``1`` and ``"1"`` are distinct vertices
 with the same ``repr`` body) and add fresh vertices whose only edge is
@@ -30,7 +31,6 @@ from repro.analysis.kcore_views import CoreIndex
 from repro.engine.batch import Batch, normalize_edge
 from repro.service import CoreService
 from repro.service.replica import LogReplica
-from repro.service.server import fold_commit
 
 #: The named vertices: ints and their string twins.
 UNIVERSE = list(range(10)) + [str(i) for i in range(5)]
@@ -89,30 +89,37 @@ def test_every_source_matches_a_scan(path, seed, reads):
         log = Path(tmp) / "t.wal"
         svc = CoreService.open(log=log)
         svc.engine.apply_batch = getattr(svc.engine, path)
-        last_good = CoreIndex(svc.cores())
         replica = LogReplica(log)
         replica.engine.apply_batch = getattr(replica.engine, path)
         for batch, read in zip(batches, reads):
-            receipt = svc.apply(batch)
-            fold_commit(last_good, batch, receipt.deltas)
+            svc.apply(batch)
             replica.refresh()
+            cores = dict(svc.engine.core)
+            assert svc.index.core == cores
+            assert replica.index.core == cores
             if not read and batch is not batches[-1]:
                 continue
-            cores = dict(svc.engine.core)
-            assert last_good.core == cores
-            assert dict(replica.engine.core) == cores
-            for index in (svc.index, last_good, replica.index):
+            for index in (svc.index, replica.index):
                 assert_matches_scan(index, cores)
         svc.close()
 
 
 def test_index_reads_nothing_until_asked():
-    core = {1: 1, 2: 1}
-    index = CoreIndex(core)
-    core[3] = 2
-    index.apply({3: 2})  # unbuilt: nothing to fold, nothing built
+    index = CoreIndex({1: 1, 2: 1})
+    index.fold(Batch().insert(1, 3), {3: 2})  # unbuilt: nothing built
     assert index._counts is None and not index._heaps
     assert kcore_views.core_spectrum(index) == {1: 2, 2: 1}
+
+
+def test_an_index_owns_a_copy_of_its_map():
+    core = {"a": 1, "b": 1}
+    index = CoreIndex(core)
+    assert index.core == core and index.core is not core
+    core["c"] = 5  # the source moves; the index does not
+    index.fold(Batch().insert("a", "d"), {"a": 1})
+    assert core == {"a": 1, "b": 1, "c": 5}
+    assert index.core == {"a": 2, "b": 1, "d": 0}
+    assert kcore_views.core_spectrum(index) == {0: 1, 1: 1, 2: 1}
 
 
 def test_stale_entries_are_compacted():
@@ -125,50 +132,36 @@ def test_stale_entries_are_compacted():
     for step in range(100):
         up = step % 2 == 0
         core[0] = 2 if up else 1
-        index.apply({0: 1 if up else -1})
+        index.fold(Batch(), {0: 1 if up else -1})
         assert len(index._heaps[1]) <= 2 * 4 + kcore_views.COMPACT_SLACK
+    assert index.core == core
     for n in (1, 4, 5):
         assert kcore_views.top_cores(index, n) == kcore_views.top_cores(
-            dict(core), n
+            core, n
         )
 
 
 def test_an_empty_map_reads_like_a_scan():
-    core: dict = {}
-    index = CoreIndex(core)
-    assert_matches_scan(index, core)
+    index = CoreIndex({})
+    assert_matches_scan(index, {})
     # Vertices that arrive at core 0 need no delta: level 0 is the rest.
-    core.update({"b": 0, 1: 0})
-    index.apply({})
+    index.fold(Batch().insert("b", 1).remove("b", 1), {})
+    assert index.core == {"b": 0, 1: 0}
     assert kcore_views.core_spectrum(index) == {0: 2}
-    assert_matches_scan(index, dict(core))
-
-
-def test_reset_rebuilds_after_changes_without_deltas():
-    # A commit that fails half-way moves the map but reports no deltas;
-    # after reset the index answers for the map as it now stands.
-    core = {v: 2 for v in range(3)} | {3: 1}
-    index = CoreIndex(core)
-    assert_matches_scan(index, dict(core))
-    core.update({0: 1, 1: 1, 2: 1, 4: 0})
-    index.reset()
-    assert index._counts is None and not index._heaps
-    assert kcore_views.core_spectrum(index) == {0: 1, 1: 4}
-    assert_matches_scan(index, dict(core))
+    assert_matches_scan(index, {"b": 0, 1: 0})
 
 
 def test_a_drained_level_restarts_from_its_arrivals():
-    core = {"a": 2, "b": 2, "c": 1}
-    index = CoreIndex(core)
+    index = CoreIndex({"a": 2, "b": 2, "c": 1})
     assert kcore_views.top_cores(index, 3) == [("a", 2), ("b", 2), ("c", 1)]
-    core.update({"a": 1, "b": 1})
-    index.apply({"a": -1, "b": -1})
+    index.fold(Batch(), {"a": -1, "b": -1})
     assert 2 not in index._heaps
     assert kcore_views.degeneracy(index) == 1
-    core.update({"c": 2, "d": 2})
-    index.apply({"c": 1, "d": 2})
+    index.fold(Batch().insert("c", "d"), {"c": 1, "d": 2})
     assert [entry[3] for entry in sorted(index._heaps[2])] == ["c", "d"]
-    assert_matches_scan(index, dict(core))
+    core = {"a": 1, "b": 1, "c": 2, "d": 2}
+    assert index.core == core
+    assert_matches_scan(index, core)
 
 
 def test_top_crosses_into_level_zero_in_scan_order():

@@ -4,7 +4,6 @@ queries, subscriptions, and checkpointing."""
 import pytest
 
 from engine_contract import BATCH_PATHS
-from repro.analysis import kcore_views
 from repro.core.decomposition import core_numbers
 from repro.engine import DEFAULT_ENGINE
 from repro.engine.batch import Batch
@@ -231,23 +230,29 @@ class TestQueries:
         assert svc.spectrum() == {2: 3, 1: 1}
 
     @pytest.mark.parametrize("path", BATCH_PATHS)
-    def test_poisoned_session_reads_agree_with_its_cores(self, path):
+    def test_poisoned_session_reads_answer_the_last_acked_state(self, path):
         # The batch's removal run lands (the triangle falls to core 1),
-        # then the fault fires before its insertion run: the engine's
-        # map moved, but the commit reported no deltas.
+        # then the fault fires before its insertion run.  The engine's
+        # map and graph moved, but the commit was never acked, so every
+        # read answers the state before it.
         svc = self.build()
         svc.engine.apply_batch = getattr(svc.engine, path)
         assert svc.spectrum() == {1: 1, 2: 3}  # the index is built
+        before = svc.cores()
+        tops = {n: svc.top(n) for n in (1, 3, 10)}
         with FaultPlan().crash("engine.mid_batch", hits=2):
             with pytest.raises(InjectedFault):
                 svc.apply(Batch().remove(0, 1).insert(5, 6))
         assert svc.poisoned
-        cores = svc.cores()
-        assert set(cores.values()) == {1}
-        assert svc.spectrum() == kcore_views.core_spectrum(cores)
-        assert svc.degeneracy() == kcore_views.degeneracy(cores) == 1
-        for n in (1, 3, 10):
-            assert svc.top(n) == kcore_views.top_cores(cores, n)
+        assert not svc.graph.has_edge(0, 1)  # the removal run landed
+        assert set(svc.engine.core.values()) == {1}
+        assert svc.cores() == before
+        assert {v: svc.core(v) for v in before} == before
+        assert svc.core(5, None) is None
+        assert svc.kcore(2).vertices() == {0, 1, 2}
+        assert svc.spectrum() == {1: 1, 2: 3}
+        assert svc.degeneracy() == 2
+        assert {n: svc.top(n) for n in tops} == tops
 
 
 class TestEventStream:

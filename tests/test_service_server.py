@@ -441,6 +441,39 @@ class TestFailover:
                 await client.close()
         run(scenario())
 
+    def test_degraded_reads_skip_a_half_applied_commit(self):
+        """The crash comes after the batch's removal run landed in the
+        engine: degraded reads still answer the state before that
+        commit, never the half-applied one."""
+        async def scenario():
+            async with CoreServer() as server:  # no log: stays degraded
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE + [("insert", 2, 3)])
+                assert await client.spectrum() == {1: 1, 2: 3}  # built
+                with FaultPlan().crash("engine.mid_batch", hits=2):
+                    with pytest.raises(RetryAfterError):
+                        await client.commit(
+                            [("remove", 0, 1), ("insert", 5, 6)],
+                            retry=False,
+                        )
+                await wait_for_state(client, "degraded")
+                engine = server.sessions["t"].service.engine
+                assert not engine.graph.has_edge(0, 1)  # the run landed
+                want = {
+                    "cores": [[0, 2], [1, 2], [2, 2], [3, 1]],
+                    "top": [[0, 2], [1, 2]],
+                    "spectrum": [[1, 1], [2, 3]],
+                    "kcore": [0, 1, 2],
+                }
+                params = {"top": {"n": 2}, "kcore": {"k": 2}}
+                for op, result in want.items():
+                    reply = await client.query(op, **params.get(op, {}))
+                    assert reply["source"] == "last_good", op
+                    assert reply["result"] == result, op
+                await client.close()
+        run(scenario())
+
 
 class TestSubscriptions:
     def test_events_stream_to_client(self, tmp_path):
