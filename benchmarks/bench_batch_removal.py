@@ -8,8 +8,9 @@ demotion, so on pure removals their ``mcd_recomputations`` agree
 exactly; on a mixed stream the batched side still charges less, because
 its insertion runs coalesce their ``mcd`` repair.  Each bench asserts
 the counters outright and the wall-clock win at meaningful stream
-lengths (tiny CI smoke scales only record it), on the median of
-``WALL_CLOCK_ROUNDS`` paired rounds.
+lengths (tiny CI smoke scales only record it), on the median per-round
+ratio of ``BENCH_ROUNDS`` rounds that alternate which path runs first
+(``paired_medians``).
 
 Besides ``benchmark.extra_info``, every bench appends a record to a
 ``BENCH_batch_removal.json`` artifact (ops/sec plus the per-run
@@ -17,65 +18,56 @@ Besides ``benchmark.extra_info``, every bench appends a record to a
 set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 """
 
-import json
-import os
-import statistics
-from pathlib import Path
+from _bench_common import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    BENCH_UPDATES,
+    artifact,
+    once,
+    paired_medians,
+    replay_side,
+)
 
-import pytest
-from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
-
-from repro.bench.runner import run_batches, run_mixed, run_updates
+from repro.bench.runner import run_batches, run_mixed
 from repro.bench.workloads import make_workload, mixed_batch_workload
 from repro.engine import make_engine
 from repro.engine.batch import Batch
 from repro.graphs.datasets import load_dataset
 
 #: Edges expiring per tick in the window-expiry replay.
-WINDOW = int(os.environ.get("REPRO_BENCH_WINDOW", "50"))
+WINDOW = 50
 #: Below this many update edges, wall-clock asserts are skipped (CI
 #: smoke runs are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
-#: Paired (per-edge, batched) rounds behind each wall-clock assert; the
-#: medians are compared, so one noisy ~10 ms round cannot decide it.
-WALL_CLOCK_ROUNDS = 9
 
-_RECORDS: list[dict] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    """Write the accumulated records once the module's benches finish."""
-    _RECORDS.clear()
-    yield
-    path = (
-        Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-        / "BENCH_batch_removal.json"
-    )
-    path.write_text(
-        json.dumps(
-            {
-                "benchmark": "batch_removal",
-                "scale": BENCH_SCALE,
-                "updates": BENCH_UPDATES,
-                "window": WINDOW,
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-    )
+RECORDS, _artifact = artifact("batch_removal", lambda: {
+    "scale": BENCH_SCALE,
+    "updates": BENCH_UPDATES,
+    "window": WINDOW,
+})
 
 
-def _record(name, ops, per_edge_s, batched_s, per_edge_mcd, batched_mcd,
-            runs):
+def _batched_side(graph, batches):
+    """A paired side: ``batches`` through ``apply_batch`` on a fresh
+    ``order`` engine over ``graph()``; the batches' own time is the
+    side's, and its result is ``(engine, results)``."""
+    def side():
+        engine = make_engine("order", graph())
+        results = run_batches(engine, batches)
+        return (engine, results), sum(r.seconds for r in results)
+    return side
+
+
+def _record(name, ops, paired, per_edge_mcd, batched_mcd, runs):
     entry = {
         "bench": name,
         "ops": ops,
-        "per_edge_seconds": round(per_edge_s, 6),
-        "batched_seconds": round(batched_s, 6),
-        "per_edge_ops_per_sec": round(ops / per_edge_s, 1) if per_edge_s else None,
-        "batched_ops_per_sec": round(ops / batched_s, 1) if batched_s else None,
-        "speedup": round(per_edge_s / batched_s, 3) if batched_s else None,
+        "per_edge_seconds": round(paired.baseline_s, 6),
+        "batched_seconds": round(paired.candidate_s, 6),
+        "per_edge_ops_per_sec": round(ops / paired.baseline_s, 1),
+        "batched_ops_per_sec": round(ops / paired.candidate_s, 1),
+        "speedup": round(1 / paired.ratio, 3),
+        **paired.info("batched/per_edge"),
         "mcd_recomputations_per_edge_path": per_edge_mcd,
         "mcd_recomputations_batched": batched_mcd,
         "runs": runs,
@@ -83,28 +75,17 @@ def _record(name, ops, per_edge_s, batched_s, per_edge_mcd, batched_mcd,
             round(batched_mcd / runs, 2) if runs else 0
         ),
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
+    print(f"\n{name}: batched/per-edge {paired}")
     return entry
 
 
-def _seconds(log, results):
-    """(per-edge, batched) seconds of one paired round."""
-    return log.total_seconds, sum(r.seconds for r in results)
-
-
-def _assert_batched_wins(run, first):
-    """Re-run ``run`` for the remaining paired rounds (``first`` is the
-    measured one) and compare the per-side medians."""
-    rounds = [first]
-    for _ in range(WALL_CLOCK_ROUNDS - 1):
-        _, log, _, results = run()
-        rounds.append(_seconds(log, results))
-    per_edge_s = statistics.median(r[0] for r in rounds)
-    batched_s = statistics.median(r[1] for r in rounds)
-    assert batched_s < per_edge_s, (
-        f"batch-native removal should beat the per-edge loop: "
-        f"median {batched_s:.3f}s vs {per_edge_s:.3f}s"
-    )
+def _assert_batched_wins(ops, paired):
+    if ops >= WALL_CLOCK_MIN_OPS:
+        assert paired.ratio < 1, (
+            f"batch-native removal should beat the per-edge loop: "
+            f"batched/per-edge {paired}"
+        )
 
 
 def bench_window_expiry_removal_runs(benchmark):
@@ -117,27 +98,20 @@ def bench_window_expiry_removal_runs(benchmark):
         for i in range(0, len(victims), WINDOW)
     ]
 
-    def run():
-        per_edge = make_engine("order", workload.full_graph())
-        log = run_updates(per_edge, victims, "remove")
-        batched = make_engine("order", workload.full_graph())
-        results = run_batches(batched, windows)
-        assert per_edge.core_numbers() == batched.core_numbers()
-        return per_edge, log, batched, results
-
-    per_edge, log, batched, results = once(benchmark, run)
-    per_edge_seconds, batched_seconds = _seconds(log, results)
+    paired = once(benchmark, paired_medians,
+                  replay_side("order", workload.full_graph, victims, "remove"),
+                  _batched_side(workload.full_graph, windows))
+    per_edge, (batched, _) = paired.baseline, paired.candidate
+    assert per_edge.core_numbers() == batched.core_numbers()
     entry = _record(
-        "window_expiry", len(victims),
-        per_edge_seconds, batched_seconds,
+        "window_expiry", len(victims), paired,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=len(windows),
     )
     benchmark.extra_info.update(entry)
     # Both paths recompute mcd once per demoted vertex, nothing else.
     assert batched.mcd_recomputations == per_edge.mcd_recomputations
-    if len(victims) >= WALL_CLOCK_MIN_OPS:
-        _assert_batched_wins(run, (per_edge_seconds, batched_seconds))
+    _assert_batched_wins(len(victims), paired)
 
 
 def bench_mixed_stream_with_removal_runs(benchmark):
@@ -147,20 +121,17 @@ def bench_mixed_stream_with_removal_runs(benchmark):
         dataset, BENCH_UPDATES, WINDOW, p=0.4, seed=BENCH_SEED
     )
 
-    def run():
-        per_edge = make_engine("order", workload.base_graph())
-        log = run_mixed(per_edge, plan)
-        batched = make_engine("order", workload.base_graph())
-        results = run_batches(batched, batches)
-        assert per_edge.core_numbers() == batched.core_numbers()
-        return per_edge, log, batched, results
+    def per_edge_side():
+        engine = make_engine("order", workload.base_graph())
+        return engine, run_mixed(engine, plan).total_seconds
 
-    per_edge, log, batched, results = once(benchmark, run)
-    per_edge_seconds, batched_seconds = _seconds(log, results)
+    paired = once(benchmark, paired_medians, per_edge_side,
+                  _batched_side(workload.base_graph, batches))
+    per_edge, (batched, results) = paired.baseline, paired.candidate
+    assert per_edge.core_numbers() == batched.core_numbers()
     removal_runs = sum(1 for r in results if r.removes)
     entry = _record(
-        "mixed_stream", len(plan),
-        per_edge_seconds, batched_seconds,
+        "mixed_stream", len(plan), paired,
         per_edge.mcd_recomputations, batched.mcd_recomputations,
         runs=removal_runs,
     )
@@ -168,5 +139,4 @@ def bench_mixed_stream_with_removal_runs(benchmark):
     if any(r.inserts for r in results):
         # Only the insertion runs' coalesced repair can save mcd work.
         assert batched.mcd_recomputations < per_edge.mcd_recomputations
-    if len(plan) >= WALL_CLOCK_MIN_OPS:
-        _assert_batched_wins(run, (per_edge_seconds, batched_seconds))
+    _assert_batched_wins(len(plan), paired)

@@ -7,12 +7,13 @@ scan every vertex.  This bench commits a whole scenario through a
 service without reading, so its index is still unbuilt, and then times
 on the final state:
 
-* ``top(10)`` and ``spectrum()`` per read, scan against index, each the
-  median over :data:`ROUNDS` rounds of the mean of :data:`READS` reads
-  (the two sides alternate which runs first);
+* ``top(10)`` and ``spectrum()`` per read, scan against index: each
+  side is the mean of :data:`READS` reads, paired over :data:`ROUNDS`
+  rounds that alternate which side runs first (``paired_medians``); the
+  speedup is the median per-round ``scan / index``, with its IQR;
 * the first read of a fresh index, which builds what it needs: ``top``
   builds the level counts and the heaps of the levels it walks,
-  ``spectrum`` only the counts (median over the rounds).
+  ``spectrum`` only the counts (median and IQR over the rounds).
 
 Two states: relabel-storm's (perfbench's parameters: a 30k-vertex path
 with chains, ~49k vertices at the end) and ``mixed`` at scale 10
@@ -28,23 +29,24 @@ smoke run never overwrites the committed numbers.  Timings are recorded,
 never gated.
 """
 
-import json
-import os
-import statistics
 import time
-from pathlib import Path
 
 import pytest
-from _bench_common import BENCH_SCALE, BENCH_SEED
+from _bench_common import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    DEFAULT_SCALE,
+    artifact,
+    once,
+    paired_medians,
+    quartiles,
+)
 
 from repro.analysis import kcore_views
 from repro.analysis.kcore_views import CoreIndex
 from repro.engine.registry import DEFAULT_ENGINE
 from repro.scenarios import make_scenario
 from repro.service import CoreService
-
-#: The scale whose output is the committed file.
-DEFAULT_SCALE = 0.5
 
 #: Rounds per timing, and reads per round.
 ROUNDS = 7
@@ -65,65 +67,46 @@ STATES = {
     ),
 }
 
-_RECORDS: list[dict] = []
+RECORDS, _artifact = artifact("read_index", lambda: {
+    "engine": DEFAULT_ENGINE,
+    "scale": BENCH_SCALE,
+    "seed": BENCH_SEED,
+    "rounds": ROUNDS,
+    "reads_per_round": READS,
+}, committed=True)
 
 
-def _artifact_path() -> Path:
-    name = (
-        "BENCH_read_index.json" if BENCH_SCALE == DEFAULT_SCALE
-        else f"BENCH_read_index-scale{BENCH_SCALE:g}.json"
-    )
-    return Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", ".")) / name
+def _per_read(read):
+    """A paired side: the mean seconds of :data:`READS` calls of ``read``."""
+    def side():
+        started = time.perf_counter()
+        for _ in range(READS):
+            read()
+        return None, (time.perf_counter() - started) / READS
+    return side
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    """Write the accumulated records once the module's benches finish."""
-    _RECORDS.clear()
-    yield
-    _artifact_path().write_text(
-        json.dumps(
-            {
-                "benchmark": "read_index",
-                "engine": DEFAULT_ENGINE,
-                "scale": BENCH_SCALE,
-                "seed": BENCH_SEED,
-                "rounds": ROUNDS,
-                "reads_per_round": READS,
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+def _speedup(scan, index) -> dict:
+    """Per-read microseconds of ``scan`` and ``index``, and the median
+    per-round ``scan / index`` with its IQR."""
+    paired = paired_medians(_per_read(index), _per_read(scan), rounds=ROUNDS)
+    return {
+        "scan_us": round(1e6 * paired.candidate_s, 2),
+        "index_us": round(1e6 * paired.baseline_s, 2),
+        **paired.info("speedup"),
+    }
 
 
-def _per_read_us(read) -> float:
-    started = time.perf_counter()
-    for _ in range(READS):
-        read()
-    return 1e6 * (time.perf_counter() - started) / READS
-
-
-def _paired(scan, index) -> tuple[float, float]:
-    """Median per-read microseconds of ``scan`` and ``index``."""
-    times: tuple[list, list] = ([], [])
-    sides = (scan, index)
-    for round_ in range(ROUNDS):
-        for side in (0, 1) if round_ % 2 == 0 else (1, 0):
-            times[side].append(_per_read_us(sides[side]))
-    return statistics.median(times[0]), statistics.median(times[1])
-
-
-def _first_read_ms(core, read) -> float:
-    """Median time of ``read`` on a fresh index over ``core``."""
+def _first_read_ms(core, read) -> dict:
+    """Median and IQR of ``read`` on a fresh index over ``core``."""
     times = []
     for _ in range(ROUNDS):
         index = CoreIndex(core)
         started = time.perf_counter()
         read(index)
         times.append(1e3 * (time.perf_counter() - started))
-    return statistics.median(times)
+    q1, median, q3 = quartiles(times)
+    return {"ms": round(median, 3), "ms_iqr": [round(q1, 3), round(q3, 3)]}
 
 
 def _measure(name: str) -> dict:
@@ -133,40 +116,37 @@ def _measure(name: str) -> dict:
         svc.apply(tick.batch)
     index, core = svc.index, svc.engine.core
     assert index._counts is None  # no read yet: nothing built
-    top = kcore_views.top_cores(index, TOP_N)
-    spectrum = kcore_views.core_spectrum(index)
-    assert top == kcore_views.top_cores(dict(core), TOP_N)
-    assert spectrum == kcore_views.core_spectrum(dict(core))
-    top_scan, top_index = _paired(
+    assert kcore_views.top_cores(index, TOP_N) == kcore_views.top_cores(
+        dict(core), TOP_N
+    )
+    levels = kcore_views.core_spectrum(index)
+    assert levels == kcore_views.core_spectrum(dict(core))
+    top = _speedup(
         lambda: kcore_views.top_cores(core, TOP_N),
         lambda: kcore_views.top_cores(index, TOP_N),
     )
-    spectrum_scan, spectrum_index = _paired(
+    spectrum = _speedup(
         lambda: kcore_views.core_spectrum(core),
         lambda: kcore_views.core_spectrum(index),
     )
+    first_top = _first_read_ms(core, lambda i: kcore_views.top_cores(i, TOP_N))
+    first_spectrum = _first_read_ms(core, kcore_views.core_spectrum)
     svc.close()
     return {
         "state": name,
         "vertices": len(core),
-        "levels": len(spectrum),
+        "levels": len(levels),
         "commits": len(scenario.ticks),
-        "top_scan_us": round(top_scan, 2),
-        "top_index_us": round(top_index, 2),
-        "top_speedup": round(top_scan / top_index, 1),
-        "spectrum_scan_us": round(spectrum_scan, 2),
-        "spectrum_index_us": round(spectrum_index, 2),
-        "spectrum_speedup": round(spectrum_scan / spectrum_index, 1),
-        "first_top_ms": round(_first_read_ms(
-            core, lambda i: kcore_views.top_cores(i, TOP_N)), 3),
-        "first_spectrum_ms": round(_first_read_ms(
-            core, kcore_views.core_spectrum), 3),
+        **{f"top_{key}": value for key, value in top.items()},
+        **{f"spectrum_{key}": value for key, value in spectrum.items()},
+        **{f"first_top_{key}": value for key, value in first_top.items()},
+        **{f"first_spectrum_{key}": value
+           for key, value in first_spectrum.items()},
     }
 
 
 @pytest.mark.parametrize("state", list(STATES))
 def bench_read_index(benchmark, state):
-    record = benchmark.pedantic(_measure, args=(state,), rounds=1,
-                                iterations=1)
-    _RECORDS.append(record)
+    record = once(benchmark, _measure, state)
+    RECORDS.append(record)
     benchmark.extra_info.update(record)

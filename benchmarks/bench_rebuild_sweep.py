@@ -22,38 +22,40 @@ batch, alternately, so a host slowdown hits all three:
   empty rebuilt batches before the cell start the run, so every timed
   batch lands its ops on the kept vertex ids and peels them.
 
-Each cell then yields two estimates of ``C``::
+Each cell runs :data:`PASSES` passes, each on fresh engine copies, and
+rotates which engine goes first from pass to pass.  Each pass yields
+two estimates of ``C``::
 
     C_lone = (t_maintain / (t_lone + t_build)) * (|V| + |E|) / (ops * v)
     C_run  = (t_maintain / t_run) * (|V| + |E|) / (ops * v)
 
-with ``t`` the mean time per batch and ``v`` the mean ``visited`` per
-op: the rule trades total time, and a few costly cascades carry much of
-a stream's maintain time.  Each is the factor at which the rule would
-break even on that cell, for a batch that rebuilds alone and for one
-inside a run.  A family's crossover is the median of its cells; each
-``C`` is the median of the four family crossovers.  Every cell also
-records whether the committed ``REBUILD_FACTOR`` picked the faster side,
-both ways.
+with ``t`` the pass's mean time per batch and ``v`` the mean
+``visited`` per op: the rule trades total time, and a few costly
+cascades carry much of a stream's maintain time.  Each is the factor at
+which the rule would break even on that cell, for a batch that rebuilds
+alone and for one inside a run.  A cell records the median and IQR over
+its passes of every ``*_ms`` and ``c_*`` (and each pass's ``c_*``), and
+whether the committed ``REBUILD_FACTOR`` picked the faster side, both
+ways, by the median ratio of the two sides' times.  A family's
+crossover is the median of its cells' medians; each ``C`` is the median
+of the four family crossovers, and its IQR is that of the same ``C``
+taken pass by pass.
 
 The records land in ``BENCH_rebuild_sweep.json`` (in
 ``REPRO_BENCH_ARTIFACT_DIR``, default ``.``) when the bench runs at the
 default ``REPRO_BENCH_SCALE``; that file is committed.  Any other scale
 writes ``BENCH_rebuild_sweep-scale<scale>.json``, so a smoke run never
 overwrites the committed numbers.  Only answers are asserted: every
-engine ends every cell on ``core_numbers`` of its graph.  Timings are
-recorded, never gated.
+engine ends every pass on ``core_numbers`` of its graph, and every pass
+visits as many vertices.  Timings are recorded, never gated.
 """
 
 import gc
-import json
-import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
-from _bench_common import BENCH_SCALE, BENCH_SEED
+from _bench_common import BENCH_SCALE, BENCH_SEED, artifact, once, quartiles
 
 from repro import core_numbers
 from repro.engine import Batch, make_engine
@@ -61,20 +63,20 @@ from repro.engine.base import REBUILD_FACTOR
 from repro.engine.registry import DEFAULT_ENGINE
 from repro.scenarios import make_scenario
 
-#: The scale whose output is the committed file.
-DEFAULT_SCALE = 0.5
-
 #: Batch sizes swept, in ops.
 BATCH_SIZES = (8, 32, 128, 512, 2048)
 
 #: Batches timed per cell (fewer when the stream runs out).
 BATCHES = 5
 
+#: Passes per cell, each on fresh engines.
+PASSES = 5
+
 #: Graph sizes, as multiples of perfbench's sizes for the family.
 GRAPH_SIZES = (BENCH_SCALE, 2 * BENCH_SCALE)
 
-_RECORDS: list[dict] = []
-
+#: The timed columns, in ms per batch.
+COLUMNS = ("maintain", "lone", "build", "run")
 
 def _sliding_window(size):
     # perfbench window-churn at size 1: ~1.2k vertices, ~4.8k live edges.
@@ -115,56 +117,55 @@ FAMILIES = {
 }
 
 
-def _artifact_path() -> Path:
-    name = (
-        "BENCH_rebuild_sweep.json" if BENCH_SCALE == DEFAULT_SCALE
-        else f"BENCH_rebuild_sweep-scale{BENCH_SCALE:g}.json"
-    )
-    return Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", ".")) / name
+def _crossovers(records: list[dict], case: str, pick) -> dict:
+    """Family -> the median over its cells of ``pick(record)``, a
+    cell's ``C`` for ``case``."""
+    families = {}
+    for family in FAMILIES:
+        cells = [pick(r) for r in records
+                 if r["family"] == family and r[f"c_{case}"] is not None]
+        if cells:
+            families[family] = statistics.median(cells)
+    return families
 
 
 def _summary(records: list[dict]) -> dict:
     summary = {}
     for case in ("lone", "run"):
-        families = {}
-        for family in FAMILIES:
-            cells = [r[f"c_{case}"] for r in records
-                     if r["family"] == family and r[f"c_{case}"] is not None]
-            if cells:
-                families[family] = round(statistics.median(cells), 2)
+        families = _crossovers(records, case, lambda r: r[f"c_{case}"])
         picked = [r[f"rule_picks_faster_{case}"] for r in records]
         summary[case] = {
-            "crossover_by_family": families,
-            "crossover": (
-                round(statistics.median(families.values()), 2)
-                if families else None
-            ),
+            "crossover_by_family": {
+                family: round(c, 2) for family, c in families.items()
+            },
+            "crossover": None,
+            "crossover_iqr": None,
             "rule_picks_faster": f"{sum(picked)}/{len(picked)}",
         }
+        if families:
+            per_pass = [
+                statistics.median(_crossovers(
+                    records, case, lambda r: r[f"c_{case}_passes"][p]
+                ).values())
+                for p in range(PASSES)
+            ]
+            q1, _, q3 = quartiles(per_pass)
+            summary[case]["crossover"] = round(
+                statistics.median(families.values()), 2
+            )
+            summary[case]["crossover_iqr"] = [round(q1, 2), round(q3, 2)]
     summary["rebuild_factor"] = REBUILD_FACTOR
     return summary
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    """Write the accumulated records once the module's benches finish."""
-    _RECORDS.clear()
-    yield
-    _artifact_path().write_text(
-        json.dumps(
-            {
-                "benchmark": "rebuild_sweep",
-                "engine": DEFAULT_ENGINE,
-                "scale": BENCH_SCALE,
-                "seed": BENCH_SEED,
-                "batch_sizes": list(BATCH_SIZES),
-                "summary": _summary(_RECORDS),
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+RECORDS, _artifact = artifact("rebuild_sweep", lambda: {
+    "engine": DEFAULT_ENGINE,
+    "scale": BENCH_SCALE,
+    "seed": BENCH_SEED,
+    "batch_sizes": list(BATCH_SIZES),
+    "passes": PASSES,
+    "summary": _summary(RECORDS),
+}, committed=True)
 
 
 def _stream(scenario, warm_ticks):
@@ -176,19 +177,10 @@ def _stream(scenario, warm_ticks):
     return graph, ops
 
 
-def _timed(call, *args):
-    started = time.perf_counter()
-    result = call(*args)
-    return result, time.perf_counter() - started
-
-
-def _cell(graph, ops, size):
-    """Time ``maintain_batch`` against a lone and a consecutive
-    ``rebuild_batch`` on the same batches of ``size`` ops; returns the
-    cell's record or ``None``."""
-    count = min(BATCHES, len(ops) // size)
-    if not count:
-        return None
+def _pass(graph, batches, first, truth):
+    """Apply ``batches`` to three fresh engines over ``graph``, batch by
+    batch, the engine at ``first`` going first; returns each column's
+    total seconds and ``maintain``'s visits."""
     maintain, lone, run = (
         make_engine(DEFAULT_ENGINE, graph.copy()) for _ in range(3)
     )
@@ -196,43 +188,87 @@ def _cell(graph, ops, size):
     # it and keeps the ids every timed batch then peels.
     for _ in range(2):
         run.rebuild_batch(Batch([]))
-    times = {"maintain": [], "lone": [], "build": [], "run": []}
-    sizes = []
+    seconds = dict.fromkeys(COLUMNS, 0.0)
     visited = 0
+
+    def timed(column, call, batch):
+        started = time.perf_counter()
+        result = call(batch)
+        seconds[column] += time.perf_counter() - started
+        return result
+
+    def maintain_step(batch):
+        nonlocal visited
+        visited += timed("maintain", maintain.maintain_batch, batch).visited
+
+    def lone_step(batch):
+        timed("lone", lone.rebuild_batch, batch)
+        timed("build", lone.maintain_batch, Batch([]))
+
+    def run_step(batch):
+        timed("run", run.rebuild_batch, batch)
+
+    steps = (maintain_step, lone_step, run_step)
+    steps = steps[first:] + steps[:first]
     gc.collect()
-    for i in range(count):
-        batch = Batch(ops[i * size:(i + 1) * size])
-        sizes.append(maintain.graph.n + maintain.graph.m)
-        result, seconds = _timed(maintain.maintain_batch, batch)
-        visited += result.visited
-        times["maintain"].append(seconds)
-        times["lone"].append(_timed(lone.rebuild_batch, batch)[1])
-        times["build"].append(_timed(lone.maintain_batch, Batch([]))[1])
-        times["run"].append(_timed(run.rebuild_batch, batch)[1])
+    for batch in batches:
+        for step in steps:
+            step(batch)
     for engine in (maintain, lone, run):
-        assert engine.core_numbers() == core_numbers(engine.graph)
-        assert engine.core_numbers() == maintain.core_numbers()
-    per_op = visited / (count * size)
+        assert engine.core_numbers() == truth
+    return seconds, visited
+
+
+def _cell(graph, ops, size):
+    """Time ``maintain_batch`` against a lone and a consecutive
+    ``rebuild_batch`` on the same batches of ``size`` ops over
+    :data:`PASSES` passes; returns the cell's record or ``None``."""
+    count = min(BATCHES, len(ops) // size)
+    if not count:
+        return None
+    batches = [Batch(ops[i * size:(i + 1) * size]) for i in range(count)]
     # |V| + |E| as the rule sees it: before each batch, averaged.
+    final = graph.copy()
+    sizes = []
+    for batch in batches:
+        sizes.append(final.n + final.m)
+        batch.apply_to(final)
     graph_size = round(statistics.fmean(sizes))
-    mean = {name: statistics.fmean(t) for name, t in times.items()}
-    tm = mean["maintain"]
-    rebuilt = {"lone": mean["lone"] + mean["build"], "run": mean["run"]}
+    truth = core_numbers(final)
+    passes = [_pass(graph, batches, p % 3, truth) for p in range(PASSES)]
+    visits = {visited for _, visited in passes}
+    assert len(visits) == 1, f"passes visited {sorted(visits)} vertices"
+    per_op = visits.pop() / (count * size)
+    ms = {column: [1e3 * seconds[column] / count for seconds, _ in passes]
+          for column in COLUMNS}
+    # Per pass, maintained over rebuilt time, for each way to rebuild.
+    speedups = {
+        "lone": [m / (lo + b) for m, lo, b in
+                 zip(ms["maintain"], ms["lone"], ms["build"])],
+        "run": [m / r for m, r in zip(ms["maintain"], ms["run"])],
+    }
     rule = REBUILD_FACTOR * size * per_op >= graph_size
     record = {
         "ops": size,
         "batches": count,
         "graph_size": graph_size,
         "visited_per_op": round(per_op, 3),
-        **{f"{name}_ms": round(1e3 * t, 3) for name, t in mean.items()},
-        "rule_rebuilds": rule,
     }
-    for case, tr in rebuilt.items():
-        record[f"c_{case}"] = (
-            round(tm / tr * graph_size / (size * per_op), 2)
-            if per_op else None
-        )
-        record[f"rule_picks_faster_{case}"] = rule == (tr <= tm)
+    for column, values in ms.items():
+        q1, median, q3 = quartiles(values)
+        record[f"{column}_ms"] = round(median, 3)
+        record[f"{column}_ms_iqr"] = [round(q1, 3), round(q3, 3)]
+    record["rule_rebuilds"] = rule
+    for case, ratios in speedups.items():
+        if per_op:
+            c = [r * graph_size / (size * per_op) for r in ratios]
+            q1, median, q3 = quartiles(c)
+            record[f"c_{case}"] = round(median, 2)
+            record[f"c_{case}_iqr"] = [round(q1, 2), round(q3, 2)]
+            record[f"c_{case}_passes"] = [round(x, 2) for x in c]
+        else:
+            record[f"c_{case}"] = None
+        record[f"rule_picks_faster_{case}"] = rule == (quartiles(ratios)[1] >= 1)
     return record
 
 
@@ -250,7 +286,7 @@ def bench_rebuild_sweep(benchmark, family):
                     )
         return records
 
-    records = benchmark.pedantic(run, rounds=1, iterations=1)
+    records = once(benchmark, run)
     assert records
-    _RECORDS.extend(records)
+    RECORDS.extend(records)
     benchmark.extra_info.update(_summary(records))

@@ -21,62 +21,44 @@ loopback TCP with the real protocol (framed JSONL, tokens, deadlines):
   (last-good state after a poisoned commit), recording both rates; the
   degraded path must answer every query.
 
+The two gates read the median per-round ratio of ``paired_medians``
+rounds that alternate which side runs first.
+
 Artifact: ``BENCH_service_concurrency.json`` (set
 ``REPRO_BENCH_ARTIFACT_DIR``).
 """
 
 import asyncio
-import json
-import os
 import time
-from pathlib import Path
 
-import pytest
-from _bench_common import BENCH_UPDATES, once
+from _bench_common import BENCH_UPDATES, artifact, once, paired_medians
 
 from repro.engine.batch import Batch
 from repro.service import CoreClient, CoreServer, CoreService, ServerLimits
 from repro.testing.faults import FaultPlan
 
 #: Concurrent clients (= tenant sessions) in the multi-tenant fan-out.
-N_CLIENTS = int(os.environ.get("REPRO_BENCH_CLIENTS", "4"))
+N_CLIENTS = 4
 #: Commits per client.
-COMMITS = max(4, int(os.environ.get("REPRO_BENCH_COMMITS", str(BENCH_UPDATES // 2))))
+COMMITS = max(4, BENCH_UPDATES // 2)
 #: Subscribers per session in the fan-out bench.
-SUBSCRIBERS = int(os.environ.get("REPRO_BENCH_SUBSCRIBERS", "4"))
+SUBSCRIBERS = 4
 #: Below this many commits the relative gates are recorded but not
 #: asserted (CI smoke scales are too small for stable wall-clock).
 WALL_CLOCK_MIN_COMMITS = 100
 #: The serving front may cost at most this many times a raw façade
 #: commit (JSON + framing + TCP + admission + deadline machinery).
 #: Measured ~5x on a quiet host; the bound leaves room for CI noise.
-SERVE_OVERHEAD_BOUND = float(os.environ.get("REPRO_BENCH_SERVE_BOUND", "25"))
+SERVE_OVERHEAD_BOUND = 25.0
+#: Rounds of each gate: a round starts a server per side.
+ROUNDS = 5
 
-_RECORDS: list[dict] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    _RECORDS.clear()
-    yield
-    path = (
-        Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-        / "BENCH_service_concurrency.json"
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {
-                "benchmark": "service_concurrency",
-                "clients": N_CLIENTS,
-                "commits_per_client": COMMITS,
-                "subscribers": SUBSCRIBERS,
-                "serve_overhead_bound": SERVE_OVERHEAD_BOUND,
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-    )
+RECORDS, _artifact = artifact("service_concurrency", lambda: {
+    "clients": N_CLIENTS,
+    "commits_per_client": COMMITS,
+    "subscribers": SUBSCRIBERS,
+    "serve_overhead_bound": SERVE_OVERHEAD_BOUND,
+})
 
 
 def pocket_ops(client_index, n):
@@ -137,13 +119,13 @@ def _run_multi_tenant(n_clients, commits_each):
 
 def bench_commit_throughput_sequential_vs_multi_tenant(benchmark):
     total = N_CLIENTS * COMMITS
-
-    def run():
-        seq_s = _run_sequential(total)
-        tenants_s = _run_multi_tenant(N_CLIENTS, COMMITS)
-        return seq_s, tenants_s
-
-    seq_s, tenants_s = once(benchmark, run)
+    paired = once(
+        benchmark, paired_medians,
+        lambda: (None, _run_sequential(total)),
+        lambda: (None, _run_multi_tenant(N_CLIENTS, COMMITS)),
+        rounds=ROUNDS,
+    )
+    seq_s, tenants_s = paired.baseline_s, paired.candidate_s
     entry = {
         "bench": "commit_throughput",
         "total_commits": total,
@@ -151,14 +133,16 @@ def bench_commit_throughput_sequential_vs_multi_tenant(benchmark):
         "multi_tenant_seconds": round(tenants_s, 6),
         "sequential_commits_per_sec": round(total / seq_s, 1),
         "multi_tenant_commits_per_sec": round(total / tenants_s, 1),
-        "speedup": round(seq_s / tenants_s, 3),
+        "speedup": round(1 / paired.ratio, 3),
+        **paired.info("multi_tenant/sequential"),
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)
+    print(f"\ncommit_throughput: multi-tenant/sequential {paired}")
     if total >= WALL_CLOCK_MIN_COMMITS:
-        assert tenants_s <= seq_s, (
-            f"multi-tenant fan-out slower than sequential: "
-            f"{tenants_s:.3f}s vs {seq_s:.3f}s over {total} commits"
+        assert paired.ratio <= 1, (
+            f"multi-tenant fan-out slower than sequential over {total} "
+            f"commits: multi-tenant/sequential {paired}"
         )
 
 
@@ -173,7 +157,7 @@ def bench_serving_overhead_vs_facade(benchmark):
             svc.apply(Batch((kind, (u, v)) for kind, u, v in op))
         elapsed = time.perf_counter() - started
         svc.close()
-        return elapsed
+        return None, elapsed
 
     def served_side():
         async def scenario():
@@ -184,19 +168,12 @@ def bench_serving_overhead_vs_facade(benchmark):
                 await _commit_all(client, ops)
                 elapsed = time.perf_counter() - started
                 await client.close()
-                return elapsed
+                return None, elapsed
         return asyncio.run(scenario())
 
-    def run():
-        # Interleave so drift hits both sides equally; keep the best.
-        facade_best = served_best = float("inf")
-        for _ in range(2):
-            facade_best = min(facade_best, facade_side())
-            served_best = min(served_best, served_side())
-        return facade_best, served_best
-
-    facade_s, served_s = once(benchmark, run)
-    ratio = served_s / facade_s if facade_s else None
+    paired = once(benchmark, paired_medians, facade_side, served_side,
+                  rounds=ROUNDS)
+    facade_s, served_s = paired.baseline_s, paired.candidate_s
     entry = {
         "bench": "serving_overhead",
         "commits": COMMITS,
@@ -204,15 +181,16 @@ def bench_serving_overhead_vs_facade(benchmark):
         "served_seconds": round(served_s, 6),
         "facade_commits_per_sec": round(COMMITS / facade_s, 1),
         "served_commits_per_sec": round(COMMITS / served_s, 1),
-        "overhead_ratio": round(ratio, 2),
+        **paired.info("overhead_ratio"),
         "bound": SERVE_OVERHEAD_BOUND,
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)
+    print(f"\nserving_overhead: served/façade {paired}")
     if COMMITS >= WALL_CLOCK_MIN_COMMITS:
-        assert ratio <= SERVE_OVERHEAD_BOUND, (
-            f"serving front costs {ratio:.1f}x a façade commit, bound "
-            f"is {SERVE_OVERHEAD_BOUND}x"
+        assert paired.ratio <= SERVE_OVERHEAD_BOUND, (
+            f"serving front costs {paired} a façade commit, bound is "
+            f"{SERVE_OVERHEAD_BOUND}x"
         )
 
 
@@ -282,7 +260,7 @@ def bench_event_fanout(benchmark):
         "total_seconds": round(total_s, 6),
         "events_per_sec": round(delivered / total_s, 1) if total_s else None,
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)
     assert totals[0] >= COMMITS  # every commit moved at least one core
 
@@ -335,5 +313,5 @@ def bench_degraded_reads_vs_healthy(benchmark):
         "healthy_queries_per_sec": round(n_queries / healthy_s, 1),
         "degraded_queries_per_sec": round(n_queries / degraded_s, 1),
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)

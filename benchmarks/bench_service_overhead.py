@@ -19,10 +19,7 @@ artifact so CI keeps a machine-readable trajectory of the façade cost;
 set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 from _bench_common import (
@@ -30,6 +27,7 @@ from _bench_common import (
     BENCH_SCALE,
     BENCH_SEED,
     BENCH_UPDATES,
+    artifact,
     once,
     paired_medians,
 )
@@ -41,39 +39,20 @@ from repro.service import CoreService
 from repro.streaming import SlidingWindowCoreMonitor
 
 #: Ops per batch in the mixed-batch replay.
-BATCH_SIZE = int(os.environ.get("REPRO_BENCH_BATCH", "50"))
+BATCH_SIZE = 50
 #: Below this many ops the 5% wall-clock assert is skipped (CI smoke
 #: scales are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
 #: The acceptance bound: façade within 5% of raw apply_batch.
 OVERHEAD_BOUND = 1.05
 
-_RECORDS: list[dict] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    """Write the accumulated records once the module's benches finish."""
-    _RECORDS.clear()
-    yield
-    path = (
-        Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-        / "BENCH_service_overhead.json"
-    )
-    path.write_text(
-        json.dumps(
-            {
-                "benchmark": "service_overhead",
-                "scale": BENCH_SCALE,
-                "updates": BENCH_UPDATES,
-                "batch_size": BATCH_SIZE,
-                "rounds": BENCH_ROUNDS,
-                "bound": OVERHEAD_BOUND,
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-    )
+RECORDS, _artifact = artifact("service_overhead", lambda: {
+    "scale": BENCH_SCALE,
+    "updates": BENCH_UPDATES,
+    "batch_size": BATCH_SIZE,
+    "rounds": BENCH_ROUNDS,
+    "bound": OVERHEAD_BOUND,
+})
 
 
 def _replay_raw(workload, batches):
@@ -95,19 +74,20 @@ def _replay_service(workload, batches, subscriber_count=0):
     return service, time.perf_counter() - started
 
 
-def _record(name, ops, raw_s, facade_s, ratio, extra=None):
+def _record(name, ops, paired, extra=None):
     entry = {
         "bench": name,
         "ops": ops,
-        "raw_seconds": round(raw_s, 6),
-        "facade_seconds": round(facade_s, 6),
-        "raw_ops_per_sec": round(ops / raw_s, 1) if raw_s else None,
-        "facade_ops_per_sec": round(ops / facade_s, 1) if facade_s else None,
-        "overhead_ratio": round(ratio, 4),
+        "raw_seconds": round(paired.baseline_s, 6),
+        "facade_seconds": round(paired.candidate_s, 6),
+        "raw_ops_per_sec": round(ops / paired.baseline_s, 1),
+        "facade_ops_per_sec": round(ops / paired.candidate_s, 1),
+        **paired.info("overhead_ratio"),
     }
     if extra:
         entry.update(extra)
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
+    print(f"\n{name}: façade/raw {paired}")
     return entry
 
 
@@ -119,28 +99,24 @@ def bench_service_vs_raw_mixed_batches(benchmark, subscribers):
         dataset, BENCH_UPDATES, BATCH_SIZE, p=0.3, seed=BENCH_SEED
     )
 
-    def run():
-        raw_s, facade_s, ratio, engine, service = paired_medians(
-            lambda: _replay_raw(workload, batches),
-            lambda: _replay_service(
-                workload, batches, subscriber_count=subscribers
-            ),
-        )
-        assert engine.core_numbers() == service.cores(), (
-            "façade replay diverged from raw apply_batch"
-        )
-        return raw_s, facade_s, ratio
-
-    raw_s, facade_s, ratio = once(benchmark, run)
+    paired = once(
+        benchmark, paired_medians,
+        lambda: _replay_raw(workload, batches),
+        lambda: _replay_service(
+            workload, batches, subscriber_count=subscribers
+        ),
+    )
+    assert paired.baseline.core_numbers() == paired.candidate.cores(), (
+        "façade replay diverged from raw apply_batch"
+    )
     entry = _record(
-        f"mixed_batches_subs{subscribers}", len(plan), raw_s, facade_s,
-        ratio, extra={"subscribers": subscribers, "batches": len(batches)},
+        f"mixed_batches_subs{subscribers}", len(plan), paired,
+        extra={"subscribers": subscribers, "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
     if len(plan) >= WALL_CLOCK_MIN_OPS and subscribers == 0:
-        assert ratio <= OVERHEAD_BOUND, (
-            f"façade overhead {ratio:.3f}x (median over {BENCH_ROUNDS} "
-            f"paired rounds) exceeds {OVERHEAD_BOUND}x"
+        assert paired.ratio <= OVERHEAD_BOUND, (
+            f"façade overhead {paired} exceeds {OVERHEAD_BOUND}x"
         )
 
 
@@ -177,7 +153,7 @@ def bench_monitor_tick_replay(benchmark):
         "promotions": monitor.stats.promotions,
         "demotions": monitor.stats.demotions,
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)
     # Every tick's arrivals land as ONE batch: at most one insert commit
     # per tick plus the expiry commits, never one per edge.

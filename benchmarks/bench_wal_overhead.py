@@ -21,10 +21,7 @@ set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 """
 
 import itertools
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 from _bench_common import (
@@ -32,6 +29,7 @@ from _bench_common import (
     BENCH_SCALE,
     BENCH_SEED,
     BENCH_UPDATES,
+    artifact,
     once,
     paired_medians,
 )
@@ -42,7 +40,7 @@ from repro.graphs.datasets import load_dataset
 from repro.service import CoreService, log_stat
 
 #: Ops per batch in the mixed-batch replay.
-BATCH_SIZE = int(os.environ.get("REPRO_BENCH_BATCH", "50"))
+BATCH_SIZE = 50
 #: Below this many ops the wall-clock assert is skipped (CI smoke
 #: scales are too small for stable timing) but still recorded.
 WALL_CLOCK_MIN_OPS = 200
@@ -51,32 +49,13 @@ OVERHEAD_BOUND = 1.10
 #: Append count between fsyncs for the "interval" policy bench.
 FSYNC_EVERY = 16
 
-_RECORDS: list[dict] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
-    """Write the accumulated records once the module's benches finish."""
-    _RECORDS.clear()
-    yield
-    path = (
-        Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-        / "BENCH_wal_overhead.json"
-    )
-    path.write_text(
-        json.dumps(
-            {
-                "benchmark": "wal_overhead",
-                "scale": BENCH_SCALE,
-                "updates": BENCH_UPDATES,
-                "batch_size": BATCH_SIZE,
-                "rounds": BENCH_ROUNDS,
-                "bound": OVERHEAD_BOUND,
-                "records": _RECORDS,
-            },
-            indent=2,
-        )
-    )
+RECORDS, _artifact = artifact("wal_overhead", lambda: {
+    "scale": BENCH_SCALE,
+    "updates": BENCH_UPDATES,
+    "batch_size": BATCH_SIZE,
+    "rounds": BENCH_ROUNDS,
+    "bound": OVERHEAD_BOUND,
+})
 
 
 def _workload():
@@ -117,19 +96,20 @@ def _paired(workload, batches, tmp_path, **wal_opts):
     )
 
 
-def _record(name, ops, raw_s, wal_s, ratio, extra=None):
+def _record(name, ops, paired, extra=None):
     entry = {
         "bench": name,
         "ops": ops,
-        "raw_seconds": round(raw_s, 6),
-        "wal_seconds": round(wal_s, 6),
-        "raw_ops_per_sec": round(ops / raw_s, 1) if raw_s else None,
-        "wal_ops_per_sec": round(ops / wal_s, 1) if wal_s else None,
-        "overhead_ratio": round(ratio, 4),
+        "raw_seconds": round(paired.baseline_s, 6),
+        "wal_seconds": round(paired.candidate_s, 6),
+        "raw_ops_per_sec": round(ops / paired.baseline_s, 1),
+        "wal_ops_per_sec": round(ops / paired.candidate_s, 1),
+        **paired.info("overhead_ratio"),
     }
     if extra:
         entry.update(extra)
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
+    print(f"\n{name}: durable/raw {paired}")
     return entry
 
 
@@ -137,25 +117,19 @@ def bench_wal_fsync_never_vs_raw(benchmark, tmp_path):
     """The acceptance workload: fsync-off durable session vs bare engine."""
     workload, plan, batches = _workload()
 
-    def run():
-        raw_s, wal_s, ratio, engine, service = _paired(
-            workload, batches, tmp_path, fsync="never"
-        )
-        assert engine.core_numbers() == service.cores(), (
-            "durable replay diverged from raw apply_batch"
-        )
-        return raw_s, wal_s, ratio
-
-    raw_s, wal_s, ratio = once(benchmark, run)
+    paired = once(benchmark, _paired, workload, batches, tmp_path,
+                  fsync="never")
+    assert paired.baseline.core_numbers() == paired.candidate.cores(), (
+        "durable replay diverged from raw apply_batch"
+    )
     entry = _record(
-        "fsync_never", len(plan), raw_s, wal_s, ratio,
+        "fsync_never", len(plan), paired,
         extra={"fsync": "never", "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
     if len(plan) >= WALL_CLOCK_MIN_OPS:
-        assert ratio <= OVERHEAD_BOUND, (
-            f"WAL overhead {ratio:.3f}x (median over {BENCH_ROUNDS} "
-            f"paired rounds) exceeds {OVERHEAD_BOUND}x"
+        assert paired.ratio <= OVERHEAD_BOUND, (
+            f"WAL overhead {paired} exceeds {OVERHEAD_BOUND}x"
         )
 
 
@@ -167,12 +141,10 @@ def bench_wal_fsync_policies(benchmark, tmp_path, fsync):
     if fsync == "interval":
         wal_opts["fsync_every"] = FSYNC_EVERY
 
-    def run():
-        return _paired(workload, batches, tmp_path, **wal_opts)[:3]
-
-    raw_s, wal_s, ratio = once(benchmark, run)
+    paired = once(benchmark, _paired, workload, batches, tmp_path,
+                  **wal_opts)
     entry = _record(
-        f"fsync_{fsync}", len(plan), raw_s, wal_s, ratio,
+        f"fsync_{fsync}", len(plan), paired,
         extra={"fsync": fsync, "batches": len(batches)},
     )
     benchmark.extra_info.update(entry)
@@ -205,5 +177,5 @@ def bench_wal_recovery(benchmark, tmp_path):
         "replayed": recovered.recovery.replayed,
         "from_snapshot": recovered.recovery.from_snapshot,
     }
-    _RECORDS.append(entry)
+    RECORDS.append(entry)
     benchmark.extra_info.update(entry)

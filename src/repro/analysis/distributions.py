@@ -58,13 +58,6 @@ def cumulative_distribution(
     return xs, fractions
 
 
-def fraction_at_most(values: Sequence[float], threshold: float) -> float:
-    """Fraction of values ``<= threshold`` (0.0 for empty input)."""
-    if not values:
-        return 0.0
-    return sum(1 for v in values if v <= threshold) / len(values)
-
-
 def ratio_sum(numerators: Iterable[int], denominators: Iterable[int]) -> float:
     """``sum(numerators) / sum(denominators)``; the Fig. 2 statistic.
 

@@ -21,7 +21,6 @@ class UpdateLog:
 
     engine: str = ""
     kinds: list[str] = field(default_factory=list)
-    ks: list[int] = field(default_factory=list)
     visited: list[int] = field(default_factory=list)
     changed: list[int] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
@@ -29,7 +28,6 @@ class UpdateLog:
     def record(self, result: UpdateResult, elapsed: float) -> None:
         """Append one update's outcome."""
         self.kinds.append(result.kind)
-        self.ks.append(result.k)
         self.visited.append(result.visited)
         self.changed.append(len(result.changed))
         self.seconds.append(elapsed)
@@ -69,7 +67,3 @@ class UpdateLog:
     def visited_proportions(self, bounds=FIG1_BOUNDS) -> list[float]:
         """Bucketed distribution of per-update visited counts (Fig. 1)."""
         return bucket_proportions(self.visited, bounds)
-
-    def k_values(self) -> list[int]:
-        """Per-update ``K`` values (Fig. 10b plots their CDF)."""
-        return list(self.ks)

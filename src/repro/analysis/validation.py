@@ -29,22 +29,6 @@ class ValidationReport:
     core_mismatches: dict[Vertex, tuple[int, int]] = field(default_factory=dict)
     index_errors: list[str] = field(default_factory=list)
 
-    def raise_if_invalid(self) -> None:
-        """Raise :class:`AssertionError` with a readable diff when invalid."""
-        if self.ok:
-            return
-        parts = []
-        if self.core_mismatches:
-            sample = dict(list(self.core_mismatches.items())[:5])
-            parts.append(
-                f"{len(self.core_mismatches)} core mismatches "
-                f"(engine, truth), e.g. {sample}"
-            )
-        parts.extend(self.index_errors)
-        raise AssertionError(
-            f"engine {self.engine!r} failed validation: " + "; ".join(parts)
-        )
-
 
 def diff_cores(
     maintained: Mapping[Vertex, int], truth: Mapping[Vertex, int]

@@ -90,10 +90,6 @@ class KOrder:
             return ku < kv
         return self._blocks[ku].precedes(u, v)
 
-    def rank_in_block(self, vertex: Vertex) -> int:
-        """0-based position of the vertex inside its block."""
-        return self._blocks[self._k_of[vertex]].rank(vertex)
-
     def iter_block(self, k: int) -> Iterator[Vertex]:
         """Left-to-right iteration over block ``O_k`` (empty if absent)."""
         block = self._blocks.get(k)

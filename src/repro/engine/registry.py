@@ -15,7 +15,8 @@ Names
     index and kernel, but ``mcd`` (``= d_in + d_out``) stays exact
     without a repair pass after updates.  This is
     :data:`DEFAULT_ENGINE` — what consumers get when they do not pick
-    an engine — per the ``bench_simplified_ablation.py`` measurements.
+    an engine — per the order-vs-simplified ablation that set it (see
+    ``DEFAULT_ENGINE``).
 ``trav-<h>``
     The traversal baseline with hop count ``h >= 2``, resolved from the
     name's pattern (any ``h`` works; none is pre-registered).
@@ -47,7 +48,8 @@ from repro.graphs.undirected import DynamicGraph
 #: runs on both sides it ties the mixed-batched regime (1.03x median,
 #: within noise) and wins every per-edge regime (insert 1.1-1.4x,
 #: remove 1.6-2.1x) because it keeps ``mcd`` exact without a repair
-#: pass.  See ROADMAP.md and BENCH_simplified_ablation.json.
+#: pass.  ``benchmarks/bench_table2.py`` still times the two engines
+#: side by side.
 DEFAULT_ENGINE = "order-simplified"
 
 _ENGINES = ("naive", "order", "order-simplified")

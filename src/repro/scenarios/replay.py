@@ -7,7 +7,7 @@ the same trace across engines.  :func:`check_agreement` raises
 :class:`~repro.errors.ScenarioError` naming the first divergent tick,
 and :func:`replay_all` runs a scenario across an engine matrix with the
 check built in; this is the substrate the cross-engine hypothesis
-suites, ``repro replay --check`` and ``bench_scenarios.py`` all share.
+suites and ``repro replay --check`` share.
 
 :func:`replay_via_client` drives the same tick loop through the async
 serving front's :class:`~repro.service.client.CoreClient`, so a scenario

@@ -368,12 +368,13 @@ class CoreService:
     def poisoned(self) -> bool:
         """Whether a mid-commit engine failure invalidated the session.
 
-        A poisoned session still answers every read, from the last
-        acked state: the failed commit never reached :attr:`index`,
-        whatever it left in the engine and in :attr:`graph` (which
-        ``kcore(k).subgraph()`` induces on).  It refuses
-        every further commit.  On a logged session, :meth:`recover`
-        builds a clean replacement from the log.
+        A poisoned session still answers every read of core numbers
+        from the last acked state: the failed commit never reached
+        :attr:`index`, whatever it left in the engine and in
+        :attr:`graph`.  ``kcore(k).subgraph()`` would induce on that
+        half-applied graph, so it raises :class:`ValueError` instead.
+        The session refuses every further commit.  On a logged session,
+        :meth:`recover` builds a clean replacement from the log.
         """
         return self._poisoned
 
@@ -511,9 +512,11 @@ class CoreService:
         O(1) membership tests, on-demand iteration, and it always
         answers for the last acked commit — no copy is taken.  Call
         ``.vertices()`` to pin a set or ``.subgraph()`` for the induced
-        graph.
+        graph; on a :attr:`poisoned` session the view has no graph, so
+        ``.subgraph()`` raises :class:`ValueError`.
         """
-        return kcore_views.KCoreView(self._index.core, k, self.graph)
+        graph = None if self._poisoned else self.graph
+        return kcore_views.KCoreView(self._index.core, k, graph)
 
     def degeneracy(self) -> int:
         """The largest ``k`` with a non-empty ``k``-core."""

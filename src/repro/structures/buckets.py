@@ -76,10 +76,6 @@ class DegreeBuckets:
         del self._degree[vertex]
         return vertex
 
-    def degree_of(self, vertex: Hashable) -> int:
-        """Current (remaining) degree of ``vertex``."""
-        return self._degree[vertex]
-
     def decrease(self, vertex: Hashable) -> int:
         """Decrement the degree of ``vertex`` by one; returns the new degree."""
         degree = self._degree[vertex]

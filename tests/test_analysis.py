@@ -9,7 +9,6 @@ import pytest
 from repro.analysis.distributions import (
     bucket_proportions,
     cumulative_distribution,
-    fraction_at_most,
     percentile,
     ratio_sum,
 )
@@ -120,10 +119,6 @@ class TestDistributions:
     def test_cumulative_distribution_empty(self):
         assert cumulative_distribution([]) == ([], [])
 
-    def test_fraction_at_most(self):
-        assert fraction_at_most([1, 2, 3, 4], 2) == 0.5
-        assert fraction_at_most([], 10) == 0.0
-
     def test_ratio_sum(self):
         assert ratio_sum([10, 20], [5, 5]) == 3.0
         assert ratio_sum([], []) == 1.0
@@ -199,8 +194,3 @@ class TestUpdateLog:
         log.extend([self._result(1, 0), self._result(2, 0)], 1.0)
         assert log.total_seconds == 1.0
         assert len(log) == 2
-
-    def test_k_values(self):
-        log = UpdateLog()
-        log.record(self._result(1, 0, k=3), 0.0)
-        assert log.k_values() == [3]

@@ -1,5 +1,8 @@
 """Unit tests for the benchmark harness (workloads, runner, experiments,
-reporting)."""
+reporting) and the benchmark suite's timing helper."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +245,83 @@ class TestReporting:
         assert "|V|" in reporting.render_fig11([r11])
         r12 = experiments.fig12("ca", n_groups=2, group_size=5, **SMALL)
         assert "group" in reporting.render_fig12([r12])
+
+
+def _load_bench_common():
+    """``benchmarks/_bench_common.py``, which is not a package module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "_bench_common.py"
+    spec = importlib.util.spec_from_file_location("_bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_common = _load_bench_common()
+
+
+class TestPairedMedians:
+    #: Scripted seconds per call of each side.  The per-round ratios are
+    #: 3, 2.5, 0.5, 0.5, 4: median 2.5, mean 2.1, quartiles 0.5 and 3;
+    #: the ratio of the side medians (4 / 2) is 2.
+    BASELINE = [1.0, 2.0, 4.0, 8.0, 1.0]
+    CANDIDATE = [3.0, 5.0, 2.0, 4.0, 4.0]
+
+    def sides(self):
+        calls = []
+
+        def side(name, seconds):
+            script = iter(seconds)
+
+            def run():
+                calls.append(name)
+                return f"{name}{len(calls)}", next(script)
+            return run
+
+        return calls, side("b", self.BASELINE), side("c", self.CANDIDATE)
+
+    def test_sides_alternate_which_runs_first(self):
+        calls, baseline, candidate = self.sides()
+        bench_common.paired_medians(baseline, candidate, rounds=5)
+        assert calls == list("bccbbccbbc")
+
+    def test_side_medians(self):
+        _, baseline, candidate = self.sides()
+        paired = bench_common.paired_medians(baseline, candidate, rounds=5)
+        assert paired.baseline_s == 2.0
+        assert paired.candidate_s == 4.0
+
+    def test_ratio_is_the_median_per_round_ratio(self):
+        _, baseline, candidate = self.sides()
+        paired = bench_common.paired_medians(baseline, candidate, rounds=5)
+        assert paired.ratio == 2.5
+        assert paired.ratio != paired.candidate_s / paired.baseline_s
+
+    def test_spread_is_the_ratio_quartiles(self):
+        _, baseline, candidate = self.sides()
+        paired = bench_common.paired_medians(baseline, candidate, rounds=5)
+        assert paired.spread == (0.5, 3.0)
+        assert paired.info("r") == {"r": 2.5, "r_iqr": [0.5, 3.0]}
+        assert str(paired) == "2.500 (IQR 0.500-3.000 over 5 alternated rounds)"
+
+    def test_rounds_are_honoured(self):
+        calls, baseline, candidate = self.sides()
+        paired = bench_common.paired_medians(baseline, candidate, rounds=3)
+        assert calls == list("bccbbc")
+        assert paired.rounds == 3
+        # Rounds 3, 2.5, 0.5; the last round's results are kept.
+        assert paired.ratio == 2.5 and paired.spread == (1.5, 2.75)
+        assert (paired.baseline, paired.candidate) == ("b5", "c6")
+
+    def test_default_rounds(self):
+        calls = []
+
+        def side():
+            calls.append(None)
+            return None, 1.0
+
+        paired = bench_common.paired_medians(side, side)
+        assert paired.rounds == bench_common.BENCH_ROUNDS
+        assert len(calls) == 2 * bench_common.BENCH_ROUNDS
+
+    def test_quartiles_of_one_value(self):
+        assert bench_common.quartiles([7.0]) == (7.0, 7.0, 7.0)

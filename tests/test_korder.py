@@ -62,12 +62,6 @@ class TestOrderQueries:
                 assert ko.precedes(a, b)
                 assert not ko.precedes(b, a)
 
-    def test_rank_in_block(self, korder_and_graph):
-        ko, _, _ = korder_and_graph
-        block2 = list(ko.iter_block(2))
-        for i, v in enumerate(block2):
-            assert ko.rank_in_block(v) == i
-
     def test_iter_missing_block_empty(self, korder_and_graph):
         ko, _, _ = korder_and_graph
         assert list(ko.iter_block(7)) == []

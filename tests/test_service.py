@@ -254,6 +254,23 @@ class TestQueries:
         assert svc.degeneracy() == 2
         assert {n: svc.top(n) for n in tops} == tops
 
+    @pytest.mark.parametrize("path", BATCH_PATHS)
+    def test_poisoned_session_kcore_has_no_subgraph(self, path):
+        # The removal run drops (0, 1) from the graph; the index still
+        # holds the acked 2-core {0, 1, 2}, which that graph no longer
+        # induces as a 2-core, so the view refuses to build a subgraph.
+        svc = self.build()
+        svc.engine.apply_batch = getattr(svc.engine, path)
+        with FaultPlan().crash("engine.mid_batch", hits=2):
+            with pytest.raises(InjectedFault):
+                svc.apply(Batch().remove(0, 1).insert(3, 4))
+        assert svc.poisoned
+        view = svc.kcore(2)
+        assert view.vertices() == {0, 1, 2}
+        assert 0 in view and 3 not in view and len(view) == 3
+        with pytest.raises(ValueError, match="without a graph"):
+            view.subgraph()
+
 
 class TestEventStream:
     def test_events_delivered_with_receipt_ids(self):

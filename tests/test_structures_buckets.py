@@ -15,7 +15,6 @@ class TestDegreeBuckets:
     def test_decrease_moves_bucket(self):
         b = DegreeBuckets({"a": 3, "b": 1})
         assert b.decrease("a") == 2
-        assert b.degree_of("a") == 2
         assert b.pop_max_below(2) == ("b", 1)
         assert b.pop_max_below(3) == ("a", 2)
         assert not b
