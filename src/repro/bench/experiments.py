@@ -12,8 +12,9 @@ Experiment index
 table1      dataset statistics (paper vs stand-in)
 fig10a      cumulative distribution of core numbers
 fig10b      cumulative distribution of K over sampled update edges
-fig1        distribution of #vertices visited per insertion
-fig2        ratio sum|visited| / sum|V*| (traversal vs order)
+fig1, fig2  ``insertion_visits``: distribution of #vertices visited
+            per insertion, and the ratio sum|visited| / sum|V*|
+            (traversal vs order)
 fig5        cumulative size distributions of pc / sc / oc
 fig9        |V+|/|V*| under the three k-order generation heuristics
 table2      accumulated insert & remove time, Order vs Trav-h
@@ -169,7 +170,7 @@ def insertion_visits(
     scale: Optional[float] = None,
     seed: int = 42,
 ) -> InsertionVisitResult:
-    """Shared machinery for Figs. 1 and 2: insert the update stream with
+    """Figs. 1 and 2 from one replay: insert the update stream with
     both engines, recording per-edge visited counts (|V'| vs |V+|) and
     core changes (|V*|)."""
     dataset = load_dataset(name, scale=scale, seed=seed)
@@ -188,16 +189,6 @@ def insertion_visits(
         traversal_log=trav_log,
         order_log=order_log,
     )
-
-
-def fig1(name: str, **kwargs) -> InsertionVisitResult:
-    """Fig. 1: bucketed distribution of vertices visited per insertion."""
-    return insertion_visits(name, **kwargs)
-
-
-def fig2(name: str, **kwargs) -> InsertionVisitResult:
-    """Fig. 2: ratio of total visited to total updated vertices."""
-    return insertion_visits(name, **kwargs)
 
 
 # ======================================================================

@@ -10,15 +10,16 @@ Three tie-breaking heuristics decide which removable vertex goes next:
 * ``"small"`` — smallest remaining degree first, the heuristic the paper
   recommends, because vertices with small ``deg+`` placed early are less
   likely to enter Case-1 of ``OrderInsert`` later (fewer candidates,
-  smaller ``V+``).  :func:`dense_peel` runs it as Batagelj–Zaversnik over
-  ints: each call numbers the vertices ``0 .. n-1`` and peels flat
-  ``deg`` / ``bins`` / ``pos`` / ``vert`` lists, one id lookup per
-  adjacency entry.  An engine that peels after every batch keeps the
-  numbering instead (:class:`DenseIds`: neighbour-id lists updated with
-  each edge op) and peels those lists with no lookup.  A vertex stops
-  losing degree once it reaches the level being peeled, so its ``deg+``
-  is counted afterwards (:func:`later_degrees`), by the callers that
-  need it.
+  smaller ``V+``).  :func:`dense_peel` runs it as a FIFO bucket queue
+  over ids ``0 .. n-1`` it numbers per call: a neighbour whose degree
+  drops joins the back of its new degree's bucket, and a stale entry is
+  skipped, so equal degrees leave in the order they reached them.  An
+  engine that peels after every batch keeps the numbering instead
+  (:class:`DenseIds`: neighbour-id lists updated with each edge op)
+  and peels those lists with no id lookup.  A vertex stops losing
+  degree once it reaches the level being peeled, so its ``deg+`` is
+  counted afterwards (:func:`later_degrees`), by the callers that need
+  it.
 * ``"large"`` — largest remaining degree below ``k`` first.
 * ``"random"`` — uniformly random removable vertex.
 
@@ -116,57 +117,52 @@ def korder_decomposition(
 def dense_peel(
     graph: DynamicGraph,
 ) -> tuple[list[Vertex], list[int], list[int]]:
-    """Batagelj–Zaversnik peel over ids numbered for this call.
+    """FIFO bucket-queue peel over ids numbered for this call.
 
     Returns ``(vx, core, vert)``: vertex ``vx[i]`` has id ``i`` and core
     number ``core[i]``, and ``vert`` lists the ids in removal order,
-    smallest remaining degree first — a k-order.  ``O(m + n)``.
+    smallest remaining degree first and equal degrees in the order they
+    reached it — a k-order.  ``O(m + n)``.
+
+    A triangle with a pendant 4 on 3: 4 leaves first, at level 1, and
+    drops 3 to degree 2 behind 1 and 2.
+
+    >>> graph = DynamicGraph([(1, 2), (2, 3), (3, 1), (3, 4)])
+    >>> vx, core, vert = dense_peel(graph)
+    >>> dict(zip(vx, core)), [vx[i] for i in vert]
+    ({1: 2, 2: 2, 3: 2, 4: 1}, [4, 1, 2, 3])
+    >>> is_valid_korder(graph, dict(zip(vx, core)), [vx[i] for i in vert])
+    True
     """
     adj = graph.adj
     vx = list(adj)
     ids = {v: i for i, v in enumerate(vx)}
     nb = list(adj.values())
     deg = list(map(len, nb))
-    bins, pos, vert = _bucket_sort(deg)
-    # Swaps and moves touch only slots after the one being read.
-    for v in vert:
-        dv = deg[v]
-        for w in nb[v]:
-            u = ids[w]
-            du = deg[u]
-            if du > dv:
-                # Move u to the front of its bucket, then shrink the
-                # bucket by one: u now heads bucket du - 1.
-                pu = pos[u]
-                pw = bins[du]
-                x = vert[pw]
-                if u != x:
-                    pos[u] = pw
-                    vert[pu] = x
-                    pos[x] = pu
-                    vert[pw] = u
-                bins[du] = pw + 1
-                deg[u] = du - 1
+    buckets = _buckets(deg)
+    vert = []
+    # Appends to the bucket being walked are walked too.
+    for d, bucket in enumerate(buckets):
+        for v in bucket:
+            if deg[v] != d:
+                continue
+            vert.append(v)
+            for w in nb[v]:
+                u = ids[w]
+                du = deg[u]
+                if du > d:
+                    deg[u] = du = du - 1
+                    buckets[du].append(u)
     return vx, deg, vert
 
 
-def _bucket_sort(deg: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Batagelj–Zaversnik's set-up over ids ``0 .. n-1`` of degrees
-    ``deg``: ``vert`` lists the ids by degree, ``pos[i]`` is id ``i``'s
-    slot in it and ``bins[d]`` the first slot of degree ``d``."""
-    bins = [0] * (max(deg, default=0) + 2)
-    for d in deg:
-        bins[d + 1] += 1
-    for d in range(1, len(bins)):
-        bins[d] += bins[d - 1]
-    pos = [0] * len(deg)
-    vert = [0] * len(deg)
+def _buckets(deg: list[int]) -> list[list[int]]:
+    """The ids ``0 .. n-1`` filed by degree: ``buckets[d]`` lists the
+    ids of degree ``d``, in id order."""
+    buckets = [[] for _ in range(max(deg, default=-1) + 1)]
     for v, d in enumerate(deg):
-        p = pos[v] = bins[d]
-        vert[p] = v
-        bins[d] = p + 1
-    bins.insert(0, 0)
-    return bins, pos, vert
+        buckets[d].append(v)
+    return buckets
 
 
 class DenseIds:
@@ -176,23 +172,29 @@ class DenseIds:
     Vertex ``vx[i]`` has id ``i`` (``ids`` maps back) and ``nb[i]``
     lists its neighbours' ids.  :meth:`add_edge` and :meth:`remove_edge`
     apply an edge op to the graph, then to the lists; :meth:`peel` runs
-    Batagelj–Zaversnik over the lists with no id lookup.  Vertices only
-    join: the graph's own ``remove_vertex`` would leave the lists stale.
+    :func:`dense_peel`'s loop over the lists with no id lookup and keeps
+    the cores it found in ``core``.  That starts as ``cores`` read for
+    the graph's first ``len(cores)`` vertices, which must be the ones
+    ``cores`` holds.  Vertices only join: the graph's own
+    ``remove_vertex`` would leave the lists stale.
 
     Numbering a graph costs about as much as :func:`dense_peel` does, so
     a single peel is cheaper through :func:`dense_peel`; the lists pay
     only when they are peeled again.
     """
 
-    __slots__ = ("graph", "vx", "ids", "nb")
+    __slots__ = ("graph", "vx", "ids", "nb", "core")
 
-    def __init__(self, graph: DynamicGraph) -> None:
+    def __init__(
+        self, graph: DynamicGraph, cores: Mapping[Vertex, int]
+    ) -> None:
         adj = graph.adj
         self.graph = graph
         self.vx = vx = list(adj)
         self.ids = ids = {v: i for i, v in enumerate(vx)}
         get = ids.__getitem__
         self.nb = [list(map(get, nbrs)) for nbrs in adj.values()]
+        self.core = [cores[v] for v in vx[: len(cores)]]
 
     def _number(self, vertex: Vertex) -> int:
         i = self.ids[vertex] = len(self.vx)
@@ -225,26 +227,24 @@ class DenseIds:
 
     def peel(self) -> tuple[list[int], list[int]]:
         """Peel the lists; returns ``(core, vert)`` as :func:`dense_peel`
-        does (id-aligned cores, ids in removal order).  ``O(m + n)``."""
+        does (id-aligned cores, ids in removal order) and keeps ``core``.
+        ``O(m + n)``."""
         nb = self.nb
         deg = list(map(len, nb))
-        bins, pos, vert = _bucket_sort(deg)
+        buckets = _buckets(deg)
+        vert = []
         # dense_peel's loop, less its ids[w] lookup.
-        for v in vert:
-            dv = deg[v]
-            for u in nb[v]:
-                du = deg[u]
-                if du > dv:
-                    pu = pos[u]
-                    pw = bins[du]
-                    x = vert[pw]
-                    if u != x:
-                        pos[u] = pw
-                        vert[pu] = x
-                        pos[x] = pu
-                        vert[pw] = u
-                    bins[du] = pw + 1
-                    deg[u] = du - 1
+        for d, bucket in enumerate(buckets):
+            for v in bucket:
+                if deg[v] != d:
+                    continue
+                vert.append(v)
+                for u in nb[v]:
+                    du = deg[u]
+                    if du > d:
+                        deg[u] = du = du - 1
+                        buckets[du].append(u)
+        self.core = deg
         return deg, vert
 
 

@@ -61,7 +61,7 @@ True
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional, Sequence
 
 from repro.core.decomposition import (
     DenseIds,
@@ -128,9 +128,10 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._seed = seed
         #: The one stats object every k-order of this engine counts in.
         self._stats = SequenceStats()
-        #: The last peel's order, kept until ``deg+``, the k-order and
-        #: ``mcd`` are built from it; ``None`` once they are.
-        self._peel: Optional[list[Vertex]] = None
+        #: The last peel's ``(vx, vert)`` (its order: ``vx[i]`` for ``i`` in
+        #: ``vert``), kept until ``deg+``, the k-order and ``mcd`` are built
+        #: from it; ``None`` once they are.
+        self._peel: Optional[tuple[list, Sequence[int]]] = None
         self._korder: Optional[KOrder] = None
         self._mcd: Optional[dict[Vertex, int]] = None
         #: Whether the last update was a rebuilt batch that landed in
@@ -144,33 +145,50 @@ class OrderFamilyMaintainer(CoreMaintainer):
     def _build_index(self) -> None:
         """Peel the graph: fold its cores into :attr:`_core` and keep its
         order for :meth:`_build_deferred`.  The k-order and ``mcd`` are
-        dropped, marked not built.  The small policy peels the ids a
-        rebuilt batch kept (:meth:`_land`) when there are any, else the
-        graph itself (:func:`dense_peel`)."""
+        dropped, marked not built.  The small policy peels with
+        :func:`dense_peel`."""
         if self._policy == "small":
-            ids = self._ids
-            if ids is None:
-                vx, core, vert = dense_peel(self._graph)
-            else:
-                vx = ids.vx
-                core, vert = ids.peel()
+            vx, core, vert = dense_peel(self._graph)
             self._core.update(zip(vx, core))
-            self._peel = [vx[i] for i in vert]
+            self._peel = (vx, vert)
         else:
             peel = korder_decomposition(
                 self._graph, policy=self._policy, seed=self._seed
             )
             self._core.update(peel.core)
-            self._peel = peel.order
+            self._peel = (peel.order, range(len(peel.order)))
         self._korder = self._mcd = None
+
+    def _rebuild_diff(self) -> Optional[dict[Vertex, int]]:
+        """:meth:`_build_index` on the ids a rebuilt batch kept
+        (:meth:`_land`), if any: diff their cores by id against the last
+        peel's and write only the changes into :attr:`_core`."""
+        ids = self._ids
+        if ids is None:
+            return None
+        old = ids.core
+        core, vert = ids.peel()
+        vx, cores = ids.vx, self._core
+        # Vertices numbered since the last peel count from 0.
+        cores.update(dict.fromkeys(vx[len(old):], 0))
+        old += [0] * (len(vx) - len(old))
+        changed = {
+            vx[i]: c - o for i, (o, c) in enumerate(zip(old, core)) if c != o
+        }
+        for v, delta in changed.items():
+            cores[v] += delta
+        self._peel = (vx, vert)
+        self._korder = self._mcd = None
+        return changed
 
     def _land(self, batch: Batch) -> None:
         """Land a rebuilt batch's ops (small policy: on the kept ids too).
 
         A run's first rebuilt batch lands on the graph alone and peels
         it with :func:`dense_peel`; the second numbers the graph once
-        its ops landed, so its peel sees what :func:`dense_peel` would;
-        later ones land each op on the graph and then on the kept ids.
+        its ops landed, so its peel sees what :func:`dense_peel` would,
+        and files the cores it held; later ones land each op on the graph
+        and then on the kept ids, diffed by id (:meth:`_rebuild_diff`).
         So a lone rebuilt batch never numbers the graph.  Ids are held
         only once every op landed: after a raise, the rebuild peels the
         graph itself and the next rebuilt batch starts a new run."""
@@ -179,7 +197,7 @@ class OrderFamilyMaintainer(CoreMaintainer):
         if ids is None:
             super()._land(batch)
             if rebuilt and self._policy == "small":
-                ids = DenseIds(self._graph)
+                ids = DenseIds(self._graph, self._core)
         else:
             for kind, run_edges in batch.runs():
                 inject("engine.mid_batch")
@@ -201,10 +219,12 @@ class OrderFamilyMaintainer(CoreMaintainer):
         """Build ``deg+``, the k-order and ``mcd`` from the last peel's
         order, unless they are built.  Runs at the top of every path that
         reads or changes the order index."""
-        order = self._peel
-        if order is None:
+        if self._peel is None:
             return
+        vx, vert = self._peel
         self._peel = None
+        order = [vx[i] for i in vert]
+        del vx, vert  # Held through the build, they would raise its peak.
         # The build reads cores from the live map: one core dict, not two.
         peel = KOrderDecomposition(
             self._core, order, later_degrees(self._graph.adj, order)

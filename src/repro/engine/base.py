@@ -320,13 +320,22 @@ class CoreMaintainer(ABC):
         """Rebuild the index from the graph, counting it in
         :attr:`rebuilds` and auditing it when the engine audits (the
         audit builds any deferred part first, so it covers the whole
-        index); returns the net core delta it found."""
-        old = dict(self._core)
-        self._build_index()
+        index); returns the net core delta, :meth:`_rebuild_diff`'s or
+        the core map's before :meth:`_build_index` against after."""
+        changed = self._rebuild_diff()
+        if changed is None:
+            old = dict(self._core)
+            self._build_index()
+            changed = core_diff(old, self._core)
         self.rebuilds += 1
         if self._audit:
             self.check()
-        return core_diff(old, self._core)
+        return changed
+
+    def _rebuild_diff(self) -> Optional[dict[Vertex, int]]:
+        """Rebuild the index and return the net core delta without a copy
+        of the core map, or return ``None`` having rebuilt nothing."""
+        return None
 
     @abstractmethod
     def _build_index(self) -> None:

@@ -279,13 +279,6 @@ def scan(path: PathLike) -> LogInfo:
     return _decode(path, header, valid[1:], end, len(data))
 
 
-def read_header(path: PathLike) -> dict:
-    """Decode just the log's header record (first frame, one small read)."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    return _decode_header(path, next(frames(line), (0, None))[1])
-
-
 def tail(path: PathLike, offset: int = 0) -> LogInfo:
     """Read the complete frames appended at or after ``offset``.
 

@@ -1,8 +1,8 @@
 """Bucketed degree queues for the staged k-order peels.
 
 ``CoreDecomp`` (Algorithm 1 of the paper) peels vertices whose remaining
-degree is below the current ``k``.  The ``"small"`` policy runs as
-Batagelj–Zaversnik over flat int lists
+degree is below the current ``k``.  The ``"small"`` policy runs as a
+FIFO bucket queue over int ids
 (:func:`repro.core.decomposition.dense_peel`); the ``"large"`` and
 ``"random"`` policies of Fig. 9 pick among *all* removable vertices at a
 stage, so they keep vertices bucketed by their current degree here.

@@ -162,20 +162,6 @@ class TaggedOrderList:
         self.stats.order_queries += 1
         return self.nodes[a].label < self.nodes[b].label
 
-    def rank(self, item: Hashable) -> int:
-        """0-based position of ``item`` — O(position) list walk.
-
-        Diagnostic only (audits, tests); the engine hot paths never call
-        it.  Raises :class:`KeyError` on absent items.
-        """
-        target = self.nodes[item]
-        r = 0
-        node = self._head.next
-        while node is not target:
-            r += 1
-            node = node.next
-        return r
-
     def successor(self, item: Hashable) -> Optional[Any]:
         """Item immediately after ``item``, or ``None`` if it is the last."""
         node = self.nodes[item].next

@@ -3,7 +3,10 @@
 The peel returns ``(vx, core, vert)`` over ids it numbers itself; these
 tests read that raw form.  Each removal must take a vertex of smallest
 remaining degree (never below the level already peeled), which
-``tests/test_peel_oracle.py``'s k-order checks allow but do not demand.
+``tests/test_peel_oracle.py``'s k-order checks allow but do not demand,
+and vertices of equal degree leave in the order they reached it (FIFO).
+:meth:`DenseIds.peel` runs the same loop over kept lists and must return
+the same ``(core, vert)`` on the same numbering.
 """
 
 import random
@@ -12,6 +15,7 @@ import pytest
 
 from helpers import cores_by_deletion
 from repro.core.decomposition import (
+    DenseIds,
     dense_peel,
     is_valid_korder,
     later_degrees,
@@ -69,6 +73,23 @@ class TestDensePeel:
         assert core == [0] * 60
         assert [vx[i] for i in vert] == list(range(60))
 
+    def test_equal_degrees_leave_in_the_order_they_reached_it(self):
+        """A path 0-..-6: both ends start at degree 1, and each removal
+        drops the next vertex inward to 1 behind those already there, so
+        the peel alternates between the ends (a LIFO queue would eat one
+        end first)."""
+        graph = DynamicGraph([(i, i + 1) for i in range(6)])
+        vx, core, vert = dense_peel(graph)
+        assert [vx[i] for i in vert] == [0, 6, 1, 5, 2, 4, 3]
+        assert core == [1] * 7
+
+    def test_a_lowered_vertex_queues_behind_its_new_bucket(self):
+        """Triangle a-b-c with a pendant d on a: d goes first and drops
+        a to degree 2, behind b and c, which were there from the start."""
+        graph = DynamicGraph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")])
+        vx, core, vert = dense_peel(graph)
+        assert [vx[i] for i in vert] == ["d", "b", "c", "a"]
+
     def test_degree_stops_at_the_level_being_peeled(self):
         """A K4 whose every vertex also has a pendant: the pendants go at
         level 1, after which each K4 vertex has degree 3; removing the
@@ -94,3 +115,24 @@ class TestDensePeel:
             v: sum(1 for w in graph.adj[v] if position[w] > position[v])
             for v in order
         }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kept_ids_peel_as_the_graph_does(seed):
+    """On the numbering a fresh :class:`DenseIds` takes, which is
+    :func:`dense_peel`'s, both return the same ``(core, vert)``; the
+    lists keep the cores of their last peel."""
+    graph = seeded_graph(seed)
+    vx, core, vert = dense_peel(graph)
+    ids = DenseIds(graph, {})
+    assert ids.core == []
+    assert ids.vx == vx
+    assert ids.peel() == (core, vert)
+    assert ids.core == core
+
+
+def test_kept_ids_file_the_cores_they_are_given():
+    graph = DynamicGraph([(1, 2), (2, 3), (3, 1)])
+    before = dict(zip(*dense_peel(graph)[:2]))
+    graph.add_edge(3, 4)
+    assert DenseIds(graph, before).core == [2, 2, 2]

@@ -1,21 +1,24 @@
 """The small-policy peel against an oracle that shares no code with it.
 
 ``core_numbers``, ``korder_decomposition(policy="small")`` and every
-order-family rebuild run the same Batagelj–Zaversnik peel
-(:func:`repro.core.decomposition.dense_peel`), so checking one against
-another checks nothing.  Here each is checked against
-:func:`helpers.cores_by_deletion`, which strips low-degree vertices one
-``k`` at a time, on graphs whose vertices are strings and tuples (the
-peel never compares them), with isolated vertices, vertex removals and
-the empty graph.  Beside the cores, the order must be a k-order
-(Lemma 5.1) whose ``deg+`` counts each vertex's later neighbors, and an
-engine must pass its own audit.
+order-family rebuild run the same FIFO bucket-queue peel
+(:func:`repro.core.decomposition.dense_peel`, or its loop over kept id
+lists), so checking one against another checks nothing.  Here each is
+checked against :func:`helpers.cores_by_deletion`, which strips
+low-degree vertices one ``k`` at a time, on graphs whose vertices are
+strings and tuples (the peel never compares them), with isolated
+vertices, vertex removals and the empty graph.  Beside the cores, the
+order must be a k-order (Lemma 5.1) whose ``deg+`` counts each vertex's
+later neighbors, and an engine must pass its own audit.
 
 From a run's second rebuilt batch on, the engine peels the vertex ids
 that batch numbered (:class:`~repro.core.decomposition.DenseIds`), kept
-in step with the graph op by op; a run's first batch keeps none.  The last test drives engines through such runs, cut by
-the updates that must drop the ids, and checks the kept lists against
-the graph after every step.
+in step with the graph op by op, and takes ``changed`` by comparing the
+new id-aligned cores with the last peel's instead of two core maps; a
+run's first batch keeps none.  The last tests drive engines through such
+runs, cut by the updates that must drop the ids, and check the kept
+lists against the graph and ``changed`` against ``core_diff`` of the
+core snapshots around every step.
 """
 
 import pytest
@@ -197,6 +200,23 @@ def step(engine, kind, pairs, vertex, hits):
     ],
 )
 def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
+    run_steps(name, graph, steps)
+
+
+@pytest.mark.parametrize("name", order_family_engines())
+def test_a_vertex_whose_edge_came_and_went_enters_at_zero(name):
+    """A run's second batch inserts and removes the only edge of a new
+    vertex: its peel of the kept ids must still enter the vertex into
+    the core map, at 0."""
+    run_steps(name, DynamicGraph(), [
+        ("rebuild", [(POOL[0], POOL[1])], POOL[0], 1),
+        ("rebuild", [(POOL[0], POOL[10]), (POOL[0], POOL[10])], POOL[0], 1),
+    ])
+
+
+def run_steps(name, graph, steps):
+    """Drive a fresh engine through ``steps``, checking the cores,
+    ``changed`` and the kept ids after each."""
     engine = make_engine(name, graph)
     assert engine._ids is None
     # Whether the last step was a rebuilt batch that landed in full.
@@ -216,3 +236,30 @@ def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
             assert kept is None
         rebuilt = landed
         engine.check()
+
+
+@pytest.mark.parametrize("name", order_family_engines())
+def test_a_run_of_rebuilt_batches_diffs_its_cores_by_id(name):
+    """Six rebuilt batches in a row, each adding vertices; the second to
+    sixth diff their cores by id.  Each batch's ``changed`` is the diff
+    of the core snapshots around it, and a vertex whose only edge came
+    and went in one batch sits in the core map at 0."""
+    engine = make_engine(name, DynamicGraph([(i, i + 1) for i in range(5)]))
+    for t in range(6):
+        fresh = [("n", t, i) for i in range(4)]
+        batch = Batch.inserts(
+            [(fresh[i], fresh[j]) for i in range(3) for j in range(i + 1, 3)]
+            + [(fresh[0], t), (fresh[1], t + 1), (fresh[3], t)]
+        )
+        batch.remove(fresh[3], t)
+        if t:
+            batch.remove(("n", t - 1, 0), ("n", t - 1, 1))
+        before = engine.core_numbers()
+        result = engine.rebuild_batch(batch)
+        after = engine.core_numbers()
+        assert (engine._ids is None) == (t == 0)
+        assert after == cores_by_deletion(engine.graph)
+        assert result.changed == core_diff(before, after)
+        assert after[fresh[3]] == 0
+        assert fresh[3] not in result.changed
+    engine.check()

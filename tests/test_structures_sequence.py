@@ -259,7 +259,6 @@ class TestSequenceBehavior:
     def test_rank_and_neighbors(self, order_list):
         seq = order_list()
         seq.extend_back("abcde")
-        assert [seq.rank(c) for c in "abcde"] == [0, 1, 2, 3, 4]
         assert seq.successor("b") == "c" and seq.predecessor("b") == "a"
         assert seq.successor("e") is None and seq.predecessor("a") is None
 
@@ -270,8 +269,6 @@ class TestSequenceBehavior:
             seq.insert_back(1)
         with pytest.raises(KeyError):
             seq.remove(2)
-        with pytest.raises(KeyError):
-            seq.rank(2)
         with pytest.raises(KeyError):
             seq.precedes(1, 2)
 

@@ -357,9 +357,7 @@ class TestDurableSession:
     def rewrite_header(log, **fields):
         """Re-frame ``log``'s header with ``fields`` set, leaving every
         commit record after it as it was."""
-        from repro.service.wal import read_header
-
-        header = read_header(log)
+        header = scan(log).header
         header.update(fields)
         records = log.read_bytes().split(b"\n", 1)[1]
         log.write_bytes(frame(json.dumps(header).encode()) + records)
@@ -596,21 +594,6 @@ class TestTokensAndTailing:
         rec.apply(Batch().insert(3, 1), token="tok-3")
         assert scan(log).tokens[3] == "tok-3"
         rec.close()
-
-    def test_read_header_matches_scan(self, tmp_path):
-        from repro.service.wal import read_header
-
-        log = tmp_path / "s.wal"
-        make_log(log, engine="order-simplified").close()
-        assert read_header(log) == scan(log).header
-
-    def test_read_header_rejects_garbage(self, tmp_path):
-        from repro.service.wal import read_header
-
-        log = tmp_path / "s.wal"
-        log.write_bytes(b"not a frame at all\n")
-        with pytest.raises(LogCorruptionError):
-            read_header(log)
 
     def test_tail_reads_only_new_frames(self, tmp_path):
         from repro.service.wal import tail
