@@ -16,6 +16,7 @@ single-pass figure rows.  :func:`artifact` writes every
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -108,12 +109,15 @@ def paired_medians(baseline, candidate, rounds=BENCH_ROUNDS) -> Paired:
     statistic a gate compares is :attr:`Paired.ratio`, the median over
     rounds of ``candidate / baseline`` seconds, so a slow stretch of a
     shared host, which hits both sides of a round, cannot decide it.
+    Each side starts after a full collection, so neither pays for the
+    garbage the other, or an earlier bench, left behind.
     """
     sides = (baseline, candidate)
     times: tuple[list, list] = ([], [])
     results = [None, None]
     for round_ in range(rounds):
         for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+            gc.collect()
             results[side], seconds = sides[side]()
             times[side].append(seconds)
     q1, ratio, q3 = quartiles(c / b for b, c in zip(*times))

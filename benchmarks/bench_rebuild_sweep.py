@@ -15,11 +15,12 @@ batch, alternately, so a host slowdown hits all three:
 
 * ``maintain`` — ``maintain_batch`` (the run loop);
 * ``lone`` — ``rebuild_batch`` as a lone rebuilt batch between
-  maintained ones: it peels the graph, and then an empty
-  ``maintain_batch`` times, as its own column, the deferred ``deg+`` /
-  k-order / ``mcd`` build that the next maintained batch pays;
-* ``run`` — ``rebuild_batch`` inside a run of rebuilt batches: two
-  empty rebuilt batches before the cell start the run, so every timed
+  maintained ones: it lands its ops on the graph and numbers and peels
+  it, and then an empty ``maintain_batch`` times, as its own column,
+  the deferred ``deg+`` / k-order / ``mcd`` build that the next
+  maintained batch pays;
+* ``run`` — ``rebuild_batch`` inside a run of rebuilt batches: one
+  empty rebuilt batch before the cell starts the run, so every timed
   batch lands its ops on the kept vertex ids and peels them.
 
 Each cell runs :data:`PASSES` passes, each on fresh engine copies, and
@@ -184,10 +185,9 @@ def _pass(graph, batches, first, truth):
     maintain, lone, run = (
         make_engine(DEFAULT_ENGINE, graph.copy()) for _ in range(3)
     )
-    # Start a run: its first batch peels the graph, its second numbers
-    # it and keeps the ids every timed batch then peels.
-    for _ in range(2):
-        run.rebuild_batch(Batch([]))
+    # Start a run: its first batch numbers the graph and keeps the ids
+    # every timed batch then lands on and peels.
+    run.rebuild_batch(Batch([]))
     seconds = dict.fromkeys(COLUMNS, 0.0)
     visited = 0
 

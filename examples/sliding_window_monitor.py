@@ -45,7 +45,7 @@ def main() -> None:
         monitor.observe_many(edges, t)
         if (i + 1) % report_every == 0:
             top = monitor.degeneracy()
-            hot = monitor.k_core(top)
+            hot = monitor.service.kcore(top)
             print(
                 f"t={t:7.0f}: {monitor.live_edges():5d} live ties | "
                 f"hottest core k={top:2d} with {len(hot):3d} users | "

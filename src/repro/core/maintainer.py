@@ -30,13 +30,12 @@ runs only the peel: it refreshes the core numbers and keeps the peel's
 order.  The first later update or read of the order index builds
 ``deg+``, the k-order and ``mcd`` from it (:meth:`_build_deferred`), so
 a run of rebuilt batches builds them zero times.  The constructor builds
-both at once.  From a run's second rebuilt batch on, the engine also
-keeps the peel's vertex ids
-(:class:`~repro.core.decomposition.DenseIds`): each later rebuilt batch
-applies its ops to them and peels them with no id lookup
-(:meth:`_land`).  Any other update drops them, so a graph that is only
-maintained, or rebuilt once between maintained batches, never holds
-them.
+both at once.  Every rebuilt batch peels vertex ids
+(:class:`~repro.core.decomposition.DenseIds`) and diffs their cores by
+id: a run's first numbers the graph once its ops landed, and the ids are
+kept in step with the graph, so later ones land their ops on them and
+peel them with no id lookup (:meth:`_land`).  Any other update drops
+them, so a graph that is only maintained never holds them.
 
 Example
 -------
@@ -75,11 +74,10 @@ from repro.core.insertion import order_insert
 from repro.core.korder import KOrder
 from repro.core.removal import demote_level, detach_edge, order_remove_run
 from repro.engine.base import CoreMaintainer, UpdateResult
-from repro.engine.batch import INSERT, Batch, RemovalRunResult
+from repro.engine.batch import Batch, RemovalRunResult
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
 from repro.structures.sequence import SequenceStats
-from repro.testing.faults import inject
 
 Vertex = Hashable
 
@@ -104,10 +102,11 @@ class OrderFamilyMaintainer(CoreMaintainer):
         The graph to index; the maintainer takes ownership (all further
         updates must go through :meth:`insert_edge` / :meth:`remove_edge`).
     policy:
-        k-order generation heuristic (``"small"``, ``"large"``,
-        ``"random"``; Section VI — ``"small"`` is the paper's choice).
-        Only the Fig. 9 experiment picks another; engines built by
-        registry name always use ``"small"``.
+        The constructor's k-order generation heuristic (``"small"``,
+        ``"large"``, ``"random"``; Section VI — ``"small"`` is the
+        paper's choice).  Only the Fig. 9 experiment picks another;
+        engines built by registry name always use ``"small"``, and a
+        rebuilt batch always peels smallest remaining degree first.
     seed:
         Makes the random policy deterministic.
     audit:
@@ -134,18 +133,16 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._peel: Optional[tuple[list, Sequence[int]]] = None
         self._korder: Optional[KOrder] = None
         self._mcd: Optional[dict[Vertex, int]] = None
-        #: Whether the last update was a rebuilt batch that landed in
-        #: full; from a run's second such batch on, the vertex ids kept
-        #: in step with the graph (:meth:`_land`), ``None`` otherwise.
-        self._rebuilt = False
+        #: The vertex ids every rebuilt batch peels, kept in step with
+        #: the graph (:meth:`_land`) until any other update drops them.
         self._ids: Optional[DenseIds] = None
         self._build_index()
         self._build_deferred()
 
     def _build_index(self) -> None:
-        """Peel the graph: fold its cores into :attr:`_core` and keep its
-        order for :meth:`_build_deferred`.  The k-order and ``mcd`` are
-        dropped, marked not built.  The small policy peels with
+        """The constructor's peel, by the engine's policy: fold its cores
+        into :attr:`_core` and keep its order for
+        :meth:`_build_deferred`.  The small policy peels with
         :func:`dense_peel`."""
         if self._policy == "small":
             vx, core, vert = dense_peel(self._graph)
@@ -157,15 +154,13 @@ class OrderFamilyMaintainer(CoreMaintainer):
             )
             self._core.update(peel.core)
             self._peel = (peel.order, range(len(peel.order)))
-        self._korder = self._mcd = None
 
-    def _rebuild_diff(self) -> Optional[dict[Vertex, int]]:
-        """:meth:`_build_index` on the ids a rebuilt batch kept
-        (:meth:`_land`), if any: diff their cores by id against the last
-        peel's and write only the changes into :attr:`_core`."""
+    def _rebuild_diff(self) -> dict[Vertex, int]:
+        """Peel the ids the rebuilt batch landed on (:meth:`_land`), diff
+        their cores by id against the last peel's and write only the
+        changes into :attr:`_core`.  The k-order and ``mcd`` are dropped,
+        marked not built."""
         ids = self._ids
-        if ids is None:
-            return None
         old = ids.core
         core, vert = ids.peel()
         vx, cores = ids.vx, self._core
@@ -182,37 +177,24 @@ class OrderFamilyMaintainer(CoreMaintainer):
         return changed
 
     def _land(self, batch: Batch) -> None:
-        """Land a rebuilt batch's ops (small policy: on the kept ids too).
-
-        A run's first rebuilt batch lands on the graph alone and peels
-        it with :func:`dense_peel`; the second numbers the graph once
-        its ops landed, so its peel sees what :func:`dense_peel` would,
-        and files the cores it held; later ones land each op on the graph
-        and then on the kept ids, diffed by id (:meth:`_rebuild_diff`).
-        So a lone rebuilt batch never numbers the graph.  Ids are held
-        only once every op landed: after a raise, the rebuild peels the
-        graph itself and the next rebuilt batch starts a new run."""
-        ids, self._ids = self._ids, None
-        rebuilt, self._rebuilt = self._rebuilt, False
-        if ids is None:
+        """Land a rebuilt batch's ops on the kept ids, which pass each op
+        to the graph first.  A run's first rebuilt batch lands on the
+        graph and then numbers it, filing the cores the engine held, so
+        its peel sees what :func:`dense_peel` would; it numbers the graph
+        even when an op raised, so the ids always match the graph."""
+        if self._ids is not None:
+            super()._land(batch, self._ids)
+            return
+        try:
             super()._land(batch)
-            if rebuilt and self._policy == "small":
-                ids = DenseIds(self._graph, self._core)
-        else:
-            for kind, run_edges in batch.runs():
-                inject("engine.mid_batch")
-                update = ids.add_edge if kind == INSERT else ids.remove_edge
-                for u, v in run_edges:
-                    update(u, v)
-        self._ids = ids
-        self._rebuilt = True
+        finally:
+            self._ids = DenseIds(self._graph, self._core)
 
     def _materialize(self) -> None:
         """Ready the index for an update other than a rebuilt batch: drop
         the kept ids, which the update would leave behind the graph, and
         build the deferred index."""
         self._ids = None
-        self._rebuilt = False
         self._build_deferred()
 
     def _build_deferred(self) -> None:

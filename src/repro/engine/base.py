@@ -25,15 +25,16 @@ Besides the per-edge updates the paper describes, every engine accepts a
   overrides both with coalesced commits (one ``mcd`` repair per
   insertion run, one joint cascade per removal run);
 * **rebuild** (:meth:`CoreMaintainer.rebuild_batch`): apply the batch
-  to the graph, recompute the core numbers once from it
-  (:meth:`_build_index`), and report the net old-against-new core diff.
-  For ``naive`` and ``trav-<h>`` that is the constructor's whole build.
-  The order family runs only its peel and keeps the peel's order; the
-  first later path that reads or changes its k-order builds ``deg+``,
-  the k-order and ``mcd`` from it, so a run of rebuilt batches never
-  builds them.  From a run's second rebuilt batch on it also keeps the
-  peel's vertex ids and peels them again (:meth:`_land`); every other
-  update drops them (:meth:`_materialize`).
+  to the graph (:meth:`_land`), recompute the core numbers once from it
+  and report the net old-against-new core diff (:meth:`_rebuild_diff`).
+  For ``naive`` and ``trav-<h>`` that is the constructor's whole build
+  (:meth:`_build_index`) around a copy of the core map.  The order
+  family runs only its peel and keeps the peel's order; the first later
+  path that reads or changes its k-order builds ``deg+``, the k-order
+  and ``mcd`` from it, so a run of rebuilt batches never builds them.
+  It peels vertex ids that every rebuilt batch keeps in step with the
+  graph, so the next one lands on them, and diffs the cores by id;
+  every other update drops them (:meth:`_materialize`).
 
 One count-based rule picks between them: rebuild when
 ``REBUILD_FACTOR * ops * v >= |V| + |E|``, where ``v`` is the engine's
@@ -277,7 +278,7 @@ class CoreMaintainer(ABC):
 
     def rebuild_batch(self, batch: Batch) -> BatchResult:
         """Apply a batch to the graph, then rebuild the index once
-        (:meth:`_build_index`: the core numbers, and whatever else of
+        (:meth:`_rebuild_diff`: the core numbers, and whatever else of
         the index the engine does not defer to :meth:`_materialize`).
 
         The graph takes the batch as :meth:`maintain_batch` would
@@ -305,11 +306,13 @@ class CoreMaintainer(ABC):
             counters=self._counter_deltas(baseline),
         )
 
-    def _land(self, batch: Batch) -> None:
-        """Apply ``batch`` to the graph for :meth:`rebuild_batch`: its
-        runs in the order :meth:`maintain_batch` takes them, with the
-        same ``engine.mid_batch`` fault point before each."""
-        graph = self._graph
+    def _land(self, batch: Batch, graph=None) -> None:
+        """Apply ``batch`` for :meth:`rebuild_batch` to ``graph`` (the
+        engine's, or an object with its ``add_edge``/``remove_edge``
+        that passes each op on to it): its runs in the order
+        :meth:`maintain_batch` takes them, with the same
+        ``engine.mid_batch`` fault point before each."""
+        graph = self._graph if graph is None else graph
         for kind, run_edges in batch.runs():
             inject("engine.mid_batch")
             update = graph.add_edge if kind == INSERT else graph.remove_edge
@@ -317,31 +320,28 @@ class CoreMaintainer(ABC):
                 update(u, v)
 
     def _rebuild(self) -> dict[Vertex, int]:
-        """Rebuild the index from the graph, counting it in
-        :attr:`rebuilds` and auditing it when the engine audits (the
-        audit builds any deferred part first, so it covers the whole
-        index); returns the net core delta, :meth:`_rebuild_diff`'s or
-        the core map's before :meth:`_build_index` against after."""
+        """Rebuild the index from the graph (:meth:`_rebuild_diff`),
+        counting it in :attr:`rebuilds` and auditing it when the engine
+        audits (the audit builds any deferred part first, so it covers
+        the whole index); returns the net core delta."""
         changed = self._rebuild_diff()
-        if changed is None:
-            old = dict(self._core)
-            self._build_index()
-            changed = core_diff(old, self._core)
         self.rebuilds += 1
         if self._audit:
             self.check()
         return changed
 
-    def _rebuild_diff(self) -> Optional[dict[Vertex, int]]:
-        """Rebuild the index and return the net core delta without a copy
-        of the core map, or return ``None`` having rebuilt nothing."""
-        return None
+    def _rebuild_diff(self) -> dict[Vertex, int]:
+        """Rebuild the index and return the net core delta: by default
+        the core map's before :meth:`_build_index` against after."""
+        old = dict(self._core)
+        self._build_index()
+        return core_diff(old, self._core)
 
     @abstractmethod
     def _build_index(self) -> None:
-        """Build from the graph what a rebuild needs: the core numbers,
-        and the rest of the index or what :meth:`_materialize` builds it
-        from.
+        """Build from the graph what the constructor, and the default
+        :meth:`_rebuild_diff`, need: the core numbers, and the rest of the
+        index or what :meth:`_materialize` builds it from.
 
         Updates :attr:`_core` in place (``self._core.update``: the graph
         holds every vertex the map does, and a vertex keeps its place in

@@ -112,10 +112,6 @@ class SlidingWindowCoreMonitor:
         """Current core number (0 for unseen vertices)."""
         return self._service.core(vertex, 0)
 
-    def k_core(self, k: int) -> set[Vertex]:
-        """Vertices currently in the ``k``-core of the window graph."""
-        return self._service.kcore(k).vertices()
-
     def degeneracy(self) -> int:
         """Current maximum core number."""
         return self._service.degeneracy()

@@ -155,3 +155,15 @@ def v1_snapshot(engine) -> dict:
             key=repr,
         ),
     }
+
+
+def kept_adjacency(engine) -> dict | None:
+    """An order-family engine's kept vertex ids mapped back to vertices
+    (compare with ``engine.graph.adj``), or ``None`` when it keeps none."""
+    ids = engine._ids
+    if ids is None:
+        return None
+    vx = ids.vx
+    assert ids.ids == {v: i for i, v in enumerate(vx)}
+    assert all(len(set(nb)) == len(nb) for nb in ids.nb)
+    return {vx[i]: {vx[j] for j in nb} for i, nb in enumerate(ids.nb)}

@@ -13,10 +13,12 @@ These tests pin, on ``order`` and ``order-simplified``:
 * **every entry point** — each path that reads or changes the order
   index, taken right after a rebuild, leaves the engine exactly as an
   engine that built its index eagerly after the same rebuild;
-* **kept ids** — only a run of rebuilt batches holds the peel's vertex
-  ids; building an engine, and every other update, leaves none;
-* **a fault inside a rebuild** — the maintained batch after it audits
-  clean;
+* **kept ids** — every rebuilt batch keeps the peel's vertex ids in
+  step with the graph; building an engine, and every other update,
+  leaves none;
+* **a fault inside a rebuild** — it keeps ids that match the graph, the
+  next rebuilt batch peels them, and the maintained batch after it
+  audits clean;
 * **random interleaving** — hypothesis mixes rebuilt batches,
   maintained batches and per-edge ops against an audited twin and
   ``core_numbers``.
@@ -28,10 +30,11 @@ from hypothesis import strategies as st
 
 import repro.core.maintainer as maintainer_module
 from engine_contract import order_family_engines
-from helpers import absent_edges, random_gnm
+from helpers import absent_edges, kept_adjacency, random_gnm
 from repro.core.decomposition import DenseIds, core_numbers
 from repro.core.korder import KOrder
 from repro.engine import Batch, make_engine
+from repro.engine.batch import core_diff
 from repro.service import CoreService
 from repro.testing.faults import FaultPlan, InjectedFault
 
@@ -253,37 +256,39 @@ DROPPING_UPDATES = {
 
 
 @pytest.mark.parametrize("name", ENGINES)
-def test_only_a_run_of_rebuilt_batches_keeps_vertex_ids(name, tmp_path):
-    """A graph that is built or only maintained holds no peel ids: not
-    after the constructor, ``CoreService.open`` or ``recover``, not
-    after a run's first rebuilt batch, and not after any maintained or
-    per-edge update."""
+def test_every_rebuilt_batch_keeps_vertex_ids(name, tmp_path):
+    """Every rebuilt batch keeps peel ids that mirror the graph: a run's
+    first, later ones, and a lone one after an update that dropped them.
+    A graph that is built or only maintained holds none: not after the
+    constructor, ``CoreService.open`` or ``recover``, and not after any
+    maintained or per-edge update."""
     graph = random_gnm(40, 80, seed=6)
     spare = absent_edges(graph, 40, 40, seed=6)
     assert make_engine(name, graph.copy())._ids is None
     log = tmp_path / "s.wal"
     svc = CoreService.open(graph.copy(), engine=name, log=log, fsync="never")
     assert svc.engine._ids is None
-    receipt = svc.apply(Batch.inserts(spare[:15]))
-    assert receipt.counters["rebuilds"] == 1
-    assert svc.engine._ids is None
-    receipt = svc.apply(Batch.inserts(spare[15:30]))
-    assert receipt.counters["rebuilds"] == 1
-    assert svc.engine._ids is not None
+    for edges in (spare[:15], spare[15:30]):
+        receipt = svc.apply(Batch.inserts(edges))
+        assert receipt.counters["rebuilds"] == 1
+        assert kept_adjacency(svc.engine) == svc.engine.graph.adj
     svc.close()
     recovered = CoreService.recover(log)
     assert recovered.engine._ids is None
     recovered.close()
     for update in DROPPING_UPDATES.values():
         engine = make_engine(name, graph.copy())
-        engine.rebuild_batch(Batch.inserts(spare[:10]))
-        assert engine._ids is None
-        engine.rebuild_batch(Batch.inserts(spare[10:20]))
-        assert engine._ids is not None
+        for edges in (spare[:8], spare[8:16], spare[16:24]):
+            engine.rebuild_batch(Batch.inserts(edges))
+            assert kept_adjacency(engine) == engine.graph.adj
         present = list(engine.graph.edges())
-        update(engine, spare[20:], present[::7])
+        update(engine, spare[24:32], present[::7])
         assert engine._ids is None
         assert engine.core_numbers() == core_numbers(engine.graph)
+        engine.rebuild_batch(Batch.inserts(spare[32:]))
+        assert kept_adjacency(engine) == engine.graph.adj
+        assert engine.core_numbers() == core_numbers(engine.graph)
+        engine.check()
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +317,18 @@ def test_maintained_batch_after_a_faulted_rebuild_audits_clean(
     assert not any(engine.graph.has_edge(*e) for e in gone + spare[:20])
     assert dict(engine.core) == core_numbers(engine.graph)
     assert builds["korder"] == 1
-    assert engine._ids is None
+    # The landed ops were numbered; the next rebuilt batch peels those ids.
+    ids = engine._ids
+    assert kept_adjacency(engine) == engine.graph.adj
+    before = engine.core_numbers()
+    result = engine.rebuild_batch(Batch.inserts(spare[24:]))
+    after = engine.core_numbers()
+    assert engine._ids is ids
+    assert kept_adjacency(engine) == engine.graph.adj
+    assert ids.core == [after[v] for v in ids.vx]
+    assert after == core_numbers(engine.graph)
+    assert result.changed == core_diff(before, after)
+    assert builds["korder"] == 1
     engine.maintain_batch(
         Batch.inserts(spare[20:24]).remove(*next(iter(engine.graph.edges())))
     )

@@ -11,22 +11,27 @@ vertices, vertex removals and the empty graph.  Beside the cores, the
 order must be a k-order (Lemma 5.1) whose ``deg+`` counts each vertex's
 later neighbors, and an engine must pass its own audit.
 
-From a run's second rebuilt batch on, the engine peels the vertex ids
-that batch numbered (:class:`~repro.core.decomposition.DenseIds`), kept
-in step with the graph op by op, and takes ``changed`` by comparing the
-new id-aligned cores with the last peel's instead of two core maps; a
-run's first batch keeps none.  The last tests drive engines through such
-runs, cut by the updates that must drop the ids, and check the kept
-lists against the graph and ``changed`` against ``core_diff`` of the
-core snapshots around every step.
+Every rebuilt batch peels vertex ids
+(:class:`~repro.core.decomposition.DenseIds`): a run's first numbers the
+graph once its ops landed, later ones land their ops on the ids it kept,
+op by op beside the graph.  Each takes ``changed`` by comparing the new
+id-aligned cores with the last peel's instead of two core maps.  The
+last tests drive engines through runs of rebuilt batches, cut by the
+updates that must drop the ids, and check the kept lists against the
+graph and ``changed`` against ``core_diff`` of the core snapshots around
+every step.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_contract import order_family_engines
-from helpers import cores_by_deletion
+from engine_contract import (
+    build_engine,
+    order_family_engines,
+    order_family_variants,
+)
+from helpers import cores_by_deletion, kept_adjacency
 from repro.core.decomposition import (
     core_numbers,
     is_valid_korder,
@@ -139,17 +144,6 @@ def toggle_batch(graph, pairs):
     return batch
 
 
-def kept_adjacency(engine):
-    """The engine's kept ids mapped back to vertices, or ``None``."""
-    ids = engine._ids
-    if ids is None:
-        return None
-    vx = ids.vx
-    assert ids.ids == {v: i for i, v in enumerate(vx)}
-    assert all(len(set(nb)) == len(nb) for nb in ids.nb)
-    return {vx[i]: {vx[j] for j in nb} for i, nb in enumerate(ids.nb)}
-
-
 def step(engine, kind, pairs, vertex, hits):
     """Run one step; returns the delta it reported (``None`` when a
     fault cut it)."""
@@ -178,7 +172,7 @@ def step(engine, kind, pairs, vertex, hits):
             return None
 
 
-@pytest.mark.parametrize("name", order_family_engines())
+@pytest.mark.parametrize("name", order_family_variants())
 @given(
     graph=graphs(),
     steps=st.lists(
@@ -206,7 +200,7 @@ def test_runs_of_rebuilds_peel_the_kept_ids(name, graph, steps):
 @pytest.mark.parametrize("name", order_family_engines())
 def test_a_vertex_whose_edge_came_and_went_enters_at_zero(name):
     """A run's second batch inserts and removes the only edge of a new
-    vertex: its peel of the kept ids must still enter the vertex into
+    vertex on the kept ids: their peel must still enter the vertex into
     the core map, at 0."""
     run_steps(name, DynamicGraph(), [
         ("rebuild", [(POOL[0], POOL[1])], POOL[0], 1),
@@ -215,12 +209,12 @@ def test_a_vertex_whose_edge_came_and_went_enters_at_zero(name):
 
 
 def run_steps(name, graph, steps):
-    """Drive a fresh engine through ``steps``, checking the cores,
-    ``changed`` and the kept ids after each."""
-    engine = make_engine(name, graph)
+    """Drive a fresh engine (an :func:`order_family_variants` name)
+    through ``steps``, checking the cores, ``changed`` and the kept ids
+    after each: a rebuilt batch, even one a fault cut, keeps ids that
+    mirror the graph, and every other update drops them."""
+    engine = build_engine(name, graph)
     assert engine._ids is None
-    # Whether the last step was a rebuilt batch that landed in full.
-    rebuilt = False
     for kind, pairs, vertex, hits in steps:
         before = engine.core_numbers()
         changed = step(engine, kind, pairs, vertex, hits)
@@ -229,21 +223,19 @@ def run_steps(name, graph, steps):
         if changed is not None:
             assert changed == core_diff(before, after)
         kept = kept_adjacency(engine)
-        landed = kind == "rebuild" or (kind == "fault" and changed is not None)
-        if landed and rebuilt:
+        if kind in ("rebuild", "fault"):
             assert kept == engine.graph.adj
         else:
             assert kept is None
-        rebuilt = landed
         engine.check()
 
 
 @pytest.mark.parametrize("name", order_family_engines())
 def test_a_run_of_rebuilt_batches_diffs_its_cores_by_id(name):
-    """Six rebuilt batches in a row, each adding vertices; the second to
-    sixth diff their cores by id.  Each batch's ``changed`` is the diff
-    of the core snapshots around it, and a vertex whose only edge came
-    and went in one batch sits in the core map at 0."""
+    """Six rebuilt batches in a row, each adding vertices, all diff their
+    cores by id.  Each batch's ``changed`` is the diff of the core
+    snapshots around it, and a vertex whose only edge came and went in
+    one batch sits in the core map at 0."""
     engine = make_engine(name, DynamicGraph([(i, i + 1) for i in range(5)]))
     for t in range(6):
         fresh = [("n", t, i) for i in range(4)]
@@ -257,7 +249,7 @@ def test_a_run_of_rebuilt_batches_diffs_its_cores_by_id(name):
         before = engine.core_numbers()
         result = engine.rebuild_batch(batch)
         after = engine.core_numbers()
-        assert (engine._ids is None) == (t == 0)
+        assert kept_adjacency(engine) == engine.graph.adj
         assert after == cores_by_deletion(engine.graph)
         assert result.changed == core_diff(before, after)
         assert after[fresh[3]] == 0
