@@ -8,7 +8,8 @@ service without reading, so its index is still unbuilt, and then times
 on the final state:
 
 * ``top(10)`` and ``spectrum()`` per read, scan against index: each
-  side is the mean of :data:`READS` reads, paired over :data:`ROUNDS`
+  side is the mean of :data:`READS` reads after one untimed warm-up
+  read, paired over :data:`ROUNDS`
   rounds that alternate which side runs first (``paired_medians``); the
   speedup is the median per-round ``scan / index``, with its IQR;
 * the first read of a fresh index, which builds what it needs: ``top``
@@ -77,8 +78,11 @@ RECORDS, _artifact = artifact("read_index", lambda: {
 
 
 def _per_read(read):
-    """A paired side: the mean seconds of :data:`READS` calls of ``read``."""
+    """A paired side: the mean seconds of :data:`READS` calls of ``read``,
+    after one untimed call, so a microsecond-scale read is not timed on
+    caches that the side's ``gc.collect()`` just walked."""
     def side():
+        read()
         started = time.perf_counter()
         for _ in range(READS):
             read()

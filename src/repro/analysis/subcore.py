@@ -67,16 +67,15 @@ def pure_core(
 
 
 def order_core(
-    graph: DynamicGraph,
-    korder: KOrder,
-    core: Mapping[Vertex, int],
-    u: Vertex,
+    graph: DynamicGraph, korder: KOrder, u: Vertex
 ) -> set[Vertex]:
     """``oc(u)``: forward-reachable same-coreness region (Definition 5.4).
 
     From any member ``x`` the set extends to neighbors ``w`` with
-    ``core(w) == core(u)`` and ``x ≺ w`` in the k-order.
+    ``core(w) == core(u)`` and ``x ≺ w`` in the k-order; cores are read
+    from the map the k-order orders by (``korder.core``).
     """
+    core = korder.core
     k = core[u]
     seen = {u}
     frontier = [u]

@@ -44,7 +44,6 @@ from repro.bench.runner import (
 )
 from repro.bench.workloads import (
     grouped_stream,
-    interleave_removals,
     make_workload,
     mixed_batch_workload,
     sample_edge_fraction,
@@ -56,6 +55,7 @@ from repro.core.maintainer import OrderedCoreMaintainer, compute_mcd
 from repro.engine.registry import make_engine
 from repro.graphs.datasets import dataset_names, load_dataset
 from repro.graphs.undirected import DynamicGraph
+from repro.scenarios.generators import interleaved_plan
 from repro.service import CoreService
 
 #: Traversal hop counts benchmarked in Table II / Table III.
@@ -225,7 +225,7 @@ def fig5(
         vertices = rng.sample(vertices, sample)
     sc_sizes = [len(sub_core(graph, core, v)) for v in vertices]
     pc_sizes = [len(pure_core(graph, core, mcd, v)) for v in vertices]
-    oc_sizes = [len(order_core(graph, korder, core, v)) for v in vertices]
+    oc_sizes = [len(order_core(graph, korder, v)) for v in vertices]
     return Fig5Result(
         dataset=name,
         sc=CdfResult(name, *cumulative_distribution(sc_sizes)),
@@ -453,7 +453,7 @@ def fig12(
     group_changed: list[int] = []
     for index, group in enumerate(groups):
         if p > 0.0:
-            plan = interleave_removals(present, group, p, seed=seed + index)
+            plan = interleaved_plan(present, group, p, seed=seed + index)
             log = run_mixed(engine, plan)
             # Track the surviving edge pool for the next group.
             removed = {e for kind, e in plan if kind == "remove"}

@@ -11,7 +11,8 @@ The paper's recipe per dataset:
 * removal experiment: remove the same edges from the full graph;
 * stability (Fig. 12): sample a large pool, split into groups, reinsert
   group by group, optionally removing a random present edge with
-  probability ``p`` after each insertion;
+  probability ``p`` after each insertion
+  (:func:`repro.scenarios.generators.interleaved_plan`);
 * scalability (Fig. 11): induced subgraphs on a vertex sample, and edge
   samples keeping incident vertices.
 """
@@ -26,6 +27,7 @@ from repro.engine.batch import Batch
 from repro.errors import WorkloadError
 from repro.graphs.datasets import LoadedDataset
 from repro.graphs.undirected import DynamicGraph
+from repro.scenarios.generators import interleaved_plan
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
@@ -107,28 +109,6 @@ def grouped_stream(
     return workload, groups
 
 
-def interleave_removals(
-    present_pool: Sequence[Edge],
-    insertions: Sequence[Edge],
-    p: float,
-    seed: int = 0,
-) -> list[tuple[str, Edge]]:
-    """Fig. 12's mixed plan: after each insertion, with probability ``p``
-    remove one random edge that is currently present.
-
-    ``present_pool`` seeds the removable set; inserted edges join it.
-    Returns an ordered op list of ``("insert"|"remove", edge)`` pairs.
-
-    The update-mix semantics live in
-    :func:`repro.scenarios.generators.interleaved_plan` (one source of
-    truth, shared with the ``mixed`` scenario family); this is the
-    bench-facing alias.
-    """
-    from repro.scenarios.generators import interleaved_plan
-
-    return interleaved_plan(present_pool, insertions, p, seed=seed)
-
-
 def batches_from_plan(
     plan: Sequence[tuple[str, Edge]],
     batch_size: int,
@@ -165,7 +145,7 @@ def mixed_batch_workload(
     the same final core numbers.
     """
     workload = make_workload(dataset, n_updates, seed=seed)
-    plan = interleave_removals(
+    plan = interleaved_plan(
         workload.base_edges, workload.update_edges, p, seed=seed
     )
     return workload, plan, batches_from_plan(plan, batch_size)

@@ -35,7 +35,6 @@ Vertex = Hashable
 def order_insert_scan(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     u: Vertex,
     v: Vertex,
 ) -> tuple[list[Vertex], int, int, int, int]:
@@ -46,6 +45,7 @@ def order_insert_scan(
     additionally counts every Case-2a vertex stepped over one at a time.
     """
     graph.add_edge(u, v)
+    core = korder.core
     if core[u] > core[v] or (core[u] == core[v] and korder.precedes(v, u)):
         u, v = v, u
     K = core[u]
@@ -135,9 +135,9 @@ class ScanningOrderedCoreMaintainer(OrderedCoreMaintainer):
     #: Sequential steps taken by every scan so far.
     total_scanned = 0
 
-    def _order_insert(self, graph, korder, core, u, v):
+    def _order_insert(self, graph, korder, u, v):
         v_star, k, visited, evicted, scanned = order_insert_scan(
-            graph, korder, core, u, v
+            graph, korder, u, v
         )
         self.total_scanned += scanned
         return v_star, k, visited, evicted

@@ -32,9 +32,10 @@ Implementation notes
   only moves evicted candidates to just behind the cursor, so relative
   positions across the cursor never change while the scan can still
   observe them.
-* Membership in ``O_K`` is ``core[w] == K``: during the scan every
-  core-``K`` vertex is still in the block and no core number changes
-  until the ending phase.
+* Membership in ``O_K`` is ``core[w] == K``, read from the map the
+  k-order orders by (``korder.core``): during the scan every core-``K``
+  vertex is still in the block and no core number changes until the
+  ending phase.
 * Labels change only when an eviction's ``move_after`` relabels (the
   block's ``stats.relabels`` moves).  The scan then re-keys its live
   entries once from the node map and heapifies them, dropping stale
@@ -68,11 +69,11 @@ _SETTLED = 2  # definitively not in V*
 def order_insert(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     u: Vertex,
     v: Vertex,
 ) -> tuple[list[Vertex], int, int, int]:
-    """Insert ``(u, v)`` into ``graph`` and repair ``core`` and ``korder``.
+    """Insert ``(u, v)`` into ``graph`` and repair ``korder`` and the core
+    map it orders by (``korder.core``).
 
     Returns ``(v_star, K, visited, evicted)`` where ``v_star`` lists the
     vertices whose core number rose by 1 (in k-order), ``K`` is the update
@@ -83,6 +84,7 @@ def order_insert(
     The caller (the maintainer) is responsible for ``mcd`` upkeep.
     """
     graph.add_edge(u, v)
+    core = korder.core
 
     # Preparing phase: orient the edge so that u ≼ v, bump deg+(u).
     cu, cv = core[u], core[v]

@@ -3,7 +3,12 @@
 A :class:`KOrder` is the concatenation ``O_0 O_1 O_2 ...`` of per-core
 blocks.  Each block (the paper's ``A_k``) is a
 :class:`~repro.structures.sequence.TaggedOrderList`: Dietz–Sleator
-integer labels make within-block order tests ``O(1)``.  Cross-block
+integer labels make within-block order tests ``O(1)``.  Block ``O_k``
+holds exactly the vertices of core number ``k``, so a vertex's block
+*is* its core number: the index reads it from the core map it orders by
+(``korder.core``, the engine's own) and never writes that map.  Whoever
+changes a core number moves the vertex between blocks in the same step
+(:meth:`KOrder.promote_chain`, :meth:`KOrder.move_back`).  Cross-block
 tests are a core-number comparison.  All blocks of one index share a
 single :class:`~repro.structures.sequence.SequenceStats`
 (``korder.stats``), so ``order_queries`` / ``relabels`` survive blocks
@@ -31,13 +36,36 @@ Vertex = Hashable
 
 
 class KOrder:
-    """Per-core-number blocks of vertices in maintained k-order."""
+    """Per-core-number blocks of vertices in maintained k-order.
 
-    def __init__(self, stats: Optional[SequenceStats] = None) -> None:
+    ``core`` is the core map the index orders by; the index keeps a
+    reference to it, reads block membership from it and never writes
+    it.  :meth:`from_decomposition` orders by the decomposition's own map:
+
+    >>> from repro.core.decomposition import korder_decomposition
+    >>> from repro.graphs import DynamicGraph
+    >>> g = DynamicGraph([(0, 1), (1, 2), (2, 0), (2, 3)])
+    >>> d = korder_decomposition(g)
+    >>> ko = KOrder.from_decomposition(d)
+    >>> ko.core is d.core
+    True
+    >>> ko.order()
+    [3, 0, 1, 2]
+    >>> d.core[3] = 2  # a core moved without its vertex: the audit sees it
+    >>> ko.audit(g)
+    Traceback (most recent call last):
+    ...
+    repro.errors.InvariantViolationError: 3 in block O_1 but core=2
+    """
+
+    def __init__(
+        self, core: dict[Vertex, int], stats: Optional[SequenceStats] = None
+    ) -> None:
+        #: The core map the index orders by (read, never written).
+        self.core = core
         #: Shared operation counters across all blocks, past and present.
         self.stats = SequenceStats() if stats is None else stats
         self._blocks: dict[int, TaggedOrderList] = {}
-        self._k_of: dict[Vertex, int] = {}
         #: ``deg+``: neighbors after the vertex in the global order.
         self.deg_plus: dict[Vertex, int] = {}
 
@@ -48,13 +76,12 @@ class KOrder:
         stats: Optional[SequenceStats] = None,
     ) -> "KOrder":
         """Build the index from a static decomposition's order, one
-        :meth:`~TaggedOrderList.extend_back` per run of equal core;
-        ``stats`` carries an earlier index's counters over (a rebuild)."""
-        ko = cls(stats)
-        for k, run in groupby(decomposition.order, decomposition.core.__getitem__):
-            run = list(run)
+        :meth:`~TaggedOrderList.extend_back` per run of equal core,
+        ordering by ``decomposition.core`` itself; ``stats`` carries an
+        earlier index's counters over (a rebuild)."""
+        ko = cls(decomposition.core, stats)
+        for k, run in groupby(decomposition.order, ko.core.__getitem__):
             ko.block(k).extend_back(run)
-            ko._k_of.update(dict.fromkeys(run, k))
         ko.deg_plus.update(decomposition.deg_plus)
         return ko
 
@@ -63,14 +90,11 @@ class KOrder:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._k_of)
+        return sum(map(len, self._blocks.values()))
 
     def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self._k_of
-
-    def k_of(self, vertex: Vertex) -> int:
-        """The block (core number) the vertex currently lives in."""
-        return self._k_of[vertex]
+        block = self._blocks.get(self.core.get(vertex))
+        return block is not None and vertex in block
 
     def block(self, k: int) -> TaggedOrderList:
         """The list of block ``O_k``, created on first access."""
@@ -85,7 +109,7 @@ class KOrder:
 
     def precedes(self, u: Vertex, v: Vertex) -> bool:
         """Global order test ``u ≼ v`` (strict)."""
-        ku, kv = self._k_of[u], self._k_of[v]
+        ku, kv = self.core[u], self.core[v]
         if ku != kv:
             return ku < kv
         return self._blocks[ku].precedes(u, v)
@@ -106,15 +130,14 @@ class KOrder:
     # Updates
     # ------------------------------------------------------------------
 
-    def append(self, k: int, vertex: Vertex) -> None:
-        """Append ``vertex`` at the end of block ``O_k``."""
-        self.block(k).insert_back(vertex)
-        self._k_of[vertex] = k
+    def append(self, vertex: Vertex) -> None:
+        """Append ``vertex`` at the end of its core's block."""
+        self.block(self.core[vertex]).insert_back(vertex)
 
     def promote_chain(self, k: int, vertices: list[Vertex]) -> None:
-        """Move ``vertices``, all in ``O_k``, to the *front* of
-        ``O_{k+1}`` in their given order — the ``OrderInsert``
-        ending-phase move.
+        """Move ``vertices``, all in ``O_k`` and already at core
+        ``k + 1``, to the *front* of ``O_{k+1}`` in their given order —
+        the ``OrderInsert`` ending-phase move.
 
         The block labels the chain in one pass at its prepend fast-path
         spacing (amortized O(1) per vertex, with one whole-block spread
@@ -122,42 +145,39 @@ class KOrder:
         vertex keeps its list node (:meth:`TaggedOrderList.move_front`)."""
         source = self._blocks[k]
         self.block(k + 1).move_front(source, vertices)
-        k_of = self._k_of
-        for vertex in vertices:
-            k_of[vertex] = k + 1
         if not source.nodes:
             del self._blocks[k]
 
     def move_back(self, vertex: Vertex, k: int) -> None:
-        """Move ``vertex`` from its block to the end of ``O_k``, keeping
-        its list node — the ``OrderRemoval`` repair's move."""
-        old = self._k_of[vertex]
-        source = self._blocks[old]
-        self.block(k).move_back(source, vertex)
-        self._k_of[vertex] = k
+        """Move ``vertex`` from block ``O_k`` to the end of its core's
+        block, keeping its list node — the ``OrderRemoval`` repair's move
+        (the cascade has already lowered the core)."""
+        source = self._blocks[k]
+        self.block(self.core[vertex]).move_back(source, vertex)
         if not source.nodes:
-            del self._blocks[old]
+            del self._blocks[k]
 
     def remove(self, vertex: Vertex) -> None:
         """Remove ``vertex`` from its block (``deg+`` entry kept)."""
-        k = self._k_of.pop(vertex)
+        k = self.core[vertex]
         block = self._blocks[k]
         block.remove(vertex)
         if not block:
             del self._blocks[k]
 
     def forget(self, vertex: Vertex) -> None:
-        """Remove ``vertex`` and drop its ``deg+`` (vertex left the graph)."""
+        """Remove ``vertex`` and drop its ``deg+`` (vertex left the graph);
+        its core entry must still be there."""
         self.remove(vertex)
         self.deg_plus.pop(vertex, None)
 
     def move_after(self, anchor: Vertex, vertex: Vertex) -> None:
         """Reposition ``vertex`` immediately after ``anchor`` in the same
         block — the Observation 6.1 adjustment for evicted candidates."""
-        k = self._k_of[vertex]
-        if self._k_of[anchor] != k:
+        k, ka = self.core[vertex], self.core[anchor]
+        if ka != k:
             raise InvariantViolationError(
-                f"move_after across blocks: {anchor!r} in O_{self._k_of[anchor]}, "
+                f"move_after across blocks: {anchor!r} in O_{ka}, "
                 f"{vertex!r} in O_{k}"
             )
         self._blocks[k].move_after(anchor, vertex)
@@ -166,8 +186,8 @@ class KOrder:
     # Audit
     # ------------------------------------------------------------------
 
-    def audit(self, graph: DynamicGraph, core: dict[Vertex, int]) -> None:
-        """Verify the full index against the graph.
+    def audit(self, graph: DynamicGraph) -> None:
+        """Verify the full index against the graph and :attr:`core`.
 
         Checks, raising :class:`InvariantViolationError` on failure:
 
@@ -175,19 +195,22 @@ class KOrder:
         * ``deg+(v)`` equals the number of neighbors after ``v``;
         * Lemma 5.1: ``deg+(v) <= k`` for every ``v`` in ``O_k``.
         """
-        if len(self._k_of) != graph.n:
+        size = len(self)
+        if size != graph.n:
             raise InvariantViolationError(
-                f"index holds {len(self._k_of)} vertices, graph has {graph.n}"
+                f"index holds {size} vertices, graph has {graph.n}"
             )
+        core = self.core
         position: dict[Vertex, int] = {}
         offset = 0
         for k in sorted(self._blocks):
             block = self._blocks[k]
             for i, vertex in enumerate(block):
                 position[vertex] = offset + i
-                if core[vertex] != k:
+                if core.get(vertex) != k:
                     raise InvariantViolationError(
-                        f"{vertex!r} in block O_{k} but core={core[vertex]}"
+                        f"{vertex!r} in block O_{k} but "
+                        f"core={core.get(vertex)}"
                     )
             offset += len(block)
         for vertex in graph.vertices():
@@ -201,8 +224,8 @@ class KOrder:
                     f"deg+({vertex!r}) = {self.deg_plus.get(vertex)} "
                     f"but {later} neighbors follow it"
                 )
-            if later > self._k_of[vertex]:
+            if later > core[vertex]:
                 raise InvariantViolationError(
                     f"Lemma 5.1 violated at {vertex!r}: deg+ {later} > "
-                    f"k {self._k_of[vertex]}"
+                    f"k {core[vertex]}"
                 )

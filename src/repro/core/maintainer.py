@@ -2,8 +2,10 @@
 
 :class:`OrderFamilyMaintainer` holds the index both order-family engines
 share — core numbers, the k-order with ``deg+``, and ``mcd`` — with its
-accessors, vertex bookkeeping and audit,
-and it owns the whole removal path: a per-edge ``OrderRemoval``
+accessors, vertex bookkeeping and audit.  The k-order keeps no core map
+of its own: it orders by the engine's (``korder.core is engine.core``),
+and the kernels read cores from it.  The class owns the whole removal
+path: a per-edge ``OrderRemoval``
 (Algorithm 4) is :func:`repro.core.removal.detach_edge` followed by one
 :func:`repro.core.removal.demote_level` cascade seeded with the edge's
 roots, and a removal run goes through
@@ -46,6 +48,8 @@ Example
 >>> m = OrderedCoreMaintainer(g)
 >>> m.core_of(0)
 2
+>>> m.korder.core is m.core  # one core map
+True
 >>> result = m.insert_edge(0, 3)
 >>> m.core_of(3)
 1
@@ -86,8 +90,9 @@ class OrderFamilyMaintainer(CoreMaintainer):
     """State and plumbing shared by the order-family engines.
 
     Both engines hold the same index — core numbers, the k-order (whose
-    blocks carry the paper's ``deg+``) and the max-core degrees ``mcd``
-    — and run the same kernel: :func:`~repro.core.insertion.order_insert`
+    blocks carry the paper's ``deg+`` and which reads each vertex's block
+    from those same core numbers) and the max-core degrees ``mcd`` — and
+    run the same kernel: :func:`~repro.core.insertion.order_insert`
     and the :mod:`repro.core.removal` cascades.  Removals are defined
     here once; the engines differ only in the ``mcd`` upkeep around an
     insertion run (``_insert_run``) and in the counter they charge
@@ -207,7 +212,7 @@ class OrderFamilyMaintainer(CoreMaintainer):
         self._peel = None
         order = [vx[i] for i in vert]
         del vx, vert  # Held through the build, they would raise its peak.
-        # The build reads cores from the live map: one core dict, not two.
+        # The k-order orders by the live map: one core dict, not two.
         peel = KOrderDecomposition(
             self._core, order, later_degrees(self._graph.adj, order)
         )
@@ -258,13 +263,11 @@ class OrderFamilyMaintainer(CoreMaintainer):
         seeded with the edge's roots (one edge demotes by at most one
         level, Theorem 3.1); cores, k-order and ``mcd`` end exact."""
         self._materialize()
-        graph, korder, core, mcd = (
-            self._graph, self._korder, self._core, self._mcd
-        )
-        cu, cv = detach_edge(graph, korder, core, mcd, u, v)
+        graph, korder, mcd = self._graph, self._korder, self._mcd
+        cu, cv = detach_edge(graph, korder, mcd, u, v)
         K = min(cu, cv)
         roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
-        v_star, visited = demote_level(graph, korder, core, mcd, K, roots)
+        v_star, visited = demote_level(graph, korder, mcd, K, roots)
         self._charge_removal(len(v_star), visited)
         if self._audit:
             self.check()
@@ -274,9 +277,7 @@ class OrderFamilyMaintainer(CoreMaintainer):
         """Remove a run of edges through the batch-native joint cascade
         (:func:`~repro.core.removal.order_remove_run`)."""
         self._materialize()
-        run = order_remove_run(
-            self._graph, self._korder, self._core, self._mcd, edges
-        )
+        run = order_remove_run(self._graph, self._korder, self._mcd, edges)
         self._charge_removal(run.recomputed, run.visited)
         if self._audit:
             self.check()
@@ -303,14 +304,17 @@ class OrderFamilyMaintainer(CoreMaintainer):
         """Index a vertex just added to the graph; callers build the
         index (:meth:`_materialize`) before they add it."""
         self._core[vertex] = 0
-        self._korder.append(0, vertex)
+        self._korder.append(vertex)
         self._korder.deg_plus[vertex] = 0
         self._mcd[vertex] = 0
 
     def _forget_vertex(self, vertex: Vertex) -> None:
-        if self._core.pop(vertex, None) is None:
+        """Drop the vertex's k-order entry, which reads its block from
+        :attr:`_core`, before its core entry."""
+        if vertex not in self._core:
             return
         self._korder.forget(vertex)
+        del self._core[vertex]
         self._mcd.pop(vertex, None)
 
     # ------------------------------------------------------------------
@@ -324,7 +328,7 @@ class OrderFamilyMaintainer(CoreMaintainer):
         recomputed from scratch and compared.
         """
         self._build_deferred()
-        self._korder.audit(self._graph, self._core)
+        self._korder.audit(self._graph)
         expected = compute_mcd(self._graph, self._core)
         if expected != self._mcd:
             bad = {
@@ -402,7 +406,7 @@ class OrderedCoreMaintainer(OrderFamilyMaintainer):
                         graph.add_vertex(endpoint)
                         self._register_vertex(endpoint)
                 v_star, k, visited, evicted = self._order_insert(
-                    graph, korder, core, u, v
+                    graph, korder, u, v
                 )
                 for w in v_star:
                     # order_insert already bumped core[w]; remember the value

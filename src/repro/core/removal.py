@@ -64,7 +64,6 @@ Edge = tuple[Vertex, Vertex]
 def detach_edge(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     mcd: dict[Vertex, int],
     u: Vertex,
     v: Vertex,
@@ -78,6 +77,7 @@ def detach_edge(
     the cascade sees correct bounds.  Returns ``(core(u), core(v))``.
     """
     graph.remove_edge(u, v)  # validates before any index mutation
+    core = korder.core
     cu, cv = core[u], core[v]
     if cu == cv:
         korder.stats.order_queries += 1
@@ -99,7 +99,6 @@ def detach_edge(
 def _repair_level(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     K: int,
     disposed: list[Vertex],
 ) -> None:
@@ -114,6 +113,7 @@ def _repair_level(
     never relabel, so labels read before a mover leaves stay valid.
     """
     remaining = set(disposed)
+    core = korder.core
     nodes = korder.block(K).nodes
     adj = graph.adj
     deg_plus = korder.deg_plus
@@ -132,14 +132,13 @@ def _repair_level(
             if cz >= K or z in remaining:
                 new_plus += 1
         deg_plus[w] = new_plus
-        korder.move_back(w, K - 1)
+        korder.move_back(w, K)
     korder.stats.order_queries += queries
 
 
 def demote_level(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     mcd: dict[Vertex, int],
     K: int,
     seeds: Iterable[Vertex],
@@ -157,6 +156,7 @@ def demote_level(
     Returns ``(disposed, touched)``: ``V*`` in disposal order and the
     number of distinct vertices whose ``mcd`` bound was examined.
     """
+    core = korder.core
     stack: list[Vertex] = []
     touched: set[Vertex] = set()
     for w in seeds:
@@ -188,22 +188,22 @@ def demote_level(
                     stack.append(z)
                     queued.add(z)
         mcd[w] = new_mcd
-    _repair_level(graph, korder, core, K, disposed)
+    _repair_level(graph, korder, K, disposed)
     return disposed, len(touched)
 
 
 def order_remove_run(
     graph: DynamicGraph,
     korder: KOrder,
-    core: dict[Vertex, int],
     mcd: dict[Vertex, int],
     edges: Iterable[Edge],
 ) -> RemovalRunResult:
-    """Remove a whole run of ``edges`` and repair ``core``, ``korder``
-    and ``mcd``; ``mcd`` is exact when the call returns.  If an
-    edge is invalid (absent from the graph), the run raises after first
-    completing the cascades for the edges that did land, so the index
-    stays fully consistent with the partially-updated graph.
+    """Remove a whole run of ``edges`` and repair ``korder``, the core
+    map it orders by (``korder.core``) and ``mcd``; ``mcd`` is exact
+    when the call returns.  If an edge is invalid (absent from the
+    graph), the run raises after first completing the cascades for the
+    edges that did land, so the index stays fully consistent with the
+    partially-updated graph.
     """
     # Vertices whose mcd dropped, keyed by their (stable until their
     # level is processed) core number: the joint-cascade seed sets.
@@ -214,7 +214,7 @@ def order_remove_run(
         for u, v in edges:
             # No reorder happens during this phase, so every order test
             # is against one stable k-order.
-            cu, cv = detach_edge(graph, korder, core, mcd, u, v)
+            cu, cv = detach_edge(graph, korder, mcd, u, v)
             # Seed any endpoint that fell below its level.
             if cu <= cv and mcd[u] < cu:
                 pending.setdefault(cu, set()).add(u)
@@ -228,7 +228,7 @@ def order_remove_run(
         while pending:
             K = max(pending)
             disposed, touched = demote_level(
-                graph, korder, core, mcd, K, pending.pop(K)
+                graph, korder, mcd, K, pending.pop(K)
             )
             result.visited += touched
             if not disposed:

@@ -147,9 +147,7 @@ class SimplifiedCoreMaintainer(OrderFamilyMaintainer):
                 graph.add_vertex(endpoint)
                 self._register_vertex(endpoint)
         cu, cv = core[u], core[v]
-        v_star, k, visited, evicted = order_insert(
-            graph, korder, core, u, v
-        )
+        v_star, k, visited, evicted = order_insert(graph, korder, u, v)
         self.candidate_visits += visited
         # The new edge counts for a non-promoted endpoint iff its
         # partner's pre-insert core is at least its own; a partner that

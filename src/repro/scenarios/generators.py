@@ -32,8 +32,8 @@ The families target the engines' distinct stress axes:
     different pockets, and the whole ring leaves again as one removal
     run.  (The name is historical; recorded traces carry it.)
 ``mixed``
-    The Fig. 12-style interleaved insert/remove mix (the one source of
-    truth for :func:`repro.bench.workloads.interleave_removals`).
+    The Fig. 12-style interleaved insert/remove mix
+    (:func:`interleaved_plan`, which the Fig. 12 experiment uses too).
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def shard_merge_storm(
 
 
 # ----------------------------------------------------------------------
-# The interleaved mix (shared with repro.bench.workloads)
+# The interleaved mix (shared with repro.bench)
 # ----------------------------------------------------------------------
 
 def interleaved_plan(
@@ -362,9 +362,10 @@ def interleaved_plan(
 
     ``present_pool`` seeds the removable set; inserted edges join it.
     Returns an ordered op list of ``("insert"|"remove", edge)`` pairs.
-    This is the one source of truth for the update-mix semantics —
-    :func:`repro.bench.workloads.interleave_removals` and the ``mixed``
-    scenario both delegate here.
+    This is the one source of truth for the update-mix semantics: the
+    Fig. 12 experiment (:func:`repro.bench.experiments.fig12`),
+    :func:`repro.bench.workloads.mixed_batch_workload` and the ``mixed``
+    scenario all call it.
     """
     if not 0.0 <= p <= 1.0:
         raise WorkloadError(f"removal probability {p} outside [0, 1]")

@@ -167,30 +167,17 @@ class TaggedOrderList:
         node = self.nodes[item].next
         return None if node is self._tail else node.item
 
-    def predecessor(self, item: Hashable) -> Optional[Any]:
-        """Item immediately before ``item``, or ``None`` if it is the first."""
-        node = self.nodes[item].prev
-        return None if node is self._head else node.item
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
 
-    def insert_front(self, item: Hashable) -> None:
-        """Insert ``item`` as the new first element."""
-        self._insert_between(self._head, self._head.next, item)
-
     def insert_back(self, item: Hashable) -> None:
         """Insert ``item`` as the new last element."""
-        self._insert_between(self._tail.prev, self._tail, item)
-
-    def insert_after(self, anchor_item: Hashable, item: Hashable) -> None:
-        """Insert ``item`` immediately after ``anchor_item``.
-
-        Raises :class:`KeyError` if the anchor is absent.
-        """
-        anchor = self.nodes[anchor_item]
-        self._insert_between(anchor, anchor.next, item)
+        if item in self.nodes:
+            raise ValueError(f"item {item!r} already stored in sequence")
+        node = _ListNode(item, 0)
+        self._place(node, self._tail.prev, self._tail)
+        self.nodes[item] = node
 
     def extend_back(self, items: Iterable[Hashable]) -> None:
         """Append ``items`` in order with the labels, and any
@@ -355,15 +342,6 @@ class TaggedOrderList:
         node.prev.next = node.next
         node.next.prev = node.prev
         return node
-
-    def _insert_between(
-        self, prev: _ListNode, nxt: _ListNode, item: Hashable
-    ) -> None:
-        if item in self.nodes:
-            raise ValueError(f"item {item!r} already stored in sequence")
-        node = _ListNode(item, 0)
-        self._place(node, prev, nxt)
-        self.nodes[item] = node
 
     def _place(self, node: _ListNode, prev: _ListNode, nxt: _ListNode) -> None:
         """Label and link an (unlinked) node between ``prev`` and ``nxt``."""

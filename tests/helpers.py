@@ -167,3 +167,16 @@ def kept_adjacency(engine) -> dict | None:
     assert ids.ids == {v: i for i, v in enumerate(vx)}
     assert all(len(set(nb)) == len(nb) for nb in ids.nb)
     return {vx[i]: {vx[j] for j in nb} for i, nb in enumerate(ids.nb)}
+
+
+def insert_after(seq, anchor, item) -> None:
+    """Insert ``item`` right after ``anchor`` in an OM list the way
+    Algorithm 3's evictions place a vertex: appended, then moved behind
+    the anchor.  A move that overflows takes the item out again, so an
+    overflow leaves the list's order as it was."""
+    seq.insert_back(item)
+    try:
+        seq.move_after(anchor, item)
+    except OverflowError:
+        seq.remove(item)
+        raise

@@ -68,11 +68,11 @@ class TestStructuralSets:
                 core[a] == core[b] and m.korder.precedes(b, a)
             ):
                 a, b = b, a
-            reach = order_core(m.graph, m.korder, core, a)
+            reach = order_core(m.graph, m.korder, a)
             if core[a] == core[b]:
                 # Lemma 5.4(2): the new edge extends forward reachability
                 # into b's order core.
-                reach = reach | order_core(m.graph, m.korder, core, b)
+                reach = reach | order_core(m.graph, m.korder, b)
             result = m.insert_edge(a, b)
             assert result.visited <= len(reach)
 
@@ -88,7 +88,7 @@ class TestStructuralSets:
         rng = random.Random(2)
         sample = rng.sample(sorted(graph.vertices()), 60)
         oc_total = sum(
-            len(order_core(graph, korder, core, v)) for v in sample
+            len(order_core(graph, korder, v)) for v in sample
         )
         pc_total = sum(
             len(pure_core(graph, core, mcd, v)) for v in sample

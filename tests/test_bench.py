@@ -10,7 +10,6 @@ from repro.bench import experiments, reporting
 from repro.bench.runner import run_mixed, run_updates
 from repro.bench.workloads import (
     grouped_stream,
-    interleave_removals,
     make_workload,
     sample_edge_fraction,
     sample_vertex_fraction,
@@ -19,6 +18,7 @@ from repro.core.decomposition import core_numbers
 from repro.engine import make_engine
 from repro.errors import WorkloadError
 from repro.graphs.datasets import load_dataset
+from repro.scenarios.generators import interleaved_plan
 
 SMALL = dict(scale=0.15, seed=3)
 
@@ -62,8 +62,8 @@ class TestWorkloads:
         flat = [e for g in groups for e in g]
         assert flat == workload.update_edges[: len(flat)]
 
-    def test_interleave_removals_plan(self):
-        plan = interleave_removals(
+    def test_interleaved_plan(self):
+        plan = interleaved_plan(
             [(0, 1), (1, 2)], [(2, 3), (3, 4)], p=1.0, seed=0
         )
         inserts = [e for kind, e in plan if kind == "insert"]
@@ -80,12 +80,12 @@ class TestWorkloads:
                 present.discard(e)
 
     def test_interleave_p_zero_no_removals(self):
-        plan = interleave_removals([(0, 1)], [(1, 2)], p=0.0, seed=0)
+        plan = interleaved_plan([(0, 1)], [(1, 2)], p=0.0, seed=0)
         assert plan == [("insert", (1, 2))]
 
     def test_interleave_p_validated(self):
         with pytest.raises(WorkloadError):
-            interleave_removals([], [], p=1.5)
+            interleaved_plan([], [], p=1.5)
 
     def test_vertex_fraction_sampling(self, gowalla):
         small = sample_vertex_fraction(gowalla, 0.3, seed=1)
@@ -121,7 +121,7 @@ class TestRunner:
     def test_run_mixed(self, gowalla):
         w = make_workload(gowalla, 10, seed=2)
         engine = make_engine("order", w.base_graph())
-        plan = interleave_removals(
+        plan = interleaved_plan(
             w.base_edges, w.update_edges, p=0.5, seed=3
         )
         log = run_mixed(engine, plan)

@@ -86,15 +86,14 @@ class TestScanAblation:
 
         d = korder_decomposition(triangle_graph, policy="small")
         ko = KOrder.from_decomposition(d)
-        core = dict(d.core)
         v_star, k, visited, evicted, scanned = order_insert_scan(
-            triangle_graph, ko, core, 3, 0
+            triangle_graph, ko, 3, 0
         )
         assert v_star == [3]
         assert k == 1
         assert evicted == 0
         assert scanned >= visited >= 1
-        ko.audit(triangle_graph, core)
+        ko.audit(triangle_graph)
 
     def test_removals_use_the_order_engines_path(self, triangle_graph):
         scan = ScanningOrderedCoreMaintainer(triangle_graph)

@@ -30,7 +30,7 @@ def build_state(edges, vertices=()):
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy="small")
     korder = KOrder.from_decomposition(decomposition)
-    return graph, korder, dict(decomposition.core)
+    return graph, korder, korder.core
 
 
 class TestEvictionCascade:
@@ -78,20 +78,20 @@ class TestEvictionCascade:
                  (0, 4), (4, 5), (5, 6)]           # dangling path, core 1
         graph, korder, core = build_state(edges)
         # Insert (6, 0): path 4-5-6 + 0 forms a cycle -> all rise to 2.
-        v_star, k, visited, evicted = order_insert(graph, korder, core, 6, 0)
+        v_star, k, visited, evicted = order_insert(graph, korder, 6, 0)
         assert set(v_star) == {4, 5, 6}
         assert k == 1
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     def test_failed_promotion_evicts_everyone(self):
         """Candidates that cannot close the loop all get evicted."""
         # Path 0-1-2-3-4; insert (0, 2) creates a triangle 0-1-2 only.
         edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
         graph, korder, core = build_state(edges)
-        v_star, k, visited, evicted = order_insert(graph, korder, core, 0, 2)
+        v_star, k, visited, evicted = order_insert(graph, korder, 0, 2)
         assert set(v_star) == {0, 1, 2}
         assert core[3] == 1 and core[4] == 1
-        korder.audit(graph, core)
+        korder.audit(graph)
 
 
 class TestRepositioning:
@@ -119,7 +119,7 @@ class TestRepositioning:
         edges = [(0, 1), (1, 2), (2, 3)]
         graph, korder, core = build_state(edges)
         before = [v for v in korder.iter_block(1)]
-        v_star, k, _, _ = order_insert(graph, korder, core, 3, 0)
+        v_star, k, _, _ = order_insert(graph, korder, 3, 0)
         block2 = list(korder.iter_block(2))
         assert block2[: len(v_star)] == v_star
         # Relative order among promoted vertices matches their O_1 order.
@@ -133,7 +133,7 @@ class TestRepositioning:
         chain = [(0, 1), (1, 2)]
         graph, korder, core = build_state(k4 + chain)
         before = list(korder.iter_block(3))
-        order_insert(graph, korder, core, 2, 0)
+        order_insert(graph, korder, 2, 0)
         assert list(korder.iter_block(3)) == before
 
 
@@ -146,9 +146,8 @@ class TestJumps:
         graph = DynamicGraph(fig3_edges(tail=300))
         decomposition = korder_decomposition(graph, policy="small")
         korder = KOrder.from_decomposition(decomposition)
-        core = dict(decomposition.core)
         v_star, k, visited, evicted = order_insert(
-            graph, korder, core, 4, u(0)
+            graph, korder, 4, u(0)
         )
         assert v_star == [u(0)]
         assert visited == 1
@@ -192,8 +191,8 @@ class TestConsistencyWithOracle:
         rng.shuffle(pairs)
         graph, korder, core = build_state(pairs[:30], vertices=range(n))
         for e in pairs[30:90]:
-            order_insert(graph, korder, core, *e)
-            korder.audit(graph, core)
+            order_insert(graph, korder, *e)
+            korder.audit(graph)
             assert core == core_numbers(graph)
 
 

@@ -4,15 +4,22 @@ import random
 
 import pytest
 
-from helpers import cores_by_deletion, mcd_by_scan
+from engine_contract import (
+    build_engine,
+    order_family_engines,
+    order_family_variants,
+)
+from helpers import absent_edges, cores_by_deletion, mcd_by_scan, random_gnm
 from repro.core.decomposition import (
     compute_mcd,
     core_numbers,
     korder_decomposition,
 )
 from repro.core.korder import KOrder
+from repro.engine import Batch
 from repro.errors import InvariantViolationError
 from repro.graphs.undirected import DynamicGraph
+from repro.service import CoreService
 
 
 @pytest.fixture
@@ -29,8 +36,9 @@ class TestConstruction:
 
     def test_blocks_match_cores(self, korder_and_graph):
         ko, graph, d = korder_and_graph
+        assert ko.core is d.core  # ordered by the decomposition's own map
         for v in graph.vertices():
-            assert ko.k_of(v) == d.core[v]
+            assert v in set(ko.iter_block(d.core[v]))
 
     def test_deg_plus_copied(self, korder_and_graph):
         ko, _, d = korder_and_graph
@@ -69,42 +77,47 @@ class TestOrderQueries:
 
 class TestUpdates:
     def test_append_to_new_block(self, korder_and_graph):
-        ko, _, _ = korder_and_graph
-        ko.append(5, "new")
-        assert ko.k_of("new") == 5
+        ko, _, d = korder_and_graph
+        d.core["new"] = 5
+        ko.append("new")  # lands in the block its core names
+        assert "new" in ko
         assert list(ko.iter_block(5)) == ["new"]
         assert ko.order()[-1] == "new"
 
     def test_promote_chain_preserves_relative_order(self):
-        ko = KOrder()
-        for v in "abcd":
-            ko.append(1, v)
-        ko.append(2, "x")
+        core = {**dict.fromkeys("abcd", 1), "x": 2}
+        ko = KOrder(core)
+        for v in "abcdx":
+            ko.append(v)
         node_c = ko.block(1).nodes["c"]
+        core.update(c=2, a=2)  # the caller promotes the cores first
         ko.promote_chain(1, ["c", "a"])
         assert list(ko.iter_block(2)) == ["c", "a", "x"]
         assert list(ko.iter_block(1)) == ["b", "d"]
-        assert ko.k_of("c") == ko.k_of("a") == 2
+        assert "c" in ko and "a" in ko
         assert ko.block(2).nodes["c"] is node_c  # the node moved along
+        core.update(b=2, d=2)
         ko.promote_chain(1, ["b", "d"])
         assert 1 not in ko.block_sizes()
         assert ko.order() == ["b", "d", "c", "a", "x"]
         ko.block(2).check_invariants()
 
     def test_move_back_appends_to_another_block(self):
-        ko = KOrder()
-        for v in "abc":
-            ko.append(2, v)
-        ko.append(1, "x")
+        core = {**dict.fromkeys("abc", 2), "x": 1}
+        ko = KOrder(core)
+        for v in "abcx":
+            ko.append(v)
         node_b = ko.block(2).nodes["b"]
-        ko.move_back("b", 1)
+        core["b"] = 1  # the cascade lowers the core, then the repair moves
+        ko.move_back("b", 2)
         assert list(ko.iter_block(1)) == ["x", "b"]
         assert list(ko.iter_block(2)) == ["a", "c"]
-        assert ko.k_of("b") == 1 and ko.block(1).nodes["b"] is node_b
+        assert "b" in ko and ko.block(1).nodes["b"] is node_b
         with pytest.raises(ValueError):
             ko.move_back("b", 1)  # already in O_1
-        ko.move_back("a", 1)
-        ko.move_back("c", 1)
+        core.update(a=1, c=1)
+        ko.move_back("a", 2)
+        ko.move_back("c", 2)
         assert ko.block_sizes() == {1: 4}
         ko.block(1).check_invariants()
 
@@ -119,9 +132,9 @@ class TestUpdates:
         assert 3 not in ko.deg_plus
 
     def test_move_after_repositions(self):
-        ko = KOrder()
+        ko = KOrder(dict.fromkeys("abcd", 2))
         for v in "abcd":
-            ko.append(2, v)
+            ko.append(v)
         ko.move_after("c", "a")
         assert list(ko.iter_block(2)) == ["b", "c", "a", "d"]
 
@@ -134,37 +147,36 @@ class TestUpdates:
 class TestAudit:
     def test_clean_index_passes(self, korder_and_graph):
         ko, graph, d = korder_and_graph
-        ko.audit(graph, d.core)
+        ko.audit(graph)
 
     def test_missing_vertex_detected(self, korder_and_graph):
         ko, graph, d = korder_and_graph
         ko.remove(3)
         with pytest.raises(InvariantViolationError):
-            ko.audit(graph, d.core)
+            ko.audit(graph)
 
     def test_wrong_block_detected(self, korder_and_graph):
         ko, graph, d = korder_and_graph
         ko.remove(3)
-        ko.append(2, 3)  # vertex 3 has core 1, not 2
+        ko.block(2).insert_back(3)  # vertex 3 has core 1, not 2
         with pytest.raises(InvariantViolationError):
-            ko.audit(graph, d.core)
+            ko.audit(graph)
 
     def test_stale_deg_plus_detected(self, korder_and_graph):
         ko, graph, d = korder_and_graph
         ko.deg_plus[0] += 1
         with pytest.raises(InvariantViolationError):
-            ko.audit(graph, d.core)
+            ko.audit(graph)
 
     def test_lemma_5_1_violation_detected(self):
         # Path a-b-c with b forced first: deg+(b) = 2 > core 1.
         g = DynamicGraph([("a", "b"), ("b", "c")])
-        core = core_numbers(g)
-        ko = KOrder()
+        ko = KOrder(core_numbers(g))
         for v in ("b", "a", "c"):
-            ko.append(1, v)
+            ko.append(v)
         ko.deg_plus.update({"b": 2, "a": 1, "c": 0})
         with pytest.raises(InvariantViolationError):
-            ko.audit(g, core)
+            ko.audit(g)
 
 
 K6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
@@ -173,9 +185,9 @@ TRIANGLE = [("x", "y"), ("y", "z"), ("z", "x")]
 
 def appended_one_by_one(decomposition):
     """The index as one ``append`` per vertex of the order builds it."""
-    ko = KOrder()
+    ko = KOrder(decomposition.core)
     for v in decomposition.order:
-        ko.append(decomposition.core[v], v)
+        ko.append(v)
     return ko
 
 
@@ -202,7 +214,7 @@ def mixed_graph(seed):
 
 class TestBulkBuild:
     """``from_decomposition`` labels each block in one pass; the blocks,
-    the ``k_of`` map and every label match vertex-by-vertex appends."""
+    the core map and every label match vertex-by-vertex appends."""
 
     @pytest.mark.parametrize(
         "edges, vertices, sizes",
@@ -217,10 +229,10 @@ class TestBulkBuild:
         graph = DynamicGraph(edges, vertices=vertices)
         d = korder_decomposition(graph)
         ko = KOrder.from_decomposition(d)
-        ko.audit(graph, d.core)
+        ko.audit(graph)
         assert ko.order() == d.order
         assert ko.block_sizes() == sizes
-        assert {v: ko.k_of(v) for v in d.order} == d.core
+        assert ko.core is d.core
         assert block_labels(ko) == block_labels(appended_one_by_one(d))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -228,7 +240,7 @@ class TestBulkBuild:
         graph = mixed_graph(seed)
         d = korder_decomposition(graph)
         ko = KOrder.from_decomposition(d)
-        ko.audit(graph, d.core)
+        ko.audit(graph)
         assert ko.order() == d.order
         assert ko.block_sizes() == appended_one_by_one(d).block_sizes()
         assert block_labels(ko) == block_labels(appended_one_by_one(d))
@@ -242,3 +254,69 @@ class TestBulkBuild:
 
     def test_compute_mcd_on_the_empty_graph(self):
         assert compute_mcd(DynamicGraph(), {}) == {}
+
+
+# ----------------------------------------------------------------------
+# One core map per engine: the k-order orders by the engine's own cores
+# ----------------------------------------------------------------------
+
+def assert_one_core_map(engine):
+    """The engine's k-order reads its blocks from the engine's core map
+    (reading ``korder`` builds a deferred index) and the index audits."""
+    assert engine.korder.core is engine.core
+    engine.check()
+
+
+@pytest.mark.parametrize("variant", order_family_variants())
+class TestOneCoreMap:
+    def test_after_construction(self, variant):
+        assert_one_core_map(build_engine(variant, random_gnm(30, 70, seed=1)))
+
+    def test_after_a_run_of_rebuilt_batches_and_the_deferred_build(
+        self, variant
+    ):
+        engine = build_engine(variant, random_gnm(30, 60, seed=2))
+        core = engine.core
+        adds = absent_edges(engine.graph, 30, 20, seed=3)
+        engine.rebuild_batch(Batch.inserts(adds[:10]))
+        engine.rebuild_batch(Batch.inserts(adds[10:] + [(5, "new")]))
+        engine.rebuild_batch(Batch.removes(adds[:5]))
+        assert engine.core is core  # refilled in place, never replaced
+        assert_one_core_map(engine)  # the deferred build runs here
+        engine.insert_edge(*adds[0])
+        assert_one_core_map(engine)
+
+    def test_after_adding_and_removing_vertices(self, variant):
+        engine = build_engine(variant, random_gnm(20, 40, seed=4))
+        assert engine.add_vertex("iso")
+        engine.insert_edge("iso", 0)
+        assert_one_core_map(engine)
+        engine.remove_vertex("iso")
+        engine.remove_vertex(0)
+        assert "iso" not in engine.core and 0 not in engine.core
+        assert_one_core_map(engine)
+
+    def test_a_core_moved_without_its_vertex_fails_the_audit(self, variant):
+        engine = build_engine(variant, random_gnm(20, 40, seed=5))
+        engine.check()
+        engine._core[7] += 1
+        with pytest.raises(InvariantViolationError):
+            engine.check()
+
+
+@pytest.mark.parametrize("name", order_family_engines())
+def test_recovered_and_loaded_services_keep_one_core_map(tmp_path, name):
+    log = tmp_path / "session.wal"
+    graph = random_gnm(20, 40, seed=6)
+    svc = CoreService.open(graph, engine=name, log=log, fsync="never")
+    svc.apply(Batch.inserts(absent_edges(graph, 20, 8, seed=7)))
+    svc.save(tmp_path / "session.json")
+    svc.close()
+    for restored in (
+        CoreService.recover(log, fsync="never"),
+        CoreService.load(tmp_path / "session.json"),
+    ):
+        assert restored.engine_name == name
+        assert_one_core_map(restored.engine)
+        restored.close()
+

@@ -6,6 +6,7 @@ import heapq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import insert_after
 from repro.core.decomposition import (
     core_numbers,
     is_valid_korder,
@@ -98,7 +99,7 @@ class TestLabelHeapProperties:
         seq = _NarrowOrderList(range(100))
         live = {w: seq.nodes[w].label for w in held}
         for i in range(storm):
-            seq.insert_after(at, 1000 + i)
+            insert_after(seq, at, 1000 + i)
         live = {w: seq.nodes[w].label for w in live}
         heap = [(key, w) for w, key in live.items()]
         heapq.heapify(heap)

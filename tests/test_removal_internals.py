@@ -15,19 +15,19 @@ def build_state(edges, vertices=()):
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy="small")
     korder = KOrder.from_decomposition(decomposition)
-    core = dict(decomposition.core)
+    core = korder.core
     mcd = compute_mcd(graph, core)
     return graph, korder, core, mcd
 
 
-def remove_one(graph, korder, core, mcd, u, v):
+def remove_one(graph, korder, mcd, u, v):
     """One per-edge OrderRemoval, as the order-family engines run it:
     detach the edge, then one level-K cascade seeded with its roots.
     Returns ``(v_star, K, visited)``."""
-    cu, cv = detach_edge(graph, korder, core, mcd, u, v)
+    cu, cv = detach_edge(graph, korder, mcd, u, v)
     K = min(cu, cv)
     roots = (u, v) if cu == cv else (u,) if cu < cv else (v,)
-    v_star, visited = demote_level(graph, korder, core, mcd, K, roots)
+    v_star, visited = demote_level(graph, korder, mcd, K, roots)
     return v_star, K, visited
 
 
@@ -39,12 +39,12 @@ class TestDisposalMechanics:
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
         graph, korder, core, mcd = build_state(edges)
         o1_before = list(korder.iter_block(1))
-        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, mcd, 0, 1)
         assert set(v_star) == {0, 1, 2}
         o1_after = list(korder.iter_block(1))
         assert o1_after[: len(o1_before)] == o1_before
         assert set(o1_after[len(o1_before) :]) == {0, 1, 2}
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     def test_disposal_in_cascade_order(self):
         """Vertices enter O_{K-1} in the order the cascade disposed them,
@@ -52,11 +52,11 @@ class TestDisposalMechanics:
         # A 4-cycle: removing one edge demotes all four, one by one.
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
         graph, korder, core, mcd = build_state(edges)
-        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, mcd, 0, 1)
         assert set(v_star) == {0, 1, 2, 3}
         assert k == 2
         assert list(korder.iter_block(1)) == v_star
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     def test_no_cascade_when_slack_exists(self):
         """mcd slack absorbs the removal: V* empty, order repaired."""
@@ -65,29 +65,29 @@ class TestDisposalMechanics:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         graph, korder, core, mcd = build_state(edges)
         assert all(c == 2 for c in core.values())
-        v_star, k, visited = remove_one(graph, korder, core, mcd, 0, 2)
+        v_star, k, visited = remove_one(graph, korder, mcd, 0, 2)
         assert v_star == []
         assert all(c == 2 for c in core.values())
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     def test_removal_to_empty_graph(self):
         graph, korder, core, mcd = build_state([(0, 1)])
-        v_star, k, _ = remove_one(graph, korder, core, mcd, 0, 1)
+        v_star, k, _ = remove_one(graph, korder, mcd, 0, 1)
         assert set(v_star) == {0, 1}
         assert core == {0: 0, 1: 0}
         assert list(korder.iter_block(0)) == v_star
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     def test_cross_level_removal_only_touches_lower(self):
         """Removing an edge between O_1 and O_3 never enters O_3."""
         k4 = [(10, 11), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)]
         graph, korder, core, mcd = build_state(k4 + [(10, 0), (0, 1)])
         o3_before = list(korder.iter_block(3))
-        v_star, k, _ = remove_one(graph, korder, core, mcd, 10, 0)
+        v_star, k, _ = remove_one(graph, korder, mcd, 10, 0)
         assert k == 1
         assert list(korder.iter_block(3)) == o3_before
         assert core[10] == 3
-        korder.audit(graph, core)
+        korder.audit(graph)
 
 
 class TestDegPlusRepair:
@@ -98,10 +98,10 @@ class TestDegPlusRepair:
         extra = [(0, 4), (1, 4), (2, 4), (3, 4)]
         graph, korder, core, mcd = build_state(k4 + extra)
         total_before = sum(korder.deg_plus.values())
-        remove_one(graph, korder, core, mcd, 2, 3)
+        remove_one(graph, korder, mcd, 2, 3)
         # Exactly one deg+ unit disappears with the edge.
         assert sum(korder.deg_plus.values()) == total_before - 1
-        korder.audit(graph, core)
+        korder.audit(graph)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_repeated_removals_keep_full_consistency(self, seed):
@@ -114,10 +114,10 @@ class TestDegPlusRepair:
         victims = base[:]
         rng.shuffle(victims)
         for e in victims[:50]:
-            remove_one(graph, korder, core, mcd, *e)
+            remove_one(graph, korder, mcd, *e)
             # The cascade keeps mcd exact: no refresh between removals.
             assert mcd == compute_mcd(graph, core)
-            korder.audit(graph, core)
+            korder.audit(graph)
             assert core == core_numbers(graph)
 
 

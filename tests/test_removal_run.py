@@ -36,7 +36,7 @@ def build_state(edges, vertices=(), policy="small"):
     graph = DynamicGraph(edges, vertices=vertices)
     decomposition = korder_decomposition(graph, policy=policy, seed=0)
     korder = KOrder.from_decomposition(decomposition)
-    core = dict(decomposition.core)
+    core = korder.core
     mcd = compute_mcd(graph, core)
     return graph, korder, core, mcd
 
@@ -47,12 +47,12 @@ class TestOrderRemoveRun:
         """One-edge runs reproduce the Algorithm 4 outcome exactly."""
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
         graph, korder, core, mcd = build_state(edges, policy=policy)
-        run = order_remove_run(graph, korder, core, mcd, [(0, 1)])
+        run = order_remove_run(graph, korder, mcd, [(0, 1)])
         assert run.removed == 1
         assert set(run.changed) == {0, 1, 2}
         assert all(delta == -1 for delta in run.changed.values())
         assert core == core_numbers(graph)
-        korder.audit(graph, core)
+        korder.audit(graph)
         assert mcd == compute_mcd(graph, core)
 
     def test_mcd_is_exact_without_any_caller_refresh(self, policy):
@@ -60,7 +60,7 @@ class TestOrderRemoveRun:
         edges = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         graph, korder, core, mcd = build_state(edges, policy=policy)
         run = order_remove_run(
-            graph, korder, core, mcd, [(0, 1), (2, 3), (4, 5)]
+            graph, korder, mcd, [(0, 1), (2, 3), (4, 5)]
         )
         assert mcd == compute_mcd(graph, core)
         # Targeted accounting: exactly one recomputation per demotion.
@@ -73,14 +73,14 @@ class TestOrderRemoveRun:
         graph, korder, core, mcd = build_state(edges, policy=policy)
         assert all(c == 5 for c in core.values())
         victims = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        run = order_remove_run(graph, korder, core, mcd, victims)
+        run = order_remove_run(graph, korder, mcd, victims)
         assert core == core_numbers(graph)
         assert all(c == 2 for c in core.values())
         assert all(delta == -3 for delta in run.changed.values())
         # The joint cascade walked several levels, highest first.
         assert list(run.levels) == sorted(run.levels, reverse=True)
         assert len(run.levels) >= 2
-        korder.audit(graph, core)
+        korder.audit(graph)
         assert mcd == compute_mcd(graph, core)
 
     def test_no_cascade_run_costs_no_recomputation(self, policy):
@@ -93,10 +93,10 @@ class TestOrderRemoveRun:
             (4, 5), (5, 6), (6, 7), (7, 4), (4, 6),
         ]
         graph, korder, core, mcd = build_state(edges, policy=policy)
-        run = order_remove_run(graph, korder, core, mcd, [(0, 2), (4, 6)])
+        run = order_remove_run(graph, korder, mcd, [(0, 2), (4, 6)])
         assert run.changed == {} and run.recomputed == 0
         assert core == core_numbers(graph)
-        korder.audit(graph, core)
+        korder.audit(graph)
         assert mcd == compute_mcd(graph, core)
 
     def test_invalid_edge_mid_run_leaves_index_consistent(self, policy):
@@ -104,17 +104,17 @@ class TestOrderRemoveRun:
         graph, korder, core, mcd = build_state(edges, policy=policy)
         with pytest.raises(EdgeNotFoundError):
             order_remove_run(
-                graph, korder, core, mcd, [(0, 1), (7, 8), (2, 3)]
+                graph, korder, mcd, [(0, 1), (7, 8), (2, 3)]
             )
         # (0, 1) landed and cascaded; (2, 3) was never reached.
         assert graph.has_edge(2, 3) and not graph.has_edge(0, 1)
         assert core == core_numbers(graph)
-        korder.audit(graph, core)
+        korder.audit(graph)
         assert mcd == compute_mcd(graph, core)
 
     def test_empty_run(self, policy):
         graph, korder, core, mcd = build_state([(0, 1)], policy=policy)
-        run = order_remove_run(graph, korder, core, mcd, [])
+        run = order_remove_run(graph, korder, mcd, [])
         assert run.removed == 0 and run.changed == {} and run.levels == ()
 
 

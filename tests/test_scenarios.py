@@ -166,15 +166,6 @@ class TestGenerators:
         with pytest.raises((ScenarioError, WorkloadError)):
             sc.make_scenario("mixed", p=1.5)
 
-    def test_interleaved_plan_is_the_source_of_truth(self):
-        from repro.bench.workloads import interleave_removals
-
-        pool = [(0, 1), (1, 2)]
-        ins = [(2, 3), (3, 4), (4, 5), (5, 6)]
-        assert interleave_removals(pool, ins, 0.5, seed=3) == (
-            sc.interleaved_plan(pool, ins, 0.5, seed=3)
-        )
-
 
 # ----------------------------------------------------------------------
 # Trace format
